@@ -9,20 +9,30 @@
 //! preparation) under a 128-bit content key so each distinct artifact is
 //! built exactly once per process, across threads.
 //!
+//! The same cache also memoizes *executions*: a VM run is a pure
+//! function of the artifact, the entry point and the part of the VM
+//! config that execution reads (its projection), so its unpriced record
+//! is stored under that key and priced again for every environment that
+//! shares it.
+//!
 //! **Invariant: caching may never change virtual numbers.** A cached run
 //! replays the same virtual load/compile charges as an uncached one
 //! ([`wb_wasm_vm::Instance::instantiate_prepared`]); only wall-clock work
 //! is skipped. The cached Wasm preparation is built from the
 //! encode→decode roundtrip of the module, exactly like the uncached
-//! path, so execution is bit-identical too.
+//! path, so execution is bit-identical too. A memoized execution is
+//! priced by the same function as a fresh one ([`wb_env::price`]), so
+//! the memo may never change virtual numbers either.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use wb_env::Toolchain;
+use wb_jsvm::{JsExecProjection, JsRecord};
 use wb_minic::backend::native::NativeProgram;
 use wb_minic::OptLevel;
-use wb_wasm_vm::PreparedModule;
+use wb_wasm_vm::{ExecutionRecord, PreparedModule, WasmExecProjection};
 
 /// 128-bit FNV-1a content hash identifying one compile artifact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -126,7 +136,29 @@ pub struct CachedNative {
     pub prog: NativeProgram,
 }
 
-/// One cache slot. The per-key mutex serializes *compilation* of that key
+/// What one execution-memo entry is keyed on: the artifact, the entry
+/// point and the VM config's projection (`WasmVmConfig::projection` /
+/// `JsVmConfig::projection`).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct ExecKey<P> {
+    pub artifact: ArtifactKey,
+    pub entry: String,
+    pub projection: P,
+}
+
+/// A memoized Wasm execution: the unpriced record and the output.
+pub(crate) struct RecordedWasm {
+    pub record: ExecutionRecord,
+    pub output: Vec<String>,
+}
+
+/// A memoized JS execution: the unpriced record and the output.
+pub(crate) struct RecordedJs {
+    pub record: JsRecord,
+    pub output: Vec<String>,
+}
+
+/// One cache slot. The per-key mutex serializes *building* that key
 /// across workers — the second worker blocks until the first finishes,
 /// then takes the hit — while the outer map lock is only held long enough
 /// to fetch the slot.
@@ -142,11 +174,11 @@ impl<T> Slot<T> {
     }
 }
 
-struct KeyedCache<T> {
-    slots: Mutex<HashMap<ArtifactKey, Arc<Slot<T>>>>,
+struct KeyedCache<K, T> {
+    slots: Mutex<HashMap<K, Arc<Slot<T>>>>,
 }
 
-impl<T> KeyedCache<T> {
+impl<K: Eq + Hash, T> KeyedCache<K, T> {
     fn new() -> Self {
         KeyedCache {
             slots: Mutex::new(HashMap::new()),
@@ -154,16 +186,20 @@ impl<T> KeyedCache<T> {
     }
 
     /// Get-or-build: returns `(artifact, was_hit)`.
+    ///
+    /// A build that panics poisons its slot's mutex while the slot is
+    /// still empty, so the guard is recovered and the next lookup of the
+    /// key simply builds again.
     fn get_or_build<E>(
         &self,
-        key: ArtifactKey,
+        key: K,
         build: impl FnOnce() -> Result<T, E>,
     ) -> Result<(Arc<T>, bool), E> {
         let slot = {
-            let mut map = self.slots.lock().expect("artifact cache poisoned");
+            let mut map = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
             Arc::clone(map.entry(key).or_insert_with(|| Arc::new(Slot::new())))
         };
-        let mut filled = slot.filled.lock().expect("artifact slot poisoned");
+        let mut filled = slot.filled.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(v) = filled.as_ref() {
             return Ok((Arc::clone(v), true));
         }
@@ -183,6 +219,10 @@ pub struct CacheStats {
     /// Artifact bytes we did not have to re-produce (sum of hit artifact
     /// sizes).
     pub bytes_saved: u64,
+    /// Runs priced from a memoized execution.
+    pub exec_hits: u64,
+    /// Runs that executed (whether or not the memo kept the result).
+    pub exec_misses: u64,
 }
 
 impl CacheStats {
@@ -201,12 +241,16 @@ impl CacheStats {
 /// accounting. One instance is usually shared per process via
 /// [`ArtifactCache::global`].
 pub struct ArtifactCache {
-    wasm: KeyedCache<CachedWasm>,
-    js: KeyedCache<CachedJs>,
-    native: KeyedCache<CachedNative>,
+    wasm: KeyedCache<ArtifactKey, CachedWasm>,
+    js: KeyedCache<ArtifactKey, CachedJs>,
+    native: KeyedCache<ArtifactKey, CachedNative>,
+    wasm_runs: KeyedCache<ExecKey<WasmExecProjection>, RecordedWasm>,
+    js_runs: KeyedCache<ExecKey<JsExecProjection>, RecordedJs>,
     hits: AtomicU64,
     misses: AtomicU64,
     bytes_saved: AtomicU64,
+    exec_hits: AtomicU64,
+    exec_misses: AtomicU64,
 }
 
 impl Default for ArtifactCache {
@@ -222,9 +266,13 @@ impl ArtifactCache {
             wasm: KeyedCache::new(),
             js: KeyedCache::new(),
             native: KeyedCache::new(),
+            wasm_runs: KeyedCache::new(),
+            js_runs: KeyedCache::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             bytes_saved: AtomicU64::new(0),
+            exec_hits: AtomicU64::new(0),
+            exec_misses: AtomicU64::new(0),
         }
     }
 
@@ -277,12 +325,44 @@ impl ArtifactCache {
         Ok(v)
     }
 
+    fn note_exec<T, E>(&self, lookup: Result<(Arc<T>, bool), E>) -> Result<Arc<T>, E> {
+        let counter = match &lookup {
+            Ok((_, true)) => &self.exec_hits,
+            _ => &self.exec_misses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        lookup.map(|(v, _)| v)
+    }
+
+    /// Get the memoized Wasm execution for `key`, or execute it. `run`
+    /// returns `Err` for an execution the memo must not keep; the error
+    /// is handed back unchanged.
+    pub(crate) fn wasm_execution<E>(
+        &self,
+        key: ExecKey<WasmExecProjection>,
+        run: impl FnOnce() -> Result<RecordedWasm, E>,
+    ) -> Result<Arc<RecordedWasm>, E> {
+        self.note_exec(self.wasm_runs.get_or_build(key, run))
+    }
+
+    /// Get the memoized JS execution for `key`, or execute it (semantics
+    /// as [`ArtifactCache::wasm_execution`]).
+    pub(crate) fn js_execution<E>(
+        &self,
+        key: ExecKey<JsExecProjection>,
+        run: impl FnOnce() -> Result<RecordedJs, E>,
+    ) -> Result<Arc<RecordedJs>, E> {
+        self.note_exec(self.js_runs.get_or_build(key, run))
+    }
+
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             bytes_saved: self.bytes_saved.load(Ordering::Relaxed),
+            exec_hits: self.exec_hits.load(Ordering::Relaxed),
+            exec_misses: self.exec_misses.load(Ordering::Relaxed),
         }
     }
 }
@@ -440,6 +520,30 @@ mod tests {
             Ok(CachedJs { source: "x".into() })
         });
         assert!(ok.is_ok());
+    }
+
+    #[test]
+    fn a_build_that_panics_leaves_a_slot_the_retry_fills() {
+        let cache = ArtifactCache::new();
+        let k = key("int z;", &[], OptLevel::O2, Toolchain::Cheerp);
+        let panicked = std::panic::catch_unwind(|| {
+            cache.js(k, || -> Result<CachedJs, ()> {
+                panic!("injected build panic")
+            })
+        });
+        assert!(panicked.is_err());
+        let retried = cache
+            .js(k, || -> Result<CachedJs, ()> {
+                Ok(CachedJs { source: "g".into() })
+            })
+            .expect("the retry rebuilds the poisoned slot");
+        assert_eq!(retried.source, "g");
+        let again = cache
+            .js(k, || -> Result<CachedJs, ()> {
+                unreachable!("slot is filled")
+            })
+            .unwrap();
+        assert!(Arc::ptr_eq(&retried, &again));
     }
 
     #[test]

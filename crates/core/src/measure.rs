@@ -3,7 +3,8 @@
 //! memory, code size, and instruction counts.
 
 use crate::artifacts::{
-    ArtifactCache, ArtifactKey, ArtifactKind, CachedJs, CachedNative, CachedWasm,
+    ArtifactCache, ArtifactKey, ArtifactKind, CachedJs, CachedNative, CachedWasm, ExecKey,
+    RecordedJs, RecordedWasm,
 };
 use crate::host::standard_imports;
 use std::sync::Arc;
@@ -11,10 +12,10 @@ use wb_env::{
     calibration, ArithCounts, Environment, JitMode, Nanos, OpCounts, ResourceLimits, TierPolicy,
     Toolchain, VirtualClock,
 };
-use wb_jsvm::{JsError, JsVm, JsVmConfig};
+use wb_jsvm::{JsError, JsRecord, JsVm, JsVmConfig};
 use wb_minic::backend::native::NativeTrap;
 use wb_minic::{CompileError, Compiler, OptLevel};
-use wb_wasm_vm::{Instance, PreparedModule, Trap, WasmVmConfig};
+use wb_wasm_vm::{ExecutionRecord, Instance, PreparedModule, Trap, WasmVmConfig};
 
 /// Everything one run produces (§3.4's two metrics plus attribution).
 #[derive(Debug, Clone)]
@@ -356,12 +357,14 @@ pub fn reported_wasm_memory(env: Environment, linear_bytes: u64) -> u64 {
     profile.wasm.baseline_memory_bytes + linear_bytes + slack_extra
 }
 
-/// Compile (or fetch from `cache`) the Wasm artifact for a spec. The
-/// cached artifact goes through the same encode→decode→validate
-/// roundtrip as [`Instance::instantiate`], so later execution over the
-/// shared [`PreparedModule`] is bit-identical to the uncached path.
+/// Compile (or fetch from `cache` under `key`) the Wasm artifact for a
+/// spec. The cached artifact goes through the same
+/// encode→decode→validate roundtrip as [`Instance::instantiate`], so
+/// later execution over the shared [`PreparedModule`] is bit-identical
+/// to the uncached path.
 fn wasm_artifact(
     spec: &WasmSpec<'_>,
+    key: ArtifactKey,
     cache: Option<&ArtifactCache>,
 ) -> Result<Arc<CachedWasm>, RunFailure> {
     let build = || -> Result<CachedWasm, RunFailure> {
@@ -381,18 +384,7 @@ fn wasm_artifact(
         })
     };
     match cache {
-        Some(cache) => {
-            let key = ArtifactKey::compute(
-                ArtifactKind::Wasm,
-                spec.source,
-                &spec.defines,
-                spec.level,
-                spec.toolchain,
-                spec.heap_limit,
-                false,
-            );
-            cache.wasm(key, build)
-        }
+        Some(cache) => cache.wasm(key, build),
         None => build().map(Arc::new),
     }
 }
@@ -415,46 +407,78 @@ pub fn run_wasm_with(
 
 /// [`run_wasm_with`], but a failed run also reports the measurement
 /// state at the point of failure (see [`RunFailure`]).
+///
+/// With a cache, a successful execution is memoized under (artifact,
+/// entry, [`WasmVmConfig::projection`]), and every cell that shares
+/// that key is priced from its record instead of executing again.
 pub fn try_run_wasm_with(
     spec: &WasmSpec<'_>,
     cache: Option<&ArtifactCache>,
 ) -> Result<Measurement, RunFailure> {
-    let artifact = wasm_artifact(spec, cache)?;
+    let key = ArtifactKey::compute(
+        ArtifactKind::Wasm,
+        spec.source,
+        &spec.defines,
+        spec.level,
+        spec.toolchain,
+        spec.heap_limit,
+        false,
+    );
+    let artifact = wasm_artifact(spec, key, cache)?;
     let profile = spec.env.profile();
     let mut config = WasmVmConfig::for_env(&profile);
     config.tier_policy = spec.tier_policy;
     config.reference_exec = spec.reference_exec;
     config.exec_overhead = calibration::toolchain_exec_overhead(spec.toolchain);
     config.limits = spec.limits;
-
-    // Deployment (§3.3): the page fetches the binary and instantiates it —
-    // decode + validate + baseline compile are charged exactly as
-    // `instantiate` would, against the pre-decoded module.
-    let mut inst = Instance::instantiate_prepared(
-        Arc::clone(&artifact.prepared),
-        artifact.bytes.len(),
-        config,
-        standard_imports(artifact.strings.clone()),
-    )?;
-    let run = inst.invoke(spec.entry, &[]);
-    let report = inst.report();
-    let measurement = Measurement {
-        time: report.total,
-        clock: report.clock.clone(),
-        memory_bytes: reported_wasm_memory(spec.env, report.memory.linear_bytes),
-        code_size: artifact.bytes.len() as u64,
-        counts: report.counts,
-        arith: report.arith,
-        output: inst.output.clone(),
-        context_switches: report.context_switches,
+    let measure = |record: &ExecutionRecord, output: Vec<String>| {
+        let report = record.price(&config);
+        Measurement {
+            time: report.total,
+            clock: report.clock,
+            memory_bytes: reported_wasm_memory(spec.env, report.memory.linear_bytes),
+            code_size: artifact.bytes.len() as u64,
+            counts: report.counts,
+            arith: report.arith,
+            output,
+            context_switches: report.context_switches,
+        }
     };
-    match run {
-        Ok(_) => Ok(measurement),
-        Err(trap) => Err(RunFailure {
-            error: RunError::Trap(trap),
-            partial: Some(Box::new(measurement)),
-        }),
-    }
+    let execute = || -> Result<RecordedWasm, RunFailure> {
+        // Deployment (§3.3): the page fetches the binary and instantiates
+        // it — decode + validate + baseline compile are charged exactly as
+        // `instantiate` would, against the pre-decoded module.
+        let mut inst = Instance::instantiate_prepared(
+            Arc::clone(&artifact.prepared),
+            artifact.bytes.len(),
+            config.clone(),
+            standard_imports(artifact.strings.clone()),
+        )?;
+        let run = inst.invoke(spec.entry, &[]);
+        let record = inst.record();
+        match run {
+            Ok(_) => Ok(RecordedWasm {
+                record,
+                output: inst.output,
+            }),
+            Err(trap) => Err(RunFailure {
+                error: RunError::Trap(trap),
+                partial: Some(Box::new(measure(&record, inst.output))),
+            }),
+        }
+    };
+    let recorded = match cache {
+        Some(cache) => {
+            let memo_key = ExecKey {
+                artifact: key,
+                entry: spec.entry.to_string(),
+                projection: config.projection(),
+            };
+            cache.wasm_execution(memo_key, execute)?
+        }
+        None => Arc::new(execute()?),
+    };
+    Ok(measure(&recorded.record, recorded.output.clone()))
 }
 
 /// Run a compiled-to-JavaScript benchmark end to end.
@@ -473,6 +497,10 @@ pub fn run_compiled_js_with(
 
 /// [`run_compiled_js_with`], but a failed run also reports the
 /// measurement state at the point of failure (see [`RunFailure`]).
+///
+/// With a cache, a successful execution that never read the clock is
+/// memoized under (artifact, entry, [`JsVmConfig::projection`]), and
+/// every cell that shares that key is priced from its record.
 pub fn try_run_compiled_js_with(
     spec: &JsSpec<'_>,
     cache: Option<&ArtifactCache>,
@@ -483,7 +511,7 @@ pub fn try_run_compiled_js_with(
         let out = compiler.compile_js(spec.source)?;
         Ok(CachedJs { source: out.source })
     };
-    let artifact = match cache {
+    match cache {
         Some(cache) => {
             let key = ArtifactKey::compute(
                 ArtifactKind::Js,
@@ -494,11 +522,11 @@ pub fn try_run_compiled_js_with(
                 None,
                 spec.trap_checks,
             );
-            cache.js(key, build)?
+            let artifact = cache.js(key, build)?;
+            run_js_source(&artifact.source, spec, Some((cache, key)))
         }
-        None => Arc::new(build()?),
-    };
-    run_js_source(&artifact.source, spec)
+        None => run_js_source(&build()?.source, spec, None),
+    }
 }
 
 /// Run a manually-written MiniJS program (§4.1.2).
@@ -509,35 +537,68 @@ pub fn run_manual_js(spec: &JsSpec<'_>) -> Result<Measurement, RunError> {
 /// [`run_manual_js`], but a failed run also reports the measurement
 /// state at the point of failure (see [`RunFailure`]).
 pub fn try_run_manual_js(spec: &JsSpec<'_>) -> Result<Measurement, RunFailure> {
-    run_js_source(spec.source, spec)
+    run_js_source(spec.source, spec, None)
 }
 
-fn run_js_source(js_source: &str, spec: &JsSpec<'_>) -> Result<Measurement, RunFailure> {
+/// Run `js_source`, through the execution memo when given one and the
+/// script's artifact key.
+fn run_js_source(
+    js_source: &str,
+    spec: &JsSpec<'_>,
+    memo: Option<(&ArtifactCache, ArtifactKey)>,
+) -> Result<Measurement, RunFailure> {
     let profile = spec.env.profile();
     let mut config = JsVmConfig::for_env(&profile);
     config.jit = spec.jit;
     config.reference_exec = spec.reference_exec;
     config.limits = spec.limits;
-    let mut vm = JsVm::new(config);
-    vm.load(js_source)?;
-    let run = vm.call(spec.entry, &[]);
-    let report = vm.report();
-    let measurement = Measurement {
-        time: report.total,
-        clock: report.clock.clone(),
-        memory_bytes: profile.js.baseline_memory_bytes + report.heap.peak_live_bytes,
-        code_size: js_source.len() as u64,
-        counts: report.counts,
-        arith: report.arith,
-        output: vm.output.clone(),
-        context_switches: 0,
+    let measure = |record: &JsRecord, output: Vec<String>| {
+        let report = record.price(&config);
+        Measurement {
+            time: report.total,
+            clock: report.clock,
+            memory_bytes: profile.js.baseline_memory_bytes + report.heap.peak_live_bytes,
+            code_size: js_source.len() as u64,
+            counts: report.counts,
+            arith: report.arith,
+            output,
+            context_switches: 0,
+        }
     };
-    match run {
-        Ok(_) => Ok(measurement),
-        Err(e) => Err(RunFailure {
-            error: RunError::Js(e),
-            partial: Some(Box::new(measurement)),
-        }),
+    // A run the memo may not keep — it failed, or it read the clock and
+    // so may have acted on its own price — hands its outcome back as
+    // `Err`.
+    let execute = || -> Result<RecordedJs, Box<Result<Measurement, RunFailure>>> {
+        let mut vm = JsVm::new(config.clone());
+        vm.load(js_source).map_err(|e| Box::new(Err(e.into())))?;
+        let run = vm.call(spec.entry, &[]);
+        let record = vm.record();
+        match run {
+            Ok(_) if record.clock_reads == 0 => Ok(RecordedJs {
+                record,
+                output: vm.output,
+            }),
+            Ok(_) => Err(Box::new(Ok(measure(&record, vm.output)))),
+            Err(e) => Err(Box::new(Err(RunFailure {
+                error: RunError::Js(e),
+                partial: Some(Box::new(measure(&record, vm.output))),
+            }))),
+        }
+    };
+    let recorded = match memo {
+        Some((cache, artifact)) => {
+            let memo_key = ExecKey {
+                artifact,
+                entry: spec.entry.to_string(),
+                projection: config.projection(),
+            };
+            cache.js_execution(memo_key, execute)
+        }
+        None => execute().map(Arc::new),
+    };
+    match recorded {
+        Ok(recorded) => Ok(measure(&recorded.record, recorded.output.clone())),
+        Err(outcome) => *outcome,
     }
 }
 

@@ -1,13 +1,15 @@
 //! The cache invariant, end to end: a run served from the artifact
-//! cache must produce a bit-identical [`Measurement`] to an uncached
-//! run — same virtual time (to the bit), same memory, same output,
-//! same counts — across all three backends and across environments.
+//! cache or the execution memo must produce a bit-identical
+//! [`Measurement`] to an uncached run — same virtual time and clock
+//! buckets (to the bit), same memory, same output, same per-class and
+//! arithmetic counts — across all three backends and across
+//! environments, tier policies and JIT modes.
 
 use wb_core::{
-    run_compiled_js_with, run_native_with, run_wasm_with, ArtifactCache, JsSpec, Measurement,
-    WasmSpec,
+    run_compiled_js_with, run_native_with, run_wasm_with, try_run_wasm_with, ArtifactCache, JsSpec,
+    Measurement, WasmSpec,
 };
-use wb_env::{Browser, Environment, Platform, TierPolicy};
+use wb_env::{Browser, Environment, JitMode, Platform, ResourceLimits, TierPolicy};
 use wb_minic::OptLevel;
 
 const KERNEL: &str = "#define N 20\n\
@@ -28,10 +30,25 @@ fn assert_identical(a: &Measurement, b: &Measurement, what: &str) {
         b.time.0.to_bits(),
         "{what}: virtual time"
     );
+    let buckets = |m: &Measurement| {
+        let c = &m.clock;
+        [
+            c.now(),
+            c.load_time,
+            c.compile_time,
+            c.exec_time,
+            c.gc_time,
+            c.mem_grow_time,
+            c.context_switch_time,
+        ]
+        .map(|t| t.0.to_bits())
+    };
+    assert_eq!(buckets(a), buckets(b), "{what}: clock buckets");
     assert_eq!(a.memory_bytes, b.memory_bytes, "{what}: memory");
     assert_eq!(a.code_size, b.code_size, "{what}: code size");
     assert_eq!(a.output, b.output, "{what}: output");
-    assert_eq!(a.counts.total(), b.counts.total(), "{what}: op counts");
+    assert_eq!(a.counts, b.counts, "{what}: per-class op counts");
+    assert_eq!(a.arith, b.arith, "{what}: arithmetic counts");
     assert_eq!(a.context_switches, b.context_switches, "{what}: crossings");
 }
 
@@ -110,4 +127,98 @@ fn distinct_configurations_do_not_share_artifacts() {
         assert_identical(&uncached, &cached, "per-level");
     }
     assert_eq!(cache.stats().misses, 3, "each level compiles once");
+}
+
+#[test]
+fn repeated_runs_are_execution_memo_hits() {
+    let cache = ArtifactCache::new();
+    let wasm = WasmSpec::new(KERNEL);
+    let js = JsSpec::new(KERNEL);
+    let uncached = (
+        run_wasm_with(&wasm, None).unwrap(),
+        run_compiled_js_with(&js, None).unwrap(),
+    );
+    for _ in 0..2 {
+        assert_identical(
+            &uncached.0,
+            &run_wasm_with(&wasm, Some(&cache)).unwrap(),
+            "wasm memo",
+        );
+        assert_identical(
+            &uncached.1,
+            &run_compiled_js_with(&js, Some(&cache)).unwrap(),
+            "js memo",
+        );
+    }
+    let s = cache.stats();
+    assert_eq!(
+        (s.exec_misses, s.exec_hits),
+        (2, 2),
+        "one execution per backend"
+    );
+}
+
+#[test]
+fn one_wasm_execution_serves_every_environment_and_tier_policy() {
+    let cache = ArtifactCache::new();
+    for tier in [
+        TierPolicy::Default,
+        TierPolicy::BasicOnly,
+        TierPolicy::OptimizingOnly,
+    ] {
+        for env in Environment::all_six() {
+            let mut spec = WasmSpec::new(KERNEL);
+            spec.env = env;
+            spec.tier_policy = tier;
+            let uncached = run_wasm_with(&spec, None).unwrap();
+            let cached = run_wasm_with(&spec, Some(&cache)).unwrap();
+            assert_identical(&uncached, &cached, &format!("wasm {env:?} {tier:?}"));
+        }
+    }
+    // Default tiers up at two thresholds (Chrome/Edge, Firefox); the
+    // other two policies never tier up, so all six environments share
+    // one execution each.
+    let s = cache.stats();
+    assert_eq!((s.exec_misses, s.exec_hits), (4, 14));
+}
+
+#[test]
+fn one_js_execution_serves_every_environment_and_jit_mode() {
+    let cache = ArtifactCache::new();
+    for jit in [JitMode::Enabled, JitMode::Disabled] {
+        for env in Environment::all_six() {
+            let mut spec = JsSpec::new(KERNEL);
+            spec.env = env;
+            spec.jit = jit;
+            let uncached = run_compiled_js_with(&spec, None).unwrap();
+            let cached = run_compiled_js_with(&spec, Some(&cache)).unwrap();
+            assert_identical(&uncached, &cached, &format!("js {env:?} {jit:?}"));
+        }
+    }
+    // The JIT threshold matters only with the JIT on (two values).
+    let s = cache.stats();
+    assert_eq!((s.exec_misses, s.exec_hits), (3, 9));
+}
+
+#[test]
+fn failed_runs_are_never_memoized() {
+    let cache = ArtifactCache::new();
+    let mut spec = WasmSpec::new(KERNEL);
+    spec.limits = ResourceLimits::default().with_fuel(500);
+    let uncached = try_run_wasm_with(&spec, None).unwrap_err();
+    for _ in 0..2 {
+        let cached = try_run_wasm_with(&spec, Some(&cache)).unwrap_err();
+        assert_eq!(cached.error.kind(), uncached.error.kind());
+        assert_identical(
+            uncached.partial.as_deref().unwrap(),
+            cached.partial.as_deref().unwrap(),
+            "partial measurement",
+        );
+    }
+    let s = cache.stats();
+    assert_eq!(
+        (s.exec_misses, s.exec_hits),
+        (2, 0),
+        "each failure executes"
+    );
 }

@@ -14,6 +14,8 @@
 //!   memory-accounting parameters per engine;
 //! * [`CompilerProfile`] — Cheerp vs Emscripten toolchain differences
 //!   (§4.2.2): initial linear memory, growth granularity, codegen efficiency;
+//! * [`ChargeRecord`] / [`price`] — the unpriced record of a run's
+//!   discrete events and the one function that prices it;
 //! * [`calibration`] — every tuned constant, in one audited module.
 //!
 //! All numbers produced on top of this crate are **deterministic**: the same
@@ -29,6 +31,7 @@ mod cost;
 mod engine;
 mod environment;
 mod limits;
+mod price;
 pub mod rng;
 mod time;
 
@@ -37,4 +40,5 @@ pub use cost::{ArithCounts, CostTable, OpClass, OpCounts, OP_CLASS_COUNT};
 pub use engine::{GcParams, JitMode, JsEngineProfile, TierParams, TierPolicy, WasmEngineProfile};
 pub use environment::{Browser, EnvProfile, Environment, Platform};
 pub use limits::{ResourceLimits, DEFAULT_MAX_CALL_DEPTH};
+pub use price::{price, Charge, ChargeRecord, EnginePrices, PriceList};
 pub use time::{Nanos, TimeBucket, VirtualClock};

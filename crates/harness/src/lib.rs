@@ -22,14 +22,16 @@
 //! Shared flags: `--filter <substr>` restricts benchmarks, `--out <dir>`
 //! changes the CSV directory, `--quick` runs a reduced grid, `--jobs N`
 //! bounds the worker pool (default: `available_parallelism`),
-//! `--no-cache` disables the shared artifact cache, `--stats` prints its
-//! hit/miss summary and `--reference-exec` runs both VMs on their plain
-//! per-op interpreters instead of the fused micro-op engines (the
-//! measured numbers are bit-identical either way — this flag exists to
-//! prove exactly that). All binaries execute
-//! their grid through one [`GridEngine`], which compiles each distinct
+//! `--no-cache` disables the shared artifact cache and execution memo,
+//! `--stats` prints their hit/miss summary and `--reference-exec` runs
+//! both VMs on their plain per-op interpreters instead of the fused
+//! micro-op engines (the measured numbers are bit-identical either way —
+//! this flag exists to prove exactly that). All binaries execute their
+//! grid through one [`GridEngine`], which compiles each distinct
 //! `(source, defines, level, toolchain, heap)` configuration exactly
-//! once per process — measured virtual numbers are unaffected.
+//! once per process and executes each distinct run once, pricing it for
+//! every environment that shares it — measured virtual numbers are
+//! unaffected.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -292,10 +294,11 @@ where
 /// and across worker threads happen once), a `--jobs` bound for the
 /// thread pool, and a `--stats` summary.
 ///
-/// Flags: `--no-cache` disables artifact sharing (each cell compiles
-/// from scratch — the measured virtual numbers are bit-identical either
-/// way), `--jobs N` caps worker threads, `--stats` prints cache
-/// hit/miss/bytes-saved counters to stderr at the end.
+/// Flags: `--no-cache` disables artifact sharing and the execution memo
+/// (each cell compiles and executes from scratch — the measured virtual
+/// numbers are bit-identical either way), `--jobs N` caps worker
+/// threads, `--stats` prints cache hit/miss/bytes-saved and execution
+/// memo counters to stderr at the end.
 pub struct GridEngine {
     cache: Option<&'static ArtifactCache>,
     jobs: Option<usize>,
@@ -311,7 +314,7 @@ pub struct GridEngine {
 /// written to the `<name>_failures.csv` partial-results annex.
 #[derive(Debug)]
 pub struct CellFailure {
-    /// `benchmark/size/level/backend` label of the cell.
+    /// The whole cell, as [`Run::cell_label`] writes it.
     pub cell: String,
     /// Backend-independent fault class.
     pub kind: TrapKind,
@@ -417,18 +420,20 @@ impl GridEngine {
     /// cell that exhausts its attempts is quarantined.
     pub fn try_wasm(&self, run: &Run) -> Result<Measurement, RunFailure> {
         let cell = self.configured(run);
-        self.attempt(&run.label("wasm"), || cell.try_wasm_with(self.cache))
+        self.attempt(&cell.cell_label("wasm"), || cell.try_wasm_with(self.cache))
     }
 
     /// Fallible compiled-JS cell (semantics as [`GridEngine::try_wasm`]).
     pub fn try_js(&self, run: &Run) -> Result<Measurement, RunFailure> {
         let cell = self.configured(run);
-        self.attempt(&run.label("js"), || cell.try_js_with(self.cache))
+        self.attempt(&cell.cell_label("js"), || cell.try_js_with(self.cache))
     }
 
     /// Fallible native cell (semantics as [`GridEngine::try_wasm`]).
     pub fn try_native(&self, run: &Run) -> Result<Measurement, RunFailure> {
-        self.attempt(&run.label("native"), || run.try_native_with(self.cache))
+        self.attempt(&run.cell_label("native"), || {
+            run.try_native_with(self.cache)
+        })
     }
 
     /// A cell with the engine-wide `--reference-exec` choice applied.
@@ -475,7 +480,8 @@ impl GridEngine {
         Err(failure)
     }
 
-    /// Put a spent cell on the quarantine list (deduplicated by label).
+    /// Put a spent cell on the quarantine list (deduplicated by its
+    /// [`Run::cell_label`]).
     fn record_failure(&self, label: &str, failure: &RunFailure, attempts: u32) {
         let mut quarantine = self
             .quarantine
@@ -512,7 +518,7 @@ impl GridEngine {
             Err(fail) => {
                 eprintln!(
                     "error: {} [{}]: {}",
-                    run.label(backend),
+                    run.cell_label(backend),
                     fail.error.kind(),
                     fail.error
                 );
@@ -599,6 +605,10 @@ impl GridEngine {
                     100.0 * s.hit_rate(),
                     s.bytes_saved
                 );
+                eprintln!(
+                    "[cache] executions: {} memo hits / {} executed",
+                    s.exec_hits, s.exec_misses
+                );
             }
             None => eprintln!("[cache] disabled (--no-cache)"),
         }
@@ -662,8 +672,7 @@ impl Run {
         }
     }
 
-    /// `benchmark/size/level/backend` label, used on quarantine lists
-    /// and failure CSVs.
+    /// `benchmark/size/level/backend` label.
     pub fn label(&self, backend: &str) -> String {
         format!(
             "{}/{:?}/{}/{backend}",
@@ -671,6 +680,36 @@ impl Run {
             self.size,
             self.level.name()
         )
+    }
+
+    /// The whole cell: [`Run::label`] plus every setting it leaves out —
+    /// toolchain, environment, tier policy and JIT mode, then the limits
+    /// and `reference-exec` when they differ from the study default.
+    /// Keys the quarantine list and labels failure rows, so cells that
+    /// differ only in a run-time setting stay apart.
+    pub fn cell_label(&self, backend: &str) -> String {
+        let mut label = format!(
+            "{} {:?} {} {:?} {:?}",
+            self.label(backend),
+            self.toolchain,
+            self.env.label(),
+            self.tier_policy,
+            self.jit
+        );
+        let l = self.limits;
+        if l != ResourceLimits::default() {
+            let show = |v: Option<u64>| v.map_or("-".to_string(), |v| v.to_string());
+            label += &format!(
+                " fuel={} memory={} depth={}",
+                show(l.fuel),
+                show(l.max_memory_bytes),
+                l.max_call_depth
+            );
+        }
+        if self.reference_exec {
+            label += " reference-exec";
+        }
+        label
     }
 
     /// Execute the Wasm build.

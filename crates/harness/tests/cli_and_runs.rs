@@ -3,7 +3,7 @@
 
 use wb_benchmarks::InputSize;
 use wb_core::ArtifactCache;
-use wb_env::{Browser, Environment, Platform};
+use wb_env::{Browser, Environment, Platform, ResourceLimits};
 use wb_harness::{parallel_map, parallel_map_jobs, Cli, GridEngine, Run};
 
 // --- Cli parsing -----------------------------------------------------------
@@ -161,6 +161,40 @@ fn grid_engine_shares_compiles_across_cells_and_workers() {
     let stats = cache.stats();
     assert_eq!(stats.misses, 1, "one compile for six cells");
     assert_eq!(stats.hits, 5);
+    // The six environments share two executions: one per tier-up
+    // threshold (Chrome/Edge, Firefox).
+    assert_eq!((stats.exec_misses, stats.exec_hits), (2, 4));
+}
+
+#[test]
+fn failures_of_cells_that_differ_only_in_environment_stay_apart() {
+    let engine = GridEngine::with_settings(None, Some(2)).with_keep_going();
+    let b = wb_benchmarks::find("trisolv").expect("trisolv in corpus");
+    let cells: Vec<Run> = [
+        Environment::desktop_chrome(),
+        Environment::desktop_firefox(),
+    ]
+    .into_iter()
+    .map(|env| {
+        let mut run = Run::new(b.clone(), InputSize::XS);
+        run.env = env;
+        run.limits = ResourceLimits::default().with_fuel(10);
+        run
+    })
+    .collect();
+    assert_eq!(cells[0].label("wasm"), cells[1].label("wasm"));
+    engine.map(cells, |c| engine.wasm(&c));
+    assert_eq!(engine.failure_count(), 2, "one quarantine entry per cell");
+
+    let out = std::env::temp_dir().join(format!("wb-failures-{}", std::process::id()));
+    let cli = Cli::from_args(["--out", out.to_str().unwrap()]);
+    engine.emit_failures(&cli, "envs");
+    let csv = std::fs::read_to_string(out.join("envs_failures.csv")).unwrap();
+    std::fs::remove_dir_all(&out).unwrap();
+    let rows: Vec<&str> = csv.lines().skip(1).collect();
+    assert_eq!(rows.len(), 2, "{csv}");
+    assert!(rows.iter().any(|r| r.contains("Desktop Chrome")), "{csv}");
+    assert!(rows.iter().any(|r| r.contains("Desktop Firefox")), "{csv}");
 }
 
 // --- Run ---------------------------------------------------------------------

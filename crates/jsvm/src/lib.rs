@@ -45,7 +45,7 @@ pub use bytecode::{Op, Program};
 pub use error::JsError;
 pub use heap::HeapStats;
 pub use value::JsValue;
-pub use vm::{JsReport, JsVm, JsVmConfig};
+pub use vm::{JsExecProjection, JsRecord, JsReport, JsVm, JsVmConfig};
 
 /// Parse and compile a script without executing it (exposed for tests,
 /// code-size metrics and the harness).

@@ -1,5 +1,6 @@
 //! The MiniJS virtual machine: bytecode interpreter, JIT tier model, GC
-//! scheduling and virtual-time accounting.
+//! scheduling and the unpriced record of a run ([`JsRecord`]), which
+//! `wb_env::price` turns into virtual time.
 
 use crate::bytecode::{Const, Op, Program};
 use crate::error::JsError;
@@ -10,7 +11,8 @@ use crate::value::{format_number, Builtin, JsValue, Value};
 use std::collections::HashMap;
 use std::rc::Rc;
 use wb_env::{
-    ArithCounts, CostTable, JitMode, JsEngineProfile, Nanos, OpCounts, TimeBucket, VirtualClock,
+    ArithCounts, Charge, ChargeRecord, CostTable, EnginePrices, JitMode, JsEngineProfile, Nanos,
+    OpCounts, PriceList, VirtualClock,
 };
 
 /// Configuration of one JS VM.
@@ -62,6 +64,44 @@ impl JsVmConfig {
             reference_exec: false,
         }
     }
+
+    /// The part of this config that execution reads (see
+    /// `JsVm::note_hotness`); everything else only prices the run.
+    pub fn projection(&self) -> JsExecProjection {
+        JsExecProjection {
+            jit: self.jit,
+            jit_threshold: (self.jit == JitMode::Enabled).then_some(self.profile.jit_threshold),
+            gc_trigger_bytes: self.profile.gc.trigger_bytes,
+            limits: self.limits,
+            reference_exec: self.reference_exec,
+        }
+    }
+
+    /// The price side of this config.
+    pub(crate) fn prices(&self) -> PriceList<'_> {
+        PriceList {
+            engine: EnginePrices::Js(&self.profile),
+            cost: &self.cost,
+            cycle_time_ns: self.cycle_time_ns,
+            exec_overhead: 1.0,
+        }
+    }
+}
+
+/// What execution reads of a [`JsVmConfig`]: two configs with equal
+/// projections execute a script identically and differ only in price.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct JsExecProjection {
+    /// Whether the optimizing JIT is enabled.
+    pub jit: JitMode,
+    /// The JIT threshold, when the JIT is enabled.
+    pub jit_threshold: Option<u64>,
+    /// Allocation volume that triggers a collection.
+    pub gc_trigger_bytes: u64,
+    /// Resource ceilings.
+    pub limits: wb_env::ResourceLimits,
+    /// Plain ops without the fused overlay and inline caches.
+    pub reference_exec: bool,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,6 +120,50 @@ struct Frame {
     chunk: u32,
     pc: usize,
     locals_base: usize,
+}
+
+/// Everything a JS execution did, unpriced: its discrete events in
+/// order and its retired operations per tier. [`JsRecord::price`] turns
+/// it into a [`JsReport`] for any price list.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JsRecord {
+    /// Discrete events (parse, compile, allocation, GC, JIT, hashing) in
+    /// order.
+    pub charges: ChargeRecord,
+    /// Retired ops per tier: `[interpreter, JIT, JIT typed-array
+    /// accesses]`.
+    pub tier_counts: [OpCounts; 3],
+    /// Heap statistics (live/peak/external bytes, GC count).
+    pub heap: HeapStats,
+    /// Fine-grained arithmetic profile (Table 12).
+    pub arith: ArithCounts,
+    /// Functions JIT-compiled.
+    pub jit_compiles: u32,
+    /// Compiled bytecode size (op count).
+    pub code_ops: usize,
+    /// `performance.now()` calls. A run that read the clock may have
+    /// acted on its price, so its record holds for its own price list
+    /// only.
+    pub clock_reads: u64,
+}
+
+impl JsRecord {
+    /// Price this record with `config`'s engine profile, cost table and
+    /// cycle time.
+    pub fn price(&self, config: &JsVmConfig) -> JsReport {
+        let clock = wb_env::price(&config.prices(), &self.charges, &self.tier_counts);
+        let [interp, jit, ta] = &self.tier_counts;
+        JsReport {
+            total: clock.now(),
+            clock,
+            counts: interp.merged(jit).merged(ta),
+            interp_counts: *interp,
+            heap: self.heap,
+            arith: self.arith,
+            jit_compiles: self.jit_compiles,
+            code_ops: self.code_ops,
+        }
+    }
 }
 
 /// Everything measured about a JS execution.
@@ -119,7 +203,8 @@ pub struct JsVm {
     /// Typed-array index accesses retired in JIT code (charged at the
     /// better `jit_typed_array_multiplier`).
     ta_counts: OpCounts,
-    clock: VirtualClock,
+    charges: ChargeRecord,
+    clock_reads: u64,
     steps: u64,
     jit_compiles: u32,
     rng: DetRng,
@@ -150,7 +235,8 @@ impl JsVm {
             tier_counts: [OpCounts::new(), OpCounts::new()],
             arith: ArithCounts::default(),
             ta_counts: OpCounts::new(),
-            clock: VirtualClock::new(),
+            charges: ChargeRecord::new(),
+            clock_reads: 0,
             steps: 0,
             jit_compiles: 0,
             rng: DetRng::default(),
@@ -166,14 +252,12 @@ impl JsVm {
     /// source byte and bytecode-compile time per op (§2.2.1).
     pub fn load(&mut self, source: &str) -> Result<(), JsError> {
         let program = crate::compile_script(source)?;
-        self.charge(
-            source.len() as f64 * self.config.profile.parse_cost_per_byte,
-            TimeBucket::Load,
-        );
-        self.charge(
-            program.op_count() as f64 * self.config.profile.bytecode_cost_per_op,
-            TimeBucket::Compile,
-        );
+        self.charges.push(Charge::JsParse {
+            bytes: source.len() as u64,
+        });
+        self.charges.push(Charge::JsBytecode {
+            ops: program.op_count() as u64,
+        });
         self.name_index = program
             .names
             .iter()
@@ -243,38 +327,23 @@ impl JsVm {
         Ok(self.value_out(v))
     }
 
-    /// Current measurement snapshot.
-    pub fn report(&self) -> JsReport {
-        let p = &self.config.profile;
-        let interp_cycles = self
-            .config
-            .cost
-            .cycles(&self.tier_counts[0], p.interp_multiplier);
-        let jit_cycles = self
-            .config
-            .cost
-            .cycles(&self.tier_counts[1], p.jit_multiplier);
-        let ta_cycles = self
-            .config
-            .cost
-            .cycles(&self.ta_counts, p.jit_typed_array_multiplier);
-        let mut clock = self.clock.clone();
-        clock.advance(
-            Nanos((interp_cycles + jit_cycles + ta_cycles) * self.config.cycle_time_ns),
-            TimeBucket::Exec,
-        );
-        JsReport {
-            total: clock.now(),
-            clock,
-            counts: self.tier_counts[0]
-                .merged(&self.tier_counts[1])
-                .merged(&self.ta_counts),
-            interp_counts: self.tier_counts[0],
+    /// The unpriced record of everything executed so far.
+    pub fn record(&self) -> JsRecord {
+        JsRecord {
+            charges: self.charges.clone(),
+            tier_counts: self.priced_tiers(),
             heap: self.heap.stats(),
             arith: self.arith,
             jit_compiles: self.jit_compiles,
             code_ops: self.program.op_count(),
+            clock_reads: self.clock_reads,
         }
+    }
+
+    /// Current measurement snapshot: the [`JsVm::record`] priced with
+    /// this VM's config.
+    pub fn report(&self) -> JsReport {
+        self.record().price(&self.config)
     }
 
     /// Read a global as a public value (test/IO helper).
@@ -286,9 +355,9 @@ impl JsVm {
 
     // ---- internals ------------------------------------------------------
 
-    fn charge(&mut self, cycles: f64, bucket: TimeBucket) {
-        self.clock
-            .advance(Nanos(cycles * self.config.cycle_time_ns), bucket);
+    /// Retired ops in the order [`JsRecord::tier_counts`] prices them.
+    fn priced_tiers(&self) -> [OpCounts; 3] {
+        [self.tier_counts[0], self.tier_counts[1], self.ta_counts]
     }
 
     fn value_in(&mut self, v: &JsValue) -> Value {
@@ -338,7 +407,7 @@ impl JsVm {
     /// current instruction still holds in Rust locals — or the newly
     /// allocated object itself, before the caller pushes its reference.
     fn alloc(&mut self, obj: Obj) -> u32 {
-        self.charge(self.config.profile.alloc_cost, TimeBucket::Exec);
+        self.charges.push(Charge::Alloc);
         self.heap.alloc(obj)
     }
 
@@ -369,11 +438,7 @@ impl JsVm {
             .chain(self.locals.iter().copied())
             .collect::<Vec<_>>();
         let live = self.heap.collect(roots.into_iter());
-        let gc = self.config.profile.gc;
-        self.charge(
-            gc.pause_base + gc.pause_per_live_byte * live as f64,
-            TimeBucket::Gc,
-        );
+        self.charges.push(Charge::GcPause { live_bytes: live });
         let after = {
             let s = self.heap.stats();
             s.live_bytes + s.external_bytes
@@ -406,6 +471,15 @@ impl JsVm {
         Ok(())
     }
 
+    /// Bump a chunk's hotness; JIT-compile it when the threshold is
+    /// crossed (JIT enabled only).
+    ///
+    /// This and the GC trigger in `maybe_gc` are the only places
+    /// execution reads the engine profile: `jit_threshold` only when the
+    /// JIT is enabled, and `gc.trigger_bytes`. Together with the JIT
+    /// mode, the limits and `reference_exec` that is all of a config
+    /// execution depends on: [`JsVmConfig::projection`]. Every cost
+    /// parameter is applied later, by [`wb_env::price`].
     fn note_hotness(&mut self, chunk: usize) {
         let s = &mut self.chunk_state[chunk];
         s.hotness += 1;
@@ -415,9 +489,8 @@ impl JsVm {
         {
             s.tier = Tier::Jit;
             self.jit_compiles += 1;
-            let ops = self.program.chunks[chunk].code.len() as f64;
-            let cost = ops * self.config.profile.jit_compile_cost_per_op;
-            self.charge(cost, TimeBucket::Compile);
+            let ops = self.program.chunks[chunk].code.len() as u64;
+            self.charges.push(Charge::JitCompile { ops });
         }
     }
 
@@ -1478,24 +1551,9 @@ impl JsVm {
             }
             Value::Builtin(Builtin::Performance) => {
                 if name == "now" {
-                    let mut clock = self.clock.clone();
-                    let p = &self.config.profile;
-                    let interp = self
-                        .config
-                        .cost
-                        .cycles(&self.tier_counts[0], p.interp_multiplier);
-                    let jit = self
-                        .config
-                        .cost
-                        .cycles(&self.tier_counts[1], p.jit_multiplier);
-                    let ta = self
-                        .config
-                        .cost
-                        .cycles(&self.ta_counts, p.jit_typed_array_multiplier);
-                    clock.advance(
-                        Nanos((interp + jit + ta) * self.config.cycle_time_ns),
-                        TimeBucket::Exec,
-                    );
+                    self.clock_reads += 1;
+                    let clock =
+                        wb_env::price(&self.config.prices(), &self.charges, &self.priced_tiers());
                     Ok(MethodOutcome::Value(Value::Num(clock.now().as_millis())))
                 } else {
                     self.type_error(format!("performance.{name} is not a function"))
@@ -1512,8 +1570,9 @@ impl JsVm {
                         },
                         _ => return self.type_error("crypto.sha256 expects bytes or string"),
                     };
-                    // Native, hardware-speed hashing: ~0.4 cycles/byte.
-                    self.charge(bytes.len() as f64 * 0.4, TimeBucket::Exec);
+                    self.charges.push(Charge::Sha256 {
+                        bytes: bytes.len() as u64,
+                    });
                     let digest = sha256(&bytes).to_vec();
                     let r = self.alloc(Obj::U8(digest));
                     Ok(MethodOutcome::Value(Value::Ref(r)))
@@ -1915,6 +1974,8 @@ mod tests {
         let t0 = v.global("t0").unwrap().as_num().expect("number");
         let t1 = v.global("t1").unwrap().as_num().expect("number");
         assert!(t1 >= t0);
+        // The script read the clock, so its record is tied to its price.
+        assert_eq!(v.record().clock_reads, 2);
     }
 
     #[test]

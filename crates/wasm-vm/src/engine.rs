@@ -8,8 +8,8 @@ use crate::value::Value;
 use std::collections::HashMap;
 use std::sync::Arc;
 use wb_env::{
-    ArithCounts, CostTable, Nanos, OpCounts, ResourceLimits, TierPolicy, TimeBucket, VirtualClock,
-    WasmEngineProfile,
+    ArithCounts, Charge, ChargeRecord, CostTable, EnginePrices, Nanos, OpCounts, PriceList,
+    ResourceLimits, TierPolicy, VirtualClock, WasmEngineProfile,
 };
 use wb_wasm::{decode_module, validate, LinearMemory, Module, ValType};
 
@@ -69,6 +69,43 @@ impl WasmVmConfig {
             reference_exec: false,
         }
     }
+
+    /// The part of this config that execution reads (see
+    /// `Instance::note_hotness`); everything else only prices the run.
+    pub fn projection(&self) -> WasmExecProjection {
+        WasmExecProjection {
+            tier_policy: self.tier_policy,
+            tier_up_threshold: (self.tier_policy == TierPolicy::Default)
+                .then_some(self.profile.tier_up_threshold),
+            limits: self.limits,
+            reference_exec: self.reference_exec,
+        }
+    }
+
+    /// The price side of this config.
+    pub(crate) fn prices(&self) -> PriceList<'_> {
+        PriceList {
+            engine: EnginePrices::Wasm(&self.profile),
+            cost: &self.cost,
+            cycle_time_ns: self.cycle_time_ns,
+            exec_overhead: self.exec_overhead,
+        }
+    }
+}
+
+/// What execution reads of a [`WasmVmConfig`]: two configs with equal
+/// projections execute a module identically and differ only in price.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct WasmExecProjection {
+    /// Which compilation tiers are enabled.
+    pub tier_policy: TierPolicy,
+    /// The tier-up threshold, under [`TierPolicy::Default`] only: the
+    /// other policies never tier up.
+    pub tier_up_threshold: Option<u64>,
+    /// Resource ceilings.
+    pub limits: ResourceLimits,
+    /// Reference interpreter instead of the fused engine.
+    pub reference_exec: bool,
 }
 
 /// Execution tier of a compiled function.
@@ -107,6 +144,43 @@ pub struct MemoryStats {
     pub grown_pages: u64,
 }
 
+/// Everything an execution did, unpriced: its discrete events in order
+/// and its retired operations per tier. [`ExecutionRecord::price`] turns
+/// it into an [`ExecutionReport`] for any price list.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExecutionRecord {
+    /// Discrete events (load, compile, tier-up, grow, crossing) in order.
+    pub charges: ChargeRecord,
+    /// Retired ops per tier: `[baseline, optimizing]`.
+    pub tier_counts: [OpCounts; 2],
+    /// Linear memory statistics.
+    pub memory: MemoryStats,
+    /// Fine-grained arithmetic profile (Table 12).
+    pub arith: ArithCounts,
+    /// Functions that tiered up at runtime.
+    pub tier_ups: u32,
+    /// Host-boundary crossings.
+    pub context_switches: u64,
+}
+
+impl ExecutionRecord {
+    /// Price this record with `config`'s engine profile, cost table,
+    /// cycle time and toolchain overhead.
+    pub fn price(&self, config: &WasmVmConfig) -> ExecutionReport {
+        let clock = wb_env::price(&config.prices(), &self.charges, &self.tier_counts);
+        ExecutionReport {
+            total: clock.now(),
+            clock,
+            counts: self.tier_counts[0].merged(&self.tier_counts[1]),
+            baseline_counts: self.tier_counts[0],
+            memory: self.memory,
+            arith: self.arith,
+            tier_ups: self.tier_ups,
+            context_switches: self.context_switches,
+        }
+    }
+}
+
 /// Everything measured about an execution.
 #[derive(Debug, Clone)]
 pub struct ExecutionReport {
@@ -140,7 +214,7 @@ pub struct Instance {
     /// Retired ops per tier: `[baseline, optimizing]`.
     pub(crate) tier_counts: [OpCounts; 2],
     pub(crate) arith: ArithCounts,
-    pub(crate) clock: VirtualClock,
+    pub(crate) charges: ChargeRecord,
     pub(crate) steps: u64,
     pub(crate) tier_ups: u32,
     pub(crate) context_switches: u64,
@@ -182,13 +256,13 @@ impl Instance {
         hostfns: HashMap<String, HostFn>,
     ) -> Result<Instance, Trap> {
         let mut inst = Self::from_prepared(prepared, config, hostfns)?;
-        let p = inst.config.profile;
-        let nbytes = byte_len as f64;
-        inst.charge_bucket(
-            p.instantiate_base + nbytes * (p.decode_cost_per_byte + p.validate_cost_per_byte),
-            TimeBucket::Load,
-        );
-        inst.charge_initial_compile();
+        inst.charge(Charge::WasmLoad {
+            bytes: byte_len as u64,
+        });
+        inst.charge(Charge::WasmCompile {
+            units: inst.prepared.module.instr_count() as u64,
+            optimizing: inst.config.tier_policy == TierPolicy::OptimizingOnly,
+        });
         inst.run_start()?;
         Ok(inst)
     }
@@ -281,7 +355,7 @@ impl Instance {
             hostfns,
             tier_counts: [OpCounts::new(), OpCounts::new()],
             arith: ArithCounts::default(),
-            clock: VirtualClock::new(),
+            charges: ChargeRecord::new(),
             steps: 0,
             tier_ups: 0,
             context_switches: 0,
@@ -309,18 +383,10 @@ impl Instance {
         Ok(())
     }
 
-    pub(crate) fn charge_bucket(&mut self, cycles: f64, bucket: TimeBucket) {
-        let ns = Nanos(cycles * self.config.cycle_time_ns);
-        self.clock.advance(ns, bucket);
-    }
-
-    fn charge_initial_compile(&mut self) {
-        let per_unit = match self.config.tier_policy {
-            TierPolicy::OptimizingOnly => self.config.profile.optimizing.compile_cost_per_unit,
-            _ => self.config.profile.baseline.compile_cost_per_unit,
-        };
-        let units: usize = self.prepared.module.instr_count();
-        self.charge_bucket(units as f64 * per_unit, TimeBucket::Compile);
+    /// Record one discrete event; [`wb_env::price`] prices it later.
+    #[inline]
+    pub(crate) fn charge(&mut self, charge: Charge) {
+        self.charges.push(charge);
     }
 
     fn run_start(&mut self) -> Result<(), Trap> {
@@ -364,29 +430,11 @@ impl Instance {
 
     pub(crate) fn cross_boundary(&mut self) {
         self.context_switches += 1;
-        self.charge_bucket(
-            self.config.profile.context_switch,
-            TimeBucket::ContextSwitch,
-        );
+        self.charge(Charge::ContextSwitch);
     }
 
-    /// Current measurement snapshot, with executed-op cycles converted to
-    /// time using each tier's multiplier and the toolchain overhead.
-    pub fn report(&self) -> ExecutionReport {
-        let p = &self.config.profile;
-        let base_cycles = self
-            .config
-            .cost
-            .cycles(&self.tier_counts[0], p.baseline.exec_multiplier);
-        let opt_cycles = self
-            .config
-            .cost
-            .cycles(&self.tier_counts[1], p.optimizing.exec_multiplier);
-        let exec_ns = Nanos(
-            (base_cycles + opt_cycles) * self.config.exec_overhead * self.config.cycle_time_ns,
-        );
-        let mut clock = self.clock.clone();
-        clock.advance(exec_ns, TimeBucket::Exec);
+    /// The unpriced record of everything executed so far.
+    pub fn record(&self) -> ExecutionRecord {
         let memory = match &self.memory {
             Some(m) => MemoryStats {
                 linear_bytes: m.size_bytes() as u64,
@@ -395,16 +443,20 @@ impl Instance {
             },
             None => MemoryStats::default(),
         };
-        ExecutionReport {
-            total: clock.now(),
-            counts: self.tier_counts[0].merged(&self.tier_counts[1]),
-            baseline_counts: self.tier_counts[0],
-            arith: self.arith,
-            clock,
+        ExecutionRecord {
+            charges: self.charges.clone(),
+            tier_counts: self.tier_counts,
             memory,
+            arith: self.arith,
             tier_ups: self.tier_ups,
             context_switches: self.context_switches,
         }
+    }
+
+    /// Current measurement snapshot: the [`Instance::record`] priced with
+    /// this instance's config.
+    pub fn report(&self) -> ExecutionReport {
+        self.record().price(&self.config)
     }
 
     /// Look up the numeric value of an exported global (test/IO helper).

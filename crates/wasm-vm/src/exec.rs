@@ -19,7 +19,7 @@ use crate::prep::NO_PC;
 use crate::trap::Trap;
 use crate::value::Value;
 use std::sync::Arc;
-use wb_env::{OpClass, TimeBucket};
+use wb_env::{Charge, OpClass};
 
 /// A control frame over the micro-op stream. `after_end` is the micro-op
 /// index just past the frame's `end`; `restart` is the back-edge target
@@ -330,11 +330,9 @@ impl Instance {
                         None => (-1, false),
                     };
                     if grew {
-                        let p = self.config.profile;
-                        self.charge_bucket(
-                            p.memory_grow_base + p.memory_grow_per_page * delta as f64,
-                            TimeBucket::MemGrow,
-                        );
+                        self.charge(Charge::MemoryGrow {
+                            pages: u64::from(delta),
+                        });
                     }
                     stack.push(result as u32 as u64);
                 }

@@ -8,7 +8,7 @@ use crate::prep::NO_PC;
 use crate::trap::Trap;
 use crate::value::Value;
 use std::sync::Arc;
-use wb_env::{TierPolicy, TimeBucket};
+use wb_env::{Charge, TierPolicy};
 use wb_wasm::{Instr, MemArg};
 
 struct Ctrl {
@@ -424,11 +424,9 @@ impl Instance {
                         None => (-1, false),
                     };
                     if grew {
-                        let p = self.config.profile;
-                        self.charge_bucket(
-                            p.memory_grow_base + p.memory_grow_per_page * delta as f64,
-                            TimeBucket::MemGrow,
-                        );
+                        self.charge(Charge::MemoryGrow {
+                            pages: u64::from(delta),
+                        });
                     }
                     stack.push(Value::I32(result));
                 }
@@ -776,8 +774,15 @@ impl Instance {
     }
 
     /// Bump a function's hotness; tier up when the threshold is crossed
-    /// (Default policy only). Charges the optimizing compile cost for the
+    /// (Default policy only). Records the optimizing compile of the
     /// function at the moment of tier-up, as browsers do at runtime.
+    ///
+    /// This and the initial tier choice are the only places execution
+    /// reads the engine profile, and only `tier_up_threshold` under
+    /// [`TierPolicy::Default`]. Together with the tier policy, the
+    /// limits and `reference_exec` that is all of a config execution
+    /// depends on: [`crate::WasmVmConfig::projection`]. Every cost
+    /// parameter is applied later, by [`wb_env::price`].
     pub(crate) fn note_hotness(&mut self, def_index: usize, amount: u64) {
         let state = &mut self.func_state[def_index];
         state.hotness += amount;
@@ -787,9 +792,8 @@ impl Instance {
         {
             state.tier = Tier::Optimizing;
             self.tier_ups += 1;
-            let units = self.prepared.module.functions[def_index].body.len() as f64;
-            let cost = units * self.config.profile.optimizing.compile_cost_per_unit;
-            self.charge_bucket(cost, TimeBucket::Compile);
+            let units = self.prepared.module.functions[def_index].body.len() as u64;
+            self.charge(Charge::WasmTierUp { units });
         }
     }
 

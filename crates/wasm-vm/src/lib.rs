@@ -2,9 +2,11 @@
 //!
 //! Executes modules from `wb-wasm` with full MVP semantics (traps, two's
 //! complement arithmetic, IEEE floats, bounds-checked linear memory) while
-//! charging every retired instruction to the shared cost model from
-//! `wb-env`. The VM mirrors the two-tier structure of the browser engines
-//! in the paper (§4.4):
+//! counting every retired instruction per tier in the shared taxonomy
+//! from `wb-env` and recording every discrete event (load, compile,
+//! tier-up, grow, crossing) unpriced; `wb_env::price` turns that
+//! [`ExecutionRecord`] into virtual time. The VM mirrors the two-tier
+//! structure of the browser engines in the paper (§4.4):
 //!
 //! * at instantiation every function is compiled by the **baseline** tier
 //!   (cheap compile, slower code — "Liftoff"/"Baseline");
@@ -33,7 +35,10 @@ mod trap;
 mod value;
 
 pub use classify::{arith_kind, classify, ArithKind};
-pub use engine::{ExecutionReport, HostCtx, HostFn, Instance, MemoryStats, WasmVmConfig};
+pub use engine::{
+    ExecutionRecord, ExecutionReport, HostCtx, HostFn, Instance, MemoryStats, WasmExecProjection,
+    WasmVmConfig,
+};
 pub use prep::{PreparedModule, SideTable, NO_PC};
 pub use trap::Trap;
 pub use value::Value;

@@ -22,6 +22,9 @@ cargo build --release --workspace
 echo "== tests =="
 cargo test -q
 
+echo "== core tests (cache and memo identity, pricing) =="
+cargo test -q -p wb-core --release
+
 echo "== static analysis (wb analyze) =="
 ./target/release/wb analyze --all
 
