@@ -207,6 +207,13 @@ impl<K: Eq + Hash, T> KeyedCache<K, T> {
         *filled = Some(Arc::clone(&built));
         Ok((built, false))
     }
+
+    fn clear(&self) {
+        self.slots
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
+    }
 }
 
 /// Cache statistics snapshot.
@@ -353,6 +360,14 @@ impl ArtifactCache {
         run: impl FnOnce() -> Result<RecordedJs, E>,
     ) -> Result<Arc<RecordedJs>, E> {
         self.note_exec(self.js_runs.get_or_build(key, run))
+    }
+
+    /// Drop every memoized execution and keep the compiled artifacts, so
+    /// the next run of each cell executes again: how host time of the
+    /// VMs is measured through a warm cache.
+    pub fn forget_executions(&self) {
+        self.wasm_runs.clear();
+        self.js_runs.clear();
     }
 
     /// Counter snapshot.

@@ -156,6 +156,21 @@ fn repeated_runs_are_execution_memo_hits() {
         (2, 2),
         "one execution per backend"
     );
+    // Forgetting the executions keeps the artifacts: both run again
+    // without compiling.
+    cache.forget_executions();
+    assert_identical(
+        &uncached.0,
+        &run_wasm_with(&wasm, Some(&cache)).unwrap(),
+        "wasm re-run",
+    );
+    assert_identical(
+        &uncached.1,
+        &run_compiled_js_with(&js, Some(&cache)).unwrap(),
+        "js re-run",
+    );
+    let s = cache.stats();
+    assert_eq!((s.exec_misses, s.exec_hits, s.misses), (4, 2, 2));
 }
 
 #[test]

@@ -267,6 +267,26 @@ mod tests {
     }
 }
 
+/// One Table 12 arithmetic column: the kind of an executed arithmetic
+/// operation. Both VMs map their opcodes onto it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ArithKind {
+    /// add/sub
+    Add,
+    /// mul
+    Mul,
+    /// div
+    Div,
+    /// rem
+    Rem,
+    /// shifts/rotates
+    Shift,
+    /// and
+    And,
+    /// or/xor
+    Or,
+}
+
 /// Fine-grained arithmetic profile for the Long.js operation-count study
 /// (Table 12 / Appendix D): executed ADD/MUL/DIV/REM/SHIFT/AND/OR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -288,6 +308,20 @@ pub struct ArithCounts {
 }
 
 impl ArithCounts {
+    /// Count one operation of `kind`.
+    #[inline]
+    pub fn bump(&mut self, kind: ArithKind) {
+        match kind {
+            ArithKind::Add => self.add += 1,
+            ArithKind::Mul => self.mul += 1,
+            ArithKind::Div => self.div += 1,
+            ArithKind::Rem => self.rem += 1,
+            ArithKind::Shift => self.shift += 1,
+            ArithKind::And => self.and += 1,
+            ArithKind::Or => self.or += 1,
+        }
+    }
+
     /// Total arithmetic operations.
     pub fn total(&self) -> u64 {
         self.add + self.mul + self.div + self.rem + self.shift + self.and + self.or

@@ -36,7 +36,7 @@ pub mod rng;
 mod time;
 
 pub use compiler::{CompilerProfile, JsTarget, Toolchain};
-pub use cost::{ArithCounts, CostTable, OpClass, OpCounts, OP_CLASS_COUNT};
+pub use cost::{ArithCounts, ArithKind, CostTable, OpClass, OpCounts, OP_CLASS_COUNT};
 pub use engine::{GcParams, JitMode, JsEngineProfile, TierParams, TierPolicy, WasmEngineProfile};
 pub use environment::{Browser, EnvProfile, Environment, Platform};
 pub use limits::{ResourceLimits, DEFAULT_MAX_CALL_DEPTH};

@@ -211,6 +211,8 @@ fn vmexec(dir: &std::path::Path) {
                 })
                 .collect();
             let one_pass = || -> Vec<Measurement> {
+                // Artifacts stay cached; executions must not be memo hits.
+                cache.forget_executions();
                 cells
                     .iter()
                     .map(|r| {

@@ -2,10 +2,15 @@
 //!
 //! Mirror of `wb_wasm_vm::audit` for the JS engine: every fused form in
 //! [`fuse`](crate::fuse) is symbolically expanded for every operator it
-//! can carry (all 11 [`BinKind`]s, all 8 [`CmpKind`]s, every inline-cache
-//! shape) and its charge plan — op-class bumps, Table 12 arithmetic
-//! bumps, typed-array-aware index counts — is compared event-for-event
-//! against the plain interpreter's plans for the constituent opcodes.
+//! can carry (all 11 [`BinKind`]s, pairs of them for the two-operator
+//! forms, all 8 [`CmpKind`]s, every inline-cache shape) and its charge
+//! plan — op-class bumps, Table 12 arithmetic bumps, typed-array-aware
+//! index counts — is compared event-for-event against the plain
+//! interpreter's walk over the constituent opcodes. A form that branches
+//! is audited once per outcome of its comparison: the walk follows the
+//! plain ops' jumps, so the charges *and* the pc the fused form leaves to
+//! must agree on both paths (the bool tail charges seven constituents
+//! when its comparison holds and six when it does not).
 //!
 //! Two structural facts make the remaining behavior trivially equivalent
 //! and are therefore *documented* rather than audited per instance:
@@ -26,22 +31,23 @@
 
 use crate::bytecode::{Chunk, Const, Op};
 use crate::fuse::{match_at, BinKind, CmpKind, FOp};
-use wb_env::OpClass;
+use wb_env::{ArithKind, OpClass};
 
 /// One audited (family, operator) instance.
 #[derive(Debug, Clone)]
 pub struct FusionAuditEntry {
     /// Fused family name (e.g. `"LLBinStore"`).
     pub family: &'static str,
-    /// Instance label (family plus the carried operator).
+    /// Instance label (family plus the carried operators, and the
+    /// comparison's outcome for a form that branches).
     pub instance: String,
     /// Source opcodes the fused form covers.
     pub constituents: Vec<String>,
     /// The fused form's charge plan, one event per line.
     pub fused_charges: Vec<String>,
-    /// The plain interpreter's concatenated charge plan.
+    /// The plain interpreter's charge plan along the same path.
     pub reference_charges: Vec<String>,
-    /// Whether the plans agree (and the overlay round-trips).
+    /// Whether the plans and exits agree (and the overlay round-trips).
     pub ok: bool,
     /// Human-readable reason when `ok` is false.
     pub detail: Option<String>,
@@ -53,8 +59,8 @@ pub struct FusionAuditEntry {
 enum Ev {
     /// One `tier_counts[tier].bump(class, 1)`.
     Class(OpClass),
-    /// One Table 12 arithmetic-profile bump (field name).
-    Arith(&'static str),
+    /// One Table 12 arithmetic-profile bump.
+    Arith(ArithKind),
     /// One typed-array-aware index count (`count_index_op` /
     /// `count_cached_index` — identical routing on (typed, tier)).
     Index {
@@ -67,198 +73,175 @@ impl Ev {
     fn render(&self) -> String {
         match self {
             Ev::Class(c) => format!("class:{c:?}"),
-            Ev::Arith(field) => format!("arith:{field}"),
+            Ev::Arith(kind) => format!("arith:{kind:?}"),
             Ev::Index { store: false } => "index:load".into(),
             Ev::Index { store: true } => "index:store".into(),
         }
     }
 }
 
-/// The source opcode a [`BinKind`] was lifted from. Exhaustive — a new
-/// `BinKind` variant fails to compile until the audit covers it.
-fn op_of_bin(op: BinKind) -> Op {
+/// What the plain loop charges for one op, in its order: the class bump
+/// (index ops count inside their handler instead), then the Table 12
+/// bump.
+fn op_events(op: &Op, evs: &mut Vec<Ev>) {
     match op {
-        BinKind::Add => Op::Add,
-        BinKind::Sub => Op::Sub,
-        BinKind::Mul => Op::Mul,
-        BinKind::Div => Op::Div,
-        BinKind::Mod => Op::Mod,
-        BinKind::BitAnd => Op::BitAnd,
-        BinKind::BitOr => Op::BitOr,
-        BinKind::BitXor => Op::BitXor,
-        BinKind::Shl => Op::Shl,
-        BinKind::Shr => Op::Shr,
-        BinKind::UShr => Op::UShr,
-    }
-}
-
-/// Exhaustive `CmpKind` → source opcode map.
-fn op_of_cmp(op: CmpKind) -> Op {
-    match op {
-        CmpKind::Lt => Op::Lt,
-        CmpKind::Gt => Op::Gt,
-        CmpKind::Le => Op::Le,
-        CmpKind::Ge => Op::Ge,
-        CmpKind::EqEq => Op::EqEq,
-        CmpKind::NotEq => Op::NotEq,
-        CmpKind::StrictEq => Op::StrictEq,
-        CmpKind::StrictNe => Op::StrictNe,
-    }
-}
-
-const ALL_BINS: [BinKind; 11] = [
-    BinKind::Add,
-    BinKind::Sub,
-    BinKind::Mul,
-    BinKind::Div,
-    BinKind::Mod,
-    BinKind::BitAnd,
-    BinKind::BitOr,
-    BinKind::BitXor,
-    BinKind::Shl,
-    BinKind::Shr,
-    BinKind::UShr,
-];
-
-const ALL_CMPS: [CmpKind; 8] = [
-    CmpKind::Lt,
-    CmpKind::Gt,
-    CmpKind::Le,
-    CmpKind::Ge,
-    CmpKind::EqEq,
-    CmpKind::NotEq,
-    CmpKind::StrictEq,
-    CmpKind::StrictNe,
-];
-
-/// The `run()` loop's Table 12 bump for a source opcode (mirrors the
-/// arith match in `vm.rs`; ops outside that table bump nothing).
-fn ref_arith(op: &Op) -> Option<&'static str> {
-    match op {
-        Op::Add | Op::Sub => Some("add"),
-        Op::Mul => Some("mul"),
-        Op::Div => Some("div"),
-        Op::Mod => Some("rem"),
-        Op::Shl | Op::Shr | Op::UShr => Some("shift"),
-        Op::BitAnd => Some("and"),
-        Op::BitOr | Op::BitXor => Some("or"),
-        _ => None,
-    }
-}
-
-/// `VmState::bump_bin`'s Table 12 field for a fused binary op —
-/// exhaustive so the audit and the VM can't drift silently.
-fn fused_arith(op: BinKind) -> &'static str {
-    match op {
-        BinKind::Add | BinKind::Sub => "add",
-        BinKind::Mul => "mul",
-        BinKind::Div => "div",
-        BinKind::Mod => "rem",
-        BinKind::Shl | BinKind::Shr | BinKind::UShr => "shift",
-        BinKind::BitAnd => "and",
-        BinKind::BitOr | BinKind::BitXor => "or",
-    }
-}
-
-/// The plain interpreter's charge plan: per opcode, one step, then its
-/// class bump (index ops count inside their handler instead), then its
-/// Table 12 bump — the exact order of the `run()` loop.
-fn reference_plan(ops: &[Op]) -> (u64, Vec<Ev>) {
-    let mut evs = Vec::new();
-    for op in ops {
-        match op {
-            Op::GetIndex => evs.push(Ev::Index { store: false }),
-            Op::SetIndex => evs.push(Ev::Index { store: true }),
-            other => {
-                evs.push(Ev::Class(other.class()));
-                if let Some(field) = ref_arith(other) {
-                    evs.push(Ev::Arith(field));
-                }
+        Op::GetIndex => evs.push(Ev::Index { store: false }),
+        Op::SetIndex => evs.push(Ev::Index { store: true }),
+        other => {
+            evs.push(Ev::Class(other.class()));
+            if let Some(kind) = other.arith() {
+                evs.push(Ev::Arith(kind));
             }
         }
     }
-    (ops.len() as u64, evs)
 }
 
-/// The fused path's charge plan, transcribing the `exec_fused` arms in
-/// `vm.rs` event-for-event. Wildcard-free: a new `FOp` variant fails to
-/// compile until the audit covers it.
-fn fused_plan(fop: &FOp) -> (u64, Vec<Ev>) {
+/// The plain interpreter's walk over `chunk` from pc 0, with every
+/// comparison evaluating to `cond`: its steps, its charge events and the
+/// pc it leaves the chunk at. Branches are followed on the truthiness
+/// of the value they pop, which the walk knows when a comparison or a
+/// numeric constant pushed it.
+fn reference_walk(chunk: &Chunk, cond: bool) -> Result<(u64, Vec<Ev>, usize), String> {
+    let code = &chunk.code;
+    let (mut pc, mut steps, mut evs) = (0usize, 0u64, Vec::new());
+    // Truthiness of the value on top of the stack, where known.
+    let mut top: Option<bool> = None;
+    while pc < code.len() {
+        let op = &code[pc];
+        steps += 1;
+        op_events(op, &mut evs);
+        let mut next = pc + 1;
+        match op {
+            Op::Const(ci) => {
+                top = match chunk.consts.get(*ci as usize) {
+                    Some(Const::Num(n)) => Some(*n != 0.0 && !n.is_nan()),
+                    _ => None,
+                }
+            }
+            op if CmpKind::of(op).is_some() => top = Some(cond),
+            // A fused form never notes hotness, so never holds a
+            // back-edge.
+            Op::Jump(d) if *d < 0 => return Err(format!("back-edge at constituent {pc}")),
+            Op::Jump(d) => next = (pc as i32 + d) as usize,
+            Op::JumpIfFalse(d) => {
+                let Some(truthy) = top.take() else {
+                    return Err(format!("branch on an unknown value at constituent {pc}"));
+                };
+                if !truthy {
+                    next = (pc as i32 + d) as usize;
+                }
+            }
+            _ => top = None,
+        }
+        pc = next;
+    }
+    Ok((steps, evs, pc))
+}
+
+/// The fused path's charge plan for `fop` at pc 0 when its comparison
+/// (if any) gives `cond`: steps, events and the pc it continues at.
+/// Transcribes the `exec_fused` arms in `vm.rs` event-for-event.
+/// Wildcard-free: a new `FOp` variant fails to compile until the audit
+/// covers it.
+fn fused_plan(fop: &FOp, cond: bool) -> (u64, Vec<Ev>, usize) {
+    use OpClass::{Branch, Compare, Const as ConstClass, Global, Local, Other};
     let mut evs = Vec::new();
-    let steps = match fop {
+    let bin = |evs: &mut Vec<Ev>, op: BinKind| {
+        evs.push(Ev::Class(op.class()));
+        if let Some(kind) = op.arith() {
+            evs.push(Ev::Arith(kind));
+        }
+    };
+    let classes = |evs: &mut Vec<Ev>, cs: &[OpClass]| evs.extend(cs.iter().map(|c| Ev::Class(*c)));
+    let width = fop.width();
+    let branch = |target: u32| if cond { width } else { target as usize };
+    let (steps, next) = match *fop {
         FOp::LLBin { op, .. } => {
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(op.class()));
-            evs.push(Ev::Arith(fused_arith(*op)));
-            3
+            classes(&mut evs, &[Local, Local]);
+            bin(&mut evs, op);
+            (3, width)
         }
         FOp::LLBinStore { op, .. } => {
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(op.class()));
-            evs.push(Ev::Arith(fused_arith(*op)));
-            evs.push(Ev::Class(OpClass::Local));
-            4
+            classes(&mut evs, &[Local, Local]);
+            bin(&mut evs, op);
+            classes(&mut evs, &[Local]);
+            (4, width)
         }
         FOp::LCBin { op, .. } => {
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(OpClass::Const));
-            evs.push(Ev::Class(op.class()));
-            evs.push(Ev::Arith(fused_arith(*op)));
-            3
+            classes(&mut evs, &[Local, ConstClass]);
+            bin(&mut evs, op);
+            (3, width)
         }
         FOp::LCBinStore { op, .. } => {
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(OpClass::Const));
-            evs.push(Ev::Class(op.class()));
-            evs.push(Ev::Arith(fused_arith(*op)));
-            evs.push(Ev::Class(OpClass::Local));
-            4
+            classes(&mut evs, &[Local, ConstClass]);
+            bin(&mut evs, op);
+            classes(&mut evs, &[Local]);
+            (4, width)
+        }
+        FOp::LCBin2Store { op1, op2, .. } => {
+            classes(&mut evs, &[Local, ConstClass]);
+            bin(&mut evs, op1);
+            classes(&mut evs, &[ConstClass]);
+            bin(&mut evs, op2);
+            classes(&mut evs, &[Local]);
+            (6, width)
         }
         FOp::CStore { .. } => {
-            evs.push(Ev::Class(OpClass::Const));
-            evs.push(Ev::Class(OpClass::Local));
-            2
+            classes(&mut evs, &[ConstClass, Local]);
+            (2, width)
         }
-        FOp::CmpJf { .. } => {
-            evs.push(Ev::Class(OpClass::Compare));
-            evs.push(Ev::Class(OpClass::Branch));
-            2
+        FOp::CmpJf { target, .. } => {
+            classes(&mut evs, &[Compare, Branch]);
+            (2, branch(target))
         }
-        FOp::LLCmpJf { .. } => {
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(OpClass::Compare));
-            evs.push(Ev::Class(OpClass::Branch));
-            4
+        FOp::LLCmpJf { target, tail, .. } | FOp::LCCmpJf { target, tail, .. } => {
+            let second = if matches!(fop, FOp::LLCmpJf { .. }) {
+                Local
+            } else {
+                ConstClass
+            };
+            classes(&mut evs, &[Local, second, Compare, Branch]);
+            let steps = match (tail, cond) {
+                (false, _) => 4,
+                (true, true) => {
+                    classes(&mut evs, &[ConstClass, Branch, Branch]);
+                    7
+                }
+                (true, false) => {
+                    classes(&mut evs, &[ConstClass, Branch]);
+                    6
+                }
+            };
+            (steps, branch(target))
         }
-        FOp::LCCmpJf { .. } => {
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(OpClass::Const));
-            evs.push(Ev::Class(OpClass::Compare));
-            evs.push(Ev::Class(OpClass::Branch));
-            4
+        FOp::GAddr { op1, op2, ic, .. } => {
+            classes(&mut evs, &[Global, Local, ConstClass]);
+            bin(&mut evs, op1);
+            classes(&mut evs, &[Local]);
+            bin(&mut evs, op2);
+            if ic.is_some() {
+                evs.push(Ev::Index { store: false });
+            }
+            (width as u64, width)
         }
         FOp::LLGetIndex { .. } => {
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(OpClass::Local));
+            classes(&mut evs, &[Local, Local]);
             evs.push(Ev::Index { store: false });
-            3
+            (3, width)
         }
         FOp::GetIndexIc { .. } => {
             evs.push(Ev::Index { store: false });
-            1
+            (1, width)
         }
         FOp::SetIndexIc { pop, .. } => {
             evs.push(Ev::Index { store: true });
-            if *pop {
-                evs.push(Ev::Class(OpClass::Other));
+            if pop {
+                classes(&mut evs, &[Other]);
             }
-            1 + *pop as u64
+            (1 + pop as u64, width)
         }
     };
-    (steps, evs)
+    (steps, evs, next)
 }
 
 /// Family name of a fused form (wildcard-free on purpose).
@@ -268,10 +251,15 @@ fn family_of(fop: &FOp) -> &'static str {
         FOp::LLBinStore { .. } => "LLBinStore",
         FOp::LCBin { .. } => "LCBin",
         FOp::LCBinStore { .. } => "LCBinStore",
+        FOp::LCBin2Store { .. } => "LCBin2Store",
         FOp::CStore { .. } => "CStore",
         FOp::CmpJf { .. } => "CmpJf",
-        FOp::LLCmpJf { .. } => "LLCmpJf",
-        FOp::LCCmpJf { .. } => "LCCmpJf",
+        FOp::LLCmpJf { tail: false, .. } => "LLCmpJf",
+        FOp::LLCmpJf { tail: true, .. } => "LLCmpJfTail",
+        FOp::LCCmpJf { tail: false, .. } => "LCCmpJf",
+        FOp::LCCmpJf { tail: true, .. } => "LCCmpJfTail",
+        FOp::GAddr { ic: None, .. } => "GAddr",
+        FOp::GAddr { ic: Some(_), .. } => "GAddrIc",
         FOp::LLGetIndex { .. } => "LLGetIndex",
         FOp::GetIndexIc { .. } => "GetIndexIc",
         FOp::SetIndexIc { pop: false, .. } => "SetIndexIc",
@@ -280,13 +268,26 @@ fn family_of(fop: &FOp) -> &'static str {
 }
 
 /// Every (family, constituent-sequence) instance the overlay builder can
-/// produce. Numeric-constant pools and jump offsets are placeholders —
-/// charge plans do not depend on them.
+/// produce. Constant 0 is the number 1 and constant 1 the number 0 (the
+/// bool tail needs one truthy and one falsy); jump offsets leave the
+/// group, so a taken branch is told apart from falling through. Charge
+/// plans do not depend on the values.
 fn enumerate_instances() -> Vec<(&'static str, String, Vec<Op>)> {
     let mut out = Vec::new();
     let ll = |i| Op::LoadLocal(i);
-    for &bin in &ALL_BINS {
-        let b = op_of_bin(bin);
+    let (one, zero) = (Op::Const(0), Op::Const(1));
+    let out_jf = Op::JumpIfFalse(100);
+    let tail = || {
+        [
+            Op::JumpIfFalse(3),
+            one.clone(),
+            Op::Jump(2),
+            zero.clone(),
+            out_jf.clone(),
+        ]
+    };
+    for bin in BinKind::ALL {
+        let b = bin.op();
         let label = format!("{bin:?}");
         out.push(("LLBin", label.clone(), vec![ll(0), ll(1), b.clone()]));
         out.push((
@@ -294,33 +295,58 @@ fn enumerate_instances() -> Vec<(&'static str, String, Vec<Op>)> {
             label.clone(),
             vec![ll(0), ll(1), b.clone(), Op::StoreLocal(2)],
         ));
-        out.push(("LCBin", label.clone(), vec![ll(0), Op::Const(0), b.clone()]));
+        out.push(("LCBin", label.clone(), vec![ll(0), one.clone(), b.clone()]));
         out.push((
             "LCBinStore",
             label,
-            vec![ll(0), Op::Const(0), b, Op::StoreLocal(2)],
+            vec![ll(0), one.clone(), b.clone(), Op::StoreLocal(2)],
         ));
+        for bin2 in BinKind::ALL {
+            let b2 = bin2.op();
+            let label = format!("{bin:?}, {bin2:?}");
+            out.push((
+                "LCBin2Store",
+                label.clone(),
+                vec![
+                    ll(0),
+                    one.clone(),
+                    b.clone(),
+                    zero.clone(),
+                    b2.clone(),
+                    Op::StoreLocal(2),
+                ],
+            ));
+            let addr = vec![Op::LoadGlobal(0), ll(0), one.clone(), b.clone(), ll(1), b2];
+            out.push(("GAddr", label.clone(), addr.clone()));
+            out.push(("GAddrIc", label, [addr, vec![Op::GetIndex]].concat()));
+        }
     }
-    for &cmp in &ALL_CMPS {
-        let c = op_of_cmp(cmp);
+    for cmp in CmpKind::ALL {
+        let c = cmp.op();
         let label = format!("{cmp:?}");
-        out.push(("CmpJf", label.clone(), vec![c.clone(), Op::JumpIfFalse(1)]));
+        out.push(("CmpJf", label.clone(), vec![c.clone(), out_jf.clone()]));
         out.push((
             "LLCmpJf",
             label.clone(),
-            vec![ll(0), ll(1), c.clone(), Op::JumpIfFalse(1)],
+            vec![ll(0), ll(1), c.clone(), out_jf.clone()],
         ));
         out.push((
             "LCCmpJf",
+            label.clone(),
+            vec![ll(0), one.clone(), c.clone(), out_jf.clone()],
+        ));
+        out.push((
+            "LLCmpJfTail",
+            label.clone(),
+            [vec![ll(0), ll(1), c.clone()], tail().to_vec()].concat(),
+        ));
+        out.push((
+            "LCCmpJfTail",
             label,
-            vec![ll(0), Op::Const(0), c, Op::JumpIfFalse(1)],
+            [vec![ll(0), one.clone(), c], tail().to_vec()].concat(),
         ));
     }
-    out.push((
-        "CStore",
-        "Num".into(),
-        vec![Op::Const(0), Op::StoreLocal(2)],
-    ));
+    out.push(("CStore", "Num".into(), vec![one, Op::StoreLocal(2)]));
     out.push(("LLGetIndex", "ic".into(), vec![ll(0), ll(1), Op::GetIndex]));
     out.push(("GetIndexIc", "ic".into(), vec![Op::GetIndex]));
     out.push(("SetIndexIc", "ic".into(), vec![Op::SetIndex]));
@@ -330,51 +356,64 @@ fn enumerate_instances() -> Vec<(&'static str, String, Vec<Op>)> {
 
 /// Audit every fused form the MiniJS overlay can emit. An entry is `ok`
 /// when the overlay builder recognizes the constituents as the expected
-/// family at the full width and the fused charge plan equals the plain
-/// interpreter's concatenation event-for-event.
+/// family at the full width, and the fused charge plan and exit equal
+/// the plain interpreter's walk event-for-event. Forms with a branch get
+/// one entry per outcome of their comparison.
 pub fn audit_fusion_table() -> Vec<FusionAuditEntry> {
     let mut entries = Vec::new();
     for (family, label, ops) in enumerate_instances() {
         let chunk = Chunk {
             code: ops.clone(),
-            consts: vec![Const::Num(1.0)],
+            consts: vec![Const::Num(1.0), Const::Num(0.0)],
             ..Default::default()
         };
-        let mut next_ic = 0u32;
-        let mut detail = None;
-        let mut fused_rendered = Vec::new();
-        let (ref_steps, ref_evs) = reference_plan(&ops);
-
-        match match_at(&chunk, 0, &mut next_ic) {
-            Some(fop) if fop.width() == ops.len() && family_of(&fop) == family => {
-                let (steps, evs) = fused_plan(&fop);
-                fused_rendered = evs.iter().map(Ev::render).collect();
-                if steps != ref_steps {
-                    detail = Some(format!("step total {steps} != reference {ref_steps}"));
-                } else if evs != ref_evs {
-                    detail = Some("charge plans differ".into());
+        let branches = ops.iter().any(|op| matches!(op, Op::JumpIfFalse(_)));
+        let paths: &[bool] = if branches { &[true, false] } else { &[true] };
+        for &cond in paths {
+            let mut detail = None;
+            let mut fused_rendered = Vec::new();
+            let mut reference_rendered = Vec::new();
+            match (match_at(&chunk, 0, &mut 0), reference_walk(&chunk, cond)) {
+                (_, Err(e)) => detail = Some(format!("reference walk: {e}")),
+                (Some(fop), Ok((ref_steps, ref_evs, ref_exit)))
+                    if fop.width() == ops.len() && family_of(&fop) == family =>
+                {
+                    let (steps, evs, exit) = fused_plan(&fop, cond);
+                    fused_rendered = evs.iter().map(Ev::render).collect();
+                    reference_rendered = ref_evs.iter().map(Ev::render).collect();
+                    if steps != ref_steps {
+                        detail = Some(format!("step total {steps} != reference {ref_steps}"));
+                    } else if evs != ref_evs {
+                        detail = Some("charge plans differ".into());
+                    } else if exit != ref_exit {
+                        detail = Some(format!("continues at {exit}, reference at {ref_exit}"));
+                    }
                 }
+                (Some(fop), Ok(_)) => {
+                    detail = Some(format!(
+                        "overlay mismatch: got {} at width {}, expected {family} at width {}",
+                        family_of(&fop),
+                        fop.width(),
+                        ops.len()
+                    ));
+                }
+                (None, Ok(_)) => detail = Some("constituents did not fuse".into()),
             }
-            Some(fop) => {
-                detail = Some(format!(
-                    "overlay mismatch: got {} at width {}, expected {family} at width {}",
-                    family_of(&fop),
-                    fop.width(),
-                    ops.len()
-                ));
-            }
-            None => detail = Some("constituents did not fuse".into()),
+            let instance = if branches {
+                format!("{family}[{label}, {cond}]")
+            } else {
+                format!("{family}[{label}]")
+            };
+            entries.push(FusionAuditEntry {
+                family,
+                instance,
+                constituents: ops.iter().map(|o| format!("{o:?}")).collect(),
+                fused_charges: fused_rendered,
+                reference_charges: reference_rendered,
+                ok: detail.is_none(),
+                detail,
+            });
         }
-
-        entries.push(FusionAuditEntry {
-            family,
-            instance: format!("{family}[{label}]"),
-            constituents: ops.iter().map(|o| format!("{o:?}")).collect(),
-            fused_charges: fused_rendered,
-            reference_charges: ref_evs.iter().map(Ev::render).collect(),
-            ok: detail.is_none(),
-            detail,
-        });
     }
     entries
 }
@@ -398,23 +437,31 @@ mod tests {
     #[test]
     fn covers_every_family_and_operator() {
         let entries = audit_fusion_table();
-        // 11 bins × 4 families + 8 cmps × 3 families + CStore +
-        // LLGetIndex + GetIndexIc + SetIndexIc ± pop.
-        let expected = ALL_BINS.len() * 4 + ALL_CMPS.len() * 3 + 1 + 4;
+        let (bins, cmps) = (BinKind::ALL.len(), CmpKind::ALL.len());
+        // 11 bins × 4 one-operator families, 11 × 11 operator pairs ×
+        // 3 two-operator families, 8 cmps × 5 branching families × 2
+        // outcomes, CStore, LLGetIndex, GetIndexIc, SetIndexIc ± pop.
+        let expected = bins * 4 + bins * bins * 3 + cmps * 5 * 2 + 1 + 4;
         assert_eq!(entries.len(), expected);
+        assert_eq!(expected, 492);
         let families: std::collections::BTreeSet<_> = entries.iter().map(|e| e.family).collect();
         assert_eq!(
             families.into_iter().collect::<Vec<_>>(),
             vec![
                 "CStore",
                 "CmpJf",
+                "GAddr",
+                "GAddrIc",
                 "GetIndexIc",
                 "LCBin",
+                "LCBin2Store",
                 "LCBinStore",
                 "LCCmpJf",
+                "LCCmpJfTail",
                 "LLBin",
                 "LLBinStore",
                 "LLCmpJf",
+                "LLCmpJfTail",
                 "LLGetIndex",
                 "SetIndexIc",
                 "SetIndexPopIc"
@@ -435,10 +482,56 @@ mod tests {
                 "class:Local",
                 "class:Local",
                 "class:FloatDiv",
-                "arith:div",
+                "arith:Div",
                 "class:Local"
             ]
         );
         assert_eq!(div.fused_charges, div.reference_charges);
+    }
+
+    #[test]
+    fn bool_tail_charges_depend_on_the_path() {
+        let entries = audit_fusion_table();
+        let plan = |name: &str| {
+            let e = entries.iter().find(|e| e.instance == name).unwrap();
+            assert!(e.ok, "{e:?}");
+            e.fused_charges.clone()
+        };
+        let taken = plan("LCCmpJfTail[Lt, true]");
+        let not_taken = plan("LCCmpJfTail[Lt, false]");
+        assert_eq!(taken.len(), 7);
+        assert_eq!(not_taken.len(), 6);
+        assert_eq!(taken[..5], not_taken[..5]);
+    }
+
+    #[test]
+    fn walk_follows_the_bool_tail() {
+        // The plain ops' own jumps decide the reference path: seven
+        // constituents and three branches when the comparison holds, six
+        // and an exit to the target when it does not.
+        let chunk = Chunk {
+            code: [
+                vec![Op::LoadLocal(0), Op::Const(0), Op::Lt],
+                vec![
+                    Op::JumpIfFalse(3),
+                    Op::Const(0),
+                    Op::Jump(2),
+                    Op::Const(1),
+                    Op::JumpIfFalse(100),
+                ],
+            ]
+            .concat(),
+            consts: vec![Const::Num(1.0), Const::Num(0.0)],
+            ..Default::default()
+        };
+        let (steps, evs, exit) = reference_walk(&chunk, true).unwrap();
+        assert_eq!((steps, exit), (7, 8));
+        let branches = evs
+            .iter()
+            .filter(|e| **e == Ev::Class(OpClass::Branch))
+            .count();
+        assert_eq!(branches, 3);
+        let (steps, _, exit) = reference_walk(&chunk, false).unwrap();
+        assert_eq!((steps, exit), (6, 107));
     }
 }

@@ -1,7 +1,7 @@
 //! The MiniJS stack bytecode.
 
 use crate::ast::TypedKind;
-use wb_env::OpClass;
+use wb_env::{ArithKind, OpClass};
 
 /// A compile-time constant.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,6 +123,23 @@ impl Op {
             Call(_) | MethodCall { .. } | Return | ReturnUndef => OpClass::Call,
         }
     }
+
+    /// Table 12 column this op counts in, if it is arithmetic. The one
+    /// arithmetic table: the plain loop and every fused form read it.
+    #[inline]
+    pub fn arith(&self) -> Option<ArithKind> {
+        use Op::*;
+        Some(match self {
+            Add | Sub => ArithKind::Add,
+            Mul => ArithKind::Mul,
+            Div => ArithKind::Div,
+            Mod => ArithKind::Rem,
+            Shl | Shr | UShr => ArithKind::Shift,
+            BitAnd => ArithKind::And,
+            BitOr | BitXor => ArithKind::Or,
+            _ => return None,
+        })
+    }
 }
 
 /// A compiled function (or the top-level script, chunk 0).
@@ -179,6 +196,16 @@ mod tests {
         assert_eq!(Op::Call(2).class(), OpClass::Call);
         assert_eq!(Op::LoadLocal(0).class(), OpClass::Local);
         assert_eq!(Op::LoadGlobal(0).class(), OpClass::Global);
+    }
+
+    #[test]
+    fn arith_columns() {
+        assert_eq!(Op::Sub.arith(), Some(ArithKind::Add));
+        assert_eq!(Op::Mod.arith(), Some(ArithKind::Rem));
+        assert_eq!(Op::UShr.arith(), Some(ArithKind::Shift));
+        assert_eq!(Op::BitXor.arith(), Some(ArithKind::Or));
+        assert_eq!(Op::Neg.arith(), None);
+        assert_eq!(Op::Lt.arith(), None);
     }
 
     #[test]

@@ -31,8 +31,15 @@
 //!   store can resize, changing `bytes_since_gc` and hence GC timing);
 //! * `GetIndex` caches plain and typed arrays but never strings
 //!   (string indexing allocates a fresh one-char string).
+//!
+//! Three families target the idioms the MiniC JS backend emits in every
+//! loop: the element address `A[(i) * 64 + j]` ([`FOp::GAddr`]), the
+//! coerced store `i = (((i) + (1)) | 0)` ([`FOp::LCBin2Store`]) and the
+//! materialized loop test `for (; ((i) < (64) ? 1 : 0); …)` (the `tail`
+//! of [`FOp::LCCmpJf`] and [`FOp::LLCmpJf`]).
 
 use crate::bytecode::{Chunk, Const, Op, Program};
+use wb_env::{ArithKind, OpClass};
 
 /// Fusable two-operand arithmetic, mirroring the corresponding [`Op`]s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,6 +58,21 @@ pub(crate) enum BinKind {
 }
 
 impl BinKind {
+    /// Every kind, in declaration order.
+    pub(crate) const ALL: [BinKind; 11] = [
+        BinKind::Add,
+        BinKind::Sub,
+        BinKind::Mul,
+        BinKind::Div,
+        BinKind::Mod,
+        BinKind::BitAnd,
+        BinKind::BitOr,
+        BinKind::BitXor,
+        BinKind::Shl,
+        BinKind::Shr,
+        BinKind::UShr,
+    ];
+
     pub(crate) fn of(op: &Op) -> Option<BinKind> {
         Some(match op {
             Op::Add => BinKind::Add,
@@ -68,19 +90,35 @@ impl BinKind {
         })
     }
 
-    /// Cost-model class — must match [`Op::class`] of the source op.
-    pub(crate) fn class(self) -> wb_env::OpClass {
+    /// The source op this kind was lifted from (inverse of
+    /// [`BinKind::of`]). Its charges come from that op's tables.
+    #[inline]
+    pub(crate) fn op(self) -> Op {
         match self {
-            BinKind::Add | BinKind::Sub => wb_env::OpClass::FloatAlu,
-            BinKind::Mul => wb_env::OpClass::FloatMul,
-            BinKind::Div | BinKind::Mod => wb_env::OpClass::FloatDiv,
-            BinKind::BitAnd
-            | BinKind::BitOr
-            | BinKind::BitXor
-            | BinKind::Shl
-            | BinKind::Shr
-            | BinKind::UShr => wb_env::OpClass::IntAlu,
+            BinKind::Add => Op::Add,
+            BinKind::Sub => Op::Sub,
+            BinKind::Mul => Op::Mul,
+            BinKind::Div => Op::Div,
+            BinKind::Mod => Op::Mod,
+            BinKind::BitAnd => Op::BitAnd,
+            BinKind::BitOr => Op::BitOr,
+            BinKind::BitXor => Op::BitXor,
+            BinKind::Shl => Op::Shl,
+            BinKind::Shr => Op::Shr,
+            BinKind::UShr => Op::UShr,
         }
+    }
+
+    /// Cost-model class: [`Op::class`] of the source op.
+    #[inline]
+    pub(crate) fn class(self) -> OpClass {
+        self.op().class()
+    }
+
+    /// Table 12 column: [`Op::arith`] of the source op.
+    #[inline]
+    pub(crate) fn arith(self) -> Option<ArithKind> {
+        self.op().arith()
     }
 
     /// Number-operands fast path. Exactly the reference semantics when
@@ -118,6 +156,18 @@ pub(crate) enum CmpKind {
 }
 
 impl CmpKind {
+    /// Every kind, in declaration order.
+    pub(crate) const ALL: [CmpKind; 8] = [
+        CmpKind::Lt,
+        CmpKind::Gt,
+        CmpKind::Le,
+        CmpKind::Ge,
+        CmpKind::EqEq,
+        CmpKind::NotEq,
+        CmpKind::StrictEq,
+        CmpKind::StrictNe,
+    ];
+
     pub(crate) fn of(op: &Op) -> Option<CmpKind> {
         Some(match op {
             Op::Lt => CmpKind::Lt,
@@ -130,6 +180,21 @@ impl CmpKind {
             Op::StrictNe => CmpKind::StrictNe,
             _ => return None,
         })
+    }
+
+    /// The source op this kind was lifted from (inverse of
+    /// [`CmpKind::of`]).
+    pub(crate) fn op(self) -> Op {
+        match self {
+            CmpKind::Lt => Op::Lt,
+            CmpKind::Gt => Op::Gt,
+            CmpKind::Le => Op::Le,
+            CmpKind::Ge => Op::Ge,
+            CmpKind::EqEq => Op::EqEq,
+            CmpKind::NotEq => Op::NotEq,
+            CmpKind::StrictEq => Op::StrictEq,
+            CmpKind::StrictNe => Op::StrictNe,
+        }
     }
 
     /// Number-operands fast path: reference semantics for `Num`/`Num`
@@ -147,8 +212,9 @@ impl CmpKind {
 }
 
 /// A fused micro-op (overlay entry). Field names: `a`/`b` are local
-/// slots, `c` a numeric constant, `dst` a local slot written,
-/// `target` an absolute pc, `ic` an inline-cache site index.
+/// slots, `c` a numeric constant, `dst` a local slot written, `g` a
+/// global's name index, `target` an absolute pc, `ic` an inline-cache
+/// site index.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum FOp {
     /// `LoadLocal a; LoadLocal b; <bin>`
@@ -169,23 +235,50 @@ pub(crate) enum FOp {
         op: BinKind,
         dst: u16,
     },
+    /// `LoadLocal a; Const c1; <op1>; Const c2; <op2>; StoreLocal dst`:
+    /// the coerced store `i = (((i) + (1)) | 0)`.
+    LCBin2Store {
+        a: u16,
+        c1: f64,
+        op1: BinKind,
+        c2: f64,
+        op2: BinKind,
+        dst: u16,
+    },
     /// `Const c; StoreLocal dst`
     CStore { c: f64, dst: u16 },
     /// `<cmp>; JumpIfFalse` (operands from the stack)
     CmpJf { op: CmpKind, target: u32 },
-    /// `LoadLocal a; LoadLocal b; <cmp>; JumpIfFalse`
+    /// `LoadLocal a; LoadLocal b; <cmp>; JumpIfFalse`, or with `tail`
+    /// `LoadLocal a; LoadLocal b; <cmp>` and a bool tail (`bool_tail`).
     LLCmpJf {
         a: u16,
         b: u16,
         op: CmpKind,
         target: u32,
+        tail: bool,
     },
-    /// `LoadLocal a; Const c; <cmp>; JumpIfFalse`
+    /// `LoadLocal a; Const c; <cmp>; JumpIfFalse`, or with `tail`
+    /// `LoadLocal a; Const c; <cmp>` and a bool tail (`bool_tail`).
     LCCmpJf {
         a: u16,
         c: f64,
         op: CmpKind,
         target: u32,
+        tail: bool,
+    },
+    /// `LoadGlobal g; LoadLocal a; Const c; <op1>; LoadLocal b; <op2>`:
+    /// the element address `A[(a) * c + b]`, pushing the global and the
+    /// index. With `ic`, also the `GetIndex` after it, through that
+    /// inline cache, pushing the element instead.
+    GAddr {
+        g: u32,
+        a: u16,
+        c: f64,
+        op1: BinKind,
+        b: u16,
+        op2: BinKind,
+        ic: Option<u32>,
     },
     /// `LoadLocal obj; LoadLocal idx; GetIndex`, with an inline cache.
     LLGetIndex { obj: u16, idx: u16, ic: u32 },
@@ -196,13 +289,14 @@ pub(crate) enum FOp {
 }
 
 impl FOp {
-    /// Source ops this entry covers (pc advance on the fused path).
+    /// Source ops this entry covers (pc advance on the fused path, unless
+    /// it branches).
     pub(crate) fn width(&self) -> usize {
         match self {
-            FOp::LLBinStore { .. }
-            | FOp::LCBinStore { .. }
-            | FOp::LLCmpJf { .. }
-            | FOp::LCCmpJf { .. } => 4,
+            FOp::LLCmpJf { tail, .. } | FOp::LCCmpJf { tail, .. } => 4 + 4 * *tail as usize,
+            FOp::GAddr { ic, .. } => 6 + ic.is_some() as usize,
+            FOp::LCBin2Store { .. } => 6,
+            FOp::LLBinStore { .. } | FOp::LCBinStore { .. } => 4,
             FOp::LLBin { .. } | FOp::LCBin { .. } | FOp::LLGetIndex { .. } => 3,
             FOp::CStore { .. } | FOp::CmpJf { .. } => 2,
             FOp::SetIndexIc { pop, .. } => 1 + *pop as usize,
@@ -298,23 +392,87 @@ fn alloc_ic(next_ic: &mut u32) -> u32 {
     ic
 }
 
+/// The bool tail at `pc`, the branch on a comparison materialized as a
+/// number, `(<cmp> ? 1 : 0)` under an `if` or loop test:
+///
+/// ```text
+/// pc+0  JumpIfFalse +3
+/// pc+1  Const t        t a truthy number
+/// pc+2  Jump +2
+/// pc+3  Const f        f a falsy number
+/// pc+4  JumpIfFalse d  → the tail's target
+/// ```
+///
+/// The comparison's truth decides the second branch too, so the tail
+/// exits to `pc+5` when it holds and to the target when it does not.
+/// Returns that target.
+fn bool_tail(chunk: &Chunk, pc: usize) -> Option<u32> {
+    let truthy = |ci: &u32| num_const(chunk, *ci).map(|n| n != 0.0 && !n.is_nan());
+    match chunk.code.get(pc..pc + 5)? {
+        [Op::JumpIfFalse(3), Op::Const(t), Op::Jump(2), Op::Const(f), Op::JumpIfFalse(d)]
+            if truthy(t) == Some(true) && truthy(f) == Some(false) =>
+        {
+            Some((pc as i32 + 4 + d) as u32)
+        }
+        _ => None,
+    }
+}
+
+/// A comparison's branch at `pc`: the bool tail when one is there, else
+/// a plain `JumpIfFalse`. Returns `(target, tail)`.
+fn cmp_branch(chunk: &Chunk, pc: usize) -> Option<(u32, bool)> {
+    if let Some(target) = bool_tail(chunk, pc) {
+        return Some((target, true));
+    }
+    match chunk.code.get(pc) {
+        Some(Op::JumpIfFalse(d)) => Some(((pc as i32 + d) as u32, false)),
+        _ => None,
+    }
+}
+
 /// Greedy longest-pattern match at `pc`.
 pub(crate) fn match_at(chunk: &Chunk, pc: usize, next_ic: &mut u32) -> Option<FOp> {
     let code = &chunk.code;
     let at = |i: usize| code.get(pc + i);
 
+    if let Some(Op::LoadGlobal(g)) = at(0) {
+        // LoadGlobal; LoadLocal; Const(num); <bin>; LoadLocal; <bin> [; GetIndex]
+        if let (
+            Some(Op::LoadLocal(a)),
+            Some(Op::Const(ci)),
+            Some(o1),
+            Some(Op::LoadLocal(b)),
+            Some(o2),
+        ) = (at(1), at(2), at(3), at(4), at(5))
+        {
+            if let (Some(c), Some(op1), Some(op2)) =
+                (num_const(chunk, *ci), BinKind::of(o1), BinKind::of(o2))
+            {
+                let ic = matches!(at(6), Some(Op::GetIndex)).then(|| alloc_ic(next_ic));
+                return Some(FOp::GAddr {
+                    g: *g,
+                    a: *a,
+                    c,
+                    op1,
+                    b: *b,
+                    op2,
+                    ic,
+                });
+            }
+        }
+    }
     if let Some(Op::LoadLocal(a)) = at(0) {
         // LoadLocal; LoadLocal; ...
         if let Some(Op::LoadLocal(b)) = at(1) {
             if let Some(op2) = at(2) {
                 if let Some(cmp) = CmpKind::of(op2) {
-                    if let Some(Op::JumpIfFalse(d)) = at(3) {
-                        let target = (pc as i32 + 3 + d) as u32;
+                    if let Some((target, tail)) = cmp_branch(chunk, pc + 3) {
                         return Some(FOp::LLCmpJf {
                             a: *a,
                             b: *b,
                             op: cmp,
                             target,
+                            tail,
                         });
                     }
                 }
@@ -347,17 +505,33 @@ pub(crate) fn match_at(chunk: &Chunk, pc: usize, next_ic: &mut u32) -> Option<FO
             if let Some(c) = num_const(chunk, *ci) {
                 if let Some(op2) = at(2) {
                     if let Some(cmp) = CmpKind::of(op2) {
-                        if let Some(Op::JumpIfFalse(d)) = at(3) {
-                            let target = (pc as i32 + 3 + d) as u32;
+                        if let Some((target, tail)) = cmp_branch(chunk, pc + 3) {
                             return Some(FOp::LCCmpJf {
                                 a: *a,
                                 c,
                                 op: cmp,
                                 target,
+                                tail,
                             });
                         }
                     }
                     if let Some(bin) = BinKind::of(op2) {
+                        // ...; Const(num); <bin>; StoreLocal
+                        if let (Some(Op::Const(c2i)), Some(o4), Some(Op::StoreLocal(dst))) =
+                            (at(3), at(4), at(5))
+                        {
+                            if let (Some(c2), Some(op2)) = (num_const(chunk, *c2i), BinKind::of(o4))
+                            {
+                                return Some(FOp::LCBin2Store {
+                                    a: *a,
+                                    c1: c,
+                                    op1: bin,
+                                    c2,
+                                    op2,
+                                    dst: *dst,
+                                });
+                            }
+                        }
                         if let Some(Op::StoreLocal(dst)) = at(3) {
                             return Some(FOp::LCBinStore {
                                 a: *a,
@@ -457,7 +631,8 @@ mod tests {
                 b: 1,
                 op: CmpKind::Lt,
                 // JumpIfFalse at pc 3, d=5 → absolute 8.
-                target: 8
+                target: 8,
+                tail: false
             })
         );
     }
@@ -488,6 +663,129 @@ mod tests {
         assert_eq!(o.ops[3], Some(FOp::GetIndexIc { ic: 1 }));
         assert_eq!(o.ops[4], Some(FOp::SetIndexIc { ic: 2, pop: true }));
         assert_eq!(ic, 3);
+    }
+
+    /// The fused forms of `name`'s chunk in a compiled script.
+    fn fused_forms(src: &str, name: &str) -> Vec<FOp> {
+        let program = crate::compile_script(src).expect("compiles");
+        let (overlays, _) = build_overlays(&program);
+        let idx = program.chunks.iter().position(|c| c.name == name).unwrap();
+        overlays[idx].ops.iter().flatten().copied().collect()
+    }
+
+    #[test]
+    fn fuses_the_backend_loop_idioms() {
+        // The shapes the MiniC JS backend emits for a 2-D loop nest.
+        let forms = fused_forms(
+            "var A_a = new Float64Array(16);\n\
+             function k(n) {\n\
+               var s = 0.0; var i = 0; var j = 0;\n\
+               for (i = 0; ((i) < (4) ? 1 : 0); i = (((i) + (1)) | 0)) {\n\
+                 for (j = 0; ((j) < (n) ? 1 : 0); j = (((j) + (1)) | 0)) {\n\
+                   s = s + A_a[((i) * 4 + j)];\n\
+                   A_a[((i) * 4 + j)] = s;\n\
+                 }\n\
+               }\n\
+               return s;\n\
+             }",
+            "k",
+        );
+        let has = |pred: &dyn Fn(&FOp) -> bool| forms.iter().any(pred);
+        assert!(has(&|f| matches!(
+            f,
+            FOp::LCCmpJf {
+                op: CmpKind::Lt,
+                tail: true,
+                ..
+            }
+        )));
+        assert!(has(&|f| matches!(
+            f,
+            FOp::LLCmpJf {
+                op: CmpKind::Lt,
+                tail: true,
+                ..
+            }
+        )));
+        assert!(has(&|f| matches!(
+            f,
+            FOp::LCBin2Store {
+                c1: 1.0,
+                op1: BinKind::Add,
+                c2: 0.0,
+                op2: BinKind::BitOr,
+                ..
+            }
+        )));
+        // The load carries the GetIndex; the store's address does not.
+        for ic in [true, false] {
+            assert!(has(&|f| matches!(
+                f,
+                FOp::GAddr {
+                    c: 4.0,
+                    op1: BinKind::Mul,
+                    op2: BinKind::Add,
+                    ic: cache,
+                    ..
+                } if cache.is_some() == ic
+            )));
+        }
+    }
+
+    #[test]
+    fn jumps_may_land_inside_the_new_groups() {
+        // The scripts of the interior-jump differential test: each must
+        // really jump into a group, so its fallback is exercised.
+        let program = crate::compile_script(
+            "function pick(c, a, b) { var x = 0; x = ((c ? a : (b + 1)) | 0); return x; }\n\
+             function both(c, i, j) {\n\
+               var n = 0;\n\
+               while (((c ? ((i) < (4)) : ((j) < (4))) ? 1 : 0)) { n = n + 1; i = i + 1; j = j + 2; }\n\
+               return n;\n\
+             }",
+        )
+        .expect("compiles");
+        let (overlays, _) = build_overlays(&program);
+        type Family = fn(&FOp) -> bool;
+        let families: [(&str, Family); 2] = [
+            ("pick", |f| matches!(f, FOp::LCBin2Store { .. })),
+            ("both", |f| matches!(f, FOp::LCCmpJf { tail: true, .. })),
+        ];
+        for (name, family) in families {
+            let idx = program.chunks.iter().position(|c| c.name == name).unwrap();
+            let code = &program.chunks[idx].code;
+            // A jump from outside [head, head + width) to strictly inside.
+            let entered = |head: usize, width: usize| {
+                code.iter().enumerate().any(|(pc, op)| match op {
+                    Op::Jump(d) | Op::JumpIfFalse(d) => {
+                        let to = (pc as i32 + d) as usize;
+                        !(head..head + width).contains(&pc) && to > head && to < head + width
+                    }
+                    _ => false,
+                })
+            };
+            let found = overlays[idx]
+                .ops
+                .iter()
+                .enumerate()
+                .any(|(head, f)| f.is_some_and(|f| family(&f) && entered(head, f.width())));
+            assert!(found, "{name}: no jump into its fused group");
+        }
+    }
+
+    #[test]
+    fn bool_tail_needs_the_exact_shape() {
+        // `? 0 : 1` inverts the test: no tail, the plain LCCmpJf stays.
+        let forms = fused_forms(
+            "function f(i) { var n = 0; while (((i) < (4) ? 0 : 1)) { n = n + 1; i = i - 1; } return n; }",
+            "f",
+        );
+        assert!(forms
+            .iter()
+            .any(|f| matches!(f, FOp::LCCmpJf { tail: false, .. })));
+        assert!(!forms
+            .iter()
+            .any(|f| matches!(f, FOp::LCCmpJf { tail: true, .. })));
     }
 
     #[test]
@@ -552,6 +850,39 @@ mod tests {
                     target: 0,
                 },
                 2,
+            ),
+            (
+                FOp::LCBin2Store {
+                    a: 0,
+                    c1: 1.0,
+                    op1: BinKind::Add,
+                    c2: 0.0,
+                    op2: BinKind::BitOr,
+                    dst: 0,
+                },
+                6,
+            ),
+            (
+                FOp::LCCmpJf {
+                    a: 0,
+                    c: 4.0,
+                    op: CmpKind::Lt,
+                    target: 0,
+                    tail: true,
+                },
+                8,
+            ),
+            (
+                FOp::GAddr {
+                    g: 0,
+                    a: 0,
+                    c: 4.0,
+                    op1: BinKind::Mul,
+                    b: 1,
+                    op2: BinKind::Add,
+                    ic: Some(0),
+                },
+                7,
             ),
             (FOp::GetIndexIc { ic: 0 }, 1),
             (FOp::SetIndexIc { ic: 0, pop: true }, 2),

@@ -215,6 +215,8 @@ pub struct JsVm {
     ic_state: Vec<IcEntry>,
     ic_hits: u64,
     ic_misses: u64,
+    /// Dispatches through the overlay (`[fused, plain]`).
+    dispatches: [u64; 2],
     /// `console.log` output.
     pub output: Vec<String>,
 }
@@ -244,6 +246,7 @@ impl JsVm {
             ic_state: Vec::new(),
             ic_hits: 0,
             ic_misses: 0,
+            dispatches: [0; 2],
             output: Vec::new(),
         }
     }
@@ -298,8 +301,9 @@ impl JsVm {
         self.fused = Rc::new(fused);
         self.ic_state = vec![IcEntry::default(); ic_sites as usize];
         self.program = Rc::new(program);
-        // Run the top level (chunk 0).
-        self.push_frame(0, &[])?;
+        // Run the top level (chunk 0), as a call with no arguments.
+        self.stack.push(Value::Closure(0));
+        self.push_frame(0, 0)?;
         self.run(0)?;
         // Top level leaves no value.
         Ok(())
@@ -319,9 +323,13 @@ impl JsVm {
                 message: format!("{name} is not a function"),
             });
         };
-        let arg_values: Vec<Value> = args.iter().map(|a| self.value_in(a)).collect();
+        self.stack.push(callee);
+        for a in args {
+            let v = self.value_in(a);
+            self.stack.push(v);
+        }
         let floor = self.frames.len();
-        self.push_frame(chunk, &arg_values)?;
+        self.push_frame(chunk, args.len())?;
         self.run(floor)?;
         let v = self.stack.pop().unwrap_or(Value::Undefined);
         Ok(self.value_out(v))
@@ -452,17 +460,21 @@ impl JsVm {
         Ok(())
     }
 
-    fn push_frame(&mut self, chunk: u32, args: &[Value]) -> Result<(), JsError> {
+    /// Enter `chunk` with the top `argc` stack values as its arguments.
+    /// They move into the new frame's locals, and leave the stack with
+    /// the callee (or method receiver) below them.
+    fn push_frame(&mut self, chunk: u32, argc: usize) -> Result<(), JsError> {
         if self.frames.len() >= self.config.limits.max_call_depth {
             return Err(JsError::StackOverflow);
         }
         self.note_hotness(chunk as usize);
-        let c = &self.program.chunks[chunk as usize];
+        let nlocals = self.program.chunks[chunk as usize].nlocals as usize;
+        let base = self.stack.len() - argc;
         let locals_base = self.locals.len();
-        for i in 0..c.nlocals as usize {
-            self.locals
-                .push(args.get(i).copied().unwrap_or(Value::Undefined));
-        }
+        self.locals
+            .extend_from_slice(&self.stack[base..base + argc.min(nlocals)]);
+        self.locals.resize(locals_base + nlocals, Value::Undefined);
+        self.stack.truncate(base - 1);
         self.frames.push(Frame {
             chunk,
             pc: 0,
@@ -659,12 +671,14 @@ impl JsVm {
                 if use_fused {
                     if let Some(fop) = fused[chunk_idx].ops[pc] {
                         if let Some(next) = self.exec_fused(fop, pc, tier, locals_base)? {
+                            self.dispatches[0] += 1;
                             pc = next;
                             continue;
                         }
                     }
                 }
                 let op = &chunk.code[pc];
+                self.dispatches[1] += 1;
                 self.steps += 1;
                 if self.steps > self.config.limits.fuel_budget() {
                     return Err(JsError::StepBudgetExhausted);
@@ -674,15 +688,8 @@ impl JsVm {
                 if !matches!(op, Op::GetIndex | Op::SetIndex) {
                     self.tier_counts[tier as usize].bump(op.class(), 1);
                 }
-                match op {
-                    Op::Add | Op::Sub => self.arith.add += 1,
-                    Op::Mul => self.arith.mul += 1,
-                    Op::Div => self.arith.div += 1,
-                    Op::Mod => self.arith.rem += 1,
-                    Op::Shl | Op::Shr | Op::UShr => self.arith.shift += 1,
-                    Op::BitAnd => self.arith.and += 1,
-                    Op::BitOr | Op::BitXor => self.arith.or += 1,
-                    _ => {}
+                if let Some(kind) = op.arith() {
+                    self.arith.bump(kind);
                 }
 
                 match op {
@@ -945,11 +952,10 @@ impl JsVm {
                     }
                     Op::ClosureOp(idx) => self.stack.push(Value::Closure(*idx)),
                     Op::Call(argc) => {
-                        let args = self.stack.split_off(self.stack.len() - *argc as usize);
-                        let callee = self.stack.pop().expect("compiled");
-                        match callee {
+                        let argc = *argc as usize;
+                        match self.stack[self.stack.len() - argc - 1] {
                             Value::Closure(target) => {
-                                self.push_frame(target, &args)?;
+                                self.push_frame(target, argc)?;
                                 suspend!(pc + 1);
                             }
                             other => {
@@ -961,10 +967,14 @@ impl JsVm {
                         }
                     }
                     Op::MethodCall { name, argc } => {
-                        let args = self.stack.split_off(self.stack.len() - *argc as usize);
-                        let obj = self.stack.pop().expect("compiled");
-                        match self.method_call(obj, *name, &args)? {
-                            MethodOutcome::Value(v) => self.stack.push(v),
+                        // The receiver, then the arguments, stay on the
+                        // stack until the method has read them.
+                        let base = self.stack.len() - *argc as usize;
+                        match self.method_call(*name, base)? {
+                            MethodOutcome::Value(v) => {
+                                self.stack.truncate(base - 1);
+                                self.stack.push(v);
+                            }
                             MethodOutcome::EnterFrame => suspend!(pc + 1),
                         }
                     }
@@ -1068,6 +1078,28 @@ impl JsVm {
                 self.locals[locals_base + dst as usize] = Value::Num(op.apply(x, c));
                 Ok(Some(pc + 4))
             }
+            FOp::LCBin2Store {
+                a,
+                c1,
+                op1,
+                c2,
+                op2,
+                dst,
+            } => {
+                let Value::Num(x) = local(self, a) else {
+                    return Ok(None);
+                };
+                steps!(6);
+                bump!(Local, 1);
+                bump!(Const, 1);
+                self.bump_bin(tier, op1);
+                bump!(Const, 1);
+                self.bump_bin(tier, op2);
+                bump!(Local, 1);
+                self.locals[locals_base + dst as usize] =
+                    Value::Num(op2.apply(op1.apply(x, c1), c2));
+                Ok(Some(pc + 6))
+            }
             FOp::CStore { c, dst } => {
                 steps!(2);
                 bump!(Const, 1);
@@ -1090,34 +1122,97 @@ impl JsVm {
                     target as usize
                 }))
             }
-            FOp::LLCmpJf { a, b, op, target } => {
+            FOp::LLCmpJf {
+                a,
+                b,
+                op,
+                target,
+                tail,
+            } => {
                 let (Value::Num(x), Value::Num(y)) = (local(self, a), local(self, b)) else {
                     return Ok(None);
                 };
-                steps!(4);
+                let cond = op.apply(x, y);
+                steps!(cmp_branch_steps(tail, cond));
                 bump!(Local, 2);
-                bump!(Compare, 1);
-                bump!(Branch, 1);
-                Ok(Some(if op.apply(x, y) {
-                    pc + 4
-                } else {
-                    target as usize
-                }))
+                Ok(Some(self.charge_cmp_branch(
+                    tier,
+                    cond,
+                    tail,
+                    pc + fop.width(),
+                    target,
+                )))
             }
-            FOp::LCCmpJf { a, c, op, target } => {
+            FOp::LCCmpJf {
+                a,
+                c,
+                op,
+                target,
+                tail,
+            } => {
                 let Value::Num(x) = local(self, a) else {
                     return Ok(None);
                 };
-                steps!(4);
+                let cond = op.apply(x, c);
+                steps!(cmp_branch_steps(tail, cond));
                 bump!(Local, 1);
                 bump!(Const, 1);
-                bump!(Compare, 1);
-                bump!(Branch, 1);
-                Ok(Some(if op.apply(x, c) {
-                    pc + 4
-                } else {
-                    target as usize
-                }))
+                Ok(Some(self.charge_cmp_branch(
+                    tier,
+                    cond,
+                    tail,
+                    pc + fop.width(),
+                    target,
+                )))
+            }
+            FOp::GAddr {
+                g,
+                a,
+                c,
+                op1,
+                b,
+                op2,
+                ic,
+            } => {
+                let Some(array) = self.globals[g as usize] else {
+                    return Ok(None);
+                };
+                let (Value::Num(x), Value::Num(y)) = (local(self, a), local(self, b)) else {
+                    return Ok(None);
+                };
+                let index = op2.apply(op1.apply(x, c), y);
+                // With a `GetIndex`, the cached element replaces both.
+                let element = match ic {
+                    None => None,
+                    Some(ic) => {
+                        let Value::Ref(r) = array else {
+                            return Ok(None);
+                        };
+                        let Some(hit) = self.ic_probe_load(ic, r, index) else {
+                            return Ok(None);
+                        };
+                        Some(hit)
+                    }
+                };
+                steps!(fop.width() as u64);
+                bump!(Global, 1);
+                bump!(Local, 1);
+                bump!(Const, 1);
+                self.bump_bin(tier, op1);
+                bump!(Local, 1);
+                self.bump_bin(tier, op2);
+                match element {
+                    None => {
+                        self.stack.push(array);
+                        self.stack.push(Value::Num(index));
+                    }
+                    Some((v, typed)) => {
+                        self.count_cached_index(tier, typed, false);
+                        self.ic_hits += 1;
+                        self.stack.push(v);
+                    }
+                }
+                Ok(Some(pc + fop.width()))
             }
             FOp::LLGetIndex { obj, idx, ic } => {
                 let Value::Ref(r) = local(self, obj) else {
@@ -1219,14 +1314,34 @@ impl JsVm {
     /// the same bumps the plain loop applies for the source op.
     fn bump_bin(&mut self, tier: Tier, op: BinKind) {
         self.tier_counts[tier as usize].bump(op.class(), 1);
-        match op {
-            BinKind::Add | BinKind::Sub => self.arith.add += 1,
-            BinKind::Mul => self.arith.mul += 1,
-            BinKind::Div => self.arith.div += 1,
-            BinKind::Mod => self.arith.rem += 1,
-            BinKind::Shl | BinKind::Shr | BinKind::UShr => self.arith.shift += 1,
-            BinKind::BitAnd => self.arith.and += 1,
-            BinKind::BitOr | BinKind::BitXor => self.arith.or += 1,
+        if let Some(kind) = op.arith() {
+            self.arith.bump(kind);
+        }
+    }
+
+    /// Charge a comparison's `<cmp>; JumpIfFalse`, plus its bool tail
+    /// when `tail` is set, and return the pc the branch leaves to. The
+    /// tail retires `Const t; Jump +2; JumpIfFalse` when the comparison
+    /// held and `Const f; JumpIfFalse` when it did not (see `fuse.rs`).
+    fn charge_cmp_branch(
+        &mut self,
+        tier: Tier,
+        cond: bool,
+        tail: bool,
+        next: usize,
+        target: u32,
+    ) -> usize {
+        let counts = &mut self.tier_counts[tier as usize];
+        counts.bump(wb_env::OpClass::Compare, 1);
+        counts.bump(wb_env::OpClass::Branch, 1);
+        if tail {
+            counts.bump(wb_env::OpClass::Const, 1);
+            counts.bump(wb_env::OpClass::Branch, 1 + cond as u64);
+        }
+        if cond {
+            next
+        } else {
+            target as usize
         }
     }
 
@@ -1310,6 +1425,13 @@ impl JsVm {
     /// diagnostics only — never part of any measurement.
     pub fn ic_stats(&self) -> (u64, u64) {
         (self.ic_hits, self.ic_misses)
+    }
+
+    /// Interpreter dispatches: `(fused, plain)`, one per fused form run
+    /// and one per plain op. Host-side diagnostics only — never part of
+    /// any measurement.
+    pub fn dispatch_stats(&self) -> (u64, u64) {
+        (self.dispatches[0], self.dispatches[1])
     }
 
     fn count_index_op(&mut self, tier: Tier, obj: Value, is_store: bool) {
@@ -1406,17 +1528,17 @@ impl JsVm {
         Ok(())
     }
 
-    fn get_member(&mut self, obj: Value, ni: u32) -> Result<Value, JsError> {
-        let name = self.program.name(ni).to_string();
+    fn get_member(&self, obj: Value, ni: u32) -> Result<Value, JsError> {
+        let name = self.program.name(ni);
         match obj {
-            Value::Builtin(Builtin::Math) => Ok(match name.as_str() {
+            Value::Builtin(Builtin::Math) => Ok(match name {
                 "PI" => Value::Num(std::f64::consts::PI),
                 "E" => Value::Num(std::f64::consts::E),
                 "LN2" => Value::Num(std::f64::consts::LN_2),
                 "LN10" => Value::Num(std::f64::consts::LN_10),
                 _ => Value::Undefined,
             }),
-            Value::Builtin(Builtin::NumberCls) => Ok(match name.as_str() {
+            Value::Builtin(Builtin::NumberCls) => Ok(match name {
                 "MAX_SAFE_INTEGER" => Value::Num(9007199254740991.0),
                 "EPSILON" => Value::Num(f64::EPSILON),
                 _ => Value::Undefined,
@@ -1479,19 +1601,20 @@ impl JsVm {
         Ok(())
     }
 
-    fn method_call(
-        &mut self,
-        obj: Value,
-        ni: u32,
-        args: &[Value],
-    ) -> Result<MethodOutcome, JsError> {
-        let name = self.program.name(ni).to_string();
-        let arg_num =
-            |vm: &Self, i: usize| vm.to_num(args.get(i).copied().unwrap_or(Value::Undefined));
+    /// Call the method named by `ni` on the receiver at `stack[base - 1]`
+    /// with the arguments `stack[base..]`. A method that returns a value
+    /// leaves them on the stack for the caller to pop; a closure entered
+    /// takes them into its frame.
+    fn method_call(&mut self, ni: u32, base: usize) -> Result<MethodOutcome, JsError> {
+        let program = Rc::clone(&self.program);
+        let name = program.name(ni);
+        let obj = self.stack[base - 1];
+        let argc = self.stack.len() - base;
+        let arg_num = |vm: &Self, i: usize| vm.to_num(vm.arg(base, i));
         match obj {
             Value::Builtin(Builtin::Math) => {
                 let x = arg_num(self, 0);
-                let v = match name.as_str() {
+                let v = match name {
                     "floor" => x.floor(),
                     "ceil" => x.ceil(),
                     "round" => (x + 0.5).floor(), // JS rounds half up
@@ -1508,22 +1631,22 @@ impl JsVm {
                     "pow" => x.powf(arg_num(self, 1)),
                     "min" => {
                         let mut m = f64::INFINITY;
-                        for i in 0..args.len() {
+                        for i in 0..argc {
                             m = m.min(arg_num(self, i));
                         }
                         m
                     }
                     "max" => {
                         let mut m = f64::NEG_INFINITY;
-                        for i in 0..args.len() {
+                        for i in 0..argc {
                             m = m.max(arg_num(self, i));
                         }
                         m
                     }
                     "random" => self.rng.next_f64(),
                     "imul" => {
-                        let a = self.to_int32(args.first().copied().unwrap_or(Value::Undefined));
-                        let b = self.to_int32(args.get(1).copied().unwrap_or(Value::Undefined));
+                        let a = self.to_int32(self.arg(base, 0));
+                        let b = self.to_int32(self.arg(base, 1));
                         a.wrapping_mul(b) as f64
                     }
                     "hypot" => x.hypot(arg_num(self, 1)),
@@ -1533,7 +1656,7 @@ impl JsVm {
                 self.tier_counts[1].bump(wb_env::OpClass::FloatDiv, 1);
                 Ok(MethodOutcome::Value(Value::Num(v)))
             }
-            Value::Builtin(Builtin::WbHarness) => match name.as_str() {
+            Value::Builtin(Builtin::WbHarness) => match name {
                 // Trap-check helpers compiled in by the wasm-parity JS
                 // backend: reaching one of these *is* the trap.
                 "div0" => Err(JsError::DivByZero),
@@ -1545,7 +1668,10 @@ impl JsVm {
                 _ => self.type_error(format!("__wb.{name} is not a function")),
             },
             Value::Builtin(Builtin::Console) => {
-                let parts: Vec<String> = args.iter().map(|a| self.stringify(*a)).collect();
+                let parts: Vec<String> = self.stack[base..]
+                    .iter()
+                    .map(|a| self.stringify(*a))
+                    .collect();
                 self.output.push(parts.join(" "));
                 Ok(MethodOutcome::Value(Value::Undefined))
             }
@@ -1561,8 +1687,7 @@ impl JsVm {
             }
             Value::Builtin(Builtin::Crypto) => {
                 if name == "sha256" {
-                    let input = args.first().copied().unwrap_or(Value::Undefined);
-                    let bytes: Vec<u8> = match input {
+                    let bytes: Vec<u8> = match self.arg(base, 0) {
                         Value::Ref(r) => match self.heap.get(r) {
                             Obj::U8(b) => b.clone(),
                             Obj::Str(s) => s.as_bytes().to_vec(),
@@ -1583,7 +1708,7 @@ impl JsVm {
             Value::Builtin(Builtin::StringCls) => {
                 if name == "fromCharCode" {
                     let mut s = String::new();
-                    for i in 0..args.len() {
+                    for i in 0..argc {
                         let code = arg_num(self, i) as u32;
                         s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                     }
@@ -1593,7 +1718,7 @@ impl JsVm {
                     self.type_error(format!("String.{name} is not a function"))
                 }
             }
-            Value::Builtin(Builtin::NumberCls) => match name.as_str() {
+            Value::Builtin(Builtin::NumberCls) => match name {
                 "isInteger" => {
                     let x = arg_num(self, 0);
                     Ok(MethodOutcome::Value(Value::Bool(
@@ -1612,8 +1737,8 @@ impl JsVm {
                     Ok(MethodOutcome::Value(Value::Num(bits as u32 as f64)))
                 }
                 "f64frombits" => {
-                    let hi = self.to_uint32(args.first().copied().unwrap_or(Value::Undefined));
-                    let lo = self.to_uint32(args.get(1).copied().unwrap_or(Value::Undefined));
+                    let hi = self.to_uint32(self.arg(base, 0));
+                    let lo = self.to_uint32(self.arg(base, 1));
                     let bits = ((hi as u64) << 32) | lo as u64;
                     Ok(MethodOutcome::Value(Value::Num(f64::from_bits(bits))))
                 }
@@ -1622,31 +1747,30 @@ impl JsVm {
                     Ok(MethodOutcome::Value(Value::Num(v.to_bits() as i32 as f64)))
                 }
                 "f32frombits" => {
-                    let b = self.to_uint32(args.first().copied().unwrap_or(Value::Undefined));
+                    let b = self.to_uint32(self.arg(base, 0));
                     Ok(MethodOutcome::Value(Value::Num(f32::from_bits(b) as f64)))
                 }
                 _ => self.type_error(format!("Number.{name} is not a function")),
             },
-            Value::Ref(r) => {
-                let obj_data = self.heap.get(r).clone();
-                match obj_data {
-                    Obj::Dict(fields) => {
-                        // A closure-valued property: a "method" on a plain
-                        // object (how the mathjs-style library is built).
-                        let f = fields.iter().find(|(k, _)| *k == ni).map(|(_, v)| *v);
-                        match f {
-                            Some(Value::Closure(chunk)) => {
-                                self.push_frame(chunk, args)?;
-                                Ok(MethodOutcome::EnterFrame)
-                            }
-                            _ => self.type_error(format!("{name} is not a function")),
+            // Dispatch on the receiver's kind; each method borrows what it
+            // reads of the object in place.
+            Value::Ref(r) => match self.heap.get(r) {
+                Obj::Dict(fields) => {
+                    // A closure-valued property: a "method" on a plain
+                    // object (how the mathjs-style library is built).
+                    let f = fields.iter().find(|(k, _)| *k == ni).map(|(_, v)| *v);
+                    match f {
+                        Some(Value::Closure(chunk)) => {
+                            self.push_frame(chunk, argc)?;
+                            Ok(MethodOutcome::EnterFrame)
                         }
+                        _ => self.type_error(format!("{name} is not a function")),
                     }
-                    Obj::Arr(_) => self.array_method(r, &name, args),
-                    Obj::Str(s) => self.string_method(&s, &name, args),
-                    Obj::F64(_) | Obj::I32(_) | Obj::U8(_) => self.typed_method(r, &name, args),
                 }
-            }
+                Obj::Arr(_) => self.array_method(r, name, base),
+                Obj::Str(_) => self.string_method(r, name, base),
+                Obj::F64(_) | Obj::I32(_) | Obj::U8(_) => self.typed_method(r, name, base),
+            },
             other => self.type_error(format!(
                 "cannot call method '{name}' on {}",
                 self.stringify(other)
@@ -1654,12 +1778,16 @@ impl JsVm {
         }
     }
 
-    fn array_method(
-        &mut self,
-        r: u32,
-        name: &str,
-        args: &[Value],
-    ) -> Result<MethodOutcome, JsError> {
+    /// Method argument `i` of a call whose arguments start at
+    /// `stack[base]` (`undefined` past the last one).
+    fn arg(&self, base: usize, i: usize) -> Value {
+        self.stack
+            .get(base + i)
+            .copied()
+            .unwrap_or(Value::Undefined)
+    }
+
+    fn array_method(&mut self, r: u32, name: &str, base: usize) -> Result<MethodOutcome, JsError> {
         let (oh, oe) = {
             let o = self.heap.get(r);
             (o.heap_bytes(), o.external_bytes())
@@ -1669,7 +1797,7 @@ impl JsVm {
                 let Obj::Arr(items) = self.heap.get_mut(r) else {
                     unreachable!()
                 };
-                items.extend_from_slice(args);
+                items.extend_from_slice(&self.stack[base..]);
                 let len = items.len() as f64;
                 Value::Num(len)
             }
@@ -1680,7 +1808,7 @@ impl JsVm {
                 items.pop().unwrap_or(Value::Undefined)
             }
             "fill" => {
-                let v = args.first().copied().unwrap_or(Value::Undefined);
+                let v = self.arg(base, 0);
                 let Obj::Arr(items) = self.heap.get_mut(r) else {
                     unreachable!()
                 };
@@ -1690,23 +1818,21 @@ impl JsVm {
                 Value::Ref(r)
             }
             "indexOf" => {
-                let target = args.first().copied().unwrap_or(Value::Undefined);
+                let target = self.arg(base, 0);
                 let Obj::Arr(items) = self.heap.get(r) else {
                     unreachable!()
                 };
-                let items = items.clone();
                 let pos = items.iter().position(|v| self.strict_eq(*v, target));
                 Value::Num(pos.map(|p| p as f64).unwrap_or(-1.0))
             }
             "join" => {
-                let sep = args
-                    .first()
-                    .map(|s| self.stringify(*s))
-                    .unwrap_or_else(|| ",".into());
+                let sep = match self.stack.get(base) {
+                    Some(s) => self.stringify(*s),
+                    None => ",".into(),
+                };
                 let Obj::Arr(items) = self.heap.get(r) else {
                     unreachable!()
                 };
-                let items = items.clone();
                 let parts: Vec<String> = items.iter().map(|v| self.stringify(*v)).collect();
                 let joined = parts.join(&sep);
                 let rs = self.alloc(Obj::Str(joined));
@@ -1718,15 +1844,19 @@ impl JsVm {
         Ok(MethodOutcome::Value(out))
     }
 
-    fn string_method(
-        &mut self,
-        s: &str,
-        name: &str,
-        args: &[Value],
-    ) -> Result<MethodOutcome, JsError> {
-        let arg_num =
-            |vm: &Self, i: usize| vm.to_num(args.get(i).copied().unwrap_or(Value::Undefined));
-        let out = match name {
+    fn string_method(&mut self, r: u32, name: &str, base: usize) -> Result<MethodOutcome, JsError> {
+        /// New strings a method makes: computed while the receiver is
+        /// borrowed, allocated after.
+        enum Made {
+            Str(String),
+            /// `split`: the parts, then the array holding them.
+            Parts(Vec<String>),
+        }
+        let Obj::Str(s) = self.heap.get(r) else {
+            unreachable!()
+        };
+        let arg_num = |vm: &Self, i: usize| vm.to_num(vm.arg(base, i));
+        let made = match name {
             "charCodeAt" => {
                 let i = arg_num(self, 0);
                 let code = s
@@ -1734,83 +1864,60 @@ impl JsVm {
                     .nth(i as usize)
                     .map(|c| c as u32 as f64)
                     .unwrap_or(f64::NAN);
-                Value::Num(code)
+                return Ok(MethodOutcome::Value(Value::Num(code)));
             }
             "charAt" => {
                 let i = arg_num(self, 0) as usize;
-                let sub: String = s.chars().skip(i).take(1).collect();
-                let r = self.alloc(Obj::Str(sub));
-                Value::Ref(r)
+                Made::Str(s.chars().skip(i).take(1).collect())
             }
             "substring" => {
                 let a = arg_num(self, 0).max(0.0) as usize;
-                let b = if args.len() > 1 {
+                let b = if self.stack.len() - base > 1 {
                     arg_num(self, 1).max(0.0) as usize
                 } else {
                     s.chars().count()
                 };
                 let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-                let sub: String = s.chars().skip(lo).take(hi - lo).collect();
-                let r = self.alloc(Obj::Str(sub));
-                Value::Ref(r)
+                Made::Str(s.chars().skip(lo).take(hi - lo).collect())
             }
             "indexOf" => {
-                let needle = match args.first() {
-                    Some(v) => self.stringify(*v),
-                    None => return Ok(MethodOutcome::Value(Value::Num(-1.0))),
+                let Some(needle) = self.stack.get(base).map(|v| self.stringify(*v)) else {
+                    return Ok(MethodOutcome::Value(Value::Num(-1.0)));
                 };
                 // Return a char index, not a byte index.
-                match s.find(&needle) {
-                    Some(byte_pos) => {
-                        let char_pos = s[..byte_pos].chars().count();
-                        Value::Num(char_pos as f64)
-                    }
-                    None => Value::Num(-1.0),
-                }
-            }
-            "split" => {
-                let sep = match args.first() {
-                    Some(v) => self.stringify(*v),
-                    None => {
-                        let whole = self.alloc(Obj::Str(s.to_string()));
-                        let arr = self.alloc(Obj::Arr(vec![Value::Ref(whole)]));
-                        return Ok(MethodOutcome::Value(Value::Ref(arr)));
-                    }
+                let pos = match s.find(&needle) {
+                    Some(byte_pos) => s[..byte_pos].chars().count() as f64,
+                    None => -1.0,
                 };
-                let parts: Vec<String> = if sep.is_empty() {
-                    s.chars().map(|c| c.to_string()).collect()
-                } else {
-                    s.split(&sep).map(|p| p.to_string()).collect()
-                };
-                let refs: Vec<Value> = parts
-                    .into_iter()
-                    .map(|p| {
-                        let r = self.alloc(Obj::Str(p));
-                        Value::Ref(r)
-                    })
-                    .collect();
-                let arr = self.alloc(Obj::Arr(refs));
-                Value::Ref(arr)
+                return Ok(MethodOutcome::Value(Value::Num(pos)));
             }
-            "toLowerCase" => {
-                let r = self.alloc(Obj::Str(s.to_lowercase()));
-                Value::Ref(r)
-            }
+            "split" => Made::Parts(match self.stack.get(base).map(|v| self.stringify(*v)) {
+                None => vec![s.clone()],
+                Some(sep) if sep.is_empty() => s.chars().map(|c| c.to_string()).collect(),
+                Some(sep) => s.split(&sep).map(|p| p.to_string()).collect(),
+            }),
+            "toLowerCase" => Made::Str(s.to_lowercase()),
             _ => return self.type_error(format!("string.{name} is not a function")),
         };
-        Ok(MethodOutcome::Value(out))
+        let out = match made {
+            Made::Str(t) => self.alloc(Obj::Str(t)),
+            Made::Parts(parts) => {
+                let refs: Vec<Value> = parts
+                    .into_iter()
+                    .map(|p| Value::Ref(self.alloc(Obj::Str(p))))
+                    .collect();
+                self.alloc(Obj::Arr(refs))
+            }
+        };
+        Ok(MethodOutcome::Value(Value::Ref(out)))
     }
 
-    fn typed_method(
-        &mut self,
-        r: u32,
-        name: &str,
-        args: &[Value],
-    ) -> Result<MethodOutcome, JsError> {
+    fn typed_method(&mut self, r: u32, name: &str, base: usize) -> Result<MethodOutcome, JsError> {
         match name {
             "fill" => {
-                let vn = self.to_num(args.first().copied().unwrap_or(Value::Undefined));
-                let vi = self.to_int32(args.first().copied().unwrap_or(Value::Undefined));
+                let v = self.arg(base, 0);
+                let vn = self.to_num(v);
+                let vi = self.to_int32(v);
                 match self.heap.get_mut(r) {
                     Obj::F64(items) => items.iter_mut().for_each(|s| *s = vn),
                     Obj::I32(items) => items.iter_mut().for_each(|s| *s = vi),
@@ -1827,6 +1934,16 @@ impl JsVm {
 enum MethodOutcome {
     Value(Value),
     EnterFrame,
+}
+
+/// Source ops an `LLCmpJf`/`LCCmpJf` retires: its four, or with the bool
+/// tail seven when the comparison holds and six when it does not.
+fn cmp_branch_steps(tail: bool, cond: bool) -> u64 {
+    match (tail, cond) {
+        (false, _) => 4,
+        (true, true) => 7,
+        (true, false) => 6,
+    }
 }
 
 /// JS `ToInt32` on an already-numeric value. The single definition both

@@ -10,7 +10,7 @@
 //! and JIT compiles — alongside results and console output.
 
 use wb_env::JitMode;
-use wb_jsvm::{JsReport, JsValue, JsVm, JsVmConfig};
+use wb_jsvm::{JsError, JsReport, JsValue, JsVm, JsVmConfig};
 
 fn config(reference_exec: bool, jit: JitMode) -> JsVmConfig {
     let mut cfg = JsVmConfig::reference();
@@ -53,32 +53,46 @@ fn assert_reports_identical(a: &JsReport, b: &JsReport) {
     assert_eq!(a.code_ops, b.code_ops, "code ops");
 }
 
-/// Run `entry(args)` after loading `src` in both modes, under both JIT
-/// settings; assert results, output and reports all match. Returns the
-/// (common) result from the JIT-enabled run.
-fn run_both(src: &str, entry: &str, args: &[JsValue]) -> JsValue {
-    let mut result = None;
-    for jit in [JitMode::Enabled, JitMode::Disabled] {
-        let mut outcome: Option<(JsValue, Vec<String>, JsReport)> = None;
-        for reference_exec in [true, false] {
-            let mut vm = JsVm::new(config(reference_exec, jit));
+/// Load `src` in a fresh VM per mode (reference first), under both JIT
+/// settings, apply `tweak` to each config, run `drive`, and assert both
+/// modes give the same outcome, console output and report, bit for bit.
+/// Returns the outcome and the two JIT-enabled VMs, reference first.
+fn differential<T: PartialEq + std::fmt::Debug>(
+    src: &str,
+    tweak: impl Fn(&mut JsVmConfig),
+    drive: impl Fn(&mut JsVm) -> T,
+) -> (T, [JsVm; 2]) {
+    let mut kept = None;
+    for jit in [JitMode::Disabled, JitMode::Enabled] {
+        let [mut reference, mut fused] = [true, false].map(|reference_exec| {
+            let mut cfg = config(reference_exec, jit);
+            tweak(&mut cfg);
+            JsVm::new(cfg)
+        });
+        let outcomes = [&mut reference, &mut fused].map(|vm| {
             vm.load(src).expect("script loads");
-            let r = vm.call(entry, args).expect("call succeeds");
-            let report = vm.report();
-            match &outcome {
-                None => outcome = Some((r, vm.output.clone(), report)),
-                Some((ref_r, ref_out, ref_report)) => {
-                    assert_eq!(*ref_r, r, "result (jit {jit:?})");
-                    assert_eq!(*ref_out, vm.output, "console output (jit {jit:?})");
-                    assert_reports_identical(ref_report, &report);
-                }
-            }
-        }
-        if jit == JitMode::Enabled {
-            result = outcome.map(|(r, _, _)| r);
-        }
+            drive(vm)
+        });
+        let [want, got] = outcomes;
+        assert_eq!(want, got, "outcome (jit {jit:?})");
+        assert_eq!(
+            reference.output, fused.output,
+            "console output (jit {jit:?})"
+        );
+        assert_reports_identical(&reference.report(), &fused.report());
+        kept = Some((got, [reference, fused]));
     }
-    result.unwrap()
+    kept.unwrap()
+}
+
+/// [`differential`] of one call that must succeed; returns its result.
+fn run_both(src: &str, entry: &str, args: &[JsValue]) -> JsValue {
+    differential(
+        src,
+        |_| {},
+        |vm| vm.call(entry, args).expect("call succeeds"),
+    )
+    .0
 }
 
 #[test]
@@ -179,22 +193,13 @@ fn gc_churn_matches() {
                for (var j = 0; j < keep.length; j = j + 1) { s = s + keep[j][0]; }\n\
                return s;\n\
              }";
-    let mut outcome: Option<(JsValue, JsReport)> = None;
-    for reference_exec in [true, false] {
-        let mut cfg = config(reference_exec, JitMode::Enabled);
-        cfg.profile.gc.trigger_bytes = 16 * 1024;
-        let mut vm = JsVm::new(cfg);
-        vm.load(src).unwrap();
-        let r = vm.call("churn", &[JsValue::Num(4000.0)]).unwrap();
-        let report = vm.report();
-        assert!(report.heap.gc_count > 0, "GC must have run");
-        match &outcome {
-            None => outcome = Some((r, report)),
-            Some((ref_r, ref_report)) => {
-                assert_eq!(*ref_r, r);
-                assert_reports_identical(ref_report, &report);
-            }
-        }
+    let (_, vms) = differential(
+        src,
+        |cfg| cfg.profile.gc.trigger_bytes = 16 * 1024,
+        |vm| vm.call("churn", &[JsValue::Num(4000.0)]).unwrap(),
+    );
+    for vm in vms {
+        assert!(vm.report().heap.gc_count > 0, "GC must have run");
     }
 }
 
@@ -289,4 +294,228 @@ fn ic_invalidated_by_gc() {
     let (hits_final, misses_final) = vm.ic_stats();
     assert_eq!(misses_final, misses_after, "refill restores hits");
     assert!(hits_final > hits_before);
+}
+
+// ---- the compiled-JS idioms: element address, coerced store, loop test --
+
+/// A 2-D kernel in the shape the MiniC JS backend emits: materialized
+/// loop tests, coerced counter stores and `A[(i) * 8 + j]` addressing.
+const KERNEL_2D: &str = "var A_a = new Float64Array(64);\n\
+    function fill(n) {\n\
+      var i = 0; var j = 0;\n\
+      for (i = 0; ((i) < (8) ? 1 : 0); i = (((i) + (1)) | 0)) {\n\
+        for (j = 0; ((j) < (n) ? 1 : 0); j = (((j) + (1)) | 0)) {\n\
+          A_a[((i) * 8 + j)] = ((i) * (j)) | 0;\n\
+        }\n\
+      }\n\
+      return 0;\n\
+    }\n\
+    function sum(n) {\n\
+      var s = 0.0; var i = 0; var j = 0; var t = 0;\n\
+      for (i = 0; ((i) < (8) ? 1 : 0); i = (((i) + (1)) | 0)) {\n\
+        for (j = 0; ((j) < (n) ? 1 : 0); j = (((j) + (1)) | 0)) {\n\
+          s = s + A_a[((i) * 8 + j)];\n\
+          t = (t + 1) & 3;\n\
+        }\n\
+      }\n\
+      return s + t;\n\
+    }\n\
+    function main(n) { fill(n); return sum(n); }";
+
+#[test]
+fn backend_idioms_match_and_cut_dispatches() {
+    let (r, [reference, fused]) = differential(
+        KERNEL_2D,
+        |_| {},
+        |vm| vm.call("main", &[JsValue::Num(8.0)]),
+    );
+    // Σ i·j over 8×8, plus the 64 increments of t mod 4.
+    assert_eq!(r, Ok(JsValue::Num(28.0 * 28.0)));
+    let (f_fused, f_plain) = fused.dispatch_stats();
+    let (r_fused, r_plain) = reference.dispatch_stats();
+    assert_eq!(r_fused, 0, "the reference engine never fuses");
+    assert!(
+        (f_fused + f_plain) * 3 < r_plain,
+        "fused {f_fused} + plain {f_plain} dispatches vs reference {r_plain}"
+    );
+}
+
+#[test]
+fn loop_test_tail_matches_on_both_paths() {
+    // The tail on an `if` whose comparison alternates, on a loop test
+    // that fails at once (n = 0) and on one that runs (n = 30).
+    let src = "function f(n) {\n\
+               var k = 0; var r = 0; var i = 0;\n\
+               for (i = 0; ((i) < (n) ? 1 : 0); i = (((i) + (1)) | 0)) {\n\
+                 r = (i % 3) | 0;\n\
+                 if (((r) == (0) ? 1 : 0)) { k = (((k) + (10)) | 0); }\n\
+                 if (((r) < (k) ? 1 : 0)) { k = (((k) - (1)) | 0); }\n\
+               }\n\
+               return k;\n\
+             }";
+    let expect = |n: u32| {
+        let mut k = 0;
+        for i in 0..n {
+            let r = (i % 3) as i32;
+            if r == 0 {
+                k += 10;
+            }
+            if r < k {
+                k -= 1;
+            }
+        }
+        k
+    };
+    for n in [0, 1, 30] {
+        let (r, _) = differential(src, |_| {}, |vm| vm.call("f", &[JsValue::Num(n as f64)]));
+        assert_eq!(r, Ok(JsValue::Num(expect(n) as f64)), "n = {n}");
+    }
+}
+
+#[test]
+fn unbound_global_raises_the_same_reference_error() {
+    // GAddr's global guard: both the address form (a store) and the
+    // cached-load form fall back, and LoadGlobal raises.
+    let src = "function load(i, j) { return B_b[((i) * 4 + j)]; }\n\
+             function store(i, j) { B_b[((i) * 4 + j)] = 1; return 0; }";
+    for entry in ["load", "store"] {
+        let (r, _) = differential(
+            src,
+            |_| {},
+            |vm| vm.call(entry, &[JsValue::Num(1.0), JsValue::Num(2.0)]),
+        );
+        assert!(
+            matches!(&r, Err(JsError::Reference { name }) if name == "B_b"),
+            "{entry}: {r:?}"
+        );
+    }
+}
+
+#[test]
+fn non_number_locals_take_the_plain_path() {
+    // String operands: `Add` concatenates (and allocates), so every new
+    // family's number guard must fail and hand over to the plain ops.
+    let src = "var A_a = new Float64Array(64);\n\
+             function coerce(t) { t = (((t) + (1)) | 0); return t; }\n\
+             function at(i, j) { A_a[42] = 5; return A_a[((i) * 4 + j)]; }\n\
+             function count(s) { var n = 0; while (((s) < (5) ? 1 : 0)) { n = n + 1; s = s + 1; } return n; }";
+    let s = |v: &str| JsValue::Str(v.into());
+    let (r, _) = differential(
+        src,
+        |_| {},
+        |vm| {
+            [
+                vm.call("coerce", &[s("41")]),
+                // (1 * 4) + "2" is "42".
+                vm.call("at", &[JsValue::Num(1.0), s("2")]),
+                vm.call("count", &[s("3")]),
+            ]
+        },
+    );
+    assert_eq!(
+        r,
+        [
+            Ok(JsValue::Num(411.0)),
+            Ok(JsValue::Num(5.0)),
+            Ok(JsValue::Num(1.0))
+        ]
+    );
+}
+
+#[test]
+fn gaddr_cache_misses_and_refills() {
+    let src = "var A_a = new Float64Array(16);\n\
+             var B_b = new Float64Array(16);\n\
+             function init() { var i = 0; for (i = 0; ((i) < (16) ? 1 : 0); i = (((i) + (1)) | 0)) { B_b[i] = i; } return 0; }\n\
+             function read(i, j) { return A_a[((i) * 4 + j)]; }\n\
+             function swap() { A_a = B_b; return 0; }";
+    // Four reads through one site: a miss that fills it, a hit, a miss
+    // on the new receiver after `swap`, a hit. Returns each read's value
+    // and the cache's (hits, misses) since `init`.
+    let reads = |vm: &mut JsVm| {
+        vm.call("init", &[]).unwrap();
+        let (h0, m0) = vm.ic_stats();
+        let mut out = Vec::new();
+        for (i, j) in [(1.0, 1.0), (1.0, 2.0), (1.0, 3.0), (2.0, 0.0)] {
+            if i == 1.0 && j == 3.0 {
+                vm.call("swap", &[]).unwrap();
+            }
+            let v = vm.call("read", &[JsValue::Num(i), JsValue::Num(j)]);
+            let (h, m) = vm.ic_stats();
+            out.push((v, (h - h0, m - m0)));
+        }
+        out
+    };
+    differential(
+        src,
+        |_| {},
+        |vm| reads(vm).into_iter().map(|(v, _)| v).collect::<Vec<_>>(),
+    );
+    // The reference engine has no caches; watch the fused one's.
+    let mut fused = JsVm::new(config(false, JitMode::Enabled));
+    fused.load(src).unwrap();
+    let n = |x: f64| Ok(JsValue::Num(x));
+    assert_eq!(
+        reads(&mut fused),
+        vec![
+            (n(0.0), (0, 1)),
+            (n(0.0), (1, 1)),
+            (n(7.0), (1, 2)),
+            (n(8.0), (2, 2)),
+        ]
+    );
+}
+
+#[test]
+fn jumps_into_a_group_interior_run_plain_ops() {
+    // `c ? a : (b + 1)` jumps from its true branch to the `Const 0; BitOr`
+    // inside the coerced store headed by `b + 1`; the outer `? 1 : 0`
+    // jumps from `i < 4` into the bool tail headed by `j < 4`.
+    let src = "function pick(c, a, b) { var x = 0; x = ((c ? a : (b + 1)) | 0); return x; }\n\
+             function both(c, i, j) {\n\
+               var n = 0;\n\
+               while (((c ? ((i) < (4)) : ((j) < (4))) ? 1 : 0)) { n = n + 1; i = i + 1; j = j + 2; }\n\
+               return n;\n\
+             }";
+    let (r, _) = differential(
+        src,
+        |_| {},
+        |vm| {
+            let mut out = Vec::new();
+            for c in [true, false] {
+                let c = JsValue::Bool(c);
+                out.push(vm.call("pick", &[c.clone(), JsValue::Num(7.5), JsValue::Num(2.0)]));
+                out.push(vm.call("both", &[c, JsValue::Num(0.0), JsValue::Num(0.0)]));
+            }
+            out
+        },
+    );
+    let n = |x: f64| Ok(JsValue::Num(x));
+    assert_eq!(r, vec![n(7.0), n(4.0), n(3.0), n(2.0)]);
+}
+
+#[test]
+fn fuel_runs_out_inside_groups_with_the_same_trap() {
+    // A fused group checks its whole width against the budget at once,
+    // so a budget that runs out inside a group traps at the group's
+    // head. The trap kind, and whether the run traps at all, must not
+    // change.
+    let outcome = |reference_exec: bool, fuel: u64| {
+        let mut cfg = config(reference_exec, JitMode::Enabled);
+        cfg.limits = wb_env::ResourceLimits::default().with_fuel(fuel);
+        let mut vm = JsVm::new(cfg);
+        vm.load(KERNEL_2D)
+            .and_then(|()| vm.call("main", &[JsValue::Num(2.0)]))
+    };
+    let budgets = 1..=1500u64;
+    let mut trapped = 0;
+    for fuel in budgets.clone() {
+        let want = outcome(true, fuel);
+        assert_eq!(want, outcome(false, fuel), "fuel {fuel}");
+        trapped += matches!(want, Err(JsError::StepBudgetExhausted)) as usize;
+    }
+    assert!(
+        trapped > 100 && trapped < budgets.count(),
+        "{trapped} budgets trapped"
+    );
 }

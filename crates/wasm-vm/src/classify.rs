@@ -4,24 +4,7 @@
 use wb_env::OpClass;
 use wb_wasm::Instr;
 
-/// Fine-grained arithmetic kind for the Table 12 operation-count profile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArithKind {
-    /// add/sub
-    Add,
-    /// mul
-    Mul,
-    /// div
-    Div,
-    /// rem
-    Rem,
-    /// shifts/rotates
-    Shift,
-    /// and
-    And,
-    /// or/xor
-    Or,
-}
+pub use wb_env::ArithKind;
 
 /// Table 12 classification of an instruction, if it is arithmetic.
 pub fn arith_kind(i: &Instr) -> Option<ArithKind> {

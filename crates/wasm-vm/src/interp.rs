@@ -53,15 +53,7 @@ impl Instance {
     /// Charge one Table 12 arithmetic operation of kind `kind`.
     #[inline]
     pub(crate) fn bump_arith(&mut self, kind: ArithKind) {
-        match kind {
-            ArithKind::Add => self.arith.add += 1,
-            ArithKind::Mul => self.arith.mul += 1,
-            ArithKind::Div => self.arith.div += 1,
-            ArithKind::Rem => self.arith.rem += 1,
-            ArithKind::Shift => self.arith.shift += 1,
-            ArithKind::And => self.arith.and += 1,
-            ArithKind::Or => self.arith.or += 1,
-        }
+        self.arith.bump(kind);
     }
 
     /// The reference execution core: one [`Instr`] per step over a tagged

@@ -25,10 +25,13 @@ cargo test -q
 echo "== core tests (cache and memo identity, pricing) =="
 cargo test -q -p wb-core --release
 
+echo "== JS VM tests (fused differential, proptests, fusion audit) =="
+cargo test -q -p wb-jsvm --release
+
 echo "== static analysis (wb analyze) =="
 ./target/release/wb analyze --all
 
-echo "== fused-vs-reference differential =="
+echo "== fused-vs-reference differential (all kernels; JS also at L) =="
 cargo test -q -p wb-harness --release --test fused_reference_differential
 
 echo "== trap parity (wasm vs js vs native, all levels) =="
