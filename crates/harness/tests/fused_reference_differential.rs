@@ -3,9 +3,9 @@
 //! Runs every benchmark at XS through both execution engines — the fused
 //! micro-op engine (default) and the plain per-op interpreter
 //! (`--reference-exec`) — across backends, Wasm tier policies and JS JIT
-//! modes, asserting the resulting [`Measurement`]s are bit-identical. The
-//! JS engine is also checked at L, where its loops run hottest (release
-//! builds only).
+//! modes, asserting the resulting [`Measurement`]s are bit-identical. Both
+//! backends are also checked at L (Wasm under the default tier policy),
+//! where their loops run hottest (release builds only).
 //! This is the end-to-end proof of the cost-equivalence invariant the
 //! per-VM differential tests check in miniature.
 
@@ -89,14 +89,20 @@ fn js_suite_matches_across_engines_and_jit_modes() {
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "every kernel at L: release builds only")]
-fn js_suite_matches_at_large_size() {
-    let cells = wb_benchmarks::all_benchmarks()
-        .into_iter()
-        .map(|b| Run::new(b, InputSize::L))
-        .collect();
-    parallel_map(cells, |run| {
-        let what = format!("{} js L", run.benchmark.name);
+fn suites_match_at_large_size() {
+    let backends = [
+        ("wasm", Run::wasm as fn(&Run) -> Measurement),
+        ("js", Run::js),
+    ];
+    let mut cells = Vec::new();
+    for b in wb_benchmarks::all_benchmarks() {
+        for backend in backends {
+            cells.push((Run::new(b.clone(), InputSize::L), backend));
+        }
+    }
+    parallel_map(cells, |(run, (backend, measure))| {
+        let what = format!("{} {backend} L", run.benchmark.name);
         let (fused, reference) = fused_and_reference(run);
-        assert_measurements_identical(&fused.js(), &reference.js(), &what);
+        assert_measurements_identical(&measure(&fused), &measure(&reference), &what);
     });
 }

@@ -5,10 +5,15 @@
 //! dynamically by the fused-vs-reference differential tests. This module
 //! turns it into a *statically exhaustive* check: every fused family in
 //! [`fuse`](crate::fuse) is symbolically expanded, for **every** operator
-//! instance it can carry (all 74 [`BinOp`]s, all 46 [`UnOp`]s, all load
-//! and store kinds), and its charge plan is compared event-for-event
-//! against the concatenation of the reference interpreter's plans for the
-//! constituent instructions.
+//! instance it can carry (each entry of `BinOp::ALL`, `UnOp::ALL`,
+//! `LoadKind::ALL` and `StoreKind::ALL`), and its charge plan is compared
+//! event-for-event against the concatenation of the reference
+//! interpreter's plans for the constituent instructions.
+//!
+//! The operators' own charges (class, Table 12 kind, trap point) come from
+//! one table on both sides: the families read them from `classify.rs` at
+//! compile time. What the audit checks is each family's *shape*: which
+//! constituents it charges, in which order, around which trap point.
 //!
 //! A charge plan is the sequence of observable cost events:
 //!
@@ -24,10 +29,10 @@
 //! round-trips each instance through [`match_fused`] to confirm the
 //! lowering actually produces the audited family at the audited width.
 
-use crate::classify::{arith_kind, classify, ArithKind};
+use crate::classify::{arith_kind, can_trap, classify, ArithKind};
 use crate::fuse::{match_fused, BinOp, LoadKind, Mop, StoreKind, UnOp};
 use wb_env::OpClass;
-use wb_wasm::{Instr, MemArg};
+use wb_wasm::Instr;
 
 /// One audited (family, operator) instance.
 #[derive(Debug, Clone)]
@@ -70,374 +75,6 @@ impl Ev {
     }
 }
 
-fn can_trap_bin(op: BinOp) -> bool {
-    use BinOp::*;
-    matches!(
-        op,
-        I32DivS | I32DivU | I32RemS | I32RemU | I64DivS | I64DivU | I64RemS | I64RemU
-    )
-}
-
-fn can_trap_un(un: UnOp) -> bool {
-    use UnOp::*;
-    matches!(
-        un,
-        I32TruncF32S
-            | I32TruncF32U
-            | I32TruncF64S
-            | I32TruncF64U
-            | I64TruncF32S
-            | I64TruncF32U
-            | I64TruncF64S
-            | I64TruncF64U
-    )
-}
-
-/// The source instruction a [`BinOp`] was lifted from. Exhaustive — adding
-/// a `BinOp` variant without extending the audit fails to compile.
-fn instr_of_bin(op: BinOp) -> Instr {
-    use BinOp::*;
-    match op {
-        I32Add => Instr::I32Add,
-        I32Sub => Instr::I32Sub,
-        I32Mul => Instr::I32Mul,
-        I32DivS => Instr::I32DivS,
-        I32DivU => Instr::I32DivU,
-        I32RemS => Instr::I32RemS,
-        I32RemU => Instr::I32RemU,
-        I32And => Instr::I32And,
-        I32Or => Instr::I32Or,
-        I32Xor => Instr::I32Xor,
-        I32Shl => Instr::I32Shl,
-        I32ShrS => Instr::I32ShrS,
-        I32ShrU => Instr::I32ShrU,
-        I32Rotl => Instr::I32Rotl,
-        I32Rotr => Instr::I32Rotr,
-        I32Eq => Instr::I32Eq,
-        I32Ne => Instr::I32Ne,
-        I32LtS => Instr::I32LtS,
-        I32LtU => Instr::I32LtU,
-        I32GtS => Instr::I32GtS,
-        I32GtU => Instr::I32GtU,
-        I32LeS => Instr::I32LeS,
-        I32LeU => Instr::I32LeU,
-        I32GeS => Instr::I32GeS,
-        I32GeU => Instr::I32GeU,
-        I64Add => Instr::I64Add,
-        I64Sub => Instr::I64Sub,
-        I64Mul => Instr::I64Mul,
-        I64DivS => Instr::I64DivS,
-        I64DivU => Instr::I64DivU,
-        I64RemS => Instr::I64RemS,
-        I64RemU => Instr::I64RemU,
-        I64And => Instr::I64And,
-        I64Or => Instr::I64Or,
-        I64Xor => Instr::I64Xor,
-        I64Shl => Instr::I64Shl,
-        I64ShrS => Instr::I64ShrS,
-        I64ShrU => Instr::I64ShrU,
-        I64Rotl => Instr::I64Rotl,
-        I64Rotr => Instr::I64Rotr,
-        I64Eq => Instr::I64Eq,
-        I64Ne => Instr::I64Ne,
-        I64LtS => Instr::I64LtS,
-        I64LtU => Instr::I64LtU,
-        I64GtS => Instr::I64GtS,
-        I64GtU => Instr::I64GtU,
-        I64LeS => Instr::I64LeS,
-        I64LeU => Instr::I64LeU,
-        I64GeS => Instr::I64GeS,
-        I64GeU => Instr::I64GeU,
-        F32Add => Instr::F32Add,
-        F32Sub => Instr::F32Sub,
-        F32Mul => Instr::F32Mul,
-        F32Div => Instr::F32Div,
-        F32Min => Instr::F32Min,
-        F32Max => Instr::F32Max,
-        F32Copysign => Instr::F32Copysign,
-        F32Eq => Instr::F32Eq,
-        F32Ne => Instr::F32Ne,
-        F32Lt => Instr::F32Lt,
-        F32Gt => Instr::F32Gt,
-        F32Le => Instr::F32Le,
-        F32Ge => Instr::F32Ge,
-        F64Add => Instr::F64Add,
-        F64Sub => Instr::F64Sub,
-        F64Mul => Instr::F64Mul,
-        F64Div => Instr::F64Div,
-        F64Min => Instr::F64Min,
-        F64Max => Instr::F64Max,
-        F64Copysign => Instr::F64Copysign,
-        F64Eq => Instr::F64Eq,
-        F64Ne => Instr::F64Ne,
-        F64Lt => Instr::F64Lt,
-        F64Gt => Instr::F64Gt,
-        F64Le => Instr::F64Le,
-        F64Ge => Instr::F64Ge,
-    }
-}
-
-/// Exhaustive `UnOp` → source instruction map.
-fn instr_of_un(un: UnOp) -> Instr {
-    use UnOp::*;
-    match un {
-        I32Eqz => Instr::I32Eqz,
-        I32Clz => Instr::I32Clz,
-        I32Ctz => Instr::I32Ctz,
-        I32Popcnt => Instr::I32Popcnt,
-        I64Eqz => Instr::I64Eqz,
-        I64Clz => Instr::I64Clz,
-        I64Ctz => Instr::I64Ctz,
-        I64Popcnt => Instr::I64Popcnt,
-        F32Abs => Instr::F32Abs,
-        F32Neg => Instr::F32Neg,
-        F32Ceil => Instr::F32Ceil,
-        F32Floor => Instr::F32Floor,
-        F32Trunc => Instr::F32Trunc,
-        F32Nearest => Instr::F32Nearest,
-        F32Sqrt => Instr::F32Sqrt,
-        F64Abs => Instr::F64Abs,
-        F64Neg => Instr::F64Neg,
-        F64Ceil => Instr::F64Ceil,
-        F64Floor => Instr::F64Floor,
-        F64Trunc => Instr::F64Trunc,
-        F64Nearest => Instr::F64Nearest,
-        F64Sqrt => Instr::F64Sqrt,
-        I32WrapI64 => Instr::I32WrapI64,
-        I32TruncF32S => Instr::I32TruncF32S,
-        I32TruncF32U => Instr::I32TruncF32U,
-        I32TruncF64S => Instr::I32TruncF64S,
-        I32TruncF64U => Instr::I32TruncF64U,
-        I64ExtendI32S => Instr::I64ExtendI32S,
-        I64ExtendI32U => Instr::I64ExtendI32U,
-        I64TruncF32S => Instr::I64TruncF32S,
-        I64TruncF32U => Instr::I64TruncF32U,
-        I64TruncF64S => Instr::I64TruncF64S,
-        I64TruncF64U => Instr::I64TruncF64U,
-        F32ConvertI32S => Instr::F32ConvertI32S,
-        F32ConvertI32U => Instr::F32ConvertI32U,
-        F32ConvertI64S => Instr::F32ConvertI64S,
-        F32ConvertI64U => Instr::F32ConvertI64U,
-        F32DemoteF64 => Instr::F32DemoteF64,
-        F64ConvertI32S => Instr::F64ConvertI32S,
-        F64ConvertI32U => Instr::F64ConvertI32U,
-        F64ConvertI64S => Instr::F64ConvertI64S,
-        F64ConvertI64U => Instr::F64ConvertI64U,
-        F64PromoteF32 => Instr::F64PromoteF32,
-        I32ReinterpretF32 => Instr::I32ReinterpretF32,
-        I64ReinterpretF64 => Instr::I64ReinterpretF64,
-        F32ReinterpretI32 => Instr::F32ReinterpretI32,
-        F64ReinterpretI64 => Instr::F64ReinterpretI64,
-    }
-}
-
-/// Exhaustive `LoadKind` → source instruction map (zero memarg).
-fn instr_of_load(kind: LoadKind) -> Instr {
-    let m = MemArg {
-        align: 0,
-        offset: 0,
-    };
-    use LoadKind::*;
-    match kind {
-        I32 => Instr::I32Load(m),
-        I64 => Instr::I64Load(m),
-        F32 => Instr::F32Load(m),
-        F64 => Instr::F64Load(m),
-        I32S8 => Instr::I32Load8S(m),
-        I32U8 => Instr::I32Load8U(m),
-        I32S16 => Instr::I32Load16S(m),
-        I32U16 => Instr::I32Load16U(m),
-        I64S8 => Instr::I64Load8S(m),
-        I64U8 => Instr::I64Load8U(m),
-        I64S16 => Instr::I64Load16S(m),
-        I64U16 => Instr::I64Load16U(m),
-        I64S32 => Instr::I64Load32S(m),
-        I64U32 => Instr::I64Load32U(m),
-    }
-}
-
-/// Exhaustive `StoreKind` → source instruction map (zero memarg).
-fn instr_of_store(kind: StoreKind) -> Instr {
-    let m = MemArg {
-        align: 0,
-        offset: 0,
-    };
-    use StoreKind::*;
-    match kind {
-        I32 => Instr::I32Store(m),
-        I64 => Instr::I64Store(m),
-        F32 => Instr::F32Store(m),
-        F64 => Instr::F64Store(m),
-        I32As8 => Instr::I32Store8(m),
-        I32As16 => Instr::I32Store16(m),
-        I64As8 => Instr::I64Store8(m),
-        I64As16 => Instr::I64Store16(m),
-        I64As32 => Instr::I64Store32(m),
-    }
-}
-
-const ALL_BINOPS: [BinOp; 76] = {
-    use BinOp::*;
-    [
-        I32Add,
-        I32Sub,
-        I32Mul,
-        I32DivS,
-        I32DivU,
-        I32RemS,
-        I32RemU,
-        I32And,
-        I32Or,
-        I32Xor,
-        I32Shl,
-        I32ShrS,
-        I32ShrU,
-        I32Rotl,
-        I32Rotr,
-        I32Eq,
-        I32Ne,
-        I32LtS,
-        I32LtU,
-        I32GtS,
-        I32GtU,
-        I32LeS,
-        I32LeU,
-        I32GeS,
-        I32GeU,
-        I64Add,
-        I64Sub,
-        I64Mul,
-        I64DivS,
-        I64DivU,
-        I64RemS,
-        I64RemU,
-        I64And,
-        I64Or,
-        I64Xor,
-        I64Shl,
-        I64ShrS,
-        I64ShrU,
-        I64Rotl,
-        I64Rotr,
-        I64Eq,
-        I64Ne,
-        I64LtS,
-        I64LtU,
-        I64GtS,
-        I64GtU,
-        I64LeS,
-        I64LeU,
-        I64GeS,
-        I64GeU,
-        F32Add,
-        F32Sub,
-        F32Mul,
-        F32Div,
-        F32Min,
-        F32Max,
-        F32Copysign,
-        F32Eq,
-        F32Ne,
-        F32Lt,
-        F32Gt,
-        F32Le,
-        F32Ge,
-        F64Add,
-        F64Sub,
-        F64Mul,
-        F64Div,
-        F64Min,
-        F64Max,
-        F64Copysign,
-        F64Eq,
-        F64Ne,
-        F64Lt,
-        F64Gt,
-        F64Le,
-        F64Ge,
-    ]
-};
-
-const ALL_UNOPS: [UnOp; 47] = {
-    use UnOp::*;
-    [
-        I32Eqz,
-        I32Clz,
-        I32Ctz,
-        I32Popcnt,
-        I64Eqz,
-        I64Clz,
-        I64Ctz,
-        I64Popcnt,
-        F32Abs,
-        F32Neg,
-        F32Ceil,
-        F32Floor,
-        F32Trunc,
-        F32Nearest,
-        F32Sqrt,
-        F64Abs,
-        F64Neg,
-        F64Ceil,
-        F64Floor,
-        F64Trunc,
-        F64Nearest,
-        F64Sqrt,
-        I32WrapI64,
-        I32TruncF32S,
-        I32TruncF32U,
-        I32TruncF64S,
-        I32TruncF64U,
-        I64ExtendI32S,
-        I64ExtendI32U,
-        I64TruncF32S,
-        I64TruncF32U,
-        I64TruncF64S,
-        I64TruncF64U,
-        F32ConvertI32S,
-        F32ConvertI32U,
-        F32ConvertI64S,
-        F32ConvertI64U,
-        F32DemoteF64,
-        F64ConvertI32S,
-        F64ConvertI32U,
-        F64ConvertI64S,
-        F64ConvertI64U,
-        F64PromoteF32,
-        I32ReinterpretF32,
-        I64ReinterpretF64,
-        F32ReinterpretI32,
-        F64ReinterpretI64,
-    ]
-};
-
-const ALL_LOADS: [LoadKind; 14] = {
-    use LoadKind::*;
-    [
-        I32, I64, F32, F64, I32S8, I32U8, I32S16, I32U16, I64S8, I64U8, I64S16, I64U16, I64S32,
-        I64U32,
-    ]
-};
-
-const ALL_STORES: [StoreKind; 9] = {
-    use StoreKind::*;
-    [
-        I32, I64, F32, F64, I32As8, I32As16, I64As8, I64As16, I64As32,
-    ]
-};
-
-/// Whether an instruction may trap on the reference path (at the execute
-/// point, after its class/arith bumps).
-fn instr_can_trap(i: &Instr) -> bool {
-    if let Some(op) = BinOp::of(i) {
-        return can_trap_bin(op);
-    }
-    if let Some(un) = UnOp::of(i) {
-        return can_trap_un(un);
-    }
-    matches!(classify(i), OpClass::Load | OpClass::Store)
-}
-
 /// The reference interpreter's charge plan for a constituent sequence:
 /// per instruction, one step, its op-class bump, its Table 12 bump, then
 /// its (potential) trap point — the exact order of `interp.rs`.
@@ -448,7 +85,7 @@ fn reference_plan(instrs: &[Instr]) -> (u64, Vec<Ev>) {
         if let Some(k) = arith_kind(i) {
             evs.push(Ev::Arith(k));
         }
-        if instr_can_trap(i) {
+        if can_trap(i) {
             evs.push(Ev::Trap);
         }
     }
@@ -461,7 +98,7 @@ fn bin_evs(op: BinOp, evs: &mut Vec<Ev>) {
     if let Some(k) = op.arith() {
         evs.push(Ev::Arith(k));
     }
-    if can_trap_bin(op) {
+    if op.can_trap() {
         evs.push(Ev::Trap);
     }
 }
@@ -583,7 +220,7 @@ fn fused_plan(mop: &Mop) -> Option<(u64, Vec<Ev>)> {
         LUnBr { un, .. } => {
             evs.push(Ev::Class(OpClass::Local));
             evs.push(Ev::Class(un.class()));
-            if can_trap_un(*un) {
+            if un.can_trap() {
                 evs.push(Ev::Trap);
             }
             evs.push(Ev::Class(OpClass::Branch));
@@ -591,7 +228,7 @@ fn fused_plan(mop: &Mop) -> Option<(u64, Vec<Ev>)> {
         }
         UnBr { un, .. } => {
             evs.push(Ev::Class(un.class()));
-            if can_trap_un(*un) {
+            if un.can_trap() {
                 evs.push(Ev::Trap);
             }
             evs.push(Ev::Class(OpClass::Branch));
@@ -672,8 +309,8 @@ fn enumerate_instances() -> Vec<(&'static str, String, Vec<Instr>)> {
     let mut out = Vec::new();
     let lg = |i| Instr::LocalGet(i);
     let ls = |i| Instr::LocalSet(i);
-    for &op in &ALL_BINOPS {
-        let b = instr_of_bin(op);
+    for op in BinOp::ALL {
+        let b = op.instr();
         let label = format!("{op:?}");
         out.push(("LLBin", label.clone(), vec![lg(0), lg(1), b.clone()]));
         out.push((
@@ -713,9 +350,9 @@ fn enumerate_instances() -> Vec<(&'static str, String, Vec<Instr>)> {
             out.push(("CmpBr", label.clone(), vec![b.clone(), Instr::BrIf(0)]));
         }
     }
-    for &un in &ALL_UNOPS {
+    for un in UnOp::ALL {
         if un.result_is_i32() {
-            let u = instr_of_un(un);
+            let u = un.instr();
             let label = format!("{un:?}");
             out.push((
                 "LUnBr",
@@ -725,18 +362,14 @@ fn enumerate_instances() -> Vec<(&'static str, String, Vec<Instr>)> {
             out.push(("UnBr", label, vec![u, Instr::BrIf(0)]));
         }
     }
-    for &kind in &ALL_LOADS {
-        out.push((
-            "LLoad",
-            format!("{kind:?}"),
-            vec![lg(0), instr_of_load(kind)],
-        ));
+    for kind in LoadKind::ALL {
+        out.push(("LLoad", format!("{kind:?}"), vec![lg(0), kind.instr(0)]));
     }
-    for &kind in &ALL_STORES {
+    for kind in StoreKind::ALL {
         out.push((
             "LLStore",
             format!("{kind:?}"),
-            vec![lg(0), lg(1), instr_of_store(kind)],
+            vec![lg(0), lg(1), kind.instr(0)],
         ));
     }
     for (label, c) in [
@@ -836,13 +469,13 @@ mod tests {
         // Every binop × 8 plain families + i32-result binops × 3 cmp-br
         // families + i32-result unops × 2 br families + every load +
         // every store + 4 const types + 1 copy.
-        let i32_bins = ALL_BINOPS.iter().filter(|b| b.result_is_i32()).count();
-        let i32_uns = ALL_UNOPS.iter().filter(|u| u.result_is_i32()).count();
-        let expected = ALL_BINOPS.len() * 8
+        let i32_bins = BinOp::ALL.iter().filter(|b| b.result_is_i32()).count();
+        let i32_uns = UnOp::ALL.iter().filter(|u| u.result_is_i32()).count();
+        let expected = BinOp::ALL.len() * 8
             + i32_bins * 3
             + i32_uns * 2
-            + ALL_LOADS.len()
-            + ALL_STORES.len()
+            + LoadKind::ALL.len()
+            + StoreKind::ALL.len()
             + 4
             + 1;
         assert_eq!(entries.len(), expected);

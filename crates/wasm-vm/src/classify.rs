@@ -1,5 +1,9 @@
 //! Mapping from WebAssembly instructions to the shared cost-model
-//! operation classes.
+//! operation classes: the one charge table of the Wasm VM.
+//!
+//! The functions are `const` so the fused engine's operator families
+//! (`fuse.rs`) can read their class, Table 12 kind and trap-ability from
+//! here at compile time instead of keeping tables of their own.
 
 use wb_env::OpClass;
 use wb_wasm::Instr;
@@ -7,7 +11,7 @@ use wb_wasm::Instr;
 pub use wb_env::ArithKind;
 
 /// Table 12 classification of an instruction, if it is arithmetic.
-pub fn arith_kind(i: &Instr) -> Option<ArithKind> {
+pub const fn arith_kind(i: &Instr) -> Option<ArithKind> {
     use Instr::*;
     Some(match i {
         I32Add | I32Sub | I64Add | I64Sub | F32Add | F32Sub | F64Add | F64Sub => ArithKind::Add,
@@ -23,7 +27,7 @@ pub fn arith_kind(i: &Instr) -> Option<ArithKind> {
 }
 
 /// Classify one instruction for cost accounting.
-pub fn classify(i: &Instr) -> OpClass {
+pub const fn classify(i: &Instr) -> OpClass {
     use Instr::*;
     match i {
         // Control.
@@ -73,6 +77,28 @@ pub fn classify(i: &Instr) -> OpClass {
             OpClass::Convert
         }
     }
+}
+
+/// Whether `i` may trap at its execute point, after its class and Table 12
+/// bumps: integer division and remainder (the `IntDiv` class), every load
+/// and store, and float-to-integer truncation. Control instructions that
+/// trap (`unreachable`, calls) never fuse and are not covered.
+pub(crate) const fn can_trap(i: &Instr) -> bool {
+    use Instr::*;
+    matches!(
+        classify(i),
+        OpClass::IntDiv | OpClass::Load | OpClass::Store
+    ) || matches!(
+        i,
+        I32TruncF32S
+            | I32TruncF32U
+            | I32TruncF64S
+            | I32TruncF64U
+            | I64TruncF32S
+            | I64TruncF32U
+            | I64TruncF64S
+            | I64TruncF64U
+    )
 }
 
 #[cfg(test)]

@@ -32,12 +32,12 @@
 //! every constituent is charged at the tier the reference interpreter
 //! would have used. See `DESIGN.md` § "Execution engine".
 
-use crate::classify::ArithKind;
+use crate::classify::{arith_kind, can_trap, classify, ArithKind};
 use crate::prep::{SideTable, NO_PC};
 use crate::trap::Trap;
 use crate::value::Value;
 use wb_env::OpClass;
-use wb_wasm::{Instr, Module, ValType};
+use wb_wasm::{Instr, MemArg, Module, ValType};
 
 /// Convert a tagged value to its untagged bit pattern (i32 zero-extended,
 /// floats as IEEE bits).
@@ -82,94 +82,127 @@ fn u_f32(v: f32) -> u64 {
     v.to_bits() as u64
 }
 
-/// Binary operators with type knowledge baked in, operating on untagged
-/// bits. Semantics are bit-for-bit those of the corresponding reference
-/// interpreter arms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub(crate) enum BinOp {
-    // i32 arithmetic / bitwise.
-    I32Add,
-    I32Sub,
-    I32Mul,
-    I32DivS,
-    I32DivU,
-    I32RemS,
-    I32RemU,
-    I32And,
-    I32Or,
-    I32Xor,
-    I32Shl,
-    I32ShrS,
-    I32ShrU,
-    I32Rotl,
-    I32Rotr,
-    // i32 comparisons.
-    I32Eq,
-    I32Ne,
-    I32LtS,
-    I32LtU,
-    I32GtS,
-    I32GtU,
-    I32LeS,
-    I32LeU,
-    I32GeS,
-    I32GeU,
-    // i64 arithmetic / bitwise.
-    I64Add,
-    I64Sub,
-    I64Mul,
-    I64DivS,
-    I64DivU,
-    I64RemS,
-    I64RemU,
-    I64And,
-    I64Or,
-    I64Xor,
-    I64Shl,
-    I64ShrS,
-    I64ShrU,
-    I64Rotl,
-    I64Rotr,
-    // i64 comparisons.
-    I64Eq,
-    I64Ne,
-    I64LtS,
-    I64LtU,
-    I64GtS,
-    I64GtU,
-    I64LeS,
-    I64LeU,
-    I64GeS,
-    I64GeU,
-    // f32.
-    F32Add,
-    F32Sub,
-    F32Mul,
-    F32Div,
-    F32Min,
-    F32Max,
-    F32Copysign,
-    F32Eq,
-    F32Ne,
-    F32Lt,
-    F32Gt,
-    F32Le,
-    F32Ge,
-    // f64.
-    F64Add,
-    F64Sub,
-    F64Mul,
-    F64Div,
-    F64Min,
-    F64Max,
-    F64Copysign,
-    F64Eq,
-    F64Ne,
-    F64Lt,
-    F64Gt,
-    F64Le,
-    F64Ge,
+/// Declares one family of lifted numeric operators. Each name is both the
+/// family's variant and the [`Instr`] variant it lifts, so the list below
+/// is the only place a family names its operators. Generates the enum,
+/// `ALL`, the lifts `of`/`instr`, and per-operator lookups indexed by
+/// `op as usize`, evaluated at compile time from `classify.rs`: the
+/// family keeps no charge table of its own, and the lookups cost one load
+/// on each fused dispatch.
+macro_rules! lifted_ops {
+    ($(#[$doc:meta])* $family:ident { $($op:ident),* $(,)? }) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[allow(missing_docs)]
+        pub(crate) enum $family {
+            $($op),*
+        }
+
+        impl $family {
+            /// Every operator of the family, in declaration order.
+            pub(crate) const ALL: [$family; [$(stringify!($op)),*].len()] = [$($family::$op),*];
+            const INSTRS: [Instr; $family::ALL.len()] = [$(Instr::$op),*];
+            const CLASS: [OpClass; $family::ALL.len()] = [$(classify(&Instr::$op)),*];
+            const TRAPS: [bool; $family::ALL.len()] = [$(can_trap(&Instr::$op)),*];
+            const I32_RESULT: [bool; $family::ALL.len()] =
+                [$(yields_i32(stringify!($op), classify(&Instr::$op))),*];
+
+            /// Lift an instruction of this family, if it is one.
+            pub(crate) fn of(i: &Instr) -> Option<$family> {
+                Some(match i {
+                    $(Instr::$op => $family::$op,)*
+                    _ => return None,
+                })
+            }
+
+            /// The instruction this operator was lifted from.
+            pub(crate) fn instr(self) -> Instr {
+                Self::INSTRS[self as usize].clone()
+            }
+
+            /// Cost-model class: `classify` of the source instruction.
+            #[inline]
+            pub(crate) fn class(self) -> OpClass {
+                Self::CLASS[self as usize]
+            }
+
+            /// Whether it may trap after its bumps: `can_trap` of the source
+            /// instruction.
+            pub(crate) fn can_trap(self) -> bool {
+                Self::TRAPS[self as usize]
+            }
+
+            /// Whether the result is an i32, a prerequisite for fusing with
+            /// a following `br_if` (which consumes an i32 condition).
+            pub(crate) fn result_is_i32(self) -> bool {
+                Self::I32_RESULT[self as usize]
+            }
+        }
+    };
+}
+
+/// Whether the operator named `name` yields an i32. A Wasm `t.op` yields a
+/// `t`, except comparisons and tests, which yield an i32 condition.
+const fn yields_i32(name: &str, class: OpClass) -> bool {
+    let n = name.as_bytes();
+    matches!(class, OpClass::Compare) || (n[0] == b'I' && n[1] == b'3' && n[2] == b'2')
+}
+
+lifted_ops! {
+    /// Binary operators with type knowledge baked in, operating on untagged
+    /// bits. Semantics are bit-for-bit those of the corresponding reference
+    /// interpreter arms.
+    BinOp {
+        // i32 arithmetic / bitwise.
+        I32Add, I32Sub, I32Mul, I32DivS, I32DivU, I32RemS, I32RemU,
+        I32And, I32Or, I32Xor, I32Shl, I32ShrS, I32ShrU, I32Rotl, I32Rotr,
+        // i32 comparisons.
+        I32Eq, I32Ne, I32LtS, I32LtU, I32GtS, I32GtU, I32LeS, I32LeU, I32GeS, I32GeU,
+        // i64 arithmetic / bitwise.
+        I64Add, I64Sub, I64Mul, I64DivS, I64DivU, I64RemS, I64RemU,
+        I64And, I64Or, I64Xor, I64Shl, I64ShrS, I64ShrU, I64Rotl, I64Rotr,
+        // i64 comparisons.
+        I64Eq, I64Ne, I64LtS, I64LtU, I64GtS, I64GtU, I64LeS, I64LeU, I64GeS, I64GeU,
+        // f32.
+        F32Add, F32Sub, F32Mul, F32Div, F32Min, F32Max, F32Copysign,
+        F32Eq, F32Ne, F32Lt, F32Gt, F32Le, F32Ge,
+        // f64.
+        F64Add, F64Sub, F64Mul, F64Div, F64Min, F64Max, F64Copysign,
+        F64Eq, F64Ne, F64Lt, F64Gt, F64Le, F64Ge,
+    }
+}
+
+lifted_ops! {
+    /// Unary operators (tests, bit counts, float unaries, conversions) on
+    /// untagged bits.
+    UnOp {
+        I32Eqz, I32Clz, I32Ctz, I32Popcnt, I64Eqz, I64Clz, I64Ctz, I64Popcnt,
+        F32Abs, F32Neg, F32Ceil, F32Floor, F32Trunc, F32Nearest, F32Sqrt,
+        F64Abs, F64Neg, F64Ceil, F64Floor, F64Trunc, F64Nearest, F64Sqrt,
+        I32WrapI64, I32TruncF32S, I32TruncF32U, I32TruncF64S, I32TruncF64U,
+        I64ExtendI32S, I64ExtendI32U, I64TruncF32S, I64TruncF32U, I64TruncF64S, I64TruncF64U,
+        F32ConvertI32S, F32ConvertI32U, F32ConvertI64S, F32ConvertI64U, F32DemoteF64,
+        F64ConvertI32S, F64ConvertI32U, F64ConvertI64S, F64ConvertI64U, F64PromoteF32,
+        I32ReinterpretF32, I64ReinterpretF64, F32ReinterpretI32, F64ReinterpretI64,
+    }
+}
+
+impl BinOp {
+    const ARITH: [Option<ArithKind>; BinOp::ALL.len()] = {
+        let mut table = [None; BinOp::ALL.len()];
+        let mut k = 0;
+        while k < table.len() {
+            table[k] = arith_kind(&BinOp::INSTRS[k]);
+            k += 1;
+        }
+        table
+    };
+
+    /// Table 12 arithmetic kind: `arith_kind` of the source instruction.
+    #[inline]
+    pub(crate) fn arith(self) -> Option<ArithKind> {
+        Self::ARITH[self as usize]
+    }
 }
 
 macro_rules! i32_bin {
@@ -222,167 +255,6 @@ macro_rules! f64_cmp {
 }
 
 impl BinOp {
-    /// Lift a binary instruction, if it is one.
-    pub(crate) fn of(i: &Instr) -> Option<BinOp> {
-        use BinOp as B;
-        Some(match i {
-            Instr::I32Add => B::I32Add,
-            Instr::I32Sub => B::I32Sub,
-            Instr::I32Mul => B::I32Mul,
-            Instr::I32DivS => B::I32DivS,
-            Instr::I32DivU => B::I32DivU,
-            Instr::I32RemS => B::I32RemS,
-            Instr::I32RemU => B::I32RemU,
-            Instr::I32And => B::I32And,
-            Instr::I32Or => B::I32Or,
-            Instr::I32Xor => B::I32Xor,
-            Instr::I32Shl => B::I32Shl,
-            Instr::I32ShrS => B::I32ShrS,
-            Instr::I32ShrU => B::I32ShrU,
-            Instr::I32Rotl => B::I32Rotl,
-            Instr::I32Rotr => B::I32Rotr,
-            Instr::I32Eq => B::I32Eq,
-            Instr::I32Ne => B::I32Ne,
-            Instr::I32LtS => B::I32LtS,
-            Instr::I32LtU => B::I32LtU,
-            Instr::I32GtS => B::I32GtS,
-            Instr::I32GtU => B::I32GtU,
-            Instr::I32LeS => B::I32LeS,
-            Instr::I32LeU => B::I32LeU,
-            Instr::I32GeS => B::I32GeS,
-            Instr::I32GeU => B::I32GeU,
-            Instr::I64Add => B::I64Add,
-            Instr::I64Sub => B::I64Sub,
-            Instr::I64Mul => B::I64Mul,
-            Instr::I64DivS => B::I64DivS,
-            Instr::I64DivU => B::I64DivU,
-            Instr::I64RemS => B::I64RemS,
-            Instr::I64RemU => B::I64RemU,
-            Instr::I64And => B::I64And,
-            Instr::I64Or => B::I64Or,
-            Instr::I64Xor => B::I64Xor,
-            Instr::I64Shl => B::I64Shl,
-            Instr::I64ShrS => B::I64ShrS,
-            Instr::I64ShrU => B::I64ShrU,
-            Instr::I64Rotl => B::I64Rotl,
-            Instr::I64Rotr => B::I64Rotr,
-            Instr::I64Eq => B::I64Eq,
-            Instr::I64Ne => B::I64Ne,
-            Instr::I64LtS => B::I64LtS,
-            Instr::I64LtU => B::I64LtU,
-            Instr::I64GtS => B::I64GtS,
-            Instr::I64GtU => B::I64GtU,
-            Instr::I64LeS => B::I64LeS,
-            Instr::I64LeU => B::I64LeU,
-            Instr::I64GeS => B::I64GeS,
-            Instr::I64GeU => B::I64GeU,
-            Instr::F32Add => B::F32Add,
-            Instr::F32Sub => B::F32Sub,
-            Instr::F32Mul => B::F32Mul,
-            Instr::F32Div => B::F32Div,
-            Instr::F32Min => B::F32Min,
-            Instr::F32Max => B::F32Max,
-            Instr::F32Copysign => B::F32Copysign,
-            Instr::F32Eq => B::F32Eq,
-            Instr::F32Ne => B::F32Ne,
-            Instr::F32Lt => B::F32Lt,
-            Instr::F32Gt => B::F32Gt,
-            Instr::F32Le => B::F32Le,
-            Instr::F32Ge => B::F32Ge,
-            Instr::F64Add => B::F64Add,
-            Instr::F64Sub => B::F64Sub,
-            Instr::F64Mul => B::F64Mul,
-            Instr::F64Div => B::F64Div,
-            Instr::F64Min => B::F64Min,
-            Instr::F64Max => B::F64Max,
-            Instr::F64Copysign => B::F64Copysign,
-            Instr::F64Eq => B::F64Eq,
-            Instr::F64Ne => B::F64Ne,
-            Instr::F64Lt => B::F64Lt,
-            Instr::F64Gt => B::F64Gt,
-            Instr::F64Le => B::F64Le,
-            Instr::F64Ge => B::F64Ge,
-            _ => return None,
-        })
-    }
-
-    /// Cost-model class — identical to `classify` on the source instr.
-    #[inline]
-    pub(crate) fn class(self) -> OpClass {
-        use BinOp::*;
-        match self {
-            I32Add | I32Sub | I32And | I32Or | I32Xor | I32Shl | I32ShrS | I32ShrU | I32Rotl
-            | I32Rotr | I64Add | I64Sub | I64And | I64Or | I64Xor | I64Shl | I64ShrS | I64ShrU
-            | I64Rotl | I64Rotr => OpClass::IntAlu,
-            I32Mul | I64Mul => OpClass::IntMul,
-            I32DivS | I32DivU | I32RemS | I32RemU | I64DivS | I64DivU | I64RemS | I64RemU => {
-                OpClass::IntDiv
-            }
-            F32Add | F32Sub | F32Min | F32Max | F32Copysign | F64Add | F64Sub | F64Min | F64Max
-            | F64Copysign => OpClass::FloatAlu,
-            F32Mul | F64Mul => OpClass::FloatMul,
-            F32Div | F64Div => OpClass::FloatDiv,
-            _ => OpClass::Compare,
-        }
-    }
-
-    /// Table 12 arithmetic kind — identical to `arith_kind` on the
-    /// source instr.
-    #[inline]
-    pub(crate) fn arith(self) -> Option<ArithKind> {
-        use BinOp::*;
-        Some(match self {
-            I32Add | I32Sub | I64Add | I64Sub | F32Add | F32Sub | F64Add | F64Sub => ArithKind::Add,
-            I32Mul | I64Mul | F32Mul | F64Mul => ArithKind::Mul,
-            I32DivS | I32DivU | I64DivS | I64DivU | F32Div | F64Div => ArithKind::Div,
-            I32RemS | I32RemU | I64RemS | I64RemU => ArithKind::Rem,
-            I32Shl | I32ShrS | I32ShrU | I32Rotl | I32Rotr | I64Shl | I64ShrS | I64ShrU
-            | I64Rotl | I64Rotr => ArithKind::Shift,
-            I32And | I64And => ArithKind::And,
-            I32Or | I32Xor | I64Or | I64Xor => ArithKind::Or,
-            _ => return None,
-        })
-    }
-
-    /// Whether the result is an i32 — a prerequisite for fusing with a
-    /// following `br_if` (which consumes an i32 condition).
-    #[inline]
-    pub(crate) fn result_is_i32(self) -> bool {
-        use BinOp::*;
-        !matches!(
-            self,
-            I64Add
-                | I64Sub
-                | I64Mul
-                | I64DivS
-                | I64DivU
-                | I64RemS
-                | I64RemU
-                | I64And
-                | I64Or
-                | I64Xor
-                | I64Shl
-                | I64ShrS
-                | I64ShrU
-                | I64Rotl
-                | I64Rotr
-                | F32Add
-                | F32Sub
-                | F32Mul
-                | F32Div
-                | F32Min
-                | F32Max
-                | F32Copysign
-                | F64Add
-                | F64Sub
-                | F64Mul
-                | F64Div
-                | F64Min
-                | F64Max
-                | F64Copysign
-        )
-    }
-
     /// Execute on untagged bits; bit-identical to the reference arm.
     #[inline]
     pub(crate) fn apply(self, a: u64, b: u64) -> Result<u64, Trap> {
@@ -521,150 +393,7 @@ impl BinOp {
     }
 }
 
-/// Unary operators (tests, bit counts, float unaries, conversions) on
-/// untagged bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub(crate) enum UnOp {
-    I32Eqz,
-    I32Clz,
-    I32Ctz,
-    I32Popcnt,
-    I64Eqz,
-    I64Clz,
-    I64Ctz,
-    I64Popcnt,
-    F32Abs,
-    F32Neg,
-    F32Ceil,
-    F32Floor,
-    F32Trunc,
-    F32Nearest,
-    F32Sqrt,
-    F64Abs,
-    F64Neg,
-    F64Ceil,
-    F64Floor,
-    F64Trunc,
-    F64Nearest,
-    F64Sqrt,
-    I32WrapI64,
-    I32TruncF32S,
-    I32TruncF32U,
-    I32TruncF64S,
-    I32TruncF64U,
-    I64ExtendI32S,
-    I64ExtendI32U,
-    I64TruncF32S,
-    I64TruncF32U,
-    I64TruncF64S,
-    I64TruncF64U,
-    F32ConvertI32S,
-    F32ConvertI32U,
-    F32ConvertI64S,
-    F32ConvertI64U,
-    F32DemoteF64,
-    F64ConvertI32S,
-    F64ConvertI32U,
-    F64ConvertI64S,
-    F64ConvertI64U,
-    F64PromoteF32,
-    I32ReinterpretF32,
-    I64ReinterpretF64,
-    F32ReinterpretI32,
-    F64ReinterpretI64,
-}
-
 impl UnOp {
-    /// Lift a unary instruction, if it is one.
-    pub(crate) fn of(i: &Instr) -> Option<UnOp> {
-        use UnOp as U;
-        Some(match i {
-            Instr::I32Eqz => U::I32Eqz,
-            Instr::I32Clz => U::I32Clz,
-            Instr::I32Ctz => U::I32Ctz,
-            Instr::I32Popcnt => U::I32Popcnt,
-            Instr::I64Eqz => U::I64Eqz,
-            Instr::I64Clz => U::I64Clz,
-            Instr::I64Ctz => U::I64Ctz,
-            Instr::I64Popcnt => U::I64Popcnt,
-            Instr::F32Abs => U::F32Abs,
-            Instr::F32Neg => U::F32Neg,
-            Instr::F32Ceil => U::F32Ceil,
-            Instr::F32Floor => U::F32Floor,
-            Instr::F32Trunc => U::F32Trunc,
-            Instr::F32Nearest => U::F32Nearest,
-            Instr::F32Sqrt => U::F32Sqrt,
-            Instr::F64Abs => U::F64Abs,
-            Instr::F64Neg => U::F64Neg,
-            Instr::F64Ceil => U::F64Ceil,
-            Instr::F64Floor => U::F64Floor,
-            Instr::F64Trunc => U::F64Trunc,
-            Instr::F64Nearest => U::F64Nearest,
-            Instr::F64Sqrt => U::F64Sqrt,
-            Instr::I32WrapI64 => U::I32WrapI64,
-            Instr::I32TruncF32S => U::I32TruncF32S,
-            Instr::I32TruncF32U => U::I32TruncF32U,
-            Instr::I32TruncF64S => U::I32TruncF64S,
-            Instr::I32TruncF64U => U::I32TruncF64U,
-            Instr::I64ExtendI32S => U::I64ExtendI32S,
-            Instr::I64ExtendI32U => U::I64ExtendI32U,
-            Instr::I64TruncF32S => U::I64TruncF32S,
-            Instr::I64TruncF32U => U::I64TruncF32U,
-            Instr::I64TruncF64S => U::I64TruncF64S,
-            Instr::I64TruncF64U => U::I64TruncF64U,
-            Instr::F32ConvertI32S => U::F32ConvertI32S,
-            Instr::F32ConvertI32U => U::F32ConvertI32U,
-            Instr::F32ConvertI64S => U::F32ConvertI64S,
-            Instr::F32ConvertI64U => U::F32ConvertI64U,
-            Instr::F32DemoteF64 => U::F32DemoteF64,
-            Instr::F64ConvertI32S => U::F64ConvertI32S,
-            Instr::F64ConvertI32U => U::F64ConvertI32U,
-            Instr::F64ConvertI64S => U::F64ConvertI64S,
-            Instr::F64ConvertI64U => U::F64ConvertI64U,
-            Instr::F64PromoteF32 => U::F64PromoteF32,
-            Instr::I32ReinterpretF32 => U::I32ReinterpretF32,
-            Instr::I64ReinterpretF64 => U::I64ReinterpretF64,
-            Instr::F32ReinterpretI32 => U::F32ReinterpretI32,
-            Instr::F64ReinterpretI64 => U::F64ReinterpretI64,
-            _ => return None,
-        })
-    }
-
-    /// Cost-model class — identical to `classify` on the source instr.
-    #[inline]
-    pub(crate) fn class(self) -> OpClass {
-        use UnOp::*;
-        match self {
-            I32Eqz | I64Eqz => OpClass::Compare,
-            I32Clz | I32Ctz | I32Popcnt | I64Clz | I64Ctz | I64Popcnt => OpClass::IntAlu,
-            F32Abs | F32Neg | F32Ceil | F32Floor | F32Trunc | F32Nearest | F64Abs | F64Neg
-            | F64Ceil | F64Floor | F64Trunc | F64Nearest => OpClass::FloatAlu,
-            F32Sqrt | F64Sqrt => OpClass::FloatDiv,
-            _ => OpClass::Convert,
-        }
-    }
-
-    /// Whether the result is an i32 (can feed a fused `br_if`).
-    #[inline]
-    pub(crate) fn result_is_i32(self) -> bool {
-        use UnOp::*;
-        matches!(
-            self,
-            I32Eqz
-                | I64Eqz
-                | I32Clz
-                | I32Ctz
-                | I32Popcnt
-                | I32WrapI64
-                | I32TruncF32S
-                | I32TruncF32U
-                | I32TruncF64S
-                | I32TruncF64U
-                | I32ReinterpretF32
-        )
-    }
-
     /// Execute on untagged bits; bit-identical to the reference arm.
     #[inline]
     pub(crate) fn apply(self, a: u64) -> Result<u64, Trap> {
@@ -722,24 +451,59 @@ impl UnOp {
     }
 }
 
-/// Memory-load flavor with the extension behaviour baked in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub(crate) enum LoadKind {
-    I32,
-    I64,
-    F32,
-    F64,
-    I32S8,
-    I32U8,
-    I32S16,
-    I32U16,
-    I64S8,
-    I64U8,
-    I64S16,
-    I64U16,
-    I64S32,
-    I64U32,
+/// Declares one memory-access family as (kind, [`Instr`] variant) pairs,
+/// the only place the family names its instructions. Generates the enum,
+/// `ALL`, and the lifts `of`/`instr`, which carry the static offset.
+macro_rules! memory_ops {
+    ($(#[$doc:meta])* $family:ident { $($kind:ident = $instr:ident),* $(,)? }) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[allow(missing_docs)]
+        pub(crate) enum $family {
+            $($kind),*
+        }
+
+        impl $family {
+            /// Every kind of the family, in declaration order.
+            pub(crate) const ALL: [$family; [$(stringify!($kind)),*].len()] =
+                [$($family::$kind),*];
+
+            /// Lift an access of this family to its kind and static offset.
+            pub(crate) fn of(i: &Instr) -> Option<($family, u64)> {
+                Some(match i {
+                    $(Instr::$instr(m) => ($family::$kind, m.offset as u64),)*
+                    _ => return None,
+                })
+            }
+
+            /// The instruction of this kind with the given static offset.
+            pub(crate) fn instr(self, offset: u32) -> Instr {
+                let m = MemArg { align: 0, offset };
+                match self {
+                    $($family::$kind => Instr::$instr(m)),*
+                }
+            }
+        }
+    };
+}
+
+memory_ops! {
+    /// Memory-load flavor with the extension behaviour baked in.
+    LoadKind {
+        I32 = I32Load, I64 = I64Load, F32 = F32Load, F64 = F64Load,
+        I32S8 = I32Load8S, I32U8 = I32Load8U, I32S16 = I32Load16S, I32U16 = I32Load16U,
+        I64S8 = I64Load8S, I64U8 = I64Load8U, I64S16 = I64Load16S, I64U16 = I64Load16U,
+        I64S32 = I64Load32S, I64U32 = I64Load32U,
+    }
+}
+
+memory_ops! {
+    /// Memory-store flavor with the truncation behaviour baked in.
+    StoreKind {
+        I32 = I32Store, I64 = I64Store, F32 = F32Store, F64 = F64Store,
+        I32As8 = I32Store8, I32As16 = I32Store16,
+        I64As8 = I64Store8, I64As16 = I64Store16, I64As32 = I64Store32,
+    }
 }
 
 impl LoadKind {
@@ -756,21 +520,6 @@ impl LoadKind {
     }
 }
 
-/// Memory-store flavor with the truncation behaviour baked in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub(crate) enum StoreKind {
-    I32,
-    I64,
-    F32,
-    F64,
-    I32As8,
-    I32As16,
-    I64As8,
-    I64As16,
-    I64As32,
-}
-
 impl StoreKind {
     /// Access width in bytes (also the trap's reported width).
     #[inline]
@@ -783,43 +532,6 @@ impl StoreKind {
             I64 | F64 => 8,
         }
     }
-}
-
-fn load_of(i: &Instr) -> Option<(LoadKind, u64)> {
-    use LoadKind as L;
-    Some(match i {
-        Instr::I32Load(m) => (L::I32, m.offset as u64),
-        Instr::I64Load(m) => (L::I64, m.offset as u64),
-        Instr::F32Load(m) => (L::F32, m.offset as u64),
-        Instr::F64Load(m) => (L::F64, m.offset as u64),
-        Instr::I32Load8S(m) => (L::I32S8, m.offset as u64),
-        Instr::I32Load8U(m) => (L::I32U8, m.offset as u64),
-        Instr::I32Load16S(m) => (L::I32S16, m.offset as u64),
-        Instr::I32Load16U(m) => (L::I32U16, m.offset as u64),
-        Instr::I64Load8S(m) => (L::I64S8, m.offset as u64),
-        Instr::I64Load8U(m) => (L::I64U8, m.offset as u64),
-        Instr::I64Load16S(m) => (L::I64S16, m.offset as u64),
-        Instr::I64Load16U(m) => (L::I64U16, m.offset as u64),
-        Instr::I64Load32S(m) => (L::I64S32, m.offset as u64),
-        Instr::I64Load32U(m) => (L::I64U32, m.offset as u64),
-        _ => return None,
-    })
-}
-
-fn store_of(i: &Instr) -> Option<(StoreKind, u64)> {
-    use StoreKind as S;
-    Some(match i {
-        Instr::I32Store(m) => (S::I32, m.offset as u64),
-        Instr::I64Store(m) => (S::I64, m.offset as u64),
-        Instr::F32Store(m) => (S::F32, m.offset as u64),
-        Instr::F64Store(m) => (S::F64, m.offset as u64),
-        Instr::I32Store8(m) => (S::I32As8, m.offset as u64),
-        Instr::I32Store16(m) => (S::I32As16, m.offset as u64),
-        Instr::I64Store8(m) => (S::I64As8, m.offset as u64),
-        Instr::I64Store16(m) => (S::I64As16, m.offset as u64),
-        Instr::I64Store32(m) => (S::I64As32, m.offset as u64),
-        _ => return None,
-    })
 }
 
 fn local_get_of(i: &Instr) -> Option<u32> {
@@ -1078,7 +790,7 @@ pub(crate) fn match_fused(w: &[Instr]) -> Option<(Mop, usize)> {
                 if let Some(op) = BinOp::of(&w[2]) {
                     return Some((Mop::LLBin { a, b, op }, 3));
                 }
-                if let Some((kind, offset)) = store_of(&w[2]) {
+                if let Some((kind, offset)) = StoreKind::of(&w[2]) {
                     return Some((Mop::LLStore { a, b, kind, offset }, 3));
                 }
             }
@@ -1105,7 +817,7 @@ pub(crate) fn match_fused(w: &[Instr]) -> Option<(Mop, usize)> {
     }
     if w.len() >= 2 {
         if let Some(a) = local_get_of(&w[0]) {
-            if let Some((kind, offset)) = load_of(&w[1]) {
+            if let Some((kind, offset)) = LoadKind::of(&w[1]) {
                 return Some((Mop::LLoad { a, kind, offset }, 2));
             }
             if let Some(dst) = local_set_of(&w[1]) {
@@ -1153,10 +865,10 @@ fn singleton(i: &Instr, module: &Module) -> Mop {
     if let Some(un) = UnOp::of(i) {
         return Mop::Un(un);
     }
-    if let Some((kind, offset)) = load_of(i) {
+    if let Some((kind, offset)) = LoadKind::of(i) {
         return Mop::Load { kind, offset };
     }
-    if let Some((kind, offset)) = store_of(i) {
+    if let Some((kind, offset)) = StoreKind::of(i) {
         return Mop::Store { kind, offset };
     }
     if let Some(c) = const_bits_of(i) {
@@ -1259,6 +971,7 @@ pub(crate) fn lower(body: &[Instr], side: &SideTable, module: &Module) -> FusedF
 mod tests {
     use super::*;
     use crate::prep::PreparedModule;
+    use wb_wasm::leb128::write_u32;
     use wb_wasm::{BlockType, Instr, MemArg};
 
     fn lower_body(body: Vec<Instr>) -> FusedFunc {
@@ -1281,6 +994,112 @@ mod tests {
             &prepared.side_tables[0],
             &prepared.module,
         )
+    }
+
+    /// Decode raw instruction bytes, through the real decoder, as the body
+    /// of a one-function module.
+    fn decode_body(code: &[u8]) -> Vec<Instr> {
+        let mut body = vec![0x00]; // no local declarations
+        body.extend_from_slice(code);
+        body.push(0x0b);
+        let mut section = vec![0x01];
+        write_u32(&mut section, body.len() as u32);
+        section.extend(body);
+        let mut bytes = b"\0asm\x01\0\0\0".to_vec();
+        bytes.extend([0x01, 0x04, 0x01, 0x60, 0x00, 0x00]); // type 0: [] -> []
+        bytes.extend([0x03, 0x02, 0x01, 0x00]); // function 0 has type 0
+        bytes.push(0x0a);
+        write_u32(&mut bytes, section.len() as u32);
+        bytes.extend(section);
+        let mut module = wb_wasm::decode_module(&bytes).expect("well-formed module");
+        let mut body = module.functions.remove(0).body;
+        assert_eq!(body.pop(), Some(Instr::End));
+        body
+    }
+
+    #[test]
+    fn every_numeric_instruction_lifts_to_exactly_one_operator() {
+        let numeric: Vec<u8> = (0x45..=0xbf).collect();
+        let instrs = decode_body(&numeric);
+        assert_eq!(instrs.len(), 123);
+        for i in &instrs {
+            let (bin, un) = (BinOp::of(i), UnOp::of(i));
+            assert!(
+                bin.is_some() != un.is_some(),
+                "{i:?} lifts to {bin:?} and {un:?}"
+            );
+        }
+        assert_eq!(BinOp::ALL.len() + UnOp::ALL.len(), instrs.len());
+    }
+
+    #[test]
+    fn every_memory_access_lifts_with_its_offset() {
+        let mut code = Vec::new();
+        for opcode in 0x28..=0x3e_u8 {
+            code.extend([opcode, 0x00]);
+            write_u32(&mut code, 1000 + u32::from(opcode));
+        }
+        let instrs = decode_body(&code);
+        assert_eq!(instrs.len(), 23);
+        for (i, opcode) in instrs.iter().zip(0x28..=0x3e_u64) {
+            let offset = 1000 + opcode;
+            match (LoadKind::of(i), StoreKind::of(i)) {
+                (Some((_, off)), None) if opcode <= 0x35 => assert_eq!(off, offset, "{i:?}"),
+                (None, Some((_, off))) if opcode >= 0x36 => assert_eq!(off, offset, "{i:?}"),
+                lifted => panic!("{i:?} lifts to {lifted:?}"),
+            }
+        }
+        assert_eq!(LoadKind::ALL.len() + StoreKind::ALL.len(), instrs.len());
+    }
+
+    #[test]
+    fn every_lift_round_trips() {
+        for op in BinOp::ALL {
+            assert_eq!(BinOp::of(&op.instr()), Some(op));
+        }
+        for un in UnOp::ALL {
+            assert_eq!(UnOp::of(&un.instr()), Some(un));
+        }
+        for kind in LoadKind::ALL {
+            assert_eq!(LoadKind::of(&kind.instr(7)), Some((kind, 7)));
+        }
+        for kind in StoreKind::ALL {
+            assert_eq!(StoreKind::of(&kind.instr(7)), Some((kind, 7)));
+        }
+    }
+
+    #[test]
+    fn result_is_i32_agrees_with_the_validator() {
+        // `br_if` type-checks only on an i32 condition, and one of the four
+        // parameter types is the operator's operand type.
+        let feeds_br_if = |op: Instr, arity: usize| {
+            [ValType::I32, ValType::I64, ValType::F32, ValType::F64]
+                .into_iter()
+                .any(|t| {
+                    let mut body = vec![Instr::LocalGet(0); arity];
+                    body.extend([op.clone(), Instr::BrIf(0), Instr::End]);
+                    let module = Module {
+                        functions: vec![wb_wasm::Function {
+                            type_index: 0,
+                            locals: vec![],
+                            body,
+                            name: None,
+                        }],
+                        types: vec![wb_wasm::FuncType {
+                            params: vec![t],
+                            results: vec![],
+                        }],
+                        ..Default::default()
+                    };
+                    wb_wasm::validate(&module).is_ok()
+                })
+        };
+        for op in BinOp::ALL {
+            assert_eq!(op.result_is_i32(), feeds_br_if(op.instr(), 2), "{op:?}");
+        }
+        for un in UnOp::ALL {
+            assert_eq!(un.result_is_i32(), feeds_br_if(un.instr(), 1), "{un:?}");
+        }
     }
 
     #[test]

@@ -25,13 +25,16 @@ cargo test -q
 echo "== core tests (cache and memo identity, pricing) =="
 cargo test -q -p wb-core --release
 
+echo "== Wasm VM tests (fused differential, proptests, fusion audit, lifts) =="
+cargo test -q -p wb-wasm-vm --release
+
 echo "== JS VM tests (fused differential, proptests, fusion audit) =="
 cargo test -q -p wb-jsvm --release
 
 echo "== static analysis (wb analyze) =="
 ./target/release/wb analyze --all
 
-echo "== fused-vs-reference differential (all kernels; JS also at L) =="
+echo "== fused-vs-reference differential (all kernels at XS, and at L) =="
 cargo test -q -p wb-harness --release --test fused_reference_differential
 
 echo "== trap parity (wasm vs js vs native, all levels) =="
