@@ -1,7 +1,10 @@
-//! `wb` — the repo's front door for static verification and fault
-//! injection.
+//! `wb` — the repo's front door: the study, static verification and
+//! fault injection.
 //!
 //! ```text
+//! wb regen                         # every entry into results/ (verify.sh gate)
+//! wb regen fig5 table2 --stats     # named entries, cache summary
+//! wb regen fig5 --quick --out /tmp/q
 //! wb analyze --all                 # full corpus sweep (verify.sh gate)
 //! wb analyze --quick               # 3-kernel smoke subset
 //! wb analyze --kernels gemm,AES    # named kernels only
@@ -9,6 +12,9 @@
 //! wb inject --all                  # every fault family (verify.sh gate)
 //! wb inject --fault decode --quick # one family, reduced corpus
 //! ```
+//!
+//! `regen` runs the study registry ([`wb_harness::study`]) in one
+//! process, writing each entry's CSVs and `<entry>.txt`.
 //!
 //! `analyze` runs the `wb-analysis` sweep — IR verification between
 //! every pass at every opt level, Wasm type-checking of every emitted
@@ -25,9 +31,10 @@
 
 use wb_analysis::{analyze, AnalysisConfig};
 use wb_benchmarks::InputSize;
-use wb_harness::Cli;
+use wb_harness::study::{self, Study};
+use wb_harness::{Cli, GridEngine};
 
-const USAGE: &str = "usage: wb analyze [--all|--quick] [--kernels a,b] [--sizes XS,M] [--no-fusion] [--out report.json]\n       wb inject [--all|--fault <name>] [--quick]";
+const USAGE: &str = "usage: wb regen [<entry>...] [--quick] [--filter s] [--out dir] [--jobs N] [--no-cache] [--stats] [--reference-exec] [--keep-going] [--retries N]\n       wb analyze [--all|--quick] [--kernels a,b] [--sizes XS,M] [--no-fusion] [--out report.json]\n       wb inject [--all|--fault <name>] [--quick]";
 
 fn inject_main(args: &[String]) {
     for flag in args.iter().filter_map(|a| a.strip_prefix("--")) {
@@ -72,10 +79,24 @@ fn inject_main(args: &[String]) {
     }
 }
 
+fn regen_main(args: &[String]) {
+    let (entries, cli) = study::parse_regen(args).unwrap_or_else(|e| {
+        eprintln!("{e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    let engine = GridEngine::from_cli(&cli);
+    study::regen(&Study::new(&cli, &engine), &entries);
+    engine.finish_with(&cli, "regen");
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("analyze") => {}
+        Some("regen") => {
+            regen_main(&args[1..]);
+            return;
+        }
         Some("inject") => {
             inject_main(&args[1..]);
             return;

@@ -1,33 +1,40 @@
-//! # wb-harness — experiment binaries
+//! # wb-harness — the study
 //!
-//! One binary per paper artifact. Each prints the paper's rows as an
-//! aligned text table and writes a CSV under `results/`:
+//! One registry ([`study::ENTRIES`]) holds every paper artifact; `wb
+//! regen [<entry>…]` runs the named entries, or all of them, in one
+//! process. Each entry writes one CSV per table and `<entry>.txt`, the
+//! tables' aligned text, under `results/`:
 //!
-//! | binary | artifact |
+//! | entry | artifact |
 //! |---|---|
 //! | `fig5` | Fig 5 — Wasm/JS time & code size across `-O` levels |
 //! | `fig6` | Fig 6 — x86 control across `-O` levels |
 //! | `table2` | Table 2 — geomean opt-level ratios (JS/Wasm/x86) |
+//! | `fig11` | Fig 11 — five-number summaries of opt-level ratios |
 //! | `compilers` | §4.2.2 — Cheerp vs Emscripten |
-//! | `fig9` | Fig 9 + Tables 3–6 — input-size sweep (per browser) |
+//! | `fig9_chrome` | Fig 9 + Tables 3/4 — input-size sweep on Chrome |
+//! | `fig9_firefox` | Fig 9 + Tables 5/6 — input-size sweep on Firefox |
 //! | `fig10` | Fig 10 — JIT on/off speedups |
 //! | `table7` | Table 7 — Wasm tier policies on Chrome & Firefox |
-//! | `fig11` | Fig 11 — five-number summaries of opt-level ratios |
 //! | `fig12_13` | Figs 12/13 + Table 8 — six environments |
 //! | `ctxswitch` | §4.5 — JS↔Wasm context-switch microbenchmark |
 //! | `table9` | Table 9 — manual JS vs Cheerp JS vs Wasm |
 //! | `table10` | Table 10 — Long.js / Hyphenopoly / FFmpeg |
 //! | `table12` | Table 12 — Long.js arithmetic operation counts |
+//! | `ablations` | extension — per-mechanism ablations |
+//! | `levels_extended` | extension — all seven `-O` levels |
 //!
 //! Shared flags: `--filter <substr>` restricts benchmarks, `--out <dir>`
-//! changes the CSV directory, `--quick` runs a reduced grid, `--jobs N`
-//! bounds the worker pool (default: `available_parallelism`),
+//! changes the output directory, `--quick` runs a reduced grid, `--jobs
+//! N` bounds the worker pool (default: `available_parallelism`),
 //! `--no-cache` disables the shared artifact cache and execution memo,
 //! `--stats` prints their hit/miss summary and `--reference-exec` runs
 //! both VMs on their plain per-op interpreters instead of the fused
 //! micro-op engines (the measured numbers are bit-identical either way —
-//! this flag exists to prove exactly that). All binaries execute their
-//! grid through one [`GridEngine`], which compiles each distinct
+//! this flag exists to prove exactly that), `--keep-going` quarantines
+//! failed cells instead of exiting and `--retries N` bounds re-runs of a
+//! panicking cell. Every entry executes its grid through one
+//! [`GridEngine`], which compiles each distinct
 //! `(source, defines, level, toolchain, heap)` configuration exactly
 //! once per process and executes each distinct run once, pricing it for
 //! every environment that shares it — measured virtual numbers are
@@ -37,6 +44,7 @@
 #![warn(missing_docs)]
 
 pub mod inject;
+pub mod study;
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::AssertUnwindSafe;
@@ -170,32 +178,11 @@ impl Cli {
         }
     }
 
-    /// Browser selector for fig9 (`--browser firefox`).
-    pub fn environment(&self) -> Environment {
-        match self.get("browser").map(|b| b.to_lowercase()) {
-            Some(b) if b.starts_with("fire") => {
-                Environment::new(wb_env::Browser::Firefox, wb_env::Platform::Desktop)
-            }
-            Some(b) if b.starts_with("edge") => {
-                Environment::new(wb_env::Browser::Edge, wb_env::Platform::Desktop)
-            }
-            _ => Environment::desktop_chrome(),
-        }
-    }
-
     /// CSV output directory (`results/` by default), created on demand.
     pub fn out_dir(&self) -> PathBuf {
         let dir = PathBuf::from(self.get("out").unwrap_or("results"));
         std::fs::create_dir_all(&dir).expect("create results dir");
         dir
-    }
-
-    /// Write a table's CSV next to printing it.
-    pub fn emit(&self, name: &str, table: &Table) {
-        println!("{}", table.render());
-        let path = self.out_dir().join(format!("{name}.csv"));
-        std::fs::write(&path, table.to_csv()).expect("write csv");
-        eprintln!("[wrote {}]", path.display());
     }
 }
 
@@ -289,7 +276,7 @@ where
     out.into_iter().map(|(_, r)| r).collect()
 }
 
-/// The shared execution engine behind every experiment binary: one
+/// The shared execution engine behind every study entry: one
 /// process-wide artifact cache (so identical compiles across grid cells
 /// and across worker threads happen once), a `--jobs` bound for the
 /// thread pool, and a `--stats` summary.

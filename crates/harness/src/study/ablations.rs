@@ -10,11 +10,11 @@
 //! * **dead-store bug**: `-Ofast` Wasm with and without the LLVM#37449
 //!   emulation (Fig 7), on ADPCM, where the paper observed it.
 
+use super::{Study, Tables};
 use wb_benchmarks::InputSize;
 use wb_core::host::standard_imports;
 use wb_core::report::{ratio, Table};
 use wb_env::calibration;
-use wb_harness::Cli;
 use wb_minic::backend::wasm::{emit_wasm, WasmEmitOptions};
 use wb_minic::passes;
 use wb_minic::{Compiler, OptLevel};
@@ -73,8 +73,7 @@ fn measure(
     (inst.report().total.0, bytes.len() as u64)
 }
 
-fn main() {
-    let cli = Cli::from_env();
+pub(super) fn render(_: &Study) -> Tables {
     let mut t = Table::new(
         "Ablations: each §4.2 mechanism's contribution (Wasm target)",
         &[
@@ -130,5 +129,5 @@ fn main() {
         ratio(with_s as f64 / wo_s as f64),
     ]);
 
-    cli.emit("ablations", &t);
+    vec![("ablations".into(), t)]
 }

@@ -1,18 +1,18 @@
 //! §4.2.2: Cheerp vs Emscripten — execution time and memory of the 41
 //! benchmarks compiled by both toolchains at `-O2` on desktop Chrome.
 
+use super::{Study, Tables};
+use crate::Run;
 use wb_benchmarks::InputSize;
 use wb_core::report::{kilobytes, millis, ratio, Table};
 use wb_core::stats::geomean;
 use wb_env::Toolchain;
-use wb_harness::{Cli, GridEngine, Run};
 
-fn main() {
-    let cli = Cli::from_env();
-    let engine = GridEngine::from_cli(&cli);
+pub(super) fn render(s: &Study) -> Tables {
+    let (cli, engine) = (s.cli, s.engine);
 
     let rows = engine.map(cli.benchmarks(), |b| {
-        let cheerp = Run::new(b.clone(), InputSize::M).wasm();
+        let cheerp = engine.wasm(&Run::new(b.clone(), InputSize::M));
         let mut em = Run::new(b.clone(), InputSize::M);
         em.toolchain = Toolchain::Emscripten;
         let emscripten = engine.wasm(&em);
@@ -58,6 +58,5 @@ fn main() {
             geomean(&mem_ratios).expect("positive")
         ),
     ]);
-    cli.emit("compilers", &t);
-    engine.finish_with(&cli, "compilers");
+    vec![("compilers".into(), t)]
 }

@@ -1,13 +1,13 @@
 //! §4.5 context-switch microbenchmark: JS↔Wasm boundary cost per call on
 //! the three desktop browsers (the paper: Firefox ≈ 0.13× of Chrome).
 
+use super::{Study, Tables};
+use crate::run_or_exit;
 use wb_core::apps::context_switch_bench;
 use wb_core::report::{ratio, Table};
 use wb_env::{Browser, Environment, Platform};
-use wb_harness::{run_or_exit, Cli};
 
-fn main() {
-    let cli = Cli::from_env();
+pub(super) fn render(_: &Study) -> Tables {
     let calls = 1_000;
     let mut t = Table::new(
         "§4.5: JS↔Wasm context-switch cost (desktop)",
@@ -26,5 +26,5 @@ fn main() {
             ratio(ns.0 / chrome.0),
         ]);
     }
-    cli.emit("ctxswitch", &t);
+    vec![("ctxswitch".into(), t)]
 }

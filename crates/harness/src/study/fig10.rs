@@ -2,15 +2,15 @@
 //! without JIT divided by time with JIT, per benchmark, for JS (`--no-opt`)
 //! and Wasm (`--liftoff --no-wasm-tier-up`) on Chrome.
 
+use super::{Study, Tables};
+use crate::Run;
 use wb_benchmarks::{InputSize, Suite};
 use wb_core::report::Table;
 use wb_core::stats::{geomean, mean};
 use wb_env::{JitMode, TierPolicy};
-use wb_harness::{Cli, GridEngine, Run};
 
-fn main() {
-    let cli = Cli::from_env();
-    let engine = GridEngine::from_cli(&cli);
+pub(super) fn render(s: &Study) -> Tables {
+    let (cli, engine) = (s.cli, s.engine);
 
     let rows = engine.map(cli.benchmarks(), |b| {
         let base = Run::new(b.clone(), InputSize::M);
@@ -33,6 +33,7 @@ fn main() {
         )
     });
 
+    let mut tables = Tables::new();
     for (suite, tag) in [
         (Suite::PolyBenchC, "polybench"),
         (Suite::CHStone, "chstone"),
@@ -69,8 +70,8 @@ fn main() {
                 format!("{:.2}x", mean(vals).expect("non-empty")),
             ]);
         }
-        cli.emit(&format!("fig10_js_{tag}"), &js_table);
-        cli.emit(&format!("fig10_wasm_{tag}"), &wasm_table);
+        tables.push((format!("fig10_js_{tag}"), js_table));
+        tables.push((format!("fig10_wasm_{tag}"), wasm_table));
     }
-    engine.finish_with(&cli, "fig10");
+    tables
 }

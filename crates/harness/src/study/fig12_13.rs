@@ -1,19 +1,19 @@
 //! Figs 12/13 + Table 8: execution time and memory of Wasm and JS across
 //! the six deployment settings (Chrome/Firefox/Edge × desktop/mobile).
 
+use super::{Study, Tables};
+use crate::Run;
 use wb_benchmarks::InputSize;
 use wb_core::report::{kilobytes, millis, ratio, Table};
 use wb_core::stats::mean;
 use wb_core::Measurement;
 use wb_env::Environment;
-use wb_harness::{Cli, GridEngine, Run};
 
 /// One measured grid cell: (benchmark name, environment, wasm, js).
 type Cell = (&'static str, Environment, Measurement, Measurement);
 
-fn main() {
-    let cli = Cli::from_env();
-    let engine = GridEngine::from_cli(&cli);
+pub(super) fn render(s: &Study) -> Tables {
+    let (cli, engine) = (s.cli, s.engine);
     let envs = Environment::all_six();
 
     let grid: Vec<(wb_benchmarks::Benchmark, Environment)> = cli
@@ -56,7 +56,6 @@ fn main() {
             kilobytes(j.memory_bytes),
         ]);
     }
-    cli.emit("fig12_13", &fig);
 
     // Table 8: arithmetic averages per environment.
     let mut t8 = Table::new(
@@ -95,7 +94,6 @@ fn main() {
             t8.row(row);
         }
     }
-    cli.emit("table8", &t8);
 
     // §4.5 relative-time summary (the paper's headline ratios).
     let mut rel = Table::new(
@@ -123,6 +121,9 @@ fn main() {
             rel.row(row);
         }
     }
-    cli.emit("table8_relative", &rel);
-    engine.finish_with(&cli, "fig12_13");
+    vec![
+        ("fig12_13".into(), fig),
+        ("table8".into(), t8),
+        ("table8_relative".into(), rel),
+    ]
 }

@@ -1,16 +1,18 @@
-//! Fig 9 + Tables 3/4 (Chrome) and Tables 5/6 (`--browser firefox`):
-//! execution time and memory of Wasm and JS across the five input sizes.
+//! Fig 9 + Tables 3/4 (Chrome) and Tables 5/6 (Firefox): execution time
+//! and memory of Wasm and JS across the five input sizes.
 
+use super::{Study, Tables};
+use crate::Run;
 use wb_core::report::{kilobytes, millis, ratio, Table};
 use wb_core::stats::{mean, speedup_split};
-use wb_harness::{Cli, GridEngine, Run};
+use wb_env::Environment;
 
-fn main() {
-    let cli = Cli::from_env();
-    let engine = GridEngine::from_cli(&cli);
-    let env = cli.environment();
+/// The Fig 9 size sweep and its Tables 3–6 summaries in `env`.
+pub(super) fn render(s: &Study, env: Environment) -> Tables {
+    let (cli, engine) = (s.cli, s.engine);
     let sizes = cli.sizes();
     let browser = env.browser.name();
+    let tag = browser.to_lowercase();
 
     let grid: Vec<(wb_benchmarks::Benchmark, wb_benchmarks::InputSize)> = cli
         .benchmarks()
@@ -56,7 +58,6 @@ fn main() {
             kilobytes(j.memory_bytes),
         ]);
     }
-    cli.emit(&format!("fig9_{}", browser.to_lowercase()), &fig);
 
     // Tables 3/5: SD/SU split per size.
     let mut split = Table::new(
@@ -91,7 +92,6 @@ fn main() {
             all,
         ]);
     }
-    cli.emit(&format!("table3_5_{}", browser.to_lowercase()), &split);
 
     // Tables 4/6: average memory per size.
     let mut memory = Table::new(
@@ -115,6 +115,9 @@ fn main() {
             kilobytes(mean(&wasm_mem).expect("non-empty") as u64),
         ]);
     }
-    cli.emit(&format!("table4_6_{}", browser.to_lowercase()), &memory);
-    engine.finish_with(&cli, "fig9");
+    vec![
+        (format!("fig9_{tag}"), fig),
+        (format!("table3_5_{tag}"), split),
+        (format!("table4_6_{tag}"), memory),
+    ]
 }

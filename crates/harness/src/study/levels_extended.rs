@@ -3,14 +3,14 @@
 //! unrepresentative, §3.2) over a representative benchmark slice, so the
 //! full Fig 1 design space is visible.
 
+use super::{Study, Tables};
+use crate::Run;
 use wb_benchmarks::InputSize;
 use wb_core::report::{ratio, Table};
-use wb_harness::{Cli, GridEngine, Run};
 use wb_minic::OptLevel;
 
-fn main() {
-    let cli = Cli::from_env();
-    let engine = GridEngine::from_cli(&cli);
+pub(super) fn render(s: &Study) -> Tables {
+    let (cli, engine) = (s.cli, s.engine);
     let names = ["gemm", "jacobi-2d", "durbin", "AES", "SHA"];
     let benchmarks: Vec<_> = names
         .iter()
@@ -62,7 +62,8 @@ fn main() {
         time_table.row(trow);
         size_table.row(srow);
     }
-    cli.emit("levels_extended_time", &time_table);
-    cli.emit("levels_extended_size", &size_table);
-    engine.finish_with(&cli, "levels_extended");
+    vec![
+        ("levels_extended_time".into(), time_table),
+        ("levels_extended_size".into(), size_table),
+    ]
 }

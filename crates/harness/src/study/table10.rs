@@ -1,14 +1,14 @@
 //! Table 10: the three real-world applications — Long.js (mul/div/rem),
 //! Hyphenopoly (en-us/fr) and FFmpeg — Wasm vs JS execution time.
 
+use super::{Study, Tables};
+use crate::run_or_exit;
 use wb_benchmarks::apps::{ffmpeg, hyphen, longjs};
 use wb_core::apps;
 use wb_core::report::{millis, Table};
 use wb_env::Environment;
-use wb_harness::{run_or_exit, Cli};
 
-fn main() {
-    let cli = Cli::from_env();
+pub(super) fn render(_: &Study) -> Tables {
     let env = Environment::desktop_chrome();
     let mut t = Table::new(
         "Table 10: real-world applications (Chrome desktop)",
@@ -71,5 +71,5 @@ fn main() {
             format!("{:.3}", w.time.0 / j.time.0),
         ]);
     }
-    cli.emit("table10", &t);
+    vec![("table10".into(), t)]
 }

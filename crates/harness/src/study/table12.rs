@@ -1,14 +1,14 @@
 //! Table 12 (Appendix D): arithmetic operations executed by the Long.js
 //! programs — JS vs Wasm, by operation kind.
 
+use super::{Study, Tables};
+use crate::run_or_exit;
 use wb_benchmarks::apps::longjs::LongOp;
 use wb_core::apps::{longjs_js, longjs_wasm};
 use wb_core::report::Table;
 use wb_env::{ArithCounts, Environment};
-use wb_harness::{run_or_exit, Cli};
 
-fn main() {
-    let cli = Cli::from_env();
+pub(super) fn render(_: &Study) -> Tables {
     let env = Environment::desktop_chrome();
     let mut t = Table::new(
         "Table 12: Long.js arithmetic operation counts",
@@ -42,5 +42,5 @@ fn main() {
         row.extend(fmt(&w.arith));
         t.row(row);
     }
-    cli.emit("table12", &t);
+    vec![("table12".into(), t)]
 }

@@ -2,15 +2,15 @@
 //! and Firefox — the execution-speed ratio of the default two-tier
 //! setting to basic-only and to optimizing-only.
 
+use super::{Study, Tables};
+use crate::Run;
 use wb_benchmarks::{InputSize, Suite};
 use wb_core::report::{ratio, Table};
 use wb_core::stats::{geomean, mean};
 use wb_env::{Browser, Environment, Platform, TierPolicy};
-use wb_harness::{Cli, GridEngine, Run};
 
-fn main() {
-    let cli = Cli::from_env();
-    let engine = GridEngine::from_cli(&cli);
+pub(super) fn render(s: &Study) -> Tables {
+    let (cli, engine) = (s.cli, s.engine);
     let chrome = Environment::desktop_chrome();
     let firefox = Environment::new(Browser::Firefox, Platform::Desktop);
 
@@ -43,7 +43,6 @@ fn main() {
             "Ion",
         ],
     );
-    let mut overall: [Vec<f64>; 4] = Default::default();
     for (suite, label) in [
         (Some(Suite::PolyBenchC), "PolyBenchC"),
         (Some(Suite::CHStone), "CHStone"),
@@ -62,9 +61,6 @@ fn main() {
         if cols[0].is_empty() {
             continue;
         }
-        if suite.is_none() {
-            overall = cols.clone();
-        }
         t.row(vec![
             label.into(),
             "Geo. mean".into(),
@@ -82,7 +78,5 @@ fn main() {
             ratio(mean(&cols[3]).expect("non-empty")),
         ]);
     }
-    cli.emit("table7", &t);
-    let _ = overall;
-    engine.finish_with(&cli, "table7");
+    vec![("table7".into(), t)]
 }

@@ -1,15 +1,15 @@
 //! Table 9: manually-written JavaScript vs Cheerp-generated JavaScript vs
 //! WebAssembly — LOC, execution time and memory on desktop Chrome.
 
+use super::{Study, Tables};
+use crate::Run;
 use wb_benchmarks::manual_js::all_manual;
 use wb_benchmarks::InputSize;
 use wb_core::report::{kilobytes, millis, Table};
 use wb_core::{run_manual_js, JsSpec};
-use wb_harness::{Cli, GridEngine, Run};
 
-fn main() {
-    let cli = Cli::from_env();
-    let engine = GridEngine::from_cli(&cli);
+pub(super) fn render(s: &Study) -> Tables {
+    let engine = s.engine;
 
     let rows = engine.map(all_manual(), |m| {
         // Manual implementation.
@@ -57,6 +57,5 @@ fn main() {
             kilobytes(wasm.memory_bytes),
         ]);
     }
-    cli.emit("table9", &t);
-    engine.finish_with(&cli, "table9");
+    vec![("table9".into(), t)]
 }

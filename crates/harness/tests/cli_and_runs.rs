@@ -3,7 +3,7 @@
 
 use wb_benchmarks::InputSize;
 use wb_core::ArtifactCache;
-use wb_env::{Browser, Environment, Platform, ResourceLimits};
+use wb_env::{Environment, ResourceLimits};
 use wb_harness::{parallel_map, parallel_map_jobs, Cli, GridEngine, Run};
 
 // --- Cli parsing -----------------------------------------------------------
@@ -14,7 +14,7 @@ fn parses_key_value_and_key_eq_value_and_bare_flags() {
     assert_eq!(cli.get("filter"), Some("gemm"));
     assert_eq!(cli.get("out"), Some("custom"));
     assert!(cli.has("quick"));
-    assert!(!cli.has("browser"));
+    assert!(!cli.has("stats"));
     assert_eq!(cli.get("missing"), None);
 }
 
@@ -70,25 +70,6 @@ fn jobs_flag_parses_and_rejects_zero() {
     assert_eq!(Cli::from_args(["--jobs", "3"]).jobs(), Some(3));
     assert_eq!(Cli::from_args(["--jobs=1"]).jobs(), Some(1));
     assert_eq!(Cli::from_args(["--jobs", "0"]).jobs(), None);
-}
-
-#[test]
-fn browser_flag_selects_the_environment() {
-    let default = Cli::from_args(Vec::<String>::new()).environment();
-    assert_eq!(default, Environment::desktop_chrome());
-
-    let ff = Cli::from_args(["--browser", "firefox"]).environment();
-    assert_eq!(ff, Environment::new(Browser::Firefox, Platform::Desktop));
-    // Prefix + case-insensitive, as documented.
-    let ff2 = Cli::from_args(["--browser", "Fire"]).environment();
-    assert_eq!(ff2, ff);
-
-    let edge = Cli::from_args(["--browser=edge"]).environment();
-    assert_eq!(edge, Environment::new(Browser::Edge, Platform::Desktop));
-
-    // Unknown values fall back to the study default (desktop Chrome).
-    let unknown = Cli::from_args(["--browser", "safari"]).environment();
-    assert_eq!(unknown, Environment::desktop_chrome());
 }
 
 // --- parallel_map ------------------------------------------------------------

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Offline verification: build, test, and smoke the quick grids against
-# the committed goldens. No network access required.
+# Offline verification: build, test, regenerate every artifact and diff
+# it against the committed goldens. No network access required.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -43,14 +43,22 @@ cargo test -q -p wb-harness --release --test trap_parity
 echo "== fault injection (wb inject) =="
 ./target/release/wb inject --all
 
-echo "== quick-grid smoke (fig5 + fig12_13, cached and uncached) =="
-./target/release/fig5 --quick --out results/quick >/dev/null
-./target/release/fig12_13 --quick --stats --out results/quick >/dev/null
-# The cache must not change a byte of any emitted table.
-./target/release/fig12_13 --quick --no-cache --out results/quick >/dev/null
-# Neither may the fused engine: the plain interpreter is the goldens'
-# reference semantics.
-./target/release/fig5 --quick --reference-exec --out results/quick >/dev/null
+echo "== full regeneration (every golden CSV and TXT in results/) =="
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+./target/release/wb regen --stats --out "$tmp/full"
+diff -r -x quick "$tmp/full" results
+
+echo "== quick grid, uncached and on the reference interpreters =="
+# Neither the cache nor the fused engines may change a byte of any
+# emitted table: the plain interpreters are the goldens' reference
+# semantics.
+./target/release/wb regen fig5 fig12_13 --quick --no-cache --out "$tmp/no-cache"
+./target/release/wb regen fig5 fig12_13 --quick --reference-exec --out "$tmp/reference"
+for f in results/quick/*; do
+  cmp "$f" "$tmp/no-cache/${f##*/}"
+  cmp "$f" "$tmp/reference/${f##*/}"
+done
 
 echo "== golden stability =="
 git diff --exit-code results/
