@@ -246,9 +246,10 @@ pub struct WasmSpec<'a> {
     pub tier_policy: TierPolicy,
     /// `cheerp-linear-heap-size` override.
     pub heap_limit: Option<u64>,
-    /// Run the VM's plain per-op interpreter instead of the fused
-    /// micro-op engine (`--reference-exec`). Measurements are identical
-    /// either way; this is the escape hatch that proves it.
+    /// Run the VM with fusion off: one micro-op per instruction instead
+    /// of fused superinstructions, in the same dispatch loop
+    /// (`--reference-exec`). Measurements are identical either way; this
+    /// is the escape hatch that proves it.
     pub reference_exec: bool,
     /// Resource ceilings (fuel, memory, call depth). The default is
     /// unlimited fuel/memory, so default-limit runs are bit-identical to
@@ -293,8 +294,9 @@ pub struct JsSpec<'a> {
     pub env: Environment,
     /// JIT enabled/disabled (`--no-opt`).
     pub jit: JitMode,
-    /// Run without the fused-op overlay and inline caches
-    /// (`--reference-exec`); measurement-invisible by construction.
+    /// Run with the fused-op overlay and inline caches off, in the same
+    /// dispatch loop (`--reference-exec`); measurement-invisible by
+    /// construction.
     pub reference_exec: bool,
     /// Resource ceilings (fuel, live-heap memory, call depth); the
     /// default is unlimited fuel/memory, bit-identical to the pre-limit

@@ -7,9 +7,9 @@
 //! Writes `BENCH_selfbench.json` (repo root by default, `--out <dir>`
 //! to relocate) so successive PRs can track the perf trajectory, and
 //! `BENCH_vmexec.json` with raw VM throughput (virtual ops retired per
-//! host second, per VM, fused engine vs plain per-op reference
-//! interpreter) over the exec-dominated kernels the cache section
-//! deliberately excludes.
+//! host second, per VM, fusion on vs fusion off — the `reference_*`
+//! fields, one op per dispatch in the same loop) over the exec-dominated
+//! kernels the cache section deliberately excludes.
 
 use std::time::Instant;
 use wb_benchmarks::InputSize;
@@ -179,11 +179,12 @@ fn retired_ops(measurements: &[Measurement]) -> u64 {
         .sum()
 }
 
-/// Raw VM throughput, fused vs reference: run the exec-bound kernels
-/// through a warm artifact cache (so host wall-clock is execution, not
-/// compilation) on both engines, per VM, and report virtual ops per
-/// host second. The virtual measurements are asserted bit-identical
-/// between the engines — same discipline as the cache section above.
+/// Raw VM throughput, fusion on vs off (`reference_exec`): run the
+/// exec-bound kernels through a warm artifact cache (so host wall-clock
+/// is execution, not compilation) with both settings, per VM, and report
+/// virtual ops per host second. The virtual measurements are asserted
+/// bit-identical between the settings — same discipline as the cache
+/// section above.
 fn vmexec(dir: &std::path::Path) {
     let benchmarks: Vec<_> = wb_benchmarks::all_benchmarks()
         .into_iter()
@@ -245,7 +246,7 @@ fn vmexec(dir: &std::path::Path) {
         let fused_tput = ops as f64 / fused_wall;
         let reference_tput = ops as f64 / reference_wall;
         eprintln!(
-            "[vmexec] {backend}: {ops} virtual ops; fused {:.1}M ops/s, reference {:.1}M ops/s ({:.2}x)",
+            "[vmexec] {backend}: {ops} virtual ops; fusion on {:.1}M ops/s, fusion off (reference) {:.1}M ops/s ({:.2}x)",
             fused_tput / 1e6,
             reference_tput / 1e6,
             fused_tput / reference_tput
@@ -255,7 +256,10 @@ fn vmexec(dir: &std::path::Path) {
             fused_tput / reference_tput
         ));
     }
-    assert!(all_identical, "fused and reference measurements must match");
+    assert!(
+        all_identical,
+        "fusion-on and fusion-off measurements must match"
+    );
 
     let json = format!(
         "{{\n  \"bench\": \"vmexec\",\n  \"kernels\": {},\n  \"input_size\": \"S\",\n  \"vms\": [\n{}\n  ],\n  \"measurements_bit_identical\": true\n}}\n",

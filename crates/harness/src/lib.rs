@@ -29,8 +29,8 @@
 //! N` bounds the worker pool (default: `available_parallelism`),
 //! `--no-cache` disables the shared artifact cache and execution memo,
 //! `--stats` prints their hit/miss summary and `--reference-exec` runs
-//! both VMs on their plain per-op interpreters instead of the fused
-//! micro-op engines (the measured numbers are bit-identical either way —
+//! both VMs with fusion off, one op per dispatch in each VM's one
+//! dispatch loop (the measured numbers are bit-identical either way —
 //! this flag exists to prove exactly that), `--keep-going` quarantines
 //! failed cells instead of exiting and `--retries N` bounds re-runs of a
 //! panicking cell. Every entry executes its grid through one
@@ -148,8 +148,8 @@ impl Cli {
             .filter(|&n| n > 0)
     }
 
-    /// Whether `--reference-exec` asks for the plain per-op interpreters
-    /// (fused micro-op engines disabled in both VMs).
+    /// Whether `--reference-exec` asks for fusion off in both VMs (one op
+    /// per dispatch).
     pub fn reference_exec(&self) -> bool {
         self.has("reference-exec")
     }
@@ -356,7 +356,7 @@ impl GridEngine {
         }
     }
 
-    /// [`GridEngine::with_settings`] on the plain per-op interpreters
+    /// [`GridEngine::with_settings`] with fusion off in both VMs
     /// (`--reference-exec`).
     pub fn with_reference_exec(mut self) -> Self {
         self.reference_exec = true;
@@ -634,7 +634,7 @@ pub struct Run {
     pub tier_policy: TierPolicy,
     /// JS JIT mode.
     pub jit: JitMode,
-    /// Use the plain per-op interpreters instead of the fused engines.
+    /// Run both VMs with fusion off (one op per dispatch).
     pub reference_exec: bool,
     /// Resource ceilings (fuel, memory, call depth). Default-unlimited,
     /// so study grids are bit-identical to the pre-limit engine; the

@@ -1,7 +1,7 @@
-//! Suite-wide fused-vs-reference differential test.
+//! Suite-wide fusion-on vs fusion-off differential test.
 //!
-//! Runs every benchmark at XS through both execution engines — the fused
-//! micro-op engine (default) and the plain per-op interpreter
+//! Runs every benchmark at XS through each VM's one dispatch loop twice —
+//! with fusion on (default) and off, one op per dispatch
 //! (`--reference-exec`) — across backends, Wasm tier policies and JS JIT
 //! modes, asserting the resulting [`Measurement`]s are bit-identical. Both
 //! backends are also checked at L (Wasm under the default tier policy),

@@ -33,10 +33,10 @@ pub struct JsVmConfig {
     /// on existing virtual-cost events and never add charges, so
     /// default-limit runs are bit-identical to unlimited ones.
     pub limits: wb_env::ResourceLimits,
-    /// Execute without the fused-op overlay and inline caches (one
-    /// bytecode op per dispatch). Both modes produce bit-identical
-    /// measurements; this is a debugging escape hatch for fusion
-    /// regressions (`--reference-exec` in the harness).
+    /// Run the one dispatch loop with the fused-op overlay and inline
+    /// caches off (one bytecode op per dispatch). Both modes produce
+    /// bit-identical measurements; this is a debugging escape hatch for
+    /// fusion regressions (`--reference-exec` in the harness).
     pub reference_exec: bool,
 }
 
@@ -100,7 +100,7 @@ pub struct JsExecProjection {
     pub gc_trigger_bytes: u64,
     /// Resource ceilings.
     pub limits: wb_env::ResourceLimits,
-    /// Plain ops without the fused overlay and inline caches.
+    /// Fused overlay and inline caches off.
     pub reference_exec: bool,
 }
 

@@ -1,14 +1,15 @@
 //! Static cost-equivalence audit of the fusion table.
 //!
-//! PR 2's hard invariant — a fused micro-op charges the **exact same
-//! virtual-cost sequence** as its unfused constituents — is enforced
-//! dynamically by the fused-vs-reference differential tests. This module
-//! turns it into a *statically exhaustive* check: every fused family in
-//! [`fuse`](crate::fuse) is symbolically expanded, for **every** operator
-//! instance it can carry (each entry of `BinOp::ALL`, `UnOp::ALL`,
-//! `LoadKind::ALL` and `StoreKind::ALL`), and its charge plan is compared
-//! event-for-event against the concatenation of the reference
-//! interpreter's plans for the constituent instructions.
+//! The engine's hard invariant — a fused micro-op charges the **exact
+//! same virtual-cost sequence** as its unfused constituents — is enforced
+//! dynamically by the fusion-on vs fusion-off differential tests. This
+//! module turns it into a *statically exhaustive* check: every fused
+//! family in [`fuse`](crate::fuse) is symbolically expanded, for **every**
+//! operator instance it can carry (each entry of `BinOp::ALL`,
+//! `UnOp::ALL`, `LoadKind::ALL` and `StoreKind::ALL`), and its charge plan
+//! is compared event-for-event against the concatenation of the plans of
+//! the constituents' singleton ops — the reference plans, which is what
+//! the unfused (`reference_exec`) stream charges.
 //!
 //! The operators' own charges (class, Table 12 kind, trap point) come from
 //! one table on both sides: the families read them from `classify.rs` at
@@ -21,7 +22,7 @@
 //! * the Table 12 arithmetic bump for arithmetic constituents,
 //! * the position of any trap point relative to those bumps.
 //!
-//! Step-budget consumption is compared as a total (the fused engine
+//! Step-budget consumption is compared as a total (a fused arm
 //! batches a group's steps up front — the one documented divergence; see
 //! `exec.rs`). The audit also proves each family's constituents carry no
 //! `TimeBucket` charge and no hotness note (those exist only on
@@ -45,7 +46,7 @@ pub struct FusionAuditEntry {
     pub constituents: Vec<String>,
     /// The fused op's charge plan, one event per line.
     pub fused_charges: Vec<String>,
-    /// The reference interpreter's concatenated charge plan.
+    /// The unfused constituents' concatenated charge plan.
     pub reference_charges: Vec<String>,
     /// Whether the plans agree (and the lowering round-trips).
     pub ok: bool,
@@ -54,7 +55,7 @@ pub struct FusionAuditEntry {
 }
 
 /// A single observable cost event. `Step` totals are compared separately
-/// because the fused engine batches a group's budget consumption.
+/// because a fused arm batches a group's budget consumption.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Ev {
     /// One `tier_counts[tier].bump(class, 1)`.
@@ -75,9 +76,10 @@ impl Ev {
     }
 }
 
-/// The reference interpreter's charge plan for a constituent sequence:
-/// per instruction, one step, its op-class bump, its Table 12 bump, then
-/// its (potential) trap point — the exact order of `interp.rs`.
+/// The reference charge plan for a constituent sequence, as its singleton
+/// ops charge it: per instruction, one step, its op-class bump, its
+/// Table 12 bump, then its (potential) trap point — the order of the
+/// singleton arms in `exec.rs`.
 fn reference_plan(instrs: &[Instr]) -> (u64, Vec<Ev>) {
     let mut evs = Vec::new();
     for i in instrs {
@@ -92,7 +94,7 @@ fn reference_plan(instrs: &[Instr]) -> (u64, Vec<Ev>) {
     (instrs.len() as u64, evs)
 }
 
-/// `bump_bin!` — the fused engine's binop charge: class, then Table 12.
+/// `bump_bin!` — a fused arm's binop charge: class, then Table 12.
 fn bin_evs(op: BinOp, evs: &mut Vec<Ev>) {
     evs.push(Ev::Class(op.class()));
     if let Some(k) = op.arith() {
@@ -103,17 +105,17 @@ fn bin_evs(op: BinOp, evs: &mut Vec<Ev>) {
     }
 }
 
-/// The fused engine's charge plan for one micro-op, transcribing the
-/// `run_body_fused` arms in `exec.rs` event-for-event. Singleton micro-ops
-/// return `None` (they are trivially 1:1 with the reference); the match is
+/// The charge plan of one fused micro-op, transcribing the
+/// `run_body` arms in `exec.rs` event-for-event. Singleton micro-ops
+/// return `None` (they are the reference plan); the match is
 /// deliberately wildcard-free so a new `Mop` variant fails to compile
 /// until the audit covers it.
 fn fused_plan(mop: &Mop) -> Option<(u64, Vec<Ev>)> {
     use Mop::*;
     let mut evs = Vec::new();
     let steps = match mop {
-        // Singletons: one step, one bump, charged exactly like the
-        // reference instruction — nothing to audit.
+        // Singletons: one step, one bump — the reference plan itself,
+        // nothing to audit.
         Unreachable
         | Nop
         | Block { .. }
@@ -388,8 +390,8 @@ fn enumerate_instances() -> Vec<(&'static str, String, Vec<Instr>)> {
 ///
 /// 1. `match_fused` lowers the constituents to the expected family at the
 ///    full width (the step-budget total therefore matches too),
-/// 2. the fused charge plan equals the reference concatenation
-///    event-for-event, and
+/// 2. the fused charge plan equals the constituents' concatenated
+///    reference plans event-for-event, and
 /// 3. no constituent carries a `TimeBucket` charge or hotness note.
 pub fn audit_fusion_table() -> Vec<FusionAuditEntry> {
     let mut entries = Vec::new();

@@ -1,7 +1,7 @@
 //! Mapping from WebAssembly instructions to the shared cost-model
 //! operation classes: the one charge table of the Wasm VM.
 //!
-//! The functions are `const` so the fused engine's operator families
+//! The functions are `const` so the engine's operator families
 //! (`fuse.rs`) can read their class, Table 12 kind and trap-ability from
 //! here at compile time instead of keeping tables of their own.
 

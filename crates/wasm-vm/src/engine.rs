@@ -35,10 +35,10 @@ pub struct WasmVmConfig {
     /// virtual-cost events and never add charges, so default-limit runs
     /// are bit-identical to unlimited ones.
     pub limits: ResourceLimits,
-    /// Execute on the reference (one instruction per dispatch, tagged
-    /// stack) interpreter instead of the fused micro-op engine. Both
-    /// produce bit-identical measurements; this is a debugging escape
-    /// hatch for fusion regressions (`--reference-exec` in the harness).
+    /// Lower with fusion off: the one dispatch loop runs one micro-op per
+    /// instruction instead of fused superinstructions. Both produce
+    /// bit-identical measurements; this is a debugging escape hatch for
+    /// fusion regressions (`--reference-exec` in the harness).
     pub reference_exec: bool,
 }
 
@@ -104,7 +104,7 @@ pub struct WasmExecProjection {
     pub tier_up_threshold: Option<u64>,
     /// Resource ceilings.
     pub limits: ResourceLimits,
-    /// Reference interpreter instead of the fused engine.
+    /// Fusion-off lowering instead of fused micro-ops.
     pub reference_exec: bool,
 }
 
@@ -365,8 +365,8 @@ impl Instance {
 
     /// Check the embedder memory ceiling before a `memory.grow` of
     /// `delta` pages. Called identically (same program point, before the
-    /// grow is attempted) by the reference and fused engines so limited
-    /// runs stay bit-identical between them. With no ceiling configured
+    /// grow is attempted) with fusion on and off, so limited runs stay
+    /// bit-identical between them. With no ceiling configured
     /// this is a no-op.
     #[inline]
     pub(crate) fn check_grow_limit(&self, delta: u32) -> Result<(), Trap> {

@@ -1,13 +1,16 @@
-//! The fused execution core: interprets the [`Mop`](crate::fuse::Mop)
-//! stream produced by `fuse.rs` over an **untagged `u64` operand stack**
-//! and untagged locals, charging the exact same virtual-cost sequence as
-//! the reference interpreter in `interp.rs`.
+//! The execution core: the one dispatch loop of the Wasm VM. It
+//! interprets the [`Mop`](crate::fuse::Mop) stream produced by `fuse.rs`
+//! over an **untagged `u64` operand stack** and untagged locals, with
+//! full MVP semantics, per-instruction cost accounting and
+//! hotness-driven tier-up.
 //!
-//! Cost-equivalence contract (checked by the fused-vs-reference
-//! differential tests): for every retired constituent instruction this
-//! engine bumps the same `(tier, OpClass)` counter and the same Table 12
-//! arithmetic counter, in the same order relative to traps and tier-up
-//! points, as the reference path. Values ↔ bits conversion happens only
+//! The stream is fused by default and one singleton op per instruction
+//! under `reference_exec`. Cost-equivalence contract (checked by the
+//! fusion-on vs fusion-off differential tests and the static audit): a
+//! fused arm bumps, for every retired constituent instruction, the same
+//! `(tier, OpClass)` counter and the same Table 12 arithmetic counter,
+//! in the same order relative to traps and tier-up points, as the
+//! constituents' singleton arms. Values ↔ bits conversion happens only
 //! at call, host and invoke boundaries, where tagged [`Value`]s are the
 //! interface type. The only permitted divergence is *where inside a fused
 //! group* a step-budget exhaustion is detected (the budget is consumed in
@@ -33,16 +36,17 @@ struct FCtrl {
 }
 
 impl Instance {
-    /// Execute `def_index` over the fused micro-op stream. Mirrors
-    /// `run_body_reference` exactly in every observable measurement.
-    pub(crate) fn run_body_fused(
+    /// Execute `def_index` over its micro-op stream: fused, or one op per
+    /// instruction under `reference_exec`. Both charge the same
+    /// virtual-cost sequence.
+    pub(crate) fn run_body(
         &mut self,
         def_index: usize,
         args: Vec<Value>,
         depth: usize,
     ) -> Result<Option<Value>, Trap> {
         let prepared = Arc::clone(&self.prepared);
-        let fused = prepared.fused(def_index);
+        let lowered = prepared.lowered(def_index, !self.config.reference_exec);
         let func = &prepared.module.functions[def_index];
         let ty = &prepared.module.types[func.type_index as usize];
         let result_ty = ty.results.first().copied();
@@ -53,7 +57,7 @@ impl Instance {
 
         let mut stack: Vec<u64> = Vec::with_capacity(16);
         let mut ctrl: Vec<FCtrl> = Vec::with_capacity(8);
-        let code = &fused.code;
+        let code = &lowered.code;
         let mut pc = 0usize;
         let mut tier = self.func_state[def_index].tier;
 
@@ -88,7 +92,7 @@ impl Instance {
         }
         macro_rules! branch_to {
             ($d:expr) => {{
-                pc = Self::do_branch_fused(self, &mut ctrl, &mut stack, $d, def_index, &mut tier);
+                pc = Self::take_branch(self, &mut ctrl, &mut stack, $d, def_index, &mut tier);
                 continue;
             }};
         }
@@ -358,7 +362,7 @@ impl Instance {
                 // ---- fused superinstructions ---------------------------
                 // Constituent accounting happens in source order, and the
                 // fusable op's own bump lands *before* its potential trap,
-                // exactly as the reference interpreter would charge it.
+                // exactly as the constituents' singleton arms charge it.
                 Mop::LLBin { a, b, op } => {
                     steps!(3);
                     bump!(OpClass::Local, 2);
@@ -506,9 +510,9 @@ impl Instance {
         }
     }
 
-    /// Branch over the fused control stack; same semantics (including
-    /// back-edge hotness) as the reference `do_branch`.
-    fn do_branch_fused(
+    /// Perform a branch to relative depth `d`; returns the new micro-op
+    /// index. A taken loop back-edge notes hotness.
+    fn take_branch(
         &mut self,
         ctrl: &mut Vec<FCtrl>,
         stack: &mut Vec<u64>,
@@ -540,7 +544,7 @@ impl Instance {
     }
 
     /// Bounds-checked load returning untagged bits (extension baked into
-    /// `kind`); trap payload matches the reference `load_bytes`.
+    /// `kind`); an out-of-bounds access traps with its address and width.
     fn load_u64(&self, kind: LoadKind, addr: u64) -> Result<u64, Trap> {
         // `mem.read` returns exactly `width` bytes, so the zero-pad in
         // `arr` never fires; it exists to keep this path panic-free.
@@ -574,7 +578,7 @@ impl Instance {
     }
 
     /// Bounds-checked store of untagged bits (truncation baked into
-    /// `kind`); trap payload matches the reference `store_bytes`.
+    /// `kind`); an out-of-bounds access traps with its address and width.
     fn store_u64(&mut self, kind: StoreKind, addr: u64, v: u64) -> Result<(), Trap> {
         let width = kind.width();
         let oob = Trap::MemoryOutOfBounds { addr, width };

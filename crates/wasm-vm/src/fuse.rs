@@ -1,13 +1,13 @@
-//! Superinstruction lowering: flat function bodies → fused micro-ops.
+//! Lowering: flat function bodies → micro-ops, fused or not.
 //!
-//! The reference interpreter in `interp.rs` dispatches one [`Instr`] per
-//! step over a tagged [`Value`](crate::Value) stack. This module lowers a
-//! body once (per prepared module, lazily, on first fused execution) into
-//! a stream of [`Mop`] micro-ops in which
+//! The one dispatch loop in `exec.rs` runs a stream of [`Mop`] micro-ops.
+//! This module lowers a body once (per prepared module and fusion
+//! setting, lazily, on first execution) into that stream, in which
 //!
-//! * common short sequences are **fused** into a single op
-//!   (`local.get local.get binop local.set`, `const binop`,
-//!   `cmp br_if`, `local.get load`, …) with immediates inlined,
+//! * with fusion on, common short sequences are **fused** into a single
+//!   op (`local.get local.get binop local.set`, `const binop`,
+//!   `cmp br_if`, `local.get load`, …) with immediates inlined; with it
+//!   off (`reference_exec`), every instruction becomes its singleton op,
 //! * operand types are baked in at lowering time so execution runs over
 //!   an **untagged `u64` stack** (i32 zero-extended, floats as raw bits),
 //! * structured-control targets are pre-translated to micro-op indices.
@@ -25,12 +25,12 @@
 //! ## Cost equivalence
 //!
 //! A fused op charges the **exact same virtual-cost sequence** as its
-//! unfused constituents: the same per-tier op-class bumps (in the same
-//! order relative to any trap), the same Table 12 arithmetic counts, and
-//! the same step-budget consumption. Tier-up can only happen at function
-//! entry and taken loop back-edges, and no fused group spans either, so
-//! every constituent is charged at the tier the reference interpreter
-//! would have used. See `DESIGN.md` § "Execution engine".
+//! unfused constituents' singleton ops: the same per-tier op-class bumps
+//! (in the same order relative to any trap), the same Table 12
+//! arithmetic counts, and the same step-budget consumption. Tier-up can
+//! only happen at function entry and taken loop back-edges, and no fused
+//! group spans either, so every constituent is charged at the tier the
+//! unfused stream would have used. See `DESIGN.md` §7.
 
 use crate::classify::{arith_kind, can_trap, classify, ArithKind};
 use crate::prep::{SideTable, NO_PC};
@@ -150,8 +150,7 @@ const fn yields_i32(name: &str, class: OpClass) -> bool {
 
 lifted_ops! {
     /// Binary operators with type knowledge baked in, operating on untagged
-    /// bits. Semantics are bit-for-bit those of the corresponding reference
-    /// interpreter arms.
+    /// bits, with Wasm MVP semantics.
     BinOp {
         // i32 arithmetic / bitwise.
         I32Add, I32Sub, I32Mul, I32DivS, I32DivU, I32RemS, I32RemU,
@@ -255,7 +254,7 @@ macro_rules! f64_cmp {
 }
 
 impl BinOp {
-    /// Execute on untagged bits; bit-identical to the reference arm.
+    /// Execute on untagged bits.
     #[inline]
     pub(crate) fn apply(self, a: u64, b: u64) -> Result<u64, Trap> {
         use crate::interp::{wasm_max_f32, wasm_max_f64, wasm_min_f32, wasm_min_f64};
@@ -394,7 +393,7 @@ impl BinOp {
 }
 
 impl UnOp {
-    /// Execute on untagged bits; bit-identical to the reference arm.
+    /// Execute on untagged bits.
     #[inline]
     pub(crate) fn apply(self, a: u64) -> Result<u64, Trap> {
         use crate::interp::{trunc_to_i32, trunc_to_i64, trunc_to_u32, trunc_to_u64};
@@ -749,7 +748,7 @@ impl Mop {
 
 /// A function body lowered to micro-ops.
 #[derive(Debug)]
-pub(crate) struct FusedFunc {
+pub(crate) struct LoweredFunc {
     /// The micro-op stream; control targets are indices into this vec.
     pub(crate) code: Vec<Mop>,
 }
@@ -913,20 +912,22 @@ fn singleton(i: &Instr, module: &Module) -> Mop {
     }
 }
 
-/// Lower one flat body to fused micro-ops.
+/// Lower one flat body to micro-ops.
 ///
-/// Pass 1 greedily matches fused patterns (falling back to singletons) and
+/// Pass 1 greedily matches fused patterns when `fuse` is on (falling back
+/// to singletons; with `fuse` off every instruction is a singleton) and
 /// records the micro-op index of every source pc. Pass 2 patches the
 /// structured-control targets (`after_end`, `else_skip`) from the side
 /// table, translating instruction pcs to micro-op indices.
-pub(crate) fn lower(body: &[Instr], side: &SideTable, module: &Module) -> FusedFunc {
+pub(crate) fn lower(body: &[Instr], side: &SideTable, module: &Module, fuse: bool) -> LoweredFunc {
     let n = body.len();
     let mut code: Vec<Mop> = Vec::with_capacity(n);
     let mut mop_of: Vec<u32> = vec![NO_PC; n + 1];
     let mut pc = 0usize;
     while pc < n {
         mop_of[pc] = code.len() as u32;
-        if let Some((mop, len)) = match_fused(&body[pc..]) {
+        let fused = if fuse { match_fused(&body[pc..]) } else { None };
+        if let Some((mop, len)) = fused {
             code.push(mop);
             pc += len;
         } else {
@@ -964,7 +965,7 @@ pub(crate) fn lower(body: &[Instr], side: &SideTable, module: &Module) -> FusedF
             _ => {}
         }
     }
-    FusedFunc { code }
+    LoweredFunc { code }
 }
 
 #[cfg(test)]
@@ -974,7 +975,11 @@ mod tests {
     use wb_wasm::leb128::write_u32;
     use wb_wasm::{BlockType, Instr, MemArg};
 
-    fn lower_body(body: Vec<Instr>) -> FusedFunc {
+    fn lower_body(body: Vec<Instr>) -> LoweredFunc {
+        lower_body_with(body, true)
+    }
+
+    fn lower_body_with(body: Vec<Instr>, fuse: bool) -> LoweredFunc {
         let module = Module {
             functions: vec![wb_wasm::Function {
                 type_index: 0,
@@ -993,6 +998,7 @@ mod tests {
             &prepared.module.functions[0].body,
             &prepared.side_tables[0],
             &prepared.module,
+            fuse,
         )
     }
 
@@ -1325,7 +1331,12 @@ mod tests {
             Instr::End,
         ];
         let n = body.len() as u64;
-        let f = lower_body(body);
+        let f = lower_body(body.clone());
         assert_eq!(f.code.iter().map(|m| m.width()).sum::<u64>(), n);
+        assert!(f.code.len() < body.len(), "fusion on fuses");
+        // Fusion off (`reference_exec`): one singleton op per instruction.
+        let f = lower_body_with(body.clone(), false);
+        assert_eq!(f.code.len(), body.len());
+        assert!(f.code.iter().all(|m| m.width() == 1), "{:?}", f.code);
     }
 }

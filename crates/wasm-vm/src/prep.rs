@@ -2,29 +2,26 @@
 //! otherwise recompute per run or — worse — per step, done **once**:
 //!
 //! * flat side tables mapping each structured-control opener to its
-//!   matching `else`/`end`, so branches resolve in O(1) array indexing;
-//! * the cost-model [`OpClass`] and Table 12 arithmetic kind of every
-//!   instruction, so the per-step accounting path never re-inspects the
-//!   instruction;
+//!   matching `else`/`end`, from which lowering pre-translates every
+//!   branch target to a micro-op index;
 //! * per-function call signatures (arg count, result arity), so `call`
-//!   dispatch never clones a `FuncType`.
+//!   dispatch never clones a `FuncType`;
+//! * the lowered micro-op streams, filled lazily per function, once with
+//!   fusion on and once with it off (`reference_exec`).
 //!
 //! A `PreparedModule` is immutable plain data (`Send + Sync`), so one
 //! preparation can be shared across instances — and across threads via
 //! `Arc`, which is how the artifact cache reuses decode/validate/prepare
 //! work between grid cells.
 
-use crate::classify::{arith_kind, classify, ArithKind};
-use crate::fuse::{lower, FusedFunc};
+use crate::fuse::{lower, LoweredFunc};
 use std::sync::OnceLock;
-use wb_env::OpClass;
 use wb_wasm::{Instr, Module};
 
 /// Sentinel for "no matching pc" in the flat side tables.
 pub const NO_PC: u32 = u32::MAX;
 
-/// Per-function control side table and per-pc accounting metadata, all
-/// indexed directly by pc.
+/// Per-function control side table, indexed directly by pc.
 #[derive(Debug, Clone, Default)]
 pub struct SideTable {
     /// For each `block`/`loop`/`if` pc: pc of the matching `end`
@@ -33,10 +30,6 @@ pub struct SideTable {
     /// For each `if` pc that has an `else`: pc of that `else`
     /// ([`NO_PC`] otherwise).
     pub else_of: Vec<u32>,
-    /// Cost-model class of the instruction at each pc.
-    pub op_class: Vec<OpClass>,
-    /// Table 12 arithmetic kind of the instruction at each pc, if any.
-    pub arith: Vec<Option<ArithKind>>,
 }
 
 /// A module plus its precomputed side tables and dispatch metadata.
@@ -51,11 +44,12 @@ pub struct PreparedModule {
     /// defined functions) — the only pieces of the callee signature the
     /// call sequence needs.
     pub call_sigs: Vec<(u16, bool)>,
-    /// Fused micro-op streams, lowered lazily on first fused execution of
-    /// each function and then shared across instances (and threads, via
+    /// Micro-op streams, indexed by whether fusion is on: each function
+    /// is lowered lazily on its first execution under that setting and
+    /// then shared across instances (and threads, via
     /// `Arc<PreparedModule>` in the artifact cache) for the lifetime of
     /// the preparation.
-    fused: Vec<OnceLock<FusedFunc>>,
+    lowered: [Vec<OnceLock<LoweredFunc>>; 2],
 }
 
 impl PreparedModule {
@@ -73,27 +67,30 @@ impl PreparedModule {
                 None => (0, false),
             })
             .collect();
-        let fused = (0..module.functions.len())
-            .map(|_| OnceLock::new())
-            .collect();
+        let lowered = [(); 2].map(|_| {
+            (0..module.functions.len())
+                .map(|_| OnceLock::new())
+                .collect()
+        });
         PreparedModule {
             module,
             side_tables,
             call_sigs,
-            fused,
+            lowered,
         }
     }
 
-    /// The fused micro-op stream for defined function `def_index`,
-    /// lowering it on first use. Lowering is pure derived data (no
-    /// virtual-time charge): the reference and fused engines charge the
+    /// The micro-op stream for defined function `def_index`, fused or
+    /// one op per instruction, lowering it on first use. Lowering is pure
+    /// derived data (no virtual-time charge): both settings charge the
     /// same compile costs, and fusion itself models no engine work.
-    pub(crate) fn fused(&self, def_index: usize) -> &FusedFunc {
-        self.fused[def_index].get_or_init(|| {
+    pub(crate) fn lowered(&self, def_index: usize, fuse: bool) -> &LoweredFunc {
+        self.lowered[usize::from(fuse)][def_index].get_or_init(|| {
             lower(
                 &self.module.functions[def_index].body,
                 &self.side_tables[def_index],
                 &self.module,
+                fuse,
             )
         })
     }
@@ -103,13 +100,9 @@ fn build_side_table(body: &[Instr]) -> SideTable {
     let mut table = SideTable {
         end_of: vec![NO_PC; body.len()],
         else_of: vec![NO_PC; body.len()],
-        op_class: Vec::with_capacity(body.len()),
-        arith: Vec::with_capacity(body.len()),
     };
     let mut stack: Vec<usize> = Vec::new();
     for (pc, instr) in body.iter().enumerate() {
-        table.op_class.push(classify(instr));
-        table.arith.push(arith_kind(instr));
         match instr {
             Instr::Block(_) | Instr::Loop(_) | Instr::If(_) => stack.push(pc),
             Instr::Else => {
@@ -175,22 +168,5 @@ mod tests {
         assert_eq!(t.else_of[0], 4);
         assert_eq!(t.end_of[1], 3);
         assert_eq!(t.end_of[0], 5);
-    }
-
-    #[test]
-    fn precomputes_op_classes_and_arith_kinds() {
-        let body = vec![
-            Instr::I32Const(1), // 0: Const, no arith
-            Instr::I32Const(2), // 1
-            Instr::I32Add,      // 2: IntAlu, Add
-            Instr::End,         // 3: Other
-        ];
-        let t = build_side_table(&body);
-        assert_eq!(t.op_class[0], OpClass::Const);
-        assert_eq!(t.op_class[2], OpClass::IntAlu);
-        assert_eq!(t.arith[2], Some(ArithKind::Add));
-        assert_eq!(t.arith[0], None);
-        assert_eq!(t.op_class.len(), body.len());
-        assert_eq!(t.arith.len(), body.len());
     }
 }

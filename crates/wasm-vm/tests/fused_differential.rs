@@ -1,12 +1,13 @@
-//! Fused-vs-reference differential tests.
+//! Fusion-on vs fusion-off differential tests.
 //!
-//! The fused micro-op engine exists purely to make the host run faster;
-//! it must be invisible in every measured quantity. These tests run the
-//! same module through both engines (`reference_exec` toggled) and
-//! assert the *entire* execution report matches to the bit — virtual
-//! time, per-bucket clock attribution, per-class op counts, per-tier
-//! counts, Table 12 arithmetic profile, memory statistics, tier-ups and
-//! context switches — alongside the computed results themselves.
+//! Fused superinstructions exist purely to make the host run faster;
+//! they must be invisible in every measured quantity. These tests run the
+//! same module through the one dispatch loop with fusion on and off
+//! (`reference_exec` toggled: one micro-op per instruction) and assert
+//! the *entire* execution report matches to the bit — virtual time,
+//! per-bucket clock attribution, per-class op counts, per-tier counts,
+//! Table 12 arithmetic profile, memory statistics, tier-ups and context
+//! switches — alongside the computed results themselves.
 //!
 //! Each test targets one family of fusion patterns (see
 //! `src/fuse.rs`); the final tests sweep tier policies and trapping

@@ -22,23 +22,11 @@ cargo build --release --workspace
 echo "== tests =="
 cargo test -q
 
-echo "== core tests (cache and memo identity, pricing) =="
-cargo test -q -p wb-core --release
-
-echo "== Wasm VM tests (fused differential, proptests, fusion audit, lifts) =="
-cargo test -q -p wb-wasm-vm --release
-
-echo "== JS VM tests (fused differential, proptests, fusion audit) =="
-cargo test -q -p wb-jsvm --release
+echo "== workspace tests, release (every crate; the every-kernel-at-L differential is release-only) =="
+cargo test --workspace --release -q
 
 echo "== static analysis (wb analyze) =="
 ./target/release/wb analyze --all
-
-echo "== fused-vs-reference differential (all kernels at XS, and at L) =="
-cargo test -q -p wb-harness --release --test fused_reference_differential
-
-echo "== trap parity (wasm vs js vs native, all levels) =="
-cargo test -q -p wb-harness --release --test trap_parity
 
 echo "== fault injection (wb inject) =="
 ./target/release/wb inject --all
@@ -49,10 +37,10 @@ trap 'rm -rf "$tmp"' EXIT
 ./target/release/wb regen --stats --out "$tmp/full"
 diff -r -x quick "$tmp/full" results
 
-echo "== quick grid, uncached and on the reference interpreters =="
-# Neither the cache nor the fused engines may change a byte of any
-# emitted table: the plain interpreters are the goldens' reference
-# semantics.
+echo "== quick grid, uncached and with fusion off =="
+# Neither the cache nor fusion may change a byte of any emitted table:
+# `--reference-exec` lowers every function one op per instruction, so
+# this compares fusion on against fusion off in each VM's one loop.
 ./target/release/wb regen fig5 fig12_13 --quick --no-cache --out "$tmp/no-cache"
 ./target/release/wb regen fig5 fig12_13 --quick --reference-exec --out "$tmp/reference"
 for f in results/quick/*; do
