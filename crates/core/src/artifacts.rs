@@ -13,7 +13,10 @@
 //! function of the artifact, the entry point and the part of the VM
 //! config that execution reads (its projection), so its unpriced record
 //! is stored under that key and priced again for every environment that
-//! shares it.
+//! shares it. The projection holds no tier policy, JIT mode or
+//! threshold: a record counts operations per hotness band, and pricing
+//! turns bands into tiers, so one execution per artifact serves every
+//! environment, tier policy and JIT mode.
 //!
 //! **Invariant: caching may never change virtual numbers.** A cached run
 //! replays the same virtual load/compile charges as an uncached one

@@ -190,11 +190,10 @@ fn one_wasm_execution_serves_every_environment_and_tier_policy() {
             assert_identical(&uncached, &cached, &format!("wasm {env:?} {tier:?}"));
         }
     }
-    // Default tiers up at two thresholds (Chrome/Edge, Firefox); the
-    // other two policies never tier up, so all six environments share
-    // one execution each.
+    // A record counts hotness bands, not tiers: every policy and both
+    // tier-up thresholds (Chrome/Edge, Firefox) price one execution.
     let s = cache.stats();
-    assert_eq!((s.exec_misses, s.exec_hits), (4, 14));
+    assert_eq!((s.exec_misses, s.exec_hits), (1, 17));
 }
 
 #[test]
@@ -210,9 +209,10 @@ fn one_js_execution_serves_every_environment_and_jit_mode() {
             assert_identical(&uncached, &cached, &format!("js {env:?} {jit:?}"));
         }
     }
-    // The JIT threshold matters only with the JIT on (two values).
+    // A record counts hotness bands, not tiers: both JIT modes and both
+    // JIT thresholds price one execution.
     let s = cache.stats();
-    assert_eq!((s.exec_misses, s.exec_hits), (3, 9));
+    assert_eq!((s.exec_misses, s.exec_hits), (1, 11));
 }
 
 #[test]

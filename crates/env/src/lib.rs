@@ -14,8 +14,9 @@
 //!   memory-accounting parameters per engine;
 //! * [`CompilerProfile`] — Cheerp vs Emscripten toolchain differences
 //!   (§4.2.2): initial linear memory, growth granularity, codegen efficiency;
-//! * [`ChargeRecord`] / [`price`] — the unpriced record of a run's
-//!   discrete events and the one function that prices it;
+//! * [`ChargeRecord`] / [`BandCounts`] / [`price`] — the unpriced record
+//!   of a run's discrete events and its retired operations per hotness
+//!   band, and the one function that prices it under a [`Tiering`];
 //! * [`calibration`] — every tuned constant, in one audited module.
 //!
 //! All numbers produced on top of this crate are **deterministic**: the same
@@ -25,6 +26,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod bands;
 pub mod calibration;
 mod compiler;
 mod cost;
@@ -35,10 +37,11 @@ mod price;
 pub mod rng;
 mod time;
 
+pub use bands::{BandCounts, Bands, Tiering};
 pub use compiler::{CompilerProfile, JsTarget, Toolchain};
 pub use cost::{ArithCounts, ArithKind, CostTable, OpClass, OpCounts, OP_CLASS_COUNT};
 pub use engine::{GcParams, JitMode, JsEngineProfile, TierParams, TierPolicy, WasmEngineProfile};
 pub use environment::{Browser, EnvProfile, Environment, Platform};
 pub use limits::{ResourceLimits, DEFAULT_MAX_CALL_DEPTH};
-pub use price::{price, Charge, ChargeRecord, EnginePrices, PriceList};
+pub use price::{price, Charge, ChargeRecord, EnginePrices, PriceList, Priced};
 pub use time::{Nanos, TimeBucket, VirtualClock};

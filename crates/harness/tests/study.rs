@@ -87,3 +87,70 @@ fn compilers_runs_both_toolchains_through_the_engine_cache() {
     // the engine's cache too.
     assert_eq!(cache.stats().misses, 2);
 }
+
+#[test]
+fn firefox_tier_policy_and_jit_off_cells_are_memo_hits_after_the_chrome_defaults() {
+    use wb_benchmarks::InputSize;
+    use wb_env::{Environment, JitMode, TierPolicy};
+    use wb_harness::Run;
+
+    static CACHE: std::sync::OnceLock<ArtifactCache> = std::sync::OnceLock::new();
+    let cache = CACHE.get_or_init(ArtifactCache::new);
+    let engine = GridEngine::with_settings(Some(cache), Some(2));
+    let kernels: Vec<_> = ["trisolv", "atax", "DFADD", "SHA"]
+        .iter()
+        .map(|n| wb_benchmarks::find(n).expect("kernel in corpus"))
+        .collect();
+    // fig9 sweeps sizes; table7 and fig10 measure at M.
+    let sizes = [InputSize::XS, InputSize::S, InputSize::M];
+    let cells = |env: Environment| {
+        let mut runs = Vec::new();
+        for b in &kernels {
+            for size in sizes {
+                let mut run = Run::new(b.clone(), size);
+                run.env = env;
+                runs.push(run);
+            }
+        }
+        runs
+    };
+
+    // The Chrome default cells (fig9_chrome, and the default columns of
+    // table7 and fig10) execute once each.
+    for run in cells(Environment::desktop_chrome()) {
+        engine.wasm(&run);
+        engine.js(&run);
+    }
+    let executed = cache.stats().exec_misses;
+    assert_eq!(executed, 2 * (kernels.len() * sizes.len()) as u64);
+
+    // fig9_firefox: every size, both backends.
+    for run in cells(Environment::desktop_firefox()) {
+        engine.wasm(&run);
+        engine.js(&run);
+    }
+    for b in &kernels {
+        let base = Run::new(b.clone(), InputSize::M);
+        // table7: the single-tier policies on Chrome and Firefox.
+        for env in [
+            Environment::desktop_chrome(),
+            Environment::desktop_firefox(),
+        ] {
+            for tier_policy in [TierPolicy::BasicOnly, TierPolicy::OptimizingOnly] {
+                let mut run = base.clone();
+                run.env = env;
+                run.tier_policy = tier_policy;
+                engine.wasm(&run);
+            }
+        }
+        // fig10: JS with the JIT off.
+        let mut run = base.clone();
+        run.jit = JitMode::Disabled;
+        engine.js(&run);
+    }
+    assert_eq!(
+        cache.stats().exec_misses,
+        executed,
+        "Firefox, single-tier and JIT-off cells price the Chrome executions"
+    );
+}

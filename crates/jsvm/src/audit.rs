@@ -23,14 +23,21 @@
 //!   the reference at every op boundary. The one permitted divergence is
 //!   step-budget batching per group (checked as a total here).
 //!
-//! Index counts are compared as symbolic `index(load|store)` events:
-//! the fused [`count_cached_index`] and the reference `count_index_op`
-//! route to `ta_counts` vs `tier_counts` by the *same* (typed, tier)
-//! predicate, and the IC guarantees the fused `typed` bit equals what the
-//! reference would recompute from the receiver.
+//! Index counts are compared as symbolic `index(load|store)` events,
+//! and their routing is audited per receiver: the fused
+//! `count_cached_index` and the reference `count_index_op` both count
+//! through `index_route`, which sends a typed-array access to
+//! `typed_band_counts[band]` and any other to `band_counts[band]` — on
+//! typedness alone, in whichever band the chunk is in; the pricing fold
+//! decides the tier. For every receiver typedness a fused form admits,
+//! the audit checks that the `typed` bit its arm passes (the IC's, which
+//! equals what the reference recomputes from the receiver, or a constant
+//! where the IC guard admits typed receivers only) routes to the counter
+//! the reference routes that receiver to.
 
 use crate::bytecode::{Chunk, Const, Op};
 use crate::fuse::{match_at, BinKind, CmpKind, FOp};
+use crate::vm::index_route;
 use wb_env::{ArithKind, OpClass};
 
 /// One audited (family, operator) instance.
@@ -57,12 +64,12 @@ pub struct FusionAuditEntry {
 /// (budget batching is the documented divergence).
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Ev {
-    /// One `tier_counts[tier].bump(class, 1)`.
+    /// One `band_counts[band].bump(class, 1)`.
     Class(OpClass),
     /// One Table 12 arithmetic-profile bump.
     Arith(ArithKind),
     /// One typed-array-aware index count (`count_index_op` /
-    /// `count_cached_index` — identical routing on (typed, tier)).
+    /// `count_cached_index`, both through `index_route`).
     Index {
         /// Whether it counts as a store.
         store: bool,
@@ -244,6 +251,38 @@ fn fused_plan(fop: &FOp, cond: bool) -> (u64, Vec<Ev>, usize) {
     (steps, evs, next)
 }
 
+/// The `typed` bit `fop`'s arm passes to `count_cached_index` for a
+/// receiver of typedness `typed`, or `None` when the form's guard falls
+/// back for such a receiver. Transcribes the `exec_fused` arms:
+/// `SetIndexIc` fast-paths typed arrays only and passes `true`; every
+/// other index form passes the IC's bit, which is the receiver's.
+fn fused_typed_bit(fop: &FOp, typed: bool) -> Option<bool> {
+    match fop {
+        FOp::SetIndexIc { .. } => typed.then_some(true),
+        _ => Some(typed),
+    }
+}
+
+/// Check that each index event of `fop`'s plan lands, for every receiver
+/// the form admits, in the counter the reference lands it in.
+fn index_routing(fop: &FOp, evs: &[Ev]) -> Result<(), String> {
+    for ev in evs {
+        let Ev::Index { store } = *ev else { continue };
+        for typed in [false, true] {
+            let Some(bit) = fused_typed_bit(fop, typed) else {
+                continue;
+            };
+            let (fused, reference) = (index_route(bit, store), index_route(typed, store));
+            if fused != reference {
+                return Err(format!(
+                    "typed={typed} receiver counts in {fused:?}, reference in {reference:?}"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Family name of a fused form (wildcard-free on purpose).
 fn family_of(fop: &FOp) -> &'static str {
     match fop {
@@ -387,6 +426,8 @@ pub fn audit_fusion_table() -> Vec<FusionAuditEntry> {
                         detail = Some("charge plans differ".into());
                     } else if exit != ref_exit {
                         detail = Some(format!("continues at {exit}, reference at {ref_exit}"));
+                    } else if let Err(e) = index_routing(&fop, &evs) {
+                        detail = Some(e);
                     }
                 }
                 (Some(fop), Ok(_)) => {
@@ -467,6 +508,20 @@ mod tests {
                 "SetIndexPopIc"
             ]
         );
+    }
+
+    #[test]
+    fn index_routing_splits_on_typedness_alone() {
+        use crate::vm::IndexCounter::{Plain, Typed};
+        assert_eq!(index_route(false, false), (Plain, OpClass::Load));
+        assert_eq!(index_route(true, false), (Typed, OpClass::Load));
+        assert_eq!(index_route(false, true), (Plain, OpClass::Store));
+        assert_eq!(index_route(true, true), (Typed, OpClass::Store));
+        // A set form whose guard admitted plain arrays while passing a
+        // constant `typed` bit would count them in the wrong set.
+        let set = FOp::SetIndexIc { ic: 0, pop: false };
+        assert!(index_routing(&set, &[Ev::Index { store: true }]).is_ok());
+        assert_eq!(fused_typed_bit(&set, false), None);
     }
 
     #[test]

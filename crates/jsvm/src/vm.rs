@@ -1,6 +1,7 @@
-//! The MiniJS virtual machine: bytecode interpreter, JIT tier model, GC
+//! The MiniJS virtual machine: bytecode interpreter, hotness bands, GC
 //! scheduling and the unpriced record of a run ([`JsRecord`]), which
-//! `wb_env::price` turns into virtual time.
+//! `wb_env::price` turns into virtual time, choosing the interpreter and
+//! JIT tiers as it goes.
 
 use crate::bytecode::{Const, Op, Program};
 use crate::error::JsError;
@@ -11,8 +12,8 @@ use crate::value::{format_number, Builtin, JsValue, Value};
 use std::collections::HashMap;
 use std::rc::Rc;
 use wb_env::{
-    ArithCounts, Charge, ChargeRecord, CostTable, EnginePrices, JitMode, JsEngineProfile, Nanos,
-    OpCounts, PriceList, VirtualClock,
+    ArithCounts, BandCounts, Bands, Charge, ChargeRecord, CostTable, EnginePrices, JitMode,
+    JsEngineProfile, Nanos, OpClass, OpCounts, PriceList, Tiering, VirtualClock,
 };
 
 /// Configuration of one JS VM.
@@ -69,51 +70,81 @@ impl JsVmConfig {
     /// `JsVm::note_hotness`); everything else only prices the run.
     pub fn projection(&self) -> JsExecProjection {
         JsExecProjection {
-            jit: self.jit,
-            jit_threshold: (self.jit == JitMode::Enabled).then_some(self.profile.jit_threshold),
-            gc_trigger_bytes: self.profile.gc.trigger_bytes,
             limits: self.limits,
             reference_exec: self.reference_exec,
+            bands: Bands::js(self.profile.jit_threshold),
+            gc_trigger_bytes: self.profile.gc.trigger_bytes,
         }
     }
 
-    /// The price side of this config.
+    /// The price side of this config: the JIT mode and threshold choose
+    /// the tiers here, not during execution.
     pub(crate) fn prices(&self) -> PriceList<'_> {
         PriceList {
             engine: EnginePrices::Js(&self.profile),
             cost: &self.cost,
             cycle_time_ns: self.cycle_time_ns,
             exec_overhead: 1.0,
+            tiering: match self.jit {
+                JitMode::Enabled => Tiering::TierUp {
+                    threshold: self.profile.jit_threshold,
+                },
+                JitMode::Disabled => Tiering::LowerOnly,
+            },
         }
     }
 }
 
 /// What execution reads of a [`JsVmConfig`]: two configs with equal
 /// projections execute a script identically and differ only in price.
+/// The JIT mode and threshold are not part of it: a run records hotness
+/// bands, and pricing turns them into interpreter and JIT tiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct JsExecProjection {
-    /// Whether the optimizing JIT is enabled.
-    pub jit: JitMode,
-    /// The JIT threshold, when the JIT is enabled.
-    pub jit_threshold: Option<u64>,
-    /// Allocation volume that triggers a collection.
-    pub gc_trigger_bytes: u64,
     /// Resource ceilings.
     pub limits: wb_env::ResourceLimits,
     /// Fused overlay and inline caches off.
     pub reference_exec: bool,
+    /// The hotness boundaries the run's op counts are banded by: every
+    /// calibrated JIT threshold plus the config's own.
+    pub bands: Bands,
+    /// Allocation volume that triggers a collection.
+    pub gc_trigger_bytes: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Tier {
-    Interp = 0,
-    Jit = 1,
-}
-
+/// Per-chunk hotness state.
 #[derive(Debug, Clone, Copy)]
-struct TierState {
-    tier: Tier,
+struct HotState {
+    /// Boundaries of the VM's bands the hotness has reached.
+    band: usize,
     hotness: u64,
+}
+
+/// The counter set an index access bumps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum IndexCounter {
+    /// The band's plain op counts.
+    Plain,
+    /// The band's typed-array counts, which the JIT prices apart.
+    Typed,
+}
+
+/// Where an index access is counted, in whichever band its chunk is in:
+/// a typed-array receiver's in the typed counts, any other receiver's
+/// with the plain ops. The inline-cache path and the reference path both
+/// route through here; the pricing fold decides the tier.
+pub(crate) fn index_route(typed: bool, is_store: bool) -> (IndexCounter, OpClass) {
+    let class = if is_store {
+        OpClass::Store
+    } else {
+        OpClass::Load
+    };
+    let counter = if typed {
+        IndexCounter::Typed
+    } else {
+        IndexCounter::Plain
+    };
+    (counter, class)
 }
 
 struct Frame {
@@ -122,23 +153,23 @@ struct Frame {
     locals_base: usize,
 }
 
-/// Everything a JS execution did, unpriced: its discrete events in
-/// order and its retired operations per tier. [`JsRecord::price`] turns
-/// it into a [`JsReport`] for any price list.
+/// Everything a JS execution did, unpriced and untiered: its discrete
+/// events in order and its retired operations per hotness band.
+/// [`JsRecord::price`] turns it into a [`JsReport`] for any price list,
+/// JIT mode and JIT threshold.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JsRecord {
-    /// Discrete events (parse, compile, allocation, GC, JIT, hashing) in
-    /// order.
+    /// Discrete events (parse, compile, allocation, GC, band crossing,
+    /// hashing) in order.
     pub charges: ChargeRecord,
-    /// Retired ops per tier: `[interpreter, JIT, JIT typed-array
-    /// accesses]`.
-    pub tier_counts: [OpCounts; 3],
+    /// Retired ops per hotness band, typed-array accesses apart, plus
+    /// the `Math.*` ops no band affects; pricing sums them into
+    /// `[interpreter, JIT, JIT typed-array accesses]` tier counts.
+    pub band_counts: BandCounts,
     /// Heap statistics (live/peak/external bytes, GC count).
     pub heap: HeapStats,
     /// Fine-grained arithmetic profile (Table 12).
     pub arith: ArithCounts,
-    /// Functions JIT-compiled.
-    pub jit_compiles: u32,
     /// Compiled bytecode size (op count).
     pub code_ops: usize,
     /// `performance.now()` calls. A run that read the clock may have
@@ -148,19 +179,19 @@ pub struct JsRecord {
 }
 
 impl JsRecord {
-    /// Price this record with `config`'s engine profile, cost table and
-    /// cycle time.
+    /// Price this record with `config`'s engine profile, cost table,
+    /// cycle time, JIT mode and JIT threshold.
     pub fn price(&self, config: &JsVmConfig) -> JsReport {
-        let clock = wb_env::price(&config.prices(), &self.charges, &self.tier_counts);
-        let [interp, jit, ta] = &self.tier_counts;
+        let priced = wb_env::price(&config.prices(), &self.charges, &self.band_counts);
+        let [interp, jit, ta] = &priced.tiers;
         JsReport {
-            total: clock.now(),
-            clock,
+            total: priced.clock.now(),
+            clock: priced.clock,
             counts: interp.merged(jit).merged(ta),
             interp_counts: *interp,
             heap: self.heap,
             arith: self.arith,
-            jit_compiles: self.jit_compiles,
+            jit_compiles: priced.tier_ups,
             code_ops: self.code_ops,
         }
     }
@@ -197,16 +228,17 @@ pub struct JsVm {
     stack: Vec<Value>,
     locals: Vec<Value>,
     frames: Vec<Frame>,
-    chunk_state: Vec<TierState>,
-    tier_counts: [OpCounts; 2],
+    chunk_state: Vec<HotState>,
+    /// Retired ops per hotness band, over the boundaries of
+    /// [`JsExecProjection::bands`]: typed-array index accesses apart
+    /// (the JIT prices them at the better `jit_typed_array_multiplier`),
+    /// and `Math.*` calls, native code priced at the JIT tier whatever
+    /// the band or JIT mode, in `native`.
+    band_counts: BandCounts,
     arith: ArithCounts,
-    /// Typed-array index accesses retired in JIT code (charged at the
-    /// better `jit_typed_array_multiplier`).
-    ta_counts: OpCounts,
     charges: ChargeRecord,
     clock_reads: u64,
     steps: u64,
-    jit_compiles: u32,
     rng: DetRng,
     /// Per-chunk fused-op overlays (see `fuse.rs`), built at load time.
     fused: Rc<Vec<FusedChunk>>,
@@ -225,6 +257,7 @@ impl JsVm {
     /// Create a VM with no script loaded.
     pub fn new(config: JsVmConfig) -> Self {
         JsVm {
+            band_counts: BandCounts::new(config.projection().bands),
             config,
             program: Rc::new(Program::default()),
             name_index: HashMap::new(),
@@ -234,13 +267,10 @@ impl JsVm {
             locals: Vec::new(),
             frames: Vec::new(),
             chunk_state: Vec::new(),
-            tier_counts: [OpCounts::new(), OpCounts::new()],
             arith: ArithCounts::default(),
-            ta_counts: OpCounts::new(),
             charges: ChargeRecord::new(),
             clock_reads: 0,
             steps: 0,
-            jit_compiles: 0,
             rng: DetRng::default(),
             fused: Rc::new(Vec::new()),
             ic_state: Vec::new(),
@@ -269,8 +299,8 @@ impl JsVm {
             .collect();
         self.globals = vec![None; program.names.len()];
         self.chunk_state = vec![
-            TierState {
-                tier: Tier::Interp,
+            HotState {
+                band: 0,
                 hotness: 0,
             };
             program.chunks.len()
@@ -339,10 +369,9 @@ impl JsVm {
     pub fn record(&self) -> JsRecord {
         JsRecord {
             charges: self.charges.clone(),
-            tier_counts: self.priced_tiers(),
+            band_counts: self.band_counts.clone(),
             heap: self.heap.stats(),
             arith: self.arith,
-            jit_compiles: self.jit_compiles,
             code_ops: self.program.op_count(),
             clock_reads: self.clock_reads,
         }
@@ -362,11 +391,6 @@ impl JsVm {
     }
 
     // ---- internals ------------------------------------------------------
-
-    /// Retired ops in the order [`JsRecord::tier_counts`] prices them.
-    fn priced_tiers(&self) -> [OpCounts; 3] {
-        [self.tier_counts[0], self.tier_counts[1], self.ta_counts]
-    }
 
     fn value_in(&mut self, v: &JsValue) -> Value {
         match v {
@@ -483,26 +507,26 @@ impl JsVm {
         Ok(())
     }
 
-    /// Bump a chunk's hotness; JIT-compile it when the threshold is
-    /// crossed (JIT enabled only).
+    /// Bump a chunk's hotness; when it reaches the next boundary of the
+    /// VM's [`Bands`] (held with its band counts), move the chunk to the
+    /// next band and record a [`Charge::BandCrossed`] marker carrying the
+    /// chunk's op count.
+    /// Pricing turns the marker at the JIT threshold into the chunk's
+    /// JIT compile and drops the others.
     ///
-    /// This and the GC trigger in `maybe_gc` are the only places
-    /// execution reads the engine profile: `jit_threshold` only when the
-    /// JIT is enabled, and `gc.trigger_bytes`. Together with the JIT
-    /// mode, the limits and `reference_exec` that is all of a config
-    /// execution depends on: [`JsVmConfig::projection`]. Every cost
-    /// parameter is applied later, by [`wb_env::price`].
+    /// Execution reads neither the JIT mode nor any threshold. The band
+    /// set and the GC trigger in `maybe_gc` are the only parts of the
+    /// engine profile it depends on; with the limits and
+    /// `reference_exec` they are all of [`JsVmConfig::projection`]. The
+    /// JIT mode, the threshold and every cost parameter are applied
+    /// later, by [`wb_env::price`].
     fn note_hotness(&mut self, chunk: usize) {
         let s = &mut self.chunk_state[chunk];
         s.hotness += 1;
-        if s.tier == Tier::Interp
-            && self.config.jit == JitMode::Enabled
-            && s.hotness >= self.config.profile.jit_threshold
-        {
-            s.tier = Tier::Jit;
-            self.jit_compiles += 1;
-            let ops = self.program.chunks[chunk].code.len() as u64;
-            self.charges.push(Charge::JitCompile { ops });
+        while let Some(boundary) = self.band_counts.bands.crossed(s.band, s.hotness) {
+            s.band += 1;
+            let size = self.program.chunks[chunk].code.len() as u64;
+            self.charges.push(Charge::BandCrossed { boundary, size });
         }
     }
 
@@ -649,7 +673,7 @@ impl JsVm {
             let frame_idx = self.frames.len() - 1;
             let chunk_idx = self.frames[frame_idx].chunk as usize;
             let chunk = &program.chunks[chunk_idx];
-            let mut tier = self.chunk_state[chunk_idx].tier;
+            let mut band = self.chunk_state[chunk_idx].band;
             let mut pc = self.frames[frame_idx].pc;
             let locals_base = self.frames[frame_idx].locals_base;
 
@@ -670,7 +694,7 @@ impl JsVm {
                 // op below replays the reference path exactly.
                 if use_fused {
                     if let Some(fop) = fused[chunk_idx].ops[pc] {
-                        if let Some(next) = self.exec_fused(fop, pc, tier, locals_base)? {
+                        if let Some(next) = self.exec_fused(fop, pc, band, locals_base)? {
                             self.dispatches[0] += 1;
                             pc = next;
                             continue;
@@ -686,7 +710,7 @@ impl JsVm {
                 // Typed-array index ops are counted inside their handler;
                 // everything else is charged here.
                 if !matches!(op, Op::GetIndex | Op::SetIndex) {
-                    self.tier_counts[tier as usize].bump(op.class(), 1);
+                    self.band_counts.ops[band].bump(op.class(), 1);
                 }
                 if let Some(kind) = op.arith() {
                     self.arith.bump(kind);
@@ -844,7 +868,7 @@ impl JsVm {
                         if *d < 0 {
                             // Loop back-edge: hotness for OSR-style tier-up.
                             self.note_hotness(chunk_idx);
-                            tier = self.chunk_state[chunk_idx].tier;
+                            band = self.chunk_state[chunk_idx].band;
                         }
                         pc = (pc as i32 + d) as usize;
                         continue;
@@ -929,14 +953,14 @@ impl JsVm {
                     Op::GetIndex => {
                         let idx = self.stack.pop().expect("compiled");
                         let obj = self.stack.pop().expect("compiled");
-                        let v = self.get_index(obj, idx, tier)?;
+                        let v = self.get_index(obj, idx, band)?;
                         self.stack.push(v);
                     }
                     Op::SetIndex => {
                         let val = self.stack.pop().expect("compiled");
                         let idx = self.stack.pop().expect("compiled");
                         let obj = self.stack.pop().expect("compiled");
-                        self.set_index(obj, idx, val, tier)?;
+                        self.set_index(obj, idx, val, band)?;
                         self.stack.push(val);
                     }
                     Op::GetMember(ni) => {
@@ -1007,7 +1031,7 @@ impl JsVm {
     ///
     /// Cost-equivalence invariant (see DESIGN.md): fast paths never
     /// allocate, never grow heap bytes and never note hotness, so GC
-    /// safe-points and the tier are identical to the reference
+    /// safe-points and the band are identical to the reference
     /// interpreter's at every op boundary. The one permitted divergence
     /// is *where* a `StepBudgetExhausted` error lands inside a group
     /// (the budget is checked once per group, not per constituent);
@@ -1016,7 +1040,7 @@ impl JsVm {
         &mut self,
         fop: FOp,
         pc: usize,
-        tier: Tier,
+        band: usize,
         locals_base: usize,
     ) -> Result<Option<usize>, JsError> {
         macro_rules! steps {
@@ -1029,7 +1053,7 @@ impl JsVm {
         }
         macro_rules! bump {
             ($class:ident, $n:expr) => {
-                self.tier_counts[tier as usize].bump(wb_env::OpClass::$class, $n)
+                self.band_counts.ops[band].bump(OpClass::$class, $n)
             };
         }
         let local = |vm: &Self, i: u16| vm.locals[locals_base + i as usize];
@@ -1040,7 +1064,7 @@ impl JsVm {
                 };
                 steps!(3);
                 bump!(Local, 2);
-                self.bump_bin(tier, op);
+                self.bump_bin(band, op);
                 self.stack.push(Value::Num(op.apply(x, y)));
                 Ok(Some(pc + 3))
             }
@@ -1050,7 +1074,7 @@ impl JsVm {
                 };
                 steps!(4);
                 bump!(Local, 2);
-                self.bump_bin(tier, op);
+                self.bump_bin(band, op);
                 bump!(Local, 1);
                 self.locals[locals_base + dst as usize] = Value::Num(op.apply(x, y));
                 Ok(Some(pc + 4))
@@ -1062,7 +1086,7 @@ impl JsVm {
                 steps!(3);
                 bump!(Local, 1);
                 bump!(Const, 1);
-                self.bump_bin(tier, op);
+                self.bump_bin(band, op);
                 self.stack.push(Value::Num(op.apply(x, c)));
                 Ok(Some(pc + 3))
             }
@@ -1073,7 +1097,7 @@ impl JsVm {
                 steps!(4);
                 bump!(Local, 1);
                 bump!(Const, 1);
-                self.bump_bin(tier, op);
+                self.bump_bin(band, op);
                 bump!(Local, 1);
                 self.locals[locals_base + dst as usize] = Value::Num(op.apply(x, c));
                 Ok(Some(pc + 4))
@@ -1092,9 +1116,9 @@ impl JsVm {
                 steps!(6);
                 bump!(Local, 1);
                 bump!(Const, 1);
-                self.bump_bin(tier, op1);
+                self.bump_bin(band, op1);
                 bump!(Const, 1);
-                self.bump_bin(tier, op2);
+                self.bump_bin(band, op2);
                 bump!(Local, 1);
                 self.locals[locals_base + dst as usize] =
                     Value::Num(op2.apply(op1.apply(x, c1), c2));
@@ -1136,7 +1160,7 @@ impl JsVm {
                 steps!(cmp_branch_steps(tail, cond));
                 bump!(Local, 2);
                 Ok(Some(self.charge_cmp_branch(
-                    tier,
+                    band,
                     cond,
                     tail,
                     pc + fop.width(),
@@ -1158,7 +1182,7 @@ impl JsVm {
                 bump!(Local, 1);
                 bump!(Const, 1);
                 Ok(Some(self.charge_cmp_branch(
-                    tier,
+                    band,
                     cond,
                     tail,
                     pc + fop.width(),
@@ -1198,16 +1222,16 @@ impl JsVm {
                 bump!(Global, 1);
                 bump!(Local, 1);
                 bump!(Const, 1);
-                self.bump_bin(tier, op1);
+                self.bump_bin(band, op1);
                 bump!(Local, 1);
-                self.bump_bin(tier, op2);
+                self.bump_bin(band, op2);
                 match element {
                     None => {
                         self.stack.push(array);
                         self.stack.push(Value::Num(index));
                     }
                     Some((v, typed)) => {
-                        self.count_cached_index(tier, typed, false);
+                        self.count_cached_index(band, typed, false);
                         self.ic_hits += 1;
                         self.stack.push(v);
                     }
@@ -1226,7 +1250,7 @@ impl JsVm {
                 };
                 steps!(3);
                 bump!(Local, 2);
-                self.count_cached_index(tier, typed, false);
+                self.count_cached_index(band, typed, false);
                 self.ic_hits += 1;
                 self.stack.push(v);
                 Ok(Some(pc + 3))
@@ -1243,7 +1267,7 @@ impl JsVm {
                     return Ok(None);
                 };
                 steps!(1);
-                self.count_cached_index(tier, typed, false);
+                self.count_cached_index(band, typed, false);
                 self.ic_hits += 1;
                 self.stack.truncate(n - 2);
                 self.stack.push(v);
@@ -1268,7 +1292,7 @@ impl JsVm {
                 }
                 let w = 1 + pop as usize;
                 steps!(w as u64);
-                self.count_cached_index(tier, true, true);
+                self.count_cached_index(band, true, true);
                 self.ic_hits += 1;
                 if i >= 0.0 && i.fract() == 0.0 {
                     let idx = i as usize;
@@ -1312,8 +1336,8 @@ impl JsVm {
 
     /// Charge class and Table 12 arithmetic for one fused binary op —
     /// the same bumps the plain loop applies for the source op.
-    fn bump_bin(&mut self, tier: Tier, op: BinKind) {
-        self.tier_counts[tier as usize].bump(op.class(), 1);
+    fn bump_bin(&mut self, band: usize, op: BinKind) {
+        self.band_counts.ops[band].bump(op.class(), 1);
         if let Some(kind) = op.arith() {
             self.arith.bump(kind);
         }
@@ -1325,18 +1349,18 @@ impl JsVm {
     /// held and `Const f; JumpIfFalse` when it did not (see `fuse.rs`).
     fn charge_cmp_branch(
         &mut self,
-        tier: Tier,
+        band: usize,
         cond: bool,
         tail: bool,
         next: usize,
         target: u32,
     ) -> usize {
-        let counts = &mut self.tier_counts[tier as usize];
-        counts.bump(wb_env::OpClass::Compare, 1);
-        counts.bump(wb_env::OpClass::Branch, 1);
+        let counts = &mut self.band_counts.ops[band];
+        counts.bump(OpClass::Compare, 1);
+        counts.bump(OpClass::Branch, 1);
         if tail {
-            counts.bump(wb_env::OpClass::Const, 1);
-            counts.bump(wb_env::OpClass::Branch, 1 + cond as u64);
+            counts.bump(OpClass::Const, 1);
+            counts.bump(OpClass::Branch, 1 + cond as u64);
         }
         if cond {
             next
@@ -1347,16 +1371,11 @@ impl JsVm {
 
     /// [`Self::count_index_op`] with the receiver's typedness taken from
     /// the inline cache instead of a heap lookup.
-    fn count_cached_index(&mut self, tier: Tier, typed: bool, is_store: bool) {
-        let class = if is_store {
-            wb_env::OpClass::Store
-        } else {
-            wb_env::OpClass::Load
-        };
-        if typed && tier == Tier::Jit {
-            self.ta_counts.bump(class, 1);
-        } else {
-            self.tier_counts[tier as usize].bump(class, 1);
+    fn count_cached_index(&mut self, band: usize, typed: bool, is_store: bool) {
+        let (counter, class) = index_route(typed, is_store);
+        match counter {
+            IndexCounter::Typed => self.band_counts.typed[band].bump(class, 1),
+            IndexCounter::Plain => self.band_counts.ops[band].bump(class, 1),
         }
     }
 
@@ -1434,23 +1453,16 @@ impl JsVm {
         (self.dispatches[0], self.dispatches[1])
     }
 
-    fn count_index_op(&mut self, tier: Tier, obj: Value, is_store: bool) {
-        let class = if is_store {
-            wb_env::OpClass::Store
-        } else {
-            wb_env::OpClass::Load
-        };
+    /// Count one index access in `band`, routed by the receiver's
+    /// typedness ([`index_route`]).
+    fn count_index_op(&mut self, band: usize, obj: Value, is_store: bool) {
         let typed = matches!(obj, Value::Ref(r)
             if matches!(self.heap.get(r), Obj::F64(_) | Obj::I32(_) | Obj::U8(_)));
-        if typed && tier == Tier::Jit {
-            self.ta_counts.bump(class, 1);
-        } else {
-            self.tier_counts[tier as usize].bump(class, 1);
-        }
+        self.count_cached_index(band, typed, is_store);
     }
 
-    fn get_index(&mut self, obj: Value, idx: Value, tier: Tier) -> Result<Value, JsError> {
-        self.count_index_op(tier, obj, false);
+    fn get_index(&mut self, obj: Value, idx: Value, band: usize) -> Result<Value, JsError> {
+        self.count_index_op(band, obj, false);
         let i = self.to_num(idx);
         let Value::Ref(r) = obj else {
             return self.type_error("cannot index a non-object");
@@ -1484,8 +1496,14 @@ impl JsVm {
         })
     }
 
-    fn set_index(&mut self, obj: Value, idx: Value, val: Value, tier: Tier) -> Result<(), JsError> {
-        self.count_index_op(tier, obj, true);
+    fn set_index(
+        &mut self,
+        obj: Value,
+        idx: Value,
+        val: Value,
+        band: usize,
+    ) -> Result<(), JsError> {
+        self.count_index_op(band, obj, true);
         let Value::Ref(r) = obj else {
             return self.type_error("cannot index a non-object");
         };
@@ -1652,8 +1670,9 @@ impl JsVm {
                     "hypot" => x.hypot(arg_num(self, 1)),
                     _ => return self.type_error(format!("Math.{name} is not a function")),
                 };
-                // Math calls execute native code: charge one float op.
-                self.tier_counts[1].bump(wb_env::OpClass::FloatDiv, 1);
+                // Math calls execute native code: charge one float op,
+                // at the JIT tier under every tiering.
+                self.band_counts.native.bump(OpClass::FloatDiv, 1);
                 Ok(MethodOutcome::Value(Value::Num(v)))
             }
             Value::Builtin(Builtin::WbHarness) => match name {
@@ -1678,9 +1697,11 @@ impl JsVm {
             Value::Builtin(Builtin::Performance) => {
                 if name == "now" {
                     self.clock_reads += 1;
-                    let clock =
-                        wb_env::price(&self.config.prices(), &self.charges, &self.priced_tiers());
-                    Ok(MethodOutcome::Value(Value::Num(clock.now().as_millis())))
+                    let priced =
+                        wb_env::price(&self.config.prices(), &self.charges, &self.band_counts);
+                    Ok(MethodOutcome::Value(Value::Num(
+                        priced.clock.now().as_millis(),
+                    )))
                 } else {
                     self.type_error(format!("performance.{name} is not a function"))
                 }

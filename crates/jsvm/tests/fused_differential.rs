@@ -113,7 +113,7 @@ fn hot_numeric_loop_matches() {
 #[test]
 fn typed_array_kernel_matches() {
     // Exercises LLGetIndex / SetIndexIc on Float64Array, including the
-    // JIT typed-array counting split (ta_counts).
+    // typed-array counting split (typed_band_counts).
     let src = "function dot(n) {\n\
                var a = new Float64Array(n);\n\
                var b = new Float64Array(n);\n\

@@ -18,7 +18,8 @@
 //!
 //! A charge plan is the sequence of observable cost events:
 //!
-//! * one op-class bump per retired constituent (`tier_counts[tier]`),
+//! * one op-class bump per retired constituent (`band_counts[band]`,
+//!   in the band the function is in when the group starts),
 //! * the Table 12 arithmetic bump for arithmetic constituents,
 //! * the position of any trap point relative to those bumps.
 //!
@@ -26,7 +27,9 @@
 //! batches a group's steps up front — the one documented divergence; see
 //! `exec.rs`). The audit also proves each family's constituents carry no
 //! `TimeBucket` charge and no hotness note (those exist only on
-//! `memory.grow`, calls and loop back-edges, none of which fuse), and
+//! `memory.grow`, calls and loop back-edges, none of which fuse), so no
+//! band crossing falls inside a group and all of a group's bumps land in
+//! the band its unfused constituents would bump, and
 //! round-trips each instance through [`match_fused`] to confirm the
 //! lowering actually produces the audited family at the audited width.
 
@@ -58,7 +61,7 @@ pub struct FusionAuditEntry {
 /// because a fused arm batches a group's budget consumption.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Ev {
-    /// One `tier_counts[tier].bump(class, 1)`.
+    /// One `band_counts[band].bump(class, 1)`.
     Class(OpClass),
     /// One Table 12 arithmetic bump.
     Arith(ArithKind),

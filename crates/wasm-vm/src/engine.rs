@@ -1,6 +1,6 @@
 //! Instance lifecycle: instantiation (decode → validate → baseline
 //! compile → memory/global/table init → start function), host-function
-//! binding, tier state, and measurement reporting.
+//! binding, hotness state, and measurement reporting.
 
 use crate::prep::PreparedModule;
 use crate::trap::Trap;
@@ -8,8 +8,8 @@ use crate::value::Value;
 use std::collections::HashMap;
 use std::sync::Arc;
 use wb_env::{
-    ArithCounts, Charge, ChargeRecord, CostTable, EnginePrices, Nanos, OpCounts, PriceList,
-    ResourceLimits, TierPolicy, VirtualClock, WasmEngineProfile,
+    ArithCounts, BandCounts, Bands, Charge, ChargeRecord, CostTable, EnginePrices, Nanos, OpCounts,
+    PriceList, ResourceLimits, TierPolicy, Tiering, VirtualClock, WasmEngineProfile,
 };
 use wb_wasm::{decode_module, validate, LinearMemory, Module, ValType};
 
@@ -74,51 +74,51 @@ impl WasmVmConfig {
     /// `Instance::note_hotness`); everything else only prices the run.
     pub fn projection(&self) -> WasmExecProjection {
         WasmExecProjection {
-            tier_policy: self.tier_policy,
-            tier_up_threshold: (self.tier_policy == TierPolicy::Default)
-                .then_some(self.profile.tier_up_threshold),
             limits: self.limits,
             reference_exec: self.reference_exec,
+            bands: Bands::wasm(self.profile.tier_up_threshold),
         }
     }
 
-    /// The price side of this config.
+    /// The price side of this config: the tier policy and the tier-up
+    /// threshold choose the tiers here, not during execution.
     pub(crate) fn prices(&self) -> PriceList<'_> {
         PriceList {
             engine: EnginePrices::Wasm(&self.profile),
             cost: &self.cost,
             cycle_time_ns: self.cycle_time_ns,
             exec_overhead: self.exec_overhead,
+            tiering: match self.tier_policy {
+                TierPolicy::Default => Tiering::TierUp {
+                    threshold: self.profile.tier_up_threshold,
+                },
+                TierPolicy::BasicOnly => Tiering::LowerOnly,
+                TierPolicy::OptimizingOnly => Tiering::UpperOnly,
+            },
         }
     }
 }
 
 /// What execution reads of a [`WasmVmConfig`]: two configs with equal
 /// projections execute a module identically and differ only in price.
+/// The tier policy and the tier-up threshold are not part of it: a run
+/// records hotness bands, and pricing turns them into tiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WasmExecProjection {
-    /// Which compilation tiers are enabled.
-    pub tier_policy: TierPolicy,
-    /// The tier-up threshold, under [`TierPolicy::Default`] only: the
-    /// other policies never tier up.
-    pub tier_up_threshold: Option<u64>,
     /// Resource ceilings.
     pub limits: ResourceLimits,
     /// Fusion-off lowering instead of fused micro-ops.
     pub reference_exec: bool,
+    /// The hotness boundaries the run's op counts are banded by: every
+    /// calibrated tier-up threshold plus the config's own.
+    pub bands: Bands,
 }
 
-/// Execution tier of a compiled function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Tier {
-    Baseline = 0,
-    Optimizing = 1,
-}
-
-/// Per-function tier state.
+/// Per-function hotness state.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FuncState {
-    pub tier: Tier,
+    /// Band boundaries the hotness has reached.
+    pub band: usize,
     pub hotness: u64,
 }
 
@@ -144,38 +144,40 @@ pub struct MemoryStats {
     pub grown_pages: u64,
 }
 
-/// Everything an execution did, unpriced: its discrete events in order
-/// and its retired operations per tier. [`ExecutionRecord::price`] turns
-/// it into an [`ExecutionReport`] for any price list.
+/// Everything an execution did, unpriced and untiered: its discrete
+/// events in order and its retired operations per hotness band.
+/// [`ExecutionRecord::price`] turns it into an [`ExecutionReport`] for
+/// any price list, tier policy and tier-up threshold.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionRecord {
-    /// Discrete events (load, compile, tier-up, grow, crossing) in order.
+    /// Discrete events (load, compile, band crossing, grow, crossing) in
+    /// order.
     pub charges: ChargeRecord,
-    /// Retired ops per tier: `[baseline, optimizing]`.
-    pub tier_counts: [OpCounts; 2],
+    /// Retired ops per hotness band; pricing sums them into
+    /// `[baseline, optimizing]` tier counts.
+    pub band_counts: BandCounts,
     /// Linear memory statistics.
     pub memory: MemoryStats,
     /// Fine-grained arithmetic profile (Table 12).
     pub arith: ArithCounts,
-    /// Functions that tiered up at runtime.
-    pub tier_ups: u32,
     /// Host-boundary crossings.
     pub context_switches: u64,
 }
 
 impl ExecutionRecord {
     /// Price this record with `config`'s engine profile, cost table,
-    /// cycle time and toolchain overhead.
+    /// cycle time, toolchain overhead, tier policy and threshold.
     pub fn price(&self, config: &WasmVmConfig) -> ExecutionReport {
-        let clock = wb_env::price(&config.prices(), &self.charges, &self.tier_counts);
+        let priced = wb_env::price(&config.prices(), &self.charges, &self.band_counts);
+        let [baseline, optimizing, _] = priced.tiers;
         ExecutionReport {
-            total: clock.now(),
-            clock,
-            counts: self.tier_counts[0].merged(&self.tier_counts[1]),
-            baseline_counts: self.tier_counts[0],
+            total: priced.clock.now(),
+            clock: priced.clock,
+            counts: baseline.merged(&optimizing),
+            baseline_counts: baseline,
             memory: self.memory,
             arith: self.arith,
-            tier_ups: self.tier_ups,
+            tier_ups: priced.tier_ups,
             context_switches: self.context_switches,
         }
     }
@@ -211,21 +213,21 @@ pub struct Instance {
     pub(crate) table: Vec<Option<u32>>,
     pub(crate) func_state: Vec<FuncState>,
     pub(crate) hostfns: HashMap<String, HostFn>,
-    /// Retired ops per tier: `[baseline, optimizing]`.
-    pub(crate) tier_counts: [OpCounts; 2],
+    /// Retired ops per hotness band, over the boundaries of
+    /// [`WasmExecProjection::bands`].
+    pub(crate) band_counts: BandCounts,
     pub(crate) arith: ArithCounts,
     pub(crate) charges: ChargeRecord,
     pub(crate) steps: u64,
-    pub(crate) tier_ups: u32,
     pub(crate) context_switches: u64,
     /// Console output produced through host functions.
     pub output: Vec<String>,
 }
 
 impl Instance {
-    /// Instantiate from a binary, charging decode + validate + baseline
-    /// (or optimizing, per policy) compile costs — the Wasm "load" phase
-    /// the paper contrasts with JS parsing (§2.2.2).
+    /// Instantiate from a binary, charging decode + validate + initial
+    /// compile costs (baseline or optimizing, chosen at pricing) — the
+    /// Wasm "load" phase the paper contrasts with JS parsing (§2.2.2).
     pub fn instantiate(
         bytes: &[u8],
         config: WasmVmConfig,
@@ -261,7 +263,6 @@ impl Instance {
         });
         inst.charge(Charge::WasmCompile {
             units: inst.prepared.module.instr_count() as u64,
-            optimizing: inst.config.tier_policy == TierPolicy::OptimizingOnly,
         });
         inst.run_start()?;
         Ok(inst)
@@ -329,13 +330,9 @@ impl Instance {
                 table[start + i] = Some(*f);
             }
         }
-        let initial_tier = match config.tier_policy {
-            TierPolicy::OptimizingOnly => Tier::Optimizing,
-            _ => Tier::Baseline,
-        };
         let func_state = vec![
             FuncState {
-                tier: initial_tier,
+                band: 0,
                 hotness: 0,
             };
             module.functions.len()
@@ -345,6 +342,7 @@ impl Instance {
             mem.write(d.offset as u64, &d.bytes)
                 .map_err(|_| Trap::DataSegmentOutOfBounds)?;
         }
+        let band_counts = BandCounts::new(config.projection().bands);
         Ok(Instance {
             prepared,
             config,
@@ -353,11 +351,10 @@ impl Instance {
             table,
             func_state,
             hostfns,
-            tier_counts: [OpCounts::new(), OpCounts::new()],
+            band_counts,
             arith: ArithCounts::default(),
             charges: ChargeRecord::new(),
             steps: 0,
-            tier_ups: 0,
             context_switches: 0,
             output: Vec::new(),
         })
@@ -445,10 +442,9 @@ impl Instance {
         };
         ExecutionRecord {
             charges: self.charges.clone(),
-            tier_counts: self.tier_counts,
+            band_counts: self.band_counts.clone(),
             memory,
             arith: self.arith,
-            tier_ups: self.tier_ups,
             context_switches: self.context_switches,
         }
     }

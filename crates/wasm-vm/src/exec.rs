@@ -1,22 +1,22 @@
 //! The execution core: the one dispatch loop of the Wasm VM. It
 //! interprets the [`Mop`](crate::fuse::Mop) stream produced by `fuse.rs`
 //! over an **untagged `u64` operand stack** and untagged locals, with
-//! full MVP semantics, per-instruction cost accounting and
-//! hotness-driven tier-up.
+//! full MVP semantics, per-instruction cost accounting per hotness
+//! band.
 //!
 //! The stream is fused by default and one singleton op per instruction
 //! under `reference_exec`. Cost-equivalence contract (checked by the
 //! fusion-on vs fusion-off differential tests and the static audit): a
 //! fused arm bumps, for every retired constituent instruction, the same
-//! `(tier, OpClass)` counter and the same Table 12 arithmetic counter,
-//! in the same order relative to traps and tier-up points, as the
+//! `(band, OpClass)` counter and the same Table 12 arithmetic counter,
+//! in the same order relative to traps and band crossings, as the
 //! constituents' singleton arms. Values ↔ bits conversion happens only
 //! at call, host and invoke boundaries, where tagged [`Value`]s are the
 //! interface type. The only permitted divergence is *where inside a fused
 //! group* a step-budget exhaustion is detected (the budget is consumed in
 //! one batch); budget-trapped runs are never measured.
 
-use crate::engine::{Instance, Tier};
+use crate::engine::Instance;
 use crate::fuse::{bits_to_value, value_bits, LoadKind, Mop, StoreKind};
 use crate::prep::NO_PC;
 use crate::trap::Trap;
@@ -59,7 +59,7 @@ impl Instance {
         let mut ctrl: Vec<FCtrl> = Vec::with_capacity(8);
         let code = &lowered.code;
         let mut pc = 0usize;
-        let mut tier = self.func_state[def_index].tier;
+        let mut band = self.func_state[def_index].band;
 
         macro_rules! pop {
             () => {
@@ -75,10 +75,10 @@ impl Instance {
                 }
             };
         }
-        // Charge `$n` retired ops of class `$c` at the current tier.
+        // Charge `$n` retired ops of class `$c` in the current band.
         macro_rules! bump {
             ($c:expr, $n:expr) => {
-                self.tier_counts[tier as usize].bump($c, $n)
+                self.band_counts.ops[band].bump($c, $n)
             };
         }
         // Charge a binop constituent: its class plus its Table 12 kind.
@@ -92,7 +92,7 @@ impl Instance {
         }
         macro_rules! branch_to {
             ($d:expr) => {{
-                pc = Self::take_branch(self, &mut ctrl, &mut stack, $d, def_index, &mut tier);
+                pc = Self::take_branch(self, &mut ctrl, &mut stack, $d, def_index, &mut band);
                 continue;
             }};
         }
@@ -224,8 +224,9 @@ impl Instance {
                     if let Some(v) = r {
                         stack.push(value_bits(v));
                     }
-                    // Tier may have changed while we were away (recursion).
-                    tier = self.func_state[def_index].tier;
+                    // The band may have changed while we were away
+                    // (recursion).
+                    band = self.func_state[def_index].band;
                 }
                 Mop::CallIndirect(type_index) => {
                     steps!(1);
@@ -259,7 +260,7 @@ impl Instance {
                     if let Some(v) = r {
                         stack.push(value_bits(v));
                     }
-                    tier = self.func_state[def_index].tier;
+                    band = self.func_state[def_index].band;
                 }
 
                 // ---- singleton data ops --------------------------------
@@ -518,18 +519,19 @@ impl Instance {
         stack: &mut Vec<u64>,
         d: u32,
         def_index: usize,
-        tier: &mut Tier,
+        band: &mut usize,
     ) -> usize {
         let target_idx = ctrl.len() - 1 - d as usize;
         let target = &ctrl[target_idx];
         if target.is_loop {
-            // Back-edge: loop hotness drives tier-up (OSR-style).
+            // Back-edge: loop hotness moves the band (tier-up is
+            // OSR-style).
             let restart = target.restart as usize;
             let height = target.height;
             ctrl.truncate(target_idx + 1);
             stack.truncate(height);
             self.note_hotness(def_index, 1);
-            *tier = self.func_state[def_index].tier;
+            *band = self.func_state[def_index].band;
             restart
         } else {
             let arity = target.arity;

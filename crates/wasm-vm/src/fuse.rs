@@ -25,12 +25,12 @@
 //! ## Cost equivalence
 //!
 //! A fused op charges the **exact same virtual-cost sequence** as its
-//! unfused constituents' singleton ops: the same per-tier op-class bumps
+//! unfused constituents' singleton ops: the same per-band op-class bumps
 //! (in the same order relative to any trap), the same Table 12
-//! arithmetic counts, and the same step-budget consumption. Tier-up can
-//! only happen at function entry and taken loop back-edges, and no fused
-//! group spans either, so every constituent is charged at the tier the
-//! unfused stream would have used. See `DESIGN.md` §7.
+//! arithmetic counts, and the same step-budget consumption. A band
+//! crossing can only happen at function entry and taken loop back-edges,
+//! and no fused group spans either, so every constituent is charged in
+//! the band the unfused stream would have used. See `DESIGN.md` §7.
 
 use crate::classify::{arith_kind, can_trap, classify, ArithKind};
 use crate::prep::{SideTable, NO_PC};

@@ -1,13 +1,13 @@
-//! The call path and tier state: the call sequence into the one dispatch
-//! loop in `exec.rs`, host-function crossings, hotness-driven tier-up,
+//! The call path and hotness state: the call sequence into the one
+//! dispatch loop in `exec.rs`, host-function crossings, hotness bands,
 //! and the numeric helpers (Wasm `min`/`max`, trapping float-to-int
 //! truncation) behind the lifted operators in `fuse.rs`.
 
 use crate::classify::ArithKind;
-use crate::engine::{HostCtx, Instance, Tier};
+use crate::engine::{HostCtx, Instance};
 use crate::trap::Trap;
 use crate::value::Value;
-use wb_env::{Charge, TierPolicy};
+use wb_env::Charge;
 
 impl Instance {
     /// Execute defined-or-imported function `func_index` with `args`. A
@@ -42,27 +42,25 @@ impl Instance {
         self.arith.bump(kind);
     }
 
-    /// Bump a function's hotness; tier up when the threshold is crossed
-    /// (Default policy only). Records the optimizing compile of the
-    /// function at the moment of tier-up, as browsers do at runtime.
+    /// Bump a function's hotness; when it reaches the next boundary of
+    /// the instance's [`wb_env::Bands`] (held with its band counts), move
+    /// the function to the next band and record a [`Charge::BandCrossed`]
+    /// marker carrying the function's size. Pricing turns the marker at the tier-up
+    /// threshold into the optimizing compile at the moment of tier-up,
+    /// as browsers do at runtime, and drops the others.
     ///
-    /// This and the initial tier choice are the only places execution
-    /// reads the engine profile, and only `tier_up_threshold` under
-    /// [`TierPolicy::Default`]. Together with the tier policy, the
-    /// limits and `reference_exec` that is all of a config execution
-    /// depends on: [`crate::WasmVmConfig::projection`]. Every cost
-    /// parameter is applied later, by [`wb_env::price`].
+    /// Execution reads neither the tier policy nor any threshold: only
+    /// the band set, the limits and `reference_exec`, which is all of
+    /// [`crate::WasmVmConfig::projection`]. The tier policy, the
+    /// threshold and every cost parameter are applied later, by
+    /// [`wb_env::price`].
     pub(crate) fn note_hotness(&mut self, def_index: usize, amount: u64) {
         let state = &mut self.func_state[def_index];
         state.hotness += amount;
-        if state.tier == Tier::Baseline
-            && self.config.tier_policy == TierPolicy::Default
-            && state.hotness >= self.config.profile.tier_up_threshold
-        {
-            state.tier = Tier::Optimizing;
-            self.tier_ups += 1;
-            let units = self.prepared.module.functions[def_index].body.len() as u64;
-            self.charge(Charge::WasmTierUp { units });
+        while let Some(boundary) = self.band_counts.bands.crossed(state.band, state.hotness) {
+            state.band += 1;
+            let size = self.prepared.module.functions[def_index].body.len() as u64;
+            self.charges.push(Charge::BandCrossed { boundary, size });
         }
     }
 

@@ -2,11 +2,12 @@
 //!
 //! Executes modules from `wb-wasm` with full MVP semantics (traps, two's
 //! complement arithmetic, IEEE floats, bounds-checked linear memory) while
-//! counting every retired instruction per tier in the shared taxonomy
-//! from `wb-env` and recording every discrete event (load, compile,
-//! tier-up, grow, crossing) unpriced; `wb_env::price` turns that
-//! [`ExecutionRecord`] into virtual time. The VM mirrors the two-tier
-//! structure of the browser engines in the paper (§4.4):
+//! counting every retired instruction per hotness band in the shared
+//! taxonomy from `wb-env` and recording every discrete event (load,
+//! compile, band crossing, grow, crossing) unpriced; `wb_env::price`
+//! turns that [`ExecutionRecord`] into virtual time, choosing the tiers
+//! as it goes. The priced run mirrors the two-tier structure of the
+//! browser engines in the paper (§4.4):
 //!
 //! * at instantiation every function is compiled by the **baseline** tier
 //!   (cheap compile, slower code — "Liftoff"/"Baseline");

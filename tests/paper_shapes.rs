@@ -2,11 +2,40 @@
 //! hold on a representative slice of the corpus. The full-grid numbers
 //! live in EXPERIMENTS.md; these tests keep the shapes from regressing.
 
+use std::sync::OnceLock;
 use wasmbench::benchmarks::{suite, InputSize};
 use wasmbench::core::stats::geomean;
-use wasmbench::core::{run_compiled_js, run_native, run_wasm, JsSpec, WasmSpec};
+use wasmbench::core::{
+    run_compiled_js_with, run_native_with, run_wasm_with, ArtifactCache, JsSpec, Measurement,
+    RunError, WasmSpec,
+};
 use wasmbench::env::{Browser, Environment, JitMode, Platform, TierPolicy, Toolchain};
 use wasmbench::minic::OptLevel;
+
+/// One artifact cache and execution memo for the whole binary, so the
+/// Chrome/Firefox, JIT on/off, tier-policy and six-environment
+/// comparisons price shared executions instead of running again.
+fn cache() -> &'static ArtifactCache {
+    static CACHE: OnceLock<ArtifactCache> = OnceLock::new();
+    CACHE.get_or_init(ArtifactCache::new)
+}
+
+fn run_wasm(spec: &WasmSpec<'_>) -> Result<Measurement, RunError> {
+    run_wasm_with(spec, Some(cache()))
+}
+
+fn run_compiled_js(spec: &JsSpec<'_>) -> Result<Measurement, RunError> {
+    run_compiled_js_with(spec, Some(cache()))
+}
+
+fn run_native(
+    source: &str,
+    defines: &[(String, String)],
+    level: OptLevel,
+    entry: &str,
+) -> Result<Measurement, RunError> {
+    run_native_with(source, defines, level, entry, Some(cache()))
+}
 
 fn reps() -> Vec<wasmbench::benchmarks::Benchmark> {
     [
