@@ -30,7 +30,7 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, TryLockError};
 use wb_env::Toolchain;
 use wb_jsvm::{JsExecProjection, JsRecord};
 use wb_minic::backend::native::NativeProgram;
@@ -162,8 +162,9 @@ pub(crate) struct RecordedJs {
 }
 
 /// One cache slot. The per-key mutex serializes *building* that key
-/// across workers — the second worker blocks until the first finishes,
-/// then takes the hit — while the outer map lock is only held long enough
+/// across workers: a worker that looks the key up while another builds
+/// it blocks until the build is done, then takes the hit (counted in
+/// [`CacheStats::waits`]). The outer map lock is only held long enough
 /// to fetch the slot.
 struct Slot<T> {
     filled: Mutex<Option<Arc<T>>>,
@@ -179,12 +180,14 @@ impl<T> Slot<T> {
 
 struct KeyedCache<K, T> {
     slots: Mutex<HashMap<K, Arc<Slot<T>>>>,
+    waits: AtomicU64,
 }
 
 impl<K: Eq + Hash, T> KeyedCache<K, T> {
     fn new() -> Self {
         KeyedCache {
             slots: Mutex::new(HashMap::new()),
+            waits: AtomicU64::new(0),
         }
     }
 
@@ -202,7 +205,14 @@ impl<K: Eq + Hash, T> KeyedCache<K, T> {
             let mut map = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
             Arc::clone(map.entry(key).or_insert_with(|| Arc::new(Slot::new())))
         };
-        let mut filled = slot.filled.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut filled = match slot.filled.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => {
+                self.waits.fetch_add(1, Ordering::Relaxed);
+                slot.filled.lock().unwrap_or_else(PoisonError::into_inner)
+            }
+        };
         if let Some(v) = filled.as_ref() {
             return Ok((Arc::clone(v), true));
         }
@@ -233,6 +243,9 @@ pub struct CacheStats {
     pub exec_hits: u64,
     /// Runs that executed (whether or not the memo kept the result).
     pub exec_misses: u64,
+    /// Lookups, of an artifact or an execution, that found their slot
+    /// held by another worker's build and blocked until it was done.
+    pub waits: u64,
 }
 
 impl CacheStats {
@@ -381,6 +394,11 @@ impl ArtifactCache {
             bytes_saved: self.bytes_saved.load(Ordering::Relaxed),
             exec_hits: self.exec_hits.load(Ordering::Relaxed),
             exec_misses: self.exec_misses.load(Ordering::Relaxed),
+            waits: self.wasm.waits.load(Ordering::Relaxed)
+                + self.js.waits.load(Ordering::Relaxed)
+                + self.native.waits.load(Ordering::Relaxed)
+                + self.wasm_runs.waits.load(Ordering::Relaxed)
+                + self.js_runs.waits.load(Ordering::Relaxed),
         }
     }
 }
@@ -587,5 +605,40 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.misses, 1);
         assert_eq!(s.hits, 7);
+    }
+
+    #[test]
+    fn a_lookup_of_a_slot_under_construction_counts_one_wait() {
+        let cache = ArtifactCache::new();
+        let k = key("int w;", &[], OptLevel::O2, Toolchain::Cheerp);
+        let building = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                cache
+                    .js(k, || -> Result<CachedJs, ()> {
+                        building.wait();
+                        // Hold the slot until the other lookup has found
+                        // it taken (bounded, so a lost count fails below
+                        // instead of hanging).
+                        let deadline =
+                            std::time::Instant::now() + std::time::Duration::from_secs(10);
+                        while cache.stats().waits == 0 && std::time::Instant::now() < deadline {
+                            std::thread::yield_now();
+                        }
+                        Ok(CachedJs { source: "w".into() })
+                    })
+                    .unwrap();
+            });
+            scope.spawn(|| {
+                building.wait();
+                cache
+                    .js(k, || -> Result<CachedJs, ()> {
+                        unreachable!("the other thread builds this key")
+                    })
+                    .unwrap();
+            });
+        });
+        let s = cache.stats();
+        assert_eq!((s.misses, s.hits, s.waits), (1, 1, 1));
     }
 }

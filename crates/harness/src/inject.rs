@@ -331,9 +331,9 @@ fn stack_exhaustion() -> InjectReport {
 }
 
 /// Fault family `panic`: panics forced inside grid worker cells. The
-/// pool must drain every item (no FIFO wedging), surface each panic as
-/// that cell's `Err`, and the grid engine must quarantine a failing
-/// cell while healthy cells still produce measurements.
+/// pool must run every item (a panic stalls no worker's share), surface
+/// each panic as that cell's `Err`, and the grid engine must quarantine
+/// a failing cell while healthy cells still produce measurements.
 fn forced_panics() -> InjectReport {
     let mut report = InjectReport::new("panic");
     // The injected panics are all caught, but the default hook would

@@ -46,7 +46,7 @@
 pub mod inject;
 pub mod study;
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -189,9 +189,9 @@ impl Cli {
 /// Run a closure per item on a scoped thread pool, preserving order.
 /// The VMs are single-threaded; each worker builds its own.
 ///
-/// Ordering guarantee: workers claim items strictly front-to-back
-/// (FIFO), and the result vector is returned in input order regardless
-/// of which worker finished when.
+/// Ordering guarantee: the result vector is returned in input order
+/// regardless of which worker finished when. With one worker the items
+/// also run in input order.
 pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -201,10 +201,12 @@ where
     parallel_map_jobs(items, None, f)
 }
 
-/// [`parallel_map`] with an explicit worker bound (`--jobs N`). Workers
-/// drain the queue front-to-first (FIFO), so cells are claimed in grid
-/// order — the first wave of workers hits each distinct compile key
-/// early, which maximizes artifact-cache sharing for everyone behind it.
+/// [`parallel_map`] with an explicit worker bound (`--jobs N`). Worker
+/// `w` of `k` owns the contiguous share `[w·n/k, (w+1)·n/k)` of the `n`
+/// items and claims it front to back; a worker whose share runs out
+/// takes the back half of the largest share left. Study grids are
+/// kernel-major, so workers start on different kernels and rarely wait
+/// on one another's build of the same cache slot.
 ///
 /// A panicking cell does **not** wedge the pool: every other item still
 /// runs to completion, and only then is the first panic re-raised on the
@@ -225,9 +227,9 @@ where
 }
 
 /// [`parallel_map_jobs`], but a panicking cell yields `Err(message)`
-/// instead of killing its worker thread: the pool keeps draining the
-/// queue and every input produces an output. This is the isolation
-/// boundary the grid engine's graceful-degradation mode is built on.
+/// instead of killing its worker thread: the pool keeps claiming items
+/// and every input produces an output. This is the isolation boundary
+/// the grid engine's graceful-degradation mode is built on.
 pub fn parallel_map_catch<T, R, F>(
     items: Vec<T>,
     jobs: Option<usize>,
@@ -242,38 +244,81 @@ where
         .map(|n| n.get())
         .unwrap_or(4);
     let n_threads = jobs.unwrap_or(cores).max(1).min(items.len().max(1));
-    let items: VecDeque<(usize, T)> = items.into_iter().enumerate().collect();
-    let queue = std::sync::Mutex::new(items);
-    let results = std::sync::Mutex::new(Vec::<(usize, Result<R, String>)>::new());
-    std::thread::scope(|scope| {
-        for _ in 0..n_threads {
-            scope.spawn(|| loop {
-                // Recover from a queue lock poisoned by a panic that
-                // escaped `catch_unwind` (e.g. a panic while unwinding):
-                // the remaining items must still drain.
-                let item = queue
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .pop_front();
-                match item {
-                    Some((i, t)) => {
+    let unclaimed = Mutex::new((
+        Shares::new(items.len(), n_threads),
+        items.into_iter().map(Some).collect::<Vec<_>>(),
+    ));
+    let mut out: Vec<(usize, Result<R, String>)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..n_threads)
+            .map(|worker| {
+                let (unclaimed, f) = (&unclaimed, &f);
+                scope.spawn(move || {
+                    // Recover from a lock poisoned by a panic that escaped
+                    // `catch_unwind` (e.g. a panic while unwinding): no user
+                    // code runs under the lock, so its data stays valid and
+                    // the remaining items must still run.
+                    let claim = || {
+                        let mut guard = unclaimed
+                            .lock()
+                            .unwrap_or_else(|poisoned| poisoned.into_inner());
+                        let (shares, items) = &mut *guard;
+                        let i = shares.claim(worker)?;
+                        let t = items[i].take().expect("Shares hands out each index once");
+                        Some((i, t))
+                    };
+                    let mut done = Vec::new();
+                    while let Some((i, t)) = claim() {
                         let r = std::panic::catch_unwind(AssertUnwindSafe(|| f(t)))
                             .map_err(panic_message);
-                        results
-                            .lock()
-                            .unwrap_or_else(|poisoned| poisoned.into_inner())
-                            .push((i, r));
+                        done.push((i, r));
                     }
-                    None => break,
-                }
-            });
-        }
+                    done
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     });
-    let mut out = results
-        .into_inner()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
     out.sort_by_key(|(i, _)| *i);
     out.into_iter().map(|(_, r)| r).collect()
+}
+
+/// Which item indices of a [`parallel_map_catch`] call each worker has
+/// yet to claim: one contiguous range per worker.
+///
+/// Worker `w` of `k` starts with `[w·n/k, (w+1)·n/k)` and claims it front
+/// to back. A worker whose range is empty takes the back half of the
+/// largest range left (rounded up, so a last item is taken too). Every
+/// range stays contiguous, so a worker keeps to neighbouring cells, and
+/// the worker it took from keeps the front it is working through.
+struct Shares {
+    left: Vec<std::ops::Range<usize>>,
+}
+
+impl Shares {
+    fn new(n: usize, workers: usize) -> Self {
+        Shares {
+            left: (0..workers)
+                .map(|w| w * n / workers..(w + 1) * n / workers)
+                .collect(),
+        }
+    }
+
+    /// The next index for `worker`, or `None` once every index is
+    /// claimed.
+    fn claim(&mut self, worker: usize) -> Option<usize> {
+        if self.left[worker].is_empty() {
+            let largest = (0..self.left.len()).max_by_key(|&w| self.left[w].len())?;
+            let victim = &mut self.left[largest];
+            let mid = victim.start + victim.len() / 2;
+            let stolen = mid..victim.end;
+            victim.end = mid;
+            self.left[worker] = stolen;
+        }
+        self.left[worker].next()
+    }
 }
 
 /// The shared execution engine behind every study entry: one
@@ -284,8 +329,8 @@ where
 /// Flags: `--no-cache` disables artifact sharing and the execution memo
 /// (each cell compiles and executes from scratch — the measured virtual
 /// numbers are bit-identical either way), `--jobs N` caps worker
-/// threads, `--stats` prints cache hit/miss/bytes-saved and execution
-/// memo counters to stderr at the end.
+/// threads, `--stats` prints cache hit/miss/bytes-saved, execution
+/// memo and slot-wait counters to stderr at the end.
 pub struct GridEngine {
     cache: Option<&'static ArtifactCache>,
     jobs: Option<usize>,
@@ -294,7 +339,6 @@ pub struct GridEngine {
     keep_going: bool,
     retries: u32,
     failures: Mutex<Vec<CellFailure>>,
-    quarantine: Mutex<HashSet<String>>,
 }
 
 /// One failed grid cell, as recorded on the engine's quarantine list and
@@ -337,7 +381,6 @@ impl GridEngine {
             keep_going: cli.keep_going(),
             retries: cli.retries(),
             failures: Mutex::new(Vec::new()),
-            quarantine: Mutex::new(HashSet::new()),
         }
     }
 
@@ -352,7 +395,6 @@ impl GridEngine {
             keep_going: false,
             retries: 1,
             failures: Mutex::new(Vec::new()),
-            quarantine: Mutex::new(HashSet::new()),
         }
     }
 
@@ -371,8 +413,9 @@ impl GridEngine {
         self
     }
 
-    /// Map the grid over the worker pool (order-preserving, FIFO,
-    /// bounded by `--jobs`).
+    /// Map the grid over the worker pool ([`parallel_map_jobs`]: results
+    /// in input order, each worker on its own contiguous share of the
+    /// cells, bounded by `--jobs`).
     pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
@@ -468,26 +511,23 @@ impl GridEngine {
     }
 
     /// Put a spent cell on the quarantine list (deduplicated by its
-    /// [`Run::cell_label`]).
+    /// [`Run::cell_label`] and kept sorted by it, so the list does not
+    /// depend on which worker finished first).
     fn record_failure(&self, label: &str, failure: &RunFailure, attempts: u32) {
-        let mut quarantine = self
-            .quarantine
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if !quarantine.insert(label.to_string()) {
+        let mut failures = self.failures();
+        let Err(at) = failures.binary_search_by(|f| f.cell.as_str().cmp(label)) else {
             return; // already quarantined; don't double-report
-        }
-        drop(quarantine);
-        self.failures
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .push(CellFailure {
+        };
+        failures.insert(
+            at,
+            CellFailure {
                 cell: label.to_string(),
                 kind: failure.error.kind(),
                 message: failure.error.to_string(),
                 partial_time: failure.partial.as_ref().map(|m| m.time),
                 attempts,
-            });
+            },
+        );
     }
 
     /// Strict-vs-keep-going policy for the infallible cell methods.
@@ -514,7 +554,8 @@ impl GridEngine {
         }
     }
 
-    /// The quarantine list: every cell that exhausted its attempts.
+    /// The quarantine list: every cell that exhausted its attempts,
+    /// sorted by [`Run::cell_label`].
     pub fn failures(&self) -> std::sync::MutexGuard<'_, Vec<CellFailure>> {
         self.failures
             .lock()
@@ -527,9 +568,9 @@ impl GridEngine {
     }
 
     /// Write the partial-results annex `<name>_failures.csv` (one row
-    /// per quarantined cell) when any cell failed, and print the
-    /// quarantine summary. No file is written on a clean grid, so
-    /// default runs produce byte-identical `results/` trees.
+    /// per quarantined cell, sorted by cell label) when any cell failed,
+    /// and print the quarantine summary. No file is written on a clean
+    /// grid, so default runs produce byte-identical `results/` trees.
     pub fn emit_failures(&self, cli: &Cli, name: &str) {
         let failures = self.failures();
         if failures.is_empty() {
@@ -593,8 +634,8 @@ impl GridEngine {
                     s.bytes_saved
                 );
                 eprintln!(
-                    "[cache] executions: {} memo hits / {} executed",
-                    s.exec_hits, s.exec_misses
+                    "[cache] executions: {} memo hits / {} executed, {} waits",
+                    s.exec_hits, s.exec_misses, s.waits
                 );
             }
             None => eprintln!("[cache] disabled (--no-cache)"),
@@ -783,5 +824,76 @@ impl Run {
             self.limits,
             cache,
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Shares;
+
+    #[test]
+    fn initial_shares_are_contiguous_and_cover_every_index() {
+        for n in 0..64 {
+            for k in 1..8 {
+                let left = Shares::new(n, k).left;
+                assert_eq!(left.len(), k);
+                assert_eq!(left[0].start, 0, "n={n} k={k}");
+                assert_eq!(left[k - 1].end, n, "n={n} k={k}");
+                for pair in left.windows(2) {
+                    assert_eq!(pair[0].end, pair[1].start, "n={n} k={k}");
+                }
+                let lens: Vec<usize> = left.iter().map(|r| r.len()).collect();
+                let (lo, hi) = (lens.iter().min(), lens.iter().max());
+                assert!(hi.zip(lo).is_some_and(|(hi, lo)| hi - lo <= 1), "{lens:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_idle_worker_takes_the_back_half_of_the_largest_share() {
+        let mut shares = Shares::new(10, 3);
+        assert_eq!(shares.left, [0..3, 3..6, 6..10]);
+        assert_eq!(shares.claim(1), Some(3));
+        assert_eq!(
+            (0..3).map(|_| shares.claim(0)).collect::<Vec<_>>(),
+            [Some(0), Some(1), Some(2)]
+        );
+        // Worker 0 is out: worker 2's 6..10 is the largest share left.
+        assert_eq!(shares.claim(0), Some(8));
+        assert_eq!(shares.left, [9..10, 4..6, 6..8]);
+        // An odd share gives up its larger back half; a last item goes too.
+        let mut shares = Shares::new(3, 2);
+        assert_eq!(shares.left, [0..1, 1..3]);
+        assert_eq!(shares.claim(0), Some(0));
+        assert_eq!(shares.claim(0), Some(2));
+        assert_eq!(shares.left, [3..3, 1..2]);
+        assert_eq!(shares.claim(0), Some(1));
+        assert_eq!(shares.claim(1), None);
+    }
+
+    #[test]
+    fn every_index_is_claimed_exactly_once() {
+        // Three claim schedules: round-robin, one worker three times as
+        // often as the rest, and one worker alone until it runs dry.
+        let schedules: [fn(usize, usize) -> usize; 3] = [
+            |step, k| step % k,
+            |step, k| if step % 4 == 3 { step / 4 % k } else { 0 },
+            |_, k| k - 1,
+        ];
+        for n in 0..64 {
+            for k in 1..8 {
+                for schedule in schedules {
+                    let mut shares = Shares::new(n, k);
+                    let mut claimed = vec![0u32; n];
+                    let mut step = 0;
+                    while let Some(i) = shares.claim(schedule(step, k)) {
+                        claimed[i] += 1;
+                        step += 1;
+                    }
+                    assert!(claimed.iter().all(|&c| c == 1), "n={n} k={k}");
+                    assert!((0..k).all(|w| shares.claim(w).is_none()), "n={n} k={k}");
+                }
+            }
+        }
     }
 }

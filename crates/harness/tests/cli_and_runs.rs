@@ -91,7 +91,7 @@ fn parallel_map_handles_empty_and_single_item() {
 
 #[test]
 fn parallel_map_with_one_job_runs_in_submission_order() {
-    // With a single worker the FIFO queue fixes the execution order, not
+    // With a single worker its one share fixes the execution order, not
     // just the output order.
     let executed = std::sync::Mutex::new(Vec::new());
     let out = parallel_map_jobs((0..50).collect(), Some(1), |x: u32| {
@@ -176,6 +176,40 @@ fn failures_of_cells_that_differ_only_in_environment_stay_apart() {
     assert_eq!(rows.len(), 2, "{csv}");
     assert!(rows.iter().any(|r| r.contains("Desktop Chrome")), "{csv}");
     assert!(rows.iter().any(|r| r.contains("Desktop Firefox")), "{csv}");
+}
+
+#[test]
+fn the_quarantine_annex_lists_failed_cells_in_cell_order() {
+    // The first cell burns a large fuel budget before it fails, the
+    // second fails at once: on two workers the second finishes first.
+    let b = wb_benchmarks::find("gemm").expect("gemm in corpus");
+    let cells: Vec<Run> = [
+        (Environment::desktop_chrome(), 5_000_000),
+        (Environment::desktop_firefox(), 10),
+    ]
+    .into_iter()
+    .map(|(env, fuel)| {
+        let mut run = Run::new(b.clone(), InputSize::L);
+        run.env = env;
+        run.limits = ResourceLimits::default().with_fuel(fuel);
+        run
+    })
+    .collect();
+    for attempt in 0..3 {
+        let engine = GridEngine::with_settings(None, Some(2)).with_keep_going();
+        engine.map(cells.clone(), |c| engine.wasm(&c));
+        let out =
+            std::env::temp_dir().join(format!("wb-failure-order-{}-{attempt}", std::process::id()));
+        let cli = Cli::from_args(["--out", out.to_str().unwrap()]);
+        engine.emit_failures(&cli, "order");
+        let csv = std::fs::read_to_string(out.join("order_failures.csv")).unwrap();
+        std::fs::remove_dir_all(&out).unwrap();
+        let rows: Vec<&str> = csv.lines().skip(1).collect();
+        assert_eq!(rows.len(), 2, "{csv}");
+        assert!(rows[0].contains("Desktop Chrome"), "{csv}");
+        assert!(rows[1].contains("Desktop Firefox"), "{csv}");
+        assert!(rows.iter().all(|r| r.contains("fuel-exhausted")), "{csv}");
+    }
 }
 
 // --- Run ---------------------------------------------------------------------

@@ -37,15 +37,18 @@ trap 'rm -rf "$tmp"' EXIT
 ./target/release/wb regen --stats --out "$tmp/full"
 diff -r -x quick "$tmp/full" results
 
-echo "== quick grid, uncached and with fusion off =="
-# Neither the cache nor fusion may change a byte of any emitted table:
-# `--reference-exec` lowers every function one op per instruction, so
-# this compares fusion on against fusion off in each VM's one loop.
+echo "== quick grid, uncached, with fusion off and on one worker =="
+# Neither the cache, nor fusion, nor the worker schedule may change a
+# byte of any emitted table: `--reference-exec` lowers every function one
+# op per instruction, so this compares fusion on against fusion off in
+# each VM's one loop, and `--jobs 1` runs every cell in grid order.
 ./target/release/wb regen fig5 fig12_13 --quick --no-cache --out "$tmp/no-cache"
 ./target/release/wb regen fig5 fig12_13 --quick --reference-exec --out "$tmp/reference"
+./target/release/wb regen fig5 fig12_13 --quick --jobs 1 --out "$tmp/serial"
 for f in results/quick/*; do
   cmp "$f" "$tmp/no-cache/${f##*/}"
   cmp "$f" "$tmp/reference/${f##*/}"
+  cmp "$f" "$tmp/serial/${f##*/}"
 done
 
 echo "== golden stability =="
