@@ -238,8 +238,10 @@ pub fn analyze(cfg: &AnalysisConfig) -> AnalysisReport {
         .collect();
 
     for bench in &benches {
-        // Front-end once per kernel (M size — verification invariants
-        // don't depend on the dataset; lints sweep the sizes below).
+        // Front end once per kernel at M: the IR checks, each level's
+        // Wasm compile and the M lints start from it (verification
+        // invariants don't depend on the dataset; lints sweep the sizes
+        // below).
         let mut compiler = Compiler::cheerp();
         for (k, v) in bench.defines(InputSize::M) {
             compiler = compiler.define(&k, v);
@@ -267,11 +269,8 @@ pub fn analyze(cfg: &AnalysisConfig) -> AnalysisReport {
             }
 
             // Emit and type-check the Wasm artifact at this level.
-            let mut c = Compiler::cheerp().opt_level(level).verify_ir(false);
-            for (k, v) in bench.defines(InputSize::M) {
-                c = c.define(&k, v);
-            }
-            let (ok, error) = match c.compile_wasm(bench.source) {
+            let c = compiler.clone().opt_level(level).verify_ir(false);
+            let (ok, error) = match front.clone().and_then(|f| c.compile_wasm_from(f)) {
                 Ok(out) => match wb_wasm::validate(&out.module) {
                     Ok(()) => (true, None),
                     Err(e) => (false, Some(e.to_string())),
@@ -290,11 +289,16 @@ pub fn analyze(cfg: &AnalysisConfig) -> AnalysisReport {
         // Lints, per dataset size: raw HIR for flow lints, folded (-O1)
         // HIR for constant-index bounds.
         for &size in &cfg.sizes {
-            let mut c = Compiler::cheerp();
-            for (k, v) in bench.defines(size) {
-                c = c.define(&k, v);
-            }
-            let Ok((raw, _)) = c.frontend(bench.source) else {
+            let sized = if size == InputSize::M {
+                front.clone()
+            } else {
+                let mut c = Compiler::cheerp();
+                for (k, v) in bench.defines(size) {
+                    c = c.define(&k, v);
+                }
+                c.frontend(bench.source)
+            };
+            let Ok((raw, _)) = sized else {
                 continue; // already reported as an IR failure above
             };
             let mut folded = raw.clone();

@@ -9,6 +9,15 @@
 //! preparation) under a 128-bit content key so each distinct artifact is
 //! built exactly once per process, across threads.
 //!
+//! Below the artifacts sit *front ends*: preprocess, lex, parse,
+//! transform and sema read only `(source, defines)`, so every level ×
+//! target compile of one kernel at one size starts from the same checked
+//! HIR. The cache keeps front ends under their own key
+//! ([`ArtifactKey::front_end`]) and each compile clones one into its
+//! pass pipeline. Grids are kernel-major, so a kernel's compiles come in
+//! one burst on one worker, and the cache keeps only the front end each
+//! worker used last; a dropped front end is simply built again.
+//!
 //! The same cache also memoizes *executions*: a VM run is a pure
 //! function of the artifact, the entry point and the part of the VM
 //! config that execution reads (its projection), so its unpriced record
@@ -27,14 +36,15 @@
 //! priced by the same function as a fresh one ([`wb_env::price`]), so
 //! the memo may never change virtual numbers either.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, TryLockError};
+use std::thread::ThreadId;
 use wb_env::Toolchain;
 use wb_jsvm::{JsExecProjection, JsRecord};
 use wb_minic::backend::native::NativeProgram;
-use wb_minic::OptLevel;
+use wb_minic::{FrontEnd, OptLevel};
 use wb_wasm_vm::{ExecutionRecord, PreparedModule, WasmExecProjection};
 
 /// 128-bit FNV-1a content hash identifying one compile artifact.
@@ -51,6 +61,9 @@ pub enum ArtifactKind {
     /// MiniC → native evaluator program.
     Native,
 }
+
+/// The key tag of a front end; the artifact kinds use 1–3.
+const FRONT_END_TAG: u8 = 4;
 
 const FNV128_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
 const FNV128_PRIME: u128 = 0x0000000001000000000000000000013b;
@@ -74,6 +87,28 @@ impl Fnv128 {
 }
 
 impl ArtifactKey {
+    /// `tag`, the source and the defines: what a front end reads, and the
+    /// start of every artifact key.
+    fn hash_front_end(tag: u8, source: &str, defines: &[(String, String)]) -> Fnv128 {
+        let mut h = Fnv128::new();
+        h.write(&[tag]);
+        h.write(source.as_bytes());
+        h.write(&(defines.len() as u64).to_le_bytes());
+        for (k, v) in defines {
+            h.write(k.as_bytes());
+            h.write(v.as_bytes());
+        }
+        h
+    }
+
+    /// Key for the front end of `(source, defines)`
+    /// ([`wb_minic::Compiler::frontend`]). Level, toolchain, heap limit
+    /// and trap checks only affect passes and emit, so they are not part
+    /// of it.
+    pub fn front_end(source: &str, defines: &[(String, String)]) -> ArtifactKey {
+        ArtifactKey(Self::hash_front_end(FRONT_END_TAG, source, defines).0)
+    }
+
     /// Key for one compile configuration. Everything that can change the
     /// compile output is hashed; everything that only affects run time
     /// (environment, tier policy, JIT mode, entry point) deliberately is
@@ -87,18 +122,12 @@ impl ArtifactKey {
         heap_limit: Option<u64>,
         trap_checks: bool,
     ) -> ArtifactKey {
-        let mut h = Fnv128::new();
-        h.write(&[match kind {
+        let tag = match kind {
             ArtifactKind::Wasm => 1u8,
             ArtifactKind::Js => 2,
             ArtifactKind::Native => 3,
-        }]);
-        h.write(source.as_bytes());
-        h.write(&(defines.len() as u64).to_le_bytes());
-        for (k, v) in defines {
-            h.write(k.as_bytes());
-            h.write(v.as_bytes());
-        }
+        };
+        let mut h = Self::hash_front_end(tag, source, defines);
         h.write(level.name().as_bytes());
         h.write(format!("{toolchain:?}").as_bytes());
         match heap_limit {
@@ -176,6 +205,33 @@ impl<T> Slot<T> {
             filled: Mutex::new(None),
         }
     }
+
+    /// Take the slot's value or build it: returns `(value, was_hit)`. A
+    /// lookup that finds the slot held counts one wait in `waits`.
+    ///
+    /// A build that panics poisons the mutex while the slot is still
+    /// empty, so the guard is recovered and the next lookup simply builds
+    /// again; a build that fails leaves the slot empty too.
+    fn get_or_build<E>(
+        &self,
+        waits: &AtomicU64,
+        build: impl FnOnce() -> Result<T, E>,
+    ) -> Result<(Arc<T>, bool), E> {
+        let mut filled = match self.filled.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => {
+                waits.fetch_add(1, Ordering::Relaxed);
+                self.filled.lock().unwrap_or_else(PoisonError::into_inner)
+            }
+        };
+        if let Some(v) = filled.as_ref() {
+            return Ok((Arc::clone(v), true));
+        }
+        let built = Arc::new(build()?);
+        *filled = Some(Arc::clone(&built));
+        Ok((built, false))
+    }
 }
 
 struct KeyedCache<K, T> {
@@ -191,11 +247,7 @@ impl<K: Eq + Hash, T> KeyedCache<K, T> {
         }
     }
 
-    /// Get-or-build: returns `(artifact, was_hit)`.
-    ///
-    /// A build that panics poisons its slot's mutex while the slot is
-    /// still empty, so the guard is recovered and the next lookup of the
-    /// key simply builds again.
+    /// Get-or-build: returns `(artifact, was_hit)` ([`Slot::get_or_build`]).
     fn get_or_build<E>(
         &self,
         key: K,
@@ -205,20 +257,7 @@ impl<K: Eq + Hash, T> KeyedCache<K, T> {
             let mut map = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
             Arc::clone(map.entry(key).or_insert_with(|| Arc::new(Slot::new())))
         };
-        let mut filled = match slot.filled.try_lock() {
-            Ok(guard) => guard,
-            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
-            Err(TryLockError::WouldBlock) => {
-                self.waits.fetch_add(1, Ordering::Relaxed);
-                slot.filled.lock().unwrap_or_else(PoisonError::into_inner)
-            }
-        };
-        if let Some(v) = filled.as_ref() {
-            return Ok((Arc::clone(v), true));
-        }
-        let built = Arc::new(build()?);
-        *filled = Some(Arc::clone(&built));
-        Ok((built, false))
+        slot.get_or_build(&self.waits, build)
     }
 
     fn clear(&self) {
@@ -226,6 +265,71 @@ impl<K: Eq + Hash, T> KeyedCache<K, T> {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .clear();
+    }
+}
+
+/// The most front ends a cache keeps: twice the host's cores, read once
+/// per process at the first front-end lookup. Only entries of workers
+/// that have finished can pile up against it.
+fn front_ends_kept() -> usize {
+    static KEPT: OnceLock<usize> = OnceLock::new();
+    *KEPT.get_or_init(|| 2 * std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// The front ends workers are compiling from, least recently used
+/// first, each with the thread that used it last. The same per-key
+/// slots as [`KeyedCache`], but each thread keeps only the front end it
+/// used last: a kernel-major grid runs a kernel's level × target
+/// compiles as one burst on one worker, and a worker that moves to
+/// another kernel drops the one it left, however long its cells ran.
+/// Past [`front_ends_kept`] entries the least recent goes too. A worker
+/// still building or cloning a dropped front end keeps its own `Arc`,
+/// and a dropped one is simply built again.
+struct WorkerFrontEnds {
+    kept: Mutex<VecDeque<KeptFrontEnd>>,
+    waits: AtomicU64,
+}
+
+/// One kept front end and the thread that used it last.
+struct KeptFrontEnd {
+    key: ArtifactKey,
+    user: ThreadId,
+    slot: Arc<Slot<FrontEnd>>,
+}
+
+impl WorkerFrontEnds {
+    fn new() -> Self {
+        WorkerFrontEnds {
+            kept: Mutex::new(VecDeque::new()),
+            waits: AtomicU64::new(0),
+        }
+    }
+
+    fn get_or_build<E>(
+        &self,
+        key: ArtifactKey,
+        build: impl FnOnce() -> Result<FrontEnd, E>,
+    ) -> Result<(Arc<FrontEnd>, bool), E> {
+        let slot = {
+            let me = std::thread::current().id();
+            let mut kept = self.kept.lock().unwrap_or_else(PoisonError::into_inner);
+            let slot = kept
+                .iter()
+                .position(|k| k.key == key)
+                .and_then(|i| kept.remove(i))
+                .map_or_else(|| Arc::new(Slot::new()), |k| k.slot);
+            kept.retain(|k| k.user != me);
+            kept.push_back(KeptFrontEnd {
+                key,
+                user: me,
+                slot: Arc::clone(&slot),
+            });
+            if kept.len() > front_ends_kept() {
+                kept.pop_front();
+            }
+            slot
+        };
+        slot.get_or_build(&self.waits, build)
     }
 }
 
@@ -243,9 +347,14 @@ pub struct CacheStats {
     pub exec_hits: u64,
     /// Runs that executed (whether or not the memo kept the result).
     pub exec_misses: u64,
-    /// Lookups, of an artifact or an execution, that found their slot
-    /// held by another worker's build and blocked until it was done.
+    /// Lookups, of an artifact, a front end or an execution, that found
+    /// their slot held by another worker's build and blocked until it
+    /// was done.
     pub waits: u64,
+    /// Artifact builds that reused a kept front end.
+    pub frontend_hits: u64,
+    /// Artifact builds that ran the front end (failed runs included).
+    pub frontend_misses: u64,
 }
 
 impl CacheStats {
@@ -267,6 +376,7 @@ pub struct ArtifactCache {
     wasm: KeyedCache<ArtifactKey, CachedWasm>,
     js: KeyedCache<ArtifactKey, CachedJs>,
     native: KeyedCache<ArtifactKey, CachedNative>,
+    front_ends: WorkerFrontEnds,
     wasm_runs: KeyedCache<ExecKey<WasmExecProjection>, RecordedWasm>,
     js_runs: KeyedCache<ExecKey<JsExecProjection>, RecordedJs>,
     hits: AtomicU64,
@@ -274,6 +384,8 @@ pub struct ArtifactCache {
     bytes_saved: AtomicU64,
     exec_hits: AtomicU64,
     exec_misses: AtomicU64,
+    frontend_hits: AtomicU64,
+    frontend_misses: AtomicU64,
 }
 
 impl Default for ArtifactCache {
@@ -289,6 +401,7 @@ impl ArtifactCache {
             wasm: KeyedCache::new(),
             js: KeyedCache::new(),
             native: KeyedCache::new(),
+            front_ends: WorkerFrontEnds::new(),
             wasm_runs: KeyedCache::new(),
             js_runs: KeyedCache::new(),
             hits: AtomicU64::new(0),
@@ -296,6 +409,8 @@ impl ArtifactCache {
             bytes_saved: AtomicU64::new(0),
             exec_hits: AtomicU64::new(0),
             exec_misses: AtomicU64::new(0),
+            frontend_hits: AtomicU64::new(0),
+            frontend_misses: AtomicU64::new(0),
         }
     }
 
@@ -348,12 +463,29 @@ impl ArtifactCache {
         Ok(v)
     }
 
-    fn note_exec<T, E>(&self, lookup: Result<(Arc<T>, bool), E>) -> Result<Arc<T>, E> {
-        let counter = match &lookup {
-            Ok((_, true)) => &self.exec_hits,
-            _ => &self.exec_misses,
+    /// Get the kept front end for `key` ([`ArtifactKey::front_end`]), or
+    /// build it. A build error is handed back and not kept, so the next
+    /// lookup builds again.
+    pub fn front_end<E>(
+        &self,
+        key: ArtifactKey,
+        build: impl FnOnce() -> Result<FrontEnd, E>,
+    ) -> Result<Arc<FrontEnd>, E> {
+        let lookup = self.front_ends.get_or_build(key, build);
+        Self::count(&lookup, &self.frontend_hits, &self.frontend_misses);
+        lookup.map(|(v, _)| v)
+    }
+
+    fn count<T, E>(lookup: &Result<(Arc<T>, bool), E>, hits: &AtomicU64, misses: &AtomicU64) {
+        let counter = match lookup {
+            Ok((_, true)) => hits,
+            _ => misses,
         };
         counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn note_exec<T, E>(&self, lookup: Result<(Arc<T>, bool), E>) -> Result<Arc<T>, E> {
+        Self::count(&lookup, &self.exec_hits, &self.exec_misses);
         lookup.map(|(v, _)| v)
     }
 
@@ -397,8 +529,11 @@ impl ArtifactCache {
             waits: self.wasm.waits.load(Ordering::Relaxed)
                 + self.js.waits.load(Ordering::Relaxed)
                 + self.native.waits.load(Ordering::Relaxed)
+                + self.front_ends.waits.load(Ordering::Relaxed)
                 + self.wasm_runs.waits.load(Ordering::Relaxed)
                 + self.js_runs.waits.load(Ordering::Relaxed),
+            frontend_hits: self.frontend_hits.load(Ordering::Relaxed),
+            frontend_misses: self.frontend_misses.load(Ordering::Relaxed),
         }
     }
 }
@@ -517,6 +652,52 @@ mod tests {
             false,
         );
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn front_end_keys_hash_source_and_defines_under_their_own_tag() {
+        let defs = |v: &str| vec![("N".to_string(), v.to_string())];
+        let base = ArtifactKey::front_end("int x;", &defs("10"));
+        assert_eq!(base, ArtifactKey::front_end("int x;", &defs("10")));
+        assert_ne!(base, ArtifactKey::front_end("int y;", &defs("10")));
+        assert_ne!(base, ArtifactKey::front_end("int x;", &defs("11")));
+        assert_ne!(base, ArtifactKey::front_end("int x;", &[]));
+        for kind in [ArtifactKind::Wasm, ArtifactKind::Js, ArtifactKind::Native] {
+            let artifact = ArtifactKey::compute(
+                kind,
+                "int x;",
+                &defs("10"),
+                OptLevel::O2,
+                Toolchain::Cheerp,
+                None,
+                false,
+            );
+            assert_ne!(base, artifact, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn a_worker_keeps_only_the_front_end_it_used_last() {
+        let cache = ArtifactCache::new();
+        let [k1, k2, k3] =
+            ["int a;", "int b;", "int c;"].map(|src| ArtifactKey::front_end(src, &[]));
+        let lookup = |k| {
+            cache
+                .front_end(k, || -> Result<FrontEnd, ()> { Ok(FrontEnd::default()) })
+                .unwrap();
+        };
+        // Another worker compiles from k2 and is still on it.
+        std::thread::scope(|scope| {
+            scope.spawn(|| lookup(k2));
+        });
+        lookup(k1);
+        lookup(k1);
+        // Moving on to k3 drops k1, not the other worker's k2.
+        lookup(k3);
+        lookup(k1);
+        lookup(k2);
+        let s = cache.stats();
+        assert_eq!((s.frontend_misses, s.frontend_hits), (4, 2));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use wb_env::{
 };
 use wb_jsvm::{JsError, JsRecord, JsVm, JsVmConfig};
 use wb_minic::backend::native::NativeTrap;
-use wb_minic::{CompileError, Compiler, OptLevel};
+use wb_minic::{CompileError, Compiler, FrontEnd, OptLevel};
 use wb_wasm_vm::{ExecutionRecord, Instance, PreparedModule, Trap, WasmVmConfig};
 
 /// Everything one run produces (§3.4's two metrics plus attribution).
@@ -345,6 +345,26 @@ fn compiler_for(
     c
 }
 
+/// The front end of `(source, defines)` for `compiler`: fetched from
+/// `cache` and cloned when there is one (see [`ArtifactCache::front_end`]),
+/// else built. Only the front end's inputs are in its key, so one build
+/// serves every level, toolchain and target.
+fn front_end(
+    compiler: &Compiler,
+    source: &str,
+    defines: &[(String, String)],
+    cache: Option<&ArtifactCache>,
+) -> Result<FrontEnd, CompileError> {
+    match cache {
+        Some(cache) => {
+            let key = ArtifactKey::front_end(source, defines);
+            let front = cache.front_end(key, || compiler.frontend(source))?;
+            Ok(FrontEnd::clone(&front))
+        }
+        None => compiler.frontend(source),
+    }
+}
+
 /// Reported Wasm memory: engine baseline + committed linear memory, with
 /// the engine's large-heap over-commit slack (Table 6's Firefox XL
 /// crossover).
@@ -371,7 +391,8 @@ fn wasm_artifact(
 ) -> Result<Arc<CachedWasm>, RunFailure> {
     let build = || -> Result<CachedWasm, RunFailure> {
         let compiler = compiler_for(&spec.defines, spec.level, spec.toolchain, spec.heap_limit);
-        let out = compiler.compile_wasm(spec.source)?;
+        let front = front_end(&compiler, spec.source, &spec.defines, cache)?;
+        let out = compiler.compile_wasm_from(front)?;
         let bytes = wb_wasm::encode_module(&out.module);
         let module = wb_wasm::decode_module(&bytes).map_err(|e| Trap::Host {
             message: format!("decode failed: {e}"),
@@ -510,7 +531,8 @@ pub fn try_run_compiled_js_with(
     let build = || -> Result<CachedJs, RunFailure> {
         let compiler = compiler_for(&spec.defines, spec.level, spec.toolchain, None)
             .trap_checks(spec.trap_checks);
-        let out = compiler.compile_js(spec.source)?;
+        let front = front_end(&compiler, spec.source, &spec.defines, cache)?;
+        let out = compiler.compile_js_from(front)?;
         Ok(CachedJs { source: out.source })
     };
     match cache {
@@ -648,8 +670,9 @@ pub fn try_run_native_with(
 ) -> Result<Measurement, RunFailure> {
     let build = || -> Result<CachedNative, RunFailure> {
         let compiler = compiler_for(defines, level, Toolchain::Cheerp, Some(1 << 30));
+        let front = front_end(&compiler, source, defines, cache)?;
         Ok(CachedNative {
-            prog: compiler.compile_native(source)?,
+            prog: compiler.compile_native_from(front)?,
         })
     };
     let artifact = match cache {

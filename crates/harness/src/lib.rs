@@ -330,7 +330,7 @@ impl Shares {
 /// (each cell compiles and executes from scratch — the measured virtual
 /// numbers are bit-identical either way), `--jobs N` caps worker
 /// threads, `--stats` prints cache hit/miss/bytes-saved, execution
-/// memo and slot-wait counters to stderr at the end.
+/// memo, slot-wait and front-end counters to stderr at the end.
 pub struct GridEngine {
     cache: Option<&'static ArtifactCache>,
     jobs: Option<usize>,
@@ -636,6 +636,10 @@ impl GridEngine {
                 eprintln!(
                     "[cache] executions: {} memo hits / {} executed, {} waits",
                     s.exec_hits, s.exec_misses, s.waits
+                );
+                eprintln!(
+                    "[cache] front ends: {} reused / {} built",
+                    s.frontend_hits, s.frontend_misses
                 );
             }
             None => eprintln!("[cache] disabled (--no-cache)"),

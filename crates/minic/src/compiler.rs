@@ -11,6 +11,11 @@ use crate::transform::{transform_unit, TransformReport};
 use std::collections::HashMap;
 use wb_env::{CompilerProfile, Toolchain};
 
+/// What [`Compiler::frontend`] builds: the checked, unoptimized HIR and
+/// the transformation report. Every level × target compile of one
+/// `(source, defines)` starts from it.
+pub type FrontEnd = (HProgram, TransformReport);
+
 /// Common compilation metadata.
 #[derive(Debug, Clone)]
 pub struct CompileOutput {
@@ -129,7 +134,13 @@ impl Compiler {
 
     /// Front end: preprocess, parse, transform, analyze. Returns the
     /// unoptimized HIR plus the transformation report.
-    pub fn frontend(&self, source: &str) -> Result<(HProgram, TransformReport), CompileError> {
+    ///
+    /// It reads only the source and the defines, so one result serves
+    /// every level, toolchain and target: hand a clone of it to
+    /// [`Compiler::compile_wasm_from`], [`Compiler::compile_js_from`] or
+    /// [`Compiler::compile_native_from`]. The HIR is plain owned data, so
+    /// a clone is an independent copy.
+    pub fn frontend(&self, source: &str) -> Result<FrontEnd, CompileError> {
         let text = crate::preprocess::preprocess(source, &self.defines)?;
         let tokens = crate::lexer::lex(&text)?;
         let unit = crate::parser::parse(tokens)?;
@@ -140,10 +151,10 @@ impl Compiler {
 
     fn optimized(
         &self,
-        source: &str,
+        front: FrontEnd,
         target: TargetKind,
     ) -> Result<(HProgram, TransformReport), CompileError> {
-        let (mut hir, report) = self.frontend(source)?;
+        let (mut hir, report) = front;
         if self.verify_ir {
             run_pipeline_verified(&mut hir, self.level, target).map_err(|e| {
                 CompileError::Verify {
@@ -159,7 +170,12 @@ impl Compiler {
 
     /// Compile to WebAssembly.
     pub fn compile_wasm(&self, source: &str) -> Result<WasmOutput, CompileError> {
-        let (hir, transform) = self.optimized(source, TargetKind::Wasm)?;
+        self.compile_wasm_from(self.frontend(source)?)
+    }
+
+    /// Compile a [`Compiler::frontend`] result to WebAssembly.
+    pub fn compile_wasm_from(&self, front: FrontEnd) -> Result<WasmOutput, CompileError> {
+        let (hir, transform) = self.optimized(front, TargetKind::Wasm)?;
         let opts = WasmEmitOptions {
             profile: CompilerProfile::of(self.toolchain),
             heap_limit_bytes: self.heap_limit,
@@ -188,7 +204,12 @@ impl Compiler {
 
     /// Compile to JavaScript (MiniJS source).
     pub fn compile_js(&self, source: &str) -> Result<JsOutput, CompileError> {
-        let (hir, transform) = self.optimized(source, TargetKind::Js)?;
+        self.compile_js_from(self.frontend(source)?)
+    }
+
+    /// Compile a [`Compiler::frontend`] result to JavaScript.
+    pub fn compile_js_from(&self, front: FrontEnd) -> Result<JsOutput, CompileError> {
+        let (hir, transform) = self.optimized(front, TargetKind::Js)?;
         let js = emit_js_with(
             &hir,
             &JsEmitOptions {
@@ -209,7 +230,12 @@ impl Compiler {
 
     /// Compile for the native simulator (the x86 control, Fig 6).
     pub fn compile_native(&self, source: &str) -> Result<NativeProgram, CompileError> {
-        let (hir, _transform) = self.optimized(source, TargetKind::Native)?;
+        self.compile_native_from(self.frontend(source)?)
+    }
+
+    /// Compile a [`Compiler::frontend`] result for the native simulator.
+    pub fn compile_native_from(&self, front: FrontEnd) -> Result<NativeProgram, CompileError> {
+        let (hir, _transform) = self.optimized(front, TargetKind::Native)?;
         Ok(NativeProgram::new(hir))
     }
 }
@@ -243,6 +269,18 @@ mod tests {
         assert!(js.source.contains("function k("));
         let native = c.compile_native(KERNEL).unwrap();
         native.run("k", &[]).unwrap();
+    }
+
+    #[test]
+    fn one_front_end_serves_every_level_and_target() {
+        let front = Compiler::cheerp().frontend(KERNEL).unwrap();
+        for level in OptLevel::ALL {
+            let c = Compiler::cheerp().opt_level(level);
+            let wasm = c.compile_wasm_from(front.clone()).unwrap();
+            assert_eq!(wasm.module, c.compile_wasm(KERNEL).unwrap().module);
+            let js = c.compile_js_from(front.clone()).unwrap();
+            assert_eq!(js.source, c.compile_js(KERNEL).unwrap().source);
+        }
     }
 
     #[test]

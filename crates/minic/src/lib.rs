@@ -51,7 +51,7 @@ mod sema;
 pub mod transform;
 pub mod verify;
 
-pub use compiler::{CompileOutput, Compiler, JsOutput, WasmOutput};
+pub use compiler::{CompileOutput, Compiler, FrontEnd, JsOutput, WasmOutput};
 pub use error::CompileError;
 pub use lexer::lex;
 pub use opt::OptLevel;

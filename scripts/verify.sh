@@ -39,9 +39,12 @@ diff -r -x quick "$tmp/full" results
 
 echo "== quick grid, uncached, with fusion off and on one worker =="
 # Neither the cache, nor fusion, nor the worker schedule may change a
-# byte of any emitted table: `--reference-exec` lowers every function one
-# op per instruction, so this compares fusion on against fusion off in
-# each VM's one loop, and `--jobs 1` runs every cell in grid order.
+# byte of any emitted table. `--no-cache` builds every artifact from its
+# own front end, so it also compares memoized front ends (one checked HIR
+# cloned into each level x target compile) against fresh ones;
+# `--reference-exec` lowers every function one op per instruction, so
+# this compares fusion on against fusion off in each VM's one loop; and
+# `--jobs 1` runs every cell in grid order.
 ./target/release/wb regen fig5 fig12_13 --quick --no-cache --out "$tmp/no-cache"
 ./target/release/wb regen fig5 fig12_13 --quick --reference-exec --out "$tmp/reference"
 ./target/release/wb regen fig5 fig12_13 --quick --jobs 1 --out "$tmp/serial"
