@@ -265,6 +265,18 @@ mod tests {
         names.dedup();
         assert_eq!(names.len(), OP_CLASS_COUNT);
     }
+
+    #[test]
+    fn arith_columns_index_the_bumped_kind() {
+        use ArithKind::*;
+        for (i, kind) in [Add, Mul, Div, Rem, Shift, And, Or].into_iter().enumerate() {
+            let mut counts = ArithCounts::default();
+            counts.bump(kind);
+            assert_eq!(kind.column(), i);
+            assert_eq!(counts.columns()[kind.column()], 1);
+            assert_eq!(ArithCounts::from_columns(counts.columns()), counts);
+        }
+    }
 }
 
 /// One Table 12 arithmetic column: the kind of an executed arithmetic
@@ -285,6 +297,22 @@ pub enum ArithKind {
     And,
     /// or/xor
     Or,
+}
+
+impl ArithKind {
+    /// This kind's index in [`ArithCounts::columns`].
+    #[inline]
+    pub fn column(self) -> usize {
+        match self {
+            ArithKind::Add => 0,
+            ArithKind::Mul => 1,
+            ArithKind::Div => 2,
+            ArithKind::Rem => 3,
+            ArithKind::Shift => 4,
+            ArithKind::And => 5,
+            ArithKind::Or => 6,
+        }
+    }
 }
 
 /// Fine-grained arithmetic profile for the Long.js operation-count study
@@ -332,6 +360,20 @@ impl ArithCounts {
         [
             self.add, self.mul, self.div, self.rem, self.shift, self.and, self.or,
         ]
+    }
+
+    /// The counts whose [`Self::columns`] are `columns`.
+    pub fn from_columns(columns: [u64; 7]) -> Self {
+        let [add, mul, div, rem, shift, and, or] = columns;
+        ArithCounts {
+            add,
+            mul,
+            div,
+            rem,
+            shift,
+            and,
+            or,
+        }
     }
 
     /// Table 12 column headers.

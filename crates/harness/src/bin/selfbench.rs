@@ -91,10 +91,15 @@ fn main() {
         uncached_wall = uncached_wall.min(t0.elapsed());
     }
 
+    // The cached pass measures compile-once: from the second pass on,
+    // every artifact is warm, but each pass starts with an empty
+    // execution memo, so it executes every artifact again instead of
+    // only pricing the records of the pass before.
     let cache = ArtifactCache::new();
     let mut cached = Vec::new();
     let mut cached_wall = std::time::Duration::MAX;
     for _ in 0..3 {
+        cache.forget_executions();
         let t1 = Instant::now();
         cached = grid.iter().map(|run| run.wasm_with(Some(&cache))).collect();
         cached_wall = cached_wall.min(t1.elapsed());
@@ -110,7 +115,7 @@ fn main() {
     let stats = cache.stats();
     let speedup = uncached_wall.as_secs_f64() / cached_wall.as_secs_f64();
     eprintln!(
-        "[selfbench] uncached {:.3}s, cached {:.3}s -> {speedup:.2}x ({} hits / {} misses)",
+        "[selfbench] uncached {:.3}s, cached (warm artifacts, empty execution memo) {:.3}s -> {speedup:.2}x ({} hits / {} misses)",
         uncached_wall.as_secs_f64(),
         cached_wall.as_secs_f64(),
         stats.hits,
@@ -118,7 +123,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"selfbench\",\n  \"cells\": {cells},\n  \"runs_per_pass\": {},\n  \"uncached_s\": {:.6},\n  \"cached_s\": {:.6},\n  \"speedup\": {:.3},\n  \"cache_hits\": {},\n  \"cache_misses\": {},\n  \"cache_bytes_saved\": {},\n  \"measurements_bit_identical\": true\n}}\n",
+        "{{\n  \"bench\": \"selfbench\",\n  \"cells\": {cells},\n  \"runs_per_pass\": {},\n  \"uncached_s\": {:.6},\n  \"cached_s\": {:.6},\n  \"cached_pass\": \"warm artifacts, empty execution memo\",\n  \"speedup\": {:.3},\n  \"cache_hits\": {},\n  \"cache_misses\": {},\n  \"cache_bytes_saved\": {},\n  \"measurements_bit_identical\": true\n}}\n",
         cells,
         uncached_wall.as_secs_f64(),
         cached_wall.as_secs_f64(),

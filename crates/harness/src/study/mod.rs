@@ -129,7 +129,20 @@ pub fn parse_regen(args: &[String]) -> Result<(Vec<&'static Entry>, Cli), String
     if entries.is_empty() {
         entries = ENTRIES.iter().collect();
     }
-    Ok((entries, Cli::from_args(flags)))
+    // Malformed values are usage errors here, not panics at first use.
+    let cli = Cli::from_args(flags);
+    if let Some(v) = cli
+        .get("jobs")
+        .filter(|v| !v.parse::<usize>().is_ok_and(|n| n > 0))
+    {
+        return Err(format!("--jobs expects a positive integer, got '{v}'"));
+    }
+    if let Some(v) = cli.get("retries").filter(|v| v.parse::<u32>().is_err()) {
+        return Err(format!(
+            "--retries expects a non-negative integer, got '{v}'"
+        ));
+    }
+    Ok((entries, cli))
 }
 
 /// Run `entries` in order, writing each one's CSVs and `<entry>.txt`

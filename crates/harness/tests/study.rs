@@ -58,6 +58,24 @@ fn unknown_entries_and_flags_are_rejected() {
         err.contains("--reference-exec"),
         "lists the known flags: {err}"
     );
+
+    // Malformed values are usage errors too, not panics at first use.
+    for (flag, value, expects) in [
+        ("--jobs", "abc", "a positive integer"),
+        ("--jobs", "0", "a positive integer"),
+        ("--jobs", "-2", "a positive integer"),
+        ("--retries", "-1", "a non-negative integer"),
+        ("--retries", "x", "a non-negative integer"),
+    ] {
+        for spelled in [
+            args(&["table9", flag, value]),
+            args(&["table9", &format!("{flag}={value}")]),
+        ] {
+            let err = study::parse_regen(&spelled).err().unwrap();
+            assert_eq!(err, format!("{flag} expects {expects}, got '{value}'"));
+        }
+    }
+    assert!(study::parse_regen(&args(&["--jobs", "3", "--retries", "0"])).is_ok());
 }
 
 #[test]

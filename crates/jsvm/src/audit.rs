@@ -1,19 +1,28 @@
-//! Static cost-equivalence audit of the MiniJS fusion overlay.
+//! Static audit of the MiniJS fusion overlay.
 //!
-//! Mirror of `wb_wasm_vm::audit` for the JS engine: every fused form in
-//! [`fuse`](crate::fuse) is symbolically expanded for every operator it
-//! can carry (all 11 [`BinKind`]s, pairs of them for the two-operator
-//! forms, all 8 [`CmpKind`]s, every inline-cache shape) and its charge
-//! plan — op-class bumps, Table 12 arithmetic bumps, typed-array-aware
-//! index counts — is compared event-for-event against the plain
-//! interpreter's walk over the constituent opcodes. A form that branches
-//! is audited once per outcome of its comparison: the walk follows the
-//! plain ops' jumps, so the charges *and* the pc the fused form leaves to
-//! must agree on both paths (the bool tail charges seven constituents
-//! when its comparison holds and six when it does not).
+//! A JS fused form charges its own bytecode: at every head,
+//! [`fuse`](crate::fuse) walks the plain loop over the span's
+//! constituents, once per outcome of its comparison, and stores the
+//! steps, class counts, Table 12 kinds, index access and exit it found
+//! beside the entry. The interpreter's fused handler charges that record
+//! and holds no charges of its own, so a fused form charges what its
+//! plain ops charge by construction. What the audit checks, for every
+//! instance the overlay can emit (all 11 [`BinKind`]s, pairs of them for
+//! the two-operator forms, all 8 [`CmpKind`]s, every inline-cache
+//! shape), is what that construction rests on:
 //!
-//! Two structural facts make the remaining behavior trivially equivalent
-//! and are therefore *documented* rather than audited per instance:
+//! * **round trip**: the overlay builder recognizes the constituents as
+//!   the expected family at the full width;
+//! * **walkability**: the walk follows the span on every outcome of its
+//!   comparison (a form that branches gets one entry per outcome; the
+//!   bool tail retires seven constituents when its comparison holds and
+//!   six when it does not), and the record stored for that outcome is
+//!   the walk's.
+//!
+//! Each entry renders the walk's charge events, one per line.
+//!
+//! Three structural facts make the remaining behavior equivalent and are
+//! *documented* rather than audited per instance:
 //!
 //! * fused guards run **before** any charge, so an IC miss or non-`Num`
 //!   operand falls back with the virtual-cost state untouched and the
@@ -21,24 +30,15 @@
 //! * fused fast paths never allocate, never resize heap objects and never
 //!   note hotness, so GC safe-points and tier transitions coincide with
 //!   the reference at every op boundary. The one permitted divergence is
-//!   step-budget batching per group (checked as a total here).
-//!
-//! Index counts are compared as symbolic `index(load|store)` events,
-//! and their routing is audited per receiver: the fused
-//! `count_cached_index` and the reference `count_index_op` both count
-//! through `index_route`, which sends a typed-array access to
-//! `typed_band_counts[band]` and any other to `band_counts[band]` — on
-//! typedness alone, in whichever band the chunk is in; the pricing fold
-//! decides the tier. For every receiver typedness a fused form admits,
-//! the audit checks that the `typed` bit its arm passes (the IC's, which
-//! equals what the reference recomputes from the receiver, or a constant
-//! where the IC guard admits typed receivers only) routes to the counter
-//! the reference routes that receiver to.
+//!   step-budget batching per group;
+//! * an index access counts through `index_route` on both paths, which
+//!   sends a typed-array access to `typed_band_counts[band]` and any
+//!   other to `band_counts[band]` on typedness alone. The fused path
+//!   takes the typedness of the inline-cache entry that hit, which is the
+//!   receiver's; `SetIndexIc`'s guard admits typed receivers only.
 
 use crate::bytecode::{Chunk, Const, Op};
-use crate::fuse::{match_at, BinKind, CmpKind, FOp};
-use crate::vm::index_route;
-use wb_env::{ArithKind, OpClass};
+use crate::fuse::{fuse_at, walk, BinKind, CmpKind, Ev, FOp, SpanCharges};
 
 /// One audited (family, operator) instance.
 #[derive(Debug, Clone)]
@@ -50,237 +50,31 @@ pub struct FusionAuditEntry {
     pub instance: String,
     /// Source opcodes the fused form covers.
     pub constituents: Vec<String>,
-    /// The fused form's charge plan, one event per line.
-    pub fused_charges: Vec<String>,
-    /// The plain interpreter's charge plan along the same path.
-    pub reference_charges: Vec<String>,
-    /// Whether the plans and exits agree (and the overlay round-trips).
+    /// What the form charges along this path: the plain loop's walk over
+    /// its constituents, one event per line.
+    pub charges: Vec<String>,
+    /// Whether the overlay round-trips and the walk follows the span.
     pub ok: bool,
     /// Human-readable reason when `ok` is false.
     pub detail: Option<String>,
 }
 
-/// A single observable cost event; `Step` totals are compared separately
-/// (budget batching is the documented divergence).
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Ev {
-    /// One `band_counts[band].bump(class, 1)`.
-    Class(OpClass),
-    /// One Table 12 arithmetic-profile bump.
-    Arith(ArithKind),
-    /// One typed-array-aware index count (`count_index_op` /
-    /// `count_cached_index`, both through `index_route`).
-    Index {
-        /// Whether it counts as a store.
-        store: bool,
-    },
-}
-
-impl Ev {
-    fn render(&self) -> String {
-        match self {
-            Ev::Class(c) => format!("class:{c:?}"),
-            Ev::Arith(kind) => format!("arith:{kind:?}"),
-            Ev::Index { store: false } => "index:load".into(),
-            Ev::Index { store: true } => "index:store".into(),
-        }
+fn render(ev: &Ev) -> String {
+    match ev {
+        Ev::Class(c) => format!("class:{c:?}"),
+        Ev::Arith(kind) => format!("arith:{kind:?}"),
+        Ev::Index { store: false } => "index:load".into(),
+        Ev::Index { store: true } => "index:store".into(),
     }
 }
 
-/// What the plain loop charges for one op, in its order: the class bump
-/// (index ops count inside their handler instead), then the Table 12
-/// bump.
-fn op_events(op: &Op, evs: &mut Vec<Ev>) {
-    match op {
-        Op::GetIndex => evs.push(Ev::Index { store: false }),
-        Op::SetIndex => evs.push(Ev::Index { store: true }),
-        other => {
-            evs.push(Ev::Class(other.class()));
-            if let Some(kind) = other.arith() {
-                evs.push(Ev::Arith(kind));
-            }
-        }
+/// A chunk of `ops` over the audit's constant pool.
+fn instance_chunk(ops: Vec<Op>) -> Chunk {
+    Chunk {
+        code: ops,
+        consts: vec![Const::Num(1.0), Const::Num(0.0)],
+        ..Default::default()
     }
-}
-
-/// The plain interpreter's walk over `chunk` from pc 0, with every
-/// comparison evaluating to `cond`: its steps, its charge events and the
-/// pc it leaves the chunk at. Branches are followed on the truthiness
-/// of the value they pop, which the walk knows when a comparison or a
-/// numeric constant pushed it.
-fn reference_walk(chunk: &Chunk, cond: bool) -> Result<(u64, Vec<Ev>, usize), String> {
-    let code = &chunk.code;
-    let (mut pc, mut steps, mut evs) = (0usize, 0u64, Vec::new());
-    // Truthiness of the value on top of the stack, where known.
-    let mut top: Option<bool> = None;
-    while pc < code.len() {
-        let op = &code[pc];
-        steps += 1;
-        op_events(op, &mut evs);
-        let mut next = pc + 1;
-        match op {
-            Op::Const(ci) => {
-                top = match chunk.consts.get(*ci as usize) {
-                    Some(Const::Num(n)) => Some(*n != 0.0 && !n.is_nan()),
-                    _ => None,
-                }
-            }
-            op if CmpKind::of(op).is_some() => top = Some(cond),
-            // A fused form never notes hotness, so never holds a
-            // back-edge.
-            Op::Jump(d) if *d < 0 => return Err(format!("back-edge at constituent {pc}")),
-            Op::Jump(d) => next = (pc as i32 + d) as usize,
-            Op::JumpIfFalse(d) => {
-                let Some(truthy) = top.take() else {
-                    return Err(format!("branch on an unknown value at constituent {pc}"));
-                };
-                if !truthy {
-                    next = (pc as i32 + d) as usize;
-                }
-            }
-            _ => top = None,
-        }
-        pc = next;
-    }
-    Ok((steps, evs, pc))
-}
-
-/// The fused path's charge plan for `fop` at pc 0 when its comparison
-/// (if any) gives `cond`: steps, events and the pc it continues at.
-/// Transcribes the `exec_fused` arms in `vm.rs` event-for-event.
-/// Wildcard-free: a new `FOp` variant fails to compile until the audit
-/// covers it.
-fn fused_plan(fop: &FOp, cond: bool) -> (u64, Vec<Ev>, usize) {
-    use OpClass::{Branch, Compare, Const as ConstClass, Global, Local, Other};
-    let mut evs = Vec::new();
-    let bin = |evs: &mut Vec<Ev>, op: BinKind| {
-        evs.push(Ev::Class(op.class()));
-        if let Some(kind) = op.arith() {
-            evs.push(Ev::Arith(kind));
-        }
-    };
-    let classes = |evs: &mut Vec<Ev>, cs: &[OpClass]| evs.extend(cs.iter().map(|c| Ev::Class(*c)));
-    let width = fop.width();
-    let branch = |target: u32| if cond { width } else { target as usize };
-    let (steps, next) = match *fop {
-        FOp::LLBin { op, .. } => {
-            classes(&mut evs, &[Local, Local]);
-            bin(&mut evs, op);
-            (3, width)
-        }
-        FOp::LLBinStore { op, .. } => {
-            classes(&mut evs, &[Local, Local]);
-            bin(&mut evs, op);
-            classes(&mut evs, &[Local]);
-            (4, width)
-        }
-        FOp::LCBin { op, .. } => {
-            classes(&mut evs, &[Local, ConstClass]);
-            bin(&mut evs, op);
-            (3, width)
-        }
-        FOp::LCBinStore { op, .. } => {
-            classes(&mut evs, &[Local, ConstClass]);
-            bin(&mut evs, op);
-            classes(&mut evs, &[Local]);
-            (4, width)
-        }
-        FOp::LCBin2Store { op1, op2, .. } => {
-            classes(&mut evs, &[Local, ConstClass]);
-            bin(&mut evs, op1);
-            classes(&mut evs, &[ConstClass]);
-            bin(&mut evs, op2);
-            classes(&mut evs, &[Local]);
-            (6, width)
-        }
-        FOp::CStore { .. } => {
-            classes(&mut evs, &[ConstClass, Local]);
-            (2, width)
-        }
-        FOp::CmpJf { target, .. } => {
-            classes(&mut evs, &[Compare, Branch]);
-            (2, branch(target))
-        }
-        FOp::LLCmpJf { target, tail, .. } | FOp::LCCmpJf { target, tail, .. } => {
-            let second = if matches!(fop, FOp::LLCmpJf { .. }) {
-                Local
-            } else {
-                ConstClass
-            };
-            classes(&mut evs, &[Local, second, Compare, Branch]);
-            let steps = match (tail, cond) {
-                (false, _) => 4,
-                (true, true) => {
-                    classes(&mut evs, &[ConstClass, Branch, Branch]);
-                    7
-                }
-                (true, false) => {
-                    classes(&mut evs, &[ConstClass, Branch]);
-                    6
-                }
-            };
-            (steps, branch(target))
-        }
-        FOp::GAddr { op1, op2, ic, .. } => {
-            classes(&mut evs, &[Global, Local, ConstClass]);
-            bin(&mut evs, op1);
-            classes(&mut evs, &[Local]);
-            bin(&mut evs, op2);
-            if ic.is_some() {
-                evs.push(Ev::Index { store: false });
-            }
-            (width as u64, width)
-        }
-        FOp::LLGetIndex { .. } => {
-            classes(&mut evs, &[Local, Local]);
-            evs.push(Ev::Index { store: false });
-            (3, width)
-        }
-        FOp::GetIndexIc { .. } => {
-            evs.push(Ev::Index { store: false });
-            (1, width)
-        }
-        FOp::SetIndexIc { pop, .. } => {
-            evs.push(Ev::Index { store: true });
-            if pop {
-                classes(&mut evs, &[Other]);
-            }
-            (1 + pop as u64, width)
-        }
-    };
-    (steps, evs, next)
-}
-
-/// The `typed` bit `fop`'s arm passes to `count_cached_index` for a
-/// receiver of typedness `typed`, or `None` when the form's guard falls
-/// back for such a receiver. Transcribes the `exec_fused` arms:
-/// `SetIndexIc` fast-paths typed arrays only and passes `true`; every
-/// other index form passes the IC's bit, which is the receiver's.
-fn fused_typed_bit(fop: &FOp, typed: bool) -> Option<bool> {
-    match fop {
-        FOp::SetIndexIc { .. } => typed.then_some(true),
-        _ => Some(typed),
-    }
-}
-
-/// Check that each index event of `fop`'s plan lands, for every receiver
-/// the form admits, in the counter the reference lands it in.
-fn index_routing(fop: &FOp, evs: &[Ev]) -> Result<(), String> {
-    for ev in evs {
-        let Ev::Index { store } = *ev else { continue };
-        for typed in [false, true] {
-            let Some(bit) = fused_typed_bit(fop, typed) else {
-                continue;
-            };
-            let (fused, reference) = (index_route(bit, store), index_route(typed, store));
-            if fused != reference {
-                return Err(format!(
-                    "typed={typed} receiver counts in {fused:?}, reference in {reference:?}"
-                ));
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Family name of a fused form (wildcard-free on purpose).
@@ -395,51 +189,38 @@ fn enumerate_instances() -> Vec<(&'static str, String, Vec<Op>)> {
 
 /// Audit every fused form the MiniJS overlay can emit. An entry is `ok`
 /// when the overlay builder recognizes the constituents as the expected
-/// family at the full width, and the fused charge plan and exit equal
-/// the plain interpreter's walk event-for-event. Forms with a branch get
-/// one entry per outcome of their comparison.
+/// family at the full width, the walk follows the span on the entry's
+/// outcome, and the overlay stored that walk's charges. Forms with a
+/// branch get one entry per outcome of their comparison.
 pub fn audit_fusion_table() -> Vec<FusionAuditEntry> {
     let mut entries = Vec::new();
     for (family, label, ops) in enumerate_instances() {
-        let chunk = Chunk {
-            code: ops.clone(),
-            consts: vec![Const::Num(1.0), Const::Num(0.0)],
-            ..Default::default()
-        };
+        let constituents = ops.iter().map(|o| format!("{o:?}")).collect::<Vec<_>>();
+        let width = ops.len();
         let branches = ops.iter().any(|op| matches!(op, Op::JumpIfFalse(_)));
+        let chunk = instance_chunk(ops);
+        let fused = fuse_at(&chunk, 0, &mut 0);
         let paths: &[bool] = if branches { &[true, false] } else { &[true] };
         for &cond in paths {
-            let mut detail = None;
-            let mut fused_rendered = Vec::new();
-            let mut reference_rendered = Vec::new();
-            match (match_at(&chunk, 0, &mut 0), reference_walk(&chunk, cond)) {
-                (_, Err(e)) => detail = Some(format!("reference walk: {e}")),
-                (Some(fop), Ok((ref_steps, ref_evs, ref_exit)))
-                    if fop.width() == ops.len() && family_of(&fop) == family =>
+            let mut events = Vec::new();
+            let walked = walk(&chunk, 0, width, cond, |ev| events.push(render(&ev)));
+            let detail = match (&fused, walked) {
+                (_, Err(e)) => Some(format!("walk: {e}")),
+                (None, Ok(_)) => Some("constituents did not fuse".into()),
+                (Some(f), Ok(_)) if f.op.width() != width || family_of(&f.op) != family => {
+                    Some(format!(
+                        "overlay mismatch: got {} at width {}, expected {family} at width {width}",
+                        family_of(&f.op),
+                        f.op.width(),
+                    ))
+                }
+                (Some(f), Ok(_))
+                    if SpanCharges::walk(&chunk, 0, width, cond).as_ref() != Some(f.path(cond)) =>
                 {
-                    let (steps, evs, exit) = fused_plan(&fop, cond);
-                    fused_rendered = evs.iter().map(Ev::render).collect();
-                    reference_rendered = ref_evs.iter().map(Ev::render).collect();
-                    if steps != ref_steps {
-                        detail = Some(format!("step total {steps} != reference {ref_steps}"));
-                    } else if evs != ref_evs {
-                        detail = Some("charge plans differ".into());
-                    } else if exit != ref_exit {
-                        detail = Some(format!("continues at {exit}, reference at {ref_exit}"));
-                    } else if let Err(e) = index_routing(&fop, &evs) {
-                        detail = Some(e);
-                    }
+                    Some("stored charges are not the walk's".into())
                 }
-                (Some(fop), Ok(_)) => {
-                    detail = Some(format!(
-                        "overlay mismatch: got {} at width {}, expected {family} at width {}",
-                        family_of(&fop),
-                        fop.width(),
-                        ops.len()
-                    ));
-                }
-                (None, Ok(_)) => detail = Some("constituents did not fuse".into()),
-            }
+                _ => None,
+            };
             let instance = if branches {
                 format!("{family}[{label}, {cond}]")
             } else {
@@ -448,9 +229,8 @@ pub fn audit_fusion_table() -> Vec<FusionAuditEntry> {
             entries.push(FusionAuditEntry {
                 family,
                 instance,
-                constituents: ops.iter().map(|o| format!("{o:?}")).collect(),
-                fused_charges: fused_rendered,
-                reference_charges: reference_rendered,
+                constituents: constituents.clone(),
+                charges: events,
                 ok: detail.is_none(),
                 detail,
             });
@@ -462,6 +242,7 @@ pub fn audit_fusion_table() -> Vec<FusionAuditEntry> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wb_env::{ArithKind, OpClass};
 
     #[test]
     fn every_instance_is_cost_equivalent() {
@@ -511,17 +292,13 @@ mod tests {
     }
 
     #[test]
-    fn index_routing_splits_on_typedness_alone() {
+    fn index_route_splits_on_typedness_alone() {
+        use crate::vm::index_route;
         use crate::vm::IndexCounter::{Plain, Typed};
         assert_eq!(index_route(false, false), (Plain, OpClass::Load));
         assert_eq!(index_route(true, false), (Typed, OpClass::Load));
         assert_eq!(index_route(false, true), (Plain, OpClass::Store));
         assert_eq!(index_route(true, true), (Typed, OpClass::Store));
-        // A set form whose guard admitted plain arrays while passing a
-        // constant `typed` bit would count them in the wrong set.
-        let set = FOp::SetIndexIc { ic: 0, pop: false };
-        assert!(index_routing(&set, &[Ev::Index { store: true }]).is_ok());
-        assert_eq!(fused_typed_bit(&set, false), None);
     }
 
     #[test]
@@ -532,7 +309,7 @@ mod tests {
             .find(|e| e.instance == "LLBinStore[Div]")
             .unwrap();
         assert_eq!(
-            div.fused_charges,
+            div.charges,
             vec![
                 "class:Local",
                 "class:Local",
@@ -541,7 +318,22 @@ mod tests {
                 "class:Local"
             ]
         );
-        assert_eq!(div.fused_charges, div.reference_charges);
+        assert!(div.ok, "{div:?}");
+        // The record the overlay stores folds those events into counts.
+        let ops = vec![
+            Op::LoadLocal(0),
+            Op::LoadLocal(1),
+            Op::Div,
+            Op::StoreLocal(2),
+        ];
+        let fused = fuse_at(&instance_chunk(ops), 0, &mut 0).unwrap();
+        let path = fused.path(true);
+        assert_eq!((path.steps, path.exit, path.index), (4, 4, None));
+        let (float_div, local) = (OpClass::FloatDiv as usize, OpClass::Local as usize);
+        let classes: Vec<_> = path.classes.iter().collect();
+        assert_eq!(classes, [(float_div, 1), (local, 3)]);
+        let arith: Vec<_> = path.arith.iter().collect();
+        assert_eq!(arith, [(ArithKind::Div.column(), 1)]);
     }
 
     #[test]
@@ -550,43 +342,12 @@ mod tests {
         let plan = |name: &str| {
             let e = entries.iter().find(|e| e.instance == name).unwrap();
             assert!(e.ok, "{e:?}");
-            e.fused_charges.clone()
+            e.charges.clone()
         };
         let taken = plan("LCCmpJfTail[Lt, true]");
         let not_taken = plan("LCCmpJfTail[Lt, false]");
         assert_eq!(taken.len(), 7);
         assert_eq!(not_taken.len(), 6);
         assert_eq!(taken[..5], not_taken[..5]);
-    }
-
-    #[test]
-    fn walk_follows_the_bool_tail() {
-        // The plain ops' own jumps decide the reference path: seven
-        // constituents and three branches when the comparison holds, six
-        // and an exit to the target when it does not.
-        let chunk = Chunk {
-            code: [
-                vec![Op::LoadLocal(0), Op::Const(0), Op::Lt],
-                vec![
-                    Op::JumpIfFalse(3),
-                    Op::Const(0),
-                    Op::Jump(2),
-                    Op::Const(1),
-                    Op::JumpIfFalse(100),
-                ],
-            ]
-            .concat(),
-            consts: vec![Const::Num(1.0), Const::Num(0.0)],
-            ..Default::default()
-        };
-        let (steps, evs, exit) = reference_walk(&chunk, true).unwrap();
-        assert_eq!((steps, exit), (7, 8));
-        let branches = evs
-            .iter()
-            .filter(|e| **e == Ev::Class(OpClass::Branch))
-            .count();
-        assert_eq!(branches, 3);
-        let (steps, _, exit) = reference_walk(&chunk, false).unwrap();
-        assert_eq!((steps, exit), (6, 107));
     }
 }

@@ -2,7 +2,7 @@
 //! assignment.
 //!
 //! After compilation, each chunk gets a fused **overlay**: a
-//! `Vec<Option<FOp>>` the same length as the code, with `Some(fop)` at
+//! `Vec<Option<Fused>>` the same length as the code, with an entry at
 //! every pc where a multi-op pattern (or an index op worth an inline
 //! cache) begins. The original bytecode is untouched — the interpreter
 //! consults the overlay at each pc and either executes the fused form
@@ -18,6 +18,16 @@
 //!   misses), it falls through to the plain op at the same pc *before
 //!   charging anything*, so the virtual-cost trace is identical to the
 //!   reference interpreter's.
+//!
+//! **A fused form charges its own bytecode.** At every head,
+//! [`build_overlay`] runs the plain loop's [`walk`] over the span's
+//! constituents, once per outcome of its comparison, and stores what it
+//! found beside the entry ([`Fused::paths`]): steps, per-class counts,
+//! Table 12 kinds, the index access and the pc the path leaves to. The
+//! interpreter's fused handler only guards and computes values; it
+//! charges the stored record for the outcome its comparison took. A span
+//! the walk cannot follow (a back-edge, a branch on an unknown value, a
+//! call) is not fused, so the charges hold by construction.
 //!
 //! Fusion eligibility mirrors the wasm engine's cost-equivalence
 //! invariant (see `wb-wasm-vm/src/fuse.rs` and DESIGN.md): a fused
@@ -39,7 +49,7 @@
 //! of [`FOp::LCCmpJf`] and [`FOp::LLCmpJf`]).
 
 use crate::bytecode::{Chunk, Const, Op, Program};
-use wb_env::{ArithKind, OpClass};
+use wb_env::{ArithKind, OpClass, OP_CLASS_COUNT};
 
 /// Fusable two-operand arithmetic, mirroring the corresponding [`Op`]s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,8 +101,7 @@ impl BinKind {
     }
 
     /// The source op this kind was lifted from (inverse of
-    /// [`BinKind::of`]). Its charges come from that op's tables.
-    #[inline]
+    /// [`BinKind::of`]).
     pub(crate) fn op(self) -> Op {
         match self {
             BinKind::Add => Op::Add,
@@ -107,18 +116,6 @@ impl BinKind {
             BinKind::Shr => Op::Shr,
             BinKind::UShr => Op::UShr,
         }
-    }
-
-    /// Cost-model class: [`Op::class`] of the source op.
-    #[inline]
-    pub(crate) fn class(self) -> OpClass {
-        self.op().class()
-    }
-
-    /// Table 12 column: [`Op::arith`] of the source op.
-    #[inline]
-    pub(crate) fn arith(self) -> Option<ArithKind> {
-        self.op().arith()
     }
 
     /// Number-operands fast path. Exactly the reference semantics when
@@ -211,10 +208,10 @@ impl CmpKind {
     }
 }
 
-/// A fused micro-op (overlay entry). Field names: `a`/`b` are local
-/// slots, `c` a numeric constant, `dst` a local slot written, `g` a
-/// global's name index, `target` an absolute pc, `ic` an inline-cache
-/// site index.
+/// A fused micro-op: what an overlay entry computes. Field names:
+/// `a`/`b` are local slots, `c` a numeric constant, `dst` a local slot
+/// written, `g` a global's name index, `ic` an inline-cache site index.
+/// Where a form branches to comes from its walk ([`Fused::paths`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum FOp {
     /// `LoadLocal a; LoadLocal b; <bin>`
@@ -248,14 +245,13 @@ pub(crate) enum FOp {
     /// `Const c; StoreLocal dst`
     CStore { c: f64, dst: u16 },
     /// `<cmp>; JumpIfFalse` (operands from the stack)
-    CmpJf { op: CmpKind, target: u32 },
+    CmpJf { op: CmpKind },
     /// `LoadLocal a; LoadLocal b; <cmp>; JumpIfFalse`, or with `tail`
     /// `LoadLocal a; LoadLocal b; <cmp>` and a bool tail (`bool_tail`).
     LLCmpJf {
         a: u16,
         b: u16,
         op: CmpKind,
-        target: u32,
         tail: bool,
     },
     /// `LoadLocal a; Const c; <cmp>; JumpIfFalse`, or with `tail`
@@ -264,7 +260,6 @@ pub(crate) enum FOp {
         a: u16,
         c: f64,
         op: CmpKind,
-        target: u32,
         tail: bool,
     },
     /// `LoadGlobal g; LoadLocal a; Const c; <op1>; LoadLocal b; <op2>`:
@@ -289,8 +284,7 @@ pub(crate) enum FOp {
 }
 
 impl FOp {
-    /// Source ops this entry covers (pc advance on the fused path, unless
-    /// it branches).
+    /// Source ops this entry's span covers.
     pub(crate) fn width(&self) -> usize {
         match self {
             FOp::LLCmpJf { tail, .. } | FOp::LCCmpJf { tail, .. } => 4 + 4 * *tail as usize,
@@ -341,11 +335,32 @@ pub(crate) struct IcEntry {
     pub kind: IcKind,
 }
 
+/// One overlay entry: a fused form and what each outcome of its
+/// comparison charges.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Fused {
+    /// What the entry computes.
+    pub op: FOp,
+    /// The span's charges when its comparison is false and when it is
+    /// true, from [`walk`]. A form without a comparison has one path,
+    /// stored twice.
+    pub paths: [SpanCharges; 2],
+}
+
+impl Fused {
+    /// The path taken when the comparison gives `cond` (either, for a
+    /// form without one).
+    #[inline]
+    pub(crate) fn path(&self, cond: bool) -> &SpanCharges {
+        &self.paths[cond as usize]
+    }
+}
+
 /// The fused overlay for one chunk.
 #[derive(Debug, Default)]
 pub(crate) struct FusedChunk {
-    /// `Some(fop)` at each pattern head; `None` elsewhere.
-    pub ops: Vec<Option<FOp>>,
+    /// An entry at each pattern head; `None` elsewhere.
+    pub ops: Vec<Option<Fused>>,
 }
 
 /// Build overlays for every chunk. Returns the per-chunk overlays and
@@ -363,19 +378,213 @@ pub(crate) fn build_overlays(program: &Program) -> (Vec<FusedChunk>, u32) {
 
 fn build_overlay(chunk: &Chunk, next_ic: &mut u32) -> FusedChunk {
     let code = &chunk.code;
-    let mut ops: Vec<Option<FOp>> = vec![None; code.len()];
+    let mut ops: Vec<Option<Fused>> = vec![None; code.len()];
     let mut pc = 0;
     while pc < code.len() {
-        match match_at(chunk, pc, next_ic) {
-            Some(fop) => {
-                let w = fop.width();
-                ops[pc] = Some(fop);
+        match fuse_at(chunk, pc, next_ic) {
+            Some(fused) => {
+                let w = fused.op.width();
+                ops[pc] = Some(fused);
                 pc += w;
             }
             None => pc += 1,
         }
     }
     FusedChunk { ops }
+}
+
+/// The overlay entry at `pc`: the longest pattern there, with the walk
+/// of each outcome. `None` when no pattern matches or the walk cannot
+/// follow the span (its inline-cache site, if any, is then not taken).
+pub(crate) fn fuse_at(chunk: &Chunk, pc: usize, next_ic: &mut u32) -> Option<Fused> {
+    let first_ic = *next_ic;
+    let op = match_at(chunk, pc, next_ic)?;
+    let span = pc..pc + op.width();
+    let path = |cond| SpanCharges::walk(chunk, pc, span.len(), cond);
+    let if_true = path(true);
+    // A span without a comparison takes one path whatever `cond` is.
+    let compares = chunk.code[span.clone()]
+        .iter()
+        .any(|o| CmpKind::of(o).is_some());
+    let if_false = if compares { path(false) } else { if_true };
+    match (if_false, if_true) {
+        (Some(if_false), Some(if_true)) => Some(Fused {
+            op,
+            paths: [if_false, if_true],
+        }),
+        _ => {
+            *next_ic = first_ic;
+            None
+        }
+    }
+}
+
+/// A single cost event the plain loop applies for one op.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Ev {
+    /// One `band_counts[band].bump(class, 1)`.
+    Class(OpClass),
+    /// One Table 12 arithmetic-profile bump.
+    Arith(ArithKind),
+    /// One typed-array-aware index count (`count_index_op`).
+    Index {
+        /// Whether it counts as a store.
+        store: bool,
+    },
+}
+
+/// What the plain loop charges for one op, in its order: the class bump
+/// (index ops count inside their handler instead), then the Table 12
+/// bump.
+fn op_events(op: &Op, charge: &mut impl FnMut(Ev)) {
+    match op {
+        Op::GetIndex => charge(Ev::Index { store: false }),
+        Op::SetIndex => charge(Ev::Index { store: true }),
+        other => {
+            charge(Ev::Class(other.class()));
+            if let Some(kind) = other.arith() {
+                charge(Ev::Arith(kind));
+            }
+        }
+    }
+}
+
+/// The plain interpreter's walk over `chunk.code[head..head + width]`
+/// with every comparison evaluating to `cond`, handing each charge event
+/// to `charge` in order. Returns the ops retired and the pc the path
+/// leaves the span at. Branches are followed on the truthiness of the
+/// value they pop, which the walk knows when a comparison or a numeric
+/// constant pushed it. The walk only moves forward inside the span, so
+/// it ends within `width` steps. It fails on a back-edge (which notes
+/// hotness, as no fused form may), on a branch on an unknown value and
+/// on an op that leaves the frame.
+pub(crate) fn walk(
+    chunk: &Chunk,
+    head: usize,
+    width: usize,
+    cond: bool,
+    mut charge: impl FnMut(Ev),
+) -> Result<(usize, usize), String> {
+    let span = head..head + width;
+    let (mut pc, mut steps) = (head, 0);
+    // Truthiness of the value on top of the stack, where known.
+    let mut top: Option<bool> = None;
+    while span.contains(&pc) {
+        let op = chunk.code.get(pc).ok_or("span runs past the chunk")?;
+        steps += 1;
+        op_events(op, &mut charge);
+        let mut jump = None;
+        match op {
+            Op::Const(ci) => {
+                top = match chunk.consts.get(*ci as usize) {
+                    Some(Const::Num(n)) => Some(*n != 0.0 && !n.is_nan()),
+                    _ => None,
+                }
+            }
+            op if CmpKind::of(op).is_some() => top = Some(cond),
+            Op::Jump(d) if *d < 0 => return Err(format!("back-edge at pc {pc}")),
+            Op::Jump(d) => jump = Some(*d),
+            Op::JumpIfFalse(d) => {
+                let truthy = top
+                    .take()
+                    .ok_or_else(|| format!("branch on an unknown value at pc {pc}"))?;
+                if !truthy {
+                    jump = Some(*d);
+                }
+            }
+            Op::JumpIfFalsePeek(_)
+            | Op::JumpIfTruePeek(_)
+            | Op::Call(_)
+            | Op::MethodCall { .. }
+            | Op::Return
+            | Op::ReturnUndef => return Err(format!("cannot follow {op:?} at pc {pc}")),
+            _ => top = None,
+        }
+        pc = match jump {
+            None => pc + 1,
+            Some(d) => usize::try_from(pc as i64 + d as i64)
+                .ok()
+                .filter(|to| *to > pc || !span.contains(to))
+                .ok_or_else(|| format!("jump back inside the span at pc {pc}"))?,
+        };
+    }
+    Ok((steps, pc))
+}
+
+/// What one path through a fused span charges: its [`walk`] folded into
+/// counts, which the interpreter adds in one go.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SpanCharges {
+    /// Ops retired (against the fuel budget).
+    pub steps: u8,
+    /// Class bumps, by `OpClass as usize`. At most 5: `GAddr` with its
+    /// `GetIndex` touches `Global`, `Local`, `Const` and its two
+    /// operators' classes.
+    pub classes: Bumps<5>,
+    /// Table 12 bumps, by [`ArithKind::column`] (two operators at most).
+    pub arith: Bumps<2>,
+    /// The index access, if any: `Some(store)`.
+    pub index: Option<bool>,
+    /// The pc the path leaves the span at.
+    pub exit: u32,
+}
+
+impl SpanCharges {
+    /// The [`walk`] of the span at `head` with every comparison giving
+    /// `cond`, folded into counts. `None` if the walk cannot follow the
+    /// span or its counts do not fit.
+    pub(crate) fn walk(chunk: &Chunk, head: usize, width: usize, cond: bool) -> Option<Self> {
+        let (mut classes, mut arith) = ([0u8; OP_CLASS_COUNT], [0u8; 7]);
+        let (mut index, mut indices) = (None, 0);
+        let (steps, exit) = walk(chunk, head, width, cond, |ev| match ev {
+            Ev::Class(class) => classes[class as usize] += 1,
+            Ev::Arith(kind) => arith[kind.column()] += 1,
+            Ev::Index { store } => {
+                index = Some(store);
+                indices += 1;
+            }
+        })
+        .ok()?;
+        if indices > 1 {
+            return None;
+        }
+        Some(SpanCharges {
+            steps: u8::try_from(steps).ok()?,
+            classes: Bumps::of(&classes)?,
+            arith: Bumps::of(&arith)?,
+            index,
+            exit: u32::try_from(exit).ok()?,
+        })
+    }
+}
+
+/// At most `N` `(counter index, n)` bumps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Bumps<const N: usize> {
+    slots: [(u8, u8); N],
+    len: u8,
+}
+
+impl<const N: usize> Bumps<N> {
+    /// The nonzero entries of `counts`; `None` if there are more than `N`.
+    fn of(counts: &[u8]) -> Option<Self> {
+        let mut bumps = Bumps {
+            slots: [(0, 0); N],
+            len: 0,
+        };
+        for (i, &n) in counts.iter().enumerate().filter(|(_, n)| **n > 0) {
+            *bumps.slots.get_mut(bumps.len as usize)? = (i as u8, n);
+            bumps.len += 1;
+        }
+        Some(bumps)
+    }
+
+    /// The bumps, as `(counter index, n)`.
+    #[inline]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let slots = &self.slots[..self.len as usize];
+        slots.iter().map(|&(i, n)| (i as usize, n as u64))
+    }
 }
 
 /// Numeric constant at `ci`, if it is one.
@@ -392,8 +601,9 @@ fn alloc_ic(next_ic: &mut u32) -> u32 {
     ic
 }
 
-/// The bool tail at `pc`, the branch on a comparison materialized as a
-/// number, `(<cmp> ? 1 : 0)` under an `if` or loop test:
+/// Whether the bool tail starts at `pc`: the branch on a comparison
+/// materialized as a number, `(<cmp> ? 1 : 0)` under an `if` or loop
+/// test:
 ///
 /// ```text
 /// pc+0  JumpIfFalse +3
@@ -405,29 +615,22 @@ fn alloc_ic(next_ic: &mut u32) -> u32 {
 ///
 /// The comparison's truth decides the second branch too, so the tail
 /// exits to `pc+5` when it holds and to the target when it does not.
-/// Returns that target.
-fn bool_tail(chunk: &Chunk, pc: usize) -> Option<u32> {
+fn bool_tail(chunk: &Chunk, pc: usize) -> bool {
     let truthy = |ci: &u32| num_const(chunk, *ci).map(|n| n != 0.0 && !n.is_nan());
-    match chunk.code.get(pc..pc + 5)? {
-        [Op::JumpIfFalse(3), Op::Const(t), Op::Jump(2), Op::Const(f), Op::JumpIfFalse(d)]
-            if truthy(t) == Some(true) && truthy(f) == Some(false) =>
-        {
-            Some((pc as i32 + 4 + d) as u32)
-        }
-        _ => None,
-    }
+    matches!(
+        chunk.code.get(pc..pc + 5),
+        Some([Op::JumpIfFalse(3), Op::Const(t), Op::Jump(2), Op::Const(f), Op::JumpIfFalse(_)])
+            if truthy(t) == Some(true) && truthy(f) == Some(false)
+    )
 }
 
-/// A comparison's branch at `pc`: the bool tail when one is there, else
-/// a plain `JumpIfFalse`. Returns `(target, tail)`.
-fn cmp_branch(chunk: &Chunk, pc: usize) -> Option<(u32, bool)> {
-    if let Some(target) = bool_tail(chunk, pc) {
-        return Some((target, true));
+/// A comparison's branch at `pc`: `Some(true)` for the bool tail,
+/// `Some(false)` for a plain `JumpIfFalse`.
+fn cmp_branch(chunk: &Chunk, pc: usize) -> Option<bool> {
+    if bool_tail(chunk, pc) {
+        return Some(true);
     }
-    match chunk.code.get(pc) {
-        Some(Op::JumpIfFalse(d)) => Some(((pc as i32 + d) as u32, false)),
-        _ => None,
-    }
+    matches!(chunk.code.get(pc), Some(Op::JumpIfFalse(_))).then_some(false)
 }
 
 /// Greedy longest-pattern match at `pc`.
@@ -466,12 +669,11 @@ pub(crate) fn match_at(chunk: &Chunk, pc: usize, next_ic: &mut u32) -> Option<FO
         if let Some(Op::LoadLocal(b)) = at(1) {
             if let Some(op2) = at(2) {
                 if let Some(cmp) = CmpKind::of(op2) {
-                    if let Some((target, tail)) = cmp_branch(chunk, pc + 3) {
+                    if let Some(tail) = cmp_branch(chunk, pc + 3) {
                         return Some(FOp::LLCmpJf {
                             a: *a,
                             b: *b,
                             op: cmp,
-                            target,
                             tail,
                         });
                     }
@@ -505,12 +707,11 @@ pub(crate) fn match_at(chunk: &Chunk, pc: usize, next_ic: &mut u32) -> Option<FO
             if let Some(c) = num_const(chunk, *ci) {
                 if let Some(op2) = at(2) {
                     if let Some(cmp) = CmpKind::of(op2) {
-                        if let Some((target, tail)) = cmp_branch(chunk, pc + 3) {
+                        if let Some(tail) = cmp_branch(chunk, pc + 3) {
                             return Some(FOp::LCCmpJf {
                                 a: *a,
                                 c,
                                 op: cmp,
-                                target,
                                 tail,
                             });
                         }
@@ -555,9 +756,8 @@ pub(crate) fn match_at(chunk: &Chunk, pc: usize, next_ic: &mut u32) -> Option<FO
     }
     if let Some(op0) = at(0) {
         if let Some(cmp) = CmpKind::of(op0) {
-            if let Some(Op::JumpIfFalse(d)) = at(1) {
-                let target = (pc as i32 + 1 + d) as u32;
-                return Some(FOp::CmpJf { op: cmp, target });
+            if let Some(Op::JumpIfFalse(_)) = at(1) {
+                return Some(FOp::CmpJf { op: cmp });
             }
         }
     }
@@ -598,7 +798,7 @@ mod tests {
         let mut ic = 0;
         let o = build_overlay(&c, &mut ic);
         assert_eq!(
-            o.ops[0],
+            o.ops[0].map(|f| f.op),
             Some(FOp::LCBinStore {
                 a: 0,
                 c: 1.0,
@@ -624,17 +824,20 @@ mod tests {
         );
         let mut ic = 0;
         let o = build_overlay(&c, &mut ic);
+        let fused = o.ops[0].unwrap();
         assert_eq!(
-            o.ops[0],
-            Some(FOp::LLCmpJf {
+            fused.op,
+            FOp::LLCmpJf {
                 a: 0,
                 b: 1,
                 op: CmpKind::Lt,
-                // JumpIfFalse at pc 3, d=5 → absolute 8.
-                target: 8,
                 tail: false
-            })
+            }
         );
+        // JumpIfFalse at pc 3, d=5 → absolute 8; falling through → 4.
+        assert_eq!(fused.path(false).exit, 8);
+        assert_eq!(fused.path(true).exit, 4);
+        assert_eq!(fused.path(true).steps, 4);
     }
 
     #[test]
@@ -653,15 +856,18 @@ mod tests {
         let mut ic = 0;
         let o = build_overlay(&c, &mut ic);
         assert_eq!(
-            o.ops[0],
+            o.ops[0].map(|f| f.op),
             Some(FOp::LLGetIndex {
                 obj: 0,
                 idx: 1,
                 ic: 0
             })
         );
-        assert_eq!(o.ops[3], Some(FOp::GetIndexIc { ic: 1 }));
-        assert_eq!(o.ops[4], Some(FOp::SetIndexIc { ic: 2, pop: true }));
+        assert_eq!(o.ops[3].map(|f| f.op), Some(FOp::GetIndexIc { ic: 1 }));
+        assert_eq!(
+            o.ops[4].map(|f| f.op),
+            Some(FOp::SetIndexIc { ic: 2, pop: true })
+        );
         assert_eq!(ic, 3);
     }
 
@@ -670,7 +876,7 @@ mod tests {
         let program = crate::compile_script(src).expect("compiles");
         let (overlays, _) = build_overlays(&program);
         let idx = program.chunks.iter().position(|c| c.name == name).unwrap();
-        overlays[idx].ops.iter().flatten().copied().collect()
+        overlays[idx].ops.iter().flatten().map(|f| f.op).collect()
     }
 
     #[test]
@@ -764,11 +970,10 @@ mod tests {
                     _ => false,
                 })
             };
-            let found = overlays[idx]
-                .ops
-                .iter()
-                .enumerate()
-                .any(|(head, f)| f.is_some_and(|f| family(&f) && entered(head, f.width())));
+            let found =
+                overlays[idx].ops.iter().enumerate().any(|(head, f)| {
+                    f.is_some_and(|f| family(&f.op) && entered(head, f.op.width()))
+                });
             assert!(found, "{name}: no jump into its fused group");
         }
     }
@@ -844,13 +1049,7 @@ mod tests {
                 4,
             ),
             (FOp::CStore { c: 0.0, dst: 0 }, 2),
-            (
-                FOp::CmpJf {
-                    op: CmpKind::Lt,
-                    target: 0,
-                },
-                2,
-            ),
+            (FOp::CmpJf { op: CmpKind::Lt }, 2),
             (
                 FOp::LCBin2Store {
                     a: 0,
@@ -867,7 +1066,6 @@ mod tests {
                     a: 0,
                     c: 4.0,
                     op: CmpKind::Lt,
-                    target: 0,
                     tail: true,
                 },
                 8,
@@ -890,5 +1088,51 @@ mod tests {
         ] {
             assert_eq!(fop.width(), w, "{fop:?}");
         }
+    }
+
+    #[test]
+    fn walk_follows_the_bool_tail() {
+        // The plain ops' own jumps decide the path: seven constituents
+        // and three branches when the comparison holds, six and an exit
+        // to the target when it does not.
+        let chunk = Chunk {
+            code: [
+                vec![Op::LoadLocal(0), Op::Const(0), Op::Lt],
+                vec![
+                    Op::JumpIfFalse(3),
+                    Op::Const(0),
+                    Op::Jump(2),
+                    Op::Const(1),
+                    Op::JumpIfFalse(100),
+                ],
+            ]
+            .concat(),
+            consts: vec![Const::Num(1.0), Const::Num(0.0)],
+            ..Default::default()
+        };
+        let mut branches = 0;
+        let taken = walk(&chunk, 0, 8, true, |e| {
+            branches += (e == Ev::Class(OpClass::Branch)) as usize
+        });
+        assert_eq!(taken, Ok((7, 8)));
+        assert_eq!(branches, 3);
+        assert_eq!(walk(&chunk, 0, 8, false, |_| {}), Ok((6, 107)));
+    }
+
+    #[test]
+    fn unwalkable_spans_are_not_fused() {
+        // `Lt; JumpIfFalse -1` matches `CmpJf` but jumps back inside its
+        // own span: the walk refuses it, so nothing fuses.
+        let back_inside = chunk(vec![Op::Lt, Op::JumpIfFalse(-1)], vec![]);
+        assert!(walk(&back_inside, 0, 2, false, |_| {}).is_err());
+        let mut ic = 0;
+        let o = build_overlay(&back_inside, &mut ic);
+        assert!(o.ops.iter().all(|x| x.is_none()));
+        // A back-edge notes hotness; a branch on a value the span did not
+        // push has no known outcome.
+        let back_edge = chunk(vec![Op::LoadLocal(0), Op::Jump(-1)], vec![]);
+        assert!(walk(&back_edge, 0, 2, true, |_| {}).is_err());
+        let unknown = chunk(vec![Op::LoadLocal(0), Op::JumpIfFalse(5)], vec![]);
+        assert!(walk(&unknown, 0, 2, true, |_| {}).is_err());
     }
 }

@@ -5,7 +5,7 @@
 
 use crate::bytecode::{Const, Op, Program};
 use crate::error::JsError;
-use crate::fuse::{build_overlays, BinKind, FOp, FusedChunk, IcEntry, IcKind};
+use crate::fuse::{build_overlays, FOp, Fused, FusedChunk, IcEntry, IcKind, SpanCharges};
 use crate::heap::{Heap, HeapStats, Obj};
 use crate::stdlib::{sha256, DetRng};
 use crate::value::{format_number, Builtin, JsValue, Value};
@@ -235,7 +235,8 @@ pub struct JsVm {
     /// and `Math.*` calls, native code priced at the JIT tier whatever
     /// the band or JIT mode, in `native`.
     band_counts: BandCounts,
-    arith: ArithCounts,
+    /// Table 12 counts, in [`ArithCounts::columns`] order.
+    arith: [u64; 7],
     charges: ChargeRecord,
     clock_reads: u64,
     steps: u64,
@@ -267,7 +268,7 @@ impl JsVm {
             locals: Vec::new(),
             frames: Vec::new(),
             chunk_state: Vec::new(),
-            arith: ArithCounts::default(),
+            arith: [0; 7],
             charges: ChargeRecord::new(),
             clock_reads: 0,
             steps: 0,
@@ -371,7 +372,7 @@ impl JsVm {
             charges: self.charges.clone(),
             band_counts: self.band_counts.clone(),
             heap: self.heap.stats(),
-            arith: self.arith,
+            arith: ArithCounts::from_columns(self.arith),
             code_ops: self.program.op_count(),
             clock_reads: self.clock_reads,
         }
@@ -693,8 +694,8 @@ impl JsVm {
                 // leaves the virtual-cost state untouched and the plain
                 // op below replays the reference path exactly.
                 if use_fused {
-                    if let Some(fop) = fused[chunk_idx].ops[pc] {
-                        if let Some(next) = self.exec_fused(fop, pc, band, locals_base)? {
+                    if let Some(f) = &fused[chunk_idx].ops[pc] {
+                        if let Some(next) = self.exec_fused(f, band, locals_base)? {
                             self.dispatches[0] += 1;
                             pc = next;
                             continue;
@@ -713,7 +714,7 @@ impl JsVm {
                     self.band_counts.ops[band].bump(op.class(), 1);
                 }
                 if let Some(kind) = op.arith() {
-                    self.arith.bump(kind);
+                    self.arith[kind.column()] += 1;
                 }
 
                 match op {
@@ -1022,12 +1023,15 @@ impl JsVm {
         Ok(())
     }
 
-    /// Execute one fused micro-op if its fast-path guards hold.
+    /// Execute one fused span if its fast-path guards hold.
     ///
-    /// Returns `Ok(Some(next_pc))` when the fused form ran with every
-    /// constituent's virtual charge applied, or `Ok(None)` when a guard
-    /// failed — in which case *nothing* was charged and the caller must
-    /// execute the plain op at `pc`.
+    /// Returns `Ok(Some(next_pc))` when the fused form ran, or `Ok(None)`
+    /// when a guard failed — in which case *nothing* was charged and the
+    /// caller must execute the plain op at `pc`. The arms hold no charges
+    /// of their own: after its guards, each charges the path its
+    /// comparison took (its only path, for a form without one) through
+    /// [`Self::retire`], from the record `fuse::walk` made of the span's
+    /// constituents at load time, and continues at that path's exit.
     ///
     /// Cost-equivalence invariant (see DESIGN.md): fast paths never
     /// allocate, never grow heap bytes and never note hotness, so GC
@@ -1038,69 +1042,44 @@ impl JsVm {
     /// budget-trapped runs are never measured.
     fn exec_fused(
         &mut self,
-        fop: FOp,
-        pc: usize,
+        fused: &Fused,
         band: usize,
         locals_base: usize,
     ) -> Result<Option<usize>, JsError> {
-        macro_rules! steps {
-            ($n:expr) => {
-                self.steps += $n;
-                if self.steps > self.config.limits.fuel_budget() {
-                    return Err(JsError::StepBudgetExhausted);
-                }
-            };
-        }
-        macro_rules! bump {
-            ($class:ident, $n:expr) => {
-                self.band_counts.ops[band].bump(OpClass::$class, $n)
-            };
-        }
         let local = |vm: &Self, i: u16| vm.locals[locals_base + i as usize];
-        match fop {
+        let only = fused.path(true);
+        match fused.op {
             FOp::LLBin { a, b, op } => {
                 let (Value::Num(x), Value::Num(y)) = (local(self, a), local(self, b)) else {
                     return Ok(None);
                 };
-                steps!(3);
-                bump!(Local, 2);
-                self.bump_bin(band, op);
+                let next = self.retire(only, band, false)?;
                 self.stack.push(Value::Num(op.apply(x, y)));
-                Ok(Some(pc + 3))
+                Ok(Some(next))
             }
             FOp::LLBinStore { a, b, op, dst } => {
                 let (Value::Num(x), Value::Num(y)) = (local(self, a), local(self, b)) else {
                     return Ok(None);
                 };
-                steps!(4);
-                bump!(Local, 2);
-                self.bump_bin(band, op);
-                bump!(Local, 1);
+                let next = self.retire(only, band, false)?;
                 self.locals[locals_base + dst as usize] = Value::Num(op.apply(x, y));
-                Ok(Some(pc + 4))
+                Ok(Some(next))
             }
             FOp::LCBin { a, c, op } => {
                 let Value::Num(x) = local(self, a) else {
                     return Ok(None);
                 };
-                steps!(3);
-                bump!(Local, 1);
-                bump!(Const, 1);
-                self.bump_bin(band, op);
+                let next = self.retire(only, band, false)?;
                 self.stack.push(Value::Num(op.apply(x, c)));
-                Ok(Some(pc + 3))
+                Ok(Some(next))
             }
             FOp::LCBinStore { a, c, op, dst } => {
                 let Value::Num(x) = local(self, a) else {
                     return Ok(None);
                 };
-                steps!(4);
-                bump!(Local, 1);
-                bump!(Const, 1);
-                self.bump_bin(band, op);
-                bump!(Local, 1);
+                let next = self.retire(only, band, false)?;
                 self.locals[locals_base + dst as usize] = Value::Num(op.apply(x, c));
-                Ok(Some(pc + 4))
+                Ok(Some(next))
             }
             FOp::LCBin2Store {
                 a,
@@ -1113,81 +1092,38 @@ impl JsVm {
                 let Value::Num(x) = local(self, a) else {
                     return Ok(None);
                 };
-                steps!(6);
-                bump!(Local, 1);
-                bump!(Const, 1);
-                self.bump_bin(band, op1);
-                bump!(Const, 1);
-                self.bump_bin(band, op2);
-                bump!(Local, 1);
+                let next = self.retire(only, band, false)?;
                 self.locals[locals_base + dst as usize] =
                     Value::Num(op2.apply(op1.apply(x, c1), c2));
-                Ok(Some(pc + 6))
+                Ok(Some(next))
             }
             FOp::CStore { c, dst } => {
-                steps!(2);
-                bump!(Const, 1);
-                bump!(Local, 1);
+                let next = self.retire(only, band, false)?;
                 self.locals[locals_base + dst as usize] = Value::Num(c);
-                Ok(Some(pc + 2))
+                Ok(Some(next))
             }
-            FOp::CmpJf { op, target } => {
+            FOp::CmpJf { op } => {
                 let n = self.stack.len();
                 let (Value::Num(x), Value::Num(y)) = (self.stack[n - 2], self.stack[n - 1]) else {
                     return Ok(None);
                 };
-                steps!(2);
-                bump!(Compare, 1);
-                bump!(Branch, 1);
+                let next = self.retire(fused.path(op.apply(x, y)), band, false)?;
                 self.stack.truncate(n - 2);
-                Ok(Some(if op.apply(x, y) {
-                    pc + 2
-                } else {
-                    target as usize
-                }))
+                Ok(Some(next))
             }
-            FOp::LLCmpJf {
-                a,
-                b,
-                op,
-                target,
-                tail,
-            } => {
+            FOp::LLCmpJf { a, b, op, .. } => {
                 let (Value::Num(x), Value::Num(y)) = (local(self, a), local(self, b)) else {
                     return Ok(None);
                 };
-                let cond = op.apply(x, y);
-                steps!(cmp_branch_steps(tail, cond));
-                bump!(Local, 2);
-                Ok(Some(self.charge_cmp_branch(
-                    band,
-                    cond,
-                    tail,
-                    pc + fop.width(),
-                    target,
-                )))
+                self.retire(fused.path(op.apply(x, y)), band, false)
+                    .map(Some)
             }
-            FOp::LCCmpJf {
-                a,
-                c,
-                op,
-                target,
-                tail,
-            } => {
+            FOp::LCCmpJf { a, c, op, .. } => {
                 let Value::Num(x) = local(self, a) else {
                     return Ok(None);
                 };
-                let cond = op.apply(x, c);
-                steps!(cmp_branch_steps(tail, cond));
-                bump!(Local, 1);
-                bump!(Const, 1);
-                Ok(Some(self.charge_cmp_branch(
-                    band,
-                    cond,
-                    tail,
-                    pc + fop.width(),
-                    target,
-                )))
+                self.retire(fused.path(op.apply(x, c)), band, false)
+                    .map(Some)
             }
             FOp::GAddr {
                 g,
@@ -1206,37 +1142,21 @@ impl JsVm {
                 };
                 let index = op2.apply(op1.apply(x, c), y);
                 // With a `GetIndex`, the cached element replaces both.
-                let element = match ic {
-                    None => None,
-                    Some(ic) => {
-                        let Value::Ref(r) = array else {
-                            return Ok(None);
-                        };
-                        let Some(hit) = self.ic_probe_load(ic, r, index) else {
-                            return Ok(None);
-                        };
-                        Some(hit)
-                    }
+                let Some(ic) = ic else {
+                    let next = self.retire(only, band, false)?;
+                    self.stack.push(array);
+                    self.stack.push(Value::Num(index));
+                    return Ok(Some(next));
                 };
-                steps!(fop.width() as u64);
-                bump!(Global, 1);
-                bump!(Local, 1);
-                bump!(Const, 1);
-                self.bump_bin(band, op1);
-                bump!(Local, 1);
-                self.bump_bin(band, op2);
-                match element {
-                    None => {
-                        self.stack.push(array);
-                        self.stack.push(Value::Num(index));
-                    }
-                    Some((v, typed)) => {
-                        self.count_cached_index(band, typed, false);
-                        self.ic_hits += 1;
-                        self.stack.push(v);
-                    }
-                }
-                Ok(Some(pc + fop.width()))
+                let Value::Ref(r) = array else {
+                    return Ok(None);
+                };
+                let Some((v, typed)) = self.ic_probe_load(ic, r, index) else {
+                    return Ok(None);
+                };
+                let next = self.retire(only, band, typed)?;
+                self.stack.push(v);
+                Ok(Some(next))
             }
             FOp::LLGetIndex { obj, idx, ic } => {
                 let Value::Ref(r) = local(self, obj) else {
@@ -1248,12 +1168,9 @@ impl JsVm {
                 let Some((v, typed)) = self.ic_probe_load(ic, r, n) else {
                     return Ok(None);
                 };
-                steps!(3);
-                bump!(Local, 2);
-                self.count_cached_index(band, typed, false);
-                self.ic_hits += 1;
+                let next = self.retire(only, band, typed)?;
                 self.stack.push(v);
-                Ok(Some(pc + 3))
+                Ok(Some(next))
             }
             FOp::GetIndexIc { ic } => {
                 let n = self.stack.len();
@@ -1266,12 +1183,10 @@ impl JsVm {
                 let Some((v, typed)) = self.ic_probe_load(ic, r, num) else {
                     return Ok(None);
                 };
-                steps!(1);
-                self.count_cached_index(band, typed, false);
-                self.ic_hits += 1;
+                let next = self.retire(only, band, typed)?;
                 self.stack.truncate(n - 2);
                 self.stack.push(v);
-                Ok(Some(pc + 1))
+                Ok(Some(next))
             }
             FOp::SetIndexIc { ic, pop } => {
                 let n = self.stack.len();
@@ -1290,10 +1205,7 @@ impl JsVm {
                     self.ic_refill(ic, r);
                     return Ok(None);
                 }
-                let w = 1 + pop as usize;
-                steps!(w as u64);
-                self.count_cached_index(band, true, true);
-                self.ic_hits += 1;
+                let next = self.retire(only, band, true)?;
                 if i >= 0.0 && i.fract() == 0.0 {
                     let idx = i as usize;
                     let vn = self.to_num(val);
@@ -1321,52 +1233,43 @@ impl JsVm {
                     }
                 }
                 if pop {
-                    // The SetIndex pushes `val`; the fused Pop (class
-                    // Other) immediately removes it again.
-                    bump!(Other, 1);
+                    // The SetIndex pushes `val`; the fused Pop
+                    // immediately removes it again.
                     self.stack.truncate(n - 3);
                 } else {
                     self.stack[n - 3] = val;
                     self.stack.truncate(n - 2);
                 }
-                Ok(Some(pc + w))
+                Ok(Some(next))
             }
         }
     }
 
-    /// Charge class and Table 12 arithmetic for one fused binary op —
-    /// the same bumps the plain loop applies for the source op.
-    fn bump_bin(&mut self, band: usize, op: BinKind) {
-        self.band_counts.ops[band].bump(op.class(), 1);
-        if let Some(kind) = op.arith() {
-            self.arith.bump(kind);
+    /// Charge one path through a fused span as the plain loop charges its
+    /// constituents: the steps against the fuel budget first, then the
+    /// class, Table 12 and index counts. An index access counts as a
+    /// typed-array one when `typed` (the typedness of the inline-cache
+    /// entry that hit, which is the receiver's) and as a cache hit.
+    /// Returns the pc the path leaves to. Inlined into every arm: a call
+    /// per fused dispatch costs more than the charges themselves.
+    #[inline(always)]
+    fn retire(&mut self, path: &SpanCharges, band: usize, typed: bool) -> Result<usize, JsError> {
+        self.steps += path.steps as u64;
+        if self.steps > self.config.limits.fuel_budget() {
+            return Err(JsError::StepBudgetExhausted);
         }
-    }
-
-    /// Charge a comparison's `<cmp>; JumpIfFalse`, plus its bool tail
-    /// when `tail` is set, and return the pc the branch leaves to. The
-    /// tail retires `Const t; Jump +2; JumpIfFalse` when the comparison
-    /// held and `Const f; JumpIfFalse` when it did not (see `fuse.rs`).
-    fn charge_cmp_branch(
-        &mut self,
-        band: usize,
-        cond: bool,
-        tail: bool,
-        next: usize,
-        target: u32,
-    ) -> usize {
-        let counts = &mut self.band_counts.ops[band];
-        counts.bump(OpClass::Compare, 1);
-        counts.bump(OpClass::Branch, 1);
-        if tail {
-            counts.bump(OpClass::Const, 1);
-            counts.bump(OpClass::Branch, 1 + cond as u64);
+        let counts = &mut self.band_counts.ops[band].0;
+        for (class, n) in path.classes.iter() {
+            counts[class] += n;
         }
-        if cond {
-            next
-        } else {
-            target as usize
+        for (column, n) in path.arith.iter() {
+            self.arith[column] += n;
         }
+        if let Some(is_store) = path.index {
+            self.count_cached_index(band, typed, is_store);
+            self.ic_hits += 1;
+        }
+        Ok(path.exit as usize)
     }
 
     /// [`Self::count_index_op`] with the receiver's typedness taken from
@@ -1955,16 +1858,6 @@ impl JsVm {
 enum MethodOutcome {
     Value(Value),
     EnterFrame,
-}
-
-/// Source ops an `LLCmpJf`/`LCCmpJf` retires: its four, or with the bool
-/// tail seven when the comparison holds and six when it does not.
-fn cmp_branch_steps(tail: bool, cond: bool) -> u64 {
-    match (tail, cond) {
-        (false, _) => 4,
-        (true, true) => 7,
-        (true, false) => 6,
-    }
 }
 
 /// JS `ToInt32` on an already-numeric value. The single definition both

@@ -1,0 +1,194 @@
+//! Operator oracle for the MiniJS fused fast paths.
+//!
+//! The fused forms compute arithmetic and comparisons on their own
+//! number-only paths (`BinKind::apply`, `CmpKind::apply`), apart from
+//! the plain interpreter's arms. The differential suites feed them
+//! kernel-shaped values only; this test feeds every fusable operator the
+//! edge operands of JS number semantics — signed zeros, NaN, infinities,
+//! the int32/uint32 wrap points, 2^53 + 1, out-of-range shift counts —
+//! through each source shape that fuses, and checks that fusion on and
+//! fusion off agree on the result and on the whole report, bit for bit.
+//! Every call must take at least one fused dispatch, so a shape that
+//! stops fusing fails here instead of passing on the plain path. A few
+//! results are pinned to their literal JS values as well.
+
+use wb_jsvm::{JsValue, JsVm, JsVmConfig};
+
+const BIN_OPS: [&str; 11] = ["+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>", ">>>"];
+const CMP_OPS: [&str; 8] = ["<", ">", "<=", ">=", "==", "!=", "===", "!=="];
+
+/// Edge operands, passed as arguments.
+const OPERANDS: [f64; 21] = [
+    0.0,
+    -0.0,
+    1.0,
+    -1.0,
+    0.5,
+    -0.5,
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    2147483647.0,  // 2^31 - 1
+    2147483648.0,  // 2^31
+    -2147483648.0, // -2^31
+    -2147483649.0, // -2^31 - 1
+    4294967295.0,  // 2^32 - 1
+    4294967296.0,  // 2^32
+    9007199254740993.0,
+    31.0,
+    32.0,
+    33.0,
+    -33.0,
+    1e300,
+];
+
+/// Edge constants, written into the source as literals (a literal
+/// cannot be negative, NaN or infinite: those are not constants).
+const CONSTANTS: [&str; 10] = [
+    "0",
+    "1",
+    "0.5",
+    "31",
+    "32",
+    "33",
+    "2147483648",
+    "4294967295",
+    "4294967296",
+    "1e300",
+];
+
+/// One script loaded with fusion on and with fusion off.
+struct Pair {
+    src: String,
+    vms: [JsVm; 2],
+}
+
+impl Pair {
+    fn new(src: String) -> Pair {
+        let vms = [false, true].map(|reference_exec| {
+            let mut cfg = JsVmConfig::reference();
+            cfg.reference_exec = reference_exec;
+            let mut vm = JsVm::new(cfg);
+            vm.load(&src).expect("script loads");
+            vm
+        });
+        Pair { src, vms }
+    }
+
+    /// Call `f(a, b)` in both modes: the results must be equal to the
+    /// bit, the reports identical, and the fused call must have run at
+    /// least one fused form.
+    fn call(&mut self, a: f64, b: f64) -> JsValue {
+        let args = [JsValue::Num(a), JsValue::Num(b)];
+        let before = self.vms[0].dispatch_stats().0;
+        let [fused, plain] = &mut self.vms;
+        let got = fused.call("f", &args).expect("fused call");
+        let want = plain.call("f", &args).expect("plain call");
+        let what = || format!("{} with a = {a:?}, b = {b:?}", self.src);
+        match (&got, &want) {
+            (JsValue::Num(x), JsValue::Num(y)) => {
+                assert_eq!(x.to_bits(), y.to_bits(), "{}: {x} vs {y}", what())
+            }
+            _ => assert_eq!(got, want, "{}", what()),
+        }
+        assert_eq!(
+            format!("{:?}", fused.report()),
+            format!("{:?}", plain.report()),
+            "report of {}",
+            what()
+        );
+        assert!(
+            fused.dispatch_stats().0 > before,
+            "{} ran no fused form",
+            what()
+        );
+        got
+    }
+}
+
+/// The shapes of `a op b` that fuse: `var c = a op b` (`LLBinStore`)
+/// and `return a op b` (`LLBin`).
+fn bin_shapes(op: &str) -> [String; 2] {
+    [
+        format!("function f(a, b) {{ var c = a {op} b; return c; }}"),
+        format!("function f(a, b) {{ return a {op} b; }}"),
+    ]
+}
+
+/// The shapes of `a cmp b` that fuse: an `if` on it (`LLCmpJf`) and the
+/// backend's bool tail (`LLCmpJf` with its tail). Nothing else in them
+/// fuses, so a fused dispatch is the comparison's.
+fn cmp_shapes(op: &str) -> [String; 2] {
+    [
+        format!("function f(a, b) {{ if (a {op} b) {{ return 1; }} return 0; }}"),
+        format!("function f(a, b) {{ if (((a) {op} (b) ? 1 : 0)) {{ return 1; }} return 0; }}"),
+    ]
+}
+
+#[test]
+fn binary_operators_agree_on_edge_operands() {
+    for op in BIN_OPS {
+        for src in bin_shapes(op) {
+            let mut pair = Pair::new(src);
+            for a in OPERANDS {
+                for b in OPERANDS {
+                    pair.call(a, b);
+                }
+            }
+        }
+        // `a op K` (`LCBin`): `b` is unused.
+        for k in CONSTANTS {
+            let mut pair = Pair::new(format!("function f(a, b) {{ return a {op} {k}; }}"));
+            for a in OPERANDS {
+                pair.call(a, 0.0);
+            }
+        }
+    }
+}
+
+#[test]
+fn comparisons_agree_on_edge_operands() {
+    for op in CMP_OPS {
+        for src in cmp_shapes(op) {
+            let mut pair = Pair::new(src);
+            for a in OPERANDS {
+                for b in OPERANDS {
+                    pair.call(a, b);
+                }
+            }
+        }
+        // The bool tail against a constant (`LCCmpJf` with its tail).
+        for k in CONSTANTS {
+            let mut pair = Pair::new(format!(
+                "function f(a, b) {{ if (((a) {op} ({k}) ? 1 : 0)) {{ return 1; }} return 0; }}"
+            ));
+            for a in OPERANDS {
+                pair.call(a, 0.0);
+            }
+        }
+    }
+}
+
+#[test]
+fn fused_results_are_the_js_results() {
+    let bin = |op: &str, a: f64, b: f64| {
+        let [store, ret] = bin_shapes(op).map(|src| match Pair::new(src).call(a, b) {
+            JsValue::Num(n) => n,
+            other => panic!("{op}: {other:?}"),
+        });
+        assert_eq!(store.to_bits(), ret.to_bits(), "{op}");
+        store
+    };
+    assert_eq!(bin(">>>", -1.0, 0.0), 4294967295.0);
+    assert_eq!(bin("<<", 1.0, 32.0), 1.0);
+    assert_eq!(bin("|", 2147483648.0, 0.0), -2147483648.0);
+    assert!(bin("%", 5.0, -0.0).is_nan());
+    let holds = |op: &str, a: f64, b: f64| {
+        let [branch, tail] = cmp_shapes(op);
+        let value = Pair::new(branch).call(a, b);
+        assert_eq!(Pair::new(tail).call(a, b), value);
+        value == JsValue::Num(1.0)
+    };
+    assert!(holds("!=", f64::NAN, f64::NAN));
+    assert!(holds("===", -0.0, 0.0));
+}

@@ -25,6 +25,12 @@ cargo test -q
 echo "== workspace tests, release (every crate; the every-kernel-at-L differential is release-only) =="
 cargo test --workspace --release -q
 
+echo "== benchmark tests (perfbench builds against the public APIs of every crate) =="
+# perfbench is a workspace of its own, so the workspace tests above do
+# not build it: a change to an API it reads (JsVm, Instance,
+# ArtifactCache, GridEngine, ...) fails here, not in the benchmark run.
+cargo test --release -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "== static analysis (wb analyze) =="
 ./target/release/wb analyze --all
 
