@@ -12,8 +12,9 @@
 //!    context on failure.
 //! 3. **Fusion cost-equivalence** — both VMs' fusion tables are
 //!    symbolically audited ([`wb_wasm_vm::audit`], [`wb_jsvm::audit`]):
-//!    every fused family × operator instance must charge the reference
-//!    cost sequence.
+//!    every fused family × operator instance must round-trip through the
+//!    matcher and enter exactly the regions its constituents enter, so it
+//!    charges their cost.
 //! 4. **Corpus lints** ([`lint`]) — advisory findings (constant-index
 //!    out-of-bounds, uninitialized locals, dead results) across all
 //!    kernels × dataset sizes.

@@ -34,6 +34,7 @@ mod engine;
 mod environment;
 mod limits;
 mod price;
+mod regions;
 pub mod rng;
 mod time;
 
@@ -44,4 +45,5 @@ pub use engine::{GcParams, JitMode, JsEngineProfile, TierParams, TierPolicy, Was
 pub use environment::{Browser, EnvProfile, Environment, Platform};
 pub use limits::{ResourceLimits, DEFAULT_MAX_CALL_DEPTH};
 pub use price::{price, Charge, ChargeRecord, EnginePrices, PriceList, Priced};
+pub use regions::{RegionCounters, RegionHits, RegionTable};
 pub use time::{Nanos, TimeBucket, VirtualClock};

@@ -9,7 +9,12 @@
 //! `BENCH_vmexec.json` with raw VM throughput (virtual ops retired per
 //! host second, per VM, fusion on vs fusion off — the `reference_*`
 //! fields, one op per dispatch in the same loop) over the exec-dominated
-//! kernels the cache section deliberately excludes.
+//! kernels the cache section deliberately excludes: many short rounds,
+//! each running every kernel under both settings in alternating order,
+//! reported as medians and quartiles per kernel and per VM.
+//!
+//! `--vmexec-only` runs that probe alone; `scripts/ab_vmexec.sh`
+//! alternates it between two builds.
 
 use std::time::Instant;
 use wb_benchmarks::InputSize;
@@ -45,6 +50,12 @@ const COMPILE_BOUND: &[&str] = &[
 
 fn main() {
     let cli = Cli::from_env();
+    let dir = std::path::PathBuf::from(cli.get("out").unwrap_or("."));
+    std::fs::create_dir_all(&dir).expect("out dir");
+    if cli.has("vmexec-only") {
+        vmexec(&dir);
+        return;
+    }
     // Each artifact is executed in 6 environments x 2 tier policies —
     // the fig12_13 x table7 shape, where one compile serves 12 cells.
     let benchmarks: Vec<_> = wb_benchmarks::all_benchmarks()
@@ -132,8 +143,6 @@ fn main() {
         stats.misses,
         stats.bytes_saved
     );
-    let dir = std::path::PathBuf::from(cli.get("out").unwrap_or("."));
-    std::fs::create_dir_all(&dir).expect("out dir");
     let path = dir.join("BENCH_selfbench.json");
     std::fs::write(&path, json).expect("write json");
     eprintln!("[wrote {}]", path.display());
@@ -173,92 +182,145 @@ fn analyze_bench(dir: &std::path::Path) {
 
 /// The exec-dominated slice: kernels whose grid wall-clock is spent
 /// retiring VM operations, not compiling — exactly where the fused
-/// micro-op engines earn their keep.
-const EXEC_BOUND: &[&str] = &["AES", "MIPS", "BLOWFISH", "gemm", "2mm", "floyd-warshall"];
+/// micro-op engines earn their keep. Six at S, and eight at L whose
+/// execution dominates a full regeneration.
+const EXEC_BOUND: &[(&str, InputSize)] = &[
+    ("AES", InputSize::S),
+    ("MIPS", InputSize::S),
+    ("BLOWFISH", InputSize::S),
+    ("gemm", InputSize::S),
+    ("2mm", InputSize::S),
+    ("floyd-warshall", InputSize::S),
+    ("AES", InputSize::L),
+    ("BLOWFISH", InputSize::L),
+    ("gemm", InputSize::L),
+    ("2mm", InputSize::L),
+    ("floyd-warshall", InputSize::L),
+    ("jacobi-2d", InputSize::L),
+    ("atax", InputSize::L),
+    ("SHA", InputSize::L),
+];
 
-/// Total virtual ops retired in a pass (sum over all op classes).
-fn retired_ops(measurements: &[Measurement]) -> u64 {
-    measurements
-        .iter()
-        .map(|m| m.counts.0.iter().sum::<u64>())
-        .sum()
+/// Total virtual ops a measurement retired (sum over all op classes).
+fn retired_ops(m: &Measurement) -> u64 {
+    m.counts.0.iter().sum()
+}
+
+/// `[first quartile, median, third quartile]` of `samples`.
+fn quartiles(samples: &[f64]) -> [f64; 3] {
+    let mut v = samples.to_vec();
+    v.sort_by(f64::total_cmp);
+    let at = |q: f64| {
+        let pos = q * (v.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
+    };
+    [at(0.25), at(0.5), at(0.75)]
+}
+
+/// Rounds of the `vmexec` probe: enough short ones that a median and
+/// quartiles hold up against a shared host's drift.
+const ROUNDS: usize = 7;
+
+fn json_quartiles(q: [f64; 3]) -> String {
+    format!("[{:.6}, {:.6}, {:.6}]", q[0], q[1], q[2])
 }
 
 /// Raw VM throughput, fusion on vs off (`reference_exec`): run the
 /// exec-bound kernels through a warm artifact cache (so host wall-clock
-/// is execution, not compilation) with both settings, per VM, and report
-/// virtual ops per host second. The virtual measurements are asserted
-/// bit-identical between the settings — same discipline as the cache
-/// section above.
+/// is execution, not compilation) in [`ROUNDS`] rounds. Each round runs
+/// every kernel in each VM under both settings, one after the other,
+/// alternating which goes first, and times each execution on its own.
+/// Reports per-kernel quartiles, and per VM the quartiles of a round's
+/// total and the virtual ops per host second at its median. The virtual
+/// measurements are asserted bit-identical between the settings — same
+/// discipline as the cache section above.
 fn vmexec(dir: &std::path::Path) {
-    let benchmarks: Vec<_> = wb_benchmarks::all_benchmarks()
-        .into_iter()
-        .filter(|b| EXEC_BOUND.contains(&b.name))
-        .collect();
-    let grid: Vec<Run> = benchmarks
+    let rounds = ROUNDS;
+    let grid: Vec<Run> = EXEC_BOUND
         .iter()
-        .map(|b| Run::new(b.clone(), InputSize::S))
+        .map(|&(name, size)| {
+            let b = wb_benchmarks::find(name).unwrap_or_else(|| panic!("{name} in corpus"));
+            Run::new(b, size)
+        })
         .collect();
     let cache = ArtifactCache::new();
+    let run = |backend: &str, r: &Run, reference_exec: bool| -> (Measurement, f64) {
+        let mut r = r.clone();
+        r.reference_exec = reference_exec;
+        // Artifacts stay cached; executions must not be memo hits.
+        cache.forget_executions();
+        let t = Instant::now();
+        let m = if backend == "wasm" {
+            r.wasm_with(Some(&cache))
+        } else {
+            r.js_with(Some(&cache))
+        };
+        (m, t.elapsed().as_secs_f64())
+    };
 
     let mut rows = Vec::new();
     let mut all_identical = true;
     for backend in ["wasm", "js"] {
-        // Best-of-N: the passes are short, so take the fastest of a few
-        // repetitions to shed scheduler noise (the virtual measurements
-        // are identical on every repetition by construction).
-        let run_pass = |reference_exec: bool| -> (Vec<Measurement>, f64) {
-            let cells: Vec<Run> = grid
-                .iter()
-                .map(|r| {
-                    let mut r = r.clone();
-                    r.reference_exec = reference_exec;
-                    r
-                })
-                .collect();
-            let one_pass = || -> Vec<Measurement> {
-                // Artifacts stay cached; executions must not be memo hits.
-                cache.forget_executions();
-                cells
-                    .iter()
-                    .map(|r| {
-                        if backend == "wasm" {
-                            r.wasm_with(Some(&cache))
-                        } else {
-                            r.js_with(Some(&cache))
-                        }
-                    })
-                    .collect()
-            };
-            // Warm the artifact cache outside the timed region.
-            let mut ms = one_pass();
-            let mut best = f64::INFINITY;
-            for _ in 0..3 {
-                let t = Instant::now();
-                ms = one_pass();
-                best = best.min(t.elapsed().as_secs_f64());
+        // Warm the artifact cache (and the measurements to compare)
+        // outside the timed rounds.
+        let fused: Vec<Measurement> = grid.iter().map(|r| run(backend, r, false).0).collect();
+        // walls[setting][kernel][round], setting 0 = fusion on.
+        let mut walls = vec![vec![Vec::with_capacity(rounds); grid.len()]; 2];
+        for round in 0..rounds {
+            for (k, r) in grid.iter().enumerate() {
+                let first = (round + k) % 2 == 1;
+                for reference_exec in [first, !first] {
+                    let (m, wall) = run(backend, r, reference_exec);
+                    let f = &fused[k];
+                    all_identical &= f.time.0.to_bits() == m.time.0.to_bits()
+                        && f.counts.0 == m.counts.0
+                        && f.output == m.output;
+                    walls[usize::from(reference_exec)][k].push(wall);
+                }
             }
-            (ms, best)
-        };
-        let (reference, reference_wall) = run_pass(true);
-        let (fused, fused_wall) = run_pass(false);
-        for (f, r) in fused.iter().zip(&reference) {
-            all_identical &= f.time.0.to_bits() == r.time.0.to_bits()
-                && f.counts.0 == r.counts.0
-                && f.output == r.output;
         }
-        let ops = retired_ops(&fused);
-        let fused_tput = ops as f64 / fused_wall;
-        let reference_tput = ops as f64 / reference_wall;
+        let round_totals = |setting: usize| -> Vec<f64> {
+            (0..rounds)
+                .map(|round| walls[setting].iter().map(|k| k[round]).sum())
+                .collect()
+        };
+        let (fused_q, reference_q) = (quartiles(&round_totals(0)), quartiles(&round_totals(1)));
+        let ops: u64 = fused.iter().map(retired_ops).sum();
+        let fused_tput = ops as f64 / fused_q[1];
+        let reference_tput = ops as f64 / reference_q[1];
         eprintln!(
-            "[vmexec] {backend}: {ops} virtual ops; fusion on {:.1}M ops/s, fusion off (reference) {:.1}M ops/s ({:.2}x)",
+            "[vmexec] {backend}: {ops} virtual ops, {rounds} rounds; fusion on median {:.4} s (q1 {:.4}, q3 {:.4}), {:.1}M ops/s; fusion off median {:.4} s (q1 {:.4}, q3 {:.4}), {:.1}M ops/s ({:.2}x)",
+            fused_q[1],
+            fused_q[0],
+            fused_q[2],
             fused_tput / 1e6,
+            reference_q[1],
+            reference_q[0],
+            reference_q[2],
             reference_tput / 1e6,
             fused_tput / reference_tput
         );
+        let kernels: Vec<String> = grid
+            .iter()
+            .enumerate()
+            .map(|(k, r)| {
+                format!(
+                    "        {{\"kernel\": \"{}\", \"size\": \"{}\", \"virtual_ops\": {}, \"fused_wall_s_q1_median_q3\": {}, \"reference_wall_s_q1_median_q3\": {}}}",
+                    r.benchmark.name,
+                    r.size.name(),
+                    retired_ops(&fused[k]),
+                    json_quartiles(quartiles(&walls[0][k])),
+                    json_quartiles(quartiles(&walls[1][k]))
+                )
+            })
+            .collect();
         rows.push(format!(
-            "    {{\n      \"vm\": \"{backend}\",\n      \"virtual_ops\": {ops},\n      \"fused_wall_s\": {fused_wall:.6},\n      \"reference_wall_s\": {reference_wall:.6},\n      \"fused_ops_per_s\": {fused_tput:.0},\n      \"reference_ops_per_s\": {reference_tput:.0},\n      \"speedup\": {:.3}\n    }}",
-            fused_tput / reference_tput
+            "    {{\n      \"vm\": \"{backend}\",\n      \"virtual_ops\": {ops},\n      \"fused_round_wall_s_q1_median_q3\": {},\n      \"reference_round_wall_s_q1_median_q3\": {},\n      \"fused_ops_per_s\": {fused_tput:.0},\n      \"reference_ops_per_s\": {reference_tput:.0},\n      \"speedup\": {:.3},\n      \"kernels\": [\n{}\n      ]\n    }}",
+            json_quartiles(fused_q),
+            json_quartiles(reference_q),
+            fused_tput / reference_tput,
+            kernels.join(",\n")
         ));
     }
     assert!(
@@ -267,7 +329,7 @@ fn vmexec(dir: &std::path::Path) {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"vmexec\",\n  \"kernels\": {},\n  \"input_size\": \"S\",\n  \"vms\": [\n{}\n  ],\n  \"measurements_bit_identical\": true\n}}\n",
+        "{{\n  \"bench\": \"vmexec\",\n  \"kernels\": {},\n  \"rounds\": {rounds},\n  \"order\": \"each round runs every kernel under both settings, alternating which goes first; a round total sums one run of each kernel\",\n  \"vms\": [\n{}\n  ],\n  \"measurements_bit_identical\": true\n}}\n",
         grid.len(),
         rows.join(",\n")
     );

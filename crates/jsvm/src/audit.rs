@@ -1,12 +1,13 @@
 //! Static audit of the MiniJS fusion overlay.
 //!
-//! A JS fused form charges its own bytecode: at every head,
+//! A JS fused form charges nothing of its own: its ops are counted by
+//! the regions they lie in, which both modes enter. At every head,
 //! [`fuse`](crate::fuse) walks the plain loop over the span's
 //! constituents, once per outcome of its comparison, and stores the
-//! steps, class counts, Table 12 kinds, index access and exit it found
-//! beside the entry. The interpreter's fused handler charges that record
-//! and holds no charges of its own, so a fused form charges what its
-//! plain ops charge by construction. What the audit checks, for every
+//! regions the path enters past its head, its index access and its exit
+//! beside the entry. The interpreter's fused handler retires that record,
+//! so a fused form enters the regions its plain ops would, by
+//! construction. What the audit checks, for every
 //! instance the overlay can emit (all 11 [`BinKind`]s, pairs of them for
 //! the two-operator forms, all 8 [`CmpKind`]s, every inline-cache
 //! shape), is what that construction rests on:
@@ -19,7 +20,8 @@
 //!   six when it does not), and the record stored for that outcome is
 //!   the walk's.
 //!
-//! Each entry renders the walk's charge events, one per line.
+//! Each entry renders what per-op counting charges along the walk, one
+//! event per line.
 //!
 //! Three structural facts make the remaining behavior equivalent and are
 //! *documented* rather than audited per instance:
@@ -30,7 +32,7 @@
 //! * fused fast paths never allocate, never resize heap objects and never
 //!   note hotness, so GC safe-points and tier transitions coincide with
 //!   the reference at every op boundary. The one permitted divergence is
-//!   step-budget batching per group;
+//!   step-budget batching per region;
 //! * an index access counts through `index_route` on both paths, which
 //!   sends a typed-array access to `typed_band_counts[band]` and any
 //!   other to `band_counts[band]` on typedness alone. The fused path
@@ -38,7 +40,7 @@
 //!   receiver's; `SetIndexIc`'s guard admits typed receivers only.
 
 use crate::bytecode::{Chunk, Const, Op};
-use crate::fuse::{fuse_at, walk, BinKind, CmpKind, Ev, FOp, SpanCharges};
+use crate::fuse::{build_overlay, op_events, walk, BinKind, CmpKind, Ev, FOp, SpanCharges};
 
 /// One audited (family, operator) instance.
 #[derive(Debug, Clone)]
@@ -199,11 +201,14 @@ pub fn audit_fusion_table() -> Vec<FusionAuditEntry> {
         let width = ops.len();
         let branches = ops.iter().any(|op| matches!(op, Op::JumpIfFalse(_)));
         let chunk = instance_chunk(ops);
-        let fused = fuse_at(&chunk, 0, &mut 0);
+        let overlay = build_overlay(&chunk, &mut 0);
+        let fused = overlay.ops[0].fused;
         let paths: &[bool] = if branches { &[true, false] } else { &[true] };
         for &cond in paths {
             let mut events = Vec::new();
-            let walked = walk(&chunk, 0, width, cond, |ev| events.push(render(&ev)));
+            let walked = walk(&chunk, 0, width, cond, |_, op| {
+                op_events(op, &mut |ev| events.push(render(&ev)))
+            });
             let detail = match (&fused, walked) {
                 (_, Err(e)) => Some(format!("walk: {e}")),
                 (None, Ok(_)) => Some("constituents did not fuse".into()),
@@ -215,7 +220,8 @@ pub fn audit_fusion_table() -> Vec<FusionAuditEntry> {
                     ))
                 }
                 (Some(f), Ok(_))
-                    if SpanCharges::walk(&chunk, 0, width, cond).as_ref() != Some(f.path(cond)) =>
+                    if SpanCharges::walk(&chunk, &overlay.ops, 0, width, cond).as_ref()
+                        != Some(f.path(cond)) =>
                 {
                     Some("stored charges are not the walk's".into())
                 }
@@ -319,21 +325,27 @@ mod tests {
             ]
         );
         assert!(div.ok, "{div:?}");
-        // The record the overlay stores folds those events into counts.
+        // The span is one region, which the loop enters at its head: the
+        // fused path enters no other, and the region folds those events
+        // into counts.
         let ops = vec![
             Op::LoadLocal(0),
             Op::LoadLocal(1),
             Op::Div,
             Op::StoreLocal(2),
         ];
-        let fused = fuse_at(&instance_chunk(ops), 0, &mut 0).unwrap();
+        let overlay = build_overlay(&instance_chunk(ops), &mut 0);
+        let fused = overlay.ops[0].fused.unwrap();
         let path = fused.path(true);
-        assert_eq!((path.steps, path.exit, path.index), (4, 4, None));
-        let (float_div, local) = (OpClass::FloatDiv as usize, OpClass::Local as usize);
-        let classes: Vec<_> = path.classes.iter().collect();
-        assert_eq!(classes, [(float_div, 1), (local, 3)]);
-        let arith: Vec<_> = path.arith.iter().collect();
-        assert_eq!(arith, [(ArithKind::Div.column(), 1)]);
+        assert_eq!((path.entered(), path.exit, path.index), (&[][..], 4, None));
+        assert_eq!((overlay.regions.len(), overlay.ops[0].steps), (1, 4));
+        let (mut counts, mut arith) = (wb_env::OpCounts::new(), [0; 7]);
+        overlay.regions.fold(&[1], &mut counts, &mut arith);
+        assert_eq!(counts.get(OpClass::FloatDiv), 1);
+        assert_eq!(counts.get(OpClass::Local), 3);
+        assert_eq!(counts.total(), 4);
+        assert_eq!(arith[ArithKind::Div.column()], 1);
+        assert_eq!(arith.iter().sum::<u64>(), 1);
     }
 
     #[test]

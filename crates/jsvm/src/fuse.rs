@@ -19,15 +19,21 @@
 //!   charging anything*, so the virtual-cost trace is identical to the
 //!   reference interpreter's.
 //!
-//! **A fused form charges its own bytecode.** At every head,
-//! [`build_overlay`] runs the plain loop's [`walk`] over the span's
+//! **Regions.** The overlay also cuts the chunk into regions
+//! ([`region_heads`]): runs of ops entered only at their head and left
+//! only at their end, each with its op count and its class and Table 12
+//! counts stored once ([`FusedChunk::regions`]). A slot marks each head;
+//! the interpreter counts an entry there instead of charging each op.
+//!
+//! **A fused form enters the regions its bytecode enters.** At every
+//! head, [`build_overlay`] runs the plain loop's [`walk`] over the span's
 //! constituents, once per outcome of its comparison, and stores what it
-//! found beside the entry ([`Fused::paths`]): steps, per-class counts,
-//! Table 12 kinds, the index access and the pc the path leaves to. The
+//! found beside the entry ([`Fused::paths`]): the regions the path enters
+//! past its head, the index access and the pc the path leaves to. The
 //! interpreter's fused handler only guards and computes values; it
-//! charges the stored record for the outcome its comparison took. A span
+//! retires the stored record for the outcome its comparison took. A span
 //! the walk cannot follow (a back-edge, a branch on an unknown value, a
-//! call) is not fused, so the charges hold by construction.
+//! call) is not fused, so the counts hold by construction.
 //!
 //! Fusion eligibility mirrors the wasm engine's cost-equivalence
 //! invariant (see `wb-wasm-vm/src/fuse.rs` and DESIGN.md): a fused
@@ -49,7 +55,7 @@
 //! of [`FOp::LCCmpJf`] and [`FOp::LLCmpJf`]).
 
 use crate::bytecode::{Chunk, Const, Op, Program};
-use wb_env::{ArithKind, OpClass, OP_CLASS_COUNT};
+use wb_env::{ArithKind, OpClass, RegionTable};
 
 /// Fusable two-operand arithmetic, mirroring the corresponding [`Op`]s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -356,11 +362,30 @@ impl Fused {
     }
 }
 
-/// The fused overlay for one chunk.
-#[derive(Debug, Default)]
+/// One overlay slot: the region that starts at its pc and the fused form
+/// headed there, if any.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Slot {
+    /// The region starting here ([`NO_REGION`] where none does).
+    pub region: u32,
+    /// That region's op count: the fuel entering it spends.
+    pub steps: u32,
+    /// The fused form headed here.
+    pub fused: Option<Fused>,
+}
+
+/// [`Slot::region`] where no region starts.
+pub(crate) const NO_REGION: u32 = u32::MAX;
+
+/// The fused overlay for one chunk, with its regions.
+#[derive(Debug)]
 pub(crate) struct FusedChunk {
-    /// An entry at each pattern head; `None` elsewhere.
-    pub ops: Vec<Option<Fused>>,
+    /// One slot per op.
+    pub ops: Vec<Slot>,
+    /// The chunk's regions: each one's pc range and class and Table 12
+    /// counts. Index ops charge by receiver when they run, so their
+    /// class is not in the table.
+    pub regions: RegionTable,
 }
 
 /// Build overlays for every chunk. Returns the per-chunk overlays and
@@ -376,31 +401,83 @@ pub(crate) fn build_overlays(program: &Program) -> (Vec<FusedChunk>, u32) {
     (overlays, next_ic)
 }
 
-fn build_overlay(chunk: &Chunk, next_ic: &mut u32) -> FusedChunk {
+/// Where regions start: at pc 0, at every jump target, and after every
+/// jump, call and return. Every op that can leave a region by jumping
+/// is a jump, so a region, once entered, retires every one of its ops
+/// unless one fails.
+pub(crate) fn region_heads(chunk: &Chunk) -> Vec<bool> {
+    let n = chunk.code.len();
+    let mut heads = vec![false; n];
+    let mut mark = |pc: i64| {
+        if let Some(h) = usize::try_from(pc).ok().and_then(|pc| heads.get_mut(pc)) {
+            *h = true;
+        }
+    };
+    mark(0);
+    for (pc, op) in chunk.code.iter().enumerate() {
+        let pc = pc as i64;
+        match op {
+            Op::Jump(d) | Op::JumpIfFalse(d) | Op::JumpIfFalsePeek(d) | Op::JumpIfTruePeek(d) => {
+                mark(pc + i64::from(*d));
+                mark(pc + 1);
+            }
+            Op::Call(_) | Op::MethodCall { .. } | Op::Return | Op::ReturnUndef => mark(pc + 1),
+            _ => {}
+        }
+    }
+    heads
+}
+
+/// What the plain loop charges for `op` when its region is entered: its
+/// class and Table 12 kind. `None` for an index op, which charges by its
+/// receiver when it runs.
+pub(crate) fn static_charge(op: &Op) -> Option<(OpClass, Option<ArithKind>)> {
+    match op {
+        Op::GetIndex | Op::SetIndex => None,
+        op => Some((op.class(), op.arith())),
+    }
+}
+
+/// The overlay of one chunk: its regions, and a fused form at each
+/// pattern head, numbering inline-cache sites from `next_ic`.
+pub(crate) fn build_overlay(chunk: &Chunk, next_ic: &mut u32) -> FusedChunk {
     let code = &chunk.code;
-    let mut ops: Vec<Option<Fused>> = vec![None; code.len()];
+    let heads = region_heads(chunk);
+    let regions = RegionTable::build(&heads, |pc| static_charge(&code[pc]));
+    let mut ops: Vec<Slot> = vec![
+        Slot {
+            region: NO_REGION,
+            steps: 0,
+            fused: None,
+        };
+        code.len()
+    ];
+    for r in 0..regions.len() {
+        let slot = &mut ops[regions.range(r).start];
+        (slot.region, slot.steps) = (r as u32, regions.steps(r));
+    }
     let mut pc = 0;
     while pc < code.len() {
-        match fuse_at(chunk, pc, next_ic) {
-            Some(fused) => {
-                let w = fused.op.width();
-                ops[pc] = Some(fused);
-                pc += w;
+        match fuse_at(chunk, &ops, pc, next_ic) {
+            Some(f) => {
+                ops[pc].fused = Some(f);
+                pc += f.op.width();
             }
             None => pc += 1,
         }
     }
-    FusedChunk { ops }
+    FusedChunk { ops, regions }
 }
 
 /// The overlay entry at `pc`: the longest pattern there, with the walk
-/// of each outcome. `None` when no pattern matches or the walk cannot
-/// follow the span (its inline-cache site, if any, is then not taken).
-pub(crate) fn fuse_at(chunk: &Chunk, pc: usize, next_ic: &mut u32) -> Option<Fused> {
+/// of each outcome over the chunk's region heads (`slots`). `None` when
+/// no pattern matches or the walk cannot follow the span (its
+/// inline-cache site, if any, is then not taken).
+fn fuse_at(chunk: &Chunk, slots: &[Slot], pc: usize, next_ic: &mut u32) -> Option<Fused> {
     let first_ic = *next_ic;
     let op = match_at(chunk, pc, next_ic)?;
     let span = pc..pc + op.width();
-    let path = |cond| SpanCharges::walk(chunk, pc, span.len(), cond);
+    let path = |cond| SpanCharges::walk(chunk, slots, pc, span.len(), cond);
     let if_true = path(true);
     // A span without a comparison takes one path whatever `cond` is.
     let compares = chunk.code[span.clone()]
@@ -419,7 +496,7 @@ pub(crate) fn fuse_at(chunk: &Chunk, pc: usize, next_ic: &mut u32) -> Option<Fus
     }
 }
 
-/// A single cost event the plain loop applies for one op.
+/// A single cost event per-op counting applies for one op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Ev {
     /// One `band_counts[band].bump(class, 1)`.
@@ -433,10 +510,10 @@ pub(crate) enum Ev {
     },
 }
 
-/// What the plain loop charges for one op, in its order: the class bump
+/// What per-op counting charges for one op, in its order: the class bump
 /// (index ops count inside their handler instead), then the Table 12
 /// bump.
-fn op_events(op: &Op, charge: &mut impl FnMut(Ev)) {
+pub(crate) fn op_events(op: &Op, charge: &mut impl FnMut(Ev)) {
     match op {
         Op::GetIndex => charge(Ev::Index { store: false }),
         Op::SetIndex => charge(Ev::Index { store: true }),
@@ -450,9 +527,9 @@ fn op_events(op: &Op, charge: &mut impl FnMut(Ev)) {
 }
 
 /// The plain interpreter's walk over `chunk.code[head..head + width]`
-/// with every comparison evaluating to `cond`, handing each charge event
-/// to `charge` in order. Returns the ops retired and the pc the path
-/// leaves the span at. Branches are followed on the truthiness of the
+/// with every comparison evaluating to `cond`, handing each op it
+/// retires, with its pc, to `visit` in order. Returns the ops retired and
+/// the pc the path leaves the span at. Branches are followed on the truthiness of the
 /// value they pop, which the walk knows when a comparison or a numeric
 /// constant pushed it. The walk only moves forward inside the span, so
 /// it ends within `width` steps. It fails on a back-edge (which notes
@@ -463,7 +540,7 @@ pub(crate) fn walk(
     head: usize,
     width: usize,
     cond: bool,
-    mut charge: impl FnMut(Ev),
+    mut visit: impl FnMut(usize, &Op),
 ) -> Result<(usize, usize), String> {
     let span = head..head + width;
     let (mut pc, mut steps) = (head, 0);
@@ -472,7 +549,7 @@ pub(crate) fn walk(
     while span.contains(&pc) {
         let op = chunk.code.get(pc).ok_or("span runs past the chunk")?;
         steps += 1;
-        op_events(op, &mut charge);
+        visit(pc, op);
         let mut jump = None;
         match op {
             Op::Const(ci) => {
@@ -511,18 +588,18 @@ pub(crate) fn walk(
     Ok((steps, pc))
 }
 
-/// What one path through a fused span charges: its [`walk`] folded into
-/// counts, which the interpreter adds in one go.
+/// What one path through a fused span charges beyond the region its
+/// head is in, from its [`walk`]: the regions it enters on the way, its
+/// index access and where it leaves the span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SpanCharges {
-    /// Ops retired (against the fuel budget).
-    pub steps: u8,
-    /// Class bumps, by `OpClass as usize`. At most 5: `GAddr` with its
-    /// `GetIndex` touches `Global`, `Local`, `Const` and its two
-    /// operators' classes.
-    pub classes: Bumps<5>,
-    /// Table 12 bumps, by [`ArithKind::column`] (two operators at most).
-    pub arith: Bumps<2>,
+    /// The fuel of the regions it enters.
+    pub steps: u32,
+    /// Those regions, by id: `regions[..entered]`. At most 3: the bool
+    /// tail enters two, and a jump target inside the span one more.
+    pub regions: [u32; 3],
+    /// How many regions it enters.
+    pub entered: u8,
     /// The index access, if any: `Some(store)`.
     pub index: Option<bool>,
     /// The pc the path leaves the span at.
@@ -531,59 +608,48 @@ pub(crate) struct SpanCharges {
 
 impl SpanCharges {
     /// The [`walk`] of the span at `head` with every comparison giving
-    /// `cond`, folded into counts. `None` if the walk cannot follow the
-    /// span or its counts do not fit.
-    pub(crate) fn walk(chunk: &Chunk, head: usize, width: usize, cond: bool) -> Option<Self> {
-        let (mut classes, mut arith) = ([0u8; OP_CLASS_COUNT], [0u8; 7]);
-        let (mut index, mut indices) = (None, 0);
-        let (steps, exit) = walk(chunk, head, width, cond, |ev| match ev {
-            Ev::Class(class) => classes[class as usize] += 1,
-            Ev::Arith(kind) => arith[kind.column()] += 1,
-            Ev::Index { store } => {
-                index = Some(store);
+    /// `cond`, entering the regions `slots` start at the heads it passes.
+    /// `None` if the walk cannot follow the span or enters more regions
+    /// than fit.
+    pub(crate) fn walk(
+        chunk: &Chunk,
+        slots: &[Slot],
+        head: usize,
+        width: usize,
+        cond: bool,
+    ) -> Option<Self> {
+        let mut charges = SpanCharges {
+            steps: 0,
+            regions: [0; 3],
+            entered: 0,
+            index: None,
+            exit: 0,
+        };
+        let (mut indices, mut fits) = (0, true);
+        let (_, exit) = walk(chunk, head, width, cond, |pc, op| {
+            let slot = slots[pc];
+            if slot.region != NO_REGION && pc != head {
+                match charges.regions.get_mut(charges.entered as usize) {
+                    Some(r) => *r = slot.region,
+                    None => fits = false,
+                }
+                charges.entered += 1;
+                charges.steps += slot.steps;
+            }
+            if let Op::GetIndex | Op::SetIndex = op {
+                charges.index = Some(matches!(op, Op::SetIndex));
                 indices += 1;
             }
         })
         .ok()?;
-        if indices > 1 {
-            return None;
-        }
-        Some(SpanCharges {
-            steps: u8::try_from(steps).ok()?,
-            classes: Bumps::of(&classes)?,
-            arith: Bumps::of(&arith)?,
-            index,
-            exit: u32::try_from(exit).ok()?,
-        })
-    }
-}
-
-/// At most `N` `(counter index, n)` bumps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Bumps<const N: usize> {
-    slots: [(u8, u8); N],
-    len: u8,
-}
-
-impl<const N: usize> Bumps<N> {
-    /// The nonzero entries of `counts`; `None` if there are more than `N`.
-    fn of(counts: &[u8]) -> Option<Self> {
-        let mut bumps = Bumps {
-            slots: [(0, 0); N],
-            len: 0,
-        };
-        for (i, &n) in counts.iter().enumerate().filter(|(_, n)| **n > 0) {
-            *bumps.slots.get_mut(bumps.len as usize)? = (i as u8, n);
-            bumps.len += 1;
-        }
-        Some(bumps)
+        charges.exit = u32::try_from(exit).ok()?;
+        (fits && indices <= 1).then_some(charges)
     }
 
-    /// The bumps, as `(counter index, n)`.
+    /// The regions the path enters.
     #[inline]
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        let slots = &self.slots[..self.len as usize];
-        slots.iter().map(|&(i, n)| (i as usize, n as u64))
+    pub(crate) fn entered(&self) -> &[u32] {
+        &self.regions[..self.entered as usize]
     }
 }
 
@@ -798,7 +864,7 @@ mod tests {
         let mut ic = 0;
         let o = build_overlay(&c, &mut ic);
         assert_eq!(
-            o.ops[0].map(|f| f.op),
+            o.ops[0].fused.map(|f| f.op),
             Some(FOp::LCBinStore {
                 a: 0,
                 c: 1.0,
@@ -806,7 +872,7 @@ mod tests {
                 dst: 0
             })
         );
-        assert!(o.ops[1..].iter().all(|x| x.is_none()));
+        assert!(o.ops[1..].iter().all(|x| x.fused.is_none()));
     }
 
     #[test]
@@ -824,7 +890,7 @@ mod tests {
         );
         let mut ic = 0;
         let o = build_overlay(&c, &mut ic);
-        let fused = o.ops[0].unwrap();
+        let fused = o.ops[0].fused.unwrap();
         assert_eq!(
             fused.op,
             FOp::LLCmpJf {
@@ -837,7 +903,11 @@ mod tests {
         // JumpIfFalse at pc 3, d=5 → absolute 8; falling through → 4.
         assert_eq!(fused.path(false).exit, 8);
         assert_eq!(fused.path(true).exit, 4);
-        assert_eq!(fused.path(true).steps, 4);
+        // The span is the chunk's first region, entered at its head; both
+        // exits head regions of their own, which the loop enters.
+        assert_eq!(o.ops[0].steps, 4);
+        assert_eq!(o.ops[4].region, 1);
+        assert!(fused.paths.iter().all(|p| p.entered().is_empty()));
     }
 
     #[test]
@@ -856,16 +926,19 @@ mod tests {
         let mut ic = 0;
         let o = build_overlay(&c, &mut ic);
         assert_eq!(
-            o.ops[0].map(|f| f.op),
+            o.ops[0].fused.map(|f| f.op),
             Some(FOp::LLGetIndex {
                 obj: 0,
                 idx: 1,
                 ic: 0
             })
         );
-        assert_eq!(o.ops[3].map(|f| f.op), Some(FOp::GetIndexIc { ic: 1 }));
         assert_eq!(
-            o.ops[4].map(|f| f.op),
+            o.ops[3].fused.map(|f| f.op),
+            Some(FOp::GetIndexIc { ic: 1 })
+        );
+        assert_eq!(
+            o.ops[4].fused.map(|f| f.op),
             Some(FOp::SetIndexIc { ic: 2, pop: true })
         );
         assert_eq!(ic, 3);
@@ -876,7 +949,12 @@ mod tests {
         let program = crate::compile_script(src).expect("compiles");
         let (overlays, _) = build_overlays(&program);
         let idx = program.chunks.iter().position(|c| c.name == name).unwrap();
-        overlays[idx].ops.iter().flatten().map(|f| f.op).collect()
+        overlays[idx]
+            .ops
+            .iter()
+            .filter_map(|s| s.fused)
+            .map(|f| f.op)
+            .collect()
     }
 
     #[test]
@@ -970,10 +1048,10 @@ mod tests {
                     _ => false,
                 })
             };
-            let found =
-                overlays[idx].ops.iter().enumerate().any(|(head, f)| {
-                    f.is_some_and(|f| family(&f.op) && entered(head, f.op.width()))
-                });
+            let found = overlays[idx].ops.iter().enumerate().any(|(head, s)| {
+                s.fused
+                    .is_some_and(|f| family(&f.op) && entered(head, f.op.width()))
+            });
             assert!(found, "{name}: no jump into its fused group");
         }
     }
@@ -1002,7 +1080,7 @@ mod tests {
         );
         let mut ic = 0;
         let o = build_overlay(&c, &mut ic);
-        assert!(o.ops.iter().all(|x| x.is_none()));
+        assert!(o.ops.iter().all(|x| x.fused.is_none()));
     }
 
     #[test]
@@ -1021,11 +1099,11 @@ mod tests {
         let c = chunk(ops, vec![Const::Num(1.0)]);
         let mut ic = 0;
         let o = build_overlay(&c, &mut ic);
-        assert!(o.ops[0].is_some());
-        assert!(o.ops[1].is_none());
-        assert!(o.ops[2].is_none());
-        assert!(o.ops[3].is_none());
-        assert!(o.ops[4].is_some());
+        assert!(o.ops[0].fused.is_some());
+        assert!(o.ops[1].fused.is_none());
+        assert!(o.ops[2].fused.is_none());
+        assert!(o.ops[3].fused.is_none());
+        assert!(o.ops[4].fused.is_some());
     }
 
     #[test]
@@ -1111,12 +1189,85 @@ mod tests {
             ..Default::default()
         };
         let mut branches = 0;
-        let taken = walk(&chunk, 0, 8, true, |e| {
-            branches += (e == Ev::Class(OpClass::Branch)) as usize
+        let taken = walk(&chunk, 0, 8, true, |_, op| {
+            op_events(op, &mut |e| {
+                branches += (e == Ev::Class(OpClass::Branch)) as usize
+            })
         });
         assert_eq!(taken, Ok((7, 8)));
         assert_eq!(branches, 3);
-        assert_eq!(walk(&chunk, 0, 8, false, |_| {}), Ok((6, 107)));
+        assert_eq!(walk(&chunk, 0, 8, false, |_, _| {}), Ok((6, 107)));
+    }
+
+    #[test]
+    fn regions_start_at_every_jump_target_and_after_every_exit() {
+        let program = crate::compile_script(
+            "function g(x) { return x * 2; }\n\
+             function f(n, c) {\n\
+               var s = 0; var o = { h: g };\n\
+               for (var i = 0; ((i) < (n) ? 1 : 0); i = (((i) + (1)) | 0)) {\n\
+                 if (i % 3 === 0) continue;\n\
+                 s = s + (c ? g(i) : o.h(i)) + (c && i > 2 ? 1 : 0);\n\
+                 if (s > 1000) return s;\n\
+               }\n\
+               return s;\n\
+             }",
+        )
+        .expect("compiles");
+        let (overlays, _) = build_overlays(&program);
+        let mut fused_crossings = 0;
+        for (chunk, overlay) in program.chunks.iter().zip(&overlays) {
+            let head = |pc: usize| overlay.ops.get(pc).is_some_and(|s| s.region != NO_REGION);
+            assert!(head(0), "{}: entry", chunk.name);
+            for (pc, op) in chunk.code.iter().enumerate() {
+                let end = pc + 1 == chunk.code.len();
+                match op {
+                    Op::Jump(d)
+                    | Op::JumpIfFalse(d)
+                    | Op::JumpIfFalsePeek(d)
+                    | Op::JumpIfTruePeek(d) => {
+                        let to = (pc as i32 + d) as usize;
+                        assert!(
+                            head(to) || to >= chunk.code.len(),
+                            "{}: target {to} of {pc}",
+                            chunk.name
+                        );
+                        assert!(
+                            head(pc + 1) || end,
+                            "{}: {op:?} at {pc} ends no region",
+                            chunk.name
+                        );
+                    }
+                    Op::Call(_) | Op::MethodCall { .. } | Op::Return | Op::ReturnUndef => {
+                        assert!(
+                            head(pc + 1) || end,
+                            "{}: {op:?} at {pc} ends no region",
+                            chunk.name
+                        );
+                    }
+                    _ => {}
+                }
+            }
+            // The regions partition the chunk.
+            let steps: u32 = overlay.ops.iter().map(|s| s.steps).sum();
+            assert_eq!(steps as usize, chunk.code.len(), "{}", chunk.name);
+            // A fused path enters every region head it passes, and only those.
+            for (pc, slot) in overlay.ops.iter().enumerate() {
+                let Some(f) = slot.fused else { continue };
+                for (cond, path) in [false, true].into_iter().zip(&f.paths) {
+                    let mut passed = Vec::new();
+                    let walked = walk(chunk, pc, f.op.width(), cond, |p, _| {
+                        if p != pc && head(p) {
+                            passed.push(overlay.ops[p].region);
+                        }
+                    });
+                    assert_eq!(walked.map(|(_, exit)| exit as u32), Ok(path.exit));
+                    assert_eq!(passed, path.entered(), "{}: {pc}", chunk.name);
+                    fused_crossings += passed.len();
+                }
+            }
+        }
+        assert!(fused_crossings > 0, "the bool tails enter regions");
     }
 
     #[test]
@@ -1124,15 +1275,15 @@ mod tests {
         // `Lt; JumpIfFalse -1` matches `CmpJf` but jumps back inside its
         // own span: the walk refuses it, so nothing fuses.
         let back_inside = chunk(vec![Op::Lt, Op::JumpIfFalse(-1)], vec![]);
-        assert!(walk(&back_inside, 0, 2, false, |_| {}).is_err());
+        assert!(walk(&back_inside, 0, 2, false, |_, _| {}).is_err());
         let mut ic = 0;
         let o = build_overlay(&back_inside, &mut ic);
-        assert!(o.ops.iter().all(|x| x.is_none()));
+        assert!(o.ops.iter().all(|x| x.fused.is_none()));
         // A back-edge notes hotness; a branch on a value the span did not
         // push has no known outcome.
         let back_edge = chunk(vec![Op::LoadLocal(0), Op::Jump(-1)], vec![]);
-        assert!(walk(&back_edge, 0, 2, true, |_| {}).is_err());
+        assert!(walk(&back_edge, 0, 2, true, |_, _| {}).is_err());
         let unknown = chunk(vec![Op::LoadLocal(0), Op::JumpIfFalse(5)], vec![]);
-        assert!(walk(&unknown, 0, 2, true, |_| {}).is_err());
+        assert!(walk(&unknown, 0, 2, true, |_, _| {}).is_err());
     }
 }

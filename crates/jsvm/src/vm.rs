@@ -2,10 +2,37 @@
 //! scheduling and the unpriced record of a run ([`JsRecord`]), which
 //! `wb_env::price` turns into virtual time, choosing the interpreter and
 //! JIT tiers as it goes.
+//!
+//! The loop charges per region, not per op. Each chunk is cut into
+//! regions (`fuse.rs` `region_heads`): runs of ops entered only at their
+//! head and left only at their end. Every overlay slot says whether a
+//! region starts at its pc; when the loop reaches one, it checks the fuel
+//! budget, spends the region's op count and adds one to the region's
+//! counter in the chunk's current band (the counters are a
+//! `wb_env::RegionCounters`). The budget is checked against the regions
+//! already run, so a region that overruns it runs to its end, its call or
+//! an error, and the run then stops with `StepBudgetExhausted` (at the
+//! next head, before a method call, or on the way out in `run`): which
+//! runs run out, and which error the others report, are per-op
+//! counting's. A fused form that passes a region head on its way adds
+//! that region the same way, one add per region on the path it took. The
+//! class and Table 12 counts of a region are folded in only when a record
+//! is read ([`JsVm::record`], and `performance.now`, which prices
+//! mid-run): a band changes only at chunk entry and loop back-edges,
+//! which are region boundaries, so every counter belongs to one band.
+//! What stays per op is what depends on a value: an index access counts
+//! by its receiver's typedness (`index_route`), a `Math.*` call counts as
+//! native code, and allocation, GC and every other `Charge` event are
+//! recorded as they happen. An op that fails inside its region takes back
+//! the region's count on the cold path and charges the ops up to and
+//! including itself (`settle_trap`), so a failed run's record is the one
+//! per-op counting gives.
 
 use crate::bytecode::{Const, Op, Program};
 use crate::error::JsError;
-use crate::fuse::{build_overlays, FOp, Fused, FusedChunk, IcEntry, IcKind, SpanCharges};
+use crate::fuse::{
+    build_overlays, static_charge, FOp, Fused, FusedChunk, IcEntry, IcKind, SpanCharges, NO_REGION,
+};
 use crate::heap::{Heap, HeapStats, Obj};
 use crate::stdlib::{sha256, DetRng};
 use crate::value::{format_number, Builtin, JsValue, Value};
@@ -13,7 +40,8 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use wb_env::{
     ArithCounts, BandCounts, Bands, Charge, ChargeRecord, CostTable, EnginePrices, JitMode,
-    JsEngineProfile, Nanos, OpClass, OpCounts, PriceList, Tiering, VirtualClock,
+    JsEngineProfile, Nanos, OpClass, OpCounts, PriceList, RegionCounters, RegionHits, Tiering,
+    VirtualClock,
 };
 
 /// Configuration of one JS VM.
@@ -118,6 +146,9 @@ struct HotState {
     /// Boundaries of the VM's bands the hotness has reached.
     band: usize,
     hotness: u64,
+    /// The chunk's row of region counters in `JsVm::counters` for its
+    /// current band, once it has run in it.
+    row: Option<usize>,
 }
 
 /// The counter set an index access bumps.
@@ -229,13 +260,17 @@ pub struct JsVm {
     locals: Vec<Value>,
     frames: Vec<Frame>,
     chunk_state: Vec<HotState>,
-    /// Retired ops per hotness band, over the boundaries of
-    /// [`JsExecProjection::bands`]: typed-array index accesses apart
-    /// (the JIT prices them at the better `jit_typed_array_multiplier`),
-    /// and `Math.*` calls, native code priced at the JIT tier whatever
-    /// the band or JIT mode, in `native`.
+    /// Region entries per chunk, band and region.
+    counters: RegionCounters,
+    /// Op counts per hotness band, over the boundaries of
+    /// [`JsExecProjection::bands`], that no region counter holds: index
+    /// accesses, typed-array ones apart (the JIT prices them at the
+    /// better `jit_typed_array_multiplier`); `Math.*` calls, native code
+    /// priced at the JIT tier whatever the band or JIT mode, in
+    /// `native`; and the charged part of a region an op failed in.
     band_counts: BandCounts,
-    /// Table 12 counts, in [`ArithCounts::columns`] order.
+    /// Table 12 counts no region counter holds, in
+    /// [`ArithCounts::columns`] order.
     arith: [u64; 7],
     charges: ChargeRecord,
     clock_reads: u64,
@@ -258,6 +293,7 @@ impl JsVm {
     /// Create a VM with no script loaded.
     pub fn new(config: JsVmConfig) -> Self {
         JsVm {
+            counters: RegionCounters::default(),
             band_counts: BandCounts::new(config.projection().bands),
             config,
             program: Rc::new(Program::default()),
@@ -299,13 +335,6 @@ impl JsVm {
             .map(|(i, n)| (n.clone(), i as u32))
             .collect();
         self.globals = vec![None; program.names.len()];
-        self.chunk_state = vec![
-            HotState {
-                band: 0,
-                hotness: 0,
-            };
-            program.chunks.len()
-        ];
         // Bind host globals wherever the script references them.
         for (name, builtin) in [
             ("Math", Builtin::Math),
@@ -329,6 +358,21 @@ impl JsVm {
         // data with no virtual-time charge: fusion models no engine
         // work, and the reference and fused modes charge identically.
         let (fused, ic_sites) = build_overlays(&program);
+        // The counters of an earlier script fold into the counts kept
+        // per op before its regions go.
+        std::mem::take(&mut self.counters).fold(
+            |c| &self.fused[c].regions,
+            &mut self.band_counts.ops,
+            &mut self.arith,
+        );
+        self.chunk_state = vec![
+            HotState {
+                band: 0,
+                hotness: 0,
+                row: None,
+            };
+            fused.len()
+        ];
         self.fused = Rc::new(fused);
         self.ic_state = vec![IcEntry::default(); ic_sites as usize];
         self.program = Rc::new(program);
@@ -368,14 +412,69 @@ impl JsVm {
 
     /// The unpriced record of everything executed so far.
     pub fn record(&self) -> JsRecord {
+        let (band_counts, arith) = self.folded();
         JsRecord {
             charges: self.charges.clone(),
-            band_counts: self.band_counts.clone(),
+            band_counts,
             heap: self.heap.stats(),
-            arith: ArithCounts::from_columns(self.arith),
+            arith: ArithCounts::from_columns(arith),
             code_ops: self.program.op_count(),
             clock_reads: self.clock_reads,
         }
+    }
+
+    /// The band and Table 12 counts so far: the region counters folded
+    /// into what the loop counted per op.
+    fn folded(&self) -> (BandCounts, [u64; 7]) {
+        let (mut band_counts, mut arith) = (self.band_counts.clone(), self.arith);
+        self.counters
+            .fold(|c| &self.fused[c].regions, &mut band_counts.ops, &mut arith);
+        (band_counts, arith)
+    }
+
+    /// The region profile behind [`JsVm::record`]: how often each region
+    /// of each chunk of the script last loaded was entered in each band,
+    /// with the bytecode ops it covers. Multiplying each entry's hits by
+    /// its ops' classes gives the record's op counts, less the index
+    /// accesses, `Math.*` calls and the charged part of a region an op
+    /// failed in.
+    pub fn region_profile(&self) -> Vec<RegionHits> {
+        self.counters.profile(|c| &self.fused[c].regions)
+    }
+
+    /// Offset in `self.counters` of `chunk`'s row for its current band,
+    /// added on the chunk's first run in that band.
+    #[inline]
+    fn region_row(&mut self, chunk: usize) -> usize {
+        let state = &mut self.chunk_state[chunk];
+        let band = state.band;
+        let regions = self.fused[chunk].regions.len();
+        *state
+            .row
+            .get_or_insert_with(|| self.counters.add_row(chunk, band, regions))
+    }
+
+    /// Charge the region holding `pc_end - 1`, which an op failed in
+    /// before the region's end, as per-op counting would have: take back
+    /// its entry (count and fuel) and charge its ops before `pc_end`.
+    #[cold]
+    fn settle_trap(&mut self, chunk: usize, row: usize, pc_end: usize) {
+        let Some(last) = pc_end.checked_sub(1) else {
+            return;
+        };
+        let (fused, program) = (Rc::clone(&self.fused), Rc::clone(&self.program));
+        let regions = &fused[chunk].regions;
+        let code = &program.chunks[chunk].code;
+        let band = self.chunk_state[chunk].band;
+        self.steps -= self.counters.settle(
+            row,
+            regions.region_at(last),
+            regions,
+            pc_end,
+            |pc| static_charge(&code[pc]),
+            &mut self.band_counts.ops[band],
+            &mut self.arith,
+        );
     }
 
     /// Current measurement snapshot: the [`JsVm::record`] priced with
@@ -526,6 +625,7 @@ impl JsVm {
         s.hotness += 1;
         while let Some(boundary) = self.band_counts.bands.crossed(s.band, s.hotness) {
             s.band += 1;
+            s.row = None;
             let size = self.program.chunks[chunk].code.len() as u64;
             self.charges.push(Charge::BandCrossed { boundary, size });
         }
@@ -666,15 +766,31 @@ impl JsVm {
         x.partial_cmp(&y).unwrap_or(std::cmp::Ordering::Greater) // NaN: comparisons false-ish
     }
 
+    /// Run frames above `floor` to completion. Fuel is checked at region
+    /// heads, against the regions already run, so a region that overran
+    /// the budget runs to its end or to an error; per-op counting would
+    /// have stopped inside it, so either way the run ran out of steps.
     fn run(&mut self, floor: usize) -> Result<(), JsError> {
+        let r = self.dispatch(floor);
+        if self.steps > self.config.limits.fuel_budget() {
+            return Err(JsError::StepBudgetExhausted);
+        }
+        r
+    }
+
+    /// The dispatch loop of [`Self::run`].
+    fn dispatch(&mut self, floor: usize) -> Result<(), JsError> {
         let program = Rc::clone(&self.program);
         let fused = Rc::clone(&self.fused);
         let use_fused = !self.config.reference_exec;
+        let fuel = self.config.limits.fuel_budget();
         'outer: while self.frames.len() > floor {
             let frame_idx = self.frames.len() - 1;
             let chunk_idx = self.frames[frame_idx].chunk as usize;
             let chunk = &program.chunks[chunk_idx];
+            let slots = &fused[chunk_idx].ops;
             let mut band = self.chunk_state[chunk_idx].band;
+            let mut row = self.region_row(chunk_idx);
             let mut pc = self.frames[frame_idx].pc;
             let locals_base = self.frames[frame_idx].locals_base;
 
@@ -684,18 +800,44 @@ impl JsVm {
                     continue 'outer;
                 }};
             }
+            // An op that may fail inside its region: on an error, charge
+            // the region only through this op.
+            macro_rules! trapping {
+                ($e:expr) => {
+                    match $e {
+                        Ok(v) => v,
+                        Err(e) => {
+                            self.settle_trap(chunk_idx, row, pc + 1);
+                            return Err(e);
+                        }
+                    }
+                };
+            }
 
             loop {
                 // Instruction boundary: a GC-safe point (all live values
                 // are reachable from stack/locals/globals).
-                self.maybe_gc()?;
+                if let Err(e) = self.maybe_gc() {
+                    self.settle_trap(chunk_idx, row, pc);
+                    return Err(e);
+                }
+                let slot = &slots[pc];
+                if slot.region != NO_REGION {
+                    // Fuel is checked against the regions already run, so
+                    // the run stops at the first head past an overrun.
+                    if self.steps > fuel {
+                        return Err(JsError::StepBudgetExhausted);
+                    }
+                    self.steps += u64::from(slot.steps);
+                    self.counters.enter(row, slot.region as usize);
+                }
                 // Fused dispatch: at a pattern head, try the fused form.
                 // Guards run before any charge, so a fallback (`None`)
                 // leaves the virtual-cost state untouched and the plain
                 // op below replays the reference path exactly.
                 if use_fused {
-                    if let Some(f) = &fused[chunk_idx].ops[pc] {
-                        if let Some(next) = self.exec_fused(f, band, locals_base)? {
+                    if let Some(f) = &slot.fused {
+                        if let Some(next) = self.exec_fused(f, band, row, locals_base)? {
                             self.dispatches[0] += 1;
                             pc = next;
                             continue;
@@ -704,18 +846,6 @@ impl JsVm {
                 }
                 let op = &chunk.code[pc];
                 self.dispatches[1] += 1;
-                self.steps += 1;
-                if self.steps > self.config.limits.fuel_budget() {
-                    return Err(JsError::StepBudgetExhausted);
-                }
-                // Typed-array index ops are counted inside their handler;
-                // everything else is charged here.
-                if !matches!(op, Op::GetIndex | Op::SetIndex) {
-                    self.band_counts.ops[band].bump(op.class(), 1);
-                }
-                if let Some(kind) = op.arith() {
-                    self.arith[kind.column()] += 1;
-                }
 
                 match op {
                     Op::Const(ci) => match &chunk.consts[*ci as usize] {
@@ -739,11 +869,9 @@ impl JsVm {
                     }
                     Op::LoadGlobal(ni) => match self.globals[*ni as usize] {
                         Some(v) => self.stack.push(v),
-                        None => {
-                            return Err(JsError::Reference {
-                                name: program.name(*ni).to_string(),
-                            })
-                        }
+                        None => trapping!(Err(JsError::Reference {
+                            name: program.name(*ni).to_string(),
+                        })),
                     },
                     Op::StoreGlobal(ni) => {
                         let v = self.stack.pop().expect("compiled: value");
@@ -870,6 +998,7 @@ impl JsVm {
                             // Loop back-edge: hotness for OSR-style tier-up.
                             self.note_hotness(chunk_idx);
                             band = self.chunk_state[chunk_idx].band;
+                            row = self.region_row(chunk_idx);
                         }
                         pc = (pc as i32 + d) as usize;
                         continue;
@@ -927,9 +1056,9 @@ impl JsVm {
                         let len = self.stack.pop().expect("compiled");
                         let n = self.to_num(len);
                         if !(0.0..=1e9).contains(&n) || n.fract() != 0.0 {
-                            return Err(JsError::Range {
+                            trapping!(Err(JsError::Range {
                                 message: format!("invalid typed array length {n}"),
-                            });
+                            }));
                         }
                         let n = n as usize;
                         let obj = match kind {
@@ -944,9 +1073,9 @@ impl JsVm {
                         let len = self.stack.pop().expect("compiled");
                         let n = self.to_num(len);
                         if !(0.0..=1e9).contains(&n) || n.fract() != 0.0 {
-                            return Err(JsError::Range {
+                            trapping!(Err(JsError::Range {
                                 message: format!("invalid array length {n}"),
-                            });
+                            }));
                         }
                         let r = self.alloc(Obj::Arr(vec![Value::Undefined; n as usize]));
                         self.stack.push(Value::Ref(r));
@@ -954,25 +1083,25 @@ impl JsVm {
                     Op::GetIndex => {
                         let idx = self.stack.pop().expect("compiled");
                         let obj = self.stack.pop().expect("compiled");
-                        let v = self.get_index(obj, idx, band)?;
+                        let v = trapping!(self.get_index(obj, idx, band));
                         self.stack.push(v);
                     }
                     Op::SetIndex => {
                         let val = self.stack.pop().expect("compiled");
                         let idx = self.stack.pop().expect("compiled");
                         let obj = self.stack.pop().expect("compiled");
-                        self.set_index(obj, idx, val, band)?;
+                        trapping!(self.set_index(obj, idx, val, band));
                         self.stack.push(val);
                     }
                     Op::GetMember(ni) => {
                         let obj = self.stack.pop().expect("compiled");
-                        let v = self.get_member(obj, *ni)?;
+                        let v = trapping!(self.get_member(obj, *ni));
                         self.stack.push(v);
                     }
                     Op::SetMember(ni) => {
                         let val = self.stack.pop().expect("compiled");
                         let obj = self.stack.pop().expect("compiled");
-                        self.set_member(obj, *ni, val)?;
+                        trapping!(self.set_member(obj, *ni, val));
                         self.stack.push(val);
                     }
                     Op::ClosureOp(idx) => self.stack.push(Value::Closure(*idx)),
@@ -992,6 +1121,11 @@ impl JsVm {
                         }
                     }
                     Op::MethodCall { name, argc } => {
+                        // The call ends its region: per-op counting would
+                        // not make it past a budget that region overran.
+                        if self.steps > fuel {
+                            return Err(JsError::StepBudgetExhausted);
+                        }
                         // The receiver, then the arguments, stay on the
                         // stack until the method has read them.
                         let base = self.stack.len() - *argc as usize;
@@ -1028,22 +1162,24 @@ impl JsVm {
     /// Returns `Ok(Some(next_pc))` when the fused form ran, or `Ok(None)`
     /// when a guard failed — in which case *nothing* was charged and the
     /// caller must execute the plain op at `pc`. The arms hold no charges
-    /// of their own: after its guards, each charges the path its
-    /// comparison took (its only path, for a form without one) through
-    /// [`Self::retire`], from the record `fuse::walk` made of the span's
-    /// constituents at load time, and continues at that path's exit.
+    /// of their own: the span's ops are counted by the regions they lie
+    /// in, and after its guards each arm retires the path its comparison
+    /// took (its only path, for a form without one) through
+    /// [`Self::retire`], from the record `fuse::walk` made of the span at
+    /// load time, and continues at that path's exit.
     ///
     /// Cost-equivalence invariant (see DESIGN.md): fast paths never
     /// allocate, never grow heap bytes and never note hotness, so GC
     /// safe-points and the band are identical to the reference
     /// interpreter's at every op boundary. The one permitted divergence
-    /// is *where* a `StepBudgetExhausted` error lands inside a group
-    /// (the budget is checked once per group, not per constituent);
-    /// budget-trapped runs are never measured.
+    /// is the state a run stopped by `StepBudgetExhausted` leaves behind
+    /// (the budget is checked once per region, not per op); budget-trapped
+    /// runs are never measured.
     fn exec_fused(
         &mut self,
         fused: &Fused,
         band: usize,
+        row: usize,
         locals_base: usize,
     ) -> Result<Option<usize>, JsError> {
         let local = |vm: &Self, i: u16| vm.locals[locals_base + i as usize];
@@ -1053,7 +1189,7 @@ impl JsVm {
                 let (Value::Num(x), Value::Num(y)) = (local(self, a), local(self, b)) else {
                     return Ok(None);
                 };
-                let next = self.retire(only, band, false)?;
+                let next = self.retire(only, band, row, false)?;
                 self.stack.push(Value::Num(op.apply(x, y)));
                 Ok(Some(next))
             }
@@ -1061,7 +1197,7 @@ impl JsVm {
                 let (Value::Num(x), Value::Num(y)) = (local(self, a), local(self, b)) else {
                     return Ok(None);
                 };
-                let next = self.retire(only, band, false)?;
+                let next = self.retire(only, band, row, false)?;
                 self.locals[locals_base + dst as usize] = Value::Num(op.apply(x, y));
                 Ok(Some(next))
             }
@@ -1069,7 +1205,7 @@ impl JsVm {
                 let Value::Num(x) = local(self, a) else {
                     return Ok(None);
                 };
-                let next = self.retire(only, band, false)?;
+                let next = self.retire(only, band, row, false)?;
                 self.stack.push(Value::Num(op.apply(x, c)));
                 Ok(Some(next))
             }
@@ -1077,7 +1213,7 @@ impl JsVm {
                 let Value::Num(x) = local(self, a) else {
                     return Ok(None);
                 };
-                let next = self.retire(only, band, false)?;
+                let next = self.retire(only, band, row, false)?;
                 self.locals[locals_base + dst as usize] = Value::Num(op.apply(x, c));
                 Ok(Some(next))
             }
@@ -1092,13 +1228,13 @@ impl JsVm {
                 let Value::Num(x) = local(self, a) else {
                     return Ok(None);
                 };
-                let next = self.retire(only, band, false)?;
+                let next = self.retire(only, band, row, false)?;
                 self.locals[locals_base + dst as usize] =
                     Value::Num(op2.apply(op1.apply(x, c1), c2));
                 Ok(Some(next))
             }
             FOp::CStore { c, dst } => {
-                let next = self.retire(only, band, false)?;
+                let next = self.retire(only, band, row, false)?;
                 self.locals[locals_base + dst as usize] = Value::Num(c);
                 Ok(Some(next))
             }
@@ -1107,7 +1243,7 @@ impl JsVm {
                 let (Value::Num(x), Value::Num(y)) = (self.stack[n - 2], self.stack[n - 1]) else {
                     return Ok(None);
                 };
-                let next = self.retire(fused.path(op.apply(x, y)), band, false)?;
+                let next = self.retire(fused.path(op.apply(x, y)), band, row, false)?;
                 self.stack.truncate(n - 2);
                 Ok(Some(next))
             }
@@ -1115,14 +1251,14 @@ impl JsVm {
                 let (Value::Num(x), Value::Num(y)) = (local(self, a), local(self, b)) else {
                     return Ok(None);
                 };
-                self.retire(fused.path(op.apply(x, y)), band, false)
+                self.retire(fused.path(op.apply(x, y)), band, row, false)
                     .map(Some)
             }
             FOp::LCCmpJf { a, c, op, .. } => {
                 let Value::Num(x) = local(self, a) else {
                     return Ok(None);
                 };
-                self.retire(fused.path(op.apply(x, c)), band, false)
+                self.retire(fused.path(op.apply(x, c)), band, row, false)
                     .map(Some)
             }
             FOp::GAddr {
@@ -1143,7 +1279,7 @@ impl JsVm {
                 let index = op2.apply(op1.apply(x, c), y);
                 // With a `GetIndex`, the cached element replaces both.
                 let Some(ic) = ic else {
-                    let next = self.retire(only, band, false)?;
+                    let next = self.retire(only, band, row, false)?;
                     self.stack.push(array);
                     self.stack.push(Value::Num(index));
                     return Ok(Some(next));
@@ -1154,7 +1290,7 @@ impl JsVm {
                 let Some((v, typed)) = self.ic_probe_load(ic, r, index) else {
                     return Ok(None);
                 };
-                let next = self.retire(only, band, typed)?;
+                let next = self.retire(only, band, row, typed)?;
                 self.stack.push(v);
                 Ok(Some(next))
             }
@@ -1168,7 +1304,7 @@ impl JsVm {
                 let Some((v, typed)) = self.ic_probe_load(ic, r, n) else {
                     return Ok(None);
                 };
-                let next = self.retire(only, band, typed)?;
+                let next = self.retire(only, band, row, typed)?;
                 self.stack.push(v);
                 Ok(Some(next))
             }
@@ -1183,7 +1319,7 @@ impl JsVm {
                 let Some((v, typed)) = self.ic_probe_load(ic, r, num) else {
                     return Ok(None);
                 };
-                let next = self.retire(only, band, typed)?;
+                let next = self.retire(only, band, row, typed)?;
                 self.stack.truncate(n - 2);
                 self.stack.push(v);
                 Ok(Some(next))
@@ -1205,7 +1341,7 @@ impl JsVm {
                     self.ic_refill(ic, r);
                     return Ok(None);
                 }
-                let next = self.retire(only, band, true)?;
+                let next = self.retire(only, band, row, true)?;
                 if i >= 0.0 && i.fract() == 0.0 {
                     let idx = i as usize;
                     let vn = self.to_num(val);
@@ -1245,25 +1381,31 @@ impl JsVm {
         }
     }
 
-    /// Charge one path through a fused span as the plain loop charges its
-    /// constituents: the steps against the fuel budget first, then the
-    /// class, Table 12 and index counts. An index access counts as a
-    /// typed-array one when `typed` (the typedness of the inline-cache
-    /// entry that hit, which is the receiver's) and as a cache hit.
-    /// Returns the pc the path leaves to. Inlined into every arm: a call
-    /// per fused dispatch costs more than the charges themselves.
+    /// Retire one path through a fused span as the plain loop would:
+    /// enter the regions it passes the heads of (the budget checked first,
+    /// against the regions already run; then their fuel spent and one
+    /// count each in the row at `row`), then
+    /// count its index access, as a typed-array one when `typed` (the
+    /// typedness of the inline-cache entry that hit, which is the
+    /// receiver's) and as a cache hit. Returns the pc the path leaves to.
+    /// Inlined into every arm: a call per fused dispatch costs more than
+    /// the work itself.
     #[inline(always)]
-    fn retire(&mut self, path: &SpanCharges, band: usize, typed: bool) -> Result<usize, JsError> {
-        self.steps += path.steps as u64;
-        if self.steps > self.config.limits.fuel_budget() {
-            return Err(JsError::StepBudgetExhausted);
-        }
-        let counts = &mut self.band_counts.ops[band].0;
-        for (class, n) in path.classes.iter() {
-            counts[class] += n;
-        }
-        for (column, n) in path.arith.iter() {
-            self.arith[column] += n;
+    fn retire(
+        &mut self,
+        path: &SpanCharges,
+        band: usize,
+        row: usize,
+        typed: bool,
+    ) -> Result<usize, JsError> {
+        if path.entered > 0 {
+            if self.steps > self.config.limits.fuel_budget() {
+                return Err(JsError::StepBudgetExhausted);
+            }
+            self.steps += u64::from(path.steps);
+            for &region in path.entered() {
+                self.counters.enter(row, region as usize);
+            }
         }
         if let Some(is_store) = path.index {
             self.count_cached_index(band, typed, is_store);
@@ -1600,8 +1742,8 @@ impl JsVm {
             Value::Builtin(Builtin::Performance) => {
                 if name == "now" {
                     self.clock_reads += 1;
-                    let priced =
-                        wb_env::price(&self.config.prices(), &self.charges, &self.band_counts);
+                    let (band_counts, _) = self.folded();
+                    let priced = wb_env::price(&self.config.prices(), &self.charges, &band_counts);
                     Ok(MethodOutcome::Value(Value::Num(
                         priced.clock.now().as_millis(),
                     )))

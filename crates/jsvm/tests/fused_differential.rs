@@ -496,10 +496,10 @@ fn jumps_into_a_group_interior_run_plain_ops() {
 
 #[test]
 fn fuel_runs_out_inside_groups_with_the_same_trap() {
-    // A fused group checks its whole width against the budget at once,
-    // so a budget that runs out inside a group traps at the group's
-    // head. The trap kind, and whether the run traps at all, must not
-    // change.
+    // Fuel is checked once per region, where the plain loop and a fused
+    // path enter one, so a budget that runs out inside a fused group is
+    // noticed where the unfused ops would notice it. The trap kind, and
+    // whether the run traps at all, must not change.
     let outcome = |reference_exec: bool, fuel: u64| {
         let mut cfg = config(reference_exec, JitMode::Enabled);
         cfg.limits = wb_env::ResourceLimits::default().with_fuel(fuel);

@@ -1,42 +1,34 @@
-//! Static cost-equivalence audit of the fusion table.
+//! Static audit of the fusion table.
 //!
-//! The engine's hard invariant — a fused micro-op charges the **exact
-//! same virtual-cost sequence** as its unfused constituents — is enforced
-//! dynamically by the fusion-on vs fusion-off differential tests. This
-//! module turns it into a *statically exhaustive* check: every fused
-//! family in [`fuse`](crate::fuse) is symbolically expanded, for **every**
-//! operator instance it can carry (each entry of `BinOp::ALL`,
-//! `UnOp::ALL`, `LoadKind::ALL` and `StoreKind::ALL`), and its charge plan
-//! is compared event-for-event against the concatenation of the plans of
-//! the constituents' singleton ops — the reference plans, which is what
-//! the unfused (`reference_exec`) stream charges.
+//! A fused micro-op charges nothing of its own: the loop counts region
+//! entries, and a region's class and Table 12 counts come from its source
+//! instructions (`fuse.rs` `lower`), so a fused group charges what its
+//! constituents charge by construction, as long as it lies inside one
+//! region. That is what this module checks, for **every** operator
+//! instance each fused family can carry (each entry of `BinOp::ALL`,
+//! `UnOp::ALL`, `LoadKind::ALL` and `StoreKind::ALL`):
 //!
-//! The operators' own charges (class, Table 12 kind, trap point) come from
-//! one table on both sides: the families read them from `classify.rs` at
-//! compile time. What the audit checks is each family's *shape*: which
-//! constituents it charges, in which order, around which trap point.
+//! * **round trip**: [`match_fused`] lowers the constituents to the
+//!   expected family at the full width;
+//! * **region walk**: lowering the constituents as a body, fused and
+//!   unfused, gives the same regions; the group starts the first one and
+//!   ends inside it (only a trailing `br_if` may end it, as the group's
+//!   last constituent); and that region's counts are the per-op walk of
+//!   its instructions;
+//! * **no hotness inside**: no constituent is a call, a `memory.grow` or
+//!   a structured-control opener, so no band crossing and no timed event
+//!   falls inside a group.
 //!
-//! A charge plan is the sequence of observable cost events:
-//!
-//! * one op-class bump per retired constituent (`band_counts[band]`,
-//!   in the band the function is in when the group starts),
-//! * the Table 12 arithmetic bump for arithmetic constituents,
-//! * the position of any trap point relative to those bumps.
-//!
-//! Step-budget consumption is compared as a total (a fused arm
-//! batches a group's steps up front — the one documented divergence; see
-//! `exec.rs`). The audit also proves each family's constituents carry no
-//! `TimeBucket` charge and no hotness note (those exist only on
-//! `memory.grow`, calls and loop back-edges, none of which fuse), so no
-//! band crossing falls inside a group and all of a group's bumps land in
-//! the band its unfused constituents would bump, and
-//! round-trips each instance through [`match_fused`] to confirm the
-//! lowering actually produces the audited family at the audited width.
+//! Each entry renders what per-op counting charges for the constituents,
+//! one event per line: the class, the Table 12 kind and, for an
+//! instruction that may trap, the trap point after them (a region that
+//! traps charges its instructions up to and including that one).
 
 use crate::classify::{arith_kind, can_trap, classify, ArithKind};
-use crate::fuse::{match_fused, BinOp, LoadKind, Mop, StoreKind, UnOp};
-use wb_env::OpClass;
-use wb_wasm::Instr;
+use crate::fuse::{lower, match_fused, BinOp, LoadKind, Mop, StoreKind, UnOp};
+use crate::prep::PreparedModule;
+use wb_env::{OpClass, OpCounts};
+use wb_wasm::{FuncType, Function, Instr, Module, ValType};
 
 /// One audited (family, operator) instance.
 #[derive(Debug, Clone)]
@@ -47,23 +39,21 @@ pub struct FusionAuditEntry {
     pub instance: String,
     /// Source instructions the fused op retires.
     pub constituents: Vec<String>,
-    /// The fused op's charge plan, one event per line.
-    pub fused_charges: Vec<String>,
-    /// The unfused constituents' concatenated charge plan.
-    pub reference_charges: Vec<String>,
-    /// Whether the plans agree (and the lowering round-trips).
+    /// What per-op counting charges for the constituents, one event per
+    /// line.
+    pub charges: Vec<String>,
+    /// Whether the lowering round-trips and the region walk agrees.
     pub ok: bool,
     /// Human-readable reason when `ok` is false.
     pub detail: Option<String>,
 }
 
-/// A single observable cost event. `Step` totals are compared separately
-/// because a fused arm batches a group's budget consumption.
+/// A single cost event of per-op counting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Ev {
-    /// One `band_counts[band].bump(class, 1)`.
+    /// One retired instruction of a class.
     Class(OpClass),
-    /// One Table 12 arithmetic bump.
+    /// One Table 12 arithmetic count.
     Arith(ArithKind),
     /// A point at which execution may trap.
     Trap,
@@ -79,11 +69,9 @@ impl Ev {
     }
 }
 
-/// The reference charge plan for a constituent sequence, as its singleton
-/// ops charge it: per instruction, one step, its op-class bump, its
-/// Table 12 bump, then its (potential) trap point — the order of the
-/// singleton arms in `exec.rs`.
-fn reference_plan(instrs: &[Instr]) -> (u64, Vec<Ev>) {
+/// Per-op counting of `instrs`: per instruction, its class, its Table 12
+/// kind, then its (potential) trap point.
+fn per_op_events(instrs: &[Instr]) -> Vec<Ev> {
     let mut evs = Vec::new();
     for i in instrs {
         evs.push(Ev::Class(classify(i)));
@@ -94,166 +82,54 @@ fn reference_plan(instrs: &[Instr]) -> (u64, Vec<Ev>) {
             evs.push(Ev::Trap);
         }
     }
-    (instrs.len() as u64, evs)
+    evs
 }
 
-/// `bump_bin!` — a fused arm's binop charge: class, then Table 12.
-fn bin_evs(op: BinOp, evs: &mut Vec<Ev>) {
-    evs.push(Ev::Class(op.class()));
-    if let Some(k) = op.arith() {
-        evs.push(Ev::Arith(k));
-    }
-    if op.can_trap() {
-        evs.push(Ev::Trap);
-    }
-}
-
-/// The charge plan of one fused micro-op, transcribing the
-/// `run_body` arms in `exec.rs` event-for-event. Singleton micro-ops
-/// return `None` (they are the reference plan); the match is
-/// deliberately wildcard-free so a new `Mop` variant fails to compile
-/// until the audit covers it.
-fn fused_plan(mop: &Mop) -> Option<(u64, Vec<Ev>)> {
-    use Mop::*;
-    let mut evs = Vec::new();
-    let steps = match mop {
-        // Singletons: one step, one bump — the reference plan itself,
-        // nothing to audit.
-        Unreachable
-        | Nop
-        | Block { .. }
-        | Loop { .. }
-        | If { .. }
-        | Else
-        | End
-        | Br(_)
-        | BrIf(_)
-        | BrTable(..)
-        | Return
-        | Call(_)
-        | CallIndirect(_)
-        | Drop
-        | Select
-        | LocalGet(_)
-        | LocalSet(_)
-        | LocalTee(_)
-        | GlobalGet(_)
-        | GlobalSet { .. }
-        | Load { .. }
-        | Store { .. }
-        | MemorySize
-        | MemoryGrow
-        | Const(_)
-        | Un(_)
-        | Bin(_) => return None,
-        LLBin { op, .. } => {
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(OpClass::Local));
-            bin_evs(*op, &mut evs);
-            3
-        }
-        LLBinSet { op, .. } => {
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(OpClass::Local));
-            bin_evs(*op, &mut evs);
-            evs.push(Ev::Class(OpClass::Local));
-            4
-        }
-        LCBin { op, .. } => {
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(OpClass::Const));
-            bin_evs(*op, &mut evs);
-            3
-        }
-        LCBinSet { op, .. } => {
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(OpClass::Const));
-            bin_evs(*op, &mut evs);
-            evs.push(Ev::Class(OpClass::Local));
-            4
-        }
-        LBin { op, .. } => {
-            evs.push(Ev::Class(OpClass::Local));
-            bin_evs(*op, &mut evs);
-            2
-        }
-        CBin { op, .. } => {
-            evs.push(Ev::Class(OpClass::Const));
-            bin_evs(*op, &mut evs);
-            2
-        }
-        CBinSet { op, .. } => {
-            evs.push(Ev::Class(OpClass::Const));
-            bin_evs(*op, &mut evs);
-            evs.push(Ev::Class(OpClass::Local));
-            3
-        }
-        BinSet { op, .. } => {
-            bin_evs(*op, &mut evs);
-            evs.push(Ev::Class(OpClass::Local));
-            2
-        }
-        LConst { .. } => {
-            evs.push(Ev::Class(OpClass::Const));
-            evs.push(Ev::Class(OpClass::Local));
-            2
-        }
-        LocalCopy { .. } => {
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(OpClass::Local));
-            2
-        }
-        LLCmpBr { op, .. } => {
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(OpClass::Local));
-            bin_evs(*op, &mut evs);
-            evs.push(Ev::Class(OpClass::Branch));
-            4
-        }
-        LCCmpBr { op, .. } => {
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(OpClass::Const));
-            bin_evs(*op, &mut evs);
-            evs.push(Ev::Class(OpClass::Branch));
-            4
-        }
-        CmpBr { op, .. } => {
-            bin_evs(*op, &mut evs);
-            evs.push(Ev::Class(OpClass::Branch));
-            2
-        }
-        LUnBr { un, .. } => {
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(un.class()));
-            if un.can_trap() {
-                evs.push(Ev::Trap);
-            }
-            evs.push(Ev::Class(OpClass::Branch));
-            3
-        }
-        UnBr { un, .. } => {
-            evs.push(Ev::Class(un.class()));
-            if un.can_trap() {
-                evs.push(Ev::Trap);
-            }
-            evs.push(Ev::Class(OpClass::Branch));
-            2
-        }
-        LLoad { .. } => {
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(OpClass::Load));
-            evs.push(Ev::Trap);
-            2
-        }
-        LLStore { .. } => {
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(OpClass::Store));
-            evs.push(Ev::Trap);
-            3
-        }
+/// The region walk of a fused group: lower `constituents` (plus the
+/// closing `end`) as a function body, fused and unfused, and check the
+/// group lies inside one region whose counts are its instructions'.
+fn region_walk(constituents: &[Instr]) -> Result<(), String> {
+    let body = [constituents, &[Instr::End]].concat();
+    let module = Module {
+        functions: vec![Function {
+            type_index: 0,
+            locals: vec![ValType::I32; 3],
+            body,
+            name: None,
+        }],
+        types: vec![FuncType {
+            params: vec![],
+            results: vec![],
+        }],
+        ..Default::default()
     };
-    Some((steps, evs))
+    let prepared = PreparedModule::new(module);
+    let body = &prepared.module.functions[0].body;
+    let lowered = |fuse| lower(body, &prepared.side_tables[0], &prepared.module, fuse);
+    let (fused, unfused) = (lowered(true), lowered(false));
+    if fused.regions != unfused.regions {
+        return Err("fused and unfused lowerings cut different regions".into());
+    }
+    if fused.code[0].width() != constituents.len() {
+        return Err("lowering splits the group at a region head".into());
+    }
+    let region = fused.regions.range(0);
+    if fused.heads[0] != 0 || region.end < constituents.len() {
+        return Err(format!("the group spans regions {:?}", fused.regions));
+    }
+    let (mut counts, mut columns) = (OpCounts::new(), [0; 7]);
+    fused.regions.fold(&[1], &mut counts, &mut columns);
+    let (mut walked, mut walked_columns) = (OpCounts::new(), [0; 7]);
+    for i in &body[region] {
+        walked.bump(classify(i), 1);
+        if let Some(k) = arith_kind(i) {
+            walked_columns[k.column()] += 1;
+        }
+    }
+    if (counts, columns) != (walked, walked_columns) {
+        return Err("region counts differ from the per-op walk".into());
+    }
+    Ok(())
 }
 
 /// Family name of a fused micro-op (wildcard-free on purpose).
@@ -392,59 +268,45 @@ fn enumerate_instances() -> Vec<(&'static str, String, Vec<Instr>)> {
 /// Audit every instance of every fused family. An entry is `ok` when
 ///
 /// 1. `match_fused` lowers the constituents to the expected family at the
-///    full width (the step-budget total therefore matches too),
-/// 2. the fused charge plan equals the constituents' concatenated
-///    reference plans event-for-event, and
+///    full width,
+/// 2. the region walk agrees (see [`region_walk`]), and
 /// 3. no constituent carries a `TimeBucket` charge or hotness note.
 pub fn audit_fusion_table() -> Vec<FusionAuditEntry> {
     let mut entries = Vec::new();
     for (family, label, constituents) in enumerate_instances() {
-        let mut detail = None;
-        let mut fused_rendered = Vec::new();
-        let (ref_steps, ref_evs) = reference_plan(&constituents);
-
         // (3) is structural: constituents are locals/consts/ops/branches,
         // never memory.grow, calls, or loop openers/back-edges.
-        for c in &constituents {
-            if matches!(
+        let structural = constituents.iter().find(|c| {
+            matches!(
                 c,
-                Instr::MemoryGrow | Instr::Call(_) | Instr::CallIndirect(_)
-            ) || matches!(c, Instr::Loop(_) | Instr::Block(_) | Instr::If(_))
-            {
-                detail = Some(format!("constituent {c:?} carries non-class charges"));
+                Instr::MemoryGrow
+                    | Instr::Call(_)
+                    | Instr::CallIndirect(_)
+                    | Instr::Loop(_)
+                    | Instr::Block(_)
+                    | Instr::If(_)
+            )
+        });
+        let detail = match (structural, match_fused(&constituents)) {
+            (Some(c), _) => Some(format!("constituent {c:?} carries non-class charges")),
+            (None, Some((mop, len))) if len == constituents.len() && family_of(&mop) == family => {
+                region_walk(&constituents).err()
             }
-        }
-
-        match match_fused(&constituents) {
-            Some((mop, len)) if len == constituents.len() && family_of(&mop) == family => {
-                match fused_plan(&mop) {
-                    Some((steps, evs)) => {
-                        fused_rendered = evs.iter().map(Ev::render).collect();
-                        if steps != ref_steps {
-                            detail = Some(format!("step total {steps} != reference {ref_steps}"));
-                        } else if evs != ref_evs {
-                            detail = Some("charge plans differ".into());
-                        }
-                    }
-                    None => detail = Some("fused op lowered to a singleton".into()),
-                }
-            }
-            Some((mop, len)) => {
-                detail = Some(format!(
-                    "lowering mismatch: got {} at width {len}, expected {family} at width {}",
-                    family_of(&mop),
-                    constituents.len()
-                ));
-            }
-            None => detail = Some("constituents did not fuse".into()),
-        }
-
+            (None, Some((mop, len))) => Some(format!(
+                "lowering mismatch: got {} at width {len}, expected {family} at width {}",
+                family_of(&mop),
+                constituents.len()
+            )),
+            (None, None) => Some("constituents did not fuse".into()),
+        };
         entries.push(FusionAuditEntry {
             family,
             instance: format!("{family}[{label}]"),
             constituents: constituents.iter().map(|c| format!("{c:?}")).collect(),
-            fused_charges: fused_rendered,
-            reference_charges: ref_evs.iter().map(Ev::render).collect(),
+            charges: per_op_events(&constituents)
+                .iter()
+                .map(Ev::render)
+                .collect(),
             ok: detail.is_none(),
             detail,
         });
@@ -517,7 +379,7 @@ mod tests {
             .find(|e| e.instance == "LLBinSet[I32DivS]")
             .unwrap();
         assert_eq!(
-            div.fused_charges,
+            div.charges,
             vec![
                 "class:Local",
                 "class:Local",
@@ -527,6 +389,6 @@ mod tests {
                 "class:Local"
             ]
         );
-        assert_eq!(div.fused_charges, div.reference_charges);
+        assert!(div.ok, "{div:?}");
     }
 }

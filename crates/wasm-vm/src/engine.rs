@@ -1,6 +1,7 @@
 //! Instance lifecycle: instantiation (decode → validate → baseline
 //! compile → memory/global/table init → start function), host-function
-//! binding, hotness state, and measurement reporting.
+//! binding, hotness state, and measurement reporting (which folds the
+//! region counters of `exec.rs` into per-band op counts).
 
 use crate::prep::PreparedModule;
 use crate::trap::Trap;
@@ -9,7 +10,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use wb_env::{
     ArithCounts, BandCounts, Bands, Charge, ChargeRecord, CostTable, EnginePrices, Nanos, OpCounts,
-    PriceList, ResourceLimits, TierPolicy, Tiering, VirtualClock, WasmEngineProfile,
+    PriceList, RegionCounters, RegionHits, RegionTable, ResourceLimits, TierPolicy, Tiering,
+    VirtualClock, WasmEngineProfile,
 };
 use wb_wasm::{decode_module, validate, LinearMemory, Module, ValType};
 
@@ -120,6 +122,9 @@ pub(crate) struct FuncState {
     /// Band boundaries the hotness has reached.
     pub band: usize,
     pub hotness: u64,
+    /// The function's row of region counters in `Instance::counters` for
+    /// its current band, once it has run in it.
+    pub row: Option<usize>,
 }
 
 /// Context handed to host functions.
@@ -212,11 +217,21 @@ pub struct Instance {
     pub(crate) globals: Vec<Value>,
     pub(crate) table: Vec<Option<u32>>,
     pub(crate) func_state: Vec<FuncState>,
-    pub(crate) hostfns: HashMap<String, HostFn>,
-    /// Retired ops per hotness band, over the boundaries of
-    /// [`WasmExecProjection::bands`].
+    /// The host functions the imports name, one per distinct
+    /// `"module.field"`, resolved at instantiation (`None` when the
+    /// embedder did not provide it: calling it traps).
+    pub(crate) hostfns: Vec<Option<HostFn>>,
+    /// Each import's index in `hostfns`.
+    pub(crate) host_slots: Vec<usize>,
+    /// Region entries per function, band and region (see `exec.rs`).
+    pub(crate) counters: RegionCounters,
+    /// Op counts per hotness band, over the boundaries of
+    /// [`WasmExecProjection::bands`], that no region counter holds: the
+    /// charged part of a region that trapped.
     pub(crate) band_counts: BandCounts,
-    pub(crate) arith: ArithCounts,
+    /// Table 12 counts no region counter holds, in
+    /// [`ArithCounts::columns`] order.
+    pub(crate) arith: [u64; 7],
     pub(crate) charges: ChargeRecord,
     pub(crate) steps: u64,
     pub(crate) context_switches: u64,
@@ -282,7 +297,10 @@ impl Instance {
     /// Build a fresh instance over a shared [`PreparedModule`] without
     /// charging any virtual time and without running the start function.
     /// Memory, globals, table and data segments are (re)initialized, so
-    /// successive instances from one preparation are independent.
+    /// successive instances from one preparation are independent. Each
+    /// import is resolved once, here, to its `"module.field"` entry of
+    /// `hostfns`; an import with no entry traps with
+    /// [`Trap::MissingImport`] when it is called.
     pub fn from_prepared(
         prepared: Arc<PreparedModule>,
         config: WasmVmConfig,
@@ -334,9 +352,24 @@ impl Instance {
             FuncState {
                 band: 0,
                 hotness: 0,
+                row: None,
             };
             module.functions.len()
         ];
+        let mut names: Vec<String> = Vec::new();
+        let host_slots = module
+            .imports
+            .iter()
+            .map(|imp| {
+                let name = format!("{}.{}", imp.module, imp.field);
+                names.iter().position(|n| *n == name).unwrap_or_else(|| {
+                    names.push(name);
+                    names.len() - 1
+                })
+            })
+            .collect();
+        let mut hostfns = hostfns;
+        let hostfns = names.iter().map(|name| hostfns.remove(name)).collect();
         for d in &module.data {
             let mem = memory.as_mut().ok_or(Trap::DataSegmentOutOfBounds)?;
             mem.write(d.offset as u64, &d.bytes)
@@ -351,8 +384,10 @@ impl Instance {
             table,
             func_state,
             hostfns,
+            host_slots,
+            counters: RegionCounters::default(),
             band_counts,
-            arith: ArithCounts::default(),
+            arith: [0; 7],
             charges: ChargeRecord::new(),
             steps: 0,
             context_switches: 0,
@@ -388,7 +423,8 @@ impl Instance {
 
     fn run_start(&mut self) -> Result<(), Trap> {
         if let Some(start) = self.prepared.module.start {
-            self.call_function(start, Vec::new(), 0)?;
+            let r = self.call_function(start, Vec::new(), 0);
+            self.within_budget(r)?;
         }
         Ok(())
     }
@@ -422,6 +458,17 @@ impl Instance {
         self.cross_boundary();
         let r = self.call_function(func_index, args.to_vec(), 0);
         self.cross_boundary();
+        self.within_budget(r)
+    }
+
+    /// The outcome of a call from the embedder. Fuel is checked at region
+    /// heads, against the regions already run, so a region that overran
+    /// the budget runs to its end or to a trap; per-op counting would
+    /// have stopped inside it, so either way the call ran out of steps.
+    fn within_budget<T>(&self, r: Result<T, Trap>) -> Result<T, Trap> {
+        if self.steps > self.config.limits.fuel_budget() {
+            return Err(Trap::StepBudgetExhausted);
+        }
         r
     }
 
@@ -440,13 +487,33 @@ impl Instance {
             },
             None => MemoryStats::default(),
         };
+        let (mut band_counts, mut arith) = (self.band_counts.clone(), self.arith);
+        self.counters
+            .fold(|f| self.regions(f), &mut band_counts.ops, &mut arith);
         ExecutionRecord {
             charges: self.charges.clone(),
-            band_counts: self.band_counts.clone(),
+            band_counts,
             memory,
-            arith: self.arith,
+            arith: ArithCounts::from_columns(arith),
             context_switches: self.context_switches,
         }
+    }
+
+    /// The region profile behind [`Instance::record`]: how often each
+    /// region of each defined function was entered in each band, with
+    /// the source instructions it covers. Multiplying each entry's hits
+    /// by its instructions' classes gives the record's op counts, less
+    /// the charged part of a region that trapped.
+    pub fn region_profile(&self) -> Vec<RegionHits> {
+        self.counters.profile(|f| self.regions(f))
+    }
+
+    /// The regions defined function `def_index` runs in.
+    fn regions(&self, def_index: usize) -> &RegionTable {
+        &self
+            .prepared
+            .lowered(def_index, !self.config.reference_exec)
+            .regions
     }
 
     /// Current measurement snapshot: the [`Instance::record`] priced with

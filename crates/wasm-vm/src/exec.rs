@@ -1,28 +1,39 @@
 //! The execution core: the one dispatch loop of the Wasm VM. It
 //! interprets the [`Mop`](crate::fuse::Mop) stream produced by `fuse.rs`
 //! over an **untagged `u64` operand stack** and untagged locals, with
-//! full MVP semantics, per-instruction cost accounting per hotness
-//! band.
+//! full MVP semantics, counting region entries per hotness band.
 //!
 //! The stream is fused by default and one singleton op per instruction
-//! under `reference_exec`. Cost-equivalence contract (checked by the
-//! fusion-on vs fusion-off differential tests and the static audit): a
-//! fused arm bumps, for every retired constituent instruction, the same
-//! `(band, OpClass)` counter and the same Table 12 arithmetic counter,
-//! in the same order relative to traps and band crossings, as the
-//! constituents' singleton arms. Values ↔ bits conversion happens only
-//! at call, host and invoke boundaries, where tagged [`Value`]s are the
-//! interface type. The only permitted divergence is *where inside a fused
-//! group* a step-budget exhaustion is detected (the budget is consumed in
-//! one batch); budget-trapped runs are never measured.
+//! under `reference_exec`; both run the same regions (see `fuse.rs`
+//! `region_heads`). The arms charge nothing per op. Each control arm that
+//! moves into a region (function entry, a branch, a fall-through into a
+//! branch target, the return from a call) checks the fuel budget, adds
+//! the region's instruction count to the fuel spent, and adds one to the
+//! region's counter in the function's current band. Reading a record
+//! folds those counters times each region's class and Table 12 vector
+//! (`Instance::record`); a band crossing happens only at function entry
+//! and taken loop back-edges, which are region boundaries, so every
+//! region is counted in the band its instructions retire in. A trap
+//! inside a region takes back the region's count on the cold path and
+//! charges its instructions up to and including the trapping one, as
+//! per-op counting would have. Values ↔ bits conversion happens only at
+//! call, host and invoke boundaries, where tagged [`Value`]s are the
+//! interface type. The budget is checked against the regions already
+//! run, so a region that overruns it runs to its end, its call or a trap,
+//! and the run then stops with `StepBudgetExhausted` (at the next head,
+//! before a host call, or on the way out in `Instance::invoke`): which
+//! runs run out, and which trap the others report, are per-op counting's.
+//! Only the state a budget-stopped run leaves behind differs, and such
+//! runs are never measured.
 
+use crate::classify::{arith_kind, can_trap, classify};
 use crate::engine::Instance;
-use crate::fuse::{bits_to_value, value_bits, LoadKind, Mop, StoreKind};
+use crate::fuse::{bits_to_value, value_bits, LoadKind, LoweredFunc, Mop, StoreKind};
 use crate::prep::NO_PC;
 use crate::trap::Trap;
 use crate::value::Value;
 use std::sync::Arc;
-use wb_env::{Charge, OpClass};
+use wb_env::Charge;
 
 /// A control frame over the micro-op stream. `after_end` is the micro-op
 /// index just past the frame's `end`; `restart` is the back-edge target
@@ -37,8 +48,7 @@ struct FCtrl {
 
 impl Instance {
     /// Execute `def_index` over its micro-op stream: fused, or one op per
-    /// instruction under `reference_exec`. Both charge the same
-    /// virtual-cost sequence.
+    /// instruction under `reference_exec`. Both enter the same regions.
     pub(crate) fn run_body(
         &mut self,
         def_index: usize,
@@ -57,42 +67,71 @@ impl Instance {
 
         let mut stack: Vec<u64> = Vec::with_capacity(16);
         let mut ctrl: Vec<FCtrl> = Vec::with_capacity(8);
-        let code = &lowered.code;
+        let (code, heads, regions) = (&lowered.code, &lowered.heads, &lowered.regions);
+        let fuel = self.config.limits.fuel_budget();
         let mut pc = 0usize;
-        let mut band = self.func_state[def_index].band;
+        // This function's row of region counters in its current band.
+        let mut row = self.region_row(def_index, lowered);
 
         macro_rules! pop {
             () => {
                 stack.pop().expect("validated: operand present")
             };
         }
-        // Batched step-budget consumption for a whole group.
-        macro_rules! steps {
-            ($n:expr) => {
-                self.steps += $n;
-                if self.steps > self.config.limits.fuel_budget() {
+        // Enter the region headed at `$pc`: count it and spend its fuel.
+        // The budget is checked first, against the regions already run,
+        // so the run stops at the first head past an overrun.
+        macro_rules! enter {
+            ($pc:expr) => {{
+                if self.steps > fuel {
                     return Err(Trap::StepBudgetExhausted);
+                }
+                let region = heads[$pc] as usize;
+                self.steps += u64::from(regions.steps(region));
+                self.counters.enter(row, region);
+            }};
+        }
+        // A fall-through that may reach a region head (`end`, `loop`).
+        macro_rules! fall_through {
+            () => {
+                if heads[pc + 1] != NO_PC {
+                    enter!(pc + 1);
                 }
             };
         }
-        // Charge `$n` retired ops of class `$c` in the current band.
-        macro_rules! bump {
-            ($c:expr, $n:expr) => {
-                self.band_counts.ops[band].bump($c, $n)
-            };
-        }
-        // Charge a binop constituent: its class plus its Table 12 kind.
-        macro_rules! bump_bin {
-            ($op:expr) => {
-                bump!($op.class(), 1);
-                if let Some(kind) = $op.arith() {
-                    self.bump_arith(kind);
+        // An instruction that may trap inside its region: on a trap,
+        // charge the region only through the trapping instruction.
+        macro_rules! trapping {
+            ($e:expr) => {
+                match $e {
+                    Ok(v) => v,
+                    Err(trap) => {
+                        self.settle_trap(def_index, lowered, pc, row);
+                        return Err(trap);
+                    }
                 }
             };
         }
         macro_rules! branch_to {
             ($d:expr) => {{
-                pc = Self::take_branch(self, &mut ctrl, &mut stack, $d, def_index, &mut band);
+                let (target, back_edge) =
+                    Self::take_branch(self, &mut ctrl, &mut stack, $d, def_index);
+                if back_edge {
+                    row = self.region_row(def_index, lowered);
+                }
+                pc = target;
+                enter!(pc);
+                continue;
+            }};
+        }
+        // Continue after a taken-or-not conditional branch.
+        macro_rules! br_if {
+            ($cond:expr, $d:expr) => {{
+                if $cond != 0 {
+                    branch_to!($d);
+                }
+                pc += 1;
+                enter!(pc);
                 continue;
             }};
         }
@@ -106,21 +145,13 @@ impl Instance {
             }};
         }
 
+        enter!(0);
         loop {
             match &code[pc] {
                 // ---- singleton control ---------------------------------
-                Mop::Unreachable => {
-                    steps!(1);
-                    bump!(OpClass::Other, 1);
-                    return Err(Trap::Unreachable);
-                }
-                Mop::Nop => {
-                    steps!(1);
-                    bump!(OpClass::Other, 1);
-                }
+                Mop::Unreachable => return Err(Trap::Unreachable),
+                Mop::Nop => {}
                 Mop::Block { after_end, arity } => {
-                    steps!(1);
-                    bump!(OpClass::Other, 1);
                     ctrl.push(FCtrl {
                         restart: 0,
                         after_end: *after_end,
@@ -130,8 +161,6 @@ impl Instance {
                     });
                 }
                 Mop::Loop { after_end } => {
-                    steps!(1);
-                    bump!(OpClass::Other, 1);
                     ctrl.push(FCtrl {
                         restart: (pc + 1) as u32,
                         after_end: *after_end,
@@ -139,14 +168,13 @@ impl Instance {
                         arity: 0,
                         is_loop: true,
                     });
+                    fall_through!();
                 }
                 Mop::If {
                     after_end,
                     else_skip,
                     arity,
                 } => {
-                    steps!(1);
-                    bump!(OpClass::Branch, 1);
                     let cond = pop!() as u32;
                     ctrl.push(FCtrl {
                         restart: 0,
@@ -162,53 +190,35 @@ impl Instance {
                         } else {
                             pc = *else_skip as usize;
                         }
-                        continue;
+                    } else {
+                        pc += 1;
                     }
+                    enter!(pc);
+                    continue;
                 }
                 Mop::Else => {
-                    steps!(1);
-                    bump!(OpClass::Other, 1);
                     // Reached at the end of a then-arm: jump past the end.
                     let frame = ctrl.pop().expect("validated: else inside if");
                     pc = frame.after_end as usize;
+                    enter!(pc);
                     continue;
                 }
-                Mop::End => {
-                    steps!(1);
-                    bump!(OpClass::Other, 1);
-                    match ctrl.pop() {
-                        Some(_frame) => {}
-                        None => ret!(),
-                    }
-                }
-                Mop::Br(d) => {
-                    steps!(1);
-                    bump!(OpClass::Branch, 1);
-                    branch_to!(*d);
-                }
+                Mop::End => match ctrl.pop() {
+                    Some(_frame) => fall_through!(),
+                    None => ret!(),
+                },
+                Mop::Br(d) => branch_to!(*d),
                 Mop::BrIf(d) => {
-                    steps!(1);
-                    bump!(OpClass::Branch, 1);
                     let cond = pop!() as u32;
-                    if cond != 0 {
-                        branch_to!(*d);
-                    }
+                    br_if!(cond, *d);
                 }
                 Mop::BrTable(targets, default) => {
-                    steps!(1);
-                    bump!(OpClass::Branch, 1);
                     let idx = (pop!() as u32 as i32) as usize;
                     let d = *targets.get(idx).unwrap_or(default);
                     branch_to!(d);
                 }
-                Mop::Return => {
-                    steps!(1);
-                    bump!(OpClass::Branch, 1);
-                    ret!();
-                }
+                Mop::Return => ret!(),
                 Mop::Call(f) => {
-                    steps!(1);
-                    bump!(OpClass::Call, 1);
                     let f = *f;
                     let nargs = prepared.call_sigs[f as usize].0 as usize;
                     let cty = prepared.module.func_type(f).expect("validated: callee");
@@ -226,11 +236,12 @@ impl Instance {
                     }
                     // The band may have changed while we were away
                     // (recursion).
-                    band = self.func_state[def_index].band;
+                    row = self.region_row(def_index, lowered);
+                    pc += 1;
+                    enter!(pc);
+                    continue;
                 }
                 Mop::CallIndirect(type_index) => {
-                    steps!(1);
-                    bump!(OpClass::Call, 1);
                     let slot = pop!() as u32;
                     let entry = self
                         .table
@@ -260,73 +271,46 @@ impl Instance {
                     if let Some(v) = r {
                         stack.push(value_bits(v));
                     }
-                    band = self.func_state[def_index].band;
+                    row = self.region_row(def_index, lowered);
+                    pc += 1;
+                    enter!(pc);
+                    continue;
                 }
 
                 // ---- singleton data ops --------------------------------
                 Mop::Drop => {
-                    steps!(1);
-                    bump!(OpClass::Other, 1);
                     pop!();
                 }
                 Mop::Select => {
-                    steps!(1);
-                    bump!(OpClass::Other, 1);
                     let cond = pop!() as u32;
                     let b = pop!();
                     let a = pop!();
                     stack.push(if cond != 0 { a } else { b });
                 }
-                Mop::LocalGet(i) => {
-                    steps!(1);
-                    bump!(OpClass::Local, 1);
-                    stack.push(locals[*i as usize]);
-                }
-                Mop::LocalSet(i) => {
-                    steps!(1);
-                    bump!(OpClass::Local, 1);
-                    locals[*i as usize] = pop!();
-                }
-                Mop::LocalTee(i) => {
-                    steps!(1);
-                    bump!(OpClass::Local, 1);
-                    locals[*i as usize] = *stack.last().expect("validated");
-                }
-                Mop::GlobalGet(i) => {
-                    steps!(1);
-                    bump!(OpClass::Global, 1);
-                    stack.push(value_bits(self.globals[*i as usize]));
-                }
+                Mop::LocalGet(i) => stack.push(locals[*i as usize]),
+                Mop::LocalSet(i) => locals[*i as usize] = pop!(),
+                Mop::LocalTee(i) => locals[*i as usize] = *stack.last().expect("validated"),
+                Mop::GlobalGet(i) => stack.push(value_bits(self.globals[*i as usize])),
                 Mop::GlobalSet { idx, ty } => {
-                    steps!(1);
-                    bump!(OpClass::Global, 1);
                     self.globals[*idx as usize] = bits_to_value(*ty, pop!());
                 }
                 Mop::Load { kind, offset } => {
-                    steps!(1);
-                    bump!(OpClass::Load, 1);
                     let addr = (pop!() as u32 as u64) + offset;
-                    let v = self.load_u64(*kind, addr)?;
+                    let v = trapping!(self.load_u64(*kind, addr));
                     stack.push(v);
                 }
                 Mop::Store { kind, offset } => {
-                    steps!(1);
-                    bump!(OpClass::Store, 1);
                     let v = pop!();
                     let addr = (pop!() as u32 as u64) + offset;
-                    self.store_u64(*kind, addr, v)?;
+                    trapping!(self.store_u64(*kind, addr, v));
                 }
                 Mop::MemorySize => {
-                    steps!(1);
-                    bump!(OpClass::Other, 1);
                     let pages = self.memory.as_ref().map(|m| m.size_pages()).unwrap_or(0);
                     stack.push(u64::from(pages));
                 }
                 Mop::MemoryGrow => {
-                    steps!(1);
-                    bump!(OpClass::Other, 1);
                     let delta = pop!() as u32;
-                    self.check_grow_limit(delta)?;
+                    trapping!(self.check_grow_limit(delta));
                     let (result, grew) = match self.memory.as_mut() {
                         Some(mem) => {
                             let r = mem.grow(delta);
@@ -341,186 +325,140 @@ impl Instance {
                     }
                     stack.push(result as u32 as u64);
                 }
-                Mop::Const(c) => {
-                    steps!(1);
-                    bump!(OpClass::Const, 1);
-                    stack.push(*c);
-                }
+                Mop::Const(c) => stack.push(*c),
                 Mop::Un(un) => {
-                    steps!(1);
-                    bump!(un.class(), 1);
                     let a = pop!();
-                    stack.push(un.apply(a)?);
+                    stack.push(trapping!(un.apply(a)));
                 }
                 Mop::Bin(op) => {
-                    steps!(1);
-                    bump_bin!(op);
                     let b = pop!();
                     let a = pop!();
-                    stack.push(op.apply(a, b)?);
+                    stack.push(trapping!(op.apply(a, b)));
                 }
 
                 // ---- fused superinstructions ---------------------------
-                // Constituent accounting happens in source order, and the
-                // fusable op's own bump lands *before* its potential trap,
-                // exactly as the constituents' singleton arms charge it.
                 Mop::LLBin { a, b, op } => {
-                    steps!(3);
-                    bump!(OpClass::Local, 2);
-                    bump_bin!(op);
-                    let r = op.apply(locals[*a as usize], locals[*b as usize])?;
+                    let r = trapping!(op.apply(locals[*a as usize], locals[*b as usize]));
                     stack.push(r);
                 }
                 Mop::LLBinSet { a, b, dst, op } => {
-                    steps!(4);
-                    bump!(OpClass::Local, 2);
-                    bump_bin!(op);
-                    let r = op.apply(locals[*a as usize], locals[*b as usize])?;
-                    bump!(OpClass::Local, 1);
+                    let r = trapping!(op.apply(locals[*a as usize], locals[*b as usize]));
                     locals[*dst as usize] = r;
                 }
                 Mop::LCBin { a, c, op } => {
-                    steps!(3);
-                    bump!(OpClass::Local, 1);
-                    bump!(OpClass::Const, 1);
-                    bump_bin!(op);
-                    let r = op.apply(locals[*a as usize], *c)?;
+                    let r = trapping!(op.apply(locals[*a as usize], *c));
                     stack.push(r);
                 }
                 Mop::LCBinSet { a, c, dst, op } => {
-                    steps!(4);
-                    bump!(OpClass::Local, 1);
-                    bump!(OpClass::Const, 1);
-                    bump_bin!(op);
-                    let r = op.apply(locals[*a as usize], *c)?;
-                    bump!(OpClass::Local, 1);
+                    let r = trapping!(op.apply(locals[*a as usize], *c));
                     locals[*dst as usize] = r;
                 }
                 Mop::LBin { b, op } => {
-                    steps!(2);
-                    bump!(OpClass::Local, 1);
-                    bump_bin!(op);
                     let a = pop!();
-                    stack.push(op.apply(a, locals[*b as usize])?);
+                    stack.push(trapping!(op.apply(a, locals[*b as usize])));
                 }
                 Mop::CBin { c, op } => {
-                    steps!(2);
-                    bump!(OpClass::Const, 1);
-                    bump_bin!(op);
                     let a = pop!();
-                    stack.push(op.apply(a, *c)?);
+                    stack.push(trapping!(op.apply(a, *c)));
                 }
                 Mop::CBinSet { c, dst, op } => {
-                    steps!(3);
-                    bump!(OpClass::Const, 1);
-                    bump_bin!(op);
                     let a = pop!();
-                    let r = op.apply(a, *c)?;
-                    bump!(OpClass::Local, 1);
-                    locals[*dst as usize] = r;
+                    locals[*dst as usize] = trapping!(op.apply(a, *c));
                 }
                 Mop::BinSet { dst, op } => {
-                    steps!(2);
-                    bump_bin!(op);
                     let b = pop!();
                     let a = pop!();
-                    let r = op.apply(a, b)?;
-                    bump!(OpClass::Local, 1);
-                    locals[*dst as usize] = r;
+                    locals[*dst as usize] = trapping!(op.apply(a, b));
                 }
-                Mop::LConst { c, dst } => {
-                    steps!(2);
-                    bump!(OpClass::Const, 1);
-                    bump!(OpClass::Local, 1);
-                    locals[*dst as usize] = *c;
-                }
-                Mop::LocalCopy { src, dst } => {
-                    steps!(2);
-                    bump!(OpClass::Local, 2);
-                    locals[*dst as usize] = locals[*src as usize];
-                }
+                Mop::LConst { c, dst } => locals[*dst as usize] = *c,
+                Mop::LocalCopy { src, dst } => locals[*dst as usize] = locals[*src as usize],
                 Mop::LLCmpBr { a, b, op, depth } => {
-                    steps!(4);
-                    bump!(OpClass::Local, 2);
-                    bump_bin!(op);
-                    let cond = op.apply(locals[*a as usize], locals[*b as usize])? as u32;
-                    bump!(OpClass::Branch, 1);
-                    if cond != 0 {
-                        branch_to!(*depth);
-                    }
+                    let cond = trapping!(op.apply(locals[*a as usize], locals[*b as usize]));
+                    br_if!(cond, *depth);
                 }
                 Mop::LCCmpBr { a, c, op, depth } => {
-                    steps!(4);
-                    bump!(OpClass::Local, 1);
-                    bump!(OpClass::Const, 1);
-                    bump_bin!(op);
-                    let cond = op.apply(locals[*a as usize], *c)? as u32;
-                    bump!(OpClass::Branch, 1);
-                    if cond != 0 {
-                        branch_to!(*depth);
-                    }
+                    let cond = trapping!(op.apply(locals[*a as usize], *c));
+                    br_if!(cond, *depth);
                 }
                 Mop::CmpBr { op, depth } => {
-                    steps!(2);
-                    bump_bin!(op);
                     let b = pop!();
                     let a = pop!();
-                    let cond = op.apply(a, b)? as u32;
-                    bump!(OpClass::Branch, 1);
-                    if cond != 0 {
-                        branch_to!(*depth);
-                    }
+                    let cond = trapping!(op.apply(a, b));
+                    br_if!(cond, *depth);
                 }
                 Mop::LUnBr { a, un, depth } => {
-                    steps!(3);
-                    bump!(OpClass::Local, 1);
-                    bump!(un.class(), 1);
-                    let cond = un.apply(locals[*a as usize])? as u32;
-                    bump!(OpClass::Branch, 1);
-                    if cond != 0 {
-                        branch_to!(*depth);
-                    }
+                    let cond = trapping!(un.apply(locals[*a as usize]));
+                    br_if!(cond, *depth);
                 }
                 Mop::UnBr { un, depth } => {
-                    steps!(2);
-                    bump!(un.class(), 1);
                     let a = pop!();
-                    let cond = un.apply(a)? as u32;
-                    bump!(OpClass::Branch, 1);
-                    if cond != 0 {
-                        branch_to!(*depth);
-                    }
+                    let cond = trapping!(un.apply(a));
+                    br_if!(cond, *depth);
                 }
                 Mop::LLoad { a, kind, offset } => {
-                    steps!(2);
-                    bump!(OpClass::Local, 1);
-                    bump!(OpClass::Load, 1);
                     let addr = (locals[*a as usize] as u32 as u64) + offset;
-                    let v = self.load_u64(*kind, addr)?;
+                    let v = trapping!(self.load_u64(*kind, addr));
                     stack.push(v);
                 }
                 Mop::LLStore { a, b, kind, offset } => {
-                    steps!(3);
-                    bump!(OpClass::Local, 2);
-                    bump!(OpClass::Store, 1);
                     let addr = (locals[*a as usize] as u32 as u64) + offset;
-                    self.store_u64(*kind, addr, locals[*b as usize])?;
+                    trapping!(self.store_u64(*kind, addr, locals[*b as usize]));
                 }
             }
             pc += 1;
         }
     }
 
+    /// Offset in `self.counters` of `def_index`'s row for its current
+    /// band, added on the function's first run in that band.
+    fn region_row(&mut self, def_index: usize, lowered: &LoweredFunc) -> usize {
+        let state = &mut self.func_state[def_index];
+        let band = state.band;
+        *state.row.get_or_insert_with(|| {
+            self.counters
+                .add_row(def_index, band, lowered.regions.len())
+        })
+    }
+
+    /// Charge a region that trapped at micro-op `pc` as per-op counting
+    /// would have: take back its entry (count and fuel) and charge its
+    /// source instructions up to and including the one that trapped.
+    #[cold]
+    fn settle_trap(&mut self, def_index: usize, lowered: &LoweredFunc, pc: usize, row: usize) {
+        let head = (0..=pc)
+            .rev()
+            .find(|&k| lowered.heads[k] != NO_PC)
+            .expect("micro-op 0 heads a region");
+        let region = lowered.heads[head] as usize;
+        let at = lowered.regions.range(region).start
+            + lowered.code[head..pc].iter().map(Mop::width).sum::<usize>();
+        let prepared = Arc::clone(&self.prepared);
+        let body = &prepared.module.functions[def_index].body;
+        let trapped = (0..lowered.code[pc].width())
+            .find(|&k| can_trap(&body[at + k]))
+            .unwrap_or(0);
+        let band = self.func_state[def_index].band;
+        self.steps -= self.counters.settle(
+            row,
+            region,
+            &lowered.regions,
+            at + trapped + 1,
+            |i| Some((classify(&body[i]), arith_kind(&body[i]))),
+            &mut self.band_counts.ops[band],
+            &mut self.arith,
+        );
+    }
+
     /// Perform a branch to relative depth `d`; returns the new micro-op
-    /// index. A taken loop back-edge notes hotness.
+    /// index and whether it was a loop back-edge, which notes hotness and
+    /// so may move the function's band.
     fn take_branch(
         &mut self,
         ctrl: &mut Vec<FCtrl>,
         stack: &mut Vec<u64>,
         d: u32,
         def_index: usize,
-        band: &mut usize,
-    ) -> usize {
+    ) -> (usize, bool) {
         let target_idx = ctrl.len() - 1 - d as usize;
         let target = &ctrl[target_idx];
         if target.is_loop {
@@ -531,8 +469,7 @@ impl Instance {
             ctrl.truncate(target_idx + 1);
             stack.truncate(height);
             self.note_hotness(def_index, 1);
-            *band = self.func_state[def_index].band;
-            restart
+            (restart, true)
         } else {
             let arity = target.arity;
             let height = target.height;
@@ -541,7 +478,7 @@ impl Instance {
             stack.truncate(height);
             stack.extend(keep);
             ctrl.truncate(target_idx);
-            after_end
+            (after_end, false)
         }
     }
 

@@ -10,7 +10,10 @@
 //!   off (`reference_exec`), every instruction becomes its singleton op,
 //! * operand types are baked in at lowering time so execution runs over
 //!   an **untagged `u64` stack** (i32 zero-extended, floats as raw bits),
-//! * structured-control targets are pre-translated to micro-op indices.
+//! * structured-control targets are pre-translated to micro-op indices,
+//! * the body is cut into regions ([`region_heads`]), each with its
+//!   instruction count and class and Table 12 counts stored once; the
+//!   micro-op at each head carries its region ([`LoweredFunc::heads`]).
 //!
 //! ## Why fusion can never span a branch target
 //!
@@ -22,21 +25,25 @@
 //! group. So every jump target is automatically a group boundary and no
 //! explicit leader analysis is required.
 //!
+//! Lowering also never fuses past a region head, so every group lies
+//! inside one region.
+//!
 //! ## Cost equivalence
 //!
-//! A fused op charges the **exact same virtual-cost sequence** as its
-//! unfused constituents' singleton ops: the same per-band op-class bumps
-//! (in the same order relative to any trap), the same Table 12
-//! arithmetic counts, and the same step-budget consumption. A band
-//! crossing can only happen at function entry and taken loop back-edges,
-//! and no fused group spans either, so every constituent is charged in
-//! the band the unfused stream would have used. See `DESIGN.md` §7.
+//! No micro-op charges anything of its own: the loop counts region
+//! entries, and a region's counts come from its source instructions, cut
+//! the same way with fusion on and off. A fused op therefore retires
+//! exactly its constituents' counts, in the band the unfused stream
+//! would have used (a band crossing can only happen at function entry and
+//! taken loop back-edges, which are region boundaries), and traps where
+//! its trapping constituent would, charging its region through that
+//! constituent. See `DESIGN.md` §4 and §7.
 
-use crate::classify::{arith_kind, can_trap, classify, ArithKind};
+use crate::classify::{arith_kind, classify};
 use crate::prep::{SideTable, NO_PC};
 use crate::trap::Trap;
 use crate::value::Value;
-use wb_env::OpClass;
+use wb_env::{OpClass, RegionTable};
 use wb_wasm::{Instr, MemArg, Module, ValType};
 
 /// Convert a tagged value to its untagged bit pattern (i32 zero-extended,
@@ -85,10 +92,10 @@ fn u_f32(v: f32) -> u64 {
 /// Declares one family of lifted numeric operators. Each name is both the
 /// family's variant and the [`Instr`] variant it lifts, so the list below
 /// is the only place a family names its operators. Generates the enum,
-/// `ALL`, the lifts `of`/`instr`, and per-operator lookups indexed by
-/// `op as usize`, evaluated at compile time from `classify.rs`: the
-/// family keeps no charge table of its own, and the lookups cost one load
-/// on each fused dispatch.
+/// `ALL`, the lifts `of`/`instr`, and whether each operator yields an
+/// i32, evaluated at compile time from `classify.rs`. The family keeps no
+/// charge table: what an operator costs is counted by the region it runs
+/// in, from its source instruction.
 macro_rules! lifted_ops {
     ($(#[$doc:meta])* $family:ident { $($op:ident),* $(,)? }) => {
         $(#[$doc])*
@@ -102,8 +109,6 @@ macro_rules! lifted_ops {
             /// Every operator of the family, in declaration order.
             pub(crate) const ALL: [$family; [$(stringify!($op)),*].len()] = [$($family::$op),*];
             const INSTRS: [Instr; $family::ALL.len()] = [$(Instr::$op),*];
-            const CLASS: [OpClass; $family::ALL.len()] = [$(classify(&Instr::$op)),*];
-            const TRAPS: [bool; $family::ALL.len()] = [$(can_trap(&Instr::$op)),*];
             const I32_RESULT: [bool; $family::ALL.len()] =
                 [$(yields_i32(stringify!($op), classify(&Instr::$op))),*];
 
@@ -118,18 +123,6 @@ macro_rules! lifted_ops {
             /// The instruction this operator was lifted from.
             pub(crate) fn instr(self) -> Instr {
                 Self::INSTRS[self as usize].clone()
-            }
-
-            /// Cost-model class: `classify` of the source instruction.
-            #[inline]
-            pub(crate) fn class(self) -> OpClass {
-                Self::CLASS[self as usize]
-            }
-
-            /// Whether it may trap after its bumps: `can_trap` of the source
-            /// instruction.
-            pub(crate) fn can_trap(self) -> bool {
-                Self::TRAPS[self as usize]
             }
 
             /// Whether the result is an i32, a prerequisite for fusing with
@@ -183,24 +176,6 @@ lifted_ops! {
         F32ConvertI32S, F32ConvertI32U, F32ConvertI64S, F32ConvertI64U, F32DemoteF64,
         F64ConvertI32S, F64ConvertI32U, F64ConvertI64S, F64ConvertI64U, F64PromoteF32,
         I32ReinterpretF32, I64ReinterpretF64, F32ReinterpretI32, F64ReinterpretI64,
-    }
-}
-
-impl BinOp {
-    const ARITH: [Option<ArithKind>; BinOp::ALL.len()] = {
-        let mut table = [None; BinOp::ALL.len()];
-        let mut k = 0;
-        while k < table.len() {
-            table[k] = arith_kind(&BinOp::INSTRS[k]);
-            k += 1;
-        }
-        table
-    };
-
-    /// Table 12 arithmetic kind: `arith_kind` of the source instruction.
-    #[inline]
-    pub(crate) fn arith(self) -> Option<ArithKind> {
-        Self::ARITH[self as usize]
     }
 }
 
@@ -723,12 +698,9 @@ pub(crate) enum Mop {
 }
 
 impl Mop {
-    /// Number of source instructions this micro-op retires (its
-    /// step-budget consumption and constituent count). The interpreter
-    /// arms inline these widths; tests use this to check they agree with
-    /// the source body.
-    #[allow(dead_code)]
-    pub(crate) fn width(&self) -> u64 {
+    /// Number of source instructions this micro-op retires: its
+    /// constituent count.
+    pub(crate) fn width(&self) -> usize {
         use Mop::*;
         match self {
             LLBinSet { .. } | LCBinSet { .. } | LLCmpBr { .. } | LCCmpBr { .. } => 4,
@@ -751,6 +723,76 @@ impl Mop {
 pub(crate) struct LoweredFunc {
     /// The micro-op stream; control targets are indices into this vec.
     pub(crate) code: Vec<Mop>,
+    /// Per micro-op, the region it heads ([`NO_PC`] where none starts).
+    pub(crate) heads: Vec<u32>,
+    /// Each region's source-instruction range and class and Table 12
+    /// counts, in source order.
+    pub(crate) regions: RegionTable,
+}
+
+/// Where regions start, by source pc: at pc 0; at every branch target (a
+/// targeted loop's body, a targeted block's or if's `end + 1`, an else
+/// arm); and after every branch, call, return and `unreachable`. Every
+/// op that can leave a region by jumping is a branch, so a region, once
+/// entered, retires every one of its instructions unless one traps.
+pub(crate) fn region_heads(body: &[Instr], side: &SideTable) -> Vec<bool> {
+    let mut heads = vec![false; body.len()];
+    let mut mark = |pc: Option<usize>| {
+        if let Some(h) = pc.and_then(|pc| heads.get_mut(pc)) {
+            *h = true;
+        }
+    };
+    mark(Some(0));
+    let end_of = |opener: usize| side.end_of[opener] as usize;
+    // Openers of the enclosing labels, innermost last.
+    let mut labels: Vec<usize> = Vec::new();
+    // The target of a branch to relative depth `d`, if it names a block
+    // (a branch to the function's own label returns).
+    let target = |labels: &[usize], d: &u32| {
+        let opener = *labels.get(labels.len().checked_sub(1 + *d as usize)?)?;
+        Some(match body[opener] {
+            Instr::Loop(_) => opener + 1,
+            _ => end_of(opener) + 1,
+        })
+    };
+    for (pc, instr) in body.iter().enumerate() {
+        match instr {
+            Instr::Block(_) | Instr::Loop(_) => labels.push(pc),
+            Instr::If(_) => {
+                labels.push(pc);
+                mark(Some(match side.else_of[pc] {
+                    NO_PC => end_of(pc) + 1,
+                    else_pc => else_pc as usize + 1,
+                }));
+            }
+            Instr::Else => mark(labels.last().map(|&opener| end_of(opener) + 1)),
+            Instr::End => {
+                labels.pop();
+            }
+            Instr::Br(d) | Instr::BrIf(d) => mark(target(&labels, d)),
+            Instr::BrTable(ds, default) => {
+                for d in ds.iter().chain([default]) {
+                    mark(target(&labels, d));
+                }
+            }
+            _ => {}
+        }
+        if matches!(
+            instr,
+            Instr::If(_)
+                | Instr::Else
+                | Instr::Br(_)
+                | Instr::BrIf(_)
+                | Instr::BrTable(..)
+                | Instr::Return
+                | Instr::Call(_)
+                | Instr::CallIndirect(_)
+                | Instr::Unreachable
+        ) {
+            mark(Some(pc + 1));
+        }
+    }
+    heads
 }
 
 /// Try to recognize a fused pattern starting at `w[0]`; returns the fused
@@ -915,18 +957,29 @@ fn singleton(i: &Instr, module: &Module) -> Mop {
 /// Lower one flat body to micro-ops.
 ///
 /// Pass 1 greedily matches fused patterns when `fuse` is on (falling back
-/// to singletons; with `fuse` off every instruction is a singleton) and
-/// records the micro-op index of every source pc. Pass 2 patches the
-/// structured-control targets (`after_end`, `else_skip`) from the side
-/// table, translating instruction pcs to micro-op indices.
+/// to singletons; with `fuse` off every instruction is a singleton),
+/// never past the next region head, and records the micro-op index of
+/// every source pc. Pass 2 patches the structured-control targets
+/// (`after_end`, `else_skip`) from the side table, translating
+/// instruction pcs to micro-op indices. The regions are cut from the
+/// source instructions; each head's micro-op carries its region, so both
+/// settings run the same regions.
 pub(crate) fn lower(body: &[Instr], side: &SideTable, module: &Module, fuse: bool) -> LoweredFunc {
     let n = body.len();
+    let is_head = region_heads(body, side);
     let mut code: Vec<Mop> = Vec::with_capacity(n);
     let mut mop_of: Vec<u32> = vec![NO_PC; n + 1];
-    let mut pc = 0usize;
+    let (mut pc, mut limit) = (0usize, 0usize);
     while pc < n {
+        if limit <= pc {
+            limit = (pc + 1..n).find(|&p| is_head[p]).unwrap_or(n);
+        }
         mop_of[pc] = code.len() as u32;
-        let fused = if fuse { match_fused(&body[pc..]) } else { None };
+        let fused = if fuse {
+            match_fused(&body[pc..limit])
+        } else {
+            None
+        };
         if let Some((mop, len)) = fused {
             code.push(mop);
             pc += len;
@@ -965,7 +1018,21 @@ pub(crate) fn lower(body: &[Instr], side: &SideTable, module: &Module, fuse: boo
             _ => {}
         }
     }
-    LoweredFunc { code }
+    let regions = RegionTable::build(&is_head, |pc| {
+        Some((classify(&body[pc]), arith_kind(&body[pc])))
+    });
+    // Fused code is shorter than the body it was sized for, and lives as
+    // long as its cached artifact.
+    code.shrink_to_fit();
+    let mut heads = vec![NO_PC; code.len()];
+    for r in 0..regions.len() {
+        heads[mop_of[regions.range(r).start] as usize] = r as u32;
+    }
+    LoweredFunc {
+        code,
+        heads,
+        regions,
+    }
 }
 
 #[cfg(test)]
@@ -1313,6 +1380,113 @@ mod tests {
     }
 
     #[test]
+    fn regions_start_at_every_branch_target_and_after_every_exit() {
+        // Nested control of every kind, a counted loop with a fused
+        // back-edge test, a call, a `br_table` and an early return.
+        use Instr::*;
+        let body = vec![
+            Block(BlockType::Empty), // 0
+            Loop(BlockType::Empty),  // 1
+            LocalGet(0),             // 2
+            LocalGet(1),             // 3
+            I32GeS,                  // 4
+            BrIf(1),                 // 5 exits the block
+            LocalGet(0),             // 6
+            If(BlockType::Empty),    // 7
+            Call(0),                 // 8
+            Else,                    // 9
+            LocalGet(2),             // 10
+            BrTable(vec![0, 1], 2),  // 11
+            End,                     // 12 closes if
+            LocalGet(0),             // 13
+            I32Const(1),             // 14
+            I32Add,                  // 15
+            LocalSet(0),             // 16
+            Br(0),                   // 17 back-edge
+            End,                     // 18 closes loop
+            End,                     // 19 closes block
+            LocalGet(0),             // 20
+            If(BlockType::Empty),    // 21
+            Return,                  // 22
+            End,                     // 23
+            Nop,                     // 24
+            End,                     // 25
+        ];
+        for fuse in [true, false] {
+            let f = lower_body_with(body.clone(), fuse);
+            let head = |pc: usize| f.heads.get(pc).is_some_and(|&r| r != NO_PC);
+            // Follow the structured control the way `take_branch` does.
+            let mut ctrl: Vec<(usize, usize, bool)> = Vec::new(); // (restart, after_end, loop)
+            let target = |ctrl: &Vec<(usize, usize, bool)>, d: u32| {
+                let (restart, after_end, is_loop) = ctrl[ctrl.len() - 1 - d as usize];
+                if is_loop {
+                    restart
+                } else {
+                    after_end
+                }
+            };
+            for (pc, mop) in f.code.iter().enumerate() {
+                let mut targets = Vec::new();
+                let mut exits = false;
+                match mop {
+                    Mop::Block { after_end, .. } => ctrl.push((0, *after_end as usize, false)),
+                    Mop::Loop { after_end } => ctrl.push((pc + 1, *after_end as usize, true)),
+                    Mop::If {
+                        after_end,
+                        else_skip,
+                        ..
+                    } => {
+                        ctrl.push((0, *after_end as usize, false));
+                        targets.push(match *else_skip {
+                            NO_PC => *after_end as usize,
+                            e => e as usize,
+                        });
+                        exits = true;
+                    }
+                    Mop::Else => {
+                        targets.push(ctrl.last().unwrap().1);
+                        exits = true;
+                    }
+                    Mop::End => {
+                        ctrl.pop();
+                    }
+                    Mop::Br(d) | Mop::BrIf(d) | Mop::LLCmpBr { depth: d, .. } => {
+                        targets.push(target(&ctrl, *d));
+                        exits = true;
+                    }
+                    Mop::BrTable(ds, default) => {
+                        targets.extend(ds.iter().chain([default]).map(|d| target(&ctrl, *d)));
+                        exits = true;
+                    }
+                    Mop::Call(_) | Mop::Return => exits = true,
+                    _ => {}
+                }
+                for t in targets {
+                    assert!(
+                        head(t),
+                        "fuse={fuse}: target {t} of {pc} ({mop:?}) heads no region"
+                    );
+                }
+                if exits {
+                    assert!(
+                        head(pc + 1),
+                        "fuse={fuse}: {pc} ({mop:?}) does not end a region"
+                    );
+                }
+            }
+            // Regions partition the body; the fused loop test is one op
+            // and lies inside its region.
+            let steps: u32 = (0..f.regions.len()).map(|r| f.regions.steps(r)).sum();
+            assert_eq!(steps as usize, body.len());
+            assert_eq!(f.regions.range(0), 0..2, "the loop body is a branch target");
+            assert!(head(0) && !head(1));
+            if fuse {
+                assert!(f.code.iter().any(|m| matches!(m, Mop::LLCmpBr { .. })));
+            }
+        }
+    }
+
+    #[test]
     fn widths_sum_to_body_length() {
         let body = vec![
             Instr::Block(BlockType::Empty),
@@ -1330,9 +1504,9 @@ mod tests {
             Instr::End,
             Instr::End,
         ];
-        let n = body.len() as u64;
+        let n = body.len();
         let f = lower_body(body.clone());
-        assert_eq!(f.code.iter().map(|m| m.width()).sum::<u64>(), n);
+        assert_eq!(f.code.iter().map(|m| m.width()).sum::<usize>(), n);
         assert!(f.code.len() < body.len(), "fusion on fuses");
         // Fusion off (`reference_exec`): one singleton op per instruction.
         let f = lower_body_with(body.clone(), false);

@@ -3,7 +3,6 @@
 //! and the numeric helpers (Wasm `min`/`max`, trapping float-to-int
 //! truncation) behind the lifted operators in `fuse.rs`.
 
-use crate::classify::ArithKind;
 use crate::engine::{HostCtx, Instance};
 use crate::trap::Trap;
 use crate::value::Value;
@@ -12,8 +11,9 @@ use wb_env::Charge;
 impl Instance {
     /// Execute defined-or-imported function `func_index` with `args`. A
     /// defined function runs in `run_body` over its fused micro-op stream,
-    /// or over its unfused one under `reference_exec`; both charge the
-    /// same virtual-cost sequence (see `exec.rs`).
+    /// or over its unfused one under `reference_exec`; both enter the same
+    /// regions (see `exec.rs`). An import runs its host function, resolved
+    /// at instantiation.
     pub(crate) fn call_function(
         &mut self,
         func_index: u32,
@@ -25,6 +25,11 @@ impl Instance {
         }
         let import_count = self.prepared.module.imports.len();
         if (func_index as usize) < import_count {
+            // The call ends its region: per-op counting would not make it
+            // past a budget that region overran.
+            if self.steps > self.config.limits.fuel_budget() {
+                return Err(Trap::StepBudgetExhausted);
+            }
             return self.call_host(func_index, &args);
         }
         let def_index = func_index as usize - import_count;
@@ -34,12 +39,6 @@ impl Instance {
         self.note_hotness(def_index, 1);
 
         self.run_body(def_index, args, depth)
-    }
-
-    /// Charge one Table 12 arithmetic operation of kind `kind`.
-    #[inline]
-    pub(crate) fn bump_arith(&mut self, kind: ArithKind) {
-        self.arith.bump(kind);
     }
 
     /// Bump a function's hotness; when it reaches the next boundary of
@@ -59,28 +58,27 @@ impl Instance {
         state.hotness += amount;
         while let Some(boundary) = self.band_counts.bands.crossed(state.band, state.hotness) {
             state.band += 1;
+            state.row = None;
             let size = self.prepared.module.functions[def_index].body.len() as u64;
             self.charges.push(Charge::BandCrossed { boundary, size });
         }
     }
 
     fn call_host(&mut self, import_index: u32, args: &[Value]) -> Result<Option<Value>, Trap> {
-        let imp = &self.prepared.module.imports[import_index as usize];
-        let key = format!("{}.{}", imp.module, imp.field);
         // Each host call crosses the boundary twice (out and back).
         self.cross_boundary();
-        let mut f = self
-            .hostfns
-            .remove(&key)
-            .ok_or(Trap::MissingImport { name: key.clone() })?;
-        let result = {
-            let mut ctx = HostCtx {
-                memory: self.memory.as_mut(),
-                output: &mut self.output,
-            };
-            f(&mut ctx, args)
+        let slot = self.host_slots[import_index as usize];
+        let Some(f) = self.hostfns[slot].as_mut() else {
+            let imp = &self.prepared.module.imports[import_index as usize];
+            return Err(Trap::MissingImport {
+                name: format!("{}.{}", imp.module, imp.field),
+            });
         };
-        self.hostfns.insert(key, f);
+        let mut ctx = HostCtx {
+            memory: self.memory.as_mut(),
+            output: &mut self.output,
+        };
+        let result = f(&mut ctx, args);
         self.cross_boundary();
         result
     }

@@ -3,7 +3,9 @@
 //! Executes modules from `wb-wasm` with full MVP semantics (traps, two's
 //! complement arithmetic, IEEE floats, bounds-checked linear memory) while
 //! counting every retired instruction per hotness band in the shared
-//! taxonomy from `wb-env` and recording every discrete event (load,
+//! taxonomy from `wb-env` (by counting region entries and folding each
+//! region's counts in when the record is read) and recording every
+//! discrete event (load,
 //! compile, band crossing, grow, crossing) unpriced; `wb_env::price`
 //! turns that [`ExecutionRecord`] into virtual time, choosing the tiers
 //! as it goes. The priced run mirrors the two-tier structure of the
