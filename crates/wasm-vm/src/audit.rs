@@ -25,8 +25,7 @@
 //! traps charges its instructions up to and including that one).
 
 use crate::classify::{arith_kind, can_trap, classify, ArithKind};
-use crate::fuse::{lower, match_fused, BinOp, LoadKind, Mop, StoreKind, UnOp};
-use crate::prep::PreparedModule;
+use crate::fuse::{lower, match_fused, resolve_labels, BinOp, LoadKind, Mop, StoreKind, UnOp};
 use wb_env::{OpClass, OpCounts};
 use wb_wasm::{FuncType, Function, Instr, Module, ValType};
 
@@ -103,9 +102,10 @@ fn region_walk(constituents: &[Instr]) -> Result<(), String> {
         }],
         ..Default::default()
     };
-    let prepared = PreparedModule::new(module);
-    let body = &prepared.module.functions[0].body;
-    let lowered = |fuse| lower(body, &prepared.side_tables[0], &prepared.module, fuse);
+    let (func, body) = (&module.functions[0], &module.functions[0].body);
+    // The constituents open no label (see `audit_fusion_table`), so the
+    // body needs no label heights.
+    let lowered = |fuse| lower(func, &module, &[], fuse);
     let (fused, unfused) = (lowered(true), lowered(false));
     if fused.regions != unfused.regions {
         return Err("fused and unfused lowerings cut different regions".into());
@@ -138,10 +138,10 @@ fn family_of(mop: &Mop) -> &'static str {
     match mop {
         Unreachable
         | Nop
-        | Block { .. }
-        | Loop { .. }
-        | If { .. }
-        | Else
+        | Block
+        | Loop
+        | If(_)
+        | Else(_)
         | End
         | Br(_)
         | BrIf(_)
@@ -155,7 +155,7 @@ fn family_of(mop: &Mop) -> &'static str {
         | LocalSet(_)
         | LocalTee(_)
         | GlobalGet(_)
-        | GlobalSet { .. }
+        | GlobalSet(_)
         | Load { .. }
         | Store { .. }
         | MemorySize
@@ -287,7 +287,8 @@ pub fn audit_fusion_table() -> Vec<FusionAuditEntry> {
                     | Instr::If(_)
             )
         });
-        let detail = match (structural, match_fused(&constituents)) {
+        let first = resolve_labels(&constituents, &[], 0, 0).first;
+        let detail = match (structural, match_fused(&constituents, &first)) {
             (Some(c), _) => Some(format!("constituent {c:?} carries non-class charges")),
             (None, Some((mop, len))) if len == constituents.len() && family_of(&mop) == family => {
                 region_walk(&constituents).err()

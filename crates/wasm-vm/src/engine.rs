@@ -1,8 +1,11 @@
 //! Instance lifecycle: instantiation (decode → validate → baseline
 //! compile → memory/global/table init → start function), host-function
-//! binding, hotness state, and measurement reporting (which folds the
-//! region counters of `exec.rs` into per-band op counts).
+//! binding, hotness state, the value stack every frame of a run lives on
+//! (tagged [`Value`]s cross into it only at `invoke` and the start
+//! function), and measurement reporting (which folds the region counters
+//! of `exec.rs` into per-band op counts).
 
+use crate::fuse::{bits_to_value, value_bits};
 use crate::prep::PreparedModule;
 use crate::trap::Trap;
 use crate::value::Value;
@@ -214,7 +217,12 @@ pub struct Instance {
     pub(crate) prepared: Arc<PreparedModule>,
     pub(crate) config: WasmVmConfig,
     pub(crate) memory: Option<LinearMemory>,
-    pub(crate) globals: Vec<Value>,
+    /// Global values as untagged bits, typed by the module's globals.
+    pub(crate) globals: Vec<u64>,
+    /// The value stack every frame of a run lives on (see `exec.rs`),
+    /// kept between runs for its capacity. A trap may leave it dirty, so
+    /// each run from the embedder starts it empty.
+    pub(crate) stack: Vec<u64>,
     pub(crate) table: Vec<Option<u32>>,
     pub(crate) func_state: Vec<FuncState>,
     /// The host functions the imports name, one per distinct
@@ -327,11 +335,11 @@ impl Instance {
             .globals
             .iter()
             .map(|g| match g.init {
-                wb_wasm::Instr::I32Const(v) => Value::I32(v),
-                wb_wasm::Instr::I64Const(v) => Value::I64(v),
-                wb_wasm::Instr::F32Const(v) => Value::F32(v),
-                wb_wasm::Instr::F64Const(v) => Value::F64(v),
-                _ => Value::I32(0),
+                wb_wasm::Instr::I32Const(v) => value_bits(Value::I32(v)),
+                wb_wasm::Instr::I64Const(v) => value_bits(Value::I64(v)),
+                wb_wasm::Instr::F32Const(v) => value_bits(Value::F32(v)),
+                wb_wasm::Instr::F64Const(v) => value_bits(Value::F64(v)),
+                _ => 0,
             })
             .collect();
         let mut table: Vec<Option<u32>> = match &module.table {
@@ -381,6 +389,7 @@ impl Instance {
             config,
             memory,
             globals,
+            stack: Vec::new(),
             table,
             func_state,
             hostfns,
@@ -423,10 +432,33 @@ impl Instance {
 
     fn run_start(&mut self) -> Result<(), Trap> {
         if let Some(start) = self.prepared.module.start {
-            let r = self.call_function(start, Vec::new(), 0);
-            self.within_budget(r)?;
+            self.call_from_embedder(start, &[], None)?;
         }
         Ok(())
+    }
+
+    /// Run function `func_index` on `args` from an empty value stack (a
+    /// trap may have left it dirty) and read back its `result`. Fuel is
+    /// checked at region heads, against the regions already run, so a
+    /// region that overran the budget runs to its end or to a trap;
+    /// per-op counting would have stopped inside it, so either way the
+    /// call ran out of steps.
+    fn call_from_embedder(
+        &mut self,
+        func_index: u32,
+        args: &[Value],
+        result: Option<ValType>,
+    ) -> Result<Option<Value>, Trap> {
+        let mut stack = std::mem::take(&mut self.stack);
+        stack.clear();
+        stack.extend(args.iter().map(|v| value_bits(*v)));
+        let r = self.call_function(func_index, &mut stack, 0);
+        let r = r.map(|()| Some(bits_to_value(result?, stack.pop()?)));
+        self.stack = stack;
+        if self.steps > self.config.limits.fuel_budget() {
+            return Err(Trap::StepBudgetExhausted);
+        }
+        r
     }
 
     /// Invoke an exported function from "JavaScript", charging the
@@ -441,8 +473,7 @@ impl Instance {
             .prepared
             .module
             .func_type(func_index)
-            .ok_or_else(|| Trap::NoSuchExport { name: name.into() })?
-            .clone();
+            .ok_or_else(|| Trap::NoSuchExport { name: name.into() })?;
         if ty.params.len() != args.len() {
             return Err(Trap::BadInvokeArgs {
                 detail: format!("expected {} args, got {}", ty.params.len(), args.len()),
@@ -455,20 +486,10 @@ impl Instance {
                 });
             }
         }
+        let result = ty.results.first().copied();
         self.cross_boundary();
-        let r = self.call_function(func_index, args.to_vec(), 0);
+        let r = self.call_from_embedder(func_index, args, result);
         self.cross_boundary();
-        self.within_budget(r)
-    }
-
-    /// The outcome of a call from the embedder. Fuel is checked at region
-    /// heads, against the regions already run, so a region that overran
-    /// the budget runs to its end or to a trap; per-op counting would
-    /// have stopped inside it, so either way the call ran out of steps.
-    fn within_budget<T>(&self, r: Result<T, Trap>) -> Result<T, Trap> {
-        if self.steps > self.config.limits.fuel_budget() {
-            return Err(Trap::StepBudgetExhausted);
-        }
         r
     }
 
@@ -530,7 +551,8 @@ impl Instance {
             .iter()
             .find_map(|e| match e.kind {
                 wb_wasm::ExportKind::Global(i) if e.name == name => {
-                    self.globals.get(i as usize).copied()
+                    let ty = self.prepared.module.globals.get(i as usize)?.ty.ty;
+                    Some(bits_to_value(ty, *self.globals.get(i as usize)?))
                 }
                 _ => None,
             })

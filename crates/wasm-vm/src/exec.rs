@@ -1,7 +1,21 @@
 //! The execution core: the one dispatch loop of the Wasm VM. It
 //! interprets the [`Mop`](crate::fuse::Mop) stream produced by `fuse.rs`
-//! over an **untagged `u64` operand stack** and untagged locals, with
-//! full MVP semantics, counting region entries per hotness band.
+//! with full MVP semantics, counting region entries per hotness band.
+//!
+//! **One value stack.** Every frame lives on one untagged `u64` stack
+//! that the instance owns and `Instance::invoke` lends to the loop: a
+//! frame is a base index, with the parameters where the caller pushed
+//! them, zeroed locals above them and operands above those. A call leaves
+//! its result where its arguments were, so no call allocates and bits
+//! never become [`Value`](crate::Value)s inside a run; they do only at
+//! invoke, the start function and host calls.
+//!
+//! **No control stack.** Every branch holds a [`Target`] resolved at
+//! lowering: the micro-op to continue at, the stack height at its label
+//! and the values it keeps (or a return, for the function's own label).
+//! A branch moves its kept values down to that height, notes hotness on a
+//! loop back-edge and enters the target's region; `block`, `loop` and
+//! `end` only fall through, and the function's final `end` is a `Return`.
 //!
 //! The stream is fused by default and one singleton op per instruction
 //! under `reference_exec`; both run the same regions (see `fuse.rs`
@@ -16,58 +30,38 @@
 //! region is counted in the band its instructions retire in. A trap
 //! inside a region takes back the region's count on the cold path and
 //! charges its instructions up to and including the trapping one, as
-//! per-op counting would have. Values ↔ bits conversion happens only at
-//! call, host and invoke boundaries, where tagged [`Value`]s are the
-//! interface type. The budget is checked against the regions already
-//! run, so a region that overruns it runs to its end, its call or a trap,
-//! and the run then stops with `StepBudgetExhausted` (at the next head,
-//! before a host call, or on the way out in `Instance::invoke`): which
-//! runs run out, and which trap the others report, are per-op counting's.
-//! Only the state a budget-stopped run leaves behind differs, and such
-//! runs are never measured.
+//! per-op counting would have. The budget is checked against the regions
+//! already run, so a region that overruns it runs to its end, its call or
+//! a trap, and the run then stops with `StepBudgetExhausted` (at the next
+//! head, before a host call, or on the way out in `Instance::invoke`):
+//! which runs run out, and which trap the others report, are per-op
+//! counting's. Only the state a budget-stopped run leaves behind differs,
+//! and such runs are never measured.
 
 use crate::classify::{arith_kind, can_trap, classify};
 use crate::engine::Instance;
-use crate::fuse::{bits_to_value, value_bits, LoadKind, LoweredFunc, Mop, StoreKind};
-use crate::prep::NO_PC;
+use crate::fuse::{LoadKind, LoweredFunc, Mop, StoreKind, Target, NO_PC};
 use crate::trap::Trap;
-use crate::value::Value;
 use std::sync::Arc;
 use wb_env::Charge;
 
-/// A control frame over the micro-op stream. `after_end` is the micro-op
-/// index just past the frame's `end`; `restart` is the back-edge target
-/// (loops only).
-struct FCtrl {
-    restart: u32,
-    after_end: u32,
-    height: usize,
-    arity: usize,
-    is_loop: bool,
-}
-
 impl Instance {
-    /// Execute `def_index` over its micro-op stream: fused, or one op per
-    /// instruction under `reference_exec`. Both enter the same regions.
+    /// Execute `def_index` over its micro-op stream (fused, or one op per
+    /// instruction under `reference_exec`; both enter the same regions)
+    /// in a frame on `stack`, whose top slots hold its arguments. On
+    /// return its result, if any, has replaced them.
     pub(crate) fn run_body(
         &mut self,
         def_index: usize,
-        args: Vec<Value>,
+        stack: &mut Vec<u64>,
         depth: usize,
-    ) -> Result<Option<Value>, Trap> {
+    ) -> Result<(), Trap> {
         let prepared = Arc::clone(&self.prepared);
         let lowered = prepared.lowered(def_index, !self.config.reference_exec);
-        let func = &prepared.module.functions[def_index];
-        let ty = &prepared.module.types[func.type_index as usize];
-        let result_ty = ty.results.first().copied();
-
-        let mut locals: Vec<u64> = Vec::with_capacity(args.len() + func.locals.len());
-        locals.extend(args.iter().map(|v| value_bits(*v)));
-        locals.extend(std::iter::repeat_n(0u64, func.locals.len()));
-
-        let mut stack: Vec<u64> = Vec::with_capacity(16);
-        let mut ctrl: Vec<FCtrl> = Vec::with_capacity(8);
         let (code, heads, regions) = (&lowered.code, &lowered.heads, &lowered.regions);
+        let targets = &lowered.targets;
+        let base = stack.len() - lowered.params as usize;
+        stack.resize(stack.len() + lowered.locals as usize, 0);
         let fuel = self.config.limits.fuel_budget();
         let mut pc = 0usize;
         // This function's row of region counters in its current band.
@@ -76,6 +70,11 @@ impl Instance {
         macro_rules! pop {
             () => {
                 stack.pop().expect("validated: operand present")
+            };
+        }
+        macro_rules! local {
+            ($i:expr) => {
+                stack[base + $i as usize]
             };
         }
         // Enter the region headed at `$pc`: count it and spend its fuel.
@@ -112,300 +111,238 @@ impl Instance {
                 }
             };
         }
-        macro_rules! branch_to {
-            ($d:expr) => {{
-                let (target, back_edge) =
-                    Self::take_branch(self, &mut ctrl, &mut stack, $d, def_index);
-                if back_edge {
-                    row = self.region_row(def_index, lowered);
-                }
-                pc = target;
-                enter!(pc);
-                continue;
-            }};
-        }
-        // Continue after a taken-or-not conditional branch.
-        macro_rules! br_if {
-            ($cond:expr, $d:expr) => {{
-                if $cond != 0 {
-                    branch_to!($d);
-                }
-                pc += 1;
-                enter!(pc);
-                continue;
-            }};
-        }
+        // Leave the frame with its result in place of its arguments.
         macro_rules! ret {
             () => {{
-                let result = match result_ty {
-                    Some(t) => Some(bits_to_value(t, pop!())),
-                    None => None,
-                };
-                return Ok(result);
+                if lowered.result {
+                    let v = pop!();
+                    stack.truncate(base);
+                    stack.push(v);
+                } else {
+                    stack.truncate(base);
+                }
+                return Ok(());
+            }};
+        }
+        // A conditional branch: taken, it leaves the dispatch block `$l`
+        // with its target; not taken, it enters the next region.
+        macro_rules! br_if {
+            ($l:lifetime, $cond:expr, $t:expr) => {{
+                if $cond != 0 {
+                    break $l $t;
+                }
+                enter!(pc + 1);
+            }};
+        }
+        // Call `$f` with its arguments on top of the stack.
+        macro_rules! call {
+            ($f:expr) => {{
+                self.call_function($f, stack, depth + 1)?;
+                // The band may have changed while we were away
+                // (recursion).
+                row = self.region_row(def_index, lowered);
+                enter!(pc + 1);
             }};
         }
 
         enter!(0);
-        loop {
-            match &code[pc] {
-                // ---- singleton control ---------------------------------
-                Mop::Unreachable => return Err(Trap::Unreachable),
-                Mop::Nop => {}
-                Mop::Block { after_end, arity } => {
-                    ctrl.push(FCtrl {
-                        restart: 0,
-                        after_end: *after_end,
-                        height: stack.len(),
-                        arity: *arity as usize,
-                        is_loop: false,
-                    });
-                }
-                Mop::Loop { after_end } => {
-                    ctrl.push(FCtrl {
-                        restart: (pc + 1) as u32,
-                        after_end: *after_end,
-                        height: stack.len(),
-                        arity: 0,
-                        is_loop: true,
-                    });
-                    fall_through!();
-                }
-                Mop::If {
-                    after_end,
-                    else_skip,
-                    arity,
-                } => {
-                    let cond = pop!() as u32;
-                    ctrl.push(FCtrl {
-                        restart: 0,
-                        after_end: *after_end,
-                        height: stack.len(),
-                        arity: *arity as usize,
-                        is_loop: false,
-                    });
-                    if cond == 0 {
-                        if *else_skip == NO_PC {
-                            let frame = ctrl.pop().expect("just pushed");
-                            pc = frame.after_end as usize;
+        'run: loop {
+            // A taken branch leaves this block with its target's index.
+            let taken = 'dispatch: {
+                match &code[pc] {
+                    // ---- singleton control ---------------------------------
+                    Mop::Unreachable => return Err(Trap::Unreachable),
+                    Mop::Nop | Mop::Block => {}
+                    Mop::Loop | Mop::End => fall_through!(),
+                    Mop::If(t) => {
+                        if pop!() as u32 == 0 {
+                            pc = targets[*t as usize].pc as usize;
                         } else {
-                            pc = *else_skip as usize;
+                            pc += 1;
                         }
-                    } else {
-                        pc += 1;
+                        enter!(pc);
+                        continue 'run;
                     }
-                    enter!(pc);
-                    continue;
-                }
-                Mop::Else => {
-                    // Reached at the end of a then-arm: jump past the end.
-                    let frame = ctrl.pop().expect("validated: else inside if");
-                    pc = frame.after_end as usize;
-                    enter!(pc);
-                    continue;
-                }
-                Mop::End => match ctrl.pop() {
-                    Some(_frame) => fall_through!(),
-                    None => ret!(),
-                },
-                Mop::Br(d) => branch_to!(*d),
-                Mop::BrIf(d) => {
-                    let cond = pop!() as u32;
-                    br_if!(cond, *d);
-                }
-                Mop::BrTable(targets, default) => {
-                    let idx = (pop!() as u32 as i32) as usize;
-                    let d = *targets.get(idx).unwrap_or(default);
-                    branch_to!(d);
-                }
-                Mop::Return => ret!(),
-                Mop::Call(f) => {
-                    let f = *f;
-                    let nargs = prepared.call_sigs[f as usize].0 as usize;
-                    let cty = prepared.module.func_type(f).expect("validated: callee");
-                    let base = stack.len() - nargs;
-                    let call_args: Vec<Value> = cty
-                        .params
-                        .iter()
-                        .zip(&stack[base..])
-                        .map(|(t, bits)| bits_to_value(*t, *bits))
-                        .collect();
-                    stack.truncate(base);
-                    let r = self.call_function(f, call_args, depth + 1)?;
-                    if let Some(v) = r {
-                        stack.push(value_bits(v));
+                    Mop::Else(t) => {
+                        pc = targets[*t as usize].pc as usize;
+                        enter!(pc);
+                        continue 'run;
                     }
-                    // The band may have changed while we were away
-                    // (recursion).
-                    row = self.region_row(def_index, lowered);
-                    pc += 1;
-                    enter!(pc);
-                    continue;
-                }
-                Mop::CallIndirect(type_index) => {
-                    let slot = pop!() as u32;
-                    let entry = self
-                        .table
-                        .get(slot as usize)
-                        .copied()
-                        .ok_or(Trap::TableOutOfBounds)?;
-                    let target = entry.ok_or(Trap::UninitializedElement)?;
-                    let actual_ty = self
-                        .prepared
-                        .module
-                        .func_type(target)
-                        .ok_or(Trap::UninitializedElement)?;
-                    let expected = &prepared.module.types[*type_index as usize];
-                    if actual_ty != expected {
-                        return Err(Trap::IndirectCallTypeMismatch);
+                    Mop::Br(t) => break 'dispatch *t,
+                    Mop::BrIf(t) => {
+                        let cond = pop!() as u32;
+                        br_if!('dispatch, cond, *t);
                     }
-                    let nargs = expected.params.len();
-                    let base = stack.len() - nargs;
-                    let call_args: Vec<Value> = expected
-                        .params
-                        .iter()
-                        .zip(&stack[base..])
-                        .map(|(t, bits)| bits_to_value(*t, *bits))
-                        .collect();
-                    stack.truncate(base);
-                    let r = self.call_function(target, call_args, depth + 1)?;
-                    if let Some(v) = r {
-                        stack.push(value_bits(v));
+                    Mop::BrTable(first, arms) => {
+                        break 'dispatch *first + (pop!() as u32).min(*arms)
                     }
-                    row = self.region_row(def_index, lowered);
-                    pc += 1;
-                    enter!(pc);
-                    continue;
-                }
-
-                // ---- singleton data ops --------------------------------
-                Mop::Drop => {
-                    pop!();
-                }
-                Mop::Select => {
-                    let cond = pop!() as u32;
-                    let b = pop!();
-                    let a = pop!();
-                    stack.push(if cond != 0 { a } else { b });
-                }
-                Mop::LocalGet(i) => stack.push(locals[*i as usize]),
-                Mop::LocalSet(i) => locals[*i as usize] = pop!(),
-                Mop::LocalTee(i) => locals[*i as usize] = *stack.last().expect("validated"),
-                Mop::GlobalGet(i) => stack.push(value_bits(self.globals[*i as usize])),
-                Mop::GlobalSet { idx, ty } => {
-                    self.globals[*idx as usize] = bits_to_value(*ty, pop!());
-                }
-                Mop::Load { kind, offset } => {
-                    let addr = (pop!() as u32 as u64) + offset;
-                    let v = trapping!(self.load_u64(*kind, addr));
-                    stack.push(v);
-                }
-                Mop::Store { kind, offset } => {
-                    let v = pop!();
-                    let addr = (pop!() as u32 as u64) + offset;
-                    trapping!(self.store_u64(*kind, addr, v));
-                }
-                Mop::MemorySize => {
-                    let pages = self.memory.as_ref().map(|m| m.size_pages()).unwrap_or(0);
-                    stack.push(u64::from(pages));
-                }
-                Mop::MemoryGrow => {
-                    let delta = pop!() as u32;
-                    trapping!(self.check_grow_limit(delta));
-                    let (result, grew) = match self.memory.as_mut() {
-                        Some(mem) => {
-                            let r = mem.grow(delta);
-                            (r, r >= 0)
+                    Mop::Return => ret!(),
+                    Mop::Call(f) => call!(*f),
+                    Mop::CallIndirect(type_index) => {
+                        let slot = pop!() as u32 as usize;
+                        let entry = self.table.get(slot).ok_or(Trap::TableOutOfBounds)?;
+                        let target = entry.ok_or(Trap::UninitializedElement)?;
+                        let module = &prepared.module;
+                        let actual_ty =
+                            module.func_type(target).ok_or(Trap::UninitializedElement)?;
+                        if actual_ty != &module.types[*type_index as usize] {
+                            return Err(Trap::IndirectCallTypeMismatch);
                         }
-                        None => (-1, false),
-                    };
-                    if grew {
-                        self.charge(Charge::MemoryGrow {
-                            pages: u64::from(delta),
-                        });
+                        call!(target)
                     }
-                    stack.push(result as u32 as u64);
-                }
-                Mop::Const(c) => stack.push(*c),
-                Mop::Un(un) => {
-                    let a = pop!();
-                    stack.push(trapping!(un.apply(a)));
-                }
-                Mop::Bin(op) => {
-                    let b = pop!();
-                    let a = pop!();
-                    stack.push(trapping!(op.apply(a, b)));
-                }
 
-                // ---- fused superinstructions ---------------------------
-                Mop::LLBin { a, b, op } => {
-                    let r = trapping!(op.apply(locals[*a as usize], locals[*b as usize]));
-                    stack.push(r);
+                    // ---- singleton data ops --------------------------------
+                    Mop::Drop => {
+                        pop!();
+                    }
+                    Mop::Select => {
+                        let cond = pop!() as u32;
+                        let b = pop!();
+                        let a = pop!();
+                        stack.push(if cond != 0 { a } else { b });
+                    }
+                    Mop::LocalGet(i) => stack.push(local!(*i)),
+                    Mop::LocalSet(i) => local!(*i) = pop!(),
+                    Mop::LocalTee(i) => local!(*i) = *stack.last().expect("validated"),
+                    Mop::GlobalGet(i) => stack.push(self.globals[*i as usize]),
+                    Mop::GlobalSet(i) => self.globals[*i as usize] = pop!(),
+                    Mop::Load { kind, offset } => {
+                        let addr = (pop!() as u32 as u64) + offset;
+                        let v = trapping!(self.load_u64(*kind, addr));
+                        stack.push(v);
+                    }
+                    Mop::Store { kind, offset } => {
+                        let v = pop!();
+                        let addr = (pop!() as u32 as u64) + offset;
+                        trapping!(self.store_u64(*kind, addr, v));
+                    }
+                    Mop::MemorySize => {
+                        let pages = self.memory.as_ref().map(|m| m.size_pages()).unwrap_or(0);
+                        stack.push(u64::from(pages));
+                    }
+                    Mop::MemoryGrow => {
+                        let delta = pop!() as u32;
+                        trapping!(self.check_grow_limit(delta));
+                        let (result, grew) = match self.memory.as_mut() {
+                            Some(mem) => {
+                                let r = mem.grow(delta);
+                                (r, r >= 0)
+                            }
+                            None => (-1, false),
+                        };
+                        if grew {
+                            self.charge(Charge::MemoryGrow {
+                                pages: u64::from(delta),
+                            });
+                        }
+                        stack.push(result as u32 as u64);
+                    }
+                    Mop::Const(c) => stack.push(*c),
+                    Mop::Un(un) => {
+                        let a = pop!();
+                        stack.push(trapping!(un.apply(a)));
+                    }
+                    Mop::Bin(op) => {
+                        let b = pop!();
+                        let a = pop!();
+                        stack.push(trapping!(op.apply(a, b)));
+                    }
+
+                    // ---- fused superinstructions ---------------------------
+                    Mop::LLBin { a, b, op } => {
+                        let r = trapping!(op.apply(local!(*a), local!(*b)));
+                        stack.push(r);
+                    }
+                    Mop::LLBinSet { a, b, dst, op } => {
+                        let r = trapping!(op.apply(local!(*a), local!(*b)));
+                        local!(*dst) = r;
+                    }
+                    Mop::LCBin { a, c, op } => {
+                        let r = trapping!(op.apply(local!(*a), *c));
+                        stack.push(r);
+                    }
+                    Mop::LCBinSet { a, c, dst, op } => {
+                        let r = trapping!(op.apply(local!(*a), *c));
+                        local!(*dst) = r;
+                    }
+                    Mop::LBin { b, op } => {
+                        let a = pop!();
+                        stack.push(trapping!(op.apply(a, local!(*b))));
+                    }
+                    Mop::CBin { c, op } => {
+                        let a = pop!();
+                        stack.push(trapping!(op.apply(a, *c)));
+                    }
+                    Mop::CBinSet { c, dst, op } => {
+                        let a = pop!();
+                        local!(*dst) = trapping!(op.apply(a, *c));
+                    }
+                    Mop::BinSet { dst, op } => {
+                        let b = pop!();
+                        let a = pop!();
+                        local!(*dst) = trapping!(op.apply(a, b));
+                    }
+                    Mop::LConst { c, dst } => local!(*dst) = *c,
+                    Mop::LocalCopy { src, dst } => local!(*dst) = local!(*src),
+                    Mop::LLCmpBr { a, b, op, target } => {
+                        let cond = trapping!(op.apply(local!(*a), local!(*b)));
+                        br_if!('dispatch, cond, *target);
+                    }
+                    Mop::LCCmpBr { a, c, op, target } => {
+                        let cond = trapping!(op.apply(local!(*a), *c));
+                        br_if!('dispatch, cond, *target);
+                    }
+                    Mop::CmpBr { op, target } => {
+                        let b = pop!();
+                        let a = pop!();
+                        let cond = trapping!(op.apply(a, b));
+                        br_if!('dispatch, cond, *target);
+                    }
+                    Mop::LUnBr { a, un, target } => {
+                        let cond = trapping!(un.apply(local!(*a)));
+                        br_if!('dispatch, cond, *target);
+                    }
+                    Mop::UnBr { un, target } => {
+                        let a = pop!();
+                        let cond = trapping!(un.apply(a));
+                        br_if!('dispatch, cond, *target);
+                    }
+                    Mop::LLoad { a, kind, offset } => {
+                        let addr = (local!(*a) as u32 as u64) + offset;
+                        let v = trapping!(self.load_u64(*kind, addr));
+                        stack.push(v);
+                    }
+                    Mop::LLStore { a, b, kind, offset } => {
+                        let addr = (local!(*a) as u32 as u64) + offset;
+                        trapping!(self.store_u64(*kind, addr, local!(*b)));
+                    }
                 }
-                Mop::LLBinSet { a, b, dst, op } => {
-                    let r = trapping!(op.apply(locals[*a as usize], locals[*b as usize]));
-                    locals[*dst as usize] = r;
-                }
-                Mop::LCBin { a, c, op } => {
-                    let r = trapping!(op.apply(locals[*a as usize], *c));
-                    stack.push(r);
-                }
-                Mop::LCBinSet { a, c, dst, op } => {
-                    let r = trapping!(op.apply(locals[*a as usize], *c));
-                    locals[*dst as usize] = r;
-                }
-                Mop::LBin { b, op } => {
-                    let a = pop!();
-                    stack.push(trapping!(op.apply(a, locals[*b as usize])));
-                }
-                Mop::CBin { c, op } => {
-                    let a = pop!();
-                    stack.push(trapping!(op.apply(a, *c)));
-                }
-                Mop::CBinSet { c, dst, op } => {
-                    let a = pop!();
-                    locals[*dst as usize] = trapping!(op.apply(a, *c));
-                }
-                Mop::BinSet { dst, op } => {
-                    let b = pop!();
-                    let a = pop!();
-                    locals[*dst as usize] = trapping!(op.apply(a, b));
-                }
-                Mop::LConst { c, dst } => locals[*dst as usize] = *c,
-                Mop::LocalCopy { src, dst } => locals[*dst as usize] = locals[*src as usize],
-                Mop::LLCmpBr { a, b, op, depth } => {
-                    let cond = trapping!(op.apply(locals[*a as usize], locals[*b as usize]));
-                    br_if!(cond, *depth);
-                }
-                Mop::LCCmpBr { a, c, op, depth } => {
-                    let cond = trapping!(op.apply(locals[*a as usize], *c));
-                    br_if!(cond, *depth);
-                }
-                Mop::CmpBr { op, depth } => {
-                    let b = pop!();
-                    let a = pop!();
-                    let cond = trapping!(op.apply(a, b));
-                    br_if!(cond, *depth);
-                }
-                Mop::LUnBr { a, un, depth } => {
-                    let cond = trapping!(un.apply(locals[*a as usize]));
-                    br_if!(cond, *depth);
-                }
-                Mop::UnBr { un, depth } => {
-                    let a = pop!();
-                    let cond = trapping!(un.apply(a));
-                    br_if!(cond, *depth);
-                }
-                Mop::LLoad { a, kind, offset } => {
-                    let addr = (locals[*a as usize] as u32 as u64) + offset;
-                    let v = trapping!(self.load_u64(*kind, addr));
-                    stack.push(v);
-                }
-                Mop::LLStore { a, b, kind, offset } => {
-                    let addr = (locals[*a as usize] as u32 as u64) + offset;
-                    trapping!(self.store_u64(*kind, addr, locals[*b as usize]));
-                }
+                pc += 1;
+                continue 'run;
+            };
+            // Take the branch: keep its values at the label's height.
+            let Target {
+                pc: to,
+                height,
+                keep,
+                back_edge,
+            } = targets[taken as usize];
+            if to == NO_PC {
+                ret!();
             }
-            pc += 1;
+            let (height, keep) = (base + height as usize, keep as usize);
+            if keep != 0 {
+                let top = stack.len();
+                stack.copy_within(top - keep..top, height);
+            }
+            stack.truncate(height + keep);
+            if back_edge {
+                // Loop hotness moves the band (tier-up is OSR-style).
+                self.note_hotness(def_index, 1);
+                row = self.region_row(def_index, lowered);
+            }
+            pc = to as usize;
+            enter!(pc);
         }
     }
 
@@ -447,39 +384,6 @@ impl Instance {
             &mut self.band_counts.ops[band],
             &mut self.arith,
         );
-    }
-
-    /// Perform a branch to relative depth `d`; returns the new micro-op
-    /// index and whether it was a loop back-edge, which notes hotness and
-    /// so may move the function's band.
-    fn take_branch(
-        &mut self,
-        ctrl: &mut Vec<FCtrl>,
-        stack: &mut Vec<u64>,
-        d: u32,
-        def_index: usize,
-    ) -> (usize, bool) {
-        let target_idx = ctrl.len() - 1 - d as usize;
-        let target = &ctrl[target_idx];
-        if target.is_loop {
-            // Back-edge: loop hotness moves the band (tier-up is
-            // OSR-style).
-            let restart = target.restart as usize;
-            let height = target.height;
-            ctrl.truncate(target_idx + 1);
-            stack.truncate(height);
-            self.note_hotness(def_index, 1);
-            (restart, true)
-        } else {
-            let arity = target.arity;
-            let height = target.height;
-            let after_end = target.after_end as usize;
-            let keep = stack.split_off(stack.len() - arity);
-            stack.truncate(height);
-            stack.extend(keep);
-            ctrl.truncate(target_idx);
-            (after_end, false)
-        }
     }
 
     /// Bounds-checked load returning untagged bits (extension baked into

@@ -10,10 +10,17 @@
 //!   off (`reference_exec`), every instruction becomes its singleton op,
 //! * operand types are baked in at lowering time so execution runs over
 //!   an **untagged `u64` stack** (i32 zero-extended, floats as raw bits),
-//! * structured-control targets are pre-translated to micro-op indices,
-//! * the body is cut into regions ([`region_heads`]), each with its
-//!   instruction count and class and Table 12 counts stored once; the
-//!   micro-op at each head carries its region ([`LoweredFunc::heads`]).
+//! * every branch (`br`, each `br_table` arm, `br_if`, the exits of
+//!   `if` and `else`) is resolved once ([`resolve_labels`]) to a
+//!   [`Target`]: the micro-op it continues at, the stack height at its
+//!   label (from the validator, [`wb_wasm::label_heights`]), the values it
+//!   keeps and whether it is a loop back-edge; the branch micro-op holds
+//!   the target's index in [`LoweredFunc::targets`], so execution keeps
+//!   no control stack,
+//! * the body is cut into regions ([`region_heads`], which reads the same
+//!   resolved targets), each with its instruction count and class and
+//!   Table 12 counts stored once; the micro-op at each head carries its
+//!   region ([`LoweredFunc::heads`]).
 //!
 //! ## Why fusion can never span a branch target
 //!
@@ -40,11 +47,14 @@
 //! constituent. See `DESIGN.md` §4 and §7.
 
 use crate::classify::{arith_kind, classify};
-use crate::prep::{SideTable, NO_PC};
 use crate::trap::Trap;
 use crate::value::Value;
 use wb_env::{OpClass, RegionTable};
-use wb_wasm::{Instr, MemArg, Module, ValType};
+use wb_wasm::{Function, Instr, MemArg, Module, ValType};
+
+/// Sentinel for "no micro-op": at a micro-op that heads no region, and as
+/// the target of a branch to the function's own label, which returns.
+pub(crate) const NO_PC: u32 = u32::MAX;
 
 /// Convert a tagged value to its untagged bit pattern (i32 zero-extended,
 /// floats as IEEE bits).
@@ -532,42 +542,29 @@ fn const_bits_of(i: &Instr) -> Option<u64> {
     })
 }
 
-fn br_if_of(i: &Instr) -> Option<u32> {
-    match i {
-        Instr::BrIf(d) => Some(*d),
-        _ => None,
-    }
-}
-
-/// One micro-op. Singleton variants mirror [`Instr`] one-to-one (with
-/// branch targets pre-translated to micro-op indices); the variants after
-/// the marker comment are fused superinstructions.
+/// One micro-op. Singleton variants mirror [`Instr`] one-to-one, except
+/// that every branch holds the index of its resolved [`Target`] in
+/// [`LoweredFunc::targets`] and the function's final `end` is a
+/// `Return`; the variants after the marker comment are fused
+/// superinstructions.
 #[derive(Debug, Clone, PartialEq)]
 #[allow(missing_docs)]
 pub(crate) enum Mop {
     Unreachable,
     Nop,
-    /// `after_end` = micro-op index just past the matching `end`.
-    Block {
-        after_end: u32,
-        arity: u8,
-    },
-    Loop {
-        after_end: u32,
-    },
-    /// `else_skip` = target when the condition is false and an `else`
-    /// exists ([`NO_PC`] otherwise, in which case control jumps to
-    /// `after_end` with the frame popped).
-    If {
-        after_end: u32,
-        else_skip: u32,
-        arity: u8,
-    },
-    Else,
+    Block,
+    Loop,
+    /// Continues at its target when the condition is false: the `else`
+    /// arm, or past the `end` when there is none.
+    If(u32),
+    /// Reached at the end of a then-arm: continues past the `end`.
+    Else(u32),
     End,
     Br(u32),
     BrIf(u32),
-    BrTable(Box<[u32]>, u32),
+    /// The first of the arms' consecutive targets and the number of arms
+    /// before the default, which is the last.
+    BrTable(u32, u32),
     Return,
     Call(u32),
     CallIndirect(u32),
@@ -577,10 +574,7 @@ pub(crate) enum Mop {
     LocalSet(u32),
     LocalTee(u32),
     GlobalGet(u32),
-    GlobalSet {
-        idx: u32,
-        ty: ValType,
-    },
+    GlobalSet(u32),
     Load {
         kind: LoadKind,
         offset: u64,
@@ -652,35 +646,35 @@ pub(crate) enum Mop {
         src: u32,
         dst: u32,
     },
-    /// `local.get a; local.get b; binop; br_if depth`
+    /// `local.get a; local.get b; binop; br_if`
     LLCmpBr {
         a: u32,
         b: u32,
         op: BinOp,
-        depth: u32,
+        target: u32,
     },
-    /// `local.get a; const c; binop; br_if depth`
+    /// `local.get a; const c; binop; br_if`
     LCCmpBr {
         a: u32,
         c: u64,
         op: BinOp,
-        depth: u32,
+        target: u32,
     },
-    /// `binop; br_if depth` (both operands on the stack)
+    /// `binop; br_if` (both operands on the stack)
     CmpBr {
         op: BinOp,
-        depth: u32,
+        target: u32,
     },
-    /// `local.get a; unop; br_if depth` (e.g. `i32.eqz; br_if`)
+    /// `local.get a; unop; br_if` (e.g. `i32.eqz; br_if`)
     LUnBr {
         a: u32,
         un: UnOp,
-        depth: u32,
+        target: u32,
     },
-    /// `unop; br_if depth`
+    /// `unop; br_if`
     UnBr {
         un: UnOp,
-        depth: u32,
+        target: u32,
     },
     /// `local.get a; load`
     LLoad {
@@ -718,65 +712,148 @@ impl Mop {
     }
 }
 
+/// Where a branch goes, resolved once at lowering.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Target {
+    /// The micro-op the branch continues at (a source pc until `lower`
+    /// maps it), or [`NO_PC`] for the function's own label: the branch
+    /// returns.
+    pub(crate) pc: u32,
+    /// Stack slots above the frame base that stay below the kept values:
+    /// the locals plus the label's operand height.
+    pub(crate) height: u32,
+    /// Values the branch carries to its label (at most one in the MVP).
+    pub(crate) keep: u8,
+    /// A loop back-edge, which notes hotness and so may move the band.
+    pub(crate) back_edge: bool,
+}
+
+/// Every branch of a body, resolved in one pass over it.
+pub(crate) struct Labels {
+    /// The targets in source order, at source pcs; a `br_table`'s arms
+    /// are consecutive, its default last.
+    pub(crate) targets: Vec<Target>,
+    /// Per source pc, the index in `targets` of the instruction's (first)
+    /// target ([`NO_PC`] where it does not branch).
+    pub(crate) first: Vec<u32>,
+}
+
+/// Resolve every branch of `body`: `br` and `br_if` to relative depth
+/// `d`, each `br_table` arm, an `if`'s false edge (its `else` arm, or past
+/// its `end`) and the `else` that ends a then-arm. A branch to a loop goes
+/// back to the loop's body; one to a block or `if` goes past its `end`
+/// (patched when the `end` is reached); one to the function's own label
+/// returns. `heights` is the validator's operand height at each opener
+/// ([`wb_wasm::label_heights`]), `nlocals` the function's parameters plus
+/// locals and `results` its result arity.
+pub(crate) fn resolve_labels(body: &[Instr], heights: &[u32], nlocals: u32, results: u8) -> Labels {
+    // The enclosing labels' openers, innermost last, each with the targets
+    // that wait for its `end` (an `if`'s false edge first, until `else`).
+    let mut open: Vec<(usize, Vec<usize>)> = Vec::new();
+    let (mut targets, mut first) = (Vec::new(), vec![NO_PC; body.len()]);
+    // A branch past the `end` of the label `opener` opens.
+    let forward = |opener: usize| Target {
+        pc: NO_PC,
+        height: nlocals + heights[opener],
+        keep: match &body[opener] {
+            Instr::Block(bt) | Instr::If(bt) => bt.arity() as u8,
+            _ => 0,
+        },
+        back_edge: false,
+    };
+    for (pc, instr) in body.iter().enumerate() {
+        let next = targets.len();
+        match instr {
+            Instr::Block(_) | Instr::Loop(_) => open.push((pc, Vec::new())),
+            Instr::If(_) => {
+                targets.push(Target {
+                    keep: 0,
+                    ..forward(pc)
+                });
+                open.push((pc, vec![next]));
+            }
+            Instr::Else => {
+                if let Some((opener, exits)) = open.last_mut() {
+                    targets[exits.remove(0)].pc = pc as u32 + 1;
+                    exits.push(next);
+                    targets.push(forward(*opener));
+                }
+            }
+            Instr::End => {
+                for t in open.pop().map(|(_, exits)| exits).unwrap_or_default() {
+                    targets[t].pc = pc as u32 + 1;
+                }
+            }
+            Instr::Br(d) | Instr::BrIf(d) | Instr::BrTable(_, d) => {
+                let arms = match instr {
+                    Instr::BrTable(ds, _) => ds.as_slice(),
+                    _ => &[],
+                };
+                for &d in arms.iter().chain([d]) {
+                    let label = open.len().checked_sub(1 + d as usize);
+                    targets.push(match label.map(|i| &mut open[i]) {
+                        None => Target {
+                            pc: NO_PC,
+                            height: 0,
+                            keep: results,
+                            back_edge: false,
+                        },
+                        Some((opener, _)) if matches!(body[*opener], Instr::Loop(_)) => Target {
+                            pc: *opener as u32 + 1,
+                            back_edge: true,
+                            ..forward(*opener)
+                        },
+                        Some((opener, exits)) => {
+                            exits.push(targets.len());
+                            forward(*opener)
+                        }
+                    });
+                }
+            }
+            _ => continue,
+        }
+        if next < targets.len() {
+            first[pc] = next as u32;
+        }
+    }
+    Labels { targets, first }
+}
+
 /// A function body lowered to micro-ops.
 #[derive(Debug)]
 pub(crate) struct LoweredFunc {
-    /// The micro-op stream; control targets are indices into this vec.
+    /// The micro-op stream.
     pub(crate) code: Vec<Mop>,
+    /// The branch targets, at micro-op indices; branch micro-ops hold
+    /// indices into this table.
+    pub(crate) targets: Vec<Target>,
     /// Per micro-op, the region it heads ([`NO_PC`] where none starts).
     pub(crate) heads: Vec<u32>,
     /// Each region's source-instruction range and class and Table 12
     /// counts, in source order.
     pub(crate) regions: RegionTable,
+    /// The frame: parameters, then zeroed locals, then operands.
+    pub(crate) params: u32,
+    pub(crate) locals: u32,
+    /// Whether the function returns a value.
+    pub(crate) result: bool,
 }
 
 /// Where regions start, by source pc: at pc 0; at every branch target (a
 /// targeted loop's body, a targeted block's or if's `end + 1`, an else
-/// arm); and after every branch, call, return and `unreachable`. Every
-/// op that can leave a region by jumping is a branch, so a region, once
-/// entered, retires every one of its instructions unless one traps.
-pub(crate) fn region_heads(body: &[Instr], side: &SideTable) -> Vec<bool> {
+/// arm), as [`resolve_labels`] resolved them; and after every branch,
+/// call, return and `unreachable`. Every op that can leave a region by
+/// jumping is a branch, so a region, once entered, retires every one of
+/// its instructions unless one traps.
+pub(crate) fn region_heads(body: &[Instr], labels: &Labels) -> Vec<bool> {
     let mut heads = vec![false; body.len()];
-    let mut mark = |pc: Option<usize>| {
-        if let Some(h) = pc.and_then(|pc| heads.get_mut(pc)) {
+    heads[0] = true;
+    for t in &labels.targets {
+        if let Some(h) = heads.get_mut(t.pc as usize) {
             *h = true;
         }
-    };
-    mark(Some(0));
-    let end_of = |opener: usize| side.end_of[opener] as usize;
-    // Openers of the enclosing labels, innermost last.
-    let mut labels: Vec<usize> = Vec::new();
-    // The target of a branch to relative depth `d`, if it names a block
-    // (a branch to the function's own label returns).
-    let target = |labels: &[usize], d: &u32| {
-        let opener = *labels.get(labels.len().checked_sub(1 + *d as usize)?)?;
-        Some(match body[opener] {
-            Instr::Loop(_) => opener + 1,
-            _ => end_of(opener) + 1,
-        })
-    };
+    }
     for (pc, instr) in body.iter().enumerate() {
-        match instr {
-            Instr::Block(_) | Instr::Loop(_) => labels.push(pc),
-            Instr::If(_) => {
-                labels.push(pc);
-                mark(Some(match side.else_of[pc] {
-                    NO_PC => end_of(pc) + 1,
-                    else_pc => else_pc as usize + 1,
-                }));
-            }
-            Instr::Else => mark(labels.last().map(|&opener| end_of(opener) + 1)),
-            Instr::End => {
-                labels.pop();
-            }
-            Instr::Br(d) | Instr::BrIf(d) => mark(target(&labels, d)),
-            Instr::BrTable(ds, default) => {
-                for d in ds.iter().chain([default]) {
-                    mark(target(&labels, d));
-                }
-            }
-            _ => {}
-        }
         if matches!(
             instr,
             Instr::If(_)
@@ -789,15 +866,20 @@ pub(crate) fn region_heads(body: &[Instr], side: &SideTable) -> Vec<bool> {
                 | Instr::CallIndirect(_)
                 | Instr::Unreachable
         ) {
-            mark(Some(pc + 1));
+            if let Some(h) = heads.get_mut(pc + 1) {
+                *h = true;
+            }
         }
     }
     heads
 }
 
 /// Try to recognize a fused pattern starting at `w[0]`; returns the fused
-/// op and the number of source instructions consumed.
-pub(crate) fn match_fused(w: &[Instr]) -> Option<(Mop, usize)> {
+/// op and the number of source instructions consumed. `first` is
+/// [`Labels::first`] over `w`: a group that ends in a `br_if` takes its
+/// target.
+pub(crate) fn match_fused(w: &[Instr], first: &[u32]) -> Option<(Mop, usize)> {
+    let br_if_of = |k: usize| matches!(w[k], Instr::BrIf(_)).then(|| first[k]);
     // Longest patterns first. Every constituent past the first is a
     // data/branch instruction, never a control opener/closer, so no group
     // can swallow a branch target (see module docs).
@@ -807,9 +889,9 @@ pub(crate) fn match_fused(w: &[Instr]) -> Option<(Mop, usize)> {
                 if let Some(dst) = local_set_of(&w[3]) {
                     return Some((Mop::LLBinSet { a, b, dst, op }, 4));
                 }
-                if let Some(depth) = br_if_of(&w[3]) {
+                if let Some(target) = br_if_of(3) {
                     if op.result_is_i32() {
-                        return Some((Mop::LLCmpBr { a, b, op, depth }, 4));
+                        return Some((Mop::LLCmpBr { a, b, op, target }, 4));
                     }
                 }
             }
@@ -817,9 +899,9 @@ pub(crate) fn match_fused(w: &[Instr]) -> Option<(Mop, usize)> {
                 if let Some(dst) = local_set_of(&w[3]) {
                     return Some((Mop::LCBinSet { a, c, dst, op }, 4));
                 }
-                if let Some(depth) = br_if_of(&w[3]) {
+                if let Some(target) = br_if_of(3) {
                     if op.result_is_i32() {
-                        return Some((Mop::LCCmpBr { a, c, op, depth }, 4));
+                        return Some((Mop::LCCmpBr { a, c, op, target }, 4));
                     }
                 }
             }
@@ -841,9 +923,9 @@ pub(crate) fn match_fused(w: &[Instr]) -> Option<(Mop, usize)> {
                 }
             }
             if let Some(un) = UnOp::of(&w[1]) {
-                if let Some(depth) = br_if_of(&w[2]) {
+                if let Some(target) = br_if_of(2) {
                     if un.result_is_i32() {
-                        return Some((Mop::LUnBr { a, un, depth }, 3));
+                        return Some((Mop::LUnBr { a, un, target }, 3));
                     }
                 }
             }
@@ -880,16 +962,16 @@ pub(crate) fn match_fused(w: &[Instr]) -> Option<(Mop, usize)> {
             if let Some(dst) = local_set_of(&w[1]) {
                 return Some((Mop::BinSet { dst, op }, 2));
             }
-            if let Some(depth) = br_if_of(&w[1]) {
+            if let Some(target) = br_if_of(1) {
                 if op.result_is_i32() {
-                    return Some((Mop::CmpBr { op, depth }, 2));
+                    return Some((Mop::CmpBr { op, target }, 2));
                 }
             }
         }
         if let Some(un) = UnOp::of(&w[0]) {
-            if let Some(depth) = br_if_of(&w[1]) {
+            if let Some(target) = br_if_of(1) {
                 if un.result_is_i32() {
-                    return Some((Mop::UnBr { un, depth }, 2));
+                    return Some((Mop::UnBr { un, target }, 2));
                 }
             }
         }
@@ -897,9 +979,9 @@ pub(crate) fn match_fused(w: &[Instr]) -> Option<(Mop, usize)> {
     None
 }
 
-/// Translate one instruction to its singleton micro-op. Control targets
-/// are patched afterwards from the side table.
-fn singleton(i: &Instr, module: &Module) -> Mop {
+/// Translate one instruction to its singleton micro-op; a branch takes
+/// `target`, its index in [`Labels::targets`].
+fn singleton(i: &Instr, target: u32) -> Mop {
     if let Some(op) = BinOp::of(i) {
         return Mop::Bin(op);
     }
@@ -918,23 +1000,14 @@ fn singleton(i: &Instr, module: &Module) -> Mop {
     match i {
         Instr::Unreachable => Mop::Unreachable,
         Instr::Nop => Mop::Nop,
-        Instr::Block(bt) => Mop::Block {
-            after_end: NO_PC,
-            arity: bt.arity() as u8,
-        },
-        Instr::Loop(_) => Mop::Loop { after_end: NO_PC },
-        Instr::If(bt) => Mop::If {
-            after_end: NO_PC,
-            else_skip: NO_PC,
-            arity: bt.arity() as u8,
-        },
-        Instr::Else => Mop::Else,
+        Instr::Block(_) => Mop::Block,
+        Instr::Loop(_) => Mop::Loop,
+        Instr::If(_) => Mop::If(target),
+        Instr::Else => Mop::Else(target),
         Instr::End => Mop::End,
-        Instr::Br(d) => Mop::Br(*d),
-        Instr::BrIf(d) => Mop::BrIf(*d),
-        Instr::BrTable(targets, default) => {
-            Mop::BrTable(targets.clone().into_boxed_slice(), *default)
-        }
+        Instr::Br(_) => Mop::Br(target),
+        Instr::BrIf(_) => Mop::BrIf(target),
+        Instr::BrTable(arms, _) => Mop::BrTable(target, arms.len() as u32),
         Instr::Return => Mop::Return,
         Instr::Call(f) => Mop::Call(*f),
         Instr::CallIndirect(t) => Mop::CallIndirect(*t),
@@ -944,10 +1017,7 @@ fn singleton(i: &Instr, module: &Module) -> Mop {
         Instr::LocalSet(x) => Mop::LocalSet(*x),
         Instr::LocalTee(x) => Mop::LocalTee(*x),
         Instr::GlobalGet(x) => Mop::GlobalGet(*x),
-        Instr::GlobalSet(x) => Mop::GlobalSet {
-            idx: *x,
-            ty: module.globals[*x as usize].ty.ty,
-        },
+        Instr::GlobalSet(x) => Mop::GlobalSet(*x),
         Instr::MemorySize => Mop::MemorySize,
         Instr::MemoryGrow => Mop::MemoryGrow,
         _ => unreachable!("covered by BinOp/UnOp/load/store/const lifts"),
@@ -956,17 +1026,22 @@ fn singleton(i: &Instr, module: &Module) -> Mop {
 
 /// Lower one flat body to micro-ops.
 ///
-/// Pass 1 greedily matches fused patterns when `fuse` is on (falling back
-/// to singletons; with `fuse` off every instruction is a singleton),
-/// never past the next region head, and records the micro-op index of
-/// every source pc. Pass 2 patches the structured-control targets
-/// (`after_end`, `else_skip`) from the side table, translating
-/// instruction pcs to micro-op indices. The regions are cut from the
-/// source instructions; each head's micro-op carries its region, so both
-/// settings run the same regions.
-pub(crate) fn lower(body: &[Instr], side: &SideTable, module: &Module, fuse: bool) -> LoweredFunc {
+/// The branches are resolved first ([`resolve_labels`], over the
+/// validator's `heights`) and the regions cut from them. Then fused
+/// patterns are matched greedily when `fuse` is on (falling back to
+/// singletons; with `fuse` off every instruction is a singleton), never
+/// past the next region head; each branch micro-op takes the target of
+/// its branch instruction, and the function's final `end` becomes a
+/// `Return`. Last, the targets move from source pcs to micro-op
+/// indices. Each head's micro-op carries its region, so both settings run
+/// the same regions.
+pub(crate) fn lower(func: &Function, module: &Module, heights: &[u32], fuse: bool) -> LoweredFunc {
+    let body = &func.body;
+    let ty = &module.types[func.type_index as usize];
+    let (params, locals) = (ty.params.len() as u32, func.locals.len() as u32);
+    let labels = resolve_labels(body, heights, params + locals, ty.results.len() as u8);
     let n = body.len();
-    let is_head = region_heads(body, side);
+    let is_head = region_heads(body, &labels);
     let mut code: Vec<Mop> = Vec::with_capacity(n);
     let mut mop_of: Vec<u32> = vec![NO_PC; n + 1];
     let (mut pc, mut limit) = (0usize, 0usize);
@@ -976,48 +1051,25 @@ pub(crate) fn lower(body: &[Instr], side: &SideTable, module: &Module, fuse: boo
         }
         mop_of[pc] = code.len() as u32;
         let fused = if fuse {
-            match_fused(&body[pc..limit])
+            match_fused(&body[pc..limit], &labels.first[pc..limit])
         } else {
             None
         };
-        if let Some((mop, len)) = fused {
-            code.push(mop);
-            pc += len;
-        } else {
-            code.push(singleton(&body[pc], module));
-            pc += 1;
-        }
+        let (mop, len) = fused.unwrap_or_else(|| match &body[pc] {
+            Instr::End if pc + 1 == n => (Mop::Return, 1),
+            instr => (singleton(instr, labels.first[pc]), 1),
+        });
+        code.push(mop);
+        pc += len;
     }
-    mop_of[n] = code.len() as u32;
-    for (pc, instr) in body.iter().enumerate() {
-        match instr {
-            Instr::Block(_) | Instr::Loop(_) | Instr::If(_) => {
-                let end_pc = side.end_of[pc] as usize;
-                let idx = mop_of[pc] as usize;
-                // `end` is always a singleton, so the op after it is at
-                // the next micro-op index.
-                let after_end = mop_of[end_pc] + 1;
-                match &mut code[idx] {
-                    Mop::Block { after_end: t, .. } | Mop::Loop { after_end: t } => {
-                        *t = after_end;
-                    }
-                    Mop::If {
-                        after_end: t,
-                        else_skip,
-                        ..
-                    } => {
-                        *t = after_end;
-                        if side.else_of[pc] != NO_PC {
-                            // `else` is always a singleton too.
-                            *else_skip = mop_of[side.else_of[pc] as usize] + 1;
-                        }
-                    }
-                    other => unreachable!("opener lowered to {other:?}"),
-                }
-            }
-            _ => {}
-        }
-    }
+    let targets = labels
+        .targets
+        .iter()
+        .map(|t| Target {
+            pc: mop_of.get(t.pc as usize).copied().unwrap_or(NO_PC),
+            ..*t
+        })
+        .collect();
     let regions = RegionTable::build(&is_head, |pc| {
         Some((classify(&body[pc]), arith_kind(&body[pc])))
     });
@@ -1030,27 +1082,32 @@ pub(crate) fn lower(body: &[Instr], side: &SideTable, module: &Module, fuse: boo
     }
     LoweredFunc {
         code,
+        targets,
         heads,
         regions,
+        params,
+        locals,
+        result: !ty.results.is_empty(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prep::PreparedModule;
     use wb_wasm::leb128::write_u32;
-    use wb_wasm::{BlockType, Instr, MemArg};
+    use wb_wasm::{BlockType, Global, GlobalType, Instr, Limits, MemArg, MemorySpec};
 
     fn lower_body(body: Vec<Instr>) -> LoweredFunc {
         lower_body_with(body, true)
     }
 
+    /// Lower `body` as a `[] -> []` function with i32 locals 0-2, f64
+    /// local 3, a mutable i32 global and a memory; the body must validate.
     fn lower_body_with(body: Vec<Instr>, fuse: bool) -> LoweredFunc {
         let module = Module {
             functions: vec![wb_wasm::Function {
                 type_index: 0,
-                locals: vec![ValType::I32; 4],
+                locals: vec![ValType::I32, ValType::I32, ValType::I32, ValType::F64],
                 body,
                 name: None,
             }],
@@ -1058,15 +1115,31 @@ mod tests {
                 params: vec![],
                 results: vec![],
             }],
+            globals: vec![Global {
+                ty: GlobalType {
+                    ty: ValType::I32,
+                    mutable: true,
+                },
+                init: Instr::I32Const(0),
+            }],
+            memory: Some(MemorySpec {
+                limits: Limits::at_least(1),
+            }),
             ..Default::default()
         };
-        let prepared = PreparedModule::new(module);
-        lower(
-            &prepared.module.functions[0].body,
-            &prepared.side_tables[0],
-            &prepared.module,
-            fuse,
-        )
+        let heights = wb_wasm::label_heights(&module, 0).expect("test bodies validate");
+        lower(&module.functions[0], &module, &heights, fuse)
+    }
+
+    /// The target index a micro-op holds, if it branches.
+    fn target_of(mop: &Mop) -> Option<u32> {
+        use Mop::*;
+        match *mop {
+            If(t) | Else(t) | Br(t) | BrIf(t) | BrTable(t, _) => Some(t),
+            LLCmpBr { target, .. } | LCCmpBr { target, .. } | CmpBr { target, .. } => Some(target),
+            LUnBr { target, .. } | UnBr { target, .. } => Some(target),
+            _ => None,
+        }
     }
 
     /// Decode raw instruction bytes, through the real decoder, as the body
@@ -1193,7 +1266,7 @@ mod tests {
                     dst: 2,
                     op: BinOp::I32Add
                 },
-                Mop::End,
+                Mop::Return,
             ]
         );
     }
@@ -1202,22 +1275,22 @@ mod tests {
     fn fuses_counter_increment() {
         // The canonical loop-counter idiom from the MiniC backend.
         let f = lower_body(vec![
-            Instr::LocalGet(3),
+            Instr::LocalGet(2),
             Instr::I32Const(1),
             Instr::I32Add,
-            Instr::LocalSet(3),
+            Instr::LocalSet(2),
             Instr::End,
         ]);
         assert_eq!(
             f.code,
             vec![
                 Mop::LCBinSet {
-                    a: 3,
+                    a: 2,
                     c: 1,
-                    dst: 3,
+                    dst: 2,
                     op: BinOp::I32Add
                 },
-                Mop::End,
+                Mop::Return,
             ]
         );
     }
@@ -1236,19 +1309,26 @@ mod tests {
         assert_eq!(
             f.code,
             vec![
-                Mop::Block {
-                    after_end: 3,
-                    arity: 0
-                },
+                Mop::Block,
                 Mop::LLCmpBr {
                     a: 0,
                     b: 1,
                     op: BinOp::I32GeU,
-                    depth: 0
+                    target: 0
                 },
                 Mop::End,
-                Mop::End,
+                Mop::Return,
             ]
+        );
+        // Past the block's `end`, at the height of the four locals.
+        assert_eq!(
+            f.targets,
+            vec![Target {
+                pc: 3,
+                height: 4,
+                keep: 0,
+                back_edge: false
+            }]
         );
     }
 
@@ -1282,7 +1362,7 @@ mod tests {
                     kind: StoreKind::I32,
                     offset: 8
                 },
-                Mop::End,
+                Mop::Return,
             ]
         );
     }
@@ -1304,14 +1384,11 @@ mod tests {
         assert_eq!(
             f.code,
             vec![
-                Mop::Block {
-                    after_end: 5,
-                    arity: 0
-                },
+                Mop::Block,
                 Mop::LUnBr {
                     a: 0,
                     un: UnOp::I32Eqz,
-                    depth: 0
+                    target: 0
                 },
                 Mop::GlobalGet(0),
                 Mop::CBinSet {
@@ -1320,7 +1397,7 @@ mod tests {
                     op: BinOp::I32Mul
                 },
                 Mop::End,
-                Mop::End,
+                Mop::Return,
             ]
         );
     }
@@ -1330,27 +1407,103 @@ mod tests {
         let f = lower_body(vec![
             Instr::Loop(BlockType::Empty), // 0 -> mop 0
             Instr::LocalGet(0),            // 1 ┐
-            Instr::I32Eqz,                 // 2 ├ mop 1 (LUnBr)
-            Instr::BrIf(1),                // 3 ┘  (wildly typed, but shape is what matters)
-            Instr::If(BlockType::Empty),   // 4 -> mop 2 (consumes a cond in real code)
-            Instr::Nop,                    // 5 -> mop 3
-            Instr::Else,                   // 6 -> mop 4
-            Instr::Nop,                    // 7 -> mop 5
-            Instr::End,                    // 8 -> mop 6 (closes if)
-            Instr::Br(0),                  // 9 -> mop 7
-            Instr::End,                    // 10 -> mop 8 (closes loop)
-            Instr::End,                    // 11 -> mop 9
+            Instr::I32Eqz,                 // 2 ├ mop 1 (LUnBr: returns)
+            Instr::BrIf(1),                // 3 ┘
+            Instr::LocalGet(1),            // 4 -> mop 2
+            Instr::If(BlockType::Empty),   // 5 -> mop 3
+            Instr::Nop,                    // 6 -> mop 4
+            Instr::Else,                   // 7 -> mop 5
+            Instr::Nop,                    // 8 -> mop 6
+            Instr::End,                    // 9 -> mop 7 (closes if)
+            Instr::Br(0),                  // 10 -> mop 8
+            Instr::End,                    // 11 -> mop 9 (closes loop)
+            Instr::End,                    // 12 -> mop 10
         ]);
-        assert_eq!(f.code.len(), 10);
-        assert_eq!(f.code[0], Mop::Loop { after_end: 9 });
+        assert_eq!(f.code.len(), 11);
+        let targets: Vec<_> = f.code.iter().filter_map(target_of).collect();
+        assert_eq!(targets, vec![0, 1, 2, 3]);
+        assert_eq!(f.code[3], Mop::If(1));
+        assert_eq!(f.code[5], Mop::Else(2));
+        assert_eq!(f.code[10], Mop::Return, "the final end returns");
+        let to = |pc, back_edge| Target {
+            pc,
+            height: 4,
+            keep: 0,
+            back_edge,
+        };
+        let ret = Target {
+            height: 0,
+            ..to(NO_PC, false)
+        };
         assert_eq!(
-            f.code[2],
-            Mop::If {
-                after_end: 7,
-                else_skip: 5,
-                arity: 0
-            }
+            f.targets,
+            vec![ret, to(6, false), to(8, false), to(1, true)],
+            "br_if 1 names the function's label; the if skips to its else arm, \
+             the else past the end; br 0 goes back to the loop body"
         );
+    }
+
+    #[test]
+    fn branches_keep_their_values_at_the_label_height() {
+        use Instr::*;
+        let i32_block = BlockType::Value(ValType::I32);
+        let f = lower_body(vec![
+            I32Const(1),             // 0 junk below both labels
+            Block(i32_block),        // 1 label at operand height 1
+            I32Const(2),             // 2 junk inside the outer block
+            Block(BlockType::Empty), // 3 label at operand height 2
+            LocalGet(0),             // 4
+            BrTable(vec![0, 2], 0),  // 5 arms: inner block, function; default: inner
+            End,                     // 6
+            I32Const(4),             // 7
+            Br(0),                   // 8 carries one value past 9, down to height 1
+            End,                     // 9
+            Drop,                    // 10
+            Drop,                    // 11
+            End,                     // 12
+        ]);
+        let to = |pc, height: u32, keep| Target {
+            pc,
+            height: 4 + height,
+            keep,
+            back_edge: false,
+        };
+        let ret = Target {
+            height: 0,
+            ..to(NO_PC, 0, 0)
+        };
+        // Nothing here fuses, so micro-op indices are source pcs.
+        assert_eq!(f.code[5], Mop::BrTable(0, 2));
+        assert_eq!(f.code[8], Mop::Br(3));
+        assert_eq!(f.targets, vec![to(7, 2, 0), ret, to(7, 2, 0), to(10, 1, 1)]);
+    }
+
+    #[test]
+    fn else_binds_to_the_innermost_if() {
+        use Instr::*;
+        let body = vec![
+            If(BlockType::Empty), // 0
+            If(BlockType::Empty), // 1
+            Else,                 // 2 -> if@1
+            End,                  // 3
+            Else,                 // 4 -> if@0
+            End,                  // 5
+            End,                  // 6
+        ];
+        let labels = resolve_labels(&body, &[0; 7], 0, 0);
+        let pcs: Vec<u32> = labels.targets.iter().map(|t| t.pc).collect();
+        // if@0 -> 5, if@1 -> 3, else@2 -> 4, else@4 -> 6.
+        assert_eq!(pcs, vec![5, 3, 4, 6]);
+        assert_eq!(labels.first, vec![0, 1, 2, NO_PC, 3, NO_PC, NO_PC]);
+    }
+
+    #[test]
+    fn branch_micro_ops_stay_the_size_of_the_largest_op() {
+        // A branch holds an index into its function's target table, so
+        // resolving branches makes no micro-op bigger; lowered code lives
+        // as long as its cached artifact.
+        assert_eq!(std::mem::size_of::<Mop>(), 24);
+        assert_eq!(std::mem::size_of::<Target>(), 12);
     }
 
     #[test]
@@ -1367,14 +1520,11 @@ mod tests {
         assert_eq!(
             f.code,
             vec![
-                Mop::Block {
-                    after_end: 3,
-                    arity: 1
-                },
+                Mop::Block,
                 Mop::LocalGet(0),
                 Mop::End,
                 Mop::LocalSet(1),
-                Mop::End,
+                Mop::Return,
             ]
         );
     }
@@ -1412,65 +1562,85 @@ mod tests {
             Nop,                     // 24
             End,                     // 25
         ];
+        // The matching `end` (or `else`) of the opener at `pc`.
+        let close = |pc: usize, want_else: bool| {
+            let mut depth = 0;
+            (pc..body.len()).find(|&k| {
+                match body[k] {
+                    Block(_) | Loop(_) | If(_) => depth += 1,
+                    End => depth -= 1,
+                    Else if want_else && depth == 1 => return true,
+                    _ => {}
+                }
+                depth == 0 && !want_else
+            })
+        };
         for fuse in [true, false] {
             let f = lower_body_with(body.clone(), fuse);
             let head = |pc: usize| f.heads.get(pc).is_some_and(|&r| r != NO_PC);
-            // Follow the structured control the way `take_branch` does.
-            let mut ctrl: Vec<(usize, usize, bool)> = Vec::new(); // (restart, after_end, loop)
-            let target = |ctrl: &Vec<(usize, usize, bool)>, d: u32| {
-                let (restart, after_end, is_loop) = ctrl[ctrl.len() - 1 - d as usize];
-                if is_loop {
-                    restart
-                } else {
-                    after_end
-                }
-            };
-            for (pc, mop) in f.code.iter().enumerate() {
-                let mut targets = Vec::new();
-                let mut exits = false;
-                match mop {
-                    Mop::Block { after_end, .. } => ctrl.push((0, *after_end as usize, false)),
-                    Mop::Loop { after_end } => ctrl.push((pc + 1, *after_end as usize, true)),
-                    Mop::If {
-                        after_end,
-                        else_skip,
-                        ..
-                    } => {
-                        ctrl.push((0, *after_end as usize, false));
-                        targets.push(match *else_skip {
-                            NO_PC => *after_end as usize,
-                            e => e as usize,
-                        });
-                        exits = true;
+            // The micro-op at each source pc that starts one.
+            let mut mop_at = vec![NO_PC; body.len()];
+            let mut at = 0;
+            for (i, m) in f.code.iter().enumerate() {
+                mop_at[at] = i as u32;
+                at += m.width();
+            }
+            // Follow the structured control over the source, apart from
+            // `resolve_labels`: the expected micro-op targets of each
+            // branch instruction (NO_PC: it returns).
+            let mut labels: Vec<usize> = Vec::new();
+            let mut expected: Vec<(usize, Vec<u32>)> = Vec::new();
+            for (pc, instr) in body.iter().enumerate() {
+                let past_end = |opener: usize| mop_at[close(opener, false).unwrap() + 1];
+                let to = |labels: &[usize], d: u32| match labels.len().checked_sub(1 + d as usize) {
+                    None => NO_PC,
+                    Some(i) if matches!(body[labels[i]], Loop(_)) => mop_at[labels[i] + 1],
+                    Some(i) => past_end(labels[i]),
+                };
+                let targets = match instr {
+                    If(_) => vec![match close(pc, true) {
+                        Some(e) => mop_at[e + 1],
+                        None => past_end(pc),
+                    }],
+                    Else => vec![past_end(*labels.last().unwrap())],
+                    Br(d) | BrIf(d) => vec![to(&labels, *d)],
+                    BrTable(ds, d) => ds.iter().chain([d]).map(|d| to(&labels, *d)).collect(),
+                    _ => vec![],
+                };
+                match instr {
+                    Block(_) | Loop(_) | If(_) => labels.push(pc),
+                    End => {
+                        labels.pop();
                     }
-                    Mop::Else => {
-                        targets.push(ctrl.last().unwrap().1);
-                        exits = true;
-                    }
-                    Mop::End => {
-                        ctrl.pop();
-                    }
-                    Mop::Br(d) | Mop::BrIf(d) | Mop::LLCmpBr { depth: d, .. } => {
-                        targets.push(target(&ctrl, *d));
-                        exits = true;
-                    }
-                    Mop::BrTable(ds, default) => {
-                        targets.extend(ds.iter().chain([default]).map(|d| target(&ctrl, *d)));
-                        exits = true;
-                    }
-                    Mop::Call(_) | Mop::Return => exits = true,
                     _ => {}
                 }
-                for t in targets {
+                expected.push((pc, targets));
+            }
+            let mut at = 0;
+            for (i, mop) in f.code.iter().enumerate() {
+                at += mop.width();
+                let (last, want) = &expected[at - 1];
+                let got: Vec<u32> = match (mop, target_of(mop)) {
+                    (Mop::BrTable(_, arms), Some(t)) => {
+                        (t..=t + arms).map(|t| f.targets[t as usize].pc).collect()
+                    }
+                    (_, Some(t)) => vec![f.targets[t as usize].pc],
+                    (_, None) => vec![],
+                };
+                assert_eq!(&got, want, "fuse={fuse}: targets of {i} ({mop:?})");
+                for &t in &got {
                     assert!(
-                        head(t),
-                        "fuse={fuse}: target {t} of {pc} ({mop:?}) heads no region"
+                        t == NO_PC || head(t as usize),
+                        "fuse={fuse}: target {t} of {i} ({mop:?}) heads no region"
                     );
                 }
-                if exits {
+                if matches!(
+                    body[*last],
+                    If(_) | Else | Br(_) | BrIf(_) | BrTable(..) | Return | Call(_)
+                ) {
                     assert!(
-                        head(pc + 1),
-                        "fuse={fuse}: {pc} ({mop:?}) does not end a region"
+                        head(i + 1),
+                        "fuse={fuse}: {i} ({mop:?}) does not end a region"
                     );
                 }
             }
@@ -1498,9 +1668,10 @@ mod tests {
             Instr::I32Const(1),
             Instr::I32Add,
             Instr::LocalSet(2),
-            Instr::LocalGet(0),
+            Instr::LocalGet(3),
             Instr::F64Const(1.5),
             Instr::F64Mul,
+            Instr::Drop,
             Instr::End,
             Instr::End,
         ];

@@ -1,25 +1,28 @@
-//! The call path and hotness state: the call sequence into the one
-//! dispatch loop in `exec.rs`, host-function crossings, hotness bands,
-//! and the numeric helpers (Wasm `min`/`max`, trapping float-to-int
-//! truncation) behind the lifted operators in `fuse.rs`.
+//! The call path and hotness state: the one call sequence into the
+//! dispatch loop in `exec.rs` (arguments stay on the instance's value
+//! stack, where the callee's frame starts), host-function crossings (the
+//! only calls that convert bits to [`Value`]s), hotness bands, and the
+//! numeric helpers (Wasm `min`/`max`, trapping float-to-int truncation)
+//! behind the lifted operators in `fuse.rs`.
 
 use crate::engine::{HostCtx, Instance};
+use crate::fuse::{bits_to_value, value_bits};
 use crate::trap::Trap;
 use crate::value::Value;
 use wb_env::Charge;
 
 impl Instance {
-    /// Execute defined-or-imported function `func_index` with `args`. A
-    /// defined function runs in `run_body` over its fused micro-op stream,
-    /// or over its unfused one under `reference_exec`; both enter the same
-    /// regions (see `exec.rs`). An import runs its host function, resolved
-    /// at instantiation.
+    /// Call defined-or-imported function `func_index` with its arguments
+    /// on top of `stack`, leaving its result, if any, in their place. A
+    /// defined function runs in `run_body`, in a frame over those
+    /// arguments; an import runs its host function, resolved at
+    /// instantiation.
     pub(crate) fn call_function(
         &mut self,
         func_index: u32,
-        args: Vec<Value>,
+        stack: &mut Vec<u64>,
         depth: usize,
-    ) -> Result<Option<Value>, Trap> {
+    ) -> Result<(), Trap> {
         if depth >= self.config.limits.max_call_depth {
             return Err(Trap::StackOverflow);
         }
@@ -30,7 +33,7 @@ impl Instance {
             if self.steps > self.config.limits.fuel_budget() {
                 return Err(Trap::StepBudgetExhausted);
             }
-            return self.call_host(func_index, &args);
+            return self.call_host(func_index, stack);
         }
         let def_index = func_index as usize - import_count;
 
@@ -38,7 +41,7 @@ impl Instance {
         // interrupt in V8/SpiderMonkey).
         self.note_hotness(def_index, 1);
 
-        self.run_body(def_index, args, depth)
+        self.run_body(def_index, stack, depth)
     }
 
     /// Bump a function's hotness; when it reaches the next boundary of
@@ -64,7 +67,21 @@ impl Instance {
         }
     }
 
-    fn call_host(&mut self, import_index: u32, args: &[Value]) -> Result<Option<Value>, Trap> {
+    /// Call import `import_index` with its arguments on top of `stack`:
+    /// the one place inside a run where bits become [`Value`]s and back.
+    fn call_host(&mut self, import_index: u32, stack: &mut Vec<u64>) -> Result<(), Trap> {
+        let ty = self
+            .prepared
+            .module
+            .func_type(import_index)
+            .expect("validated: import type");
+        let base = stack.len() - ty.params.len();
+        let args: Vec<Value> = ty
+            .params
+            .iter()
+            .zip(stack.drain(base..))
+            .map(|(t, bits)| bits_to_value(*t, bits))
+            .collect();
         // Each host call crosses the boundary twice (out and back).
         self.cross_boundary();
         let slot = self.host_slots[import_index as usize];
@@ -78,9 +95,10 @@ impl Instance {
             memory: self.memory.as_mut(),
             output: &mut self.output,
         };
-        let result = f(&mut ctx, args);
+        let result = f(&mut ctx, &args);
         self.cross_boundary();
-        result
+        stack.extend(result?.map(value_bits));
+        Ok(())
     }
 }
 

@@ -42,6 +42,6 @@ pub use engine::{
     ExecutionRecord, ExecutionReport, HostCtx, HostFn, Instance, MemoryStats, WasmExecProjection,
     WasmVmConfig,
 };
-pub use prep::{PreparedModule, SideTable, NO_PC};
+pub use prep::PreparedModule;
 pub use trap::Trap;
 pub use value::Value;

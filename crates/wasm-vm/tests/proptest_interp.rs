@@ -1,11 +1,16 @@
 //! Randomized (deterministic, LCG-seeded) tests for the Wasm
-//! interpreter: randomly generated straight-line i32 arithmetic agrees
-//! with a Rust reference model, and accounting invariants hold on every
-//! run. Each case prints its seed on failure.
+//! interpreter: randomly generated i32 arithmetic, wrapped in random
+//! value-preserving control (blocks left by `br`, `br_if` or `br_table`
+//! over junk operands, a branch out of two blocks, `if`/`else`, a
+//! top-level `br 0`), agrees with a Rust reference model with fusion on
+//! and off, and accounting invariants hold on every run. The expected
+//! value is a literal, not the other fusion setting's result: both read
+//! the same resolved branch targets, so only a literal catches a wrong
+//! label height. Each case prints its seed on failure.
 
 use std::collections::HashMap;
 use wb_env::rng::Lcg;
-use wb_wasm::{Instr, ModuleBuilder, ValType};
+use wb_wasm::{BlockType, Instr, ModuleBuilder, ValType};
 use wb_wasm_vm::{Instance, Value, WasmVmConfig};
 
 /// A random stack program over two i32 params that is valid by
@@ -117,6 +122,77 @@ fn realize(ops: &[StackOp], p0: i32, p1: i32) -> (Vec<Instr>, i32) {
     (body, stack[0])
 }
 
+/// Wrap `body`, which leaves one i32 on the stack, in one random control
+/// shape that leaves the same value. Junk operands sit below each label
+/// and inside it, so a branch that keeps the wrong value or cuts the
+/// stack at the wrong height changes the result.
+fn wrap(rng: &mut Lcg, body: Vec<Instr>) -> Vec<Instr> {
+    use Instr::*;
+    let i32_block = || Block(BlockType::Value(ValType::I32));
+    let (below, inside) = (rng.next_i32(), rng.next_i32());
+    let mut out = vec![I32Const(below)];
+    match rng.index(6) {
+        // block (result i32), left by `br 0`.
+        0 => {
+            out.extend([i32_block(), I32Const(inside)]);
+            out.extend(body);
+            out.extend([Br(0), End]);
+        }
+        // ... by a taken `br_if 0` (a fused compare-and-branch when
+        // fusion is on); not taken, the block would yield the junk.
+        1 => {
+            let k = rng.next_i32();
+            out.extend([i32_block(), I32Const(inside)]);
+            out.extend(body);
+            out.extend([
+                I32Const(k),
+                I32Const(k.wrapping_add(1)),
+                I32Ne,
+                BrIf(0),
+                Drop,
+                End,
+            ]);
+        }
+        // ... by a `br_table` whose arms and default all name it.
+        2 => {
+            let arms = rng.index(3);
+            out.extend([i32_block(), I32Const(inside)]);
+            out.extend(body);
+            out.extend([
+                I32Const(rng.index(5) as i32),
+                BrTable(vec![0; arms], 0),
+                End,
+            ]);
+        }
+        // A branch out of two nested blocks, past the inner one's end.
+        3 => {
+            out.extend([i32_block(), I32Const(inside), Block(BlockType::Empty)]);
+            out.push(I32Const(rng.next_i32()));
+            out.extend(body);
+            out.extend([Br(1), End, Drop, I32Const(rng.next_i32()), End]);
+        }
+        // if/else with a result, the value in either arm.
+        _ => {
+            let junk = I32Const(inside);
+            if rng.index(2) == 0 {
+                out.extend([
+                    I32Const(1 + rng.index(9) as i32),
+                    If(BlockType::Value(ValType::I32)),
+                ]);
+                out.extend(body);
+                out.extend([Else, junk, End]);
+            } else {
+                out.extend([I32Const(0), If(BlockType::Value(ValType::I32)), junk, Else]);
+                out.extend(body);
+                out.push(End);
+            }
+        }
+    }
+    // Take the junk below back out: below ^ (below ^ value).
+    out.extend([I32Xor, I32Const(below), I32Xor]);
+    out
+}
+
 #[test]
 fn random_arithmetic_matches_reference() {
     for seed in 0..256 {
@@ -126,6 +202,13 @@ fn random_arithmetic_matches_reference() {
         let p0 = rng.next_i32();
         let p1 = rng.next_i32();
         let (mut body, expected) = realize(&ops, p0, p1);
+        for _ in 0..rng.index(4) {
+            body = wrap(&mut rng, body);
+        }
+        if rng.index(2) == 0 {
+            // A top-level `br 0` returns through the function's label.
+            body.extend([Instr::I32Const(rng.next_i32()), Instr::Drop, Instr::Br(0)]);
+        }
         body.push(Instr::End);
         let mut mb = ModuleBuilder::new();
         let mut f = mb.func("f", vec![ValType::I32, ValType::I32], vec![ValType::I32]);
@@ -135,18 +218,25 @@ fn random_arithmetic_matches_reference() {
         wb_wasm::validate(&module).expect("constructed module validates");
         // Round-trip through the binary codec before running.
         let bytes = wb_wasm::encode_module(&module);
-        let mut inst = Instance::instantiate(&bytes, WasmVmConfig::reference(), HashMap::new())
-            .expect("instantiates");
-        let r = inst
-            .invoke("f", &[Value::I32(p0), Value::I32(p1)])
-            .expect("runs");
-        assert_eq!(r, Some(Value::I32(expected)), "seed {seed}");
+        for reference_exec in [false, true] {
+            let config = WasmVmConfig {
+                reference_exec,
+                ..WasmVmConfig::reference()
+            };
+            let mut inst =
+                Instance::instantiate(&bytes, config, HashMap::new()).expect("instantiates");
+            let r = inst
+                .invoke("f", &[Value::I32(p0), Value::I32(p1)])
+                .expect("runs");
+            let case = format!("seed {seed}, reference_exec={reference_exec}");
+            assert_eq!(r, Some(Value::I32(expected)), "{case}");
 
-        // Accounting invariants.
-        let report = inst.report();
-        assert!(report.total.0 > 0.0, "seed {seed}");
-        assert!(report.counts.total() > 0, "seed {seed}");
-        assert_eq!(report.context_switches, 2, "seed {seed}"); // one invoke
+            // Accounting invariants.
+            let report = inst.report();
+            assert!(report.total.0 > 0.0, "{case}");
+            assert!(report.counts.total() > 0, "{case}");
+            assert_eq!(report.context_switches, 2, "{case}"); // one invoke
+        }
     }
 }
 

@@ -455,3 +455,162 @@ fn clock_buckets_are_disjoint_and_sum() {
     assert!((parts.0 - r.total.0).abs() < 1e-6);
     let _ = TimeBucket::Exec; // bucket type is part of the public API
 }
+
+#[test]
+fn branches_to_the_function_label_return() {
+    // The function's own label is the outermost one: a branch to it
+    // returns, carrying the result if the function has one. Each valued
+    // function leaves junk below its result, and a caller leaves some
+    // below its call, so a wrong frame height shows in the sums.
+    use Instr::*;
+    let i32x2 = || vec![ValType::I32, ValType::I32];
+    let mut mb = ModuleBuilder::new();
+    let g = mb.global(ValType::I32, true, I32Const(-1));
+    let valued: [(&str, Vec<Instr>); 4] = [
+        // Returns 7.
+        ("br", vec![I32Const(99), I32Const(7), Br(0)]),
+        // Returns 1 when p != 0, else 2.
+        (
+            "br_if",
+            vec![I32Const(1), LocalGet(0), BrIf(0), Drop, I32Const(2)],
+        ),
+        // Returns 5 when p == 0 (arm 0 names the function), else 6.
+        (
+            "br_table",
+            vec![
+                Block(BlockType::Value(ValType::I32)),
+                I32Const(5),
+                LocalGet(0),
+                BrTable(vec![1], 0),
+                End,
+                I32Const(1),
+                I32Add,
+            ],
+        ),
+        // Returns 3 when p < q (one fused `LLCmpBr`), else 4.
+        (
+            "cmp_br",
+            vec![
+                I32Const(3),
+                LocalGet(0),
+                LocalGet(1),
+                I32LtS,
+                BrIf(0),
+                Drop,
+                I32Const(4),
+            ],
+        ),
+    ];
+    let void: [(&str, Vec<Instr>); 4] = [
+        // Sets g to p.
+        (
+            "br_void",
+            vec![LocalGet(0), GlobalSet(g), Br(0), I32Const(9), GlobalSet(g)],
+        ),
+        // Sets g to 1 when p != 0, else 2.
+        (
+            "br_if_void",
+            vec![
+                I32Const(1),
+                GlobalSet(g),
+                LocalGet(0),
+                BrIf(0),
+                I32Const(2),
+                GlobalSet(g),
+            ],
+        ),
+        // Sets g to 0 when p == 0, else 3.
+        (
+            "br_table_void",
+            vec![
+                I32Const(0),
+                GlobalSet(g),
+                Block(BlockType::Empty),
+                LocalGet(0),
+                BrTable(vec![1], 0),
+                End,
+                I32Const(3),
+                GlobalSet(g),
+            ],
+        ),
+        // Sets g to 0 when p < q, else 4.
+        (
+            "cmp_br_void",
+            vec![
+                I32Const(0),
+                GlobalSet(g),
+                LocalGet(0),
+                LocalGet(1),
+                I32LtS,
+                BrIf(0),
+                I32Const(4),
+                GlobalSet(g),
+            ],
+        ),
+    ];
+    for (name, body) in &valued {
+        let mut f = mb.func(name, i32x2(), vec![ValType::I32]);
+        f.ops(body.clone()).done();
+        let index = mb.finish_func(f, true);
+        // 1000 + name(p, q), with 1000 left below the call.
+        let mut f = mb.func(&format!("call_{name}"), i32x2(), vec![ValType::I32]);
+        f.ops([
+            I32Const(1000),
+            LocalGet(0),
+            LocalGet(1),
+            Call(index),
+            I32Add,
+        ])
+        .done();
+        mb.finish_func(f, true);
+    }
+    for (name, body) in &void {
+        let mut f = mb.func(name, i32x2(), vec![]);
+        f.ops(body.clone()).done();
+        mb.finish_func(f, true);
+    }
+    let mut module = mb.build();
+    module.exports.push(wb_wasm::Export {
+        name: "g".into(),
+        kind: wb_wasm::ExportKind::Global(g),
+    });
+    wb_wasm::validate(&module).expect("test module must validate");
+    let cases: [(&str, i32, i32, i32); 16] = [
+        ("br", 0, 0, 7),
+        ("br", 1, 0, 7),
+        ("br_if", 1, 0, 1),
+        ("br_if", 0, 0, 2),
+        ("br_table", 0, 0, 5),
+        ("br_table", 1, 0, 6),
+        ("cmp_br", 1, 2, 3),
+        ("cmp_br", 2, 1, 4),
+        ("br_void", 42, 0, 42),
+        ("br_void", -3, 0, -3),
+        ("br_if_void", 1, 0, 1),
+        ("br_if_void", 0, 0, 2),
+        ("br_table_void", 0, 0, 0),
+        ("br_table_void", 5, 0, 3),
+        ("cmp_br_void", 1, 2, 0),
+        ("cmp_br_void", 2, 1, 4),
+    ];
+    for reference_exec in [false, true] {
+        let config = WasmVmConfig {
+            reference_exec,
+            ..WasmVmConfig::reference()
+        };
+        let mut inst = Instance::from_module(module.clone(), config, HashMap::new()).unwrap();
+        for (name, p, q, want) in cases {
+            let args = [Value::I32(p), Value::I32(q)];
+            let r = inst.invoke(name, &args).unwrap();
+            let case = format!("{name}({p}, {q}), reference_exec={reference_exec}");
+            if name.ends_with("_void") {
+                assert_eq!(r, None, "{case}");
+                assert_eq!(inst.exported_global("g"), Some(Value::I32(want)), "{case}");
+            } else {
+                assert_eq!(r, Some(Value::I32(want)), "{case}");
+                let r = inst.invoke(&format!("call_{name}"), &args).unwrap();
+                assert_eq!(r, Some(Value::I32(1000 + want)), "call_{case}");
+            }
+        }
+    }
+}

@@ -168,9 +168,11 @@ impl FuncBuilder {
         self
     }
 
-    /// Close the body with `end` (idempotent if already closed).
+    /// Close the body with `end` (idempotent if already closed: the body
+    /// has one more `end` than block openers, for the function's own
+    /// frame).
     pub fn done(&mut self) -> &mut Self {
-        if self.body.last() != Some(&Instr::End) || self.open_frames() > 0 {
+        if self.open_frames() >= 0 {
             self.body.push(Instr::End);
         }
         self
@@ -192,7 +194,7 @@ impl FuncBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{decode_module, encode_module, validate};
+    use crate::{decode_module, encode_module, validate, BlockType};
 
     #[test]
     fn builds_a_valid_counting_module() {
@@ -253,5 +255,18 @@ mod tests {
             mb.build()
         };
         assert_eq!(m.functions[0].body, vec![Instr::Nop, Instr::End]);
+    }
+
+    #[test]
+    fn done_closes_a_body_whose_last_end_closes_a_block() {
+        let mut mb = ModuleBuilder::new();
+        let mut f = mb.func("spin", vec![], vec![]);
+        f.ops([Instr::Loop(BlockType::Empty), Instr::Br(0), Instr::End])
+            .done()
+            .done();
+        mb.finish_func(f, false);
+        let m = mb.build();
+        assert_eq!(m.functions[0].body.len(), 4);
+        validate(&m).unwrap();
     }
 }

@@ -91,11 +91,31 @@ pub fn validate(module: &Module) -> Result<(), ValidationError> {
     }
 
     // --- function bodies -------------------------------------------------
-    for (fi, f) in module.functions.iter().enumerate() {
-        let ty = &module.types[f.type_index as usize];
-        FuncValidator::new(module, fi, ty, &f.locals).run(&f.body)?;
+    for def_index in 0..module.functions.len() {
+        label_heights(module, def_index)?;
     }
     Ok(())
+}
+
+/// Type-check the body of defined function `def_index` (spec §3.3) and
+/// return, per instruction, the operand-stack height at the label a
+/// `block`, `loop` or `if` there opens, after an `if` pops its condition
+/// (0 at every other instruction). A branch to that label leaves the
+/// stack at this height plus the values the label carries.
+pub fn label_heights(module: &Module, def_index: usize) -> Result<Vec<u32>, ValidationError> {
+    let f = module
+        .functions
+        .get(def_index)
+        .ok_or(ValidationError::BadFuncIndex {
+            index: (module.imports.len() + def_index) as u32,
+        })?;
+    let ty = module
+        .types
+        .get(f.type_index as usize)
+        .ok_or(ValidationError::BadTypeIndex {
+            index: f.type_index,
+        })?;
+    FuncValidator::new(module, def_index, ty, &f.locals).run(&f.body)
 }
 
 /// `None` represents the unknown (bottom) type on a polymorphic stack.
@@ -268,7 +288,7 @@ impl<'m> FuncValidator<'m> {
         Ok(())
     }
 
-    fn run(mut self, body: &[Instr]) -> Result<(), ValidationError> {
+    fn run(mut self, body: &[Instr]) -> Result<Vec<u32>, ValidationError> {
         // Implicit function frame.
         self.frames.push(Frame {
             end_types: self.results.clone(),
@@ -278,9 +298,15 @@ impl<'m> FuncValidator<'m> {
             is_if: false,
         });
 
+        let mut heights = vec![0; body.len()];
         for (pc, instr) in body.iter().enumerate() {
             self.step(instr)
                 .map_err(|e| e.in_function(self.func_index, pc))?;
+            if let (Instr::Block(_) | Instr::Loop(_) | Instr::If(_), Some(frame)) =
+                (instr, self.frames.last())
+            {
+                heights[pc] = frame.height as u32;
+            }
         }
 
         if !self.frames.is_empty() {
@@ -289,7 +315,7 @@ impl<'m> FuncValidator<'m> {
             }
             .in_function(self.func_index, body.len()));
         }
-        Ok(())
+        Ok(heights)
     }
 
     fn step(&mut self, instr: &Instr) -> Result<(), ValidationError> {
@@ -846,6 +872,35 @@ mod tests {
         // A pop with no frames must error, not panic.
         let m = module_with_body(vec![], vec![], vec![Instr::End, Instr::Drop]);
         assert!(validate(&m).is_err());
+    }
+
+    #[test]
+    fn label_heights_are_the_operand_heights_at_each_opener() {
+        use Instr::*;
+        let m = module_with_body(
+            vec![ValType::I32],
+            vec![],
+            vec![
+                I32Const(1),             // 0
+                Block(BlockType::Empty), // 1 above the 1
+                I32Const(2),             // 2
+                LocalGet(0),             // 3
+                If(BlockType::Empty),    // 4 above the 1 and 2, its condition popped
+                Loop(BlockType::Empty),  // 5
+                End,                     // 6
+                End,                     // 7
+                Drop,                    // 8
+                End,                     // 9
+                Drop,                    // 10
+                End,                     // 11
+            ],
+        );
+        let heights = label_heights(&m, 0).unwrap();
+        assert_eq!(heights, vec![0, 1, 0, 0, 2, 2, 0, 0, 0, 0, 0, 0]);
+        assert!(matches!(
+            label_heights(&m, 1),
+            Err(ValidationError::BadFuncIndex { index: 1 })
+        ));
     }
 
     #[test]

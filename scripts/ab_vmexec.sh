@@ -2,7 +2,9 @@
 # Two-build A/B of VM execution speed: run the `selfbench --vmexec-only`
 # probe from a parent build and a change build, alternating which goes
 # first, N times, and print per VM the paired ratios (change / parent of
-# the median fusion-on round wall time) and how many pairs the change won.
+# the median fusion-on round wall time) and how many pairs the change won;
+# then the same per kernel, from each probe's BENCH_vmexec.json, with the
+# call-heavy CHStone kernels (AES, BLOWFISH, SHA, MIPS) listed apart.
 #
 #   scripts/ab_vmexec.sh <parent selfbench> <change selfbench> [pairs]
 #
@@ -23,6 +25,8 @@ work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
 # Median fusion-on round wall time of one probe run, per VM: "wasm js".
+# Its per-kernel medians go to $work/kernels as "<pair> <p|c> <vm>
+# <kernel>@<size> <seconds>" lines.
 probe() {
     "$1" --vmexec-only --out "$work" 2>&1 |
         awk '/^\[vmexec\] (wasm|js):/ {
@@ -30,16 +34,24 @@ probe() {
                  for (i = 1; i <= NF; i++) if ($i == "median") { t[vm] = $(i + 1); break }
              }
              END { print t["wasm"], t["js"] }'
+    awk -v tag="$2" '
+        /"vm": "/ { vm = $0; sub(/.*"vm": "/, "", vm); sub(/".*/, "", vm) }
+        /"kernel": "/ {
+            k = $0; sub(/.*"kernel": "/, "", k); sub(/".*/, "", k)
+            s = $0; sub(/.*"size": "/, "", s); sub(/".*/, "", s)
+            t = $0; sub(/.*"fused_wall_s_q1_median_q3": \[/, "", t); split(t, q, /, */)
+            print tag, vm, k "@" s, q[2]
+        }' "$work/BENCH_vmexec.json" >>"$work/kernels"
 }
 
 declare -a wasm_ratios js_ratios
 for ((i = 0; i < pairs; i++)); do
     if ((i % 2 == 0)); then
-        read -r pw pj < <(probe "$parent")
-        read -r cw cj < <(probe "$change")
+        read -r pw pj < <(probe "$parent" "$i p")
+        read -r cw cj < <(probe "$change" "$i c")
     else
-        read -r cw cj < <(probe "$change")
-        read -r pw pj < <(probe "$parent")
+        read -r cw cj < <(probe "$change" "$i c")
+        read -r pw pj < <(probe "$parent" "$i p")
     fi
     wasm_ratios+=("$(awk -v c="$cw" -v p="$pw" 'BEGIN { printf "%.4f", c / p }')")
     js_ratios+=("$(awk -v c="$cj" -v p="$pj" 'BEGIN { printf "%.4f", c / p }')")
@@ -59,3 +71,25 @@ summary() {
 }
 summary wasm "${wasm_ratios[@]}"
 summary js "${js_ratios[@]}"
+
+# Per kernel: the paired ratios of its fusion-on median, grouped per VM
+# into the call-heavy CHStone kernels and the rest.
+awk '
+    { t[$3 " " $4, $1, $2] = $5; key[$3 " " $4] = 1 }
+    END {
+        for (k in key) {
+            m = 0; won = 0
+            for (i = 0; (k, i, "p") in t || (k, i, "c") in t; i++) {
+                if (!((k, i, "p") in t) || !((k, i, "c") in t) || t[k, i, "p"] <= 0) continue
+                r[++m] = t[k, i, "c"] / t[k, i, "p"]
+                if (r[m] < 1) won++
+            }
+            if (m == 0) continue
+            for (a = 2; a <= m; a++) for (b = a; b > 1 && r[b - 1] > r[b]; b--) { x = r[b]; r[b] = r[b - 1]; r[b - 1] = x }
+            med = (m % 2) ? r[(m + 1) / 2] : (r[m / 2] + r[m / 2 + 1]) / 2
+            split(k, f, " "); name = f[2]; sub(/@.*/, "", name)
+            group = (name ~ /^(AES|BLOWFISH|SHA|MIPS)$/) ? "call-heavy" : "other"
+            printf "%s %s %s: median change/parent %.4f (%+.1f%%), change won %d of %d pairs\n",
+                f[1], group, f[2], med, (med - 1) * 100, won, m
+        }
+    }' "$work/kernels" | sort
