@@ -397,9 +397,6 @@ fn wasm_artifact(
         let module = wb_wasm::decode_module(&bytes).map_err(|e| Trap::Host {
             message: format!("decode failed: {e}"),
         })?;
-        wb_wasm::validate(&module).map_err(|e| Trap::Host {
-            message: format!("validation failed: {e}"),
-        })?;
         Ok(CachedWasm {
             bytes,
             strings: out.strings,

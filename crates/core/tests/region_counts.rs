@@ -154,51 +154,60 @@ fn every_kernel_folds_its_regions_into_the_per_op_counts() {
 
 /// A trap inside a region charges the region up to and including the
 /// trapping op, as per-op counting would, with fusion on and off: the
-/// Wasm division and the JS unbound global below each sit in the middle
-/// of their function's only region.
+/// Wasm divisions and the JS unbound global below each sit in the middle
+/// of their function's only region. The second division follows a
+/// `block`, which leaves the micro-op stream but not the region, so the
+/// settled prefix counts it.
 #[test]
 fn a_trap_charges_its_region_through_the_trapping_op() {
-    use wb_env::OpClass;
-    use wb_wasm::{Instr, ModuleBuilder, ValType};
+    use wb_env::OpClass::{Const, IntDiv, Local, Other};
+    use wb_wasm::{BlockType, Instr::*, ModuleBuilder, ValType};
 
-    for reference_exec in [false, true] {
-        let mut mb = ModuleBuilder::new();
-        let mut f = mb.func("div", vec![ValType::I32], vec![]);
-        f.ops([
-            Instr::LocalGet(0),
-            Instr::I32Const(0),
-            Instr::I32DivS,
-            Instr::LocalSet(0),
-            Instr::I32Const(1),
-            Instr::I32Const(2),
-            Instr::I32Add,
-            Instr::Drop,
-        ])
-        .done();
-        mb.finish_func(f, true);
-        let mut config = WasmVmConfig::reference();
-        config.reference_exec = reference_exec;
-        let mut inst =
-            Instance::from_module(mb.build(), config, std::collections::HashMap::new()).unwrap();
-        assert_eq!(
-            inst.invoke("div", &[wb_wasm_vm::Value::I32(7)]),
-            Err(wb_wasm_vm::Trap::DivByZero)
-        );
-        let record = inst.record();
-        let mut want = OpCounts::new();
-        want.bump(OpClass::Local, 1);
-        want.bump(OpClass::Const, 1);
-        want.bump(OpClass::IntDiv, 1);
-        assert_eq!(
-            record.band_counts.total(),
-            want,
-            "reference_exec={reference_exec}"
-        );
-        assert_eq!(
-            (record.arith.div, record.arith.total()),
-            (1, 1),
-            "reference_exec={reference_exec}"
-        );
+    let divide = [LocalGet(0), I32Const(0), I32DivS, LocalSet(0)];
+    let tail = [I32Const(1), I32Const(2), I32Add, Drop];
+    let cases = [
+        (
+            "div",
+            [&divide[..], &tail].concat(),
+            vec![(Local, 1), (Const, 1), (IntDiv, 1)],
+        ),
+        (
+            "div_in_block",
+            [
+                &[I32Const(1), Drop, Block(BlockType::Empty)][..],
+                &divide,
+                &[End],
+                &tail,
+            ]
+            .concat(),
+            vec![(Const, 2), (Other, 2), (Local, 1), (IntDiv, 1)],
+        ),
+    ];
+    for (name, body, charged) in cases {
+        for reference_exec in [false, true] {
+            let what = format!("{name}, reference_exec={reference_exec}");
+            let mut mb = ModuleBuilder::new();
+            let mut f = mb.func(name, vec![ValType::I32], vec![]);
+            f.ops(body.clone()).done();
+            mb.finish_func(f, true);
+            let mut config = WasmVmConfig::reference();
+            config.reference_exec = reference_exec;
+            let mut inst =
+                Instance::from_module(mb.build(), config, std::collections::HashMap::new())
+                    .unwrap();
+            assert_eq!(
+                inst.invoke(name, &[wb_wasm_vm::Value::I32(7)]),
+                Err(wb_wasm_vm::Trap::DivByZero),
+                "{what}"
+            );
+            let record = inst.record();
+            let mut want = OpCounts::new();
+            for &(class, n) in &charged {
+                want.bump(class, n);
+            }
+            assert_eq!(record.band_counts.total(), want, "{what}");
+            assert_eq!((record.arith.div, record.arith.total()), (1, 1), "{what}");
+        }
     }
 
     let src = "function f(a) { var s = a + 1; var t = s * 2; var u = missing; return t + u; }";

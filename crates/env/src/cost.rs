@@ -73,17 +73,6 @@ impl OpClass {
         OpClass::Other,
     ];
 
-    /// Recover a class from its index (`class as usize`). Lets packed
-    /// accounting tables (e.g. a fused interpreter's per-micro-op
-    /// constituent lists) store a class in one byte.
-    ///
-    /// # Panics
-    /// Panics if `index >= OP_CLASS_COUNT`.
-    #[inline]
-    pub fn from_index(index: usize) -> OpClass {
-        Self::ALL[index]
-    }
-
     /// Stable short name, used in reports and CSV headers.
     pub fn name(self) -> &'static str {
         match self {

@@ -398,13 +398,6 @@ impl GridEngine {
         }
     }
 
-    /// [`GridEngine::with_settings`] with fusion off in both VMs
-    /// (`--reference-exec`).
-    pub fn with_reference_exec(mut self) -> Self {
-        self.reference_exec = true;
-        self
-    }
-
     /// [`GridEngine::with_settings`] in graceful-degradation mode
     /// (`--keep-going`): failed cells are quarantined instead of
     /// aborting the binary.

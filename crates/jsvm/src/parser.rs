@@ -24,13 +24,6 @@ impl Parser {
         &self.tokens[self.pos].tok
     }
 
-    fn peek2(&self) -> &Tok {
-        self.tokens
-            .get(self.pos + 1)
-            .map(|t| &t.tok)
-            .unwrap_or(&Tok::Eof)
-    }
-
     fn line(&self) -> u32 {
         self.tokens[self.pos].line
     }
@@ -603,12 +596,6 @@ fn expr_to_target(e: Expr) -> Option<Target> {
         Expr::Member(obj, name) => Some(Target::Member(obj, name)),
         _ => None,
     }
-}
-
-// Silence "peek2 unused" until lookahead consumers land; remove if unused.
-#[allow(dead_code)]
-fn _peek2_used(p: &Parser) -> &Tok {
-    p.peek2()
 }
 
 #[cfg(test)]

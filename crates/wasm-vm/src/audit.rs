@@ -6,15 +6,16 @@
 //! constituents charge by construction, as long as it lies inside one
 //! region. That is what this module checks, for **every** operator
 //! instance each fused family can carry (each entry of `BinOp::ALL`,
-//! `UnOp::ALL`, `LoadKind::ALL` and `StoreKind::ALL`):
+//! `UnOp::ALL` and `LoadKind::ALL`):
 //!
 //! * **round trip**: [`match_fused`] lowers the constituents to the
-//!   expected family at the full width;
+//!   expected family, with a group length that covers all of them;
 //! * **region walk**: lowering the constituents as a body, fused and
-//!   unfused, gives the same regions; the group starts the first one and
-//!   ends inside it (only a trailing `br_if` may end it, as the group's
-//!   last constituent); and that region's counts are the per-op walk of
-//!   its instructions;
+//!   unfused, gives the same regions; the group is the first micro-op,
+//!   starts the first region and ends inside it (only a trailing `br_if`
+//!   may end it, as the group's last constituent), so the next micro-op
+//!   starts at the source position past it; and that region's counts are
+//!   the per-op walk of its instructions;
 //! * **no hotness inside**: no constituent is a call, a `memory.grow` or
 //!   a structured-control opener, so no band crossing and no timed event
 //!   falls inside a group.
@@ -25,7 +26,7 @@
 //! traps charges its instructions up to and including that one).
 
 use crate::classify::{arith_kind, can_trap, classify, ArithKind};
-use crate::fuse::{lower, match_fused, resolve_labels, BinOp, LoadKind, Mop, StoreKind, UnOp};
+use crate::fuse::{lower, match_fused, resolve_labels, BinOp, LoadKind, Mop, UnOp};
 use wb_env::{OpClass, OpCounts};
 use wb_wasm::{FuncType, Function, Instr, Module, ValType};
 
@@ -110,7 +111,7 @@ fn region_walk(constituents: &[Instr]) -> Result<(), String> {
     if fused.regions != unfused.regions {
         return Err("fused and unfused lowerings cut different regions".into());
     }
-    if fused.code[0].width() != constituents.len() {
+    if fused.pos != [0, constituents.len() as u32] {
         return Err("lowering splits the group at a region head".into());
     }
     let region = fused.regions.range(0);
@@ -137,12 +138,9 @@ fn family_of(mop: &Mop) -> &'static str {
     use Mop::*;
     match mop {
         Unreachable
-        | Nop
-        | Block
-        | Loop
+        | Fall
         | If(_)
         | Else(_)
-        | End
         | Br(_)
         | BrIf(_)
         | BrTable(..)
@@ -173,13 +171,8 @@ fn family_of(mop: &Mop) -> &'static str {
         BinSet { .. } => "BinSet",
         LConst { .. } => "LConst",
         LocalCopy { .. } => "LocalCopy",
-        LLCmpBr { .. } => "LLCmpBr",
-        LCCmpBr { .. } => "LCCmpBr",
-        CmpBr { .. } => "CmpBr",
-        LUnBr { .. } => "LUnBr",
         UnBr { .. } => "UnBr",
         LLoad { .. } => "LLoad",
-        LLStore { .. } => "LLStore",
     }
 }
 
@@ -217,41 +210,14 @@ fn enumerate_instances() -> Vec<(&'static str, String, Vec<Instr>)> {
             vec![Instr::I32Const(1), b.clone(), ls(2)],
         ));
         out.push(("BinSet", label.clone(), vec![b.clone(), ls(2)]));
-        if op.result_is_i32() {
-            out.push((
-                "LLCmpBr",
-                label.clone(),
-                vec![lg(0), lg(1), b.clone(), Instr::BrIf(0)],
-            ));
-            out.push((
-                "LCCmpBr",
-                label.clone(),
-                vec![lg(0), Instr::I32Const(1), b.clone(), Instr::BrIf(0)],
-            ));
-            out.push(("CmpBr", label.clone(), vec![b.clone(), Instr::BrIf(0)]));
-        }
     }
     for un in UnOp::ALL {
         if un.result_is_i32() {
-            let u = un.instr();
-            let label = format!("{un:?}");
-            out.push((
-                "LUnBr",
-                label.clone(),
-                vec![lg(0), u.clone(), Instr::BrIf(0)],
-            ));
-            out.push(("UnBr", label, vec![u, Instr::BrIf(0)]));
+            out.push(("UnBr", format!("{un:?}"), vec![un.instr(), Instr::BrIf(0)]));
         }
     }
     for kind in LoadKind::ALL {
         out.push(("LLoad", format!("{kind:?}"), vec![lg(0), kind.instr(0)]));
-    }
-    for kind in StoreKind::ALL {
-        out.push((
-            "LLStore",
-            format!("{kind:?}"),
-            vec![lg(0), lg(1), kind.instr(0)],
-        ));
     }
     for (label, c) in [
         ("I32Const", Instr::I32Const(1)),
@@ -334,18 +300,10 @@ mod tests {
     #[test]
     fn covers_every_family_and_operator() {
         let entries = audit_fusion_table();
-        // Every binop × 8 plain families + i32-result binops × 3 cmp-br
-        // families + i32-result unops × 2 br families + every load +
-        // every store + 4 const types + 1 copy.
-        let i32_bins = BinOp::ALL.iter().filter(|b| b.result_is_i32()).count();
+        // Every binop × 8 plain families + i32-result unops × 1 br family
+        // + every load + 4 const types + 1 copy.
         let i32_uns = UnOp::ALL.iter().filter(|u| u.result_is_i32()).count();
-        let expected = BinOp::ALL.len() * 8
-            + i32_bins * 3
-            + i32_uns * 2
-            + LoadKind::ALL.len()
-            + StoreKind::ALL.len()
-            + 4
-            + 1;
+        let expected = BinOp::ALL.len() * 8 + i32_uns + LoadKind::ALL.len() + 4 + 1;
         assert_eq!(entries.len(), expected);
         let families: std::collections::BTreeSet<_> = entries.iter().map(|e| e.family).collect();
         assert_eq!(
@@ -354,18 +312,13 @@ mod tests {
                 "BinSet",
                 "CBin",
                 "CBinSet",
-                "CmpBr",
                 "LBin",
                 "LCBin",
                 "LCBinSet",
-                "LCCmpBr",
                 "LConst",
                 "LLBin",
                 "LLBinSet",
-                "LLCmpBr",
-                "LLStore",
                 "LLoad",
-                "LUnBr",
                 "LocalCopy",
                 "UnBr"
             ]

@@ -16,7 +16,7 @@ use wb_env::{
     PriceList, RegionCounters, RegionHits, RegionTable, ResourceLimits, TierPolicy, Tiering,
     VirtualClock, WasmEngineProfile,
 };
-use wb_wasm::{decode_module, validate, LinearMemory, Module, ValType};
+use wb_wasm::{decode_module, LinearMemory, Module, ValType};
 
 /// Configuration of one VM run.
 #[derive(Debug, Clone)]
@@ -259,9 +259,6 @@ impl Instance {
         let module = decode_module(bytes).map_err(|e| Trap::Host {
             message: format!("decode failed: {e}"),
         })?;
-        validate(&module).map_err(|e| Trap::Host {
-            message: format!("validation failed: {e}"),
-        })?;
         let prepared = Arc::new(PreparedModule::new(module));
         Self::instantiate_prepared(prepared, bytes.len(), config, hostfns)
     }
@@ -291,9 +288,10 @@ impl Instance {
         Ok(inst)
     }
 
-    /// Instantiate from an already-decoded module (skips the decode charge
-    /// but still charges compilation). Used by tests and by callers who
-    /// track encode size separately.
+    /// Build an instance of an already-decoded module without charging
+    /// any virtual time (see [`Instance::from_prepared`]); a module that
+    /// does not validate fails with [`Trap::Host`]. Used by tests and by
+    /// callers who track encode size separately.
     pub fn from_module(
         module: Module,
         config: WasmVmConfig,
@@ -304,6 +302,7 @@ impl Instance {
 
     /// Build a fresh instance over a shared [`PreparedModule`] without
     /// charging any virtual time and without running the start function.
+    /// A module that does not validate fails with [`Trap::Host`].
     /// Memory, globals, table and data segments are (re)initialized, so
     /// successive instances from one preparation are independent. Each
     /// import is resolved once, here, to its `"module.field"` entry of
@@ -314,6 +313,11 @@ impl Instance {
         config: WasmVmConfig,
         hostfns: HashMap<String, HostFn>,
     ) -> Result<Instance, Trap> {
+        if let Err(e) = &prepared.validation {
+            return Err(Trap::Host {
+                message: format!("validation failed: {e}"),
+            });
+        }
         let module = &prepared.module;
         let mut memory = module
             .memory
@@ -571,24 +575,5 @@ impl Instance {
                 addr,
                 width: len as u32,
             })
-    }
-
-    /// Write bytes into linear memory (embedder API).
-    pub fn write_memory(&mut self, addr: u64, bytes: &[u8]) -> Result<(), Trap> {
-        let mem = self.memory.as_mut().ok_or(Trap::MemoryOutOfBounds {
-            addr,
-            width: bytes.len() as u32,
-        })?;
-        mem.write(addr, bytes).map_err(|_| Trap::MemoryOutOfBounds {
-            addr,
-            width: bytes.len() as u32,
-        })
-    }
-
-    /// The function signature of an export, if present.
-    pub fn export_signature(&self, name: &str) -> Option<(Vec<ValType>, Vec<ValType>)> {
-        let idx = self.prepared.module.exported_func(name)?;
-        let ty = self.prepared.module.func_type(idx)?;
-        Some((ty.params.clone(), ty.results.clone()))
     }
 }

@@ -14,14 +14,15 @@
 //! lowering: the micro-op to continue at, the stack height at its label
 //! and the values it keeps (or a return, for the function's own label).
 //! A branch moves its kept values down to that height, notes hotness on a
-//! loop back-edge and enters the target's region; `block`, `loop` and
-//! `end` only fall through, and the function's final `end` is a `Return`.
+//! loop back-edge and enters the target's region. No-op control is not in
+//! the stream, except as a `Fall` into a region head, and the function's
+//! final `end` is a `Return`.
 //!
 //! The stream is fused by default and one singleton op per instruction
-//! under `reference_exec`; both run the same regions (see `fuse.rs`
-//! `region_heads`). The arms charge nothing per op. Each control arm that
-//! moves into a region (function entry, a branch, a fall-through into a
-//! branch target, the return from a call) checks the fuel budget, adds
+//! that does work under `reference_exec`; both run the same regions (see
+//! `fuse.rs` `region_heads`). The arms charge nothing per op. Each control
+//! arm that moves into a region (function entry, a branch, a `Fall` into
+//! a branch target, the return from a call) checks the fuel budget, adds
 //! the region's instruction count to the fuel spent, and adds one to the
 //! region's counter in the function's current band. Reading a record
 //! folds those counters times each region's class and Table 12 vector
@@ -29,8 +30,9 @@
 //! and taken loop back-edges, which are region boundaries, so every
 //! region is counted in the band its instructions retire in. A trap
 //! inside a region takes back the region's count on the cold path and
-//! charges its instructions up to and including the trapping one, as
-//! per-op counting would have. The budget is checked against the regions
+//! charges its instructions up to and including the trapping one, which
+//! it finds from the micro-op's source position, as per-op counting
+//! would have. The budget is checked against the regions
 //! already run, so a region that overruns it runs to its end, its call or
 //! a trap, and the run then stops with `StepBudgetExhausted` (at the next
 //! head, before a host call, or on the way out in `Instance::invoke`):
@@ -90,14 +92,6 @@ impl Instance {
                 self.counters.enter(row, region);
             }};
         }
-        // A fall-through that may reach a region head (`end`, `loop`).
-        macro_rules! fall_through {
-            () => {
-                if heads[pc + 1] != NO_PC {
-                    enter!(pc + 1);
-                }
-            };
-        }
         // An instruction that may trap inside its region: on a trap,
         // charge the region only through the trapping instruction.
         macro_rules! trapping {
@@ -152,8 +146,7 @@ impl Instance {
                 match &code[pc] {
                     // ---- singleton control ---------------------------------
                     Mop::Unreachable => return Err(Trap::Unreachable),
-                    Mop::Nop | Mop::Block => {}
-                    Mop::Loop | Mop::End => fall_through!(),
+                    Mop::Fall => enter!(pc + 1),
                     Mop::If(t) => {
                         if pop!() as u32 == 0 {
                             pc = targets[*t as usize].pc as usize;
@@ -284,24 +277,6 @@ impl Instance {
                     }
                     Mop::LConst { c, dst } => local!(*dst) = *c,
                     Mop::LocalCopy { src, dst } => local!(*dst) = local!(*src),
-                    Mop::LLCmpBr { a, b, op, target } => {
-                        let cond = trapping!(op.apply(local!(*a), local!(*b)));
-                        br_if!('dispatch, cond, *target);
-                    }
-                    Mop::LCCmpBr { a, c, op, target } => {
-                        let cond = trapping!(op.apply(local!(*a), *c));
-                        br_if!('dispatch, cond, *target);
-                    }
-                    Mop::CmpBr { op, target } => {
-                        let b = pop!();
-                        let a = pop!();
-                        let cond = trapping!(op.apply(a, b));
-                        br_if!('dispatch, cond, *target);
-                    }
-                    Mop::LUnBr { a, un, target } => {
-                        let cond = trapping!(un.apply(local!(*a)));
-                        br_if!('dispatch, cond, *target);
-                    }
                     Mop::UnBr { un, target } => {
                         let a = pop!();
                         let cond = trapping!(un.apply(a));
@@ -311,10 +286,6 @@ impl Instance {
                         let addr = (local!(*a) as u32 as u64) + offset;
                         let v = trapping!(self.load_u64(*kind, addr));
                         stack.push(v);
-                    }
-                    Mop::LLStore { a, b, kind, offset } => {
-                        let addr = (local!(*a) as u32 as u64) + offset;
-                        trapping!(self.store_u64(*kind, addr, local!(*b)));
                     }
                 }
                 pc += 1;
@@ -359,27 +330,21 @@ impl Instance {
 
     /// Charge a region that trapped at micro-op `pc` as per-op counting
     /// would have: take back its entry (count and fuel) and charge its
-    /// source instructions up to and including the one that trapped.
+    /// source instructions up to and including the one that trapped, the
+    /// first that can trap from the micro-op's source position on.
     #[cold]
     fn settle_trap(&mut self, def_index: usize, lowered: &LoweredFunc, pc: usize, row: usize) {
-        let head = (0..=pc)
-            .rev()
-            .find(|&k| lowered.heads[k] != NO_PC)
-            .expect("micro-op 0 heads a region");
-        let region = lowered.heads[head] as usize;
-        let at = lowered.regions.range(region).start
-            + lowered.code[head..pc].iter().map(Mop::width).sum::<usize>();
         let prepared = Arc::clone(&self.prepared);
         let body = &prepared.module.functions[def_index].body;
-        let trapped = (0..lowered.code[pc].width())
-            .find(|&k| can_trap(&body[at + k]))
-            .unwrap_or(0);
+        let at = lowered.pos[pc] as usize;
+        let next = lowered.pos.get(pc + 1).map_or(body.len(), |&p| p as usize);
+        let trapped = (at..next).find(|&i| can_trap(&body[i])).unwrap_or(at);
         let band = self.func_state[def_index].band;
         self.steps -= self.counters.settle(
             row,
-            region,
+            lowered.regions.region_at(at),
             &lowered.regions,
-            at + trapped + 1,
+            trapped + 1,
             |i| Some((classify(&body[i]), arith_kind(&body[i]))),
             &mut self.band_counts.ops[band],
             &mut self.arith,

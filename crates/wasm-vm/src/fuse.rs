@@ -4,10 +4,14 @@
 //! This module lowers a body once (per prepared module and fusion
 //! setting, lazily, on first execution) into that stream, in which
 //!
+//! * only instructions that do work are lowered: a `nop`, `block`, `loop`
+//!   or `end` leaves the stream, unless the next instruction heads a
+//!   region, and then it is one [`Mop::Fall`] that enters that region,
 //! * with fusion on, common short sequences are **fused** into a single
 //!   op (`local.get local.get binop local.set`, `const binop`,
-//!   `cmp br_if`, `local.get load`, …) with immediates inlined; with it
-//!   off (`reference_exec`), every instruction becomes its singleton op,
+//!   `i32.eqz br_if`, `local.get load`, …) with immediates inlined; with
+//!   it off (`reference_exec`), every other instruction becomes its
+//!   singleton op,
 //! * operand types are baked in at lowering time so execution runs over
 //!   an **untagged `u64` stack** (i32 zero-extended, floats as raw bits),
 //! * every branch (`br`, each `br_table` arm, `br_if`, the exits of
@@ -20,7 +24,9 @@
 //! * the body is cut into regions ([`region_heads`], which reads the same
 //!   resolved targets), each with its instruction count and class and
 //!   Table 12 counts stored once; the micro-op at each head carries its
-//!   region ([`LoweredFunc::heads`]).
+//!   region ([`LoweredFunc::heads`]) and every micro-op the source
+//!   position of its first instruction ([`LoweredFunc::pos`]), which is
+//!   how a trap finds the instruction that trapped.
 //!
 //! ## Why fusion can never span a branch target
 //!
@@ -33,7 +39,9 @@
 //! explicit leader analysis is required.
 //!
 //! Lowering also never fuses past a region head, so every group lies
-//! inside one region.
+//! inside one region. A dropped instruction is never followed by a head,
+//! so the micro-op after it lies in its region and a branch to it enters
+//! that region there.
 //!
 //! ## Cost equivalence
 //!
@@ -103,11 +111,13 @@ fn u_f32(v: f32) -> u64 {
 /// family's variant and the [`Instr`] variant it lifts, so the list below
 /// is the only place a family names its operators. Generates the enum,
 /// `ALL`, the lifts `of`/`instr`, and whether each operator yields an
-/// i32, evaluated at compile time from `classify.rs`. The family keeps no
-/// charge table: what an operator costs is counted by the region it runs
-/// in, from its source instruction.
+/// i32, evaluated at compile time from `classify.rs`; a `[cfg(test)]`
+/// after the name keeps that last item to the tests, for a family no
+/// fused branch carries. The family keeps no charge table: what an
+/// operator costs is counted by the region it runs in, from its source
+/// instruction.
 macro_rules! lifted_ops {
-    ($(#[$doc:meta])* $family:ident { $($op:ident),* $(,)? }) => {
+    ($(#[$doc:meta])* $family:ident $([$gate:meta])? { $($op:ident),* $(,)? }) => {
         $(#[$doc])*
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         #[allow(missing_docs)]
@@ -119,6 +129,7 @@ macro_rules! lifted_ops {
             /// Every operator of the family, in declaration order.
             pub(crate) const ALL: [$family; [$(stringify!($op)),*].len()] = [$($family::$op),*];
             const INSTRS: [Instr; $family::ALL.len()] = [$(Instr::$op),*];
+            $(#[$gate])?
             const I32_RESULT: [bool; $family::ALL.len()] =
                 [$(yields_i32(stringify!($op), classify(&Instr::$op))),*];
 
@@ -137,6 +148,7 @@ macro_rules! lifted_ops {
 
             /// Whether the result is an i32, a prerequisite for fusing with
             /// a following `br_if` (which consumes an i32 condition).
+            $(#[$gate])?
             pub(crate) fn result_is_i32(self) -> bool {
                 Self::I32_RESULT[self as usize]
             }
@@ -154,7 +166,7 @@ const fn yields_i32(name: &str, class: OpClass) -> bool {
 lifted_ops! {
     /// Binary operators with type knowledge baked in, operating on untagged
     /// bits, with Wasm MVP semantics.
-    BinOp {
+    BinOp [cfg(test)] {
         // i32 arithmetic / bitwise.
         I32Add, I32Sub, I32Mul, I32DivS, I32DivU, I32RemS, I32RemU,
         I32And, I32Or, I32Xor, I32Shl, I32ShrS, I32ShrU, I32Rotl, I32Rotr,
@@ -437,9 +449,11 @@ impl UnOp {
 
 /// Declares one memory-access family as (kind, [`Instr`] variant) pairs,
 /// the only place the family names its instructions. Generates the enum,
-/// `ALL`, and the lifts `of`/`instr`, which carry the static offset.
+/// `ALL`, and the lifts `of`/`instr`, which carry the static offset; a
+/// `[cfg(test)]` after the name keeps `ALL` and `instr` to the tests, for
+/// a family no fused op carries.
 macro_rules! memory_ops {
-    ($(#[$doc:meta])* $family:ident { $($kind:ident = $instr:ident),* $(,)? }) => {
+    ($(#[$doc:meta])* $family:ident $([$gate:meta])? { $($kind:ident = $instr:ident),* $(,)? }) => {
         $(#[$doc])*
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         #[allow(missing_docs)]
@@ -449,6 +463,7 @@ macro_rules! memory_ops {
 
         impl $family {
             /// Every kind of the family, in declaration order.
+            $(#[$gate])?
             pub(crate) const ALL: [$family; [$(stringify!($kind)),*].len()] =
                 [$($family::$kind),*];
 
@@ -461,6 +476,7 @@ macro_rules! memory_ops {
             }
 
             /// The instruction of this kind with the given static offset.
+            $(#[$gate])?
             pub(crate) fn instr(self, offset: u32) -> Instr {
                 let m = MemArg { align: 0, offset };
                 match self {
@@ -483,7 +499,7 @@ memory_ops! {
 
 memory_ops! {
     /// Memory-store flavor with the truncation behaviour baked in.
-    StoreKind {
+    StoreKind [cfg(test)] {
         I32 = I32Store, I64 = I64Store, F32 = F32Store, F64 = F64Store,
         I32As8 = I32Store8, I32As16 = I32Store16,
         I64As8 = I64Store8, I64As16 = I64Store16, I64As32 = I64Store32,
@@ -544,22 +560,22 @@ fn const_bits_of(i: &Instr) -> Option<u64> {
 
 /// One micro-op. Singleton variants mirror [`Instr`] one-to-one, except
 /// that every branch holds the index of its resolved [`Target`] in
-/// [`LoweredFunc::targets`] and the function's final `end` is a
-/// `Return`; the variants after the marker comment are fused
-/// superinstructions.
+/// [`LoweredFunc::targets`], the function's final `end` is a `Return`
+/// and no-op control is dropped or kept as [`Mop::Fall`]; the variants
+/// after the marker comment are fused superinstructions.
 #[derive(Debug, Clone, PartialEq)]
 #[allow(missing_docs)]
 pub(crate) enum Mop {
     Unreachable,
-    Nop,
-    Block,
-    Loop,
+    /// A `loop` or `end` kept because the next instruction heads a
+    /// region: falls through into it. Every other `nop`, `block`,
+    /// `loop` and `end` does no work and leaves the stream.
+    Fall,
     /// Continues at its target when the condition is false: the `else`
     /// arm, or past the `end` when there is none.
     If(u32),
     /// Reached at the end of a then-arm: continues past the `end`.
     Else(u32),
-    End,
     Br(u32),
     BrIf(u32),
     /// The first of the arms' consecutive targets and the number of arms
@@ -646,32 +662,7 @@ pub(crate) enum Mop {
         src: u32,
         dst: u32,
     },
-    /// `local.get a; local.get b; binop; br_if`
-    LLCmpBr {
-        a: u32,
-        b: u32,
-        op: BinOp,
-        target: u32,
-    },
-    /// `local.get a; const c; binop; br_if`
-    LCCmpBr {
-        a: u32,
-        c: u64,
-        op: BinOp,
-        target: u32,
-    },
-    /// `binop; br_if` (both operands on the stack)
-    CmpBr {
-        op: BinOp,
-        target: u32,
-    },
-    /// `local.get a; unop; br_if` (e.g. `i32.eqz; br_if`)
-    LUnBr {
-        a: u32,
-        un: UnOp,
-        target: u32,
-    },
-    /// `unop; br_if`
+    /// `unop; br_if` (the compiler's `cmp; i32.eqz; br_if` loop exit)
     UnBr {
         un: UnOp,
         target: u32,
@@ -682,34 +673,6 @@ pub(crate) enum Mop {
         kind: LoadKind,
         offset: u64,
     },
-    /// `local.get a; local.get b; store` (a = address, b = value)
-    LLStore {
-        a: u32,
-        b: u32,
-        kind: StoreKind,
-        offset: u64,
-    },
-}
-
-impl Mop {
-    /// Number of source instructions this micro-op retires: its
-    /// constituent count.
-    pub(crate) fn width(&self) -> usize {
-        use Mop::*;
-        match self {
-            LLBinSet { .. } | LCBinSet { .. } | LLCmpBr { .. } | LCCmpBr { .. } => 4,
-            LLBin { .. } | LCBin { .. } | CBinSet { .. } | LUnBr { .. } | LLStore { .. } => 3,
-            LBin { .. }
-            | CBin { .. }
-            | BinSet { .. }
-            | LConst { .. }
-            | LocalCopy { .. }
-            | CmpBr { .. }
-            | UnBr { .. }
-            | LLoad { .. } => 2,
-            _ => 1,
-        }
-    }
 }
 
 /// Where a branch goes, resolved once at lowering.
@@ -824,6 +787,9 @@ pub(crate) fn resolve_labels(body: &[Instr], heights: &[u32], nlocals: u32, resu
 pub(crate) struct LoweredFunc {
     /// The micro-op stream.
     pub(crate) code: Vec<Mop>,
+    /// Per micro-op, the source position of its first instruction: a
+    /// trap settles its region through the constituent that trapped.
+    pub(crate) pos: Vec<u32>,
     /// The branch targets, at micro-op indices; branch micro-ops hold
     /// indices into this table.
     pub(crate) targets: Vec<Target>,
@@ -879,55 +845,28 @@ pub(crate) fn region_heads(body: &[Instr], labels: &Labels) -> Vec<bool> {
 /// [`Labels::first`] over `w`: a group that ends in a `br_if` takes its
 /// target.
 pub(crate) fn match_fused(w: &[Instr], first: &[u32]) -> Option<(Mop, usize)> {
-    let br_if_of = |k: usize| matches!(w[k], Instr::BrIf(_)).then(|| first[k]);
     // Longest patterns first. Every constituent past the first is a
     // data/branch instruction, never a control opener/closer, so no group
     // can swallow a branch target (see module docs).
     if w.len() >= 4 {
-        if let (Some(a), Some(op)) = (local_get_of(&w[0]), BinOp::of(&w[2])) {
+        if let (Some(a), Some(op), Some(dst)) =
+            (local_get_of(&w[0]), BinOp::of(&w[2]), local_set_of(&w[3]))
+        {
             if let Some(b) = local_get_of(&w[1]) {
-                if let Some(dst) = local_set_of(&w[3]) {
-                    return Some((Mop::LLBinSet { a, b, dst, op }, 4));
-                }
-                if let Some(target) = br_if_of(3) {
-                    if op.result_is_i32() {
-                        return Some((Mop::LLCmpBr { a, b, op, target }, 4));
-                    }
-                }
+                return Some((Mop::LLBinSet { a, b, dst, op }, 4));
             }
             if let Some(c) = const_bits_of(&w[1]) {
-                if let Some(dst) = local_set_of(&w[3]) {
-                    return Some((Mop::LCBinSet { a, c, dst, op }, 4));
-                }
-                if let Some(target) = br_if_of(3) {
-                    if op.result_is_i32() {
-                        return Some((Mop::LCCmpBr { a, c, op, target }, 4));
-                    }
-                }
+                return Some((Mop::LCBinSet { a, c, dst, op }, 4));
             }
         }
     }
     if w.len() >= 3 {
-        if let Some(a) = local_get_of(&w[0]) {
+        if let (Some(a), Some(op)) = (local_get_of(&w[0]), BinOp::of(&w[2])) {
             if let Some(b) = local_get_of(&w[1]) {
-                if let Some(op) = BinOp::of(&w[2]) {
-                    return Some((Mop::LLBin { a, b, op }, 3));
-                }
-                if let Some((kind, offset)) = StoreKind::of(&w[2]) {
-                    return Some((Mop::LLStore { a, b, kind, offset }, 3));
-                }
+                return Some((Mop::LLBin { a, b, op }, 3));
             }
             if let Some(c) = const_bits_of(&w[1]) {
-                if let Some(op) = BinOp::of(&w[2]) {
-                    return Some((Mop::LCBin { a, c, op }, 3));
-                }
-            }
-            if let Some(un) = UnOp::of(&w[1]) {
-                if let Some(target) = br_if_of(2) {
-                    if un.result_is_i32() {
-                        return Some((Mop::LUnBr { a, un, target }, 3));
-                    }
-                }
+                return Some((Mop::LCBin { a, c, op }, 3));
             }
         }
         if let Some(c) = const_bits_of(&w[0]) {
@@ -962,17 +901,16 @@ pub(crate) fn match_fused(w: &[Instr], first: &[u32]) -> Option<(Mop, usize)> {
             if let Some(dst) = local_set_of(&w[1]) {
                 return Some((Mop::BinSet { dst, op }, 2));
             }
-            if let Some(target) = br_if_of(1) {
-                if op.result_is_i32() {
-                    return Some((Mop::CmpBr { op, target }, 2));
-                }
-            }
         }
-        if let Some(un) = UnOp::of(&w[0]) {
-            if let Some(target) = br_if_of(1) {
-                if un.result_is_i32() {
-                    return Some((Mop::UnBr { un, target }, 2));
-                }
+        if let (Some(un), Instr::BrIf(_)) = (UnOp::of(&w[0]), &w[1]) {
+            if un.result_is_i32() {
+                return Some((
+                    Mop::UnBr {
+                        un,
+                        target: first[1],
+                    },
+                    2,
+                ));
             }
         }
     }
@@ -999,12 +937,9 @@ fn singleton(i: &Instr, target: u32) -> Mop {
     }
     match i {
         Instr::Unreachable => Mop::Unreachable,
-        Instr::Nop => Mop::Nop,
-        Instr::Block(_) => Mop::Block,
-        Instr::Loop(_) => Mop::Loop,
+        Instr::Nop | Instr::Block(_) | Instr::Loop(_) | Instr::End => Mop::Fall,
         Instr::If(_) => Mop::If(target),
         Instr::Else => Mop::Else(target),
-        Instr::End => Mop::End,
         Instr::Br(_) => Mop::Br(target),
         Instr::BrIf(_) => Mop::BrIf(target),
         Instr::BrTable(arms, _) => Mop::BrTable(target, arms.len() as u32),
@@ -1024,17 +959,19 @@ fn singleton(i: &Instr, target: u32) -> Mop {
     }
 }
 
-/// Lower one flat body to micro-ops.
+/// Lower one flat body to micro-ops that do work.
 ///
 /// The branches are resolved first ([`resolve_labels`], over the
-/// validator's `heights`) and the regions cut from them. Then fused
-/// patterns are matched greedily when `fuse` is on (falling back to
-/// singletons; with `fuse` off every instruction is a singleton), never
-/// past the next region head; each branch micro-op takes the target of
-/// its branch instruction, and the function's final `end` becomes a
-/// `Return`. Last, the targets move from source pcs to micro-op
-/// indices. Each head's micro-op carries its region, so both settings run
-/// the same regions.
+/// validator's `heights`) and the regions cut from them. A `nop`,
+/// `block`, `loop` or `end` is dropped unless the next instruction heads
+/// a region (then it is kept as [`Mop::Fall`]; `block` and `nop` never
+/// precede a head). Then fused patterns are matched greedily when `fuse`
+/// is on (falling back to singletons; with `fuse` off every other
+/// instruction is a singleton), never past the next region head; each
+/// branch micro-op takes the target of its branch instruction, and the
+/// function's final `end` becomes a `Return`. Last, the targets move
+/// from source pcs to micro-op indices. Each head's micro-op carries its
+/// region, so both settings run the same regions.
 pub(crate) fn lower(func: &Function, module: &Module, heights: &[u32], fuse: bool) -> LoweredFunc {
     let body = &func.body;
     let ty = &module.types[func.type_index as usize];
@@ -1043,23 +980,37 @@ pub(crate) fn lower(func: &Function, module: &Module, heights: &[u32], fuse: boo
     let n = body.len();
     let is_head = region_heads(body, &labels);
     let mut code: Vec<Mop> = Vec::with_capacity(n);
+    let mut pos: Vec<u32> = Vec::with_capacity(n);
     let mut mop_of: Vec<u32> = vec![NO_PC; n + 1];
     let (mut pc, mut limit) = (0usize, 0usize);
     while pc < n {
         if limit <= pc {
             limit = (pc + 1..n).find(|&p| is_head[p]).unwrap_or(n);
         }
+        // A dropped instruction maps to the next micro-op, which lies in
+        // its region.
         mop_of[pc] = code.len() as u32;
+        let instr = &body[pc];
+        if pc + 1 < limit
+            && matches!(
+                instr,
+                Instr::Nop | Instr::Block(_) | Instr::Loop(_) | Instr::End
+            )
+        {
+            pc += 1;
+            continue;
+        }
         let fused = if fuse {
             match_fused(&body[pc..limit], &labels.first[pc..limit])
         } else {
             None
         };
-        let (mop, len) = fused.unwrap_or_else(|| match &body[pc] {
+        let (mop, len) = fused.unwrap_or_else(|| match instr {
             Instr::End if pc + 1 == n => (Mop::Return, 1),
-            instr => (singleton(instr, labels.first[pc]), 1),
+            _ => (singleton(instr, labels.first[pc]), 1),
         });
         code.push(mop);
+        pos.push(pc as u32);
         pc += len;
     }
     let targets = labels
@@ -1073,15 +1024,17 @@ pub(crate) fn lower(func: &Function, module: &Module, heights: &[u32], fuse: boo
     let regions = RegionTable::build(&is_head, |pc| {
         Some((classify(&body[pc]), arith_kind(&body[pc])))
     });
-    // Fused code is shorter than the body it was sized for, and lives as
-    // long as its cached artifact.
+    // Lowered code is shorter than the body it was sized for, and lives
+    // as long as its cached artifact.
     code.shrink_to_fit();
+    pos.shrink_to_fit();
     let mut heads = vec![NO_PC; code.len()];
     for r in 0..regions.len() {
         heads[mop_of[regions.range(r).start] as usize] = r as u32;
     }
     LoweredFunc {
         code,
+        pos,
         targets,
         heads,
         regions,
@@ -1135,9 +1088,7 @@ mod tests {
     fn target_of(mop: &Mop) -> Option<u32> {
         use Mop::*;
         match *mop {
-            If(t) | Else(t) | Br(t) | BrIf(t) | BrTable(t, _) => Some(t),
-            LLCmpBr { target, .. } | LCCmpBr { target, .. } | CmpBr { target, .. } => Some(target),
-            LUnBr { target, .. } | UnBr { target, .. } => Some(target),
+            If(t) | Else(t) | Br(t) | BrIf(t) | BrTable(t, _) | UnBr { target: t, .. } => Some(t),
             _ => None,
         }
     }
@@ -1296,12 +1247,17 @@ mod tests {
     }
 
     #[test]
-    fn fuses_cmp_br_if() {
+    fn fuses_the_compilers_loop_exit() {
+        // `cmp; i32.eqz; br_if`, as the MiniC backend emits a loop test:
+        // the comparison fuses with its operands, the test with the
+        // branch. The `block` falls into no region head and leaves the
+        // stream; its `end` falls into the branch target and stays.
         let f = lower_body(vec![
             Instr::Block(BlockType::Empty),
             Instr::LocalGet(0),
             Instr::LocalGet(1),
             Instr::I32GeU,
+            Instr::I32Eqz,
             Instr::BrIf(0),
             Instr::End,
             Instr::End,
@@ -1309,17 +1265,20 @@ mod tests {
         assert_eq!(
             f.code,
             vec![
-                Mop::Block,
-                Mop::LLCmpBr {
+                Mop::LLBin {
                     a: 0,
                     b: 1,
-                    op: BinOp::I32GeU,
+                    op: BinOp::I32GeU
+                },
+                Mop::UnBr {
+                    un: UnOp::I32Eqz,
                     target: 0
                 },
-                Mop::End,
+                Mop::Fall,
                 Mop::Return,
             ]
         );
+        assert_eq!(f.pos, vec![1, 4, 6, 7]);
         // Past the block's `end`, at the height of the four locals.
         assert_eq!(
             f.targets,
@@ -1333,7 +1292,7 @@ mod tests {
     }
 
     #[test]
-    fn fuses_local_load_and_local_local_store() {
+    fn fuses_local_load_but_not_a_store_of_two_locals() {
         let m = MemArg {
             align: 0,
             offset: 8,
@@ -1356,9 +1315,9 @@ mod tests {
                     offset: 8
                 },
                 Mop::Drop,
-                Mop::LLStore {
-                    a: 0,
-                    b: 1,
+                Mop::LocalGet(0),
+                Mop::LocalGet(1),
+                Mop::Store {
                     kind: StoreKind::I32,
                     offset: 8
                 },
@@ -1384,9 +1343,8 @@ mod tests {
         assert_eq!(
             f.code,
             vec![
-                Mop::Block,
-                Mop::LUnBr {
-                    a: 0,
+                Mop::LocalGet(0),
+                Mop::UnBr {
                     un: UnOp::I32Eqz,
                     target: 0
                 },
@@ -1396,7 +1354,7 @@ mod tests {
                     dst: 1,
                     op: BinOp::I32Mul
                 },
-                Mop::End,
+                Mop::Fall,
                 Mop::Return,
             ]
         );
@@ -1405,26 +1363,29 @@ mod tests {
     #[test]
     fn loop_and_if_targets_are_micro_op_indices() {
         let f = lower_body(vec![
-            Instr::Loop(BlockType::Empty), // 0 -> mop 0
-            Instr::LocalGet(0),            // 1 ┐
-            Instr::I32Eqz,                 // 2 ├ mop 1 (LUnBr: returns)
+            Instr::Loop(BlockType::Empty), // 0 -> mop 0 (falls into the body)
+            Instr::LocalGet(0),            // 1 -> mop 1
+            Instr::I32Eqz,                 // 2 ┐ mop 2 (UnBr: returns)
             Instr::BrIf(1),                // 3 ┘
-            Instr::LocalGet(1),            // 4 -> mop 2
-            Instr::If(BlockType::Empty),   // 5 -> mop 3
-            Instr::Nop,                    // 6 -> mop 4
+            Instr::LocalGet(1),            // 4 -> mop 3
+            Instr::If(BlockType::Empty),   // 5 -> mop 4
+            Instr::Nop,                    // 6 dropped
             Instr::Else,                   // 7 -> mop 5
-            Instr::Nop,                    // 8 -> mop 6
-            Instr::End,                    // 9 -> mop 7 (closes if)
-            Instr::Br(0),                  // 10 -> mop 8
-            Instr::End,                    // 11 -> mop 9 (closes loop)
-            Instr::End,                    // 12 -> mop 10
+            Instr::Nop,                    // 8 dropped
+            Instr::End,                    // 9 -> mop 6 (closes if, falls)
+            Instr::Br(0),                  // 10 -> mop 7
+            Instr::End,                    // 11 dropped (closes loop)
+            Instr::End,                    // 12 -> mop 8
         ]);
-        assert_eq!(f.code.len(), 11);
+        assert_eq!(f.code.len(), 9);
+        assert_eq!(f.pos, vec![0, 1, 2, 4, 5, 7, 9, 10, 12]);
         let targets: Vec<_> = f.code.iter().filter_map(target_of).collect();
         assert_eq!(targets, vec![0, 1, 2, 3]);
-        assert_eq!(f.code[3], Mop::If(1));
+        assert_eq!(f.code[0], Mop::Fall);
+        assert_eq!(f.code[4], Mop::If(1));
         assert_eq!(f.code[5], Mop::Else(2));
-        assert_eq!(f.code[10], Mop::Return, "the final end returns");
+        assert_eq!(f.code[6], Mop::Fall);
+        assert_eq!(f.code[8], Mop::Return, "the final end returns");
         let to = |pc, back_edge| Target {
             pc,
             height: 4,
@@ -1437,9 +1398,10 @@ mod tests {
         };
         assert_eq!(
             f.targets,
-            vec![ret, to(6, false), to(8, false), to(1, true)],
+            vec![ret, to(6, false), to(7, false), to(1, true)],
             "br_if 1 names the function's label; the if skips to its else arm, \
-             the else past the end; br 0 goes back to the loop body"
+             whose dropped `nop` maps to the next micro-op, the else past the end; \
+             br 0 goes back to the loop body"
         );
     }
 
@@ -1472,10 +1434,12 @@ mod tests {
             height: 0,
             ..to(NO_PC, 0, 0)
         };
-        // Nothing here fuses, so micro-op indices are source pcs.
-        assert_eq!(f.code[5], Mop::BrTable(0, 2));
-        assert_eq!(f.code[8], Mop::Br(3));
-        assert_eq!(f.targets, vec![to(7, 2, 0), ret, to(7, 2, 0), to(10, 1, 1)]);
+        // Nothing here fuses; the two `block`s drop, so each micro-op past
+        // them is at most two behind its source pc.
+        assert_eq!(f.pos, vec![0, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12]);
+        assert_eq!(f.code[3], Mop::BrTable(0, 2));
+        assert_eq!(f.code[6], Mop::Br(3));
+        assert_eq!(f.targets, vec![to(5, 2, 0), ret, to(5, 2, 0), to(8, 1, 1)]);
     }
 
     #[test]
@@ -1509,7 +1473,8 @@ mod tests {
     #[test]
     fn never_fuses_across_control_instructions() {
         // `local.get` right before `end`: the would-be partner on the
-        // other side of `end` must not be swallowed.
+        // other side of `end` must not be swallowed, even where the `end`
+        // itself leaves the stream.
         let f = lower_body(vec![
             Instr::Block(BlockType::Value(ValType::I32)),
             Instr::LocalGet(0),
@@ -1519,22 +1484,15 @@ mod tests {
         ]);
         assert_eq!(
             f.code,
-            vec![
-                Mop::Block,
-                Mop::LocalGet(0),
-                Mop::End,
-                Mop::LocalSet(1),
-                Mop::Return,
-            ]
+            vec![Mop::LocalGet(0), Mop::LocalSet(1), Mop::Return]
         );
     }
 
-    #[test]
-    fn regions_start_at_every_branch_target_and_after_every_exit() {
-        // Nested control of every kind, a counted loop with a fused
-        // back-edge test, a call, a `br_table` and an early return.
+    /// Nested control of every kind, a counted loop with a fused
+    /// back-edge test, a call, a `br_table`, an early return and a `nop`.
+    fn control_body() -> Vec<Instr> {
         use Instr::*;
-        let body = vec![
+        vec![
             Block(BlockType::Empty), // 0
             Loop(BlockType::Empty),  // 1
             LocalGet(0),             // 2
@@ -1561,7 +1519,19 @@ mod tests {
             End,                     // 23
             Nop,                     // 24
             End,                     // 25
-        ];
+        ]
+    }
+
+    /// The source instructions micro-op `i` of `f` spans: from its
+    /// position to the next micro-op's.
+    fn span(f: &LoweredFunc, i: usize, n: usize) -> std::ops::Range<usize> {
+        f.pos[i] as usize..f.pos.get(i + 1).map_or(n, |&p| p as usize)
+    }
+
+    #[test]
+    fn regions_start_at_every_branch_target_and_after_every_exit() {
+        use Instr::*;
+        let body = control_body();
         // The matching `end` (or `else`) of the opener at `pc`.
         let close = |pc: usize, want_else: bool| {
             let mut depth = 0;
@@ -1578,28 +1548,24 @@ mod tests {
         for fuse in [true, false] {
             let f = lower_body_with(body.clone(), fuse);
             let head = |pc: usize| f.heads.get(pc).is_some_and(|&r| r != NO_PC);
-            // The micro-op at each source pc that starts one.
-            let mut mop_at = vec![NO_PC; body.len()];
-            let mut at = 0;
-            for (i, m) in f.code.iter().enumerate() {
-                mop_at[at] = i as u32;
-                at += m.width();
-            }
+            // The micro-op a branch to source pc `p` continues at: the
+            // first at or past it.
+            let mop_at = |p: usize| f.pos.partition_point(|&q| (q as usize) < p) as u32;
             // Follow the structured control over the source, apart from
             // `resolve_labels`: the expected micro-op targets of each
             // branch instruction (NO_PC: it returns).
             let mut labels: Vec<usize> = Vec::new();
-            let mut expected: Vec<(usize, Vec<u32>)> = Vec::new();
+            let mut expected: Vec<Vec<u32>> = Vec::new();
             for (pc, instr) in body.iter().enumerate() {
-                let past_end = |opener: usize| mop_at[close(opener, false).unwrap() + 1];
+                let past_end = |opener: usize| mop_at(close(opener, false).unwrap() + 1);
                 let to = |labels: &[usize], d: u32| match labels.len().checked_sub(1 + d as usize) {
                     None => NO_PC,
-                    Some(i) if matches!(body[labels[i]], Loop(_)) => mop_at[labels[i] + 1],
+                    Some(i) if matches!(body[labels[i]], Loop(_)) => mop_at(labels[i] + 1),
                     Some(i) => past_end(labels[i]),
                 };
                 let targets = match instr {
                     If(_) => vec![match close(pc, true) {
-                        Some(e) => mop_at[e + 1],
+                        Some(e) => mop_at(e + 1),
                         None => past_end(pc),
                     }],
                     Else => vec![past_end(*labels.last().unwrap())],
@@ -1614,12 +1580,11 @@ mod tests {
                     }
                     _ => {}
                 }
-                expected.push((pc, targets));
+                expected.push(targets);
             }
-            let mut at = 0;
             for (i, mop) in f.code.iter().enumerate() {
-                at += mop.width();
-                let (last, want) = &expected[at - 1];
+                let span = span(&f, i, body.len());
+                let want: Vec<u32> = span.clone().flat_map(|k| expected[k].clone()).collect();
                 let got: Vec<u32> = match (mop, target_of(mop)) {
                     (Mop::BrTable(_, arms), Some(t)) => {
                         (t..=t + arms).map(|t| f.targets[t as usize].pc).collect()
@@ -1627,17 +1592,19 @@ mod tests {
                     (_, Some(t)) => vec![f.targets[t as usize].pc],
                     (_, None) => vec![],
                 };
-                assert_eq!(&got, want, "fuse={fuse}: targets of {i} ({mop:?})");
+                assert_eq!(got, want, "fuse={fuse}: targets of {i} ({mop:?})");
                 for &t in &got {
                     assert!(
                         t == NO_PC || head(t as usize),
                         "fuse={fuse}: target {t} of {i} ({mop:?}) heads no region"
                     );
                 }
-                if matches!(
-                    body[*last],
-                    If(_) | Else | Br(_) | BrIf(_) | BrTable(..) | Return | Call(_)
-                ) {
+                if body[span].iter().any(|instr| {
+                    matches!(
+                        instr,
+                        If(_) | Else | Br(_) | BrIf(_) | BrTable(..) | Return | Call(_)
+                    )
+                }) {
                     assert!(
                         head(i + 1),
                         "fuse={fuse}: {i} ({mop:?}) does not end a region"
@@ -1649,39 +1616,72 @@ mod tests {
             let steps: u32 = (0..f.regions.len()).map(|r| f.regions.steps(r)).sum();
             assert_eq!(steps as usize, body.len());
             assert_eq!(f.regions.range(0), 0..2, "the loop body is a branch target");
-            assert!(head(0) && !head(1));
+            assert_eq!(
+                (&f.code[0], f.pos[0], f.heads[0]),
+                (&Mop::Fall, 1, 0),
+                "fuse={fuse}: the `block` drops; the `loop` heads region 0 and falls into the next"
+            );
             if fuse {
-                assert!(f.code.iter().any(|m| matches!(m, Mop::LLCmpBr { .. })));
+                assert!(f.code.iter().any(|m| matches!(m, Mop::LLBin { .. })));
             }
         }
     }
 
     #[test]
-    fn widths_sum_to_body_length() {
-        let body = vec![
-            Instr::Block(BlockType::Empty),
-            Instr::LocalGet(0),
-            Instr::LocalGet(1),
-            Instr::I32GeU,
-            Instr::BrIf(0),
-            Instr::LocalGet(2),
-            Instr::I32Const(1),
-            Instr::I32Add,
-            Instr::LocalSet(2),
-            Instr::LocalGet(3),
-            Instr::F64Const(1.5),
-            Instr::F64Mul,
-            Instr::Drop,
-            Instr::End,
-            Instr::End,
-        ];
+    fn only_instructions_that_do_work_are_lowered() {
+        use Instr::*;
+        let body = control_body();
         let n = body.len();
-        let f = lower_body(body.clone());
-        assert_eq!(f.code.iter().map(|m| m.width()).sum::<usize>(), n);
-        assert!(f.code.len() < body.len(), "fusion on fuses");
-        // Fusion off (`reference_exec`): one singleton op per instruction.
-        let f = lower_body_with(body.clone(), false);
-        assert_eq!(f.code.len(), body.len());
-        assert!(f.code.iter().all(|m| m.width() == 1), "{:?}", f.code);
+        let no_op = |pc: usize| matches!(body[pc], Nop | Block(_) | Loop(_) | End);
+        for fuse in [true, false] {
+            let f = lower_body_with(body.clone(), fuse);
+            let what = format!("fuse={fuse}");
+            let starts: Vec<usize> = (0..f.regions.len())
+                .map(|r| f.regions.range(r).start)
+                .collect();
+            let src_head = |pc: usize| starts.contains(&pc);
+            // Positions strictly increase, one per micro-op, and the last
+            // is the final `end`, which returns.
+            assert_eq!(f.pos.len(), f.code.len(), "{what}");
+            assert!(f.pos.windows(2).all(|w| w[0] < w[1]), "{what}: {:?}", f.pos);
+            assert_eq!(f.pos.last(), Some(&(n as u32 - 1)), "{what}");
+            assert_eq!(f.code.last(), Some(&Mop::Return), "{what}");
+            // Before the first micro-op and after each group, only
+            // dropped no-op control: a `nop`, `block`, `loop` or `end`
+            // whose next instruction heads no region.
+            let mut dropped: Vec<usize> = (0..f.pos[0] as usize).collect();
+            for (i, mop) in f.code.iter().enumerate() {
+                let span = span(&f, i, n);
+                let at = span.start;
+                let group = if *mop == Mop::Fall || at + 1 == n {
+                    1
+                } else {
+                    assert!(!no_op(at), "{what}: {i} ({mop:?}) lowers no-op control");
+                    span.clone().take_while(|&k| !no_op(k)).count()
+                };
+                if !fuse {
+                    assert_eq!(group, 1, "{what}: {i} ({mop:?})");
+                }
+                if *mop == Mop::Fall {
+                    assert!(no_op(at), "{what}: {i} falls from {:?}", body[at]);
+                    assert!(
+                        f.heads[i + 1] != NO_PC && src_head(at + 1),
+                        "{what}: the `Fall` at {i} is followed by no region head"
+                    );
+                }
+                dropped.extend(at + group..span.end);
+            }
+            for &pc in &dropped {
+                assert!(
+                    no_op(pc) && !src_head(pc + 1),
+                    "{what}: dropped {pc} ({:?})",
+                    body[pc]
+                );
+            }
+            // The `block` at 0, the loop's `end` at 18 (nothing targets
+            // the block's `end` after it) and the `nop` at 24 leave; the
+            // `loop` and every other `end` fall into a region head.
+            assert_eq!(dropped, vec![0, 18, 24], "{what}");
+        }
     }
 }

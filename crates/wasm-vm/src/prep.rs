@@ -1,7 +1,9 @@
 //! Module preparation: everything about a module the interpreter would
 //! otherwise recompute per run or — worse — per step, done **once**: the
-//! lowered micro-op streams, filled lazily per function, once with fusion
-//! on and once with it off (`reference_exec`). Lowering a function asks
+//! validator's verdict, which every instance checks before it runs
+//! anything, and the lowered micro-op streams, filled lazily per
+//! function, once with fusion on and once with it off
+//! (`reference_exec`). Lowering a function asks
 //! the validator for the stack height at each of its labels
 //! ([`wb_wasm::label_heights`]) and resolves every branch against them
 //! (`fuse.rs` `resolve_labels`), so execution keeps no control state.
@@ -13,13 +15,16 @@
 
 use crate::fuse::{lower, LoweredFunc};
 use std::sync::OnceLock;
-use wb_wasm::Module;
+use wb_wasm::{Module, ValidationError};
 
 /// A module plus its lowered functions.
 #[derive(Debug)]
 pub struct PreparedModule {
     /// The underlying module.
     pub module: Module,
+    /// Whether the module validates, decided once at preparation: an
+    /// instance of a module that does not fails to instantiate.
+    pub(crate) validation: Result<(), ValidationError>,
     /// Micro-op streams, indexed by whether fusion is on: each function
     /// is lowered lazily on its first execution under that setting and
     /// then shared across instances (and threads, via
@@ -29,14 +34,19 @@ pub struct PreparedModule {
 }
 
 impl PreparedModule {
-    /// Prepare a (validated) module.
+    /// Prepare a module, validating it once.
     pub fn new(module: Module) -> Self {
+        let validation = wb_wasm::validate(&module);
         let lowered = [(); 2].map(|_| {
             (0..module.functions.len())
                 .map(|_| OnceLock::new())
                 .collect()
         });
-        PreparedModule { module, lowered }
+        PreparedModule {
+            module,
+            validation,
+            lowered,
+        }
     }
 
     /// The micro-op stream for defined function `def_index`, fused or
@@ -46,7 +56,7 @@ impl PreparedModule {
     pub(crate) fn lowered(&self, def_index: usize, fuse: bool) -> &LoweredFunc {
         self.lowered[usize::from(fuse)][def_index].get_or_init(|| {
             let heights = wb_wasm::label_heights(&self.module, def_index)
-                .expect("a prepared module is validated");
+                .expect("an instance runs only a module that validates");
             lower(
                 &self.module.functions[def_index],
                 &self.module,

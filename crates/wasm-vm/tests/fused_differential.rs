@@ -104,9 +104,10 @@ fn run_both(
     outcome.unwrap().0
 }
 
-/// Sum 1..=n: exercises `LLCmpBr` (cmp + br_if), `LCBinSet`
-/// (counter increment), `LocalTee`, `LLBinSet` and loop back-edges,
-/// which also drive tier-up hotness.
+/// Sum 1..=n: exercises `LLBin` (the loop test) before a plain `br_if`,
+/// `LCBinSet` (counter increment), `LocalTee`, `LLBinSet`, a dropped
+/// `block`, a kept `loop` and loop back-edges, which also drive tier-up
+/// hotness.
 fn sum_module() -> Module {
     let mut mb = ModuleBuilder::new();
     let mut f = mb.func("sum", vec![ValType::I32], vec![ValType::I32]);
@@ -154,8 +155,9 @@ fn tier_policies_all_match() {
     }
 }
 
-/// Memory traffic: `LLoad` (local.get + load), `LLStore`
-/// (local.get + local.get + store), narrow loads/stores, `LCBin`.
+/// Memory traffic: narrow loads/stores after `LCBin` address arithmetic,
+/// in loops whose `block` and the `loop`'s `end` leave the stream while
+/// the `loop` and the `block`'s `end` fall into region heads.
 #[test]
 fn memory_loop_matches_across_engines() {
     let mut mb = ModuleBuilder::new();

@@ -487,7 +487,7 @@ fn branches_to_the_function_label_return() {
                 I32Add,
             ],
         ),
-        // Returns 3 when p < q (one fused `LLCmpBr`), else 4.
+        // Returns 3 when p >= q (the fused `UnBr` of `eqz; br_if`), else 4.
         (
             "cmp_br",
             vec![
@@ -495,6 +495,7 @@ fn branches_to_the_function_label_return() {
                 LocalGet(0),
                 LocalGet(1),
                 I32LtS,
+                I32Eqz,
                 BrIf(0),
                 Drop,
                 I32Const(4),
@@ -582,8 +583,8 @@ fn branches_to_the_function_label_return() {
         ("br_if", 0, 0, 2),
         ("br_table", 0, 0, 5),
         ("br_table", 1, 0, 6),
-        ("cmp_br", 1, 2, 3),
-        ("cmp_br", 2, 1, 4),
+        ("cmp_br", 2, 1, 3),
+        ("cmp_br", 1, 2, 4),
         ("br_void", 42, 0, 42),
         ("br_void", -3, 0, -3),
         ("br_if_void", 1, 0, 1),
@@ -611,6 +612,47 @@ fn branches_to_the_function_label_return() {
                 let r = inst.invoke(&format!("call_{name}"), &args).unwrap();
                 assert_eq!(r, Some(Value::I32(1000 + want)), "call_{case}");
             }
+        }
+    }
+}
+
+#[test]
+fn modules_that_do_not_validate_fail_to_instantiate() {
+    use Instr::*;
+    // An `i32.add` with no operands, and a `block` whose `end` is the
+    // function's last: the function itself is never closed.
+    for (what, body) in [
+        ("operand underflow", vec![I32Add, Drop, End]),
+        ("unclosed body", vec![Block(BlockType::Empty), End]),
+    ] {
+        let module = wb_wasm::Module {
+            types: vec![wb_wasm::FuncType {
+                params: vec![],
+                results: vec![],
+            }],
+            functions: vec![wb_wasm::Function {
+                type_index: 0,
+                locals: vec![],
+                body,
+                name: None,
+            }],
+            exports: vec![wb_wasm::Export {
+                name: "f".into(),
+                kind: wb_wasm::ExportKind::Func(0),
+            }],
+            ..Default::default()
+        };
+        assert!(wb_wasm::validate(&module).is_err(), "{what}");
+        let r = Instance::from_module(module, WasmVmConfig::reference(), HashMap::new());
+        match r {
+            Err(Trap::Host { message }) => {
+                assert!(
+                    message.starts_with("validation failed: "),
+                    "{what}: {message}"
+                )
+            }
+            Err(other) => panic!("{what}: {other:?}"),
+            Ok(_) => panic!("{what}: an invalid module instantiated"),
         }
     }
 }

@@ -95,11 +95,6 @@ impl ModuleBuilder {
         }
     }
 
-    /// The function index the *next* finished function will receive.
-    pub fn next_func_index(&self) -> u32 {
-        self.module.func_count() as u32
-    }
-
     /// Attach a finished function; returns its function index.
     pub fn finish_func(&mut self, f: FuncBuilder, export: bool) -> u32 {
         let index = self.module.func_count() as u32;
@@ -116,15 +111,6 @@ impl ModuleBuilder {
             name: Some(f.name),
         });
         index
-    }
-
-    /// Export the memory under `name`.
-    pub fn export_memory(&mut self, name: &str) -> &mut Self {
-        self.module.exports.push(Export {
-            name: name.into(),
-            kind: ExportKind::Memory(0),
-        });
-        self
     }
 
     /// Set the start function.

@@ -4,7 +4,8 @@
 # first, N times, and print per VM the paired ratios (change / parent of
 # the median fusion-on round wall time) and how many pairs the change won;
 # then the same per kernel, from each probe's BENCH_vmexec.json, with the
-# call-heavy CHStone kernels (AES, BLOWFISH, SHA, MIPS) listed apart.
+# call-heavy CHStone kernels (AES, BLOWFISH, SHA, MIPS) listed apart and
+# the other VM's ratio on the same kernel beside each as a control.
 #
 #   scripts/ab_vmexec.sh <parent selfbench> <change selfbench> [pairs]
 #
@@ -73,23 +74,38 @@ summary wasm "${wasm_ratios[@]}"
 summary js "${js_ratios[@]}"
 
 # Per kernel: the paired ratios of its fusion-on median, grouped per VM
-# into the call-heavy CHStone kernels and the rest.
+# into the call-heavy CHStone kernels and the rest. Each line ends with
+# the other VM's ratio on the same kernel as a control: a change to one
+# VM leaves the other's code as it was, so that column shows how far the
+# host alone moves a kernel.
 awk '
+    # Median paired ratio and wins of kernel key k, into med[k], won[k]
+    # and pairs[k].
+    function ratios(k,   i, m, a, b, x, r) {
+        m = 0; won[k] = 0
+        for (i = 0; (k, i, "p") in t || (k, i, "c") in t; i++) {
+            if (!((k, i, "p") in t) || !((k, i, "c") in t) || t[k, i, "p"] <= 0) continue
+            r[++m] = t[k, i, "c"] / t[k, i, "p"]
+            if (r[m] < 1) won[k]++
+        }
+        for (a = 2; a <= m; a++) for (b = a; b > 1 && r[b - 1] > r[b]; b--) { x = r[b]; r[b] = r[b - 1]; r[b - 1] = x }
+        pairs[k] = m
+        if (m > 0) med[k] = (m % 2) ? r[(m + 1) / 2] : (r[m / 2] + r[m / 2 + 1]) / 2
+    }
     { t[$3 " " $4, $1, $2] = $5; key[$3 " " $4] = 1 }
     END {
+        for (k in key) ratios(k)
         for (k in key) {
-            m = 0; won = 0
-            for (i = 0; (k, i, "p") in t || (k, i, "c") in t; i++) {
-                if (!((k, i, "p") in t) || !((k, i, "c") in t) || t[k, i, "p"] <= 0) continue
-                r[++m] = t[k, i, "c"] / t[k, i, "p"]
-                if (r[m] < 1) won++
-            }
-            if (m == 0) continue
-            for (a = 2; a <= m; a++) for (b = a; b > 1 && r[b - 1] > r[b]; b--) { x = r[b]; r[b] = r[b - 1]; r[b - 1] = x }
-            med = (m % 2) ? r[(m + 1) / 2] : (r[m / 2] + r[m / 2 + 1]) / 2
+            if (pairs[k] == 0) continue
             split(k, f, " "); name = f[2]; sub(/@.*/, "", name)
             group = (name ~ /^(AES|BLOWFISH|SHA|MIPS)$/) ? "call-heavy" : "other"
-            printf "%s %s %s: median change/parent %.4f (%+.1f%%), change won %d of %d pairs\n",
-                f[1], group, f[2], med, (med - 1) * 100, won, m
+            other = (f[1] == "wasm" ? "js" : "wasm")
+            line = sprintf("%s %s %s: median change/parent %.4f (%+.1f%%), change won %d of %d pairs",
+                f[1], group, f[2], med[k], (med[k] - 1) * 100, won[k], pairs[k])
+            c = other " " f[2]
+            if (pairs[c] > 0)
+                line = line sprintf("; %s control %.4f (%+.1f%%), won %d of %d",
+                    other, med[c], (med[c] - 1) * 100, won[c], pairs[c])
+            print line
         }
     }' "$work/kernels" | sort

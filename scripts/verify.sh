@@ -48,8 +48,9 @@ echo "== quick grid, uncached, with fusion off and on one worker =="
 # byte of any emitted table. `--no-cache` builds every artifact from its
 # own front end, so it also compares memoized front ends (one checked HIR
 # cloned into each level x target compile) against fresh ones;
-# `--reference-exec` lowers every function one op per instruction, so
-# this compares fusion on against fusion off in each VM's one loop; and
+# `--reference-exec` lowers every function one op per instruction that
+# does work, so this compares fusion on against fusion off in each VM's
+# one loop; and
 # `--jobs 1` runs every cell in grid order.
 ./target/release/wb regen fig5 fig12_13 --quick --no-cache --out "$tmp/no-cache"
 ./target/release/wb regen fig5 fig12_13 --quick --reference-exec --out "$tmp/reference"
