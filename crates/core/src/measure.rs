@@ -294,7 +294,7 @@ pub struct JsSpec<'a> {
     pub env: Environment,
     /// JIT enabled/disabled (`--no-opt`).
     pub jit: JitMode,
-    /// Run with the fused-op overlay and inline caches off, in the same
+    /// Run with the fused-op overlay off, in the same
     /// dispatch loop (`--reference-exec`); measurement-invisible by
     /// construction.
     pub reference_exec: bool,

@@ -153,7 +153,7 @@ pub struct CostTable(pub [f64; OP_CLASS_COUNT]);
 impl CostTable {
     /// The reference table: costs roughly proportional to modern
     /// out-of-order-core latencies (ALU 1, mul 3, div 20, loads 2, …).
-    pub fn reference() -> Self {
+    pub const fn reference() -> Self {
         let mut t = [1.0; OP_CLASS_COUNT];
         t[OpClass::IntAlu as usize] = 1.0;
         t[OpClass::IntMul as usize] = 3.0;

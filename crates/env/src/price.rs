@@ -32,6 +32,9 @@ use crate::{
 /// hashing).
 const SHA256_CYCLES_PER_BYTE: f64 = 0.4;
 
+/// Base cycles per operation class, shared with native execution.
+const COSTS: CostTable = CostTable::reference();
+
 /// One discrete virtual-cost event, in the units the VM observed it in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Charge {
@@ -147,8 +150,6 @@ pub struct PriceList<'a> {
     /// Engine cost parameters (compile, GC, grow, crossing, tier
     /// multipliers).
     pub engine: EnginePrices<'a>,
-    /// Base cycles per operation class.
-    pub cost: &'a CostTable,
     /// Nanoseconds per abstract cycle (platform speed).
     pub cycle_time_ns: f64,
     /// Toolchain codegen multiplier on executed-op cycles (1.0 for JS).
@@ -281,7 +282,7 @@ impl PriceList<'_> {
         let cycles = tier_counts
             .iter()
             .zip(multipliers)
-            .map(|(counts, &m)| self.cost.cycles(counts, m))
+            .map(|(counts, &m)| COSTS.cycles(counts, m))
             .fold(0.0, |acc, c| acc + c);
         Nanos(cycles * self.exec_overhead * self.cycle_time_ns)
     }
@@ -336,7 +337,6 @@ mod tests {
     #[test]
     fn replay_matches_inline_charging() {
         let p = WasmEngineProfile::reference();
-        let cost = CostTable::reference();
         let ct = 0.37;
         let events = [
             Charge::WasmLoad { bytes: 1234 },
@@ -349,7 +349,6 @@ mod tests {
         ];
         let list = PriceList {
             engine: EnginePrices::Wasm(&p),
-            cost: &cost,
             cycle_time_ns: ct,
             exec_overhead: 1.1,
             tiering: Tiering::TierUp { threshold: 2_000 },
@@ -379,8 +378,8 @@ mod tests {
         counts.ops[2].bump(OpClass::FloatMul, 333);
         let [base, opt, _] = counts.tiers(list.tiering);
         assert_eq!(base.get(OpClass::IntAlu), 1000);
-        let exec = (cost.cycles(&base, p.baseline.exec_multiplier)
-            + cost.cycles(&opt, p.optimizing.exec_multiplier))
+        let exec = (COSTS.cycles(&base, p.baseline.exec_multiplier)
+            + COSTS.cycles(&opt, p.optimizing.exec_multiplier))
             * 1.1
             * ct;
         inline.advance(Nanos(exec), TimeBucket::Exec);
@@ -400,7 +399,6 @@ mod tests {
     #[test]
     fn the_fold_keeps_the_threshold_marker_and_merges_what_it_joins() {
         let p = JsEngineProfile::reference();
-        let cost = CostTable::reference();
         let mut record = ChargeRecord::new();
         for charge in [
             Charge::Alloc,
@@ -424,7 +422,6 @@ mod tests {
         let fold = |tiering| {
             PriceList {
                 engine: EnginePrices::Js(&p),
-                cost: &cost,
                 cycle_time_ns: 1.0,
                 exec_overhead: 1.0,
                 tiering,

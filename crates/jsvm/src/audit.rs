@@ -9,8 +9,8 @@
 //! so a fused form enters the regions its plain ops would, by
 //! construction. What the audit checks, for every
 //! instance the overlay can emit (all 11 [`BinKind`]s, pairs of them for
-//! the two-operator forms, all 8 [`CmpKind`]s, every inline-cache
-//! shape), is what that construction rests on:
+//! the two-operator forms, all 8 [`CmpKind`]s, every index form), is what
+//! that construction rests on:
 //!
 //! * **round trip**: the overlay builder recognizes the constituents as
 //!   the expected family at the full width;
@@ -26,18 +26,19 @@
 //! Three structural facts make the remaining behavior equivalent and are
 //! *documented* rather than audited per instance:
 //!
-//! * fused guards run **before** any charge, so an IC miss or non-`Num`
-//!   operand falls back with the virtual-cost state untouched and the
-//!   plain loop replays the reference path exactly;
+//! * fused guards run **before** any charge, so a receiver the fast path
+//!   does not serve or a non-`Num` operand falls back with the
+//!   virtual-cost state untouched and the plain loop replays the
+//!   reference path exactly;
 //! * fused fast paths never allocate, never resize heap objects and never
 //!   note hotness, so GC safe-points and tier transitions coincide with
 //!   the reference at every op boundary. The one permitted divergence is
 //!   step-budget batching per region;
-//! * an index access counts through `index_route` on both paths, which
-//!   sends a typed-array access to `typed_band_counts[band]` and any
-//!   other to `band_counts[band]` on typedness alone. The fused path
-//!   takes the typedness of the inline-cache entry that hit, which is the
-//!   receiver's; `SetIndexIc`'s guard admits typed receivers only.
+//! * an index access counts through `count_index` on both paths, which
+//!   sends a typed-array access to the band's typed counts and any other
+//!   to its plain op counts on the receiver's typedness alone, which the
+//!   same element read or typed store reports on both paths;
+//!   `SetIndexPop`'s guard admits typed receivers only.
 
 use crate::bytecode::{Chunk, Const, Op};
 use crate::fuse::{build_overlay, op_events, walk, BinKind, CmpKind, Ev, FOp, SpanCharges};
@@ -93,12 +94,10 @@ fn family_of(fop: &FOp) -> &'static str {
         FOp::LLCmpJf { tail: true, .. } => "LLCmpJfTail",
         FOp::LCCmpJf { tail: false, .. } => "LCCmpJf",
         FOp::LCCmpJf { tail: true, .. } => "LCCmpJfTail",
-        FOp::GAddr { ic: None, .. } => "GAddr",
-        FOp::GAddr { ic: Some(_), .. } => "GAddrIc",
+        FOp::GAddr { get: false, .. } => "GAddr",
+        FOp::GAddr { get: true, .. } => "GAddrGet",
         FOp::LLGetIndex { .. } => "LLGetIndex",
-        FOp::GetIndexIc { .. } => "GetIndexIc",
-        FOp::SetIndexIc { pop: false, .. } => "SetIndexIc",
-        FOp::SetIndexIc { pop: true, .. } => "SetIndexPopIc",
+        FOp::SetIndexPop => "SetIndexPop",
     }
 }
 
@@ -153,7 +152,7 @@ fn enumerate_instances() -> Vec<(&'static str, String, Vec<Op>)> {
             ));
             let addr = vec![Op::LoadGlobal(0), ll(0), one.clone(), b.clone(), ll(1), b2];
             out.push(("GAddr", label.clone(), addr.clone()));
-            out.push(("GAddrIc", label, [addr, vec![Op::GetIndex]].concat()));
+            out.push(("GAddrGet", label, [addr, vec![Op::GetIndex]].concat()));
         }
     }
     for cmp in CmpKind::ALL {
@@ -182,10 +181,8 @@ fn enumerate_instances() -> Vec<(&'static str, String, Vec<Op>)> {
         ));
     }
     out.push(("CStore", "Num".into(), vec![one, Op::StoreLocal(2)]));
-    out.push(("LLGetIndex", "ic".into(), vec![ll(0), ll(1), Op::GetIndex]));
-    out.push(("GetIndexIc", "ic".into(), vec![Op::GetIndex]));
-    out.push(("SetIndexIc", "ic".into(), vec![Op::SetIndex]));
-    out.push(("SetIndexPopIc", "ic".into(), vec![Op::SetIndex, Op::Pop]));
+    out.push(("LLGetIndex", "Ref".into(), vec![ll(0), ll(1), Op::GetIndex]));
+    out.push(("SetIndexPop", "typed".into(), vec![Op::SetIndex, Op::Pop]));
     out
 }
 
@@ -201,7 +198,7 @@ pub fn audit_fusion_table() -> Vec<FusionAuditEntry> {
         let width = ops.len();
         let branches = ops.iter().any(|op| matches!(op, Op::JumpIfFalse(_)));
         let chunk = instance_chunk(ops);
-        let overlay = build_overlay(&chunk, &mut 0);
+        let overlay = build_overlay(&chunk);
         let fused = overlay.ops[0].fused;
         let paths: &[bool] = if branches { &[true, false] } else { &[true] };
         for &cond in paths {
@@ -268,10 +265,10 @@ mod tests {
         let (bins, cmps) = (BinKind::ALL.len(), CmpKind::ALL.len());
         // 11 bins × 4 one-operator families, 11 × 11 operator pairs ×
         // 3 two-operator families, 8 cmps × 5 branching families × 2
-        // outcomes, CStore, LLGetIndex, GetIndexIc, SetIndexIc ± pop.
-        let expected = bins * 4 + bins * bins * 3 + cmps * 5 * 2 + 1 + 4;
+        // outcomes, CStore, LLGetIndex, SetIndexPop.
+        let expected = bins * 4 + bins * bins * 3 + cmps * 5 * 2 + 1 + 2;
         assert_eq!(entries.len(), expected);
-        assert_eq!(expected, 492);
+        assert_eq!(expected, 490);
         let families: std::collections::BTreeSet<_> = entries.iter().map(|e| e.family).collect();
         assert_eq!(
             families.into_iter().collect::<Vec<_>>(),
@@ -279,8 +276,7 @@ mod tests {
                 "CStore",
                 "CmpJf",
                 "GAddr",
-                "GAddrIc",
-                "GetIndexIc",
+                "GAddrGet",
                 "LCBin",
                 "LCBin2Store",
                 "LCBinStore",
@@ -291,20 +287,9 @@ mod tests {
                 "LLCmpJf",
                 "LLCmpJfTail",
                 "LLGetIndex",
-                "SetIndexIc",
-                "SetIndexPopIc"
+                "SetIndexPop"
             ]
         );
-    }
-
-    #[test]
-    fn index_route_splits_on_typedness_alone() {
-        use crate::vm::index_route;
-        use crate::vm::IndexCounter::{Plain, Typed};
-        assert_eq!(index_route(false, false), (Plain, OpClass::Load));
-        assert_eq!(index_route(true, false), (Typed, OpClass::Load));
-        assert_eq!(index_route(false, true), (Plain, OpClass::Store));
-        assert_eq!(index_route(true, true), (Typed, OpClass::Store));
     }
 
     #[test]
@@ -334,7 +319,7 @@ mod tests {
             Op::Div,
             Op::StoreLocal(2),
         ];
-        let overlay = build_overlay(&instance_chunk(ops), &mut 0);
+        let overlay = build_overlay(&instance_chunk(ops));
         let fused = overlay.ops[0].fused.unwrap();
         let path = fused.path(true);
         assert_eq!((path.entered(), path.exit, path.index), (&[][..], 4, None));

@@ -1,12 +1,11 @@
-//! Peephole fusion over MiniJS bytecode, plus inline-cache site
-//! assignment.
+//! Peephole fusion over MiniJS bytecode.
 //!
 //! After compilation, each chunk gets a fused **overlay**: a
 //! `Vec<Option<Fused>>` the same length as the code, with an entry at
-//! every pc where a multi-op pattern (or an index op worth an inline
-//! cache) begins. The original bytecode is untouched — the interpreter
-//! consults the overlay at each pc and either executes the fused form
-//! (skipping `width` source ops) or falls back to the plain op.
+//! every pc where a multi-op pattern begins. The original bytecode is
+//! untouched — the interpreter consults the overlay at each pc and either
+//! executes the fused form (skipping `width` source ops) or falls back to
+//! the plain op.
 //!
 //! That overlay shape buys two correctness properties for free:
 //!
@@ -14,10 +13,10 @@
 //!   a fused group simply resumes plain execution there — the overlay is
 //!   `None` at non-head pcs and the underlying ops are unchanged.
 //! * **Guarded fallback is exact.** When a fused handler's fast-path
-//!   guard fails (an operand is a heap reference, an inline cache
-//!   misses), it falls through to the plain op at the same pc *before
-//!   charging anything*, so the virtual-cost trace is identical to the
-//!   reference interpreter's.
+//!   guard fails (an operand is a heap reference, a receiver is a string
+//!   or an object), it falls through to the plain op at the same pc
+//!   *before charging anything*, so the virtual-cost trace is identical
+//!   to the reference interpreter's.
 //!
 //! **Regions.** The overlay also cuts the chunk into regions
 //! ([`region_heads`]): runs of ops entered only at their head and left
@@ -45,8 +44,8 @@
 //!   allocates; `to_num` on numbers is pure);
 //! * the `SetIndex` fast path covers typed arrays only (a plain-array
 //!   store can resize, changing `bytes_since_gc` and hence GC timing);
-//! * `GetIndex` caches plain and typed arrays but never strings
-//!   (string indexing allocates a fresh one-char string).
+//! * the `GetIndex` fast paths read plain and typed arrays but never
+//!   strings (string indexing allocates a fresh one-char string).
 //!
 //! Three families target the idioms the MiniC JS backend emits in every
 //! loop: the element address `A[(i) * 64 + j]` ([`FOp::GAddr`]), the
@@ -216,8 +215,8 @@ impl CmpKind {
 
 /// A fused micro-op: what an overlay entry computes. Field names:
 /// `a`/`b` are local slots, `c` a numeric constant, `dst` a local slot
-/// written, `g` a global's name index, `ic` an inline-cache site index.
-/// Where a form branches to comes from its walk ([`Fused::paths`]).
+/// written, `g` a global's name index. Where a form branches to comes
+/// from its walk ([`Fused::paths`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum FOp {
     /// `LoadLocal a; LoadLocal b; <bin>`
@@ -270,8 +269,8 @@ pub(crate) enum FOp {
     },
     /// `LoadGlobal g; LoadLocal a; Const c; <op1>; LoadLocal b; <op2>`:
     /// the element address `A[(a) * c + b]`, pushing the global and the
-    /// index. With `ic`, also the `GetIndex` after it, through that
-    /// inline cache, pushing the element instead.
+    /// index. With `get`, also the `GetIndex` after it, pushing the
+    /// element instead.
     GAddr {
         g: u32,
         a: u16,
@@ -279,14 +278,12 @@ pub(crate) enum FOp {
         op1: BinKind,
         b: u16,
         op2: BinKind,
-        ic: Option<u32>,
+        get: bool,
     },
-    /// `LoadLocal obj; LoadLocal idx; GetIndex`, with an inline cache.
-    LLGetIndex { obj: u16, idx: u16, ic: u32 },
-    /// A lone `GetIndex` with an inline cache.
-    GetIndexIc { ic: u32 },
-    /// `SetIndex` (+ `Pop` when `pop`), with an inline cache.
-    SetIndexIc { ic: u32, pop: bool },
+    /// `LoadLocal obj; LoadLocal idx; GetIndex`
+    LLGetIndex { obj: u16, idx: u16 },
+    /// `SetIndex; Pop` into a typed array.
+    SetIndexPop,
 }
 
 impl FOp {
@@ -294,51 +291,13 @@ impl FOp {
     pub(crate) fn width(&self) -> usize {
         match self {
             FOp::LLCmpJf { tail, .. } | FOp::LCCmpJf { tail, .. } => 4 + 4 * *tail as usize,
-            FOp::GAddr { ic, .. } => 6 + ic.is_some() as usize,
+            FOp::GAddr { get, .. } => 6 + *get as usize,
             FOp::LCBin2Store { .. } => 6,
             FOp::LLBinStore { .. } | FOp::LCBinStore { .. } => 4,
             FOp::LLBin { .. } | FOp::LCBin { .. } | FOp::LLGetIndex { .. } => 3,
-            FOp::CStore { .. } | FOp::CmpJf { .. } => 2,
-            FOp::SetIndexIc { pop, .. } => 1 + *pop as usize,
-            FOp::GetIndexIc { .. } => 1,
+            FOp::CStore { .. } | FOp::CmpJf { .. } | FOp::SetIndexPop => 2,
         }
     }
-}
-
-/// What a monomorphic inline cache remembers about its last receiver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) enum IcKind {
-    /// Empty cache (initial state, never matches).
-    #[default]
-    None,
-    /// Plain JS array.
-    Arr,
-    /// `Float64Array`.
-    F64,
-    /// `Int32Array`.
-    I32,
-    /// `Uint8Array`.
-    U8,
-}
-
-impl IcKind {
-    /// Whether the receiver counts as a typed array for the cost model
-    /// (must agree with the VM's `count_index_op`).
-    pub(crate) fn is_typed(self) -> bool {
-        matches!(self, IcKind::F64 | IcKind::I32 | IcKind::U8)
-    }
-}
-
-/// One monomorphic inline-cache entry: valid while the heap generation
-/// is unchanged (no GC since caching) and the receiver is `obj`.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct IcEntry {
-    /// Heap generation at cache-fill time.
-    pub generation: u64,
-    /// Cached receiver reference.
-    pub obj: u32,
-    /// Cached receiver shape.
-    pub kind: IcKind,
 }
 
 /// One overlay entry: a fused form and what each outcome of its
@@ -388,17 +347,9 @@ pub(crate) struct FusedChunk {
     pub regions: RegionTable,
 }
 
-/// Build overlays for every chunk. Returns the per-chunk overlays and
-/// the total number of inline-cache sites assigned (indices are global
-/// across chunks).
-pub(crate) fn build_overlays(program: &Program) -> (Vec<FusedChunk>, u32) {
-    let mut next_ic = 0u32;
-    let overlays = program
-        .chunks
-        .iter()
-        .map(|c| build_overlay(c, &mut next_ic))
-        .collect();
-    (overlays, next_ic)
+/// Build the overlay of every chunk.
+pub(crate) fn build_overlays(program: &Program) -> Vec<FusedChunk> {
+    program.chunks.iter().map(build_overlay).collect()
 }
 
 /// Where regions start: at pc 0, at every jump target, and after every
@@ -439,8 +390,8 @@ pub(crate) fn static_charge(op: &Op) -> Option<(OpClass, Option<ArithKind>)> {
 }
 
 /// The overlay of one chunk: its regions, and a fused form at each
-/// pattern head, numbering inline-cache sites from `next_ic`.
-pub(crate) fn build_overlay(chunk: &Chunk, next_ic: &mut u32) -> FusedChunk {
+/// pattern head.
+pub(crate) fn build_overlay(chunk: &Chunk) -> FusedChunk {
     let code = &chunk.code;
     let heads = region_heads(chunk);
     let regions = RegionTable::build(&heads, |pc| static_charge(&code[pc]));
@@ -458,7 +409,7 @@ pub(crate) fn build_overlay(chunk: &Chunk, next_ic: &mut u32) -> FusedChunk {
     }
     let mut pc = 0;
     while pc < code.len() {
-        match fuse_at(chunk, &ops, pc, next_ic) {
+        match fuse_at(chunk, &ops, pc) {
             Some(f) => {
                 ops[pc].fused = Some(f);
                 pc += f.op.width();
@@ -471,11 +422,9 @@ pub(crate) fn build_overlay(chunk: &Chunk, next_ic: &mut u32) -> FusedChunk {
 
 /// The overlay entry at `pc`: the longest pattern there, with the walk
 /// of each outcome over the chunk's region heads (`slots`). `None` when
-/// no pattern matches or the walk cannot follow the span (its
-/// inline-cache site, if any, is then not taken).
-fn fuse_at(chunk: &Chunk, slots: &[Slot], pc: usize, next_ic: &mut u32) -> Option<Fused> {
-    let first_ic = *next_ic;
-    let op = match_at(chunk, pc, next_ic)?;
+/// no pattern matches or the walk cannot follow the span.
+fn fuse_at(chunk: &Chunk, slots: &[Slot], pc: usize) -> Option<Fused> {
+    let op = match_at(chunk, pc)?;
     let span = pc..pc + op.width();
     let path = |cond| SpanCharges::walk(chunk, slots, pc, span.len(), cond);
     let if_true = path(true);
@@ -484,16 +433,10 @@ fn fuse_at(chunk: &Chunk, slots: &[Slot], pc: usize, next_ic: &mut u32) -> Optio
         .iter()
         .any(|o| CmpKind::of(o).is_some());
     let if_false = if compares { path(false) } else { if_true };
-    match (if_false, if_true) {
-        (Some(if_false), Some(if_true)) => Some(Fused {
-            op,
-            paths: [if_false, if_true],
-        }),
-        _ => {
-            *next_ic = first_ic;
-            None
-        }
-    }
+    Some(Fused {
+        op,
+        paths: [if_false?, if_true?],
+    })
 }
 
 /// A single cost event per-op counting applies for one op.
@@ -503,7 +446,7 @@ pub(crate) enum Ev {
     Class(OpClass),
     /// One Table 12 arithmetic-profile bump.
     Arith(ArithKind),
-    /// One typed-array-aware index count (`count_index_op`).
+    /// One index count by the receiver's typedness (`count_index`).
     Index {
         /// Whether it counts as a store.
         store: bool,
@@ -661,12 +604,6 @@ fn num_const(chunk: &Chunk, ci: u32) -> Option<f64> {
     }
 }
 
-fn alloc_ic(next_ic: &mut u32) -> u32 {
-    let ic = *next_ic;
-    *next_ic += 1;
-    ic
-}
-
 /// Whether the bool tail starts at `pc`: the branch on a comparison
 /// materialized as a number, `(<cmp> ? 1 : 0)` under an `if` or loop
 /// test:
@@ -700,7 +637,7 @@ fn cmp_branch(chunk: &Chunk, pc: usize) -> Option<bool> {
 }
 
 /// Greedy longest-pattern match at `pc`.
-pub(crate) fn match_at(chunk: &Chunk, pc: usize, next_ic: &mut u32) -> Option<FOp> {
+fn match_at(chunk: &Chunk, pc: usize) -> Option<FOp> {
     let code = &chunk.code;
     let at = |i: usize| code.get(pc + i);
 
@@ -717,7 +654,6 @@ pub(crate) fn match_at(chunk: &Chunk, pc: usize, next_ic: &mut u32) -> Option<FO
             if let (Some(c), Some(op1), Some(op2)) =
                 (num_const(chunk, *ci), BinKind::of(o1), BinKind::of(o2))
             {
-                let ic = matches!(at(6), Some(Op::GetIndex)).then(|| alloc_ic(next_ic));
                 return Some(FOp::GAddr {
                     g: *g,
                     a: *a,
@@ -725,7 +661,7 @@ pub(crate) fn match_at(chunk: &Chunk, pc: usize, next_ic: &mut u32) -> Option<FO
                     op1,
                     b: *b,
                     op2,
-                    ic,
+                    get: matches!(at(6), Some(Op::GetIndex)),
                 });
             }
         }
@@ -760,11 +696,7 @@ pub(crate) fn match_at(chunk: &Chunk, pc: usize, next_ic: &mut u32) -> Option<FO
                     });
                 }
                 if matches!(op2, Op::GetIndex) {
-                    return Some(FOp::LLGetIndex {
-                        obj: *a,
-                        idx: *b,
-                        ic: alloc_ic(next_ic),
-                    });
+                    return Some(FOp::LLGetIndex { obj: *a, idx: *b });
                 }
             }
         }
@@ -827,17 +759,8 @@ pub(crate) fn match_at(chunk: &Chunk, pc: usize, next_ic: &mut u32) -> Option<FO
             }
         }
     }
-    if matches!(at(0), Some(Op::GetIndex)) {
-        return Some(FOp::GetIndexIc {
-            ic: alloc_ic(next_ic),
-        });
-    }
-    if matches!(at(0), Some(Op::SetIndex)) {
-        let pop = matches!(at(1), Some(Op::Pop));
-        return Some(FOp::SetIndexIc {
-            ic: alloc_ic(next_ic),
-            pop,
-        });
+    if let (Some(Op::SetIndex), Some(Op::Pop)) = (at(0), at(1)) {
+        return Some(FOp::SetIndexPop);
     }
     None
 }
@@ -861,8 +784,7 @@ mod tests {
             vec![Op::LoadLocal(0), Op::Const(0), Op::Add, Op::StoreLocal(0)],
             vec![Const::Num(1.0)],
         );
-        let mut ic = 0;
-        let o = build_overlay(&c, &mut ic);
+        let o = build_overlay(&c);
         assert_eq!(
             o.ops[0].fused.map(|f| f.op),
             Some(FOp::LCBinStore {
@@ -888,8 +810,7 @@ mod tests {
             ],
             vec![],
         );
-        let mut ic = 0;
-        let o = build_overlay(&c, &mut ic);
+        let o = build_overlay(&c);
         let fused = o.ops[0].fused.unwrap();
         assert_eq!(
             fused.op,
@@ -911,43 +832,39 @@ mod tests {
     }
 
     #[test]
-    fn fuses_index_ops_and_assigns_ic_sites() {
+    fn fuses_index_ops_only_with_their_operands_or_pop() {
         let c = chunk(
             vec![
                 Op::LoadLocal(0),
                 Op::LoadLocal(1),
-                Op::GetIndex, // site 0 (as LLGetIndex)
-                Op::GetIndex, // site 1 (lone)
-                Op::SetIndex, // site 2, with Pop
+                Op::GetIndex,
+                Op::GetIndex, // lone: plain
+                Op::SetIndex,
                 Op::Pop,
+                Op::SetIndex, // no Pop: plain
             ],
             vec![],
         );
-        let mut ic = 0;
-        let o = build_overlay(&c, &mut ic);
+        let o = build_overlay(&c);
+        let forms: Vec<_> = o.ops.iter().map(|s| s.fused.map(|f| f.op)).collect();
         assert_eq!(
-            o.ops[0].fused.map(|f| f.op),
-            Some(FOp::LLGetIndex {
-                obj: 0,
-                idx: 1,
-                ic: 0
-            })
+            forms,
+            [
+                Some(FOp::LLGetIndex { obj: 0, idx: 1 }),
+                None,
+                None,
+                None,
+                Some(FOp::SetIndexPop),
+                None,
+                None,
+            ]
         );
-        assert_eq!(
-            o.ops[3].fused.map(|f| f.op),
-            Some(FOp::GetIndexIc { ic: 1 })
-        );
-        assert_eq!(
-            o.ops[4].fused.map(|f| f.op),
-            Some(FOp::SetIndexIc { ic: 2, pop: true })
-        );
-        assert_eq!(ic, 3);
     }
 
     /// The fused forms of `name`'s chunk in a compiled script.
     fn fused_forms(src: &str, name: &str) -> Vec<FOp> {
         let program = crate::compile_script(src).expect("compiles");
-        let (overlays, _) = build_overlays(&program);
+        let overlays = build_overlays(&program);
         let idx = program.chunks.iter().position(|c| c.name == name).unwrap();
         overlays[idx]
             .ops
@@ -1002,16 +919,16 @@ mod tests {
             }
         )));
         // The load carries the GetIndex; the store's address does not.
-        for ic in [true, false] {
+        for get in [true, false] {
             assert!(has(&|f| matches!(
                 f,
                 FOp::GAddr {
                     c: 4.0,
                     op1: BinKind::Mul,
                     op2: BinKind::Add,
-                    ic: cache,
+                    get: g,
                     ..
-                } if cache.is_some() == ic
+                } if *g == get
             )));
         }
     }
@@ -1029,7 +946,7 @@ mod tests {
              }",
         )
         .expect("compiles");
-        let (overlays, _) = build_overlays(&program);
+        let overlays = build_overlays(&program);
         type Family = fn(&FOp) -> bool;
         let families: [(&str, Family); 2] = [
             ("pick", |f| matches!(f, FOp::LCBin2Store { .. })),
@@ -1078,8 +995,7 @@ mod tests {
             vec![Op::LoadLocal(0), Op::Const(0), Op::Add],
             vec![Const::Str("s".into())],
         );
-        let mut ic = 0;
-        let o = build_overlay(&c, &mut ic);
+        let o = build_overlay(&c);
         assert!(o.ops.iter().all(|x| x.fused.is_none()));
     }
 
@@ -1097,8 +1013,7 @@ mod tests {
             Op::StoreLocal(1),
         ];
         let c = chunk(ops, vec![Const::Num(1.0)]);
-        let mut ic = 0;
-        let o = build_overlay(&c, &mut ic);
+        let o = build_overlay(&c);
         assert!(o.ops[0].fused.is_some());
         assert!(o.ops[1].fused.is_none());
         assert!(o.ops[2].fused.is_none());
@@ -1156,13 +1071,12 @@ mod tests {
                     op1: BinKind::Mul,
                     b: 1,
                     op2: BinKind::Add,
-                    ic: Some(0),
+                    get: true,
                 },
                 7,
             ),
-            (FOp::GetIndexIc { ic: 0 }, 1),
-            (FOp::SetIndexIc { ic: 0, pop: true }, 2),
-            (FOp::SetIndexIc { ic: 0, pop: false }, 1),
+            (FOp::LLGetIndex { obj: 0, idx: 1 }, 3),
+            (FOp::SetIndexPop, 2),
         ] {
             assert_eq!(fop.width(), w, "{fop:?}");
         }
@@ -1214,7 +1128,7 @@ mod tests {
              }",
         )
         .expect("compiles");
-        let (overlays, _) = build_overlays(&program);
+        let overlays = build_overlays(&program);
         let mut fused_crossings = 0;
         for (chunk, overlay) in program.chunks.iter().zip(&overlays) {
             let head = |pc: usize| overlay.ops.get(pc).is_some_and(|s| s.region != NO_REGION);
@@ -1276,8 +1190,7 @@ mod tests {
         // own span: the walk refuses it, so nothing fuses.
         let back_inside = chunk(vec![Op::Lt, Op::JumpIfFalse(-1)], vec![]);
         assert!(walk(&back_inside, 0, 2, false, |_, _| {}).is_err());
-        let mut ic = 0;
-        let o = build_overlay(&back_inside, &mut ic);
+        let o = build_overlay(&back_inside);
         assert!(o.ops.iter().all(|x| x.fused.is_none()));
         // A back-edge notes hotness; a branch on a value the span did not
         // push has no known outcome.

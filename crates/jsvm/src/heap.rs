@@ -76,11 +76,6 @@ pub struct Heap {
     free: Vec<u32>,
     /// Bytes allocated since the last collection (GC trigger input).
     pub bytes_since_gc: u64,
-    /// Bumped on every collection. Inline caches record the generation
-    /// they were filled in and treat any bump as invalidation: a sweep
-    /// can recycle reference slots, so a cached `(ref, kind)` pair is
-    /// only trustworthy while no GC has intervened.
-    generation: u64,
     stats: HeapStats,
 }
 
@@ -202,13 +197,7 @@ impl Heap {
         self.stats.external_bytes = external;
         self.stats.gc_count += 1;
         self.bytes_since_gc = 0;
-        self.generation += 1;
         live
-    }
-
-    /// Current GC generation (see the `generation` field).
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Current statistics snapshot.

@@ -21,7 +21,7 @@
 //! mid-run): a band changes only at chunk entry and loop back-edges,
 //! which are region boundaries, so every counter belongs to one band.
 //! What stays per op is what depends on a value: an index access counts
-//! by its receiver's typedness (`index_route`), a `Math.*` call counts as
+//! by its receiver's typedness (`count_index`), a `Math.*` call counts as
 //! native code, and allocation, GC and every other `Charge` event are
 //! recorded as they happen. An op that fails inside its region takes back
 //! the region's count on the cold path and charges the ops up to and
@@ -30,18 +30,15 @@
 
 use crate::bytecode::{Const, Op, Program};
 use crate::error::JsError;
-use crate::fuse::{
-    build_overlays, static_charge, FOp, Fused, FusedChunk, IcEntry, IcKind, SpanCharges, NO_REGION,
-};
+use crate::fuse::{build_overlays, static_charge, FOp, Fused, FusedChunk, SpanCharges, NO_REGION};
 use crate::heap::{Heap, HeapStats, Obj};
 use crate::stdlib::{sha256, DetRng};
 use crate::value::{format_number, Builtin, JsValue, Value};
 use std::collections::HashMap;
 use std::rc::Rc;
 use wb_env::{
-    ArithCounts, BandCounts, Bands, Charge, ChargeRecord, CostTable, EnginePrices, JitMode,
-    JsEngineProfile, Nanos, OpClass, OpCounts, PriceList, RegionCounters, RegionHits, Tiering,
-    VirtualClock,
+    ArithCounts, BandCounts, Bands, Charge, ChargeRecord, EnginePrices, JitMode, JsEngineProfile,
+    Nanos, OpClass, OpCounts, PriceList, RegionCounters, RegionHits, Tiering, VirtualClock,
 };
 
 /// Configuration of one JS VM.
@@ -51,8 +48,6 @@ pub struct JsVmConfig {
     pub profile: JsEngineProfile,
     /// Whether the optimizing JIT is enabled (`--no-opt` disables it).
     pub jit: JitMode,
-    /// Base cost table shared with the Wasm VM.
-    pub cost: CostTable,
     /// Nanoseconds per abstract cycle (platform speed).
     pub cycle_time_ns: f64,
     /// Resource ceilings: fuel (retired-op budget →
@@ -62,8 +57,8 @@ pub struct JsVmConfig {
     /// on existing virtual-cost events and never add charges, so
     /// default-limit runs are bit-identical to unlimited ones.
     pub limits: wb_env::ResourceLimits,
-    /// Run the one dispatch loop with the fused-op overlay and inline
-    /// caches off (one bytecode op per dispatch). Both modes produce
+    /// Run the one dispatch loop with the fused-op overlay off (one
+    /// bytecode op per dispatch). Both modes produce
     /// bit-identical measurements; this is a debugging escape hatch for
     /// fusion regressions (`--reference-exec` in the harness).
     pub reference_exec: bool,
@@ -75,7 +70,6 @@ impl JsVmConfig {
         JsVmConfig {
             profile: JsEngineProfile::reference(),
             jit: JitMode::Enabled,
-            cost: CostTable::reference(),
             cycle_time_ns: wb_env::calibration::DESKTOP_CYCLE_NS,
             limits: wb_env::ResourceLimits::default(),
             reference_exec: false,
@@ -87,7 +81,6 @@ impl JsVmConfig {
         JsVmConfig {
             profile: env.js,
             jit: JitMode::Enabled,
-            cost: CostTable::reference(),
             cycle_time_ns: env.cycle_time_ns,
             limits: wb_env::ResourceLimits::default(),
             reference_exec: false,
@@ -110,7 +103,6 @@ impl JsVmConfig {
     pub(crate) fn prices(&self) -> PriceList<'_> {
         PriceList {
             engine: EnginePrices::Js(&self.profile),
-            cost: &self.cost,
             cycle_time_ns: self.cycle_time_ns,
             exec_overhead: 1.0,
             tiering: match self.jit {
@@ -131,7 +123,7 @@ impl JsVmConfig {
 pub struct JsExecProjection {
     /// Resource ceilings.
     pub limits: wb_env::ResourceLimits,
-    /// Fused overlay and inline caches off.
+    /// Fused overlay off.
     pub reference_exec: bool,
     /// The hotness boundaries the run's op counts are banded by: every
     /// calibrated JIT threshold plus the config's own.
@@ -149,33 +141,6 @@ struct HotState {
     /// The chunk's row of region counters in `JsVm::counters` for its
     /// current band, once it has run in it.
     row: Option<usize>,
-}
-
-/// The counter set an index access bumps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum IndexCounter {
-    /// The band's plain op counts.
-    Plain,
-    /// The band's typed-array counts, which the JIT prices apart.
-    Typed,
-}
-
-/// Where an index access is counted, in whichever band its chunk is in:
-/// a typed-array receiver's in the typed counts, any other receiver's
-/// with the plain ops. The inline-cache path and the reference path both
-/// route through here; the pricing fold decides the tier.
-pub(crate) fn index_route(typed: bool, is_store: bool) -> (IndexCounter, OpClass) {
-    let class = if is_store {
-        OpClass::Store
-    } else {
-        OpClass::Load
-    };
-    let counter = if typed {
-        IndexCounter::Typed
-    } else {
-        IndexCounter::Plain
-    };
-    (counter, class)
 }
 
 struct Frame {
@@ -210,8 +175,8 @@ pub struct JsRecord {
 }
 
 impl JsRecord {
-    /// Price this record with `config`'s engine profile, cost table,
-    /// cycle time, JIT mode and JIT threshold.
+    /// Price this record with `config`'s engine profile, cycle time, JIT
+    /// mode and JIT threshold.
     pub fn price(&self, config: &JsVmConfig) -> JsReport {
         let priced = wb_env::price(&config.prices(), &self.charges, &self.band_counts);
         let [interp, jit, ta] = &priced.tiers;
@@ -278,11 +243,8 @@ pub struct JsVm {
     rng: DetRng,
     /// Per-chunk fused-op overlays (see `fuse.rs`), built at load time.
     fused: Rc<Vec<FusedChunk>>,
-    /// Monomorphic inline caches for `GetIndex`/`SetIndex` sites,
-    /// indexed globally across chunks.
-    ic_state: Vec<IcEntry>,
-    ic_hits: u64,
-    ic_misses: u64,
+    /// Fused index forms (`[served, fell back]`).
+    fused_index: [u64; 2],
     /// Dispatches through the overlay (`[fused, plain]`).
     dispatches: [u64; 2],
     /// `console.log` output.
@@ -310,9 +272,7 @@ impl JsVm {
             steps: 0,
             rng: DetRng::default(),
             fused: Rc::new(Vec::new()),
-            ic_state: Vec::new(),
-            ic_hits: 0,
-            ic_misses: 0,
+            fused_index: [0; 2],
             dispatches: [0; 2],
             output: Vec::new(),
         }
@@ -354,10 +314,10 @@ impl JsVm {
                 self.globals[idx as usize] = Some(Value::Num(v));
             }
         }
-        // Build the fused overlay and inline-cache sites. Pure derived
-        // data with no virtual-time charge: fusion models no engine
-        // work, and the reference and fused modes charge identically.
-        let (fused, ic_sites) = build_overlays(&program);
+        // Build the fused overlay. Pure derived data with no virtual-time
+        // charge: fusion models no engine work, and the reference and
+        // fused modes charge identically.
+        let fused = build_overlays(&program);
         // The counters of an earlier script fold into the counts kept
         // per op before its regions go.
         std::mem::take(&mut self.counters).fold(
@@ -374,7 +334,6 @@ impl JsVm {
             fused.len()
         ];
         self.fused = Rc::new(fused);
-        self.ic_state = vec![IcEntry::default(); ic_sites as usize];
         self.program = Rc::new(program);
         // Run the top level (chunk 0), as a call with no arguments.
         self.stack.push(Value::Closure(0));
@@ -842,6 +801,7 @@ impl JsVm {
                             pc = next;
                             continue;
                         }
+                        self.fused_index[1] += f.path(true).index.is_some() as u64;
                     }
                 }
                 let op = &chunk.code[pc];
@@ -1268,7 +1228,7 @@ impl JsVm {
                 op1,
                 b,
                 op2,
-                ic,
+                get,
             } => {
                 let Some(array) = self.globals[g as usize] else {
                     return Ok(None);
@@ -1277,106 +1237,45 @@ impl JsVm {
                     return Ok(None);
                 };
                 let index = op2.apply(op1.apply(x, c), y);
-                // With a `GetIndex`, the cached element replaces both.
-                let Some(ic) = ic else {
+                if !get {
                     let next = self.retire(only, band, row, false)?;
                     self.stack.push(array);
                     self.stack.push(Value::Num(index));
                     return Ok(Some(next));
-                };
-                let Value::Ref(r) = array else {
-                    return Ok(None);
-                };
-                let Some((v, typed)) = self.ic_probe_load(ic, r, index) else {
+                }
+                // With a `GetIndex`, the element replaces both.
+                let Some((v, typed)) = self.element(array, index) else {
                     return Ok(None);
                 };
                 let next = self.retire(only, band, row, typed)?;
                 self.stack.push(v);
                 Ok(Some(next))
             }
-            FOp::LLGetIndex { obj, idx, ic } => {
-                let Value::Ref(r) = local(self, obj) else {
-                    return Ok(None);
-                };
+            FOp::LLGetIndex { obj, idx } => {
                 let Value::Num(n) = local(self, idx) else {
                     return Ok(None);
                 };
-                let Some((v, typed)) = self.ic_probe_load(ic, r, n) else {
+                let Some((v, typed)) = self.element(local(self, obj), n) else {
                     return Ok(None);
                 };
                 let next = self.retire(only, band, row, typed)?;
                 self.stack.push(v);
                 Ok(Some(next))
             }
-            FOp::GetIndexIc { ic } => {
+            FOp::SetIndexPop => {
                 let n = self.stack.len();
-                let Value::Ref(r) = self.stack[n - 2] else {
+                let (obj, idx, val) = (self.stack[n - 3], self.stack[n - 2], self.stack[n - 1]);
+                // Typed arrays only: a plain-array store can resize, which
+                // changes `bytes_since_gc` and thus GC timing.
+                let (Value::Ref(r), Value::Num(i)) = (obj, idx) else {
                     return Ok(None);
                 };
-                let Value::Num(num) = self.stack[n - 1] else {
-                    return Ok(None);
-                };
-                let Some((v, typed)) = self.ic_probe_load(ic, r, num) else {
-                    return Ok(None);
-                };
-                let next = self.retire(only, band, row, typed)?;
-                self.stack.truncate(n - 2);
-                self.stack.push(v);
-                Ok(Some(next))
-            }
-            FOp::SetIndexIc { ic, pop } => {
-                let n = self.stack.len();
-                let (obj, idxv, val) = (self.stack[n - 3], self.stack[n - 2], self.stack[n - 1]);
-                let Value::Ref(r) = obj else {
-                    return Ok(None);
-                };
-                let Value::Num(i) = idxv else {
-                    return Ok(None);
-                };
-                let e = self.ic_state[ic as usize];
-                // Stores fast-path typed arrays only: a plain-array store
-                // can resize, which changes `bytes_since_gc` and thus GC
-                // timing — the reference path must handle those.
-                if e.obj != r || e.generation != self.heap.generation() || !e.kind.is_typed() {
-                    self.ic_refill(ic, r);
+                if !self.store_typed(r, i, val) {
                     return Ok(None);
                 }
-                let next = self.retire(only, band, row, true)?;
-                if i >= 0.0 && i.fract() == 0.0 {
-                    let idx = i as usize;
-                    let vn = self.to_num(val);
-                    let vi = num_to_int32(vn);
-                    match self.heap.get_mut(r) {
-                        Obj::F64(items) => {
-                            if let Some(slot) = items.get_mut(idx) {
-                                *slot = vn;
-                            }
-                        }
-                        Obj::I32(items) => {
-                            if let Some(slot) = items.get_mut(idx) {
-                                *slot = vi;
-                            }
-                        }
-                        Obj::U8(items) => {
-                            if let Some(slot) = items.get_mut(idx) {
-                                *slot = (vi & 0xff) as u8;
-                            }
-                        }
-                        // Typed-array stores never change heap/external
-                        // byte sizes, so the reference's note_resize is a
-                        // no-op here and is skipped.
-                        _ => {}
-                    }
-                }
-                if pop {
-                    // The SetIndex pushes `val`; the fused Pop
-                    // immediately removes it again.
-                    self.stack.truncate(n - 3);
-                } else {
-                    self.stack[n - 3] = val;
-                    self.stack.truncate(n - 2);
-                }
-                Ok(Some(next))
+                // The `SetIndex` pushes `val`; the `Pop` removes it again.
+                self.stack.truncate(n - 3);
+                self.retire(only, band, row, true).map(Some)
             }
         }
     }
@@ -1384,10 +1283,9 @@ impl JsVm {
     /// Retire one path through a fused span as the plain loop would:
     /// enter the regions it passes the heads of (the budget checked first,
     /// against the regions already run; then their fuel spent and one
-    /// count each in the row at `row`), then
-    /// count its index access, as a typed-array one when `typed` (the
-    /// typedness of the inline-cache entry that hit, which is the
-    /// receiver's) and as a cache hit. Returns the pc the path leaves to.
+    /// count each in the row at `row`), then count its index access, as a
+    /// typed-array one when `typed` (the receiver's typedness), and as one
+    /// the fused forms served. Returns the pc the path leaves to.
     /// Inlined into every arm: a call per fused dispatch costs more than
     /// the work itself.
     #[inline(always)]
@@ -1407,88 +1305,18 @@ impl JsVm {
                 self.counters.enter(row, region as usize);
             }
         }
-        if let Some(is_store) = path.index {
-            self.count_cached_index(band, typed, is_store);
-            self.ic_hits += 1;
+        if let Some(store) = path.index {
+            self.count_index(band, typed, store);
+            self.fused_index[0] += 1;
         }
         Ok(path.exit as usize)
     }
 
-    /// [`Self::count_index_op`] with the receiver's typedness taken from
-    /// the inline cache instead of a heap lookup.
-    fn count_cached_index(&mut self, band: usize, typed: bool, is_store: bool) {
-        let (counter, class) = index_route(typed, is_store);
-        match counter {
-            IndexCounter::Typed => self.band_counts.typed[band].bump(class, 1),
-            IndexCounter::Plain => self.band_counts.ops[band].bump(class, 1),
-        }
-    }
-
-    /// Probe the inline cache at site `ic` for a load from `Ref(r)` at
-    /// numeric index `n`. On a monomorphic hit, returns the element and
-    /// the receiver's typedness — a pure read (cached kinds never
-    /// allocate). On a miss, refills the cache and returns `None` so the
-    /// caller falls back to the reference path.
-    fn ic_probe_load(&mut self, ic: u32, r: u32, n: f64) -> Option<(Value, bool)> {
-        let e = self.ic_state[ic as usize];
-        if e.obj != r || e.generation != self.heap.generation() || e.kind == IcKind::None {
-            self.ic_refill(ic, r);
-            return None;
-        }
-        let v = if n < 0.0 || n.fract() != 0.0 {
-            Value::Undefined
-        } else {
-            let i = n as usize;
-            match (e.kind, self.heap.get(r)) {
-                (IcKind::Arr, Obj::Arr(items)) => items.get(i).copied().unwrap_or(Value::Undefined),
-                (IcKind::F64, Obj::F64(items)) => items
-                    .get(i)
-                    .map(|x| Value::Num(*x))
-                    .unwrap_or(Value::Undefined),
-                (IcKind::I32, Obj::I32(items)) => items
-                    .get(i)
-                    .map(|x| Value::Num(*x as f64))
-                    .unwrap_or(Value::Undefined),
-                (IcKind::U8, Obj::U8(items)) => items
-                    .get(i)
-                    .map(|x| Value::Num(*x as f64))
-                    .unwrap_or(Value::Undefined),
-                // Cache/heap disagreement cannot happen while the
-                // generation matches (objects never change variant and
-                // slots are only recycled by GC), but fall back safely.
-                _ => {
-                    self.ic_refill(ic, r);
-                    return None;
-                }
-            }
-        };
-        Some((v, e.kind.is_typed()))
-    }
-
-    /// Refill the cache at site `ic` from receiver `r`, if its kind is
-    /// cacheable. Strings and plain objects are not: string indexing
-    /// allocates a fresh one-char string, so it must stay on the
-    /// reference path.
-    fn ic_refill(&mut self, ic: u32, r: u32) {
-        self.ic_misses += 1;
-        let kind = match self.heap.get(r) {
-            Obj::Arr(_) => IcKind::Arr,
-            Obj::F64(_) => IcKind::F64,
-            Obj::I32(_) => IcKind::I32,
-            Obj::U8(_) => IcKind::U8,
-            Obj::Str(_) | Obj::Dict(_) => return,
-        };
-        self.ic_state[ic as usize] = IcEntry {
-            generation: self.heap.generation(),
-            obj: r,
-            kind,
-        };
-    }
-
-    /// Inline-cache effectiveness counters: `(hits, misses)`. Host-side
-    /// diagnostics only — never part of any measurement.
+    /// Fused index forms: `(index accesses the fused forms served, fused
+    /// index forms whose guards fell back)`. Host-side diagnostics only —
+    /// never part of any measurement.
     pub fn ic_stats(&self) -> (u64, u64) {
-        (self.ic_hits, self.ic_misses)
+        (self.fused_index[0], self.fused_index[1])
     }
 
     /// Interpreter dispatches: `(fused, plain)`, one per fused form run
@@ -1498,46 +1326,89 @@ impl JsVm {
         (self.dispatches[0], self.dispatches[1])
     }
 
-    /// Count one index access in `band`, routed by the receiver's
-    /// typedness ([`index_route`]).
-    fn count_index_op(&mut self, band: usize, obj: Value, is_store: bool) {
-        let typed = matches!(obj, Value::Ref(r)
-            if matches!(self.heap.get(r), Obj::F64(_) | Obj::I32(_) | Obj::U8(_)));
-        self.count_cached_index(band, typed, is_store);
+    /// Count one index access in `band`: a typed-array receiver's in the
+    /// typed counts, which the JIT prices apart, any other's with the
+    /// plain ops. Both paths count here; the pricing fold decides the
+    /// tier.
+    #[inline(always)]
+    fn count_index(&mut self, band: usize, typed: bool, store: bool) {
+        let class = if store { OpClass::Store } else { OpClass::Load };
+        let counts = if typed {
+            &mut self.band_counts.typed
+        } else {
+            &mut self.band_counts.ops
+        };
+        counts[band].bump(class, 1);
+    }
+
+    /// The element at index `n` of `obj` when it is an array or a typed
+    /// array, with whether it is typed: one heap lookup, and `undefined`
+    /// at an index that is negative, fractional, NaN or out of bounds.
+    /// `None` for any other receiver, whose read may allocate or fail.
+    #[inline(always)]
+    fn element(&self, obj: Value, n: f64) -> Option<(Value, bool)> {
+        let Value::Ref(r) = obj else {
+            return None;
+        };
+        let i = element_index(n);
+        let num = |x: Option<f64>| x.map_or(Value::Undefined, Value::Num);
+        Some(match self.heap.get(r) {
+            Obj::Arr(items) => {
+                let v = i.and_then(|i| items.get(i)).copied();
+                (v.unwrap_or(Value::Undefined), false)
+            }
+            Obj::F64(items) => (num(i.and_then(|i| items.get(i)).copied()), true),
+            Obj::I32(items) => (num(i.and_then(|i| items.get(i)).map(|x| *x as f64)), true),
+            Obj::U8(items) => (num(i.and_then(|i| items.get(i)).map(|x| *x as f64)), true),
+            Obj::Str(_) | Obj::Dict(_) => return None,
+        })
+    }
+
+    /// Store `val` at index `n` of `r` when it is a typed array, where a
+    /// store never changes a size; an index that is negative, fractional,
+    /// NaN or out of bounds stores nothing. Returns whether `r` is typed.
+    #[inline(always)]
+    fn store_typed(&mut self, r: u32, n: f64, val: Value) -> bool {
+        let vn = self.to_num(val);
+        let vi = num_to_int32(vn);
+        let i = element_index(n);
+        match self.heap.get_mut(r) {
+            Obj::F64(items) => {
+                if let Some(slot) = i.and_then(|i| items.get_mut(i)) {
+                    *slot = vn;
+                }
+            }
+            Obj::I32(items) => {
+                if let Some(slot) = i.and_then(|i| items.get_mut(i)) {
+                    *slot = vi;
+                }
+            }
+            Obj::U8(items) => {
+                if let Some(slot) = i.and_then(|i| items.get_mut(i)) {
+                    *slot = (vi & 0xff) as u8;
+                }
+            }
+            Obj::Arr(_) | Obj::Str(_) | Obj::Dict(_) => return false,
+        }
+        true
     }
 
     fn get_index(&mut self, obj: Value, idx: Value, band: usize) -> Result<Value, JsError> {
-        self.count_index_op(band, obj, false);
-        let i = self.to_num(idx);
+        let n = self.to_num(idx);
+        let element = self.element(obj, n);
+        self.count_index(band, element.is_some_and(|(_, typed)| typed), false);
+        if let Some((v, _)) = element {
+            return Ok(v);
+        }
         let Value::Ref(r) = obj else {
             return self.type_error("cannot index a non-object");
         };
-        if i < 0.0 || i.fract() != 0.0 {
+        let Obj::Str(s) = self.heap.get(r) else {
             return Ok(Value::Undefined);
-        }
-        let i = i as usize;
-        Ok(match self.heap.get(r) {
-            Obj::Arr(items) => items.get(i).copied().unwrap_or(Value::Undefined),
-            Obj::F64(items) => items
-                .get(i)
-                .map(|v| Value::Num(*v))
-                .unwrap_or(Value::Undefined),
-            Obj::I32(items) => items
-                .get(i)
-                .map(|v| Value::Num(*v as f64))
-                .unwrap_or(Value::Undefined),
-            Obj::U8(items) => items
-                .get(i)
-                .map(|v| Value::Num(*v as f64))
-                .unwrap_or(Value::Undefined),
-            Obj::Str(s) => match s.chars().nth(i) {
-                Some(c) => {
-                    let r = self.alloc(Obj::Str(c.to_string()));
-                    Value::Ref(r)
-                }
-                None => Value::Undefined,
-            },
-            Obj::Dict(_) => Value::Undefined,
+        };
+        Ok(match element_index(n).and_then(|i| s.chars().nth(i)) {
+            Some(c) => Value::Ref(self.alloc(Obj::Str(c.to_string()))),
+            None => Value::Undefined,
         })
     }
 
@@ -1548,45 +1419,30 @@ impl JsVm {
         val: Value,
         band: usize,
     ) -> Result<(), JsError> {
-        self.count_index_op(band, obj, true);
         let Value::Ref(r) = obj else {
+            self.count_index(band, false, true);
             return self.type_error("cannot index a non-object");
         };
-        let i = self.to_num(idx);
-        if i < 0.0 || i.fract() != 0.0 {
-            return Ok(()); // JS would create a string key; our corpus doesn't
+        let n = self.to_num(idx);
+        let typed = self.store_typed(r, n, val);
+        self.count_index(band, typed, true);
+        if typed {
+            return Ok(());
         }
-        let i = i as usize;
+        let Some(i) = element_index(n) else {
+            return Ok(()); // JS would create a string key; our corpus doesn't
+        };
         let (oh, oe) = {
             let o = self.heap.get(r);
             (o.heap_bytes(), o.external_bytes())
         };
-        let vn = self.to_num(val);
-        let vi = self.to_int32(val);
-        match self.heap.get_mut(r) {
-            Obj::Arr(items) => {
-                if i >= items.len() {
-                    items.resize(i + 1, Value::Undefined);
-                }
-                items[i] = val;
-            }
-            Obj::F64(items) => {
-                if let Some(slot) = items.get_mut(i) {
-                    *slot = vn;
-                }
-            }
-            Obj::I32(items) => {
-                if let Some(slot) = items.get_mut(i) {
-                    *slot = vi;
-                }
-            }
-            Obj::U8(items) => {
-                if let Some(slot) = items.get_mut(i) {
-                    *slot = (vi & 0xff) as u8;
-                }
-            }
-            Obj::Str(_) | Obj::Dict(_) => return Ok(()),
+        let Obj::Arr(items) = self.heap.get_mut(r) else {
+            return Ok(());
+        };
+        if i >= items.len() {
+            items.resize(i + 1, Value::Undefined);
         }
+        items[i] = val;
         self.heap.note_resize(oh, oe, r);
         Ok(())
     }
@@ -2017,6 +1873,12 @@ pub(crate) fn num_to_int32(n: f64) -> i32 {
         m
     };
     m as i32
+}
+
+/// `n` as an element index; `None` for a negative, fractional or NaN
+/// one, which names no element.
+fn element_index(n: f64) -> Option<usize> {
+    (n >= 0.0 && n.fract() == 0.0).then_some(n as usize)
 }
 
 /// JS `ToUint32` on an already-numeric value.

@@ -1,8 +1,7 @@
-//! Fused-vs-reference differential tests for the MiniJS VM, plus
-//! inline-cache behaviour tests.
+//! Fused-vs-reference differential tests for the MiniJS VM.
 //!
-//! The fused overlay and inline caches exist purely to make the host
-//! run faster; they must be invisible in every measured quantity. Each
+//! The fused overlay exists purely to make the host run faster; it must
+//! be invisible in every measured quantity. Each
 //! differential test runs the same script through both modes
 //! (`reference_exec` toggled) and asserts the *entire* report matches
 //! to the bit — virtual time, per-bucket clock attribution, per-class
@@ -148,7 +147,7 @@ fn int32_and_u8_arrays_match() {
 #[test]
 fn plain_arrays_and_growth_match() {
     // Plain-array stores resize (bytes_since_gc growth) and must stay
-    // on the reference path; reads may use the IC.
+    // on the reference path; reads take the fused element read.
     let src = "function build(n) {\n\
                var a = [];\n\
                for (var i = 0; i < n; i = i + 1) { a[i] = i * 2; }\n\
@@ -181,8 +180,7 @@ fn string_paths_fall_back_and_match() {
 #[test]
 fn gc_churn_matches() {
     // Allocation churn with GC in the middle of fused loops: pause
-    // charges, heap stats and post-GC cache invalidation must all be
-    // measurement-invisible.
+    // charges and heap stats must be measurement-invisible.
     let src = "function churn(n) {\n\
                var keep = [];\n\
                for (var i = 0; i < n; i = i + 1) {\n\
@@ -218,7 +216,7 @@ fn mixed_arithmetic_and_compares_match() {
     run_both(src, "f", &[JsValue::Num(5000.0)]);
 }
 
-// ---- inline-cache behaviour ---------------------------------------------
+// ---- fused index forms ----------------------------------------------
 
 #[test]
 fn ic_hits_dominate_on_monomorphic_typed_loops() {
@@ -241,59 +239,133 @@ fn ic_hits_dominate_on_monomorphic_typed_loops() {
 }
 
 #[test]
-fn ic_misses_on_receiver_change() {
-    // The same call site alternates between two arrays: each swap is a
-    // miss (monomorphic cache keyed on the receiver reference).
+fn receiver_swaps_through_one_site_read_the_right_element() {
+    // One fused load site (`t[i]`) sees a Float64Array, a plain array, an
+    // Int32Array and a string in turn, and each read must be its own
+    // receiver's element.
     let src = "var a = new Float64Array(4);\n\
-             var b = new Float64Array(4);\n\
-             function pick(flag, i) { var t = flag ? a : b; return t[i]; }";
-    let mut vm = JsVm::new(JsVmConfig::reference());
-    vm.load(src).unwrap();
-    for i in 0..10 {
-        let flag = JsValue::Bool(i % 2 == 0);
-        vm.call("pick", &[flag, JsValue::Num(1.0)]).unwrap();
-    }
-    let (_, misses) = vm.ic_stats();
-    assert!(
-        misses >= 10,
-        "alternating receivers must keep missing, got {misses}"
+             var b = [10, 11, 12, 13];\n\
+             var c = new Int32Array(4);\n\
+             var s = 'wxyz';\n\
+             function init() { for (var i = 0; i < 4; i = i + 1) { a[i] = i + 0.5; c[i] = 0 - i; } return 0; }\n\
+             function pick(k, i) { var t = k == 0 ? a : (k == 1 ? b : (k == 2 ? c : s)); return t[i]; }";
+    let picks = [
+        (0, 1),
+        (1, 1),
+        (2, 1),
+        (0, 2),
+        (3, 1),
+        (2, 3),
+        (1, 0),
+        (0, 3),
+    ];
+    let (r, [_, fused]) = differential(
+        src,
+        |_| {},
+        |vm| {
+            vm.call("init", &[]).unwrap();
+            picks.map(|(k, i)| vm.call("pick", &[JsValue::Num(k as f64), JsValue::Num(i as f64)]))
+        },
     );
+    let n = |x: f64| Ok(JsValue::Num(x));
+    assert_eq!(
+        r,
+        [
+            n(1.5),
+            n(11.0),
+            n(-1.0),
+            n(2.5),
+            Ok(JsValue::Str("x".into())),
+            n(-3.0),
+            n(10.0),
+            n(3.5)
+        ]
+    );
+    // The fused forms served `init`'s 8 stores and the 7 array reads, and
+    // fell back on the string.
+    assert_eq!(fused.ic_stats(), (15, 1));
 }
 
 #[test]
-fn ic_invalidated_by_gc() {
-    // A GC between accesses bumps the heap generation, so the next
-    // access misses even with the same receiver.
+fn reads_after_a_gc_read_the_right_element() {
+    // A collection frees the receiver a fused site last read and recycles
+    // heap slots; the site must then read whatever the global holds.
     let src = "var a = new Float64Array(8);\n\
-             function read(i) { return a[i]; }\n\
+             function read(i) { var t = a; return t[i]; }\n\
+             function init() { a[1] = 7; return 0; }\n\
              function churn(n) {\n\
                for (var i = 0; i < n; i = i + 1) { var t = [i, i, i, i]; }\n\
                return 0;\n\
-             }";
-    let mut cfg = JsVmConfig::reference();
-    cfg.profile.gc.trigger_bytes = 8 * 1024;
-    let mut vm = JsVm::new(cfg);
-    vm.load(src).unwrap();
-
-    vm.call("read", &[JsValue::Num(1.0)]).unwrap(); // fill
-    vm.call("read", &[JsValue::Num(2.0)]).unwrap(); // hit
-    let (hits_before, misses_before) = vm.ic_stats();
-    assert!(hits_before >= 1);
-
-    vm.call("churn", &[JsValue::Num(2000.0)]).unwrap(); // forces GC
-    assert!(vm.report().heap.gc_count > 0, "churn must trigger GC");
-
-    vm.call("read", &[JsValue::Num(3.0)]).unwrap(); // miss: generation moved
-    let (_, misses_after) = vm.ic_stats();
-    assert!(
-        misses_after > misses_before,
-        "GC must invalidate the cache ({misses_before} -> {misses_after})"
+             }\n\
+             function refill(v) { a = null; churn(2000); a = [v, v + 1, v + 2]; return 0; }\n\
+             function restring() { a = null; churn(2000); a = 'pqr'; return 0; }";
+    let (r, vms) = differential(
+        src,
+        |cfg| cfg.profile.gc.trigger_bytes = 8 * 1024,
+        |vm| {
+            let mut out = Vec::new();
+            let one = [JsValue::Num(1.0)];
+            vm.call("init", &[]).unwrap();
+            out.push(vm.call("read", &one));
+            vm.call("churn", &[JsValue::Num(2000.0)]).unwrap();
+            out.push(vm.call("read", &one));
+            vm.call("refill", &[JsValue::Num(20.0)]).unwrap();
+            out.push(vm.call("read", &one));
+            vm.call("restring", &[]).unwrap();
+            out.push(vm.call("read", &one));
+            out
+        },
     );
+    let n = |x: f64| Ok(JsValue::Num(x));
+    assert_eq!(
+        r,
+        vec![n(7.0), n(7.0), n(21.0), Ok(JsValue::Str("q".into()))]
+    );
+    for vm in vms {
+        assert!(vm.report().heap.gc_count >= 3, "each churn must collect");
+    }
+}
 
-    vm.call("read", &[JsValue::Num(4.0)]).unwrap(); // re-filled: hit again
-    let (hits_final, misses_final) = vm.ic_stats();
-    assert_eq!(misses_final, misses_after, "refill restores hits");
-    assert!(hits_final > hits_before);
+#[test]
+fn only_typed_receivers_count_as_typed_accesses() {
+    // One load and one store into a Float64Array, then the same into a
+    // plain array, each through a fused site: only the first pair lands
+    // in the typed counts, fused and reference alike.
+    let src = "var t = new Float64Array(4);\n\
+             var p = [0, 0, 0, 0];\n\
+             function typed(i) { var r = t; r[i] = 2; return r[i]; }\n\
+             function plain(i) { var r = p; r[i] = 3; return r[i]; }";
+    let index = |vm: &JsVm| {
+        let counts = vm.record().band_counts;
+        let sum = |bands: &[wb_env::OpCounts]| {
+            let merged = bands
+                .iter()
+                .fold(wb_env::OpCounts::new(), |a, c| a.merged(c));
+            [wb_env::OpClass::Load, wb_env::OpClass::Store].map(|c| merged.get(c))
+        };
+        (sum(&counts.typed), sum(&counts.ops))
+    };
+    let (r, [reference, fused]) = differential(
+        src,
+        |_| {},
+        |vm| {
+            let one = [JsValue::Num(1.0)];
+            let typed = (vm.call("typed", &one), index(vm));
+            let plain = (vm.call("plain", &one), index(vm));
+            [typed, plain]
+        },
+    );
+    let [(typed, after_typed), (plain, after_plain)] = r;
+    assert_eq!(
+        (typed, plain),
+        (Ok(JsValue::Num(2.0)), Ok(JsValue::Num(3.0)))
+    );
+    assert_eq!(after_typed, ([1, 1], [0, 0]), "typed receiver");
+    assert_eq!(after_plain, ([1, 1], [1, 1]), "plain receiver");
+    // Both fused sites served the typed receiver; the plain array's store
+    // fell back to the plain op, which may resize.
+    assert_eq!(fused.ic_stats(), (3, 1));
+    assert_eq!(reference.ic_stats(), (0, 0));
 }
 
 // ---- the compiled-JS idioms: element address, coerced store, loop test --
@@ -423,47 +495,33 @@ fn non_number_locals_take_the_plain_path() {
 }
 
 #[test]
-fn gaddr_cache_misses_and_refills() {
+fn gaddr_reads_the_swapped_receiver() {
+    // One element-address load site reads `A_a`, then, after `swap`
+    // rebinds the global, `B_b`'s elements.
     let src = "var A_a = new Float64Array(16);\n\
              var B_b = new Float64Array(16);\n\
              function init() { var i = 0; for (i = 0; ((i) < (16) ? 1 : 0); i = (((i) + (1)) | 0)) { B_b[i] = i; } return 0; }\n\
              function read(i, j) { return A_a[((i) * 4 + j)]; }\n\
              function swap() { A_a = B_b; return 0; }";
-    // Four reads through one site: a miss that fills it, a hit, a miss
-    // on the new receiver after `swap`, a hit. Returns each read's value
-    // and the cache's (hits, misses) since `init`.
-    let reads = |vm: &mut JsVm| {
-        vm.call("init", &[]).unwrap();
-        let (h0, m0) = vm.ic_stats();
-        let mut out = Vec::new();
-        for (i, j) in [(1.0, 1.0), (1.0, 2.0), (1.0, 3.0), (2.0, 0.0)] {
-            if i == 1.0 && j == 3.0 {
-                vm.call("swap", &[]).unwrap();
-            }
-            let v = vm.call("read", &[JsValue::Num(i), JsValue::Num(j)]);
-            let (h, m) = vm.ic_stats();
-            out.push((v, (h - h0, m - m0)));
-        }
-        out
-    };
-    differential(
+    let (r, [_, fused]) = differential(
         src,
         |_| {},
-        |vm| reads(vm).into_iter().map(|(v, _)| v).collect::<Vec<_>>(),
+        |vm| {
+            vm.call("init", &[]).unwrap();
+            let mut out = Vec::new();
+            for (i, j) in [(1.0, 1.0), (1.0, 2.0), (1.0, 3.0), (2.0, 0.0)] {
+                if i == 1.0 && j == 3.0 {
+                    vm.call("swap", &[]).unwrap();
+                }
+                out.push(vm.call("read", &[JsValue::Num(i), JsValue::Num(j)]));
+            }
+            out
+        },
     );
-    // The reference engine has no caches; watch the fused one's.
-    let mut fused = JsVm::new(config(false, JitMode::Enabled));
-    fused.load(src).unwrap();
     let n = |x: f64| Ok(JsValue::Num(x));
-    assert_eq!(
-        reads(&mut fused),
-        vec![
-            (n(0.0), (0, 1)),
-            (n(0.0), (1, 1)),
-            (n(7.0), (1, 2)),
-            (n(8.0), (2, 2)),
-        ]
-    );
+    assert_eq!(r, vec![n(0.0), n(0.0), n(7.0), n(8.0)]);
+    // The fused forms served `init`'s 16 stores and all four reads.
+    assert_eq!(fused.ic_stats(), (20, 0));
 }
 
 #[test]

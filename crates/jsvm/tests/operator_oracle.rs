@@ -11,8 +11,12 @@
 //! Every call must take at least one fused dispatch, so a shape that
 //! stops fusing fails here instead of passing on the plain path. A few
 //! results are pinned to their literal JS values as well.
+//!
+//! The index rows do the same for element reads and stores: every
+//! receiver kind at every kind of index, through fused sites and plain
+//! ones, against literal results.
 
-use wb_jsvm::{JsValue, JsVm, JsVmConfig};
+use wb_jsvm::{JsError, JsValue, JsVm, JsVmConfig};
 
 const BIN_OPS: [&str; 11] = ["+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>", ">>>"];
 const CMP_OPS: [&str; 8] = ["<", ">", "<=", ">=", "==", "!=", "===", "!=="];
@@ -191,4 +195,122 @@ fn fused_results_are_the_js_results() {
     };
     assert!(holds("!=", f64::NAN, f64::NAN));
     assert!(holds("===", -0.0, 0.0));
+}
+
+/// Receivers by kind, `R[k]`: a plain array, a `Float64Array`, an
+/// `Int32Array` and a `Uint8Array` each holding 1.5, -2 and 300 as its
+/// kind stores them, a string, an object and a number. `make(k)` builds
+/// a fresh one of the same kind (typed arrays zeroed) for a store.
+const INDEX_SRC: &str = "function fill(t) { t[0] = 1.5; t[1] = -2; t[2] = 300; return t; }\n\
+    var R = [[1.5, -2, 300], fill(new Float64Array(3)), fill(new Int32Array(3)),\n\
+             fill(new Uint8Array(3)), 'abc', { x: 1 }, 7];\n\
+    var G = 0;\n\
+    function get(k, i) { var r = R[k]; return r[i]; }\n\
+    function getp(k, i) { return R[k][i]; }\n\
+    function geta(k, i) { var z = 0; G = R[k]; return G[((i) * 1 + z)]; }\n\
+    function make(k) {\n\
+      if (k == 0) { return [1.5, -2, 300]; }\n\
+      if (k == 1) { return new Float64Array(3); }\n\
+      if (k == 2) { return new Int32Array(3); }\n\
+      if (k == 3) { return new Uint8Array(3); }\n\
+      return R[k];\n\
+    }\n\
+    function set(k, i) { var r = make(k); r[i] = 300.75; return r; }\n\
+    function setp(k, i) { var r = make(k); var v = (r[i] = 300.75); return r; }";
+
+/// In bounds, out of bounds, negative, fractional and NaN.
+const INDICES: [f64; 5] = [1.0, 5.0, -1.0, 0.5, f64::NAN];
+
+/// What `R[k][INDICES[at]]` reads; `None` for a `TypeError`.
+fn read(k: usize, at: usize) -> Option<JsValue> {
+    let n = JsValue::Num;
+    Some(match (k, at) {
+        (6, _) => return None,
+        (0..=2, 0) => n(-2.0),
+        (3, 0) => n(254.0),
+        (4, 0) => JsValue::Str("b".into()),
+        _ => JsValue::Undefined,
+    })
+}
+
+/// What `make(k)` holds after `r[INDICES[at]] = 300.75`; `None` for a
+/// `TypeError`.
+fn stored(k: usize, at: usize) -> Option<JsValue> {
+    let n = JsValue::Num;
+    let arr = |xs: &[f64]| JsValue::Array(xs.iter().map(|x| n(*x)).collect());
+    let u = JsValue::Undefined;
+    Some(match (k, at) {
+        (0, 0) => arr(&[1.5, 300.75, 300.0]),
+        // A plain array grows to take an out-of-bounds store.
+        (0, 1) => JsValue::Array(vec![n(1.5), n(-2.0), n(300.0), u.clone(), u, n(300.75)]),
+        (0, _) => arr(&[1.5, -2.0, 300.0]),
+        (1, 0) => arr(&[0.0, 300.75, 0.0]),
+        (2, 0) => arr(&[0.0, 300.0, 0.0]),
+        (3, 0) => arr(&[0.0, 44.0, 0.0]),
+        (1..=3, _) => arr(&[0.0; 3]),
+        (4, _) => JsValue::Str("abc".into()),
+        (5, _) => JsValue::Undefined,
+        _ => return None,
+    })
+}
+
+#[test]
+fn index_reads_and_stores_are_the_js_results() {
+    // (entry, fused form at its site, expected result)
+    type Want = fn(usize, usize) -> Option<JsValue>;
+    let sites: [(&str, bool, Want); 5] = [
+        ("get", true, read),
+        ("geta", true, read),
+        ("getp", false, read),
+        ("set", true, stored),
+        ("setp", false, stored),
+    ];
+    let vms = [false, true].map(|reference_exec| {
+        let mut cfg = JsVmConfig::reference();
+        cfg.reference_exec = reference_exec;
+        let mut vm = JsVm::new(cfg);
+        vm.load(INDEX_SRC).expect("script loads");
+        vm
+    });
+    let [mut fused, mut plain] = vms;
+    for (entry, fuses, want) in sites {
+        for k in 0..7 {
+            for (at, i) in INDICES.into_iter().enumerate() {
+                let what = format!("{entry}({k}, {i})");
+                let args = [JsValue::Num(k as f64), JsValue::Num(i)];
+                let before = fused.ic_stats();
+                let got = fused.call(entry, &args);
+                assert_eq!(got, plain.call(entry, &args), "{what}");
+                let (served, fell_back) = fused.ic_stats();
+                let got = match got {
+                    Ok(v) => Some(v),
+                    Err(JsError::Type { .. }) => None,
+                    Err(e) => panic!("{what}: {e:?}"),
+                };
+                assert_eq!(got, want(k, at), "{what}");
+                // A fused site serves arrays and typed arrays on a load and
+                // typed arrays on a store, and falls back on the rest; a
+                // plain site runs no fused index form.
+                let serves = match entry {
+                    "set" => (1..=3).contains(&k),
+                    _ => k <= 3,
+                };
+                let expect = match (fuses, serves) {
+                    (false, _) => (0, 0),
+                    (true, true) => (1, 0),
+                    (true, false) => (0, 1),
+                };
+                assert_eq!(
+                    (served - before.0, fell_back - before.1),
+                    expect,
+                    "{what}: fused index forms (served, fell back)"
+                );
+            }
+        }
+    }
+    assert_eq!(
+        format!("{:?}", fused.report()),
+        format!("{:?}", plain.report())
+    );
+    assert_eq!(plain.ic_stats(), (0, 0));
 }

@@ -21,12 +21,13 @@ const FAST_MATH_SCALE: f64 = 0.85;
 const BYTES_PER_OP: f64 = 4.0;
 /// Vectorized loops carry prologue/epilogue and wider encodings.
 const VECTOR_SIZE_FACTOR: f64 = 1.25;
+/// Base cycles per operation class, shared with both VMs' pricing.
+const COSTS: CostTable = CostTable::reference();
 
 /// A compiled-for-native program.
 #[derive(Debug, Clone)]
 pub struct NativeProgram {
     hir: HProgram,
-    cost: CostTable,
     cycle_time_ns: f64,
     /// Resource ceilings: fuel ([`NativeTrap::StepBudget`]), static-data
     /// memory ceiling ([`NativeTrap::MemoryLimit`]) and call depth
@@ -155,7 +156,6 @@ impl NativeProgram {
     pub fn new(hir: HProgram) -> Self {
         NativeProgram {
             hir,
-            cost: CostTable::reference(),
             cycle_time_ns: wb_env::calibration::DESKTOP_CYCLE_NS,
             limits: ResourceLimits::default(),
         }
@@ -217,7 +217,6 @@ impl NativeProgram {
         }
         let mut st = Evaluator {
             p: &self.hir,
-            cost: &self.cost,
             globals: self
                 .hir
                 .globals
@@ -349,7 +348,6 @@ fn body_size(stmts: &[HStmt]) -> f64 {
 
 struct Evaluator<'a> {
     p: &'a HProgram,
-    cost: &'a CostTable,
     globals: Vec<NVal>,
     arrays: Vec<Buf>,
     output: Vec<String>,
@@ -371,7 +369,7 @@ impl<'a> Evaluator<'a> {
         if self.steps > self.max_steps {
             return Err(NativeTrap::StepBudget);
         }
-        let mut c = self.cost.cost(class) * self.scale;
+        let mut c = COSTS.cost(class) * self.scale;
         if self.fast_math
             && matches!(
                 class,

@@ -12,9 +12,9 @@ use crate::value::Value;
 use std::collections::HashMap;
 use std::sync::Arc;
 use wb_env::{
-    ArithCounts, BandCounts, Bands, Charge, ChargeRecord, CostTable, EnginePrices, Nanos, OpCounts,
-    PriceList, RegionCounters, RegionHits, RegionTable, ResourceLimits, TierPolicy, Tiering,
-    VirtualClock, WasmEngineProfile,
+    ArithCounts, BandCounts, Bands, Charge, ChargeRecord, EnginePrices, Nanos, OpCounts, PriceList,
+    RegionCounters, RegionHits, RegionTable, ResourceLimits, TierPolicy, Tiering, VirtualClock,
+    WasmEngineProfile,
 };
 use wb_wasm::{decode_module, LinearMemory, Module, ValType};
 
@@ -25,8 +25,6 @@ pub struct WasmVmConfig {
     pub profile: WasmEngineProfile,
     /// Which compilation tiers are enabled (Table 11 flags).
     pub tier_policy: TierPolicy,
-    /// Base cost table shared with the JS engine.
-    pub cost: CostTable,
     /// Nanoseconds per abstract cycle (platform speed).
     pub cycle_time_ns: f64,
     /// Toolchain codegen overhead multiplier applied to executed
@@ -54,7 +52,6 @@ impl WasmVmConfig {
         WasmVmConfig {
             profile: WasmEngineProfile::reference(),
             tier_policy: TierPolicy::Default,
-            cost: CostTable::reference(),
             cycle_time_ns: wb_env::calibration::DESKTOP_CYCLE_NS,
             exec_overhead: 1.0,
             limits: ResourceLimits::default(),
@@ -67,7 +64,6 @@ impl WasmVmConfig {
         WasmVmConfig {
             profile: env.wasm,
             tier_policy: TierPolicy::Default,
-            cost: CostTable::reference(),
             cycle_time_ns: env.cycle_time_ns,
             exec_overhead: 1.0,
             limits: ResourceLimits::default(),
@@ -90,7 +86,6 @@ impl WasmVmConfig {
     pub(crate) fn prices(&self) -> PriceList<'_> {
         PriceList {
             engine: EnginePrices::Wasm(&self.profile),
-            cost: &self.cost,
             cycle_time_ns: self.cycle_time_ns,
             exec_overhead: self.exec_overhead,
             tiering: match self.tier_policy {
