@@ -125,7 +125,9 @@ impl BinKind {
 
     /// Number-operands fast path. Exactly the reference semantics when
     /// both operands are already `Value::Num` (`to_num` is then the
-    /// identity and `Add` cannot concatenate).
+    /// identity and `Add` cannot concatenate). The plain arms of the
+    /// other kinds apply it to their `ToNumber`'d operands.
+    #[inline(always)]
     pub(crate) fn apply(self, x: f64, y: f64) -> f64 {
         use crate::vm::{num_to_int32, num_to_uint32};
         match self {

@@ -6,6 +6,16 @@
 //! are accounted as **external** bytes — exactly how V8's DevTools splits
 //! them. This is the mechanism that keeps compiled-JS memory flat across
 //! input sizes in the paper while the arrays themselves grow.
+//!
+//! One `dirty` bit says whether the accounting may have moved towards a
+//! collection since the VM last found none due: [`Heap::alloc`] sets it,
+//! and so does [`Heap::note_resize`] when an object grows. The VM checks
+//! for a collection only at an op boundary where the bit is set, and
+//! clears it only when that check finds nothing to do.
+//! Trigger and ceiling are fixed per VM and nothing else grows
+//! `bytes_since_gc` or the live and external bytes, so every boundary it
+//! skips would have found nothing to do, and collections happen at the
+//! same boundaries as with a check at every one.
 
 use crate::value::Value;
 
@@ -76,6 +86,9 @@ pub struct Heap {
     free: Vec<u32>,
     /// Bytes allocated since the last collection (GC trigger input).
     pub bytes_since_gc: u64,
+    /// Set when the accounting grew since a collection check last found
+    /// nothing due (which clears it): only then can one be due.
+    pub(crate) dirty: bool,
     stats: HeapStats,
 }
 
@@ -98,6 +111,7 @@ impl Heap {
             .max(self.stats.external_bytes);
         self.stats.alloc_count += 1;
         self.bytes_since_gc += hb + eb;
+        self.dirty = true;
         match self.free.pop() {
             Some(slot) => {
                 self.cells[slot as usize] = Some(obj);
@@ -138,6 +152,7 @@ impl Heap {
             .max(self.stats.external_bytes);
         if nh + ne > old_heap + old_external {
             self.bytes_since_gc += nh + ne - old_heap - old_external;
+            self.dirty = true;
         }
     }
 

@@ -30,7 +30,9 @@
 
 use crate::bytecode::{Const, Op, Program};
 use crate::error::JsError;
-use crate::fuse::{build_overlays, static_charge, FOp, Fused, FusedChunk, SpanCharges, NO_REGION};
+use crate::fuse::{
+    build_overlays, static_charge, BinKind, FOp, Fused, FusedChunk, SpanCharges, NO_REGION,
+};
 use crate::heap::{Heap, HeapStats, Obj};
 use crate::stdlib::{sha256, DetRng};
 use crate::value::{format_number, Builtin, JsValue, Value};
@@ -336,10 +338,9 @@ impl JsVm {
         self.fused = Rc::new(fused);
         self.program = Rc::new(program);
         // Run the top level (chunk 0), as a call with no arguments.
-        self.stack.push(Value::Closure(0));
-        self.push_frame(0, 0)?;
-        self.run(0)?;
-        // Top level leaves no value.
+        self.invoke(0, &[])?;
+        // The top level returns `undefined`: drop it.
+        self.stack.pop();
         Ok(())
     }
 
@@ -357,16 +358,30 @@ impl JsVm {
                 message: format!("{name} is not a function"),
             });
         };
-        self.stack.push(callee);
+        self.invoke(chunk, args)?;
+        let v = self.stack.pop().unwrap_or(Value::Undefined);
+        Ok(self.value_out(v))
+    }
+
+    /// Run `chunk` on `args` to completion, leaving its result on the
+    /// stack. A run that fails leaves the stack, locals and frames as it
+    /// found them, so nothing it held stays a GC root.
+    fn invoke(&mut self, chunk: u32, args: &[JsValue]) -> Result<(), JsError> {
+        let (stack, locals, floor) = (self.stack.len(), self.locals.len(), self.frames.len());
+        self.stack.push(Value::Closure(chunk));
         for a in args {
             let v = self.value_in(a);
             self.stack.push(v);
         }
-        let floor = self.frames.len();
-        self.push_frame(chunk, args.len())?;
-        self.run(floor)?;
-        let v = self.stack.pop().unwrap_or(Value::Undefined);
-        Ok(self.value_out(v))
+        let r = self
+            .push_frame(chunk, args.len())
+            .and_then(|()| self.run(floor));
+        if r.is_err() {
+            self.stack.truncate(stack);
+            self.locals.truncate(locals);
+            self.frames.truncate(floor);
+        }
+        r
     }
 
     /// The unpriced record of everything executed so far.
@@ -519,6 +534,8 @@ impl JsVm {
             .should_collect(self.config.profile.gc.trigger_bytes)
             && !over_limit
         {
+            // Nothing is due until the heap grows again (see `heap.rs`).
+            self.heap.dirty = false;
             return Ok(());
         }
         let roots = self
@@ -596,7 +613,18 @@ impl JsVm {
         })
     }
 
+    /// JS `ToNumber`: the number case inline, every other one in
+    /// [`Self::to_num_slow`].
+    #[inline(always)]
     fn to_num(&self, v: Value) -> f64 {
+        match v {
+            Value::Num(n) => n,
+            other => self.to_num_slow(other),
+        }
+    }
+
+    #[inline(never)]
+    fn to_num_slow(&self, v: Value) -> f64 {
         match v {
             Value::Num(n) => n,
             Value::Bool(b) => b as u8 as f64,
@@ -773,12 +801,26 @@ impl JsVm {
                 };
             }
 
+            // A numeric binary op: the fused forms' definition, on
+            // `ToNumber`'d operands.
+            macro_rules! numeric {
+                ($kind:expr) => {{
+                    let b = self.stack.pop().expect("compiled");
+                    let a = self.stack.pop().expect("compiled");
+                    let r = $kind.apply(self.to_num(a), self.to_num(b));
+                    self.stack.push(Value::Num(r));
+                }};
+            }
+
             loop {
                 // Instruction boundary: a GC-safe point (all live values
-                // are reachable from stack/locals/globals).
-                if let Err(e) = self.maybe_gc() {
-                    self.settle_trap(chunk_idx, row, pc);
-                    return Err(e);
+                // are reachable from stack/locals/globals), checked only
+                // when the heap grew since a check last found nothing due.
+                if self.heap.dirty {
+                    if let Err(e) = self.maybe_gc() {
+                        self.settle_trap(chunk_idx, row, pc);
+                        return Err(e);
+                    }
                 }
                 let slot = &slots[pc];
                 if slot.region != NO_REGION {
@@ -849,26 +891,16 @@ impl JsVm {
                             self.stack.push(Value::Num(self.to_num(a) + self.to_num(b)));
                         }
                     }
-                    Op::Sub => {
-                        let b = self.stack.pop().expect("compiled");
-                        let a = self.stack.pop().expect("compiled");
-                        self.stack.push(Value::Num(self.to_num(a) - self.to_num(b)));
-                    }
-                    Op::Mul => {
-                        let b = self.stack.pop().expect("compiled");
-                        let a = self.stack.pop().expect("compiled");
-                        self.stack.push(Value::Num(self.to_num(a) * self.to_num(b)));
-                    }
-                    Op::Div => {
-                        let b = self.stack.pop().expect("compiled");
-                        let a = self.stack.pop().expect("compiled");
-                        self.stack.push(Value::Num(self.to_num(a) / self.to_num(b)));
-                    }
-                    Op::Mod => {
-                        let b = self.stack.pop().expect("compiled");
-                        let a = self.stack.pop().expect("compiled");
-                        self.stack.push(Value::Num(self.to_num(a) % self.to_num(b)));
-                    }
+                    Op::Sub => numeric!(BinKind::Sub),
+                    Op::Mul => numeric!(BinKind::Mul),
+                    Op::Div => numeric!(BinKind::Div),
+                    Op::Mod => numeric!(BinKind::Mod),
+                    Op::BitAnd => numeric!(BinKind::BitAnd),
+                    Op::BitOr => numeric!(BinKind::BitOr),
+                    Op::BitXor => numeric!(BinKind::BitXor),
+                    Op::Shl => numeric!(BinKind::Shl),
+                    Op::Shr => numeric!(BinKind::Shr),
+                    Op::UShr => numeric!(BinKind::UShr),
                     Op::Neg => {
                         let a = self.stack.pop().expect("compiled");
                         self.stack.push(Value::Num(-self.to_num(a)));
@@ -930,28 +962,6 @@ impl JsVm {
                         } else {
                             !eq
                         }));
-                    }
-                    Op::BitAnd | Op::BitOr | Op::BitXor | Op::Shl | Op::Shr => {
-                        let b = self.stack.pop().expect("compiled");
-                        let a = self.stack.pop().expect("compiled");
-                        let x = self.to_int32(a);
-                        let y = self.to_int32(b);
-                        let r = match op {
-                            Op::BitAnd => x & y,
-                            Op::BitOr => x | y,
-                            Op::BitXor => x ^ y,
-                            Op::Shl => x.wrapping_shl(y as u32 & 31),
-                            Op::Shr => x.wrapping_shr(y as u32 & 31),
-                            _ => unreachable!(),
-                        };
-                        self.stack.push(Value::Num(r as f64));
-                    }
-                    Op::UShr => {
-                        let b = self.stack.pop().expect("compiled");
-                        let a = self.stack.pop().expect("compiled");
-                        let x = self.to_uint32(a);
-                        let y = self.to_uint32(b) & 31;
-                        self.stack.push(Value::Num((x >> y) as f64));
                     }
                     Op::Jump(d) => {
                         if *d < 0 {
@@ -1370,7 +1380,6 @@ impl JsVm {
     #[inline(always)]
     fn store_typed(&mut self, r: u32, n: f64, val: Value) -> bool {
         let vn = self.to_num(val);
-        let vi = num_to_int32(vn);
         let i = element_index(n);
         match self.heap.get_mut(r) {
             Obj::F64(items) => {
@@ -1380,12 +1389,12 @@ impl JsVm {
             }
             Obj::I32(items) => {
                 if let Some(slot) = i.and_then(|i| items.get_mut(i)) {
-                    *slot = vi;
+                    *slot = num_to_int32(vn);
                 }
             }
             Obj::U8(items) => {
                 if let Some(slot) = i.and_then(|i| items.get_mut(i)) {
-                    *slot = (vi & 0xff) as u8;
+                    *slot = (num_to_int32(vn) & 0xff) as u8;
                 }
             }
             Obj::Arr(_) | Obj::Str(_) | Obj::Dict(_) => return false,
@@ -1861,7 +1870,21 @@ enum MethodOutcome {
 /// JS `ToInt32` on an already-numeric value. The single definition both
 /// the reference arms (via [`JsVm::to_int32`]) and the fused fast paths
 /// use, so their coercion semantics cannot drift.
+///
+/// In `[-2^31, 2^31)` the modular definition is truncation, which `as`
+/// does; NaN fails the range test. Only the rest pays the `fmod`.
+#[inline(always)]
 pub(crate) fn num_to_int32(n: f64) -> i32 {
+    if (-2147483648.0..2147483648.0).contains(&n) {
+        return n as i32;
+    }
+    int32_modular(n)
+}
+
+/// `ToInt32` by its definition: truncate, then reduce modulo 2^32 into
+/// the signed range. Infinities and NaN give 0.
+#[inline(never)]
+fn int32_modular(n: f64) -> i32 {
     if !n.is_finite() {
         return 0;
     }
@@ -2063,6 +2086,83 @@ mod tests {
             v.report()
         };
         assert!(big.clock.load_time.0 > small.clock.load_time.0 * 50.0);
+    }
+
+    /// `ToInt32` by the spec's steps on exact integers: truncate, reduce
+    /// modulo 2^32, read as signed. A double of magnitude 2^84 or more is
+    /// a multiple of 2^32; every smaller one truncates into an `i128`.
+    fn int32_oracle(n: f64) -> i32 {
+        if !n.is_finite() || n.abs() >= 2f64.powi(84) {
+            return 0;
+        }
+        n.trunc() as i128 as u32 as i32
+    }
+
+    fn assert_int32_exact(n: f64) {
+        assert_eq!(num_to_int32(n), int32_oracle(n), "ToInt32({n:e})");
+        assert_eq!(num_to_uint32(n), int32_oracle(n) as u32, "ToUint32({n:e})");
+    }
+
+    #[test]
+    fn to_int32_fast_path_is_exact() {
+        const P31: f64 = 2147483648.0;
+        const P32: f64 = 4294967296.0;
+        let edges = [
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            P31 - 1.0,
+            -(P31 - 1.0),
+            -P31,
+            P31,
+            -P31 - 0.5,
+            P31 - 0.5,
+            P32,
+            -P32,
+            P32 + 5.0,
+            9007199254740992.0, // 2^53
+            1e300,
+            -1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for n in edges {
+            assert_int32_exact(n);
+        }
+        // The wrap points, literally.
+        assert_eq!(num_to_int32(P31), i32::MIN);
+        assert_eq!(num_to_int32(-P31 - 0.5), i32::MIN);
+        assert_eq!(num_to_int32(P31 - 0.5), i32::MAX);
+        assert_eq!(num_to_int32(P32 + 5.0), 5);
+        assert_eq!(num_to_uint32(-1.0), u32::MAX);
+        // Seeded doubles of every magnitude from 2^-3 to 2^90, either
+        // sign, and every eighth one within a few units of +-2^31.
+        let mut rng = wb_env::rng::Lcg::new(20);
+        let (mut inside, mut outside) = (0, 0);
+        for k in 0..200_000 {
+            let bits = rng.next_u64();
+            let sign = if bits & 1 == 0 { 1.0 } else { -1.0 };
+            let n = if k % 8 == 0 {
+                let offset = (bits >> 1) % 9;
+                sign * (P31 + offset as f64 - 4.0) + ((bits >> 8) & 1) as f64 * 0.5
+            } else {
+                let mantissa = 1.0 + (bits >> 12) as f64 / (1u64 << 52) as f64;
+                let exponent = (rng.next_u64() % 94) as i32 - 3;
+                sign * mantissa * 2f64.powi(exponent)
+            };
+            if (-P31..P31).contains(&n) {
+                inside += 1;
+            } else {
+                outside += 1;
+            }
+            assert_int32_exact(n);
+        }
+        assert!(
+            inside > 50_000 && outside > 50_000,
+            "{inside} in range, {outside} out"
+        );
     }
 
     #[test]
