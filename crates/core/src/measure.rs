@@ -294,9 +294,9 @@ pub struct JsSpec<'a> {
     pub env: Environment,
     /// JIT enabled/disabled (`--no-opt`).
     pub jit: JitMode,
-    /// Run with the fused-op overlay off, in the same
-    /// dispatch loop (`--reference-exec`); measurement-invisible by
-    /// construction.
+    /// Run with fusion off: each VM lowers without fused forms and runs
+    /// the same dispatch loop (`--reference-exec`); measurement-invisible
+    /// by construction.
     pub reference_exec: bool,
     /// Resource ceilings (fuel, live-heap memory, call depth); the
     /// default is unlimited fuel/memory, bit-identical to the pre-limit

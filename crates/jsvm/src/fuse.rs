@@ -1,38 +1,39 @@
-//! Peephole fusion over MiniJS bytecode.
+//! Lowering: MiniJS bytecode → one micro-op stream per chunk, fused or
+//! not.
 //!
-//! After compilation, each chunk gets a fused **overlay**: a
-//! `Vec<Option<Fused>>` the same length as the code, with an entry at
-//! every pc where a multi-op pattern begins. The original bytecode is
-//! untouched — the interpreter consults the overlay at each pc and either
-//! executes the fused form (skipping `width` source ops) or falls back to
-//! the plain op.
+//! The one dispatch loop in `vm.rs` runs a stream of [`Mop`] micro-ops.
+//! [`lower`] builds it once per chunk at load time:
 //!
-//! That overlay shape buys two correctness properties for free:
+//! * every bytecode op becomes its singleton micro-op, in source order,
+//!   and every jump holds the index of the micro-op it continues at, so a
+//!   loop back-edge is still a jump to a smaller index ([`Mop::JumpBack`]);
+//! * with fusion on, a fused form goes right before the plain copies of
+//!   the constituents it covers: its fast path continues at its exit,
+//!   and a failed guard falls through to the next micro-op, the plain
+//!   copy of its first constituent. A jump into the middle of a span
+//!   lands on the plain copy of its target. With fusion off
+//!   (`reference_exec`) the stream is the singletons alone;
+//! * the chunk is cut into regions ([`region_heads`]): runs of ops
+//!   entered only at their head and left only at their end, each with its
+//!   op count and its class and Table 12 counts stored once
+//!   ([`LoweredChunk::regions`]). Every micro-op records its source pc
+//!   ([`LoweredChunk::pos`]) and the region a transfer to it enters
+//!   ([`LoweredChunk::heads`]). A region is entered only by the micro-op
+//!   that moves control into it: a taken jump, a branch that is not
+//!   taken, a method call that returns a value, a fused exit, frame entry
+//!   and resume, and one [`Mop::Enter`] before each head a plain op falls
+//!   through into. So the loop has no per-op region test.
 //!
-//! * **Jump targets need no analysis.** A jump landing in the middle of
-//!   a fused group simply resumes plain execution there — the overlay is
-//!   `None` at non-head pcs and the underlying ops are unchanged.
-//! * **Guarded fallback is exact.** When a fused handler's fast-path
-//!   guard fails (an operand is a heap reference, a receiver is a string
-//!   or an object), it falls through to the plain op at the same pc
-//!   *before charging anything*, so the virtual-cost trace is identical
-//!   to the reference interpreter's.
-//!
-//! **Regions.** The overlay also cuts the chunk into regions
-//! ([`region_heads`]): runs of ops entered only at their head and left
-//! only at their end, each with its op count and its class and Table 12
-//! counts stored once ([`FusedChunk::regions`]). A slot marks each head;
-//! the interpreter counts an entry there instead of charging each op.
-//!
-//! **A fused form enters the regions its bytecode enters.** At every
-//! head, [`build_overlay`] runs the plain loop's [`walk`] over the span's
+//! **A fused form enters the regions its plain copies enter.** At every
+//! form, [`lower`] runs the plain loop's [`walk`] over the span's
 //! constituents, once per outcome of its comparison, and stores what it
-//! found beside the entry ([`Fused::paths`]): the regions the path enters
-//! past its head, the index access and the pc the path leaves to. The
-//! interpreter's fused handler only guards and computes values; it
-//! retires the stored record for the outcome its comparison took. A span
-//! the walk cannot follow (a back-edge, a branch on an unknown value, a
-//! call) is not fused, so the counts hold by construction.
+//! found ([`LoweredChunk::spans`]): the regions the path enters past its
+//! first op (the one its exit heads included), its index access and the
+//! micro-op it exits to. The fused arm only guards and computes values;
+//! it retires the stored record for the outcome its comparison took. A
+//! span the walk cannot follow (a back-edge, a branch on an unknown value,
+//! a call) is not fused, so the counts hold by construction, and a guard
+//! that fails runs exactly the plain ops, entering their regions once.
 //!
 //! Fusion eligibility mirrors the wasm engine's cost-equivalence
 //! invariant (see `wb-wasm-vm/src/fuse.rs` and DESIGN.md): a fused
@@ -48,12 +49,13 @@
 //!   strings (string indexing allocates a fresh one-char string).
 //!
 //! Three families target the idioms the MiniC JS backend emits in every
-//! loop: the element address `A[(i) * 64 + j]` ([`FOp::GAddr`]), the
-//! coerced store `i = (((i) + (1)) | 0)` ([`FOp::LCBin2Store`]) and the
+//! loop: the element address `A[(i) * 64 + j]` ([`Mop::GAddr`]), the
+//! coerced store `i = (((i) + (1)) | 0)` ([`Mop::LCBin2Store`]) and the
 //! materialized loop test `for (; ((i) < (64) ? 1 : 0); …)` (the `tail`
-//! of [`FOp::LCCmpJf`] and [`FOp::LLCmpJf`]).
+//! of [`Mop::LCCmpJf`] and [`Mop::LLCmpJf`]).
 
-use crate::bytecode::{Chunk, Const, Op, Program};
+use crate::ast::TypedKind;
+use crate::bytecode::{Chunk, Const, Op};
 use wb_env::{ArithKind, OpClass, RegionTable};
 
 /// Fusable two-operand arithmetic, mirroring the corresponding [`Op`]s.
@@ -215,29 +217,95 @@ impl CmpKind {
     }
 }
 
-/// A fused micro-op: what an overlay entry computes. Field names:
-/// `a`/`b` are local slots, `c` a numeric constant, `dst` a local slot
-/// written, `g` a global's name index. Where a form branches to comes
-/// from its walk ([`Fused::paths`]).
+/// One micro-op. The singletons mirror [`Op`] one to one, except that
+/// `Sub` to `UShr` are one [`Mop::Bin`], the comparisons one
+/// [`Mop::Cmp`], and every jump holds the micro-op it continues at. The
+/// variants after [`Mop::Enter`] are fused forms. Field names: `a`/`b`
+/// are local slots, `c` a numeric constant, `dst` a local slot written,
+/// `g` a global's name index and `span` the form's index in
+/// [`LoweredChunk::spans`], which says where each outcome goes.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum FOp {
+#[allow(missing_docs)] // Mechanical 1:1 names; semantics in the VM.
+pub(crate) enum Mop {
+    Const(u32),
+    Undef,
+    Null,
+    True,
+    False,
+    LoadLocal(u16),
+    StoreLocal(u16),
+    LoadGlobal(u32),
+    StoreGlobal(u32),
+    /// `Add`, which also concatenates strings.
+    Add,
+    Bin(BinKind),
+    Neg,
+    Not,
+    BitNot,
+    TypeofOp,
+    Cmp(CmpKind),
+    Jump(u32),
+    /// A jump to an earlier micro-op: a loop back-edge, which notes
+    /// hotness.
+    JumpBack(u32),
+    JumpIfFalse(u32),
+    JumpIfFalsePeek(u32),
+    JumpIfTruePeek(u32),
+    Pop,
+    Dup,
+    Dup2,
+    MakeArray(u16),
+    MakeObject {
+        shape: u32,
+    },
+    NewTyped(TypedKind),
+    NewArrayN,
+    GetIndex,
+    SetIndex,
+    GetMember(u32),
+    SetMember(u32),
+    ClosureOp(u32),
+    Call(u8),
+    MethodCall {
+        name: u32,
+        argc: u8,
+    },
+    Return,
+    ReturnUndef,
+    /// Falls through into the next micro-op, which heads a region, and
+    /// enters that region: lowered before each head a plain op falls
+    /// through into.
+    Enter,
+    // ---- fused forms ------------------------------------------------
     /// `LoadLocal a; LoadLocal b; <bin>`
-    LLBin { a: u16, b: u16, op: BinKind },
+    LLBin {
+        a: u16,
+        b: u16,
+        op: BinKind,
+        span: u32,
+    },
     /// `LoadLocal a; LoadLocal b; <bin>; StoreLocal dst`
     LLBinStore {
         a: u16,
         b: u16,
         op: BinKind,
         dst: u16,
+        span: u32,
     },
     /// `LoadLocal a; Const c; <bin>`
-    LCBin { a: u16, c: f64, op: BinKind },
+    LCBin {
+        a: u16,
+        c: f64,
+        op: BinKind,
+        span: u32,
+    },
     /// `LoadLocal a; Const c; <bin>; StoreLocal dst`
     LCBinStore {
         a: u16,
         c: f64,
         op: BinKind,
         dst: u16,
+        span: u32,
     },
     /// `LoadLocal a; Const c1; <op1>; Const c2; <op2>; StoreLocal dst`:
     /// the coerced store `i = (((i) + (1)) | 0)`.
@@ -248,11 +316,19 @@ pub(crate) enum FOp {
         c2: f64,
         op2: BinKind,
         dst: u16,
+        span: u32,
     },
     /// `Const c; StoreLocal dst`
-    CStore { c: f64, dst: u16 },
+    CStore {
+        c: f64,
+        dst: u16,
+        span: u32,
+    },
     /// `<cmp>; JumpIfFalse` (operands from the stack)
-    CmpJf { op: CmpKind },
+    CmpJf {
+        op: CmpKind,
+        span: u32,
+    },
     /// `LoadLocal a; LoadLocal b; <cmp>; JumpIfFalse`, or with `tail`
     /// `LoadLocal a; LoadLocal b; <cmp>` and a bool tail (`bool_tail`).
     LLCmpJf {
@@ -260,6 +336,7 @@ pub(crate) enum FOp {
         b: u16,
         op: CmpKind,
         tail: bool,
+        span: u32,
     },
     /// `LoadLocal a; Const c; <cmp>; JumpIfFalse`, or with `tail`
     /// `LoadLocal a; Const c; <cmp>` and a bool tail (`bool_tail`).
@@ -268,6 +345,7 @@ pub(crate) enum FOp {
         c: f64,
         op: CmpKind,
         tail: bool,
+        span: u32,
     },
     /// `LoadGlobal g; LoadLocal a; Const c; <op1>; LoadLocal b; <op2>`:
     /// the element address `A[(a) * c + b]`, pushing the global and the
@@ -281,77 +359,79 @@ pub(crate) enum FOp {
         b: u16,
         op2: BinKind,
         get: bool,
+        span: u32,
     },
     /// `LoadLocal obj; LoadLocal idx; GetIndex`
-    LLGetIndex { obj: u16, idx: u16 },
+    LLGetIndex {
+        obj: u16,
+        idx: u16,
+        span: u32,
+    },
     /// `SetIndex; Pop` into a typed array.
-    SetIndexPop,
+    SetIndexPop {
+        span: u32,
+    },
 }
 
-impl FOp {
-    /// Source ops this entry's span covers.
+impl Mop {
+    /// Source ops this micro-op covers: a fused form's constituents, one
+    /// for a singleton and none for an [`Mop::Enter`].
     pub(crate) fn width(&self) -> usize {
         match self {
-            FOp::LLCmpJf { tail, .. } | FOp::LCCmpJf { tail, .. } => 4 + 4 * *tail as usize,
-            FOp::GAddr { get, .. } => 6 + *get as usize,
-            FOp::LCBin2Store { .. } => 6,
-            FOp::LLBinStore { .. } | FOp::LCBinStore { .. } => 4,
-            FOp::LLBin { .. } | FOp::LCBin { .. } | FOp::LLGetIndex { .. } => 3,
-            FOp::CStore { .. } | FOp::CmpJf { .. } | FOp::SetIndexPop => 2,
+            Mop::LLCmpJf { tail, .. } | Mop::LCCmpJf { tail, .. } => 4 + 4 * *tail as usize,
+            Mop::GAddr { get, .. } => 6 + *get as usize,
+            Mop::LCBin2Store { .. } => 6,
+            Mop::LLBinStore { .. } | Mop::LCBinStore { .. } => 4,
+            Mop::LLBin { .. } | Mop::LCBin { .. } | Mop::LLGetIndex { .. } => 3,
+            Mop::CStore { .. } | Mop::CmpJf { .. } | Mop::SetIndexPop { .. } => 2,
+            Mop::Enter => 0,
+            _ => 1,
+        }
+    }
+
+    /// A fused form's index in [`LoweredChunk::spans`]; `None` for any
+    /// other micro-op.
+    pub(crate) fn span(&self) -> Option<usize> {
+        match *self {
+            Mop::LLBin { span, .. }
+            | Mop::LLBinStore { span, .. }
+            | Mop::LCBin { span, .. }
+            | Mop::LCBinStore { span, .. }
+            | Mop::LCBin2Store { span, .. }
+            | Mop::CStore { span, .. }
+            | Mop::CmpJf { span, .. }
+            | Mop::LLCmpJf { span, .. }
+            | Mop::LCCmpJf { span, .. }
+            | Mop::GAddr { span, .. }
+            | Mop::LLGetIndex { span, .. }
+            | Mop::SetIndexPop { span } => Some(span as usize),
+            _ => None,
         }
     }
 }
 
-/// One overlay entry: a fused form and what each outcome of its
-/// comparison charges.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Fused {
-    /// What the entry computes.
-    pub op: FOp,
-    /// The span's charges when its comparison is false and when it is
-    /// true, from [`walk`]. A form without a comparison has one path,
-    /// stored twice.
-    pub paths: [SpanCharges; 2],
-}
-
-impl Fused {
-    /// The path taken when the comparison gives `cond` (either, for a
-    /// form without one).
-    #[inline]
-    pub(crate) fn path(&self, cond: bool) -> &SpanCharges {
-        &self.paths[cond as usize]
-    }
-}
-
-/// One overlay slot: the region that starts at its pc and the fused form
-/// headed there, if any.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Slot {
-    /// The region starting here ([`NO_REGION`] where none does).
-    pub region: u32,
-    /// That region's op count: the fuel entering it spends.
-    pub steps: u32,
-    /// The fused form headed here.
-    pub fused: Option<Fused>,
-}
-
-/// [`Slot::region`] where no region starts.
-pub(crate) const NO_REGION: u32 = u32::MAX;
-
-/// The fused overlay for one chunk, with its regions.
+/// One chunk lowered to micro-ops.
 #[derive(Debug)]
-pub(crate) struct FusedChunk {
-    /// One slot per op.
-    pub ops: Vec<Slot>,
+pub(crate) struct LoweredChunk {
+    /// The micro-op stream.
+    pub code: Vec<Mop>,
+    /// Per micro-op, the source pc of its first op (an [`Mop::Enter`]'s
+    /// is the head it enters): a failing op settles its region through
+    /// itself, and a collection that fails at a boundary through the op
+    /// before it.
+    pub pos: Vec<u32>,
+    /// Per micro-op, the region a transfer of control to it enters: the
+    /// region it heads. (A micro-op that heads none holds the region it
+    /// lies in; no transfer lands on it.)
+    pub heads: Vec<u32>,
+    /// Each fused form's charges when its comparison is false and when it
+    /// is true, from [`walk`]. A form without a comparison has one path,
+    /// stored twice.
+    pub spans: Vec<[SpanCharges; 2]>,
     /// The chunk's regions: each one's pc range and class and Table 12
     /// counts. Index ops charge by receiver when they run, so their
     /// class is not in the table.
     pub regions: RegionTable,
-}
-
-/// Build the overlay of every chunk.
-pub(crate) fn build_overlays(program: &Program) -> Vec<FusedChunk> {
-    program.chunks.iter().map(build_overlay).collect()
 }
 
 /// Where regions start: at pc 0, at every jump target, and after every
@@ -381,6 +461,13 @@ pub(crate) fn region_heads(chunk: &Chunk) -> Vec<bool> {
     heads
 }
 
+/// Whether `op` continues at the next op without moving control itself:
+/// not a jump, call or return. A head after such an op is one only
+/// because a jump targets it, and is entered there by an [`Mop::Enter`].
+pub(crate) fn falls_through(op: &Op) -> bool {
+    !matches!(op.class(), OpClass::Branch | OpClass::Call)
+}
+
 /// What the plain loop charges for `op` when its region is entered: its
 /// class and Table 12 kind. `None` for an index op, which charges by its
 /// receiver when it runs.
@@ -391,54 +478,141 @@ pub(crate) fn static_charge(op: &Op) -> Option<(OpClass, Option<ArithKind>)> {
     }
 }
 
-/// The overlay of one chunk: its regions, and a fused form at each
-/// pattern head.
-pub(crate) fn build_overlay(chunk: &Chunk) -> FusedChunk {
-    let code = &chunk.code;
-    let heads = region_heads(chunk);
-    let regions = RegionTable::build(&heads, |pc| static_charge(&code[pc]));
-    let mut ops: Vec<Slot> = vec![
-        Slot {
-            region: NO_REGION,
-            steps: 0,
-            fused: None,
-        };
-        code.len()
-    ];
-    for r in 0..regions.len() {
-        let slot = &mut ops[regions.range(r).start];
-        (slot.region, slot.steps) = (r as u32, regions.steps(r));
-    }
+/// Lower `chunk` to micro-ops, with fused forms when `fuse` is on.
+///
+/// The regions are cut first; both settings cut the same ones. Fused
+/// patterns are then matched greedily, longest first, each kept only when
+/// the walk of every outcome follows its span. Last, the stream is laid
+/// out in source order: an [`Mop::Enter`] before each head a plain op
+/// falls through into, each fused form before the plain copies of its
+/// constituents, and every jump and fused exit resolved to the micro-op
+/// of its source target.
+pub(crate) fn lower(chunk: &Chunk, fuse: bool) -> LoweredChunk {
+    let ops = &chunk.code;
+    let n = ops.len();
+    let is_head = region_heads(chunk);
+    let regions = RegionTable::build(&is_head, |pc| static_charge(&ops[pc]));
+    let mut fused: Vec<Option<Mop>> = vec![None; n];
+    let mut spans: Vec<[SpanCharges; 2]> = Vec::new();
     let mut pc = 0;
-    while pc < code.len() {
-        match fuse_at(chunk, &ops, pc) {
-            Some(f) => {
-                ops[pc].fused = Some(f);
-                pc += f.op.width();
+    while fuse && pc < n {
+        match fuse_at(chunk, &is_head, &regions, pc, spans.len() as u32) {
+            Some((mop, paths)) => {
+                fused[pc] = Some(mop);
+                spans.push(paths);
+                pc += mop.width();
             }
             None => pc += 1,
         }
     }
-    FusedChunk { ops, regions }
+    let enters = |pc: usize| pc > 0 && is_head[pc] && falls_through(&ops[pc - 1]);
+    // The micro-op a transfer to each source pc (and to the end) lands
+    // on: a fused form at its first pc, the plain copy elsewhere.
+    let mut mop_of = Vec::with_capacity(n + 1);
+    let mut next = 0u32;
+    for (pc, form) in fused.iter().enumerate() {
+        next += u32::from(enters(pc));
+        mop_of.push(next);
+        next += 1 + u32::from(form.is_some());
+    }
+    mop_of.push(next);
+    let target = |pc: usize| mop_of.get(pc).copied().unwrap_or(u32::MAX);
+    let (mut code, mut pos) = (
+        Vec::with_capacity(next as usize),
+        Vec::with_capacity(next as usize),
+    );
+    for (pc, op) in ops.iter().enumerate() {
+        let enter = enters(pc).then_some(Mop::Enter);
+        for mop in [enter, fused[pc], Some(singleton(op, pc, target))] {
+            code.extend(mop);
+            pos.extend(mop.map(|_| pc as u32));
+        }
+    }
+    for path in spans.iter_mut().flatten() {
+        path.exit = target(path.exit as usize);
+    }
+    let heads = pos
+        .iter()
+        .map(|&p| regions.region_at(p as usize) as u32)
+        .collect();
+    LoweredChunk {
+        code,
+        pos,
+        heads,
+        spans,
+        regions,
+    }
 }
 
-/// The overlay entry at `pc`: the longest pattern there, with the walk
-/// of each outcome over the chunk's region heads (`slots`). `None` when
-/// no pattern matches or the walk cannot follow the span.
-fn fuse_at(chunk: &Chunk, slots: &[Slot], pc: usize) -> Option<Fused> {
-    let op = match_at(chunk, pc)?;
-    let span = pc..pc + op.width();
-    let path = |cond| SpanCharges::walk(chunk, slots, pc, span.len(), cond);
-    let if_true = path(true);
+/// The singleton micro-op of `op` at source `pc`, its jump target (if
+/// any) resolved by `target`.
+fn singleton(op: &Op, pc: usize, target: impl Fn(usize) -> u32) -> Mop {
+    let to = |d: i32| usize::try_from(pc as i64 + i64::from(d)).map_or(u32::MAX, &target);
+    match *op {
+        Op::Const(ci) => Mop::Const(ci),
+        Op::Undef => Mop::Undef,
+        Op::Null => Mop::Null,
+        Op::True => Mop::True,
+        Op::False => Mop::False,
+        Op::LoadLocal(i) => Mop::LoadLocal(i),
+        Op::StoreLocal(i) => Mop::StoreLocal(i),
+        Op::LoadGlobal(ni) => Mop::LoadGlobal(ni),
+        Op::StoreGlobal(ni) => Mop::StoreGlobal(ni),
+        Op::Add => Mop::Add,
+        Op::Neg => Mop::Neg,
+        Op::Not => Mop::Not,
+        Op::BitNot => Mop::BitNot,
+        Op::TypeofOp => Mop::TypeofOp,
+        Op::Jump(d) if d < 0 => Mop::JumpBack(to(d)),
+        Op::Jump(d) => Mop::Jump(to(d)),
+        Op::JumpIfFalse(d) => Mop::JumpIfFalse(to(d)),
+        Op::JumpIfFalsePeek(d) => Mop::JumpIfFalsePeek(to(d)),
+        Op::JumpIfTruePeek(d) => Mop::JumpIfTruePeek(to(d)),
+        Op::Pop => Mop::Pop,
+        Op::Dup => Mop::Dup,
+        Op::Dup2 => Mop::Dup2,
+        Op::MakeArray(n) => Mop::MakeArray(n),
+        Op::MakeObject { shape } => Mop::MakeObject { shape },
+        Op::NewTyped(kind) => Mop::NewTyped(kind),
+        Op::NewArrayN => Mop::NewArrayN,
+        Op::GetIndex => Mop::GetIndex,
+        Op::SetIndex => Mop::SetIndex,
+        Op::GetMember(ni) => Mop::GetMember(ni),
+        Op::SetMember(ni) => Mop::SetMember(ni),
+        Op::ClosureOp(idx) => Mop::ClosureOp(idx),
+        Op::Call(argc) => Mop::Call(argc),
+        Op::MethodCall { name, argc } => Mop::MethodCall { name, argc },
+        Op::Return => Mop::Return,
+        Op::ReturnUndef => Mop::ReturnUndef,
+        ref other => match (BinKind::of(other), CmpKind::of(other)) {
+            (Some(kind), _) => Mop::Bin(kind),
+            (_, Some(kind)) => Mop::Cmp(kind),
+            _ => unreachable!("every other op has an arm of its own"),
+        },
+    }
+}
+
+/// The fused form at `pc`, to be stored as span `span`: the longest
+/// pattern there, with the walk of each outcome over the chunk's region
+/// heads. `None` when no pattern matches or the walk cannot follow the
+/// span.
+fn fuse_at(
+    chunk: &Chunk,
+    is_head: &[bool],
+    regions: &RegionTable,
+    pc: usize,
+    span: u32,
+) -> Option<(Mop, [SpanCharges; 2])> {
+    let mop = match_at(chunk, pc, span)?;
+    let width = mop.width();
+    let path = |cond| SpanCharges::walk(chunk, is_head, regions, pc, width, cond);
+    let if_true = path(true)?;
     // A span without a comparison takes one path whatever `cond` is.
-    let compares = chunk.code[span.clone()]
+    let compares = chunk.code[pc..pc + width]
         .iter()
         .any(|o| CmpKind::of(o).is_some());
-    let if_false = if compares { path(false) } else { if_true };
-    Some(Fused {
-        op,
-        paths: [if_false?, if_true?],
-    })
+    let if_false = if compares { path(false)? } else { if_true };
+    Some((mop, [if_false, if_true]))
 }
 
 /// A single cost event per-op counting applies for one op.
@@ -534,61 +708,62 @@ pub(crate) fn walk(
 }
 
 /// What one path through a fused span charges beyond the region its
-/// head is in, from its [`walk`]: the regions it enters on the way, its
-/// index access and where it leaves the span.
+/// first op is in, from its [`walk`]: the regions it enters on the way and
+/// at its exit, its index access and where it leaves the span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SpanCharges {
-    /// The fuel of the regions it enters.
-    pub steps: u32,
-    /// Those regions, by id: `regions[..entered]`. At most 3: the bool
-    /// tail enters two, and a jump target inside the span one more.
-    pub regions: [u32; 3],
+    /// Those regions, by id: `regions[..entered]`. At most 4: the bool
+    /// tail enters two and its exit one, and a jump target inside the
+    /// span one more.
+    pub regions: [u32; 4],
     /// How many regions it enters.
     pub entered: u8,
+    /// The ops it retires.
+    pub ops: u8,
     /// The index access, if any: `Some(store)`.
     pub index: Option<bool>,
-    /// The pc the path leaves the span at.
+    /// The micro-op the path continues at (a source pc until [`lower`]
+    /// resolves it).
     pub exit: u32,
 }
 
 impl SpanCharges {
     /// The [`walk`] of the span at `head` with every comparison giving
-    /// `cond`, entering the regions `slots` start at the heads it passes.
-    /// `None` if the walk cannot follow the span or enters more regions
-    /// than fit.
+    /// `cond`: it enters the region of each head `is_head` marks that it
+    /// passes after its first op, then the one it exits to, if that is a
+    /// head. `None` if the walk cannot follow the span, enters more
+    /// regions than fit or makes more than one index access.
     pub(crate) fn walk(
         chunk: &Chunk,
-        slots: &[Slot],
+        is_head: &[bool],
+        regions: &RegionTable,
         head: usize,
         width: usize,
         cond: bool,
     ) -> Option<Self> {
-        let mut charges = SpanCharges {
-            steps: 0,
-            regions: [0; 3],
-            entered: 0,
-            index: None,
-            exit: 0,
-        };
-        let (mut indices, mut fits) = (0, true);
-        let (_, exit) = walk(chunk, head, width, cond, |pc, op| {
-            let slot = slots[pc];
-            if slot.region != NO_REGION && pc != head {
-                match charges.regions.get_mut(charges.entered as usize) {
-                    Some(r) => *r = slot.region,
-                    None => fits = false,
-                }
-                charges.entered += 1;
-                charges.steps += slot.steps;
+        let (mut passed, mut index, mut indices) = (Vec::new(), None, 0);
+        let (ops, exit) = walk(chunk, head, width, cond, |pc, op| {
+            if pc != head && is_head[pc] {
+                passed.push(pc);
             }
             if let Op::GetIndex | Op::SetIndex = op {
-                charges.index = Some(matches!(op, Op::SetIndex));
+                index = Some(matches!(op, Op::SetIndex));
                 indices += 1;
             }
         })
         .ok()?;
-        charges.exit = u32::try_from(exit).ok()?;
-        (fits && indices <= 1).then_some(charges)
+        passed.extend(is_head.get(exit).filter(|h| **h).map(|_| exit));
+        let mut charges = SpanCharges {
+            regions: [0; 4],
+            entered: u8::try_from(passed.len()).ok()?,
+            ops: u8::try_from(ops).ok()?,
+            index,
+            exit: u32::try_from(exit).ok()?,
+        };
+        for (slot, pc) in charges.regions.iter_mut().zip(&passed) {
+            *slot = regions.region_at(*pc) as u32;
+        }
+        (passed.len() <= charges.regions.len() && indices <= 1).then_some(charges)
     }
 
     /// The regions the path enters.
@@ -638,8 +813,9 @@ fn cmp_branch(chunk: &Chunk, pc: usize) -> Option<bool> {
     matches!(chunk.code.get(pc), Some(Op::JumpIfFalse(_))).then_some(false)
 }
 
-/// Greedy longest-pattern match at `pc`.
-fn match_at(chunk: &Chunk, pc: usize) -> Option<FOp> {
+/// Greedy longest-pattern match at `pc`, as a fused form stored as span
+/// `span`.
+fn match_at(chunk: &Chunk, pc: usize, span: u32) -> Option<Mop> {
     let code = &chunk.code;
     let at = |i: usize| code.get(pc + i);
 
@@ -656,7 +832,7 @@ fn match_at(chunk: &Chunk, pc: usize) -> Option<FOp> {
             if let (Some(c), Some(op1), Some(op2)) =
                 (num_const(chunk, *ci), BinKind::of(o1), BinKind::of(o2))
             {
-                return Some(FOp::GAddr {
+                return Some(Mop::GAddr {
                     g: *g,
                     a: *a,
                     c,
@@ -664,6 +840,7 @@ fn match_at(chunk: &Chunk, pc: usize) -> Option<FOp> {
                     b: *b,
                     op2,
                     get: matches!(at(6), Some(Op::GetIndex)),
+                    span,
                 });
             }
         }
@@ -674,31 +851,38 @@ fn match_at(chunk: &Chunk, pc: usize) -> Option<FOp> {
             if let Some(op2) = at(2) {
                 if let Some(cmp) = CmpKind::of(op2) {
                     if let Some(tail) = cmp_branch(chunk, pc + 3) {
-                        return Some(FOp::LLCmpJf {
+                        return Some(Mop::LLCmpJf {
                             a: *a,
                             b: *b,
                             op: cmp,
                             tail,
+                            span,
                         });
                     }
                 }
                 if let Some(bin) = BinKind::of(op2) {
                     if let Some(Op::StoreLocal(dst)) = at(3) {
-                        return Some(FOp::LLBinStore {
+                        return Some(Mop::LLBinStore {
                             a: *a,
                             b: *b,
                             op: bin,
                             dst: *dst,
+                            span,
                         });
                     }
-                    return Some(FOp::LLBin {
+                    return Some(Mop::LLBin {
                         a: *a,
                         b: *b,
                         op: bin,
+                        span,
                     });
                 }
                 if matches!(op2, Op::GetIndex) {
-                    return Some(FOp::LLGetIndex { obj: *a, idx: *b });
+                    return Some(Mop::LLGetIndex {
+                        obj: *a,
+                        idx: *b,
+                        span,
+                    });
                 }
             }
         }
@@ -708,11 +892,12 @@ fn match_at(chunk: &Chunk, pc: usize) -> Option<FOp> {
                 if let Some(op2) = at(2) {
                     if let Some(cmp) = CmpKind::of(op2) {
                         if let Some(tail) = cmp_branch(chunk, pc + 3) {
-                            return Some(FOp::LCCmpJf {
+                            return Some(Mop::LCCmpJf {
                                 a: *a,
                                 c,
                                 op: cmp,
                                 tail,
+                                span,
                             });
                         }
                     }
@@ -723,25 +908,32 @@ fn match_at(chunk: &Chunk, pc: usize) -> Option<FOp> {
                         {
                             if let (Some(c2), Some(op2)) = (num_const(chunk, *c2i), BinKind::of(o4))
                             {
-                                return Some(FOp::LCBin2Store {
+                                return Some(Mop::LCBin2Store {
                                     a: *a,
                                     c1: c,
                                     op1: bin,
                                     c2,
                                     op2,
                                     dst: *dst,
+                                    span,
                                 });
                             }
                         }
                         if let Some(Op::StoreLocal(dst)) = at(3) {
-                            return Some(FOp::LCBinStore {
+                            return Some(Mop::LCBinStore {
                                 a: *a,
                                 c,
                                 op: bin,
                                 dst: *dst,
+                                span,
                             });
                         }
-                        return Some(FOp::LCBin { a: *a, c, op: bin });
+                        return Some(Mop::LCBin {
+                            a: *a,
+                            c,
+                            op: bin,
+                            span,
+                        });
                     }
                 }
             }
@@ -750,19 +942,19 @@ fn match_at(chunk: &Chunk, pc: usize) -> Option<FOp> {
     if let Some(Op::Const(ci)) = at(0) {
         if let Some(c) = num_const(chunk, *ci) {
             if let Some(Op::StoreLocal(dst)) = at(1) {
-                return Some(FOp::CStore { c, dst: *dst });
+                return Some(Mop::CStore { c, dst: *dst, span });
             }
         }
     }
     if let Some(op0) = at(0) {
         if let Some(cmp) = CmpKind::of(op0) {
             if let Some(Op::JumpIfFalse(_)) = at(1) {
-                return Some(FOp::CmpJf { op: cmp });
+                return Some(Mop::CmpJf { op: cmp, span });
             }
         }
     }
     if let (Some(Op::SetIndex), Some(Op::Pop)) = (at(0), at(1)) {
-        return Some(FOp::SetIndexPop);
+        return Some(Mop::SetIndexPop { span });
     }
     None
 }
@@ -779,6 +971,12 @@ mod tests {
         }
     }
 
+    /// The fused forms of a lowered chunk, by micro-op index.
+    fn forms(lowered: &LoweredChunk) -> Vec<(usize, Mop)> {
+        let fused = |(i, m): (usize, &Mop)| m.span().map(|_| (i, *m));
+        lowered.code.iter().enumerate().filter_map(fused).collect()
+    }
+
     #[test]
     fn fuses_counter_increment() {
         // i = i + 1  →  LoadLocal i; Const 1; Add; StoreLocal i
@@ -786,17 +984,28 @@ mod tests {
             vec![Op::LoadLocal(0), Op::Const(0), Op::Add, Op::StoreLocal(0)],
             vec![Const::Num(1.0)],
         );
-        let o = build_overlay(&c);
+        let l = lower(&c, true);
         assert_eq!(
-            o.ops[0].fused.map(|f| f.op),
-            Some(FOp::LCBinStore {
-                a: 0,
-                c: 1.0,
-                op: BinKind::Add,
-                dst: 0
-            })
+            l.code,
+            [
+                Mop::LCBinStore {
+                    a: 0,
+                    c: 1.0,
+                    op: BinKind::Add,
+                    dst: 0,
+                    span: 0
+                },
+                Mop::LoadLocal(0),
+                Mop::Const(0),
+                Mop::Add,
+                Mop::StoreLocal(0),
+            ]
         );
-        assert!(o.ops[1..].iter().all(|x| x.fused.is_none()));
+        // The form and the plain copy of its first op share a position;
+        // the fast path exits past the copies.
+        assert_eq!(l.pos, [0, 0, 1, 2, 3]);
+        assert_eq!(l.spans[0][1].exit, 5);
+        assert_eq!(lower(&c, false).code, l.code[1..]);
     }
 
     #[test]
@@ -812,25 +1021,26 @@ mod tests {
             ],
             vec![],
         );
-        let o = build_overlay(&c);
-        let fused = o.ops[0].fused.unwrap();
+        let l = lower(&c, true);
         assert_eq!(
-            fused.op,
-            FOp::LLCmpJf {
+            l.code[0],
+            Mop::LLCmpJf {
                 a: 0,
                 b: 1,
                 op: CmpKind::Lt,
-                tail: false
+                tail: false,
+                span: 0
             }
         );
-        // JumpIfFalse at pc 3, d=5 → absolute 8; falling through → 4.
-        assert_eq!(fused.path(false).exit, 8);
-        assert_eq!(fused.path(true).exit, 4);
-        // The span is the chunk's first region, entered at its head; both
-        // exits head regions of their own, which the loop enters.
-        assert_eq!(o.ops[0].steps, 4);
-        assert_eq!(o.ops[4].region, 1);
-        assert!(fused.paths.iter().all(|p| p.entered().is_empty()));
+        // JumpIfFalse at pc 3, d=5 → pc 8, past the chunk; falling
+        // through → pc 4, micro-op 5 past the form and its four copies,
+        // which heads region 1: the path enters it.
+        let [if_false, if_true] = l.spans[0];
+        assert_eq!(if_false.exit, u32::MAX);
+        assert!(if_false.entered().is_empty());
+        assert_eq!((if_true.exit, if_true.entered()), (5, &[1][..]));
+        assert_eq!(l.code[4], Mop::JumpIfFalse(u32::MAX));
+        assert_eq!((l.regions.steps(0), l.heads[5]), (4, 1));
     }
 
     #[test]
@@ -847,32 +1057,32 @@ mod tests {
             ],
             vec![],
         );
-        let o = build_overlay(&c);
-        let forms: Vec<_> = o.ops.iter().map(|s| s.fused.map(|f| f.op)).collect();
+        let l = lower(&c, true);
+        let at: Vec<_> = forms(&l).into_iter().map(|(i, m)| (l.pos[i], m)).collect();
         assert_eq!(
-            forms,
+            at,
             [
-                Some(FOp::LLGetIndex { obj: 0, idx: 1 }),
-                None,
-                None,
-                None,
-                Some(FOp::SetIndexPop),
-                None,
-                None,
+                (
+                    0,
+                    Mop::LLGetIndex {
+                        obj: 0,
+                        idx: 1,
+                        span: 0
+                    }
+                ),
+                (4, Mop::SetIndexPop { span: 1 }),
             ]
         );
+        assert_eq!(l.spans[1][1].index, Some(true));
     }
 
     /// The fused forms of `name`'s chunk in a compiled script.
-    fn fused_forms(src: &str, name: &str) -> Vec<FOp> {
+    fn fused_forms(src: &str, name: &str) -> Vec<Mop> {
         let program = crate::compile_script(src).expect("compiles");
-        let overlays = build_overlays(&program);
-        let idx = program.chunks.iter().position(|c| c.name == name).unwrap();
-        overlays[idx]
-            .ops
-            .iter()
-            .filter_map(|s| s.fused)
-            .map(|f| f.op)
+        let chunk = program.chunks.iter().find(|c| c.name == name).unwrap();
+        forms(&lower(chunk, true))
+            .into_iter()
+            .map(|(_, m)| m)
             .collect()
     }
 
@@ -893,10 +1103,10 @@ mod tests {
              }",
             "k",
         );
-        let has = |pred: &dyn Fn(&FOp) -> bool| forms.iter().any(pred);
+        let has = |pred: &dyn Fn(&Mop) -> bool| forms.iter().any(pred);
         assert!(has(&|f| matches!(
             f,
-            FOp::LCCmpJf {
+            Mop::LCCmpJf {
                 op: CmpKind::Lt,
                 tail: true,
                 ..
@@ -904,7 +1114,7 @@ mod tests {
         )));
         assert!(has(&|f| matches!(
             f,
-            FOp::LLCmpJf {
+            Mop::LLCmpJf {
                 op: CmpKind::Lt,
                 tail: true,
                 ..
@@ -912,7 +1122,7 @@ mod tests {
         )));
         assert!(has(&|f| matches!(
             f,
-            FOp::LCBin2Store {
+            Mop::LCBin2Store {
                 c1: 1.0,
                 op1: BinKind::Add,
                 c2: 0.0,
@@ -924,7 +1134,7 @@ mod tests {
         for get in [true, false] {
             assert!(has(&|f| matches!(
                 f,
-                FOp::GAddr {
+                Mop::GAddr {
                     c: 4.0,
                     op1: BinKind::Mul,
                     op2: BinKind::Add,
@@ -936,9 +1146,10 @@ mod tests {
     }
 
     #[test]
-    fn jumps_may_land_inside_the_new_groups() {
+    fn jumps_into_a_span_land_on_its_plain_copies() {
         // The scripts of the interior-jump differential test: each must
-        // really jump into a group, so its fallback is exercised.
+        // really jump into a span, and the jump must land on the plain
+        // copy of its target, so its fallback is exercised.
         let program = crate::compile_script(
             "function pick(c, a, b) { var x = 0; x = ((c ? a : (b + 1)) | 0); return x; }\n\
              function both(c, i, j) {\n\
@@ -948,30 +1159,28 @@ mod tests {
              }",
         )
         .expect("compiles");
-        let overlays = build_overlays(&program);
-        type Family = fn(&FOp) -> bool;
+        type Family = fn(&Mop) -> bool;
         let families: [(&str, Family); 2] = [
-            ("pick", |f| matches!(f, FOp::LCBin2Store { .. })),
-            ("both", |f| matches!(f, FOp::LCCmpJf { tail: true, .. })),
+            ("pick", |f| matches!(f, Mop::LCBin2Store { .. })),
+            ("both", |f| matches!(f, Mop::LCCmpJf { tail: true, .. })),
         ];
         for (name, family) in families {
-            let idx = program.chunks.iter().position(|c| c.name == name).unwrap();
-            let code = &program.chunks[idx].code;
-            // A jump from outside [head, head + width) to strictly inside.
-            let entered = |head: usize, width: usize| {
-                code.iter().enumerate().any(|(pc, op)| match op {
-                    Op::Jump(d) | Op::JumpIfFalse(d) => {
-                        let to = (pc as i32 + d) as usize;
-                        !(head..head + width).contains(&pc) && to > head && to < head + width
-                    }
-                    _ => false,
-                })
-            };
-            let found = overlays[idx].ops.iter().enumerate().any(|(head, s)| {
-                s.fused
-                    .is_some_and(|f| family(&f.op) && entered(head, f.op.width()))
+            let chunk = program.chunks.iter().find(|c| c.name == name).unwrap();
+            let l = lower(chunk, true);
+            let found = forms(&l).into_iter().any(|(at, f)| {
+                let first = l.pos[at] as usize;
+                let span = first..first + f.width();
+                let inside = |i: usize| span.contains(&(l.pos[i] as usize));
+                family(&f)
+                    && l.code.iter().enumerate().any(|(i, m)| match m {
+                        Mop::Jump(t) | Mop::JumpIfFalse(t) => {
+                            let t = *t as usize;
+                            !inside(i) && inside(t) && l.pos[t] as usize > first
+                        }
+                        _ => false,
+                    })
             });
-            assert!(found, "{name}: no jump into its fused group");
+            assert!(found, "{name}: no jump onto the plain copies of its span");
         }
     }
 
@@ -984,10 +1193,10 @@ mod tests {
         );
         assert!(forms
             .iter()
-            .any(|f| matches!(f, FOp::LCCmpJf { tail: false, .. })));
+            .any(|f| matches!(f, Mop::LCCmpJf { tail: false, .. })));
         assert!(!forms
             .iter()
-            .any(|f| matches!(f, FOp::LCCmpJf { tail: true, .. })));
+            .any(|f| matches!(f, Mop::LCCmpJf { tail: true, .. })));
     }
 
     #[test]
@@ -997,13 +1206,12 @@ mod tests {
             vec![Op::LoadLocal(0), Op::Const(0), Op::Add],
             vec![Const::Str("s".into())],
         );
-        let o = build_overlay(&c);
-        assert!(o.ops.iter().all(|x| x.fused.is_none()));
+        assert!(forms(&lower(&c, true)).is_empty());
     }
 
     #[test]
     fn groups_do_not_overlap() {
-        // Two adjacent increments: each 4-wide, heads at 0 and 4.
+        // Two adjacent increments: each 4-wide, at pcs 0 and 4.
         let ops = vec![
             Op::LoadLocal(0),
             Op::Const(0),
@@ -1014,74 +1222,17 @@ mod tests {
             Op::Add,
             Op::StoreLocal(1),
         ];
-        let c = chunk(ops, vec![Const::Num(1.0)]);
-        let o = build_overlay(&c);
-        assert!(o.ops[0].fused.is_some());
-        assert!(o.ops[1].fused.is_none());
-        assert!(o.ops[2].fused.is_none());
-        assert!(o.ops[3].fused.is_none());
-        assert!(o.ops[4].fused.is_some());
+        let l = lower(&chunk(ops, vec![Const::Num(1.0)]), true);
+        let at: Vec<_> = forms(&l).iter().map(|(i, _)| (*i, l.pos[*i])).collect();
+        assert_eq!(at, [(0, 0), (5, 4)]);
+        assert_eq!(l.spans[0][1].exit, 5, "the first exits onto the second");
     }
 
     #[test]
-    fn widths_cover_constituents() {
-        for (fop, w) in [
-            (
-                FOp::LLBin {
-                    a: 0,
-                    b: 1,
-                    op: BinKind::Add,
-                },
-                3,
-            ),
-            (
-                FOp::LLBinStore {
-                    a: 0,
-                    b: 1,
-                    op: BinKind::Add,
-                    dst: 0,
-                },
-                4,
-            ),
-            (FOp::CStore { c: 0.0, dst: 0 }, 2),
-            (FOp::CmpJf { op: CmpKind::Lt }, 2),
-            (
-                FOp::LCBin2Store {
-                    a: 0,
-                    c1: 1.0,
-                    op1: BinKind::Add,
-                    c2: 0.0,
-                    op2: BinKind::BitOr,
-                    dst: 0,
-                },
-                6,
-            ),
-            (
-                FOp::LCCmpJf {
-                    a: 0,
-                    c: 4.0,
-                    op: CmpKind::Lt,
-                    tail: true,
-                },
-                8,
-            ),
-            (
-                FOp::GAddr {
-                    g: 0,
-                    a: 0,
-                    c: 4.0,
-                    op1: BinKind::Mul,
-                    b: 1,
-                    op2: BinKind::Add,
-                    get: true,
-                },
-                7,
-            ),
-            (FOp::LLGetIndex { obj: 0, idx: 1 }, 3),
-            (FOp::SetIndexPop, 2),
-        ] {
-            assert_eq!(fop.width(), w, "{fop:?}");
-        }
+    fn fused_forms_stay_small() {
+        // The largest form carries two constants; every other fits in
+        // three words.
+        assert!(std::mem::size_of::<Mop>() <= 32);
     }
 
     #[test]
@@ -1113,6 +1264,15 @@ mod tests {
         assert_eq!(taken, Ok((7, 8)));
         assert_eq!(branches, 3);
         assert_eq!(walk(&chunk, 0, 8, false, |_, _| {}), Ok((6, 107)));
+        // Lowered: `Const 1` falls into the head of the last branch, so
+        // an `Enter` precedes its copy; each path enters what its
+        // plain ops enter.
+        let l = lower(&chunk, true);
+        assert_eq!(l.code[8], Mop::Enter);
+        assert_eq!(l.code[6], Mop::Jump(9));
+        let [if_false, if_true] = l.spans[0];
+        assert_eq!((if_true.exit, if_true.entered()), (10, &[1, 3][..]));
+        assert_eq!((if_false.exit, if_false.entered()), (u32::MAX, &[2, 3][..]));
     }
 
     #[test]
@@ -1130,10 +1290,11 @@ mod tests {
              }",
         )
         .expect("compiles");
-        let overlays = build_overlays(&program);
         let mut fused_crossings = 0;
-        for (chunk, overlay) in program.chunks.iter().zip(&overlays) {
-            let head = |pc: usize| overlay.ops.get(pc).is_some_and(|s| s.region != NO_REGION);
+        for chunk in &program.chunks {
+            let l = lower(chunk, true);
+            let heads = region_heads(chunk);
+            let head = |pc: usize| heads.get(pc).is_some_and(|h| *h);
             assert!(head(0), "{}: entry", chunk.name);
             for (pc, op) in chunk.code.iter().enumerate() {
                 let end = pc + 1 == chunk.code.len();
@@ -1165,21 +1326,28 @@ mod tests {
                 }
             }
             // The regions partition the chunk.
-            let steps: u32 = overlay.ops.iter().map(|s| s.steps).sum();
+            let steps: u32 = (0..l.regions.len()).map(|r| l.regions.steps(r)).sum();
             assert_eq!(steps as usize, chunk.code.len(), "{}", chunk.name);
-            // A fused path enters every region head it passes, and only those.
-            for (pc, slot) in overlay.ops.iter().enumerate() {
-                let Some(f) = slot.fused else { continue };
-                for (cond, path) in [false, true].into_iter().zip(&f.paths) {
+            // A fused path enters every region head it passes, and the
+            // one it exits to.
+            for (at, f) in forms(&l) {
+                let (pc, span) = (l.pos[at] as usize, l.spans[f.span().unwrap()]);
+                for (cond, path) in [false, true].into_iter().zip(&span) {
                     let mut passed = Vec::new();
-                    let walked = walk(chunk, pc, f.op.width(), cond, |p, _| {
+                    let (_, exit) = walk(chunk, pc, f.width(), cond, |p, _| {
                         if p != pc && head(p) {
-                            passed.push(overlay.ops[p].region);
+                            passed.push(l.regions.region_at(p) as u32);
                         }
-                    });
-                    assert_eq!(walked.map(|(_, exit)| exit as u32), Ok(path.exit));
-                    assert_eq!(passed, path.entered(), "{}: {pc}", chunk.name);
+                    })
+                    .unwrap();
                     fused_crossings += passed.len();
+                    if head(exit) {
+                        passed.push(l.regions.region_at(exit) as u32);
+                    }
+                    let lands = (0..l.code.len())
+                        .find(|&i| l.pos[i] as usize == exit && l.code[i] != Mop::Enter);
+                    assert_eq!(Some(path.exit as usize), lands, "{}: {pc}", chunk.name);
+                    assert_eq!(passed, path.entered(), "{}: {pc}", chunk.name);
                 }
             }
         }
@@ -1192,8 +1360,7 @@ mod tests {
         // own span: the walk refuses it, so nothing fuses.
         let back_inside = chunk(vec![Op::Lt, Op::JumpIfFalse(-1)], vec![]);
         assert!(walk(&back_inside, 0, 2, false, |_, _| {}).is_err());
-        let o = build_overlay(&back_inside);
-        assert!(o.ops.iter().all(|x| x.fused.is_none()));
+        assert!(forms(&lower(&back_inside, true)).is_empty());
         // A back-edge notes hotness; a branch on a value the span did not
         // push has no known outcome.
         let back_edge = chunk(vec![Op::LoadLocal(0), Op::Jump(-1)], vec![]);

@@ -8,14 +8,16 @@
 //! input sizes in the paper while the arrays themselves grow.
 //!
 //! One `dirty` bit says whether the accounting may have moved towards a
-//! collection since the VM last found none due: [`Heap::alloc`] sets it,
-//! and so does [`Heap::note_resize`] when an object grows. The VM checks
-//! for a collection only at an op boundary where the bit is set, and
-//! clears it only when that check finds nothing to do.
-//! Trigger and ceiling are fixed per VM and nothing else grows
-//! `bytes_since_gc` or the live and external bytes, so every boundary it
-//! skips would have found nothing to do, and collections happen at the
-//! same boundaries as with a check at every one.
+//! collection since the VM last checked: [`Heap::alloc`] sets it, and so
+//! does [`Heap::note_resize`] when an object grows. The VM checks for a
+//! collection only at an op boundary where the bit is set, and clears it
+//! whenever the check passes. Trigger and ceiling are fixed per VM
+//! and nothing else grows `bytes_since_gc` or the live and external
+//! bytes, and a collection leaves `bytes_since_gc` below any positive
+//! trigger (every engine profile's), so every boundary it skips would
+//! have found nothing to do: collections happen at the same boundaries
+//! as with a check at every one, and a second check at one boundary (a
+//! region entry's, then the loop's) finds nothing.
 
 use crate::value::Value;
 
@@ -86,8 +88,8 @@ pub struct Heap {
     free: Vec<u32>,
     /// Bytes allocated since the last collection (GC trigger input).
     pub bytes_since_gc: u64,
-    /// Set when the accounting grew since a collection check last found
-    /// nothing due (which clears it): only then can one be due.
+    /// Set when the accounting grew since a collection check last passed
+    /// (which clears it): only then can one be due.
     pub(crate) dirty: bool,
     stats: HeapStats,
 }
@@ -248,7 +250,7 @@ mod tests {
         // Reachable survives.
         assert!(matches!(h.get(kept), Obj::Arr(_)));
         assert!(matches!(h.get(kept_child), Obj::Str(_)));
-        // Slot reuse after free.
+        // A freed cell is reused.
         let reused = h.alloc(Obj::Str("new".into()));
         assert_eq!(reused, 2, "freed slot is recycled");
     }

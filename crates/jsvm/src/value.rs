@@ -121,6 +121,55 @@ pub fn format_number(n: f64) -> String {
     }
 }
 
+/// JS `StringToNumber`: the string less the JS white space and line
+/// terminators around it (U+FEFF is one, U+0085 is not) is empty (0),
+/// an unsigned `0x`/`0o`/`0b` integer in either case, `Infinity` with an
+/// optional sign, or a decimal literal; anything else is NaN.
+pub fn string_to_number(s: &str) -> f64 {
+    const JS_SPACE: [char; 14] = [
+        '\t', '\n', '\u{b}', '\u{c}', '\r', ' ', '\u{a0}', '\u{1680}', '\u{2028}', '\u{2029}',
+        '\u{202f}', '\u{205f}', '\u{3000}', '\u{feff}',
+    ];
+    let js_space = |c: char| JS_SPACE.contains(&c) || ('\u{2000}'..='\u{200a}').contains(&c);
+    let t = s.trim_matches(js_space);
+    let radix = match t.get(..2) {
+        Some("0x" | "0X") => 16,
+        Some("0o" | "0O") => 8,
+        Some("0b" | "0B") => 2,
+        _ => 10,
+    };
+    let unsigned = t.strip_prefix(['+', '-']).unwrap_or(t);
+    match unsigned {
+        "" if t.is_empty() => 0.0,
+        "Infinity" if t.starts_with('-') => f64::NEG_INFINITY,
+        "Infinity" => f64::INFINITY,
+        _ if radix != 10 => radix_integer(&t[2..], radix).unwrap_or(f64::NAN),
+        // Past the names Rust also reads (`inf`, `NaN`, ...), Rust's
+        // float grammar is JS's decimal literal.
+        u if u.starts_with(|c: char| c.is_ascii_alphabetic()) => f64::NAN,
+        _ => t.parse().unwrap_or(f64::NAN),
+    }
+}
+
+/// The nonempty `digits` in a power-of-two `radix` as the nearest double,
+/// ties to even: the first 125 or so bits exactly, the rest as a sticky
+/// bit that only breaks a tie. `None` on a digit outside the radix.
+fn radix_integer(digits: &str, radix: u32) -> Option<f64> {
+    let bits = radix.trailing_zeros();
+    let (mut mantissa, mut exponent, mut sticky) = (0u128, 0, false);
+    for c in digits.chars() {
+        let d = u128::from(c.to_digit(radix)?);
+        if mantissa >> (128 - bits) == 0 {
+            mantissa = mantissa << bits | d;
+        } else {
+            exponent += bits as i32;
+            sticky |= d != 0;
+        }
+    }
+    let value = (mantissa | u128::from(sticky)) as f64 * 2f64.powi(exponent);
+    (!digits.is_empty()).then_some(value)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

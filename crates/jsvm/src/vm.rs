@@ -1,12 +1,18 @@
-//! The MiniJS virtual machine: bytecode interpreter, hotness bands, GC
-//! scheduling and the unpriced record of a run ([`JsRecord`]), which
-//! `wb_env::price` turns into virtual time, choosing the interpreter and
-//! JIT tiers as it goes.
+//! The MiniJS virtual machine: the dispatch loop over each chunk's
+//! micro-op stream, hotness bands, GC scheduling and the unpriced record
+//! of a run ([`JsRecord`]), which `wb_env::price` turns into virtual
+//! time, choosing the interpreter and JIT tiers as it goes.
 //!
-//! The loop charges per region, not per op. Each chunk is cut into
-//! regions (`fuse.rs` `region_heads`): runs of ops entered only at their
-//! head and left only at their end. Every overlay slot says whether a
-//! region starts at its pc; when the loop reaches one, it checks the fuel
+//! At load, every chunk is lowered once into one stream of micro-ops
+//! (`fuse.rs` `lower`), fused or not (`reference_exec`); the one loop
+//! runs either, and never reads the setting. The loop charges per
+//! region, not per op. Each chunk is cut into regions (`fuse.rs`
+//! `region_heads`): runs of ops entered only at their head and left only
+//! at their end. A region is entered only where control moves into it:
+//! at frame entry and resume, by a taken jump, a branch not taken, a
+//! method call that returns a value, a fused form's exit, and an `Enter`
+//! micro-op before each head a plain op falls through into. Every entry
+//! goes through one macro: it runs the GC safe point, checks the fuel
 //! budget, spends the region's op count and adds one to the region's
 //! counter in the chunk's current band (the counters are a
 //! `wb_env::RegionCounters`). The budget is checked against the regions
@@ -14,8 +20,8 @@
 //! an error, and the run then stops with `StepBudgetExhausted` (at the
 //! next head, before a method call, or on the way out in `run`): which
 //! runs run out, and which error the others report, are per-op
-//! counting's. A fused form that passes a region head on its way adds
-//! that region the same way, one add per region on the path it took. The
+//! counting's. A fused form enters the regions its plain copies would
+//! enter on the path its comparison took, one entry each. The
 //! class and Table 12 counts of a region are folded in only when a record
 //! is read ([`JsVm::record`], and `performance.now`, which prices
 //! mid-run): a band changes only at chunk entry and loop back-edges,
@@ -25,17 +31,16 @@
 //! native code, and allocation, GC and every other `Charge` event are
 //! recorded as they happen. An op that fails inside its region takes back
 //! the region's count on the cold path and charges the ops up to and
-//! including itself (`settle_trap`), so a failed run's record is the one
-//! per-op counting gives.
+//! including itself, which it finds from its micro-op's source position
+//! (`settle_trap`), so a failed run's record is the one per-op counting
+//! gives.
 
-use crate::bytecode::{Const, Op, Program};
+use crate::bytecode::{Const, Program};
 use crate::error::JsError;
-use crate::fuse::{
-    build_overlays, static_charge, BinKind, FOp, Fused, FusedChunk, SpanCharges, NO_REGION,
-};
+use crate::fuse::{lower, static_charge, CmpKind, LoweredChunk, Mop};
 use crate::heap::{Heap, HeapStats, Obj};
 use crate::stdlib::{sha256, DetRng};
-use crate::value::{format_number, Builtin, JsValue, Value};
+use crate::value::{format_number, string_to_number, Builtin, JsValue, Value};
 use std::collections::HashMap;
 use std::rc::Rc;
 use wb_env::{
@@ -59,10 +64,11 @@ pub struct JsVmConfig {
     /// on existing virtual-cost events and never add charges, so
     /// default-limit runs are bit-identical to unlimited ones.
     pub limits: wb_env::ResourceLimits,
-    /// Run the one dispatch loop with the fused-op overlay off (one
-    /// bytecode op per dispatch). Both modes produce
-    /// bit-identical measurements; this is a debugging escape hatch for
-    /// fusion regressions (`--reference-exec` in the harness).
+    /// Lower every chunk without fused forms: one micro-op per bytecode
+    /// op, run by the same dispatch loop, which never reads this flag.
+    /// Both streams enter the same regions and produce bit-identical
+    /// measurements; this is a debugging escape hatch for fusion
+    /// regressions (`--reference-exec` in the harness).
     pub reference_exec: bool,
 }
 
@@ -125,7 +131,7 @@ impl JsVmConfig {
 pub struct JsExecProjection {
     /// Resource ceilings.
     pub limits: wb_env::ResourceLimits,
-    /// Fused overlay off.
+    /// Chunks lowered without fused forms.
     pub reference_exec: bool,
     /// The hotness boundaries the run's op counts are banded by: every
     /// calibrated JIT threshold plus the config's own.
@@ -147,6 +153,7 @@ struct HotState {
 
 struct Frame {
     chunk: u32,
+    /// The micro-op the frame starts or resumes at: a region head.
     pc: usize,
     locals_base: usize,
 }
@@ -243,12 +250,13 @@ pub struct JsVm {
     clock_reads: u64,
     steps: u64,
     rng: DetRng,
-    /// Per-chunk fused-op overlays (see `fuse.rs`), built at load time.
-    fused: Rc<Vec<FusedChunk>>,
+    /// Each chunk lowered to micro-ops (see `fuse.rs`) at load time.
+    lowered: Rc<Vec<LoweredChunk>>,
     /// Fused index forms (`[served, fell back]`).
     fused_index: [u64; 2],
-    /// Dispatches through the overlay (`[fused, plain]`).
-    dispatches: [u64; 2],
+    /// Fused forms served, and the ops they retired: every other op
+    /// retired was one plain dispatch.
+    fused_runs: [u64; 2],
     /// `console.log` output.
     pub output: Vec<String>,
 }
@@ -273,9 +281,9 @@ impl JsVm {
             clock_reads: 0,
             steps: 0,
             rng: DetRng::default(),
-            fused: Rc::new(Vec::new()),
+            lowered: Rc::new(Vec::new()),
             fused_index: [0; 2],
-            dispatches: [0; 2],
+            fused_runs: [0; 2],
             output: Vec::new(),
         }
     }
@@ -316,14 +324,15 @@ impl JsVm {
                 self.globals[idx as usize] = Some(Value::Num(v));
             }
         }
-        // Build the fused overlay. Pure derived data with no virtual-time
+        // Lower every chunk. Pure derived data with no virtual-time
         // charge: fusion models no engine work, and the reference and
-        // fused modes charge identically.
-        let fused = build_overlays(&program);
+        // fused streams charge identically.
+        let fuse = !self.config.reference_exec;
+        let lowered: Vec<_> = program.chunks.iter().map(|c| lower(c, fuse)).collect();
         // The counters of an earlier script fold into the counts kept
         // per op before its regions go.
         std::mem::take(&mut self.counters).fold(
-            |c| &self.fused[c].regions,
+            |c| &self.lowered[c].regions,
             &mut self.band_counts.ops,
             &mut self.arith,
         );
@@ -333,9 +342,9 @@ impl JsVm {
                 hotness: 0,
                 row: None,
             };
-            fused.len()
+            lowered.len()
         ];
-        self.fused = Rc::new(fused);
+        self.lowered = Rc::new(lowered);
         self.program = Rc::new(program);
         // Run the top level (chunk 0), as a call with no arguments.
         self.invoke(0, &[])?;
@@ -401,8 +410,11 @@ impl JsVm {
     /// into what the loop counted per op.
     fn folded(&self) -> (BandCounts, [u64; 7]) {
         let (mut band_counts, mut arith) = (self.band_counts.clone(), self.arith);
-        self.counters
-            .fold(|c| &self.fused[c].regions, &mut band_counts.ops, &mut arith);
+        self.counters.fold(
+            |c| &self.lowered[c].regions,
+            &mut band_counts.ops,
+            &mut arith,
+        );
         (band_counts, arith)
     }
 
@@ -413,7 +425,7 @@ impl JsVm {
     /// accesses, `Math.*` calls and the charged part of a region an op
     /// failed in.
     pub fn region_profile(&self) -> Vec<RegionHits> {
-        self.counters.profile(|c| &self.fused[c].regions)
+        self.counters.profile(|c| &self.lowered[c].regions)
     }
 
     /// Offset in `self.counters` of `chunk`'s row for its current band,
@@ -422,7 +434,7 @@ impl JsVm {
     fn region_row(&mut self, chunk: usize) -> usize {
         let state = &mut self.chunk_state[chunk];
         let band = state.band;
-        let regions = self.fused[chunk].regions.len();
+        let regions = self.lowered[chunk].regions.len();
         *state
             .row
             .get_or_insert_with(|| self.counters.add_row(chunk, band, regions))
@@ -436,8 +448,8 @@ impl JsVm {
         let Some(last) = pc_end.checked_sub(1) else {
             return;
         };
-        let (fused, program) = (Rc::clone(&self.fused), Rc::clone(&self.program));
-        let regions = &fused[chunk].regions;
+        let (lowered, program) = (Rc::clone(&self.lowered), Rc::clone(&self.program));
+        let regions = &lowered[chunk].regions;
         let code = &program.chunks[chunk].code;
         let band = self.chunk_state[chunk].band;
         self.steps -= self.counters.settle(
@@ -557,6 +569,8 @@ impl JsVm {
                 limit,
             });
         }
+        // Below a positive trigger again: nothing is due until it grows.
+        self.heap.dirty = false;
         Ok(())
     }
 
@@ -631,14 +645,7 @@ impl JsVm {
             Value::Null => 0.0,
             Value::Undefined => f64::NAN,
             Value::Ref(r) => match self.heap.get(r) {
-                Obj::Str(s) => {
-                    let t = s.trim();
-                    if t.is_empty() {
-                        0.0
-                    } else {
-                        t.parse::<f64>().unwrap_or(f64::NAN)
-                    }
-                }
+                Obj::Str(s) => string_to_number(s),
                 _ => f64::NAN,
             },
             Value::Closure(_) | Value::Builtin(_) => f64::NAN,
@@ -765,22 +772,55 @@ impl JsVm {
         r
     }
 
-    /// The dispatch loop of [`Self::run`].
+    /// The dispatch loop of [`Self::run`], over each chunk's micro-op
+    /// stream (see `fuse.rs`).
     fn dispatch(&mut self, floor: usize) -> Result<(), JsError> {
         let program = Rc::clone(&self.program);
-        let fused = Rc::clone(&self.fused);
-        let use_fused = !self.config.reference_exec;
+        let lowered = Rc::clone(&self.lowered);
         let fuel = self.config.limits.fuel_budget();
         'outer: while self.frames.len() > floor {
             let frame_idx = self.frames.len() - 1;
             let chunk_idx = self.frames[frame_idx].chunk as usize;
             let chunk = &program.chunks[chunk_idx];
-            let slots = &fused[chunk_idx].ops;
+            let LoweredChunk {
+                code,
+                pos,
+                heads,
+                spans,
+                regions,
+            } = &lowered[chunk_idx];
             let mut band = self.chunk_state[chunk_idx].band;
             let mut row = self.region_row(chunk_idx);
             let mut pc = self.frames[frame_idx].pc;
             let locals_base = self.frames[frame_idx].locals_base;
 
+            // Enter region `$region` at the boundary control just crossed:
+            // the GC safe point first, as at every boundary (a failed
+            // collection at a head leaves no region open to settle), then
+            // the fuel budget, checked against the regions already run so
+            // the run stops at the first head past an overrun; then its
+            // fuel is spent and its entry counted.
+            macro_rules! enter {
+                ($region:expr) => {{
+                    let region = $region as usize;
+                    if self.heap.dirty {
+                        self.maybe_gc()?;
+                    }
+                    if self.steps > fuel {
+                        return Err(JsError::StepBudgetExhausted);
+                    }
+                    self.steps += u64::from(regions.steps(region));
+                    self.counters.enter(row, region);
+                }};
+            }
+            // Move control to micro-op `$to`, entering the region it heads.
+            macro_rules! goto {
+                ($to:expr) => {{
+                    pc = $to as usize;
+                    enter!(heads[pc]);
+                    continue;
+                }};
+            }
             macro_rules! suspend {
                 ($next_pc:expr) => {{
                     self.frames[frame_idx].pc = $next_pc;
@@ -794,13 +834,17 @@ impl JsVm {
                     match $e {
                         Ok(v) => v,
                         Err(e) => {
-                            self.settle_trap(chunk_idx, row, pc + 1);
+                            self.settle_trap(chunk_idx, row, pos[pc] as usize + 1);
                             return Err(e);
                         }
                     }
                 };
             }
-
+            macro_rules! local {
+                ($i:expr) => {
+                    self.locals[locals_base + $i as usize]
+                };
+            }
             // A numeric binary op: the fused forms' definition, on
             // `ToNumber`'d operands.
             macro_rules! numeric {
@@ -811,75 +855,82 @@ impl JsVm {
                     self.stack.push(Value::Num(r));
                 }};
             }
+            // A fused form whose guard failed (one of an index form when
+            // `$index`): fall through to the plain copy of its first op,
+            // having charged nothing.
+            macro_rules! fall_back {
+                ($index:expr) => {{
+                    self.fused_index[1] += u64::from($index);
+                    pc += 1;
+                    continue;
+                }};
+            }
+            // A fused fast path: retire the path its comparison took
+            // (`$cond`) of span `$span` as its plain copies would: enter
+            // the regions they pass the heads of and the one they exit
+            // to, count the index access (as a typed-array one when
+            // `$typed`, the receiver's typedness, and as one the fused
+            // forms served), and continue at the exit.
+            macro_rules! retire {
+                ($span:expr, $cond:expr, $typed:expr) => {{
+                    let path = &spans[$span as usize][usize::from($cond)];
+                    for &region in path.entered() {
+                        enter!(region);
+                    }
+                    if let Some(store) = path.index {
+                        self.count_index(band, $typed, store);
+                        self.fused_index[0] += 1;
+                    }
+                    self.fused_runs[0] += 1;
+                    self.fused_runs[1] += u64::from(path.ops);
+                    pc = path.exit as usize;
+                    continue;
+                }};
+            }
 
+            // Frame entry or resume: every pc a frame starts or resumes at
+            // heads a region.
+            enter!(heads[pc]);
             loop {
-                // Instruction boundary: a GC-safe point (all live values
-                // are reachable from stack/locals/globals), checked only
-                // when the heap grew since a check last found nothing due.
+                // Micro-op boundary: a GC-safe point (all live values are
+                // reachable from stack/locals/globals), checked only when
+                // the heap grew since a check last passed.
                 if self.heap.dirty {
                     if let Err(e) = self.maybe_gc() {
-                        self.settle_trap(chunk_idx, row, pc);
+                        self.settle_trap(chunk_idx, row, pos[pc] as usize);
                         return Err(e);
                     }
                 }
-                let slot = &slots[pc];
-                if slot.region != NO_REGION {
-                    // Fuel is checked against the regions already run, so
-                    // the run stops at the first head past an overrun.
-                    if self.steps > fuel {
-                        return Err(JsError::StepBudgetExhausted);
-                    }
-                    self.steps += u64::from(slot.steps);
-                    self.counters.enter(row, slot.region as usize);
-                }
-                // Fused dispatch: at a pattern head, try the fused form.
-                // Guards run before any charge, so a fallback (`None`)
-                // leaves the virtual-cost state untouched and the plain
-                // op below replays the reference path exactly.
-                if use_fused {
-                    if let Some(f) = &slot.fused {
-                        if let Some(next) = self.exec_fused(f, band, row, locals_base)? {
-                            self.dispatches[0] += 1;
-                            pc = next;
-                            continue;
-                        }
-                        self.fused_index[1] += f.path(true).index.is_some() as u64;
-                    }
-                }
-                let op = &chunk.code[pc];
-                self.dispatches[1] += 1;
-
-                match op {
-                    Op::Const(ci) => match &chunk.consts[*ci as usize] {
+                match code[pc] {
+                    Mop::Const(ci) => match &chunk.consts[ci as usize] {
                         Const::Num(v) => self.stack.push(Value::Num(*v)),
                         Const::Str(s) => {
                             let r = self.alloc(Obj::Str(s.clone()));
                             self.stack.push(Value::Ref(r));
                         }
                     },
-                    Op::Undef => self.stack.push(Value::Undefined),
-                    Op::Null => self.stack.push(Value::Null),
-                    Op::True => self.stack.push(Value::Bool(true)),
-                    Op::False => self.stack.push(Value::Bool(false)),
-                    Op::LoadLocal(i) => {
-                        let v = self.locals[locals_base + *i as usize];
+                    Mop::Undef => self.stack.push(Value::Undefined),
+                    Mop::Null => self.stack.push(Value::Null),
+                    Mop::True => self.stack.push(Value::Bool(true)),
+                    Mop::False => self.stack.push(Value::Bool(false)),
+                    Mop::LoadLocal(i) => {
+                        let v = local!(i);
                         self.stack.push(v);
                     }
-                    Op::StoreLocal(i) => {
-                        let v = self.stack.pop().expect("compiled: value");
-                        self.locals[locals_base + *i as usize] = v;
+                    Mop::StoreLocal(i) => {
+                        local!(i) = self.stack.pop().expect("compiled: value");
                     }
-                    Op::LoadGlobal(ni) => match self.globals[*ni as usize] {
+                    Mop::LoadGlobal(ni) => match self.globals[ni as usize] {
                         Some(v) => self.stack.push(v),
                         None => trapping!(Err(JsError::Reference {
-                            name: program.name(*ni).to_string(),
+                            name: program.name(ni).to_string(),
                         })),
                     },
-                    Op::StoreGlobal(ni) => {
+                    Mop::StoreGlobal(ni) => {
                         let v = self.stack.pop().expect("compiled: value");
-                        self.globals[*ni as usize] = Some(v);
+                        self.globals[ni as usize] = Some(v);
                     }
-                    Op::Add => {
+                    Mop::Add => {
                         let b = self.stack.pop().expect("compiled");
                         let a = self.stack.pop().expect("compiled");
                         let is_str = |vm: &Self, v: Value| matches!(v, Value::Ref(r) if matches!(vm.heap.get(r), Obj::Str(_)));
@@ -891,30 +942,21 @@ impl JsVm {
                             self.stack.push(Value::Num(self.to_num(a) + self.to_num(b)));
                         }
                     }
-                    Op::Sub => numeric!(BinKind::Sub),
-                    Op::Mul => numeric!(BinKind::Mul),
-                    Op::Div => numeric!(BinKind::Div),
-                    Op::Mod => numeric!(BinKind::Mod),
-                    Op::BitAnd => numeric!(BinKind::BitAnd),
-                    Op::BitOr => numeric!(BinKind::BitOr),
-                    Op::BitXor => numeric!(BinKind::BitXor),
-                    Op::Shl => numeric!(BinKind::Shl),
-                    Op::Shr => numeric!(BinKind::Shr),
-                    Op::UShr => numeric!(BinKind::UShr),
-                    Op::Neg => {
+                    Mop::Bin(kind) => numeric!(kind),
+                    Mop::Neg => {
                         let a = self.stack.pop().expect("compiled");
                         self.stack.push(Value::Num(-self.to_num(a)));
                     }
-                    Op::Not => {
+                    Mop::Not => {
                         let a = self.stack.pop().expect("compiled");
                         let t = self.truthy(a);
                         self.stack.push(Value::Bool(!t));
                     }
-                    Op::BitNot => {
+                    Mop::BitNot => {
                         let a = self.stack.pop().expect("compiled");
                         self.stack.push(Value::Num(!self.to_int32(a) as f64));
                     }
-                    Op::TypeofOp => {
+                    Mop::TypeofOp => {
                         let a = self.stack.pop().expect("compiled");
                         let s = match a {
                             Value::Ref(r) => match self.heap.get(r) {
@@ -926,103 +968,67 @@ impl JsVm {
                         let r = self.alloc(Obj::Str(s.to_string()));
                         self.stack.push(Value::Ref(r));
                     }
-                    Op::Lt | Op::Gt | Op::Le | Op::Ge => {
+                    Mop::Cmp(kind) => {
                         let b = self.stack.pop().expect("compiled");
                         let a = self.stack.pop().expect("compiled");
-                        let an = self.to_num(a);
-                        let bn = self.to_num(b);
-                        let both_str = matches!((a, b), (Value::Ref(_), Value::Ref(_)));
-                        let result = if !both_str && (an.is_nan() || bn.is_nan()) {
-                            false
-                        } else {
-                            let ord = self.compare(a, b);
-                            match op {
-                                Op::Lt => ord == std::cmp::Ordering::Less,
-                                Op::Gt => ord == std::cmp::Ordering::Greater,
-                                Op::Le => ord != std::cmp::Ordering::Greater,
-                                Op::Ge => ord != std::cmp::Ordering::Less,
-                                _ => unreachable!(),
-                            }
-                        };
+                        let result = self.compare_op(kind, a, b);
                         self.stack.push(Value::Bool(result));
                     }
-                    Op::EqEq | Op::NotEq => {
-                        let b = self.stack.pop().expect("compiled");
-                        let a = self.stack.pop().expect("compiled");
-                        let eq = self.loose_eq(a, b);
-                        self.stack
-                            .push(Value::Bool(if matches!(op, Op::EqEq) { eq } else { !eq }));
+                    Mop::Jump(to) => goto!(to),
+                    Mop::JumpBack(to) => {
+                        // Loop back-edge: hotness for OSR-style tier-up.
+                        self.note_hotness(chunk_idx);
+                        band = self.chunk_state[chunk_idx].band;
+                        row = self.region_row(chunk_idx);
+                        goto!(to);
                     }
-                    Op::StrictEq | Op::StrictNe => {
-                        let b = self.stack.pop().expect("compiled");
-                        let a = self.stack.pop().expect("compiled");
-                        let eq = self.strict_eq(a, b);
-                        self.stack.push(Value::Bool(if matches!(op, Op::StrictEq) {
-                            eq
-                        } else {
-                            !eq
-                        }));
-                    }
-                    Op::Jump(d) => {
-                        if *d < 0 {
-                            // Loop back-edge: hotness for OSR-style tier-up.
-                            self.note_hotness(chunk_idx);
-                            band = self.chunk_state[chunk_idx].band;
-                            row = self.region_row(chunk_idx);
-                        }
-                        pc = (pc as i32 + d) as usize;
-                        continue;
-                    }
-                    Op::JumpIfFalse(d) => {
+                    Mop::JumpIfFalse(to) => {
                         let v = self.stack.pop().expect("compiled");
-                        if !self.truthy(v) {
-                            pc = (pc as i32 + d) as usize;
-                            continue;
-                        }
+                        goto!(if self.truthy(v) { pc + 1 } else { to as usize });
                     }
-                    Op::JumpIfFalsePeek(d) => {
+                    Mop::JumpIfFalsePeek(to) => {
                         let v = *self.stack.last().expect("compiled");
                         if !self.truthy(v) {
-                            pc = (pc as i32 + d) as usize;
-                            continue;
+                            goto!(to);
                         }
                         self.stack.pop();
+                        goto!(pc + 1);
                     }
-                    Op::JumpIfTruePeek(d) => {
+                    Mop::JumpIfTruePeek(to) => {
                         let v = *self.stack.last().expect("compiled");
                         if self.truthy(v) {
-                            pc = (pc as i32 + d) as usize;
-                            continue;
+                            goto!(to);
                         }
                         self.stack.pop();
+                        goto!(pc + 1);
                     }
-                    Op::Pop => {
+                    Mop::Pop => {
                         self.stack.pop();
                     }
-                    Op::Dup => {
+                    Mop::Dup => {
                         let v = *self.stack.last().expect("compiled");
                         self.stack.push(v);
                     }
-                    Op::Dup2 => {
+                    Mop::Dup2 => {
                         let n = self.stack.len();
                         let a = self.stack[n - 2];
                         let b = self.stack[n - 1];
                         self.stack.push(a);
                         self.stack.push(b);
                     }
-                    Op::MakeArray(n) => {
-                        let items = self.stack.split_off(self.stack.len() - *n as usize);
+                    Mop::MakeArray(n) => {
+                        let items = self.stack.split_off(self.stack.len() - n as usize);
                         let r = self.alloc(Obj::Arr(items));
                         self.stack.push(Value::Ref(r));
                     }
-                    Op::MakeObject { shape } => {
-                        let keys = &chunk.object_shapes[*shape as usize];
+                    Mop::MakeObject { shape } => {
+                        let keys = &chunk.object_shapes[shape as usize];
                         let values = self.stack.split_off(self.stack.len() - keys.len());
                         let fields: Vec<(u32, Value)> = keys.iter().copied().zip(values).collect();
                         let r = self.alloc(Obj::Dict(fields));
                         self.stack.push(Value::Ref(r));
                     }
-                    Op::NewTyped(kind) => {
+                    Mop::NewTyped(kind) => {
                         let len = self.stack.pop().expect("compiled");
                         let n = self.to_num(len);
                         if !(0.0..=1e9).contains(&n) || n.fract() != 0.0 {
@@ -1039,7 +1045,7 @@ impl JsVm {
                         let r = self.alloc(obj);
                         self.stack.push(Value::Ref(r));
                     }
-                    Op::NewArrayN => {
+                    Mop::NewArrayN => {
                         let len = self.stack.pop().expect("compiled");
                         let n = self.to_num(len);
                         if !(0.0..=1e9).contains(&n) || n.fract() != 0.0 {
@@ -1050,33 +1056,33 @@ impl JsVm {
                         let r = self.alloc(Obj::Arr(vec![Value::Undefined; n as usize]));
                         self.stack.push(Value::Ref(r));
                     }
-                    Op::GetIndex => {
+                    Mop::GetIndex => {
                         let idx = self.stack.pop().expect("compiled");
                         let obj = self.stack.pop().expect("compiled");
                         let v = trapping!(self.get_index(obj, idx, band));
                         self.stack.push(v);
                     }
-                    Op::SetIndex => {
+                    Mop::SetIndex => {
                         let val = self.stack.pop().expect("compiled");
                         let idx = self.stack.pop().expect("compiled");
                         let obj = self.stack.pop().expect("compiled");
                         trapping!(self.set_index(obj, idx, val, band));
                         self.stack.push(val);
                     }
-                    Op::GetMember(ni) => {
+                    Mop::GetMember(ni) => {
                         let obj = self.stack.pop().expect("compiled");
-                        let v = trapping!(self.get_member(obj, *ni));
+                        let v = trapping!(self.get_member(obj, ni));
                         self.stack.push(v);
                     }
-                    Op::SetMember(ni) => {
+                    Mop::SetMember(ni) => {
                         let val = self.stack.pop().expect("compiled");
                         let obj = self.stack.pop().expect("compiled");
-                        trapping!(self.set_member(obj, *ni, val));
+                        trapping!(self.set_member(obj, ni, val));
                         self.stack.push(val);
                     }
-                    Op::ClosureOp(idx) => self.stack.push(Value::Closure(*idx)),
-                    Op::Call(argc) => {
-                        let argc = *argc as usize;
+                    Mop::ClosureOp(idx) => self.stack.push(Value::Closure(idx)),
+                    Mop::Call(argc) => {
+                        let argc = argc as usize;
                         match self.stack[self.stack.len() - argc - 1] {
                             Value::Closure(target) => {
                                 self.push_frame(target, argc)?;
@@ -1090,7 +1096,7 @@ impl JsVm {
                             }
                         }
                     }
-                    Op::MethodCall { name, argc } => {
+                    Mop::MethodCall { name, argc } => {
                         // The call ends its region: per-op counting would
                         // not make it past a budget that region overran.
                         if self.steps > fuel {
@@ -1098,27 +1104,172 @@ impl JsVm {
                         }
                         // The receiver, then the arguments, stay on the
                         // stack until the method has read them.
-                        let base = self.stack.len() - *argc as usize;
-                        match self.method_call(*name, base)? {
+                        let base = self.stack.len() - argc as usize;
+                        match self.method_call(name, base)? {
                             MethodOutcome::Value(v) => {
                                 self.stack.truncate(base - 1);
                                 self.stack.push(v);
+                                goto!(pc + 1);
                             }
                             MethodOutcome::EnterFrame => suspend!(pc + 1),
                         }
                     }
-                    Op::Return => {
+                    Mop::Return => {
                         let v = self.stack.pop().expect("compiled");
                         self.locals.truncate(locals_base);
                         self.frames.pop();
                         self.stack.push(v);
                         continue 'outer;
                     }
-                    Op::ReturnUndef => {
+                    Mop::ReturnUndef => {
                         self.locals.truncate(locals_base);
                         self.frames.pop();
                         self.stack.push(Value::Undefined);
                         continue 'outer;
+                    }
+                    Mop::Enter => goto!(pc + 1),
+
+                    // ---- fused forms -----------------------------------
+                    // Guards run before any charge: a fallback leaves the
+                    // virtual-cost state untouched, and the plain copies
+                    // after the form replay the reference path exactly.
+                    // Cost-equivalence invariant (see DESIGN.md): fast
+                    // paths never allocate, never grow heap bytes and
+                    // never note hotness, so GC safe-points and the band
+                    // are the reference's at every op boundary.
+                    Mop::LLBin { a, b, op, span } => {
+                        let (Value::Num(x), Value::Num(y)) = (local!(a), local!(b)) else {
+                            fall_back!(false);
+                        };
+                        self.stack.push(Value::Num(op.apply(x, y)));
+                        retire!(span, true, false);
+                    }
+                    Mop::LLBinStore {
+                        a,
+                        b,
+                        op,
+                        dst,
+                        span,
+                    } => {
+                        let (Value::Num(x), Value::Num(y)) = (local!(a), local!(b)) else {
+                            fall_back!(false);
+                        };
+                        local!(dst) = Value::Num(op.apply(x, y));
+                        retire!(span, true, false);
+                    }
+                    Mop::LCBin { a, c, op, span } => {
+                        let Value::Num(x) = local!(a) else {
+                            fall_back!(false);
+                        };
+                        self.stack.push(Value::Num(op.apply(x, c)));
+                        retire!(span, true, false);
+                    }
+                    Mop::LCBinStore {
+                        a,
+                        c,
+                        op,
+                        dst,
+                        span,
+                    } => {
+                        let Value::Num(x) = local!(a) else {
+                            fall_back!(false);
+                        };
+                        local!(dst) = Value::Num(op.apply(x, c));
+                        retire!(span, true, false);
+                    }
+                    Mop::LCBin2Store {
+                        a,
+                        c1,
+                        op1,
+                        c2,
+                        op2,
+                        dst,
+                        span,
+                    } => {
+                        let Value::Num(x) = local!(a) else {
+                            fall_back!(false);
+                        };
+                        local!(dst) = Value::Num(op2.apply(op1.apply(x, c1), c2));
+                        retire!(span, true, false);
+                    }
+                    Mop::CStore { c, dst, span } => {
+                        local!(dst) = Value::Num(c);
+                        retire!(span, true, false);
+                    }
+                    Mop::CmpJf { op, span } => {
+                        let n = self.stack.len();
+                        let (Value::Num(x), Value::Num(y)) = (self.stack[n - 2], self.stack[n - 1])
+                        else {
+                            fall_back!(false);
+                        };
+                        self.stack.truncate(n - 2);
+                        retire!(span, op.apply(x, y), false);
+                    }
+                    Mop::LLCmpJf { a, b, op, span, .. } => {
+                        let (Value::Num(x), Value::Num(y)) = (local!(a), local!(b)) else {
+                            fall_back!(false);
+                        };
+                        retire!(span, op.apply(x, y), false);
+                    }
+                    Mop::LCCmpJf { a, c, op, span, .. } => {
+                        let Value::Num(x) = local!(a) else {
+                            fall_back!(false);
+                        };
+                        retire!(span, op.apply(x, c), false);
+                    }
+                    Mop::GAddr {
+                        g,
+                        a,
+                        c,
+                        op1,
+                        b,
+                        op2,
+                        get,
+                        span,
+                    } => {
+                        let (Some(array), Value::Num(x), Value::Num(y)) =
+                            (self.globals[g as usize], local!(a), local!(b))
+                        else {
+                            fall_back!(get);
+                        };
+                        let index = op2.apply(op1.apply(x, c), y);
+                        if !get {
+                            self.stack.push(array);
+                            self.stack.push(Value::Num(index));
+                            retire!(span, true, false);
+                        }
+                        // With a `GetIndex`, the element replaces both.
+                        let Some((v, typed)) = self.element(array, index) else {
+                            fall_back!(true);
+                        };
+                        self.stack.push(v);
+                        retire!(span, true, typed);
+                    }
+                    Mop::LLGetIndex { obj, idx, span } => {
+                        let Value::Num(n) = local!(idx) else {
+                            fall_back!(true);
+                        };
+                        let Some((v, typed)) = self.element(local!(obj), n) else {
+                            fall_back!(true);
+                        };
+                        self.stack.push(v);
+                        retire!(span, true, typed);
+                    }
+                    Mop::SetIndexPop { span } => {
+                        let n = self.stack.len();
+                        let (obj, idx, val) =
+                            (self.stack[n - 3], self.stack[n - 2], self.stack[n - 1]);
+                        // Typed arrays only: a plain-array store can resize,
+                        // which changes `bytes_since_gc` and thus GC timing.
+                        let (Value::Ref(r), Value::Num(i)) = (obj, idx) else {
+                            fall_back!(true);
+                        };
+                        if !self.store_typed(r, i, val) {
+                            fall_back!(true);
+                        }
+                        // The `SetIndex` pushes `val`; the `Pop` removes it again.
+                        self.stack.truncate(n - 3);
+                        retire!(span, true, true);
                     }
                 }
                 pc += 1;
@@ -1127,199 +1278,29 @@ impl JsVm {
         Ok(())
     }
 
-    /// Execute one fused span if its fast-path guards hold.
-    ///
-    /// Returns `Ok(Some(next_pc))` when the fused form ran, or `Ok(None)`
-    /// when a guard failed — in which case *nothing* was charged and the
-    /// caller must execute the plain op at `pc`. The arms hold no charges
-    /// of their own: the span's ops are counted by the regions they lie
-    /// in, and after its guards each arm retires the path its comparison
-    /// took (its only path, for a form without one) through
-    /// [`Self::retire`], from the record `fuse::walk` made of the span at
-    /// load time, and continues at that path's exit.
-    ///
-    /// Cost-equivalence invariant (see DESIGN.md): fast paths never
-    /// allocate, never grow heap bytes and never note hotness, so GC
-    /// safe-points and the band are identical to the reference
-    /// interpreter's at every op boundary. The one permitted divergence
-    /// is the state a run stopped by `StepBudgetExhausted` leaves behind
-    /// (the budget is checked once per region, not per op); budget-trapped
-    /// runs are never measured.
-    fn exec_fused(
-        &mut self,
-        fused: &Fused,
-        band: usize,
-        row: usize,
-        locals_base: usize,
-    ) -> Result<Option<usize>, JsError> {
-        let local = |vm: &Self, i: u16| vm.locals[locals_base + i as usize];
-        let only = fused.path(true);
-        match fused.op {
-            FOp::LLBin { a, b, op } => {
-                let (Value::Num(x), Value::Num(y)) = (local(self, a), local(self, b)) else {
-                    return Ok(None);
-                };
-                let next = self.retire(only, band, row, false)?;
-                self.stack.push(Value::Num(op.apply(x, y)));
-                Ok(Some(next))
-            }
-            FOp::LLBinStore { a, b, op, dst } => {
-                let (Value::Num(x), Value::Num(y)) = (local(self, a), local(self, b)) else {
-                    return Ok(None);
-                };
-                let next = self.retire(only, band, row, false)?;
-                self.locals[locals_base + dst as usize] = Value::Num(op.apply(x, y));
-                Ok(Some(next))
-            }
-            FOp::LCBin { a, c, op } => {
-                let Value::Num(x) = local(self, a) else {
-                    return Ok(None);
-                };
-                let next = self.retire(only, band, row, false)?;
-                self.stack.push(Value::Num(op.apply(x, c)));
-                Ok(Some(next))
-            }
-            FOp::LCBinStore { a, c, op, dst } => {
-                let Value::Num(x) = local(self, a) else {
-                    return Ok(None);
-                };
-                let next = self.retire(only, band, row, false)?;
-                self.locals[locals_base + dst as usize] = Value::Num(op.apply(x, c));
-                Ok(Some(next))
-            }
-            FOp::LCBin2Store {
-                a,
-                c1,
-                op1,
-                c2,
-                op2,
-                dst,
-            } => {
-                let Value::Num(x) = local(self, a) else {
-                    return Ok(None);
-                };
-                let next = self.retire(only, band, row, false)?;
-                self.locals[locals_base + dst as usize] =
-                    Value::Num(op2.apply(op1.apply(x, c1), c2));
-                Ok(Some(next))
-            }
-            FOp::CStore { c, dst } => {
-                let next = self.retire(only, band, row, false)?;
-                self.locals[locals_base + dst as usize] = Value::Num(c);
-                Ok(Some(next))
-            }
-            FOp::CmpJf { op } => {
-                let n = self.stack.len();
-                let (Value::Num(x), Value::Num(y)) = (self.stack[n - 2], self.stack[n - 1]) else {
-                    return Ok(None);
-                };
-                let next = self.retire(fused.path(op.apply(x, y)), band, row, false)?;
-                self.stack.truncate(n - 2);
-                Ok(Some(next))
-            }
-            FOp::LLCmpJf { a, b, op, .. } => {
-                let (Value::Num(x), Value::Num(y)) = (local(self, a), local(self, b)) else {
-                    return Ok(None);
-                };
-                self.retire(fused.path(op.apply(x, y)), band, row, false)
-                    .map(Some)
-            }
-            FOp::LCCmpJf { a, c, op, .. } => {
-                let Value::Num(x) = local(self, a) else {
-                    return Ok(None);
-                };
-                self.retire(fused.path(op.apply(x, c)), band, row, false)
-                    .map(Some)
-            }
-            FOp::GAddr {
-                g,
-                a,
-                c,
-                op1,
-                b,
-                op2,
-                get,
-            } => {
-                let Some(array) = self.globals[g as usize] else {
-                    return Ok(None);
-                };
-                let (Value::Num(x), Value::Num(y)) = (local(self, a), local(self, b)) else {
-                    return Ok(None);
-                };
-                let index = op2.apply(op1.apply(x, c), y);
-                if !get {
-                    let next = self.retire(only, band, row, false)?;
-                    self.stack.push(array);
-                    self.stack.push(Value::Num(index));
-                    return Ok(Some(next));
+    /// A plain comparison: relational ones on numbers or strings, the
+    /// equalities loose or strict.
+    fn compare_op(&self, kind: CmpKind, a: Value, b: Value) -> bool {
+        use std::cmp::Ordering::{Greater, Less};
+        match kind {
+            CmpKind::EqEq => self.loose_eq(a, b),
+            CmpKind::NotEq => !self.loose_eq(a, b),
+            CmpKind::StrictEq => self.strict_eq(a, b),
+            CmpKind::StrictNe => !self.strict_eq(a, b),
+            relational => {
+                let both_str = matches!((a, b), (Value::Ref(_), Value::Ref(_)));
+                if !both_str && (self.to_num(a).is_nan() || self.to_num(b).is_nan()) {
+                    return false;
                 }
-                // With a `GetIndex`, the element replaces both.
-                let Some((v, typed)) = self.element(array, index) else {
-                    return Ok(None);
-                };
-                let next = self.retire(only, band, row, typed)?;
-                self.stack.push(v);
-                Ok(Some(next))
-            }
-            FOp::LLGetIndex { obj, idx } => {
-                let Value::Num(n) = local(self, idx) else {
-                    return Ok(None);
-                };
-                let Some((v, typed)) = self.element(local(self, obj), n) else {
-                    return Ok(None);
-                };
-                let next = self.retire(only, band, row, typed)?;
-                self.stack.push(v);
-                Ok(Some(next))
-            }
-            FOp::SetIndexPop => {
-                let n = self.stack.len();
-                let (obj, idx, val) = (self.stack[n - 3], self.stack[n - 2], self.stack[n - 1]);
-                // Typed arrays only: a plain-array store can resize, which
-                // changes `bytes_since_gc` and thus GC timing.
-                let (Value::Ref(r), Value::Num(i)) = (obj, idx) else {
-                    return Ok(None);
-                };
-                if !self.store_typed(r, i, val) {
-                    return Ok(None);
+                let ord = self.compare(a, b);
+                match relational {
+                    CmpKind::Lt => ord == Less,
+                    CmpKind::Gt => ord == Greater,
+                    CmpKind::Le => ord != Greater,
+                    _ => ord != Less,
                 }
-                // The `SetIndex` pushes `val`; the `Pop` removes it again.
-                self.stack.truncate(n - 3);
-                self.retire(only, band, row, true).map(Some)
             }
         }
-    }
-
-    /// Retire one path through a fused span as the plain loop would:
-    /// enter the regions it passes the heads of (the budget checked first,
-    /// against the regions already run; then their fuel spent and one
-    /// count each in the row at `row`), then count its index access, as a
-    /// typed-array one when `typed` (the receiver's typedness), and as one
-    /// the fused forms served. Returns the pc the path leaves to.
-    /// Inlined into every arm: a call per fused dispatch costs more than
-    /// the work itself.
-    #[inline(always)]
-    fn retire(
-        &mut self,
-        path: &SpanCharges,
-        band: usize,
-        row: usize,
-        typed: bool,
-    ) -> Result<usize, JsError> {
-        if path.entered > 0 {
-            if self.steps > self.config.limits.fuel_budget() {
-                return Err(JsError::StepBudgetExhausted);
-            }
-            self.steps += u64::from(path.steps);
-            for &region in path.entered() {
-                self.counters.enter(row, region as usize);
-            }
-        }
-        if let Some(store) = path.index {
-            self.count_index(band, typed, store);
-            self.fused_index[0] += 1;
-        }
-        Ok(path.exit as usize)
     }
 
     /// Fused index forms: `(index accesses the fused forms served, fused
@@ -1330,10 +1311,12 @@ impl JsVm {
     }
 
     /// Interpreter dispatches: `(fused, plain)`, one per fused form run
-    /// and one per plain op. Host-side diagnostics only — never part of
-    /// any measurement.
+    /// and one per plain op: the ops retired (the fuel spent) less those
+    /// the fused forms retired. Host-side diagnostics only — never part
+    /// of any measurement.
     pub fn dispatch_stats(&self) -> (u64, u64) {
-        (self.dispatches[0], self.dispatches[1])
+        let [fused, fused_ops] = self.fused_runs;
+        (fused, self.steps - fused_ops)
     }
 
     /// Count one index access in `band`: a typed-array receiver's in the

@@ -1,7 +1,7 @@
 //! Fused-vs-reference differential tests for the MiniJS VM.
 //!
-//! The fused overlay exists purely to make the host run faster; it must
-//! be invisible in every measured quantity. Each
+//! The fused forms of the lowered stream exist purely to make the host
+//! run faster; they must be invisible in every measured quantity. Each
 //! differential test runs the same script through both modes
 //! (`reference_exec` toggled) and asserts the *entire* report matches
 //! to the bit — virtual time, per-bucket clock attribution, per-class
@@ -550,6 +550,30 @@ fn jumps_into_a_group_interior_run_plain_ops() {
     );
     let n = |x: f64| Ok(JsValue::Num(x));
     assert_eq!(r, vec![n(7.0), n(4.0), n(3.0), n(2.0)]);
+}
+
+#[test]
+fn a_guard_failing_at_a_region_head_enters_it_once() {
+    // The loop test `((i) < (30) ? 1 : 0)` fuses into `LCCmpJf` with the
+    // bool tail and heads the loop's first region, which `s = 0` falls
+    // into (through an `Enter`) and the back-edge jumps to. `i` is a
+    // string on the first visit and on every third one after, so the
+    // guard fails at that head after either way in; the plain copies it
+    // falls back to must not enter the head's region a second time.
+    let src = "function f() {\n\
+               var i = \"0\"; var j = 0; var s = 0;\n\
+               while (((i) < (30) ? 1 : 0)) {\n\
+                 j = j + 1; s = s + j;\n\
+                 if (j % 3 === 0) { i = \"\" + j; } else { i = j; }\n\
+               }\n\
+               return s;\n\
+             }";
+    let (r, [reference, fused]) = differential(src, |_| {}, |vm| vm.call("f", &[]));
+    assert_eq!(r, Ok(JsValue::Num((1..=30).sum::<i32>() as f64)));
+    assert_eq!(reference.region_profile(), fused.region_profile());
+    let (served, plain) = fused.dispatch_stats();
+    assert!(served > 0, "the loop test fused");
+    assert!(plain < reference.dispatch_stats().1, "and ran fused");
 }
 
 #[test]

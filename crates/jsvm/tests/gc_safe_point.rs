@@ -5,8 +5,10 @@
 //! GC trigger through each kind of growth, an allocation and an array
 //! resize, and pin every collection to the boundary right after the op
 //! that crossed it, fused and reference alike, against a model of the
-//! accounting written out here. A third runs under a heap ceiling, and
-//! the last two check that a failed call or load leaves nothing rooted.
+//! accounting written out here. Two run under a heap ceiling, one of
+//! them crossing it in the op that ends a region, so that the check runs
+//! at a region head before its entry; two more check that a failed call
+//! or load leaves nothing rooted.
 
 use wb_env::{Charge, ResourceLimits};
 use wb_jsvm::{JsError, JsRecord, JsValue, JsVm, JsVmConfig};
@@ -218,4 +220,49 @@ fn a_failed_load_leaves_nothing_rooted() {
     ));
     assert!(matches!(r, Err(JsError::Type { .. })), "{r:?}");
     assert_eq!(external_after_churn(&mut vm), 0);
+}
+
+#[test]
+fn a_heap_ceiling_at_a_region_head_stops_before_entering_it() {
+    // `a.push(i)` grows the array inside a method call, which ends its
+    // region: the boundary after it is a region head, where the safe
+    // point runs before the region is entered. The push that crosses the
+    // ceiling therefore leaves the region after it unentered.
+    const LIMIT: u64 = 8192;
+    let src = "var a = [];\n\
+         function push(n) { for (var i = 0; i < n; i++) { a.push(i); } return a.length; }";
+    let program = wb_jsvm::compile_script(src).unwrap();
+    let chunk = program.chunks.iter().position(|c| c.name == "push");
+    let chunk = chunk.unwrap();
+    let call = program.chunks[chunk]
+        .code
+        .iter()
+        .position(|op| matches!(op, wb_jsvm::Op::MethodCall { .. }))
+        .unwrap();
+    let runs = [true, false].map(|reference_exec| {
+        let mut cfg = config(reference_exec, 1 << 20);
+        cfg.limits = ResourceLimits {
+            max_memory_bytes: Some(LIMIT),
+            ..ResourceLimits::default()
+        };
+        let (r, vm) = run(cfg, src, "push", 10_000.0);
+        // The 511th element takes the array past the ceiling.
+        assert_eq!(
+            r,
+            Err(JsError::MemoryLimitExceeded {
+                requested_bytes: HEADER + ELEMENT * 511,
+                limit: LIMIT,
+            }),
+            "reference_exec {reference_exec}"
+        );
+        let profile = vm.region_profile();
+        let after_call: u64 = profile
+            .iter()
+            .filter(|h| h.func == chunk && h.code.start == call + 1)
+            .map(|h| h.hits)
+            .sum();
+        assert_eq!(after_call, 510, "one entry per push that fit");
+        (vm.record().band_counts, profile)
+    });
+    assert_eq!(runs[0], runs[1], "fused and reference");
 }

@@ -314,3 +314,69 @@ fn index_reads_and_stores_are_the_js_results() {
     );
     assert_eq!(plain.ic_stats(), (0, 0));
 }
+
+/// `ToNumber` on strings follows JS `StringToNumber`, not Rust's float
+/// grammar: through a fused site (`s * 1` is `LCBin`, whose guard falls
+/// back on a string) and a plain one, with fusion on and off.
+#[test]
+fn strings_convert_by_the_js_grammar() {
+    let src = "function f(s) { return s * 1; }\nfunction g(s) { return -s; }";
+    let vms = [false, true].map(|reference_exec| {
+        let mut cfg = JsVmConfig::reference();
+        cfg.reference_exec = reference_exec;
+        let mut vm = JsVm::new(cfg);
+        vm.load(src).expect("script loads");
+        vm
+    });
+    let [mut fused, mut plain] = vms;
+    let cases: [(&str, f64); 26] = [
+        ("0x10", 16.0),
+        ("0X1f", 31.0),
+        ("0o17", 15.0),
+        ("0B101", 5.0),
+        // 2^53 + 1 rounds to even, as JS reads it.
+        ("0x20000000000001", 9007199254740992.0),
+        ("0x20000000000003", 9007199254740996.0),
+        ("0xffffffffffffffffffffffffffffffffff", 2f64.powi(136)),
+        (" \u{feff}12 ", 12.0),
+        ("\u{2028}\t7\u{3000}\r\n", 7.0),
+        ("", 0.0),
+        (" \n ", 0.0),
+        ("Infinity", f64::INFINITY),
+        ("-Infinity", f64::NEG_INFINITY),
+        ("+Infinity", f64::INFINITY),
+        ("1e3", 1000.0),
+        (".5", 0.5),
+        ("5.", 5.0),
+        ("-2.5e-1", -0.25),
+        ("inf", f64::NAN),
+        ("INFINITY", f64::NAN),
+        ("-0x1", f64::NAN),
+        ("+0x1", f64::NAN),
+        ("0x", f64::NAN),
+        ("0b2", f64::NAN),
+        ("\u{85}1", f64::NAN),
+        ("12px", f64::NAN),
+    ];
+    for (s, want) in cases {
+        for (entry, sign) in [("f", 1.0), ("g", -1.0)] {
+            let args = [JsValue::Str(s.into())];
+            let num = |r: Result<JsValue, JsError>| match r {
+                Ok(JsValue::Num(n)) => n,
+                other => panic!("{entry}({s:?}): {other:?}"),
+            };
+            let got = num(fused.call(entry, &args));
+            let reference = num(plain.call(entry, &args));
+            assert_eq!(got.to_bits(), reference.to_bits(), "{entry}({s:?})");
+            let want = sign * want;
+            assert!(
+                got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                "{entry}({s:?}) = {got}, JS gives {want}"
+            );
+        }
+    }
+    assert_eq!(
+        format!("{:?}", fused.report()),
+        format!("{:?}", plain.report())
+    );
+}
