@@ -41,6 +41,7 @@ use crate::fuse::{lower, static_charge, CmpKind, LoweredChunk, Mop};
 use crate::heap::{Heap, HeapStats, Obj};
 use crate::stdlib::{sha256, DetRng};
 use crate::value::{format_number, string_to_number, Builtin, JsValue, Value};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::rc::Rc;
 use wb_env::{
@@ -644,9 +645,11 @@ impl JsVm {
             Value::Bool(b) => b as u8 as f64,
             Value::Null => 0.0,
             Value::Undefined => f64::NAN,
+            // ToPrimitive: any other object converts through its string
+            // form (an array through its joined elements).
             Value::Ref(r) => match self.heap.get(r) {
                 Obj::Str(s) => string_to_number(s),
-                _ => f64::NAN,
+                _ => string_to_number(&self.stringify(v)),
             },
             Value::Closure(_) | Value::Builtin(_) => f64::NAN,
         }
@@ -748,16 +751,17 @@ impl JsVm {
         }
     }
 
-    /// Numeric-or-string comparison, returning Ordering-ish via closures.
-    fn compare(&self, a: Value, b: Value) -> std::cmp::Ordering {
-        if let (Value::Ref(x), Value::Ref(y)) = (a, b) {
-            if let (Obj::Str(s1), Obj::Str(s2)) = (self.heap.get(x), self.heap.get(y)) {
-                return s1.cmp(s2);
-            }
+    /// JS ToPrimitive for a relational operand: a heap object as a
+    /// string (a string itself, any other object its `stringify`), and
+    /// `None` for a value that is already primitive.
+    fn primitive_string(&self, v: Value) -> Option<Cow<'_, str>> {
+        match v {
+            Value::Ref(r) => Some(match self.heap.get(r) {
+                Obj::Str(s) => Cow::Borrowed(s.as_str()),
+                _ => Cow::Owned(self.stringify(v)),
+            }),
+            _ => None,
         }
-        let x = self.to_num(a);
-        let y = self.to_num(b);
-        x.partial_cmp(&y).unwrap_or(std::cmp::Ordering::Greater) // NaN: comparisons false-ish
     }
 
     /// Run frames above `floor` to completion. Fuel is checked at region
@@ -1288,11 +1292,21 @@ impl JsVm {
             CmpKind::StrictEq => self.strict_eq(a, b),
             CmpKind::StrictNe => !self.strict_eq(a, b),
             relational => {
-                let both_str = matches!((a, b), (Value::Ref(_), Value::Ref(_)));
-                if !both_str && (self.to_num(a).is_nan() || self.to_num(b).is_nan()) {
-                    return false;
-                }
-                let ord = self.compare(a, b);
+                // Both operands to primitives first: two strings compare
+                // as strings, anything else as numbers, and NaN compares
+                // false.
+                let ord = match (self.primitive_string(a), self.primitive_string(b)) {
+                    (Some(x), Some(y)) => x.cmp(&y),
+                    (x, y) => {
+                        let num = |s: Option<Cow<'_, str>>, v| {
+                            s.map_or_else(|| self.to_num(v), |s| string_to_number(&s))
+                        };
+                        match num(x, a).partial_cmp(&num(y, b)) {
+                            Some(ord) => ord,
+                            None => return false,
+                        }
+                    }
+                };
                 match relational {
                     CmpKind::Lt => ord == Less,
                     CmpKind::Gt => ord == Greater,

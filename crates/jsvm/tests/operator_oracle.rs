@@ -380,3 +380,41 @@ fn strings_convert_by_the_js_grammar() {
         format!("{:?}", plain.report())
     );
 }
+
+#[test]
+fn objects_compare_and_convert_through_to_primitive() {
+    // ToPrimitive turns an array into its joined elements: two arrays
+    // compare as strings, an array against a number as a number, and
+    // arithmetic reads the string's number.
+    let cases: [(&str, &str, JsValue); 8] = [
+        ("lt", "[1] < [2]", JsValue::Bool(true)),
+        ("gt", "[1] > [2]", JsValue::Bool(false)),
+        ("strings", "[10] < [9]", JsValue::Bool(true)),
+        ("number", "[2] > 1", JsValue::Bool(true)),
+        ("nan", "[1,2] >= 0", JsValue::Bool(false)),
+        ("mul", "[5] * 2", JsValue::Num(10.0)),
+        ("empty", "[] - 0", JsValue::Num(0.0)),
+        ("pair", "[1,2] - 0", JsValue::Num(f64::NAN)),
+    ];
+    let src: String = cases
+        .iter()
+        .map(|(name, expr, _)| format!("function {name}() {{ return {expr}; }}\n"))
+        .collect();
+    for reference_exec in [false, true] {
+        let mut cfg = JsVmConfig::reference();
+        cfg.reference_exec = reference_exec;
+        let mut vm = JsVm::new(cfg);
+        vm.load(&src).expect("script loads");
+        for (name, expr, want) in &cases {
+            let got = vm.call(name, &[]).expect("runs");
+            let same = match (&got, want) {
+                (JsValue::Num(x), JsValue::Num(y)) => x.to_bits() == y.to_bits(),
+                _ => got == *want,
+            };
+            assert!(
+                same,
+                "{expr} = {got:?}, JS gives {want:?} (reference_exec={reference_exec})"
+            );
+        }
+    }
+}

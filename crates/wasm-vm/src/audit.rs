@@ -1,282 +1,333 @@
-//! Static audit of the fusion table.
+//! Static audit of the operand resolver.
 //!
-//! A fused micro-op charges nothing of its own: the loop counts region
+//! No micro-op charges anything of its own: the loop counts region
 //! entries, and a region's class and Table 12 counts come from its source
-//! instructions (`fuse.rs` `lower`), so a fused group charges what its
-//! constituents charge by construction, as long as it lies inside one
-//! region. That is what this module checks, for **every** operator
-//! instance each fused family can carry (each entry of `BinOp::ALL`,
-//! `UnOp::ALL` and `LoadKind::ALL`):
+//! instructions (`fuse.rs` `lower`). What lowering decides is where each
+//! operand is read and each result written, so that is what this module
+//! checks, for **every** operator (each entry of `BinOp::ALL`,
+//! `UnOp::ALL`, `LoadKind::ALL` and `StoreKind::ALL`) under every operand
+//! shape: each input a local, a constant or a stack value (a
+//! `global.get`), and the result a stack slot or a local (a following
+//! `local.set`, read back), returned. For each instance:
 //!
-//! * **round trip**: [`match_fused`] lowers the constituents to the
-//!   expected family, with a group length that covers all of them;
-//! * **region walk**: lowering the constituents as a body, fused and
-//!   unfused, gives the same regions; the group is the first micro-op,
-//!   starts the first region and ends inside it (only a trailing `br_if`
-//!   may end it, as the group's last constituent), so the next micro-op
-//!   starts at the source position past it; and that region's counts are
-//!   the per-op walk of its instructions;
-//! * **no hotness inside**: no constituent is a call, a `memory.grow` or
-//!   a structured-control opener, so no band crossing and no timed event
-//!   falls inside a group.
+//! * **regions**: the fused and reference streams cut the same regions;
+//! * **round trip**: the fused stream lowers the operator to one
+//!   micro-op, beside only the `global.get`s that feed it and the
+//!   return, and that
+//!   micro-op's slots resolve back to the constituents: each input to
+//!   its local, its constant's bits or its operand height, the result to
+//!   its local or its height;
+//! * **bits**: the fused and reference streams, run, compute the same
+//!   bits.
 //!
 //! Each entry renders what per-op counting charges for the constituents,
 //! one event per line: the class, the Table 12 kind and, for an
 //! instruction that may trap, the trap point after them (a region that
 //! traps charges its instructions up to and including that one).
 
-use crate::classify::{arith_kind, can_trap, classify, ArithKind};
-use crate::fuse::{lower, match_fused, resolve_labels, BinOp, LoadKind, Mop, UnOp};
-use wb_env::{OpClass, OpCounts};
-use wb_wasm::{FuncType, Function, Instr, Module, ValType};
+use crate::classify::{arith_kind, can_trap, classify};
+use crate::engine::{Instance, WasmVmConfig};
+use crate::fuse::{value_bits, BinOp, LoadKind, Mop, StoreKind, UnOp};
+use crate::prep::PreparedModule;
+use crate::value::Value;
+use std::collections::HashMap;
+use std::sync::Arc;
+use wb_env::OpClass;
+use wb_wasm::{Instr, Module, ModuleBuilder, ValType};
 
-/// One audited (family, operator) instance.
+/// One audited (operator, operand shape) instance.
 #[derive(Debug, Clone)]
 pub struct FusionAuditEntry {
-    /// Fused family name (e.g. `"LLBinSet"`).
+    /// The micro-op form (`"Bin"`, `"Un"`, `"Load"` or `"Store"`).
     pub family: &'static str,
-    /// Instance label (family plus the carried operator).
+    /// Instance label: the form, the operator and the operand shape.
     pub instance: String,
-    /// Source instructions the fused op retires.
+    /// Source instructions the instance lowers.
     pub constituents: Vec<String>,
     /// What per-op counting charges for the constituents, one event per
     /// line.
     pub charges: Vec<String>,
-    /// Whether the lowering round-trips and the region walk agrees.
+    /// Whether the regions, the round trip and the bits agree.
     pub ok: bool,
     /// Human-readable reason when `ok` is false.
     pub detail: Option<String>,
 }
 
-/// A single cost event of per-op counting.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Ev {
-    /// One retired instruction of a class.
-    Class(OpClass),
-    /// One Table 12 arithmetic count.
-    Arith(ArithKind),
-    /// A point at which execution may trap.
-    Trap,
-}
-
-impl Ev {
-    fn render(&self) -> String {
-        match self {
-            Ev::Class(c) => format!("class:{c:?}"),
-            Ev::Arith(k) => format!("arith:{k:?}"),
-            Ev::Trap => "trap-point".into(),
-        }
-    }
-}
-
-/// Per-op counting of `instrs`: per instruction, its class, its Table 12
-/// kind, then its (potential) trap point.
-fn per_op_events(instrs: &[Instr]) -> Vec<Ev> {
+/// Per-op counting of `instrs`, one event per line: per instruction, its
+/// class, its Table 12 kind, then its (potential) trap point.
+fn per_op_charges(instrs: &[Instr]) -> Vec<String> {
     let mut evs = Vec::new();
     for i in instrs {
-        evs.push(Ev::Class(classify(i)));
-        if let Some(k) = arith_kind(i) {
-            evs.push(Ev::Arith(k));
-        }
+        evs.push(format!("class:{:?}", classify(i)));
+        evs.extend(arith_kind(i).map(|k| format!("arith:{k:?}")));
         if can_trap(i) {
-            evs.push(Ev::Trap);
+            evs.push("trap-point".into());
         }
     }
     evs
 }
 
-/// The region walk of a fused group: lower `constituents` (plus the
-/// closing `end`) as a function body, fused and unfused, and check the
-/// group lies inside one region whose counts are its instructions'.
-fn region_walk(constituents: &[Instr]) -> Result<(), String> {
-    let body = [constituents, &[Instr::End]].concat();
-    let module = Module {
-        functions: vec![Function {
-            type_index: 0,
-            locals: vec![ValType::I32; 3],
-            body,
-            name: None,
-        }],
-        types: vec![FuncType {
-            params: vec![],
-            results: vec![],
-        }],
-        ..Default::default()
+/// Where a value is, read back from a slot of the frame.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Operand {
+    Local(u32),
+    Const(u64),
+    Stack(u32),
+}
+
+/// The shape an operand is given in.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Shape {
+    Local,
+    Const,
+    Stack,
+}
+
+/// The value type a Wasm operator name starts with (`I32Add` → i32).
+fn type_named(name: &str) -> Option<ValType> {
+    Some(match name.get(..3)? {
+        "I32" => ValType::I32,
+        "I64" => ValType::I64,
+        "F32" => ValType::F32,
+        "F64" => ValType::F64,
+        _ => return None,
+    })
+}
+
+/// Input `i` of every instance: the same value as a parameter, a
+/// constant and a global, so every shape computes the same bits. Input 0
+/// of type i32 is also an in-bounds address.
+fn input(t: ValType, i: usize) -> Value {
+    match (t, i) {
+        (ValType::I32, 0) => Value::I32(16),
+        (ValType::I32, _) => Value::I32(-3),
+        (ValType::I64, 0) => Value::I64(16),
+        (ValType::I64, _) => Value::I64(-3),
+        (ValType::F32, 0) => Value::F32(7.5),
+        (ValType::F32, _) => Value::F32(-2.25),
+        (ValType::F64, 0) => Value::F64(7.5),
+        (ValType::F64, _) => Value::F64(-2.25),
+    }
+}
+
+fn const_of(v: Value) -> Instr {
+    match v {
+        Value::I32(x) => Instr::I32Const(x),
+        Value::I64(x) => Instr::I64Const(x),
+        Value::F32(x) => Instr::F32Const(x),
+        Value::F64(x) => Instr::F64Const(x),
+    }
+}
+
+/// The static offset every audited access carries.
+const OFFSET: u32 = 4;
+
+/// Every operator with its form, its label, its input types and its
+/// result type.
+type Operator = (&'static str, String, Instr, Vec<ValType>, Option<ValType>);
+
+fn operators() -> Vec<Operator> {
+    let name = |i: &Instr| format!("{i:?}");
+    // A comparison or test yields an i32; any other `t.op` a `t`.
+    let result = |i: &Instr| match classify(i) {
+        OpClass::Compare => Some(ValType::I32),
+        _ => type_named(&name(i)),
     };
-    let (func, body) = (&module.functions[0], &module.functions[0].body);
-    // The constituents open no label (see `audit_fusion_table`), so the
-    // body needs no label heights.
-    let lowered = |fuse| lower(func, &module, &[], fuse);
-    let (fused, unfused) = (lowered(true), lowered(false));
-    if fused.regions != unfused.regions {
-        return Err("fused and unfused lowerings cut different regions".into());
+    let mut out = Vec::new();
+    for op in BinOp::ALL {
+        let i = op.instr();
+        let t = type_named(&name(&i)).unwrap_or(ValType::I32);
+        out.push(("Bin", format!("{op:?}"), i.clone(), vec![t, t], result(&i)));
     }
-    if fused.pos != [0, constituents.len() as u32] {
-        return Err("lowering splits the group at a region head".into());
+    for op in UnOp::ALL {
+        let (i, n) = (op.instr(), format!("{op:?}"));
+        // A conversion names its operand type after its own.
+        let t = (3..n.len())
+            .find_map(|k| type_named(&n[k..]))
+            .or_else(|| type_named(&n))
+            .unwrap_or(ValType::I32);
+        out.push(("Un", n, i.clone(), vec![t], result(&i)));
     }
-    let region = fused.regions.range(0);
-    if fused.heads[0] != 0 || region.end < constituents.len() {
-        return Err(format!("the group spans regions {:?}", fused.regions));
+    for kind in LoadKind::ALL {
+        let i = kind.instr(OFFSET);
+        let label = format!("{kind:?}");
+        out.push((
+            "Load",
+            label,
+            i.clone(),
+            vec![ValType::I32],
+            type_named(&name(&i)),
+        ));
     }
-    let (mut counts, mut columns) = (OpCounts::new(), [0; 7]);
-    fused.regions.fold(&[1], &mut counts, &mut columns);
-    let (mut walked, mut walked_columns) = (OpCounts::new(), [0; 7]);
-    for i in &body[region] {
-        walked.bump(classify(i), 1);
-        if let Some(k) = arith_kind(i) {
-            walked_columns[k.column()] += 1;
-        }
+    for kind in StoreKind::ALL {
+        let i = kind.instr(OFFSET);
+        let t = type_named(&name(&i)).unwrap_or(ValType::I32);
+        out.push(("Store", format!("{kind:?}"), i, vec![ValType::I32, t], None));
     }
-    if (counts, columns) != (walked, walked_columns) {
-        return Err("region counts differ from the per-op walk".into());
+    out
+}
+
+/// The one-function module of an instance: the inputs as parameters and
+/// as globals, a result local, the result returned, and a memory with
+/// distinct bytes around the address.
+fn module_of(inputs: &[ValType], result: Option<ValType>, body: &[Instr]) -> Module {
+    let mut mb = ModuleBuilder::new();
+    mb.memory(1, None).data(16, (0x81..0x91).collect());
+    for (i, &t) in inputs.iter().enumerate() {
+        mb.global(t, false, const_of(input(t, i)));
+    }
+    let mut f = mb.func("f", inputs.to_vec(), result.into_iter().collect());
+    if let Some(t) = result {
+        f.local(t);
+    }
+    f.ops(body.iter().cloned()).done();
+    mb.finish_func(f, true);
+    mb.build()
+}
+
+/// Lower and run one instance.
+fn check(
+    form: &'static str,
+    op: &Instr,
+    inputs: &[(ValType, Shape)],
+    result: Option<(ValType, Shape)>,
+    body: &[Instr],
+) -> Result<(), String> {
+    let types: Vec<ValType> = inputs.iter().map(|&(t, _)| t).collect();
+    let module = module_of(&types, result.map(|(t, _)| t), body);
+    wb_wasm::validate(&module).map_err(|e| format!("does not validate: {e}"))?;
+    let prepared = Arc::new(PreparedModule::new(module));
+    let (fused, reference) = (prepared.lowered(0, true), prepared.lowered(0, false));
+    if fused.regions != reference.regions {
+        return Err("fused and reference streams cut different regions".into());
+    }
+    // The round trip: the operator's one micro-op and its slots.
+    let at = body.iter().position(|i| i == op).unwrap_or(0) as u32;
+    let mops: Vec<&Mop> = (fused.code.iter().zip(&fused.pos))
+        .filter(|&(_, &p)| p == at)
+        .map(|(m, _)| m)
+        .collect();
+    // The `global.get`s, the operator and the return.
+    let stack_inputs = inputs.iter().filter(|&&(_, s)| s == Shape::Stack).count();
+    if mops.len() != 1 || fused.code.len() != stack_inputs + 2 {
+        return Err(format!("lowered to {:?}", fused.code));
+    }
+    // The inputs' constants differ, so each has its own slot.
+    let locals = fused.params + u32::from(result.is_some());
+    let operands = locals + inputs.iter().filter(|&&(_, s)| s == Shape::Const).count() as u32;
+    let resolve = |slot: u32| match slot {
+        s if s < locals => Operand::Local(s),
+        s if s < operands => Operand::Const(fused.frame_init[(s - fused.params) as usize]),
+        s => Operand::Stack(s - operands),
+    };
+    let (slots, dst) = match *mops[0] {
+        Mop::Bin { op: o, a, b, dst } if Some(o) == BinOp::of(op) => (vec![a, b], Some(dst)),
+        Mop::Un { op: o, a, dst } if Some(o) == UnOp::of(op) => (vec![a], Some(dst)),
+        Mop::Load {
+            kind,
+            addr,
+            offset,
+            dst,
+        } if LoadKind::of(op) == Some((kind, offset)) => (vec![addr], Some(dst)),
+        Mop::Store {
+            kind,
+            addr,
+            val,
+            offset,
+        } if StoreKind::of(op) == Some((kind, offset)) => (vec![addr, val], None),
+        m => return Err(format!("{form} lowered to {m:?}")),
+    };
+    let want: Vec<Operand> = (inputs.iter().enumerate())
+        .map(|(i, &(t, shape))| match shape {
+            Shape::Local => Operand::Local(i as u32),
+            Shape::Const => Operand::Const(value_bits(input(t, i))),
+            Shape::Stack => Operand::Stack(i as u32),
+        })
+        .collect();
+    let got: Vec<Operand> = slots.iter().map(|&s| resolve(s)).collect();
+    let want_dst = result.map(|(_, shape)| match shape {
+        Shape::Local => Operand::Local(inputs.len() as u32),
+        _ => Operand::Stack(0),
+    });
+    if (got.clone(), dst.map(resolve)) != (want.clone(), want_dst) {
+        return Err(format!(
+            "slots resolve to {got:?} -> {:?}, not {want:?} -> {want_dst:?}",
+            dst.map(resolve)
+        ));
+    }
+    // The bits, computed by both streams.
+    let args: Vec<Value> = (types.iter().enumerate())
+        .map(|(i, &t)| input(t, i))
+        .collect();
+    let mut bits = Vec::new();
+    for reference_exec in [false, true] {
+        let config = WasmVmConfig {
+            reference_exec,
+            ..WasmVmConfig::reference()
+        };
+        let mut inst = Instance::from_prepared(Arc::clone(&prepared), config, HashMap::new())
+            .map_err(|e| format!("{e}"))?;
+        let r = inst.invoke("f", &args).map_err(|e| format!("traps: {e}"))?;
+        bits.push(match r {
+            Some(v) => value_bits(v).to_le_bytes().to_vec(),
+            None => inst.read_memory(0, 64).map_err(|e| format!("{e}"))?,
+        });
+    }
+    if bits[0] != bits[1] {
+        return Err(format!("fused {:?} != reference {:?}", bits[0], bits[1]));
     }
     Ok(())
 }
 
-/// Family name of a fused micro-op (wildcard-free on purpose).
-fn family_of(mop: &Mop) -> &'static str {
-    use Mop::*;
-    match mop {
-        Unreachable
-        | Fall
-        | If(_)
-        | Else(_)
-        | Br(_)
-        | BrIf(_)
-        | BrTable(..)
-        | Return
-        | Call(_)
-        | CallIndirect(_)
-        | Drop
-        | Select
-        | LocalGet(_)
-        | LocalSet(_)
-        | LocalTee(_)
-        | GlobalGet(_)
-        | GlobalSet(_)
-        | Load { .. }
-        | Store { .. }
-        | MemorySize
-        | MemoryGrow
-        | Const(_)
-        | Un(_)
-        | Bin(_) => "singleton",
-        LLBin { .. } => "LLBin",
-        LLBinSet { .. } => "LLBinSet",
-        LCBin { .. } => "LCBin",
-        LCBinSet { .. } => "LCBinSet",
-        LBin { .. } => "LBin",
-        CBin { .. } => "CBin",
-        CBinSet { .. } => "CBinSet",
-        BinSet { .. } => "BinSet",
-        LConst { .. } => "LConst",
-        LocalCopy { .. } => "LocalCopy",
-        UnBr { .. } => "UnBr",
-        LLoad { .. } => "LLoad",
-    }
-}
-
-/// Every (family, constituent-sequence) instance the fusion table can
-/// produce. Branch targets/immediates are fixed placeholders — charge
-/// plans do not depend on them.
-fn enumerate_instances() -> Vec<(&'static str, String, Vec<Instr>)> {
-    let mut out = Vec::new();
-    let lg = |i| Instr::LocalGet(i);
-    let ls = |i| Instr::LocalSet(i);
-    for op in BinOp::ALL {
-        let b = op.instr();
-        let label = format!("{op:?}");
-        out.push(("LLBin", label.clone(), vec![lg(0), lg(1), b.clone()]));
-        out.push((
-            "LLBinSet",
-            label.clone(),
-            vec![lg(0), lg(1), b.clone(), ls(2)],
-        ));
-        out.push((
-            "LCBin",
-            label.clone(),
-            vec![lg(0), Instr::I32Const(1), b.clone()],
-        ));
-        out.push((
-            "LCBinSet",
-            label.clone(),
-            vec![lg(0), Instr::I32Const(1), b.clone(), ls(2)],
-        ));
-        out.push(("LBin", label.clone(), vec![lg(0), b.clone()]));
-        out.push(("CBin", label.clone(), vec![Instr::I32Const(1), b.clone()]));
-        out.push((
-            "CBinSet",
-            label.clone(),
-            vec![Instr::I32Const(1), b.clone(), ls(2)],
-        ));
-        out.push(("BinSet", label.clone(), vec![b.clone(), ls(2)]));
-    }
-    for un in UnOp::ALL {
-        if un.result_is_i32() {
-            out.push(("UnBr", format!("{un:?}"), vec![un.instr(), Instr::BrIf(0)]));
-        }
-    }
-    for kind in LoadKind::ALL {
-        out.push(("LLoad", format!("{kind:?}"), vec![lg(0), kind.instr(0)]));
-    }
-    for (label, c) in [
-        ("I32Const", Instr::I32Const(1)),
-        ("I64Const", Instr::I64Const(1)),
-        ("F32Const", Instr::F32Const(1.0)),
-        ("F64Const", Instr::F64Const(1.0)),
-    ] {
-        out.push(("LConst", label.into(), vec![c, ls(2)]));
-    }
-    out.push(("LocalCopy", "LocalGet".into(), vec![lg(0), ls(2)]));
-    out
-}
-
-/// Audit every instance of every fused family. An entry is `ok` when
-///
-/// 1. `match_fused` lowers the constituents to the expected family at the
-///    full width,
-/// 2. the region walk agrees (see [`region_walk`]), and
-/// 3. no constituent carries a `TimeBucket` charge or hotness note.
+/// Audit every operator under every operand shape. An entry is `ok` when
+/// its fused and reference streams cut the same regions, its operator
+/// round-trips through one fused micro-op, and both streams compute the
+/// same bits.
 pub fn audit_fusion_table() -> Vec<FusionAuditEntry> {
+    let shapes = [Shape::Local, Shape::Const, Shape::Stack];
     let mut entries = Vec::new();
-    for (family, label, constituents) in enumerate_instances() {
-        // (3) is structural: constituents are locals/consts/ops/branches,
-        // never memory.grow, calls, or loop openers/back-edges.
-        let structural = constituents.iter().find(|c| {
-            matches!(
-                c,
-                Instr::MemoryGrow
-                    | Instr::Call(_)
-                    | Instr::CallIndirect(_)
-                    | Instr::Loop(_)
-                    | Instr::Block(_)
-                    | Instr::If(_)
-            )
-        });
-        let first = resolve_labels(&constituents, &[], 0, 0).first;
-        let detail = match (structural, match_fused(&constituents, &first)) {
-            (Some(c), _) => Some(format!("constituent {c:?} carries non-class charges")),
-            (None, Some((mop, len))) if len == constituents.len() && family_of(&mop) == family => {
-                region_walk(&constituents).err()
-            }
-            (None, Some((mop, len))) => Some(format!(
-                "lowering mismatch: got {} at width {len}, expected {family} at width {}",
-                family_of(&mop),
-                constituents.len()
-            )),
-            (None, None) => Some("constituents did not fuse".into()),
+    for (form, label, op, types, result) in operators() {
+        // Every combination of input shapes, then of result shapes.
+        let combos = shapes.len().pow(types.len() as u32);
+        let sinks: &[Shape] = match result {
+            Some(_) => &[Shape::Stack, Shape::Local],
+            None => &[Shape::Stack],
         };
-        entries.push(FusionAuditEntry {
-            family,
-            instance: format!("{family}[{label}]"),
-            constituents: constituents.iter().map(|c| format!("{c:?}")).collect(),
-            charges: per_op_events(&constituents)
-                .iter()
-                .map(Ev::render)
-                .collect(),
-            ok: detail.is_none(),
-            detail,
-        });
+        for combo in 0..combos {
+            let inputs: Vec<(ValType, Shape)> = (types.iter().enumerate())
+                .map(|(i, &t)| (t, shapes[combo / shapes.len().pow(i as u32) % shapes.len()]))
+                .collect();
+            for &sink in sinks {
+                let mut body: Vec<Instr> = (inputs.iter().enumerate())
+                    .map(|(i, &(t, shape))| match shape {
+                        Shape::Local => Instr::LocalGet(i as u32),
+                        Shape::Const => const_of(input(t, i)),
+                        Shape::Stack => Instr::GlobalGet(i as u32),
+                    })
+                    .collect();
+                body.push(op.clone());
+                if result.is_some() && sink == Shape::Local {
+                    let out = types.len() as u32;
+                    body.extend([Instr::LocalSet(out), Instr::LocalGet(out)]);
+                }
+                let result = result.map(|t| (t, sink));
+                let detail = check(form, &op, &inputs, result, &body).err();
+                let name = |s: Shape| format!("{s:?}").to_lowercase();
+                let shape: Vec<String> = inputs.iter().map(|&(_, s)| name(s)).collect();
+                let sink = match result {
+                    Some(_) => format!("->{}", name(sink)),
+                    None => String::new(),
+                };
+                entries.push(FusionAuditEntry {
+                    family: form,
+                    instance: format!("{form}[{label}]({}{sink})", shape.join(",")),
+                    constituents: body.iter().map(|c| format!("{c:?}")).collect(),
+                    charges: per_op_charges(&body),
+                    ok: detail.is_none(),
+                    detail,
+                });
+            }
+        }
     }
     entries
 }
@@ -291,7 +342,7 @@ mod tests {
         let bad: Vec<_> = entries.iter().filter(|e| !e.ok).collect();
         assert!(
             bad.is_empty(),
-            "{} non-equivalent instances, first: {:?}",
+            "{} failing instances, first: {:?}",
             bad.len(),
             bad.first()
         );
@@ -300,28 +351,17 @@ mod tests {
     #[test]
     fn covers_every_family_and_operator() {
         let entries = audit_fusion_table();
-        // Every binop × 8 plain families + i32-result unops × 1 br family
-        // + every load + 4 const types + 1 copy.
-        let i32_uns = UnOp::ALL.iter().filter(|u| u.result_is_i32()).count();
-        let expected = BinOp::ALL.len() * 8 + i32_uns + LoadKind::ALL.len() + 4 + 1;
+        // Three input shapes per operand, two result shapes per result.
+        let expected = BinOp::ALL.len() * 9 * 2
+            + UnOp::ALL.len() * 3 * 2
+            + LoadKind::ALL.len() * 3 * 2
+            + StoreKind::ALL.len() * 9;
         assert_eq!(entries.len(), expected);
+        assert_eq!(expected, 1815);
         let families: std::collections::BTreeSet<_> = entries.iter().map(|e| e.family).collect();
         assert_eq!(
             families.into_iter().collect::<Vec<_>>(),
-            vec![
-                "BinSet",
-                "CBin",
-                "CBinSet",
-                "LBin",
-                "LCBin",
-                "LCBinSet",
-                "LConst",
-                "LLBin",
-                "LLBinSet",
-                "LLoad",
-                "LocalCopy",
-                "UnBr"
-            ]
+            vec!["Bin", "Load", "Store", "Un"]
         );
     }
 
@@ -330,7 +370,7 @@ mod tests {
         let entries = audit_fusion_table();
         let div = entries
             .iter()
-            .find(|e| e.instance == "LLBinSet[I32DivS]")
+            .find(|e| e.instance == "Bin[I32DivS](local,local->local)")
             .unwrap();
         assert_eq!(
             div.charges,
@@ -340,6 +380,7 @@ mod tests {
                 "class:IntDiv",
                 "arith:Div",
                 "trap-point",
+                "class:Local",
                 "class:Local"
             ]
         );

@@ -5,7 +5,7 @@
 //! function), and measurement reporting (which folds the region counters
 //! of `exec.rs` into per-band op counts).
 
-use crate::fuse::{bits_to_value, value_bits};
+use crate::fuse::{bits_to_value, const_bits_of, value_bits};
 use crate::prep::PreparedModule;
 use crate::trap::Trap;
 use crate::value::Value;
@@ -333,13 +333,7 @@ impl Instance {
         let globals = module
             .globals
             .iter()
-            .map(|g| match g.init {
-                wb_wasm::Instr::I32Const(v) => value_bits(Value::I32(v)),
-                wb_wasm::Instr::I64Const(v) => value_bits(Value::I64(v)),
-                wb_wasm::Instr::F32Const(v) => value_bits(Value::F32(v)),
-                wb_wasm::Instr::F64Const(v) => value_bits(Value::F64(v)),
-                _ => 0,
-            })
+            .map(|g| const_bits_of(&g.init).unwrap_or(0))
             .collect();
         let mut table: Vec<Option<u32>> = match &module.table {
             Some(t) => vec![None; t.limits.min as usize],
@@ -452,7 +446,7 @@ impl Instance {
         stack.clear();
         stack.extend(args.iter().map(|v| value_bits(*v)));
         let r = self.call_function(func_index, &mut stack, 0);
-        let r = r.map(|()| Some(bits_to_value(result?, stack.pop()?)));
+        let r = r.map(|()| Some(bits_to_value(result?, *stack.first()?)));
         self.stack = stack;
         if self.steps > self.config.limits.fuel_budget() {
             return Err(Trap::StepBudgetExhausted);

@@ -2,45 +2,49 @@
 //! interprets the [`Mop`](crate::fuse::Mop) stream produced by `fuse.rs`
 //! with full MVP semantics, counting region entries per hotness band.
 //!
-//! **One value stack.** Every frame lives on one untagged `u64` stack
-//! that the instance owns and `Instance::invoke` lends to the loop: a
-//! frame is a base index, with the parameters where the caller pushed
-//! them, zeroed locals above them and operands above those. A call leaves
-//! its result where its arguments were, so no call allocates and bits
-//! never become [`Value`](crate::Value)s inside a run; they do only at
-//! invoke, the start function and host calls.
+//! **One value stack, no pushes.** Every frame lives on one untagged
+//! `u64` stack that the instance owns and `Instance::invoke` lends to the
+//! loop: a frame is a base index, with the parameters where the caller
+//! left them and the rest of the frame (zeroed locals, the function's
+//! constants, a zeroed slot per operand height) copied in from
+//! `LoweredFunc::frame_init` at entry. Each micro-op reads and writes
+//! frame slots by index, so nothing is pushed or popped inside a run. A
+//! call's frame starts at its argument slots, and the callee returns its
+//! result in the first of them; no call allocates once the stack has
+//! grown, and bits never become [`Value`](crate::Value)s inside a run;
+//! they do only at invoke, the start function and host calls.
 //!
 //! **No control stack.** Every branch holds a [`Target`] resolved at
-//! lowering: the micro-op to continue at, the stack height at its label
-//! and the values it keeps (or a return, for the function's own label).
-//! A branch moves its kept values down to that height, notes hotness on a
-//! loop back-edge and enters the target's region. No-op control is not in
-//! the stream, except as a `Fall` into a region head, and the function's
-//! final `end` is a `Return`.
+//! lowering: the micro-op to continue at, the slot of the value it
+//! carries and the slot at its label's height (or a return, for the
+//! function's own label). A branch copies its carried value to its label,
+//! notes hotness on a loop back-edge and enters the target's region.
+//! No-op control is not in the stream, except as a `Fall` into a region
+//! head, and the function's final `end` is a `Return`.
 //!
-//! The stream is fused by default and one singleton op per instruction
-//! that does work under `reference_exec`; both run the same regions (see
-//! `fuse.rs` `region_heads`). The arms charge nothing per op. Each control
-//! arm that moves into a region (function entry, a branch, a `Fall` into
-//! a branch target, the return from a call) checks the fuel budget, adds
-//! the region's instruction count to the fuel spent, and adds one to the
-//! region's counter in the function's current band. Reading a record
-//! folds those counters times each region's class and Table 12 vector
-//! (`Instance::record`); a band crossing happens only at function entry
-//! and taken loop back-edges, which are region boundaries, so every
-//! region is counted in the band its instructions retire in. A trap
-//! inside a region takes back the region's count on the cold path and
-//! charges its instructions up to and including the trapping one, which
-//! it finds from the micro-op's source position, as per-op counting
-//! would have. The budget is checked against the regions
-//! already run, so a region that overruns it runs to its end, its call or
-//! a trap, and the run then stops with `StepBudgetExhausted` (at the next
-//! head, before a host call, or on the way out in `Instance::invoke`):
-//! which runs run out, and which trap the others report, are per-op
-//! counting's. Only the state a budget-stopped run leaves behind differs,
-//! and such runs are never measured.
+//! The stream reads operands in place by default and holds one micro-op
+//! per instruction that does work under `reference_exec`; both run the
+//! same regions (see `fuse.rs` `region_heads`). The arms charge nothing
+//! per op. Each control arm that moves into a region (function entry, a
+//! branch, a `Fall` into a branch target, the return from a call) checks
+//! the fuel budget, adds the region's instruction count to the fuel
+//! spent, and adds one to the region's counter in the function's current
+//! band. Reading a record folds those counters times each region's class
+//! and Table 12 vector (`Instance::record`); a band crossing happens only
+//! at function entry and taken loop back-edges, which are region
+//! boundaries, so every region is counted in the band its instructions
+//! retire in. A trap inside a region takes back the region's count on the
+//! cold path and charges its instructions up to and including the
+//! trapping one, the micro-op's source position, as per-op counting would
+//! have. The budget is checked against the regions already run, so a
+//! region that overruns it runs to its end, its call or a trap, and the
+//! run then stops with `StepBudgetExhausted` (at the next head, before a
+//! host call, or on the way out in `Instance::invoke`): which runs run
+//! out, and which trap the others report, are per-op counting's. Only the
+//! state a budget-stopped run leaves behind differs, and such runs are
+//! never measured.
 
-use crate::classify::{arith_kind, can_trap, classify};
+use crate::classify::{arith_kind, classify};
 use crate::engine::Instance;
 use crate::fuse::{LoadKind, LoweredFunc, Mop, StoreKind, Target, NO_PC};
 use crate::trap::Trap;
@@ -51,7 +55,7 @@ impl Instance {
     /// Execute `def_index` over its micro-op stream (fused, or one op per
     /// instruction under `reference_exec`; both enter the same regions)
     /// in a frame on `stack`, whose top slots hold its arguments. On
-    /// return its result, if any, has replaced them.
+    /// return its result, if any, is in the first argument's slot.
     pub(crate) fn run_body(
         &mut self,
         def_index: usize,
@@ -63,18 +67,14 @@ impl Instance {
         let (code, heads, regions) = (&lowered.code, &lowered.heads, &lowered.regions);
         let targets = &lowered.targets;
         let base = stack.len() - lowered.params as usize;
-        stack.resize(stack.len() + lowered.locals as usize, 0);
+        stack.extend_from_slice(&lowered.frame_init);
+        let top = stack.len();
         let fuel = self.config.limits.fuel_budget();
         let mut pc = 0usize;
         // This function's row of region counters in its current band.
         let mut row = self.region_row(def_index, lowered);
 
-        macro_rules! pop {
-            () => {
-                stack.pop().expect("validated: operand present")
-            };
-        }
-        macro_rules! local {
+        macro_rules! slot {
             ($i:expr) => {
                 stack[base + $i as usize]
             };
@@ -105,33 +105,23 @@ impl Instance {
                 }
             };
         }
-        // Leave the frame with its result in place of its arguments.
+        // Leave the frame with its result, from slot `$src`, in the slot
+        // of its first argument.
         macro_rules! ret {
-            () => {{
+            ($src:expr) => {{
                 if lowered.result {
-                    let v = pop!();
-                    stack.truncate(base);
-                    stack.push(v);
-                } else {
-                    stack.truncate(base);
+                    stack[base] = slot!($src);
                 }
                 return Ok(());
             }};
         }
-        // A conditional branch: taken, it leaves the dispatch block `$l`
-        // with its target; not taken, it enters the next region.
-        macro_rules! br_if {
-            ($l:lifetime, $cond:expr, $t:expr) => {{
-                if $cond != 0 {
-                    break $l $t;
-                }
-                enter!(pc + 1);
-            }};
-        }
-        // Call `$f` with its arguments on top of the stack.
+        // Call `$f` with its arguments in the slots below `$end`: its
+        // frame starts at them.
         macro_rules! call {
-            ($f:expr) => {{
+            ($f:expr, $end:expr) => {{
+                stack.truncate(base + $end as usize);
                 self.call_function($f, stack, depth + 1)?;
+                stack.resize(top, 0);
                 // The band may have changed while we were away
                 // (recursion).
                 row = self.region_row(def_index, lowered);
@@ -143,170 +133,105 @@ impl Instance {
         'run: loop {
             // A taken branch leaves this block with its target's index.
             let taken = 'dispatch: {
-                match &code[pc] {
-                    // ---- singleton control ---------------------------------
-                    Mop::Unreachable => return Err(Trap::Unreachable),
-                    Mop::Fall => enter!(pc + 1),
-                    Mop::If(t) => {
-                        if pop!() as u32 == 0 {
-                            pc = targets[*t as usize].pc as usize;
-                        } else {
-                            pc += 1;
+                match code[pc] {
+                    Mop::Copy { src, dst } => slot!(dst) = slot!(src),
+                    Mop::Bin { op, a, b, dst } => {
+                        slot!(dst) = trapping!(op.apply(slot!(a), slot!(b)));
+                    }
+                    Mop::Un { op, a, dst } => slot!(dst) = trapping!(op.apply(slot!(a))),
+                    Mop::Load {
+                        kind,
+                        addr,
+                        offset,
+                        dst,
+                    } => {
+                        let addr = u64::from(slot!(addr) as u32) + u64::from(offset);
+                        slot!(dst) = trapping!(self.load_u64(kind, addr));
+                    }
+                    Mop::Store {
+                        kind,
+                        addr,
+                        val,
+                        offset,
+                    } => {
+                        let addr = u64::from(slot!(addr) as u32) + u64::from(offset);
+                        trapping!(self.store_u64(kind, addr, slot!(val)));
+                    }
+                    Mop::Select { dst, b, cond } => {
+                        if slot!(cond) as u32 == 0 {
+                            slot!(dst) = slot!(b);
                         }
-                        enter!(pc);
-                        continue 'run;
                     }
-                    Mop::Else(t) => {
-                        pc = targets[*t as usize].pc as usize;
-                        enter!(pc);
-                        continue 'run;
-                    }
-                    Mop::Br(t) => break 'dispatch *t,
-                    Mop::BrIf(t) => {
-                        let cond = pop!() as u32;
-                        br_if!('dispatch, cond, *t);
-                    }
-                    Mop::BrTable(first, arms) => {
-                        break 'dispatch *first + (pop!() as u32).min(*arms)
-                    }
-                    Mop::Return => ret!(),
-                    Mop::Call(f) => call!(*f),
-                    Mop::CallIndirect(type_index) => {
-                        let slot = pop!() as u32 as usize;
-                        let entry = self.table.get(slot).ok_or(Trap::TableOutOfBounds)?;
-                        let target = entry.ok_or(Trap::UninitializedElement)?;
-                        let module = &prepared.module;
-                        let actual_ty =
-                            module.func_type(target).ok_or(Trap::UninitializedElement)?;
-                        if actual_ty != &module.types[*type_index as usize] {
-                            return Err(Trap::IndirectCallTypeMismatch);
-                        }
-                        call!(target)
-                    }
-
-                    // ---- singleton data ops --------------------------------
-                    Mop::Drop => {
-                        pop!();
-                    }
-                    Mop::Select => {
-                        let cond = pop!() as u32;
-                        let b = pop!();
-                        let a = pop!();
-                        stack.push(if cond != 0 { a } else { b });
-                    }
-                    Mop::LocalGet(i) => stack.push(local!(*i)),
-                    Mop::LocalSet(i) => local!(*i) = pop!(),
-                    Mop::LocalTee(i) => local!(*i) = *stack.last().expect("validated"),
-                    Mop::GlobalGet(i) => stack.push(self.globals[*i as usize]),
-                    Mop::GlobalSet(i) => self.globals[*i as usize] = pop!(),
-                    Mop::Load { kind, offset } => {
-                        let addr = (pop!() as u32 as u64) + offset;
-                        let v = trapping!(self.load_u64(*kind, addr));
-                        stack.push(v);
-                    }
-                    Mop::Store { kind, offset } => {
-                        let v = pop!();
-                        let addr = (pop!() as u32 as u64) + offset;
-                        trapping!(self.store_u64(*kind, addr, v));
-                    }
-                    Mop::MemorySize => {
+                    Mop::GlobalGet { global, dst } => slot!(dst) = self.globals[global as usize],
+                    Mop::GlobalSet { global, src } => self.globals[global as usize] = slot!(src),
+                    Mop::MemorySize { dst } => {
                         let pages = self.memory.as_ref().map(|m| m.size_pages()).unwrap_or(0);
-                        stack.push(u64::from(pages));
+                        slot!(dst) = u64::from(pages);
                     }
-                    Mop::MemoryGrow => {
-                        let delta = pop!() as u32;
+                    Mop::MemoryGrow { delta, dst } => {
+                        let delta = slot!(delta) as u32;
                         trapping!(self.check_grow_limit(delta));
-                        let (result, grew) = match self.memory.as_mut() {
-                            Some(mem) => {
-                                let r = mem.grow(delta);
-                                (r, r >= 0)
-                            }
-                            None => (-1, false),
-                        };
-                        if grew {
+                        let result = self.memory.as_mut().map_or(-1, |mem| mem.grow(delta));
+                        if result >= 0 {
                             self.charge(Charge::MemoryGrow {
                                 pages: u64::from(delta),
                             });
                         }
-                        stack.push(result as u32 as u64);
+                        slot!(dst) = result as u32 as u64;
                     }
-                    Mop::Const(c) => stack.push(*c),
-                    Mop::Un(un) => {
-                        let a = pop!();
-                        stack.push(trapping!(un.apply(a)));
+                    Mop::Br(t) => break 'dispatch t,
+                    Mop::BrIf {
+                        cond,
+                        when_zero,
+                        target,
+                    } => {
+                        if (slot!(cond) as u32 == 0) == when_zero {
+                            break 'dispatch target;
+                        }
+                        enter!(pc + 1);
                     }
-                    Mop::Bin(op) => {
-                        let b = pop!();
-                        let a = pop!();
-                        stack.push(trapping!(op.apply(a, b)));
+                    Mop::BrTable { index, first, arms } => {
+                        break 'dispatch first + (slot!(index) as u32).min(arms)
                     }
-
-                    // ---- fused superinstructions ---------------------------
-                    Mop::LLBin { a, b, op } => {
-                        let r = trapping!(op.apply(local!(*a), local!(*b)));
-                        stack.push(r);
+                    Mop::Call { func, end } => call!(func, end),
+                    Mop::CallIndirect {
+                        type_index,
+                        index,
+                        end,
+                    } => {
+                        let entry = self.table.get(slot!(index) as u32 as usize);
+                        let target = entry
+                            .ok_or(Trap::TableOutOfBounds)?
+                            .ok_or(Trap::UninitializedElement)?;
+                        let module = &prepared.module;
+                        let actual_ty =
+                            module.func_type(target).ok_or(Trap::UninitializedElement)?;
+                        if actual_ty != &module.types[type_index as usize] {
+                            return Err(Trap::IndirectCallTypeMismatch);
+                        }
+                        call!(target, end)
                     }
-                    Mop::LLBinSet { a, b, dst, op } => {
-                        let r = trapping!(op.apply(local!(*a), local!(*b)));
-                        local!(*dst) = r;
-                    }
-                    Mop::LCBin { a, c, op } => {
-                        let r = trapping!(op.apply(local!(*a), *c));
-                        stack.push(r);
-                    }
-                    Mop::LCBinSet { a, c, dst, op } => {
-                        let r = trapping!(op.apply(local!(*a), *c));
-                        local!(*dst) = r;
-                    }
-                    Mop::LBin { b, op } => {
-                        let a = pop!();
-                        stack.push(trapping!(op.apply(a, local!(*b))));
-                    }
-                    Mop::CBin { c, op } => {
-                        let a = pop!();
-                        stack.push(trapping!(op.apply(a, *c)));
-                    }
-                    Mop::CBinSet { c, dst, op } => {
-                        let a = pop!();
-                        local!(*dst) = trapping!(op.apply(a, *c));
-                    }
-                    Mop::BinSet { dst, op } => {
-                        let b = pop!();
-                        let a = pop!();
-                        local!(*dst) = trapping!(op.apply(a, b));
-                    }
-                    Mop::LConst { c, dst } => local!(*dst) = *c,
-                    Mop::LocalCopy { src, dst } => local!(*dst) = local!(*src),
-                    Mop::UnBr { un, target } => {
-                        let a = pop!();
-                        let cond = trapping!(un.apply(a));
-                        br_if!('dispatch, cond, *target);
-                    }
-                    Mop::LLoad { a, kind, offset } => {
-                        let addr = (local!(*a) as u32 as u64) + offset;
-                        let v = trapping!(self.load_u64(*kind, addr));
-                        stack.push(v);
-                    }
+                    Mop::Return(src) => ret!(src),
+                    Mop::Fall => enter!(pc + 1),
+                    Mop::Unreachable => return Err(Trap::Unreachable),
                 }
                 pc += 1;
                 continue 'run;
             };
-            // Take the branch: keep its values at the label's height.
+            // Take the branch: carry its value to the label's height.
             let Target {
                 pc: to,
-                height,
+                src,
+                dst,
                 keep,
                 back_edge,
             } = targets[taken as usize];
             if to == NO_PC {
-                ret!();
+                ret!(src);
             }
-            let (height, keep) = (base + height as usize, keep as usize);
-            if keep != 0 {
-                let top = stack.len();
-                stack.copy_within(top - keep..top, height);
+            if keep {
+                slot!(dst) = slot!(src);
             }
-            stack.truncate(height + keep);
             if back_edge {
                 // Loop hotness moves the band (tier-up is OSR-style).
                 self.note_hotness(def_index, 1);
@@ -331,18 +256,16 @@ impl Instance {
     /// Charge a region that trapped at micro-op `pc` as per-op counting
     /// would have: take back its entry (count and fuel) and charge its
     /// source instructions up to and including the one that trapped, the
-    /// first that can trap from the micro-op's source position on.
+    /// micro-op's source position.
     #[cold]
     fn settle_trap(&mut self, def_index: usize, lowered: &LoweredFunc, pc: usize, row: usize) {
         let prepared = Arc::clone(&self.prepared);
         let body = &prepared.module.functions[def_index].body;
-        let at = lowered.pos[pc] as usize;
-        let next = lowered.pos.get(pc + 1).map_or(body.len(), |&p| p as usize);
-        let trapped = (at..next).find(|&i| can_trap(&body[i])).unwrap_or(at);
+        let trapped = lowered.pos[pc] as usize;
         let band = self.func_state[def_index].band;
         self.steps -= self.counters.settle(
             row,
-            lowered.regions.region_at(at),
+            lowered.regions.region_at(trapped),
             &lowered.regions,
             trapped + 1,
             |i| Some((classify(&body[i]), arith_kind(&body[i]))),

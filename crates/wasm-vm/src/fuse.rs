@@ -1,64 +1,72 @@
-//! Lowering: flat function bodies → micro-ops, fused or not.
+//! Lowering: flat function bodies → micro-ops over frame slots.
 //!
 //! The one dispatch loop in `exec.rs` runs a stream of [`Mop`] micro-ops.
 //! This module lowers a body once (per prepared module and fusion
 //! setting, lazily, on first execution) into that stream, in which
 //!
-//! * only instructions that do work are lowered: a `nop`, `block`, `loop`
-//!   or `end` leaves the stream, unless the next instruction heads a
-//!   region, and then it is one [`Mop::Fall`] that enters that region,
-//! * with fusion on, common short sequences are **fused** into a single
-//!   op (`local.get local.get binop local.set`, `const binop`,
-//!   `i32.eqz br_if`, `local.get load`, …) with immediates inlined; with
-//!   it off (`reference_exec`), every other instruction becomes its
-//!   singleton op,
-//! * operand types are baked in at lowering time so execution runs over
-//!   an **untagged `u64` stack** (i32 zero-extended, floats as raw bits),
-//! * every branch (`br`, each `br_table` arm, `br_if`, the exits of
-//!   `if` and `else`) is resolved once ([`resolve_labels`]) to a
-//!   [`Target`]: the micro-op it continues at, the stack height at its
-//!   label (from the validator, [`wb_wasm::label_heights`]), the values it
-//!   keeps and whether it is a loop back-edge; the branch micro-op holds
-//!   the target's index in [`LoweredFunc::targets`], so execution keeps
-//!   no control stack,
+//! * every operand and result is a `u32` **slot** of the function's frame
+//!   on the instance's untagged `u64` stack (i32 zero-extended, floats as
+//!   raw bits), laid out `params | locals | constants | operands`: operand
+//!   height `h` is slot `params + locals + constants + h`, with the
+//!   heights and their peak from the validator
+//!   ([`wb_wasm::operand_heights`]), and the body's distinct constants
+//!   are stored once in [`LoweredFunc::frame_init`];
+//! * one forward pass, the **operand resolver** ([`lower`]), keeps an
+//!   abstract operand stack whose entries are the slots their values are
+//!   in. With fusion on, `local.get` and a constant push the slot they
+//!   already have and emit nothing, an operator reads its operands where
+//!   they are and writes its own slot or the local a following
+//!   `local.set`/`local.tee` names, and `i32.eqz` before a `br_if` or
+//!   `if` flips the branch's test. A pending entry (one not in its own
+//!   slot) is copied into its own slot before a region head that code
+//!   falls into, a branch, a call, and any write to a local it reads.
+//!   With fusion off (`reference_exec`) every push is copied at once, so
+//!   every instruction that does work is one micro-op;
+//! * only instructions that do work are lowered: `nop`, `block` and
+//!   `drop` leave the stream, a `loop` or `end` too unless the next
+//!   instruction heads a region (then it is one [`Mop::Fall`] that
+//!   enters that region), and so does code no branch reaches;
+//! * every branch (`br`, each `br_table` arm, `br_if`, the exits of `if`
+//!   and `else`) is resolved once ([`resolve_labels`]) to a [`Target`]:
+//!   the micro-op it continues at, the slot of the value it carries and
+//!   the slot at its label's height, and whether it is a loop back-edge;
+//!   the branch micro-op holds the target's index in
+//!   [`LoweredFunc::targets`], so execution keeps no control stack;
 //! * the body is cut into regions ([`region_heads`], which reads the same
 //!   resolved targets), each with its instruction count and class and
 //!   Table 12 counts stored once; the micro-op at each head carries its
 //!   region ([`LoweredFunc::heads`]) and every micro-op the source
-//!   position of its first instruction ([`LoweredFunc::pos`]), which is
-//!   how a trap finds the instruction that trapped.
+//!   position of the instruction that emitted it ([`LoweredFunc::pos`]),
+//!   which is how a trap finds the instruction that trapped.
 //!
-//! ## Why fusion can never span a branch target
+//! ## Why every region starts with its operands in place
 //!
 //! Every branch target in structured Wasm control flow is one of
-//! `end+1` (forward branch / if-false without else / else-arm skip),
-//! `else+1` (if-false with else) or `loop_opener+1` (back-edge). Each of
-//! those pcs is immediately preceded by a control instruction (`end`,
-//! `else`, `loop`) — and control instructions are never fused into a
-//! group. So every jump target is automatically a group boundary and no
-//! explicit leader analysis is required.
-//!
-//! Lowering also never fuses past a region head, so every group lies
-//! inside one region. A dropped instruction is never followed by a head,
-//! so the micro-op after it lies in its region and a branch to it enters
-//! that region there.
+//! `end+1`, `else+1` or `loop_opener+1`, a region head. The code that
+//! falls into a head copies its pending entries out first, and so does
+//! every branch, so wherever a region is entered from, each operand
+//! below the head's height is in its own slot, and the resolver starts
+//! the region from the validator's height with nothing pending. An
+//! operator's micro-op is emitted at the operator's own position, so it
+//! lies in the operator's region.
 //!
 //! ## Cost equivalence
 //!
 //! No micro-op charges anything of its own: the loop counts region
 //! entries, and a region's counts come from its source instructions, cut
-//! the same way with fusion on and off. A fused op therefore retires
-//! exactly its constituents' counts, in the band the unfused stream
-//! would have used (a band crossing can only happen at function entry and
-//! taken loop back-edges, which are region boundaries), and traps where
-//! its trapping constituent would, charging its region through that
-//! constituent. See `DESIGN.md` §4 and §7.
+//! the same way with fusion on and off. Reading an operand in place
+//! therefore retires exactly the counts of the `local.get` or constant
+//! that pushed it, in the same band (a band crossing can only happen at
+//! function entry and taken loop back-edges, which are region
+//! boundaries), and a micro-op traps at its own instruction, charging its
+//! region through it. See `DESIGN.md` §4 and §7.
 
 use crate::classify::{arith_kind, classify};
 use crate::trap::Trap;
 use crate::value::Value;
-use wb_env::{OpClass, RegionTable};
-use wb_wasm::{Function, Instr, MemArg, Module, ValType};
+use std::collections::HashMap;
+use wb_env::RegionTable;
+use wb_wasm::{FuncType, Function, Instr, MemArg, Module, OperandHeights, ValType};
 
 /// Sentinel for "no micro-op": at a micro-op that heads no region, and as
 /// the target of a branch to the function's own label, which returns.
@@ -110,14 +118,11 @@ fn u_f32(v: f32) -> u64 {
 /// Declares one family of lifted numeric operators. Each name is both the
 /// family's variant and the [`Instr`] variant it lifts, so the list below
 /// is the only place a family names its operators. Generates the enum,
-/// `ALL`, the lifts `of`/`instr`, and whether each operator yields an
-/// i32, evaluated at compile time from `classify.rs`; a `[cfg(test)]`
-/// after the name keeps that last item to the tests, for a family no
-/// fused branch carries. The family keeps no charge table: what an
-/// operator costs is counted by the region it runs in, from its source
-/// instruction.
+/// `ALL` and the lifts `of`/`instr`. The family keeps no charge table:
+/// what an operator costs is counted by the region it runs in, from its
+/// source instruction.
 macro_rules! lifted_ops {
-    ($(#[$doc:meta])* $family:ident $([$gate:meta])? { $($op:ident),* $(,)? }) => {
+    ($(#[$doc:meta])* $family:ident { $($op:ident),* $(,)? }) => {
         $(#[$doc])*
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         #[allow(missing_docs)]
@@ -129,9 +134,6 @@ macro_rules! lifted_ops {
             /// Every operator of the family, in declaration order.
             pub(crate) const ALL: [$family; [$(stringify!($op)),*].len()] = [$($family::$op),*];
             const INSTRS: [Instr; $family::ALL.len()] = [$(Instr::$op),*];
-            $(#[$gate])?
-            const I32_RESULT: [bool; $family::ALL.len()] =
-                [$(yields_i32(stringify!($op), classify(&Instr::$op))),*];
 
             /// Lift an instruction of this family, if it is one.
             pub(crate) fn of(i: &Instr) -> Option<$family> {
@@ -145,28 +147,14 @@ macro_rules! lifted_ops {
             pub(crate) fn instr(self) -> Instr {
                 Self::INSTRS[self as usize].clone()
             }
-
-            /// Whether the result is an i32, a prerequisite for fusing with
-            /// a following `br_if` (which consumes an i32 condition).
-            $(#[$gate])?
-            pub(crate) fn result_is_i32(self) -> bool {
-                Self::I32_RESULT[self as usize]
-            }
         }
     };
-}
-
-/// Whether the operator named `name` yields an i32. A Wasm `t.op` yields a
-/// `t`, except comparisons and tests, which yield an i32 condition.
-const fn yields_i32(name: &str, class: OpClass) -> bool {
-    let n = name.as_bytes();
-    matches!(class, OpClass::Compare) || (n[0] == b'I' && n[1] == b'3' && n[2] == b'2')
 }
 
 lifted_ops! {
     /// Binary operators with type knowledge baked in, operating on untagged
     /// bits, with Wasm MVP semantics.
-    BinOp [cfg(test)] {
+    BinOp {
         // i32 arithmetic / bitwise.
         I32Add, I32Sub, I32Mul, I32DivS, I32DivU, I32RemS, I32RemU,
         I32And, I32Or, I32Xor, I32Shl, I32ShrS, I32ShrU, I32Rotl, I32Rotr,
@@ -254,7 +242,7 @@ impl BinOp {
     /// Execute on untagged bits.
     #[inline]
     pub(crate) fn apply(self, a: u64, b: u64) -> Result<u64, Trap> {
-        use crate::interp::{wasm_max_f32, wasm_max_f64, wasm_min_f32, wasm_min_f64};
+        use crate::interp::{wasm_max, wasm_min};
         use BinOp::*;
         Ok(match self {
             I32Add => i32_bin!(a, b, i32::wrapping_add),
@@ -363,8 +351,8 @@ impl BinOp {
             F32Sub => f32_bin!(a, b, |a, b| a - b),
             F32Mul => f32_bin!(a, b, |a, b| a * b),
             F32Div => f32_bin!(a, b, |a, b| a / b),
-            F32Min => f32_bin!(a, b, wasm_min_f32),
-            F32Max => f32_bin!(a, b, wasm_max_f32),
+            F32Min => f32_bin!(a, b, |a, b| wasm_min(a.into(), b.into()) as f32),
+            F32Max => f32_bin!(a, b, |a, b| wasm_max(a.into(), b.into()) as f32),
             F32Copysign => f32_bin!(a, b, f32::copysign),
             F32Eq => f32_cmp!(a, b, |a, b| a == b),
             F32Ne => f32_cmp!(a, b, |a, b| a != b),
@@ -376,8 +364,8 @@ impl BinOp {
             F64Sub => f64_bin!(a, b, |a, b| a - b),
             F64Mul => f64_bin!(a, b, |a, b| a * b),
             F64Div => f64_bin!(a, b, |a, b| a / b),
-            F64Min => f64_bin!(a, b, wasm_min_f64),
-            F64Max => f64_bin!(a, b, wasm_max_f64),
+            F64Min => f64_bin!(a, b, wasm_min),
+            F64Max => f64_bin!(a, b, wasm_max),
             F64Copysign => f64_bin!(a, b, f64::copysign),
             F64Eq => f64_cmp!(a, b, |a, b| a == b),
             F64Ne => f64_cmp!(a, b, |a, b| a != b),
@@ -449,11 +437,9 @@ impl UnOp {
 
 /// Declares one memory-access family as (kind, [`Instr`] variant) pairs,
 /// the only place the family names its instructions. Generates the enum,
-/// `ALL`, and the lifts `of`/`instr`, which carry the static offset; a
-/// `[cfg(test)]` after the name keeps `ALL` and `instr` to the tests, for
-/// a family no fused op carries.
+/// `ALL`, and the lifts `of`/`instr`, which carry the static offset.
 macro_rules! memory_ops {
-    ($(#[$doc:meta])* $family:ident $([$gate:meta])? { $($kind:ident = $instr:ident),* $(,)? }) => {
+    ($(#[$doc:meta])* $family:ident { $($kind:ident = $instr:ident),* $(,)? }) => {
         $(#[$doc])*
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         #[allow(missing_docs)]
@@ -463,20 +449,18 @@ macro_rules! memory_ops {
 
         impl $family {
             /// Every kind of the family, in declaration order.
-            $(#[$gate])?
             pub(crate) const ALL: [$family; [$(stringify!($kind)),*].len()] =
                 [$($family::$kind),*];
 
             /// Lift an access of this family to its kind and static offset.
-            pub(crate) fn of(i: &Instr) -> Option<($family, u64)> {
+            pub(crate) fn of(i: &Instr) -> Option<($family, u32)> {
                 Some(match i {
-                    $(Instr::$instr(m) => ($family::$kind, m.offset as u64),)*
+                    $(Instr::$instr(m) => ($family::$kind, m.offset),)*
                     _ => return None,
                 })
             }
 
             /// The instruction of this kind with the given static offset.
-            $(#[$gate])?
             pub(crate) fn instr(self, offset: u32) -> Instr {
                 let m = MemArg { align: 0, offset };
                 match self {
@@ -499,7 +483,7 @@ memory_ops! {
 
 memory_ops! {
     /// Memory-store flavor with the truncation behaviour baked in.
-    StoreKind [cfg(test)] {
+    StoreKind {
         I32 = I32Store, I64 = I64Store, F32 = F32Store, F64 = F64Store,
         I32As8 = I32Store8, I32As16 = I32Store16,
         I64As8 = I64Store8, I64As16 = I64Store16, I64As32 = I64Store32,
@@ -534,21 +518,8 @@ impl StoreKind {
     }
 }
 
-fn local_get_of(i: &Instr) -> Option<u32> {
-    match i {
-        Instr::LocalGet(x) => Some(*x),
-        _ => None,
-    }
-}
-
-fn local_set_of(i: &Instr) -> Option<u32> {
-    match i {
-        Instr::LocalSet(x) => Some(*x),
-        _ => None,
-    }
-}
-
-fn const_bits_of(i: &Instr) -> Option<u64> {
+/// The bits of a constant instruction.
+pub(crate) fn const_bits_of(i: &Instr) -> Option<u64> {
     Some(match i {
         Instr::I32Const(v) => u_i32(*v),
         Instr::I64Const(v) => *v as u64,
@@ -558,121 +529,98 @@ fn const_bits_of(i: &Instr) -> Option<u64> {
     })
 }
 
-/// One micro-op. Singleton variants mirror [`Instr`] one-to-one, except
-/// that every branch holds the index of its resolved [`Target`] in
-/// [`LoweredFunc::targets`], the function's final `end` is a `Return`
-/// and no-op control is dropped or kept as [`Mop::Fall`]; the variants
-/// after the marker comment are fused superinstructions.
-#[derive(Debug, Clone, PartialEq)]
+/// One micro-op. Every operand and result is a `u32` slot of the frame
+/// (`params | locals | constants | operands`, see [`LoweredFunc`]), every
+/// branch holds the index of its resolved [`Target`] in
+/// [`LoweredFunc::targets`], and an instruction that only moves a value
+/// onto the operand stack (`local.get`, a constant) or off it (`drop`)
+/// lowers to nothing when fusion is on: its slot is named by the
+/// micro-op that reads it.
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[allow(missing_docs)]
 pub(crate) enum Mop {
-    Unreachable,
+    Copy {
+        src: u32,
+        dst: u32,
+    },
+    Bin {
+        op: BinOp,
+        a: u32,
+        b: u32,
+        dst: u32,
+    },
+    Un {
+        op: UnOp,
+        a: u32,
+        dst: u32,
+    },
+    Load {
+        kind: LoadKind,
+        addr: u32,
+        offset: u32,
+        dst: u32,
+    },
+    Store {
+        kind: StoreKind,
+        addr: u32,
+        val: u32,
+        offset: u32,
+    },
+    /// `dst` already holds the first operand: it takes `b` when `cond`
+    /// is zero.
+    Select {
+        dst: u32,
+        b: u32,
+        cond: u32,
+    },
+    GlobalGet {
+        global: u32,
+        dst: u32,
+    },
+    GlobalSet {
+        global: u32,
+        src: u32,
+    },
+    MemorySize {
+        dst: u32,
+    },
+    MemoryGrow {
+        delta: u32,
+        dst: u32,
+    },
+    /// A `br`, or the `else` that ends a then-arm.
+    Br(u32),
+    /// A `br_if`, taken when `cond` is nonzero, or zero with `when_zero`:
+    /// an `if` (to its false edge) and an `i32.eqz` before either.
+    BrIf {
+        cond: u32,
+        when_zero: bool,
+        target: u32,
+    },
+    /// The first of the arms' consecutive targets and the number of arms
+    /// before the default, which is the last.
+    BrTable {
+        index: u32,
+        first: u32,
+        arms: u32,
+    },
+    /// The callee's frame starts at its arguments, the slots below `end`.
+    Call {
+        func: u32,
+        end: u32,
+    },
+    CallIndirect {
+        type_index: u32,
+        index: u32,
+        end: u32,
+    },
+    /// Returns with the result, if the function has one, in this slot.
+    Return(u32),
     /// A `loop` or `end` kept because the next instruction heads a
     /// region: falls through into it. Every other `nop`, `block`,
     /// `loop` and `end` does no work and leaves the stream.
     Fall,
-    /// Continues at its target when the condition is false: the `else`
-    /// arm, or past the `end` when there is none.
-    If(u32),
-    /// Reached at the end of a then-arm: continues past the `end`.
-    Else(u32),
-    Br(u32),
-    BrIf(u32),
-    /// The first of the arms' consecutive targets and the number of arms
-    /// before the default, which is the last.
-    BrTable(u32, u32),
-    Return,
-    Call(u32),
-    CallIndirect(u32),
-    Drop,
-    Select,
-    LocalGet(u32),
-    LocalSet(u32),
-    LocalTee(u32),
-    GlobalGet(u32),
-    GlobalSet(u32),
-    Load {
-        kind: LoadKind,
-        offset: u64,
-    },
-    Store {
-        kind: StoreKind,
-        offset: u64,
-    },
-    MemorySize,
-    MemoryGrow,
-    Const(u64),
-    Un(UnOp),
-    Bin(BinOp),
-    // ---- fused superinstructions ------------------------------------
-    /// `local.get a; local.get b; binop`
-    LLBin {
-        a: u32,
-        b: u32,
-        op: BinOp,
-    },
-    /// `local.get a; local.get b; binop; local.set dst`
-    LLBinSet {
-        a: u32,
-        b: u32,
-        dst: u32,
-        op: BinOp,
-    },
-    /// `local.get a; const c; binop`
-    LCBin {
-        a: u32,
-        c: u64,
-        op: BinOp,
-    },
-    /// `local.get a; const c; binop; local.set dst`
-    LCBinSet {
-        a: u32,
-        c: u64,
-        dst: u32,
-        op: BinOp,
-    },
-    /// `local.get b; binop` (lhs already on the stack)
-    LBin {
-        b: u32,
-        op: BinOp,
-    },
-    /// `const c; binop` (lhs already on the stack)
-    CBin {
-        c: u64,
-        op: BinOp,
-    },
-    /// `const c; binop; local.set dst`
-    CBinSet {
-        c: u64,
-        dst: u32,
-        op: BinOp,
-    },
-    /// `binop; local.set dst` (both operands on the stack)
-    BinSet {
-        dst: u32,
-        op: BinOp,
-    },
-    /// `const c; local.set dst`
-    LConst {
-        c: u64,
-        dst: u32,
-    },
-    /// `local.get src; local.set dst`
-    LocalCopy {
-        src: u32,
-        dst: u32,
-    },
-    /// `unop; br_if` (the compiler's `cmp; i32.eqz; br_if` loop exit)
-    UnBr {
-        un: UnOp,
-        target: u32,
-    },
-    /// `local.get a; load`
-    LLoad {
-        a: u32,
-        kind: LoadKind,
-        offset: u64,
-    },
+    Unreachable,
 }
 
 /// Where a branch goes, resolved once at lowering.
@@ -682,11 +630,14 @@ pub(crate) struct Target {
     /// maps it), or [`NO_PC`] for the function's own label: the branch
     /// returns.
     pub(crate) pc: u32,
-    /// Stack slots above the frame base that stay below the kept values:
-    /// the locals plus the label's operand height.
-    pub(crate) height: u32,
-    /// Values the branch carries to its label (at most one in the MVP).
-    pub(crate) keep: u8,
+    /// The slot of the value the branch carries (of the result, for a
+    /// return).
+    pub(crate) src: u32,
+    /// The slot at the label's operand height, which the carried value
+    /// moves to.
+    pub(crate) dst: u32,
+    /// Whether the branch carries a value (at most one in the MVP).
+    pub(crate) keep: bool,
     /// A loop back-edge, which notes hotness and so may move the band.
     pub(crate) back_edge: bool,
 }
@@ -706,23 +657,36 @@ pub(crate) struct Labels {
 /// its `end`) and the `else` that ends a then-arm. A branch to a loop goes
 /// back to the loop's body; one to a block or `if` goes past its `end`
 /// (patched when the `end` is reached); one to the function's own label
-/// returns. `heights` is the validator's operand height at each opener
-/// ([`wb_wasm::label_heights`]), `nlocals` the function's parameters plus
-/// locals and `results` its result arity.
-pub(crate) fn resolve_labels(body: &[Instr], heights: &[u32], nlocals: u32, results: u8) -> Labels {
+/// returns. `heights` is the validator's operand height before each
+/// instruction ([`wb_wasm::operand_heights`]), `operands` the frame slot
+/// of operand height 0 and `results` the function's result arity. Each
+/// target's `src` is its `dst` until `lower` names the carried value.
+pub(crate) fn resolve_labels(
+    body: &[Instr],
+    heights: &[u32],
+    operands: u32,
+    results: u8,
+) -> Labels {
     // The enclosing labels' openers, innermost last, each with the targets
     // that wait for its `end` (an `if`'s false edge first, until `else`).
     let mut open: Vec<(usize, Vec<usize>)> = Vec::new();
     let (mut targets, mut first) = (Vec::new(), vec![NO_PC; body.len()]);
-    // A branch past the `end` of the label `opener` opens.
-    let forward = |opener: usize| Target {
-        pc: NO_PC,
-        height: nlocals + heights[opener],
-        keep: match &body[opener] {
-            Instr::Block(bt) | Instr::If(bt) => bt.arity() as u8,
-            _ => 0,
-        },
-        back_edge: false,
+    // A branch past the `end` of the label `opener` opens: an `if` has
+    // popped its condition.
+    let forward = |opener: usize| {
+        let (keep, popped) = match &body[opener] {
+            Instr::Block(bt) => (bt.arity() != 0, 0),
+            Instr::If(bt) => (bt.arity() != 0, 1),
+            _ => (false, 0),
+        };
+        let dst = operands + heights[opener].saturating_sub(popped);
+        Target {
+            pc: NO_PC,
+            src: dst,
+            dst,
+            keep,
+            back_edge: false,
+        }
     };
     for (pc, instr) in body.iter().enumerate() {
         let next = targets.len();
@@ -730,7 +694,7 @@ pub(crate) fn resolve_labels(body: &[Instr], heights: &[u32], nlocals: u32, resu
             Instr::Block(_) | Instr::Loop(_) => open.push((pc, Vec::new())),
             Instr::If(_) => {
                 targets.push(Target {
-                    keep: 0,
+                    keep: false,
                     ..forward(pc)
                 });
                 open.push((pc, vec![next]));
@@ -757,8 +721,9 @@ pub(crate) fn resolve_labels(body: &[Instr], heights: &[u32], nlocals: u32, resu
                     targets.push(match label.map(|i| &mut open[i]) {
                         None => Target {
                             pc: NO_PC,
-                            height: 0,
-                            keep: results,
+                            src: 0,
+                            dst: 0,
+                            keep: results != 0,
                             back_edge: false,
                         },
                         Some((opener, _)) if matches!(body[*opener], Instr::Loop(_)) => Target {
@@ -780,29 +745,6 @@ pub(crate) fn resolve_labels(body: &[Instr], heights: &[u32], nlocals: u32, resu
         }
     }
     Labels { targets, first }
-}
-
-/// A function body lowered to micro-ops.
-#[derive(Debug)]
-pub(crate) struct LoweredFunc {
-    /// The micro-op stream.
-    pub(crate) code: Vec<Mop>,
-    /// Per micro-op, the source position of its first instruction: a
-    /// trap settles its region through the constituent that trapped.
-    pub(crate) pos: Vec<u32>,
-    /// The branch targets, at micro-op indices; branch micro-ops hold
-    /// indices into this table.
-    pub(crate) targets: Vec<Target>,
-    /// Per micro-op, the region it heads ([`NO_PC`] where none starts).
-    pub(crate) heads: Vec<u32>,
-    /// Each region's source-instruction range and class and Table 12
-    /// counts, in source order.
-    pub(crate) regions: RegionTable,
-    /// The frame: parameters, then zeroed locals, then operands.
-    pub(crate) params: u32,
-    pub(crate) locals: u32,
-    /// Whether the function returns a value.
-    pub(crate) result: bool,
 }
 
 /// Where regions start, by source pc: at pc 0; at every branch target (a
@@ -840,198 +782,344 @@ pub(crate) fn region_heads(body: &[Instr], labels: &Labels) -> Vec<bool> {
     heads
 }
 
-/// Try to recognize a fused pattern starting at `w[0]`; returns the fused
-/// op and the number of source instructions consumed. `first` is
-/// [`Labels::first`] over `w`: a group that ends in a `br_if` takes its
-/// target.
-pub(crate) fn match_fused(w: &[Instr], first: &[u32]) -> Option<(Mop, usize)> {
-    // Longest patterns first. Every constituent past the first is a
-    // data/branch instruction, never a control opener/closer, so no group
-    // can swallow a branch target (see module docs).
-    if w.len() >= 4 {
-        if let (Some(a), Some(op), Some(dst)) =
-            (local_get_of(&w[0]), BinOp::of(&w[2]), local_set_of(&w[3]))
-        {
-            if let Some(b) = local_get_of(&w[1]) {
-                return Some((Mop::LLBinSet { a, b, dst, op }, 4));
-            }
-            if let Some(c) = const_bits_of(&w[1]) {
-                return Some((Mop::LCBinSet { a, c, dst, op }, 4));
+/// A function body lowered to micro-ops.
+#[derive(Debug)]
+pub(crate) struct LoweredFunc {
+    /// The micro-op stream.
+    pub(crate) code: Vec<Mop>,
+    /// Per micro-op, the source position of the instruction that emitted
+    /// it (non-decreasing): a trap settles its region through it.
+    pub(crate) pos: Vec<u32>,
+    /// The branch targets, at micro-op indices; branch micro-ops hold
+    /// indices into this table.
+    pub(crate) targets: Vec<Target>,
+    /// Per micro-op, the region it heads ([`NO_PC`] where none starts).
+    pub(crate) heads: Vec<u32>,
+    /// Each region's source-instruction range and class and Table 12
+    /// counts, in source order.
+    pub(crate) regions: RegionTable,
+    /// The parameters, which start the frame where the caller left them.
+    pub(crate) params: u32,
+    /// The rest of the frame at entry: zeroed locals, the body's distinct
+    /// constants and a zeroed slot for each operand height up to its peak.
+    pub(crate) frame_init: Vec<u64>,
+    /// Whether the function returns a value.
+    pub(crate) result: bool,
+}
+
+/// The operand resolver: the abstract operand stack of one body, whose
+/// entries are the slots their values are in, and the stream it emits.
+struct Resolver {
+    code: Vec<Mop>,
+    pos: Vec<u32>,
+    stack: Vec<u32>,
+    /// The slot of operand height 0.
+    operands: u32,
+    fuse: bool,
+    /// The source position of the instruction being lowered.
+    at: u32,
+    /// Per source pc, whether a lowered branch reaches it.
+    reached: Vec<bool>,
+}
+
+impl Resolver {
+    fn emit(&mut self, mop: Mop) {
+        self.code.push(mop);
+        self.pos.push(self.at);
+    }
+
+    /// The slot of the next operand pushed.
+    fn top_slot(&self) -> u32 {
+        self.operands + self.stack.len() as u32
+    }
+
+    /// Push the value in `src`: pending (the entry names `src`) with
+    /// fusion on, else copied into its own slot.
+    fn push(&mut self, src: u32) {
+        self.stack.push(src);
+        if !self.fuse {
+            self.settle(None);
+        }
+    }
+
+    fn pop(&mut self) -> u32 {
+        self.stack.pop().expect("validated: operand present")
+    }
+
+    /// The slot of the top entry (0 when empty: nothing reads it then).
+    fn top(&self) -> u32 {
+        self.stack.last().copied().unwrap_or(0)
+    }
+
+    /// Copy each pending entry (one not in its own slot) into its own
+    /// slot: every one, or those that read local `local`.
+    fn settle(&mut self, local: Option<u32>) {
+        for h in 0..self.stack.len() {
+            let (src, own) = (self.stack[h], self.operands + h as u32);
+            if src != own && local.is_none_or(|x| x == src) {
+                self.emit(Mop::Copy { src, dst: own });
+                self.stack[h] = own;
             }
         }
     }
-    if w.len() >= 3 {
-        if let (Some(a), Some(op)) = (local_get_of(&w[0]), BinOp::of(&w[2])) {
-            if let Some(b) = local_get_of(&w[1]) {
-                return Some((Mop::LLBin { a, b, op }, 3));
-            }
-            if let Some(c) = const_bits_of(&w[1]) {
-                return Some((Mop::LCBin { a, c, op }, 3));
-            }
-        }
-        if let Some(c) = const_bits_of(&w[0]) {
-            if let Some(op) = BinOp::of(&w[1]) {
-                if let Some(dst) = local_set_of(&w[2]) {
-                    return Some((Mop::CBinSet { c, dst, op }, 3));
+
+    /// Emit `make(dst)`, an operator whose operands are popped: its result
+    /// goes to the local that a following `local.set` or `local.tee` names
+    /// when fusing (the entries that read that local are copied out first,
+    /// and that instruction lowers to nothing), else to its own slot.
+    /// Returns how many instructions past it were lowered with it.
+    fn produce(&mut self, next: Option<&Instr>, make: impl FnOnce(u32) -> Mop) -> usize {
+        match next {
+            Some(&Instr::LocalSet(x) | &Instr::LocalTee(x)) if self.fuse => {
+                self.settle(Some(x));
+                self.emit(make(x));
+                if matches!(next, Some(Instr::LocalTee(_))) {
+                    self.stack.push(x);
                 }
+                1
+            }
+            _ => {
+                let dst = self.top_slot();
+                self.emit(make(dst));
+                self.stack.push(dst);
+                0
             }
         }
     }
-    if w.len() >= 2 {
-        if let Some(a) = local_get_of(&w[0]) {
-            if let Some((kind, offset)) = LoadKind::of(&w[1]) {
-                return Some((Mop::LLoad { a, kind, offset }, 2));
-            }
-            if let Some(dst) = local_set_of(&w[1]) {
-                return Some((Mop::LocalCopy { src: a, dst }, 2));
-            }
-            if let Some(op) = BinOp::of(&w[1]) {
-                return Some((Mop::LBin { b: a, op }, 2));
-            }
-        }
-        if let Some(c) = const_bits_of(&w[0]) {
-            if let Some(op) = BinOp::of(&w[1]) {
-                return Some((Mop::CBin { c, op }, 2));
-            }
-            if let Some(dst) = local_set_of(&w[1]) {
-                return Some((Mop::LConst { c, dst }, 2));
-            }
-        }
-        if let Some(op) = BinOp::of(&w[0]) {
-            if let Some(dst) = local_set_of(&w[1]) {
-                return Some((Mop::BinSet { dst, op }, 2));
-            }
-        }
-        if let (Some(un), Instr::BrIf(_)) = (UnOp::of(&w[0]), &w[1]) {
-            if un.result_is_i32() {
-                return Some((
-                    Mop::UnBr {
-                        un,
-                        target: first[1],
-                    },
-                    2,
-                ));
-            }
-        }
-    }
-    None
-}
 
-/// Translate one instruction to its singleton micro-op; a branch takes
-/// `target`, its index in [`Labels::targets`].
-fn singleton(i: &Instr, target: u32) -> Mop {
-    if let Some(op) = BinOp::of(i) {
-        return Mop::Bin(op);
+    /// Emit the branch `mop` to `targets`: every pending entry is copied
+    /// into its own slot first, and each target that carries a value
+    /// takes the top entry's slot.
+    fn branch(&mut self, mop: Mop, targets: &mut [Target]) {
+        self.settle(None);
+        let top = self.top();
+        for t in targets {
+            if t.keep {
+                t.src = top;
+            }
+            if let Some(reached) = self.reached.get_mut(t.pc as usize) {
+                *reached = true;
+            }
+        }
+        self.emit(mop);
     }
-    if let Some(un) = UnOp::of(i) {
-        return Mop::Un(un);
-    }
-    if let Some((kind, offset)) = LoadKind::of(i) {
-        return Mop::Load { kind, offset };
-    }
-    if let Some((kind, offset)) = StoreKind::of(i) {
-        return Mop::Store { kind, offset };
-    }
-    if let Some(c) = const_bits_of(i) {
-        return Mop::Const(c);
-    }
-    match i {
-        Instr::Unreachable => Mop::Unreachable,
-        Instr::Nop | Instr::Block(_) | Instr::Loop(_) | Instr::End => Mop::Fall,
-        Instr::If(_) => Mop::If(target),
-        Instr::Else => Mop::Else(target),
-        Instr::Br(_) => Mop::Br(target),
-        Instr::BrIf(_) => Mop::BrIf(target),
-        Instr::BrTable(arms, _) => Mop::BrTable(target, arms.len() as u32),
-        Instr::Return => Mop::Return,
-        Instr::Call(f) => Mop::Call(*f),
-        Instr::CallIndirect(t) => Mop::CallIndirect(*t),
-        Instr::Drop => Mop::Drop,
-        Instr::Select => Mop::Select,
-        Instr::LocalGet(x) => Mop::LocalGet(*x),
-        Instr::LocalSet(x) => Mop::LocalSet(*x),
-        Instr::LocalTee(x) => Mop::LocalTee(*x),
-        Instr::GlobalGet(x) => Mop::GlobalGet(*x),
-        Instr::GlobalSet(x) => Mop::GlobalSet(*x),
-        Instr::MemorySize => Mop::MemorySize,
-        Instr::MemoryGrow => Mop::MemoryGrow,
-        _ => unreachable!("covered by BinOp/UnOp/load/store/const lifts"),
+
+    /// Emit a call to `callee`, whose arguments are the top entries:
+    /// each pending entry is copied into its own slot first, and the
+    /// result takes the first argument's.
+    fn call(&mut self, callee: Option<&FuncType>, make: impl FnOnce(u32) -> Mop) {
+        let callee = callee.expect("validated: callee type");
+        self.settle(None);
+        self.emit(make(self.top_slot()));
+        let args = self.stack.len() - callee.params.len();
+        self.stack.truncate(args);
+        if !callee.results.is_empty() {
+            self.stack.push(self.operands + args as u32);
+        }
     }
 }
 
-/// Lower one flat body to micro-ops that do work.
-///
-/// The branches are resolved first ([`resolve_labels`], over the
-/// validator's `heights`) and the regions cut from them. A `nop`,
-/// `block`, `loop` or `end` is dropped unless the next instruction heads
-/// a region (then it is kept as [`Mop::Fall`]; `block` and `nop` never
-/// precede a head). Then fused patterns are matched greedily when `fuse`
-/// is on (falling back to singletons; with `fuse` off every other
-/// instruction is a singleton), never past the next region head; each
-/// branch micro-op takes the target of its branch instruction, and the
-/// function's final `end` becomes a `Return`. Last, the targets move
-/// from source pcs to micro-op indices. Each head's micro-op carries its
+/// Lower one flat body to micro-ops over frame slots (see the module
+/// docs): resolve its branches and cut its regions, then run the operand
+/// resolver forward over it once, and last move the targets from source
+/// pcs to micro-op indices and mark each head's micro-op with its
 /// region, so both settings run the same regions.
-pub(crate) fn lower(func: &Function, module: &Module, heights: &[u32], fuse: bool) -> LoweredFunc {
+pub(crate) fn lower(
+    func: &Function,
+    module: &Module,
+    heights: &OperandHeights,
+    fuse: bool,
+) -> LoweredFunc {
     let body = &func.body;
     let ty = &module.types[func.type_index as usize];
     let (params, locals) = (ty.params.len() as u32, func.locals.len() as u32);
-    let labels = resolve_labels(body, heights, params + locals, ty.results.len() as u8);
+    // Each distinct constant once, in order of first use, after the locals.
+    let (mut consts, mut const_slot) = (Vec::new(), HashMap::new());
+    for c in body.iter().filter_map(const_bits_of) {
+        const_slot.entry(c).or_insert_with(|| {
+            consts.push(c);
+            params + locals + consts.len() as u32 - 1
+        });
+    }
+    let operands = params + locals + consts.len() as u32;
+    let labels = resolve_labels(body, &heights.before, operands, ty.results.len() as u8);
     let n = body.len();
     let is_head = region_heads(body, &labels);
-    let mut code: Vec<Mop> = Vec::with_capacity(n);
-    let mut pos: Vec<u32> = Vec::with_capacity(n);
-    let mut mop_of: Vec<u32> = vec![NO_PC; n + 1];
-    let (mut pc, mut limit) = (0usize, 0usize);
+    let Labels { mut targets, first } = labels;
+    let mut r = Resolver {
+        code: Vec::with_capacity(n),
+        pos: Vec::with_capacity(n),
+        stack: Vec::new(),
+        operands,
+        fuse,
+        at: 0,
+        reached: vec![false; n],
+    };
+    // Whether the code being lowered is reached.
+    let mut live = true;
+    let mut mop_of: Vec<u32> = vec![NO_PC; n];
+    let mut pc = 0;
     while pc < n {
-        if limit <= pc {
-            limit = (pc + 1..n).find(|&p| is_head[p]).unwrap_or(n);
+        if is_head[pc] {
+            live |= r.reached[pc];
+            r.stack.clear();
+            r.stack
+                .extend((0..heights.before[pc]).map(|h| operands + h));
         }
-        // A dropped instruction maps to the next micro-op, which lies in
-        // its region.
-        mop_of[pc] = code.len() as u32;
-        let instr = &body[pc];
-        if pc + 1 < limit
-            && matches!(
-                instr,
-                Instr::Nop | Instr::Block(_) | Instr::Loop(_) | Instr::End
-            )
-        {
-            pc += 1;
-            continue;
+        // Code that emits nothing maps to the next micro-op, which lies
+        // in its region.
+        mop_of[pc] = r.code.len() as u32;
+        let (instr, next) = (&body[pc], body.get(pc + 1));
+        r.at = pc as u32;
+        let mut with = 0;
+        match instr {
+            _ if !live => {}
+            Instr::Nop | Instr::Block(_) => {}
+            Instr::End if pc + 1 == n => r.emit(Mop::Return(r.top())),
+            Instr::Loop(_) | Instr::End => {
+                if is_head[pc + 1] {
+                    r.settle(None);
+                    r.emit(Mop::Fall);
+                }
+            }
+            Instr::Drop => {
+                r.pop();
+            }
+            Instr::LocalGet(x) => r.push(*x),
+            Instr::LocalSet(x) | Instr::LocalTee(x) => {
+                let v = r.pop();
+                if v != *x {
+                    r.settle(Some(*x));
+                    r.emit(Mop::Copy { src: v, dst: *x });
+                }
+                if matches!(instr, Instr::LocalTee(_)) {
+                    r.stack.push(v);
+                }
+            }
+            Instr::Select => {
+                let (cond, b, a) = (r.pop(), r.pop(), r.pop());
+                let dst = r.top_slot();
+                if a != dst {
+                    r.emit(Mop::Copy { src: a, dst });
+                }
+                r.emit(Mop::Select { dst, b, cond });
+                r.stack.push(dst);
+            }
+            Instr::GlobalGet(g) => with = r.produce(next, |dst| Mop::GlobalGet { global: *g, dst }),
+            Instr::GlobalSet(g) => {
+                let src = r.pop();
+                r.emit(Mop::GlobalSet { global: *g, src });
+            }
+            Instr::MemorySize => with = r.produce(next, |dst| Mop::MemorySize { dst }),
+            Instr::MemoryGrow => {
+                let delta = r.pop();
+                with = r.produce(next, |dst| Mop::MemoryGrow { delta, dst });
+            }
+            Instr::Call(f) => r.call(module.func_type(*f), |end| Mop::Call { func: *f, end }),
+            Instr::CallIndirect(t) => {
+                let index = r.pop();
+                r.call(module.types.get(*t as usize), |end| Mop::CallIndirect {
+                    type_index: *t,
+                    index,
+                    end,
+                });
+            }
+            Instr::I32Eqz | Instr::BrIf(_) | Instr::If(_)
+                if instr != &Instr::I32Eqz
+                    || (fuse && matches!(next, Some(Instr::BrIf(_) | Instr::If(_)))) =>
+            {
+                with = usize::from(instr == &Instr::I32Eqz);
+                let cond = r.pop();
+                // An `if` branches (to its false edge) on zero; an
+                // `i32.eqz` before the branch flips the test.
+                let when_zero = matches!(body[pc + with], Instr::If(_)) ^ (with == 1);
+                let target = first[pc + with];
+                let mop = Mop::BrIf {
+                    cond,
+                    when_zero,
+                    target,
+                };
+                r.branch(mop, &mut targets[target as usize..=target as usize]);
+            }
+            Instr::Br(_) | Instr::Else => {
+                let t = first[pc] as usize;
+                r.branch(Mop::Br(first[pc]), &mut targets[t..=t]);
+                live = false;
+            }
+            Instr::BrTable(arms, _) => {
+                let index = r.pop();
+                let (t, arms) = (first[pc], arms.len() as u32);
+                let mop = Mop::BrTable {
+                    index,
+                    first: t,
+                    arms,
+                };
+                r.branch(mop, &mut targets[t as usize..=(t + arms) as usize]);
+                live = false;
+            }
+            Instr::Return => {
+                r.emit(Mop::Return(r.top()));
+                live = false;
+            }
+            Instr::Unreachable => {
+                r.emit(Mop::Unreachable);
+                live = false;
+            }
+            _ => {
+                if let Some(c) = const_bits_of(instr) {
+                    r.push(const_slot[&c]);
+                } else if let Some(op) = BinOp::of(instr) {
+                    let (b, a) = (r.pop(), r.pop());
+                    with = r.produce(next, |dst| Mop::Bin { op, a, b, dst });
+                } else if let Some(op) = UnOp::of(instr) {
+                    let a = r.pop();
+                    with = r.produce(next, |dst| Mop::Un { op, a, dst });
+                } else if let Some((kind, offset)) = LoadKind::of(instr) {
+                    let addr = r.pop();
+                    with = r.produce(next, |dst| Mop::Load {
+                        kind,
+                        addr,
+                        offset,
+                        dst,
+                    });
+                } else if let Some((kind, offset)) = StoreKind::of(instr) {
+                    let (val, addr) = (r.pop(), r.pop());
+                    r.emit(Mop::Store {
+                        kind,
+                        addr,
+                        val,
+                        offset,
+                    });
+                }
+            }
         }
-        let fused = if fuse {
-            match_fused(&body[pc..limit], &labels.first[pc..limit])
-        } else {
-            None
-        };
-        let (mop, len) = fused.unwrap_or_else(|| match instr {
-            Instr::End if pc + 1 == n => (Mop::Return, 1),
-            _ => (singleton(instr, labels.first[pc]), 1),
-        });
-        code.push(mop);
-        pos.push(pc as u32);
-        pc += len;
+        // What was lowered with the instruction heads no region and is no
+        // branch target, so it needs no micro-op of its own.
+        pc += 1 + with;
     }
-    let targets = labels
-        .targets
-        .iter()
-        .map(|t| Target {
-            pc: mop_of.get(t.pc as usize).copied().unwrap_or(NO_PC),
-            ..*t
-        })
-        .collect();
+    for t in &mut targets {
+        t.pc = mop_of.get(t.pc as usize).copied().unwrap_or(NO_PC);
+    }
     let regions = RegionTable::build(&is_head, |pc| {
         Some((classify(&body[pc]), arith_kind(&body[pc])))
     });
+    let (mut code, mut pos) = (r.code, r.pos);
     // Lowered code is shorter than the body it was sized for, and lives
     // as long as its cached artifact.
     code.shrink_to_fit();
     pos.shrink_to_fit();
+    // A region no branch reaches emits nothing and names the next live
+    // head's micro-op (or none), so the live head, later in source
+    // order, is written last.
     let mut heads = vec![NO_PC; code.len()];
-    for r in 0..regions.len() {
-        heads[mop_of[regions.range(r).start] as usize] = r as u32;
+    for region in 0..regions.len() {
+        if let Some(h) = heads.get_mut(mop_of[regions.range(region).start] as usize) {
+            *h = region as u32;
+        }
     }
+    let mut frame_init = vec![0; locals as usize];
+    frame_init.extend(consts);
+    frame_init.resize(frame_init.len() + heights.peak as usize, 0);
     LoweredFunc {
         code,
         pos,
@@ -1039,7 +1127,7 @@ pub(crate) fn lower(func: &Function, module: &Module, heights: &[u32], fuse: boo
         heads,
         regions,
         params,
-        locals,
+        frame_init,
         result: !ty.results.is_empty(),
     }
 }
@@ -1080,7 +1168,7 @@ mod tests {
             }),
             ..Default::default()
         };
-        let heights = wb_wasm::label_heights(&module, 0).expect("test bodies validate");
+        let heights = wb_wasm::operand_heights(&module, 0).expect("test bodies validate");
         lower(&module.functions[0], &module, &heights, fuse)
     }
 
@@ -1088,8 +1176,19 @@ mod tests {
     fn target_of(mop: &Mop) -> Option<u32> {
         use Mop::*;
         match *mop {
-            If(t) | Else(t) | Br(t) | BrIf(t) | BrTable(t, _) | UnBr { target: t, .. } => Some(t),
+            Br(t) | BrIf { target: t, .. } | BrTable { first: t, .. } => Some(t),
             _ => None,
+        }
+    }
+
+    /// A target that carries nothing, to `pc` at slot `dst`.
+    fn to(pc: u32, dst: u32, back_edge: bool) -> Target {
+        Target {
+            pc,
+            src: dst,
+            dst,
+            keep: false,
+            back_edge,
         }
     }
 
@@ -1138,7 +1237,7 @@ mod tests {
         }
         let instrs = decode_body(&code);
         assert_eq!(instrs.len(), 23);
-        for (i, opcode) in instrs.iter().zip(0x28..=0x3e_u64) {
+        for (i, opcode) in instrs.iter().zip(0x28..=0x3e_u32) {
             let offset = 1000 + opcode;
             match (LoadKind::of(i), StoreKind::of(i)) {
                 (Some((_, off)), None) if opcode <= 0x35 => assert_eq!(off, offset, "{i:?}"),
@@ -1165,39 +1264,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn result_is_i32_agrees_with_the_validator() {
-        // `br_if` type-checks only on an i32 condition, and one of the four
-        // parameter types is the operator's operand type.
-        let feeds_br_if = |op: Instr, arity: usize| {
-            [ValType::I32, ValType::I64, ValType::F32, ValType::F64]
-                .into_iter()
-                .any(|t| {
-                    let mut body = vec![Instr::LocalGet(0); arity];
-                    body.extend([op.clone(), Instr::BrIf(0), Instr::End]);
-                    let module = Module {
-                        functions: vec![wb_wasm::Function {
-                            type_index: 0,
-                            locals: vec![],
-                            body,
-                            name: None,
-                        }],
-                        types: vec![wb_wasm::FuncType {
-                            params: vec![t],
-                            results: vec![],
-                        }],
-                        ..Default::default()
-                    };
-                    wb_wasm::validate(&module).is_ok()
-                })
-        };
-        for op in BinOp::ALL {
-            assert_eq!(op.result_is_i32(), feeds_br_if(op.instr(), 2), "{op:?}");
-        }
-        for un in UnOp::ALL {
-            assert_eq!(un.result_is_i32(), feeds_br_if(un.instr(), 1), "{un:?}");
-        }
-    }
+    // Locals 0-3 are slots 0-3, the constants follow, then the operands.
 
     #[test]
     fn fuses_local_local_bin_set() {
@@ -1208,23 +1275,22 @@ mod tests {
             Instr::LocalSet(2),
             Instr::End,
         ]);
-        assert_eq!(
-            f.code,
-            vec![
-                Mop::LLBinSet {
-                    a: 0,
-                    b: 1,
-                    dst: 2,
-                    op: BinOp::I32Add
-                },
-                Mop::Return,
-            ]
-        );
+        let add = Mop::Bin {
+            op: BinOp::I32Add,
+            a: 0,
+            b: 1,
+            dst: 2,
+        };
+        assert_eq!(f.code, vec![add, Mop::Return(0)]);
+        assert_eq!(f.pos, vec![2, 4]);
+        // Four zeroed locals, no constant, and the peak of two operands.
+        assert_eq!(f.frame_init, vec![0; 6]);
     }
 
     #[test]
     fn fuses_counter_increment() {
-        // The canonical loop-counter idiom from the MiniC backend.
+        // The canonical loop-counter idiom from the MiniC backend: one
+        // micro-op, the constant read from its slot after the locals.
         let f = lower_body(vec![
             Instr::LocalGet(2),
             Instr::I32Const(1),
@@ -1232,27 +1298,44 @@ mod tests {
             Instr::LocalSet(2),
             Instr::End,
         ]);
-        assert_eq!(
-            f.code,
-            vec![
-                Mop::LCBinSet {
-                    a: 2,
-                    c: 1,
-                    dst: 2,
-                    op: BinOp::I32Add
-                },
-                Mop::Return,
-            ]
-        );
+        let add = Mop::Bin {
+            op: BinOp::I32Add,
+            a: 2,
+            b: 4,
+            dst: 2,
+        };
+        assert_eq!(f.code, vec![add, Mop::Return(0)]);
+        assert_eq!(f.frame_init, vec![0, 0, 0, 0, 1, 0, 0]);
+    }
+
+    #[test]
+    fn const_local_sub_is_one_micro_op() {
+        // The operands are read where they are, whichever comes first;
+        // the result goes to the first operand's height (slot 5, past the
+        // constant at 4).
+        let f = lower_body(vec![
+            Instr::I32Const(9),
+            Instr::LocalGet(1),
+            Instr::I32Sub,
+            Instr::Drop,
+            Instr::End,
+        ]);
+        let sub = Mop::Bin {
+            op: BinOp::I32Sub,
+            a: 4,
+            b: 1,
+            dst: 5,
+        };
+        assert_eq!(f.code, vec![sub, Mop::Return(0)]);
     }
 
     #[test]
     fn fuses_the_compilers_loop_exit() {
         // `cmp; i32.eqz; br_if`, as the MiniC backend emits a loop test:
-        // the comparison fuses with its operands, the test with the
-        // branch. The `block` falls into no region head and leaves the
-        // stream; its `end` falls into the branch target and stays.
-        let f = lower_body(vec![
+        // the comparison into its slot, and one branch on zero. The
+        // `block` falls into no region head and leaves the stream; its
+        // `end` falls into the branch target and stays.
+        let body = vec![
             Instr::Block(BlockType::Empty),
             Instr::LocalGet(0),
             Instr::LocalGet(1),
@@ -1261,38 +1344,37 @@ mod tests {
             Instr::BrIf(0),
             Instr::End,
             Instr::End,
-        ]);
-        assert_eq!(
-            f.code,
-            vec![
-                Mop::LLBin {
-                    a: 0,
-                    b: 1,
-                    op: BinOp::I32GeU
-                },
-                Mop::UnBr {
-                    un: UnOp::I32Eqz,
-                    target: 0
-                },
-                Mop::Fall,
-                Mop::Return,
-            ]
-        );
-        assert_eq!(f.pos, vec![1, 4, 6, 7]);
-        // Past the block's `end`, at the height of the four locals.
-        assert_eq!(
-            f.targets,
-            vec![Target {
-                pc: 3,
-                height: 4,
-                keep: 0,
-                back_edge: false
-            }]
-        );
+        ];
+        let f = lower_body(body.clone());
+        let cmp = Mop::Bin {
+            op: BinOp::I32GeU,
+            a: 0,
+            b: 1,
+            dst: 4,
+        };
+        let br = Mop::BrIf {
+            cond: 4,
+            when_zero: true,
+            target: 0,
+        };
+        assert_eq!(f.code, vec![cmp, br, Mop::Fall, Mop::Return(0)]);
+        assert_eq!(f.pos, vec![3, 4, 6, 7]);
+        // Past the block's `end`, at operand height 0.
+        assert_eq!(f.targets, vec![to(3, 4, false)]);
+        // Fusion off: each instruction that does work is one micro-op.
+        let reference = lower_body_with(body, false);
+        assert_eq!(reference.code.len(), 7);
+        assert!(matches!(
+            reference.code[4],
+            Mop::BrIf {
+                when_zero: false,
+                ..
+            }
+        ));
     }
 
     #[test]
-    fn fuses_local_load_but_not_a_store_of_two_locals() {
+    fn loads_and_stores_read_their_operands_in_place() {
         let m = MemArg {
             align: 0,
             offset: 8,
@@ -1309,25 +1391,25 @@ mod tests {
         assert_eq!(
             f.code,
             vec![
-                Mop::LLoad {
-                    a: 0,
+                Mop::Load {
                     kind: LoadKind::I32U8,
-                    offset: 8
+                    addr: 0,
+                    offset: 8,
+                    dst: 4
                 },
-                Mop::Drop,
-                Mop::LocalGet(0),
-                Mop::LocalGet(1),
                 Mop::Store {
                     kind: StoreKind::I32,
+                    addr: 0,
+                    val: 1,
                     offset: 8
                 },
-                Mop::Return,
+                Mop::Return(0),
             ]
         );
     }
 
     #[test]
-    fn fuses_eqz_br_if_and_stack_lhs_patterns() {
+    fn eqz_flips_a_branch_and_a_result_lands_in_its_local() {
         let f = lower_body(vec![
             Instr::Block(BlockType::Empty),
             Instr::LocalGet(0),
@@ -1336,26 +1418,42 @@ mod tests {
             Instr::GlobalGet(0),
             Instr::I32Const(7),
             Instr::I32Mul,
-            Instr::LocalSet(1),
+            Instr::LocalTee(1),
+            Instr::LocalGet(0),
+            Instr::I32Eqz,
+            Instr::If(BlockType::Empty),
+            Instr::End,
+            Instr::Drop,
             Instr::End,
             Instr::End,
         ]);
         assert_eq!(
             f.code,
             vec![
-                Mop::LocalGet(0),
-                Mop::UnBr {
-                    un: UnOp::I32Eqz,
+                Mop::BrIf {
+                    cond: 0,
+                    when_zero: true,
                     target: 0
                 },
-                Mop::GlobalGet(0),
-                Mop::CBinSet {
-                    c: 7,
-                    dst: 1,
-                    op: BinOp::I32Mul
+                Mop::GlobalGet { global: 0, dst: 5 },
+                Mop::Bin {
+                    op: BinOp::I32Mul,
+                    a: 5,
+                    b: 4,
+                    dst: 1
+                },
+                // The `if` skips its (empty) arm when local 0 is nonzero;
+                // the teed local, still pending, is copied into its own
+                // slot first.
+                Mop::Copy { src: 1, dst: 5 },
+                Mop::BrIf {
+                    cond: 0,
+                    when_zero: false,
+                    target: 1
                 },
                 Mop::Fall,
-                Mop::Return,
+                Mop::Fall,
+                Mop::Return(0),
             ]
         );
     }
@@ -1364,41 +1462,42 @@ mod tests {
     fn loop_and_if_targets_are_micro_op_indices() {
         let f = lower_body(vec![
             Instr::Loop(BlockType::Empty), // 0 -> mop 0 (falls into the body)
-            Instr::LocalGet(0),            // 1 -> mop 1
-            Instr::I32Eqz,                 // 2 ┐ mop 2 (UnBr: returns)
+            Instr::LocalGet(0),            // 1 read in place
+            Instr::I32Eqz,                 // 2 ┐ mop 1 (BrIf on zero: returns)
             Instr::BrIf(1),                // 3 ┘
-            Instr::LocalGet(1),            // 4 -> mop 3
-            Instr::If(BlockType::Empty),   // 5 -> mop 4
+            Instr::LocalGet(1),            // 4 read in place
+            Instr::If(BlockType::Empty),   // 5 -> mop 2
             Instr::Nop,                    // 6 dropped
-            Instr::Else,                   // 7 -> mop 5
+            Instr::Else,                   // 7 -> mop 3 (Br)
             Instr::Nop,                    // 8 dropped
-            Instr::End,                    // 9 -> mop 6 (closes if, falls)
-            Instr::Br(0),                  // 10 -> mop 7
-            Instr::End,                    // 11 dropped (closes loop)
-            Instr::End,                    // 12 -> mop 8
+            Instr::End,                    // 9 -> mop 4 (closes if, falls)
+            Instr::Br(0),                  // 10 -> mop 5
+            Instr::End,                    // 11 unreached (closes loop)
+            Instr::End,                    // 12 unreached: the loop only returns
         ]);
-        assert_eq!(f.code.len(), 9);
-        assert_eq!(f.pos, vec![0, 1, 2, 4, 5, 7, 9, 10, 12]);
+        assert_eq!(f.code.len(), 6);
+        assert_eq!(f.pos, vec![0, 2, 5, 7, 9, 10]);
         let targets: Vec<_> = f.code.iter().filter_map(target_of).collect();
         assert_eq!(targets, vec![0, 1, 2, 3]);
         assert_eq!(f.code[0], Mop::Fall);
-        assert_eq!(f.code[4], Mop::If(1));
-        assert_eq!(f.code[5], Mop::Else(2));
-        assert_eq!(f.code[6], Mop::Fall);
-        assert_eq!(f.code[8], Mop::Return, "the final end returns");
-        let to = |pc, back_edge| Target {
-            pc,
-            height: 4,
-            keep: 0,
-            back_edge,
-        };
-        let ret = Target {
-            height: 0,
-            ..to(NO_PC, false)
-        };
+        assert_eq!(
+            f.code[2],
+            Mop::BrIf {
+                cond: 1,
+                when_zero: true,
+                target: 1
+            }
+        );
+        assert_eq!(f.code[3], Mop::Br(2));
+        assert_eq!(f.code[4], Mop::Fall);
         assert_eq!(
             f.targets,
-            vec![ret, to(6, false), to(7, false), to(1, true)],
+            vec![
+                to(NO_PC, 0, false),
+                to(4, 4, false),
+                to(5, 4, false),
+                to(1, 4, true)
+            ],
             "br_if 1 names the function's label; the if skips to its else arm, \
              whose dropped `nop` maps to the next micro-op, the else past the end; \
              br 0 goes back to the loop body"
@@ -1424,22 +1523,32 @@ mod tests {
             Drop,                    // 11
             End,                     // 12
         ]);
-        let to = |pc, height: u32, keep| Target {
-            pc,
-            height: 4 + height,
-            keep,
-            back_edge: false,
+        // The constants 1, 2 and 4 are slots 4-6, operand height h slot
+        // 7 + h. Each branch first copies the pending constants below it
+        // into their own slots.
+        assert_eq!(
+            f.code,
+            vec![
+                Mop::Copy { src: 4, dst: 7 },
+                Mop::Copy { src: 5, dst: 8 },
+                Mop::BrTable {
+                    index: 0,
+                    first: 0,
+                    arms: 2
+                },
+                Mop::Copy { src: 6, dst: 9 },
+                Mop::Br(3),
+                Mop::Return(0),
+            ]
+        );
+        assert_eq!(f.pos, vec![5, 5, 5, 8, 8, 12]);
+        let carry = Target {
+            keep: true,
+            src: 9,
+            ..to(5, 8, false)
         };
-        let ret = Target {
-            height: 0,
-            ..to(NO_PC, 0, 0)
-        };
-        // Nothing here fuses; the two `block`s drop, so each micro-op past
-        // them is at most two behind its source pc.
-        assert_eq!(f.pos, vec![0, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12]);
-        assert_eq!(f.code[3], Mop::BrTable(0, 2));
-        assert_eq!(f.code[6], Mop::Br(3));
-        assert_eq!(f.targets, vec![to(5, 2, 0), ret, to(5, 2, 0), to(8, 1, 1)]);
+        let inner = to(3, 9, false);
+        assert_eq!(f.targets, vec![inner, to(NO_PC, 0, false), inner, carry]);
     }
 
     #[test]
@@ -1463,18 +1572,18 @@ mod tests {
 
     #[test]
     fn branch_micro_ops_stay_the_size_of_the_largest_op() {
-        // A branch holds an index into its function's target table, so
-        // resolving branches makes no micro-op bigger; lowered code lives
-        // as long as its cached artifact.
-        assert_eq!(std::mem::size_of::<Mop>(), 24);
-        assert_eq!(std::mem::size_of::<Target>(), 12);
+        // Slots and offsets are `u32`s and a branch holds an index into its
+        // function's target table, so no micro-op outgrows a `Bin` or a
+        // memory access; lowered code lives as long as its cached artifact.
+        assert_eq!(std::mem::size_of::<Mop>(), 16);
+        assert_eq!(std::mem::size_of::<Target>(), 16);
     }
 
     #[test]
-    fn never_fuses_across_control_instructions() {
-        // `local.get` right before `end`: the would-be partner on the
-        // other side of `end` must not be swallowed, even where the `end`
-        // itself leaves the stream.
+    fn pending_entries_cross_a_dropped_end() {
+        // `local.get` right before an `end` no branch targets: nothing
+        // merges there, so the entry stays pending past it and the
+        // `local.set` copies the local directly.
         let f = lower_body(vec![
             Instr::Block(BlockType::Value(ValType::I32)),
             Instr::LocalGet(0),
@@ -1482,14 +1591,41 @@ mod tests {
             Instr::LocalSet(1),
             Instr::End,
         ]);
+        assert_eq!(f.code, vec![Mop::Copy { src: 0, dst: 1 }, Mop::Return(0)]);
+    }
+
+    #[test]
+    fn a_local_write_copies_out_the_entries_that_read_it() {
+        // `local.get 0; local.get 1; local.set 0`: the pending read of
+        // local 0 is copied into its own slot before the write.
+        let f = lower_body(vec![
+            Instr::LocalGet(0),
+            Instr::LocalGet(1),
+            Instr::LocalSet(0),
+            Instr::LocalGet(0),
+            Instr::I32Add,
+            Instr::LocalSet(2),
+            Instr::End,
+        ]);
         assert_eq!(
             f.code,
-            vec![Mop::LocalGet(0), Mop::LocalSet(1), Mop::Return]
+            vec![
+                Mop::Copy { src: 0, dst: 4 },
+                Mop::Copy { src: 1, dst: 0 },
+                Mop::Bin {
+                    op: BinOp::I32Add,
+                    a: 4,
+                    b: 0,
+                    dst: 2
+                },
+                Mop::Return(0),
+            ]
         );
     }
 
     /// Nested control of every kind, a counted loop with a fused
-    /// back-edge test, a call, a `br_table`, an early return and a `nop`.
+    /// back-edge test, a call, a `br_table`, an early return, a `nop` and
+    /// a `drop`.
     fn control_body() -> Vec<Instr> {
         use Instr::*;
         vec![
@@ -1518,7 +1654,9 @@ mod tests {
             Return,                  // 22
             End,                     // 23
             Nop,                     // 24
-            End,                     // 25
+            I32Const(5),             // 25
+            Drop,                    // 26
+            End,                     // 27
         ]
     }
 
@@ -1586,7 +1724,7 @@ mod tests {
                 let span = span(&f, i, body.len());
                 let want: Vec<u32> = span.clone().flat_map(|k| expected[k].clone()).collect();
                 let got: Vec<u32> = match (mop, target_of(mop)) {
-                    (Mop::BrTable(_, arms), Some(t)) => {
+                    (Mop::BrTable { arms, .. }, Some(t)) => {
                         (t..=t + arms).map(|t| f.targets[t as usize].pc).collect()
                     }
                     (_, Some(t)) => vec![f.targets[t as usize].pc],
@@ -1621,9 +1759,9 @@ mod tests {
                 (&Mop::Fall, 1, 0),
                 "fuse={fuse}: the `block` drops; the `loop` heads region 0 and falls into the next"
             );
-            if fuse {
-                assert!(f.code.iter().any(|m| matches!(m, Mop::LLBin { .. })));
-            }
+            // The loop test reads its two locals in place only when fusing.
+            let in_place = |m: &Mop| matches!(m, Mop::Bin { a: 0, b: 1, .. });
+            assert_eq!(f.code.iter().any(in_place), fuse, "fuse={fuse}");
         }
     }
 
@@ -1632,56 +1770,54 @@ mod tests {
         use Instr::*;
         let body = control_body();
         let n = body.len();
-        let no_op = |pc: usize| matches!(body[pc], Nop | Block(_) | Loop(_) | End);
         for fuse in [true, false] {
             let f = lower_body_with(body.clone(), fuse);
             let what = format!("fuse={fuse}");
             let starts: Vec<usize> = (0..f.regions.len())
                 .map(|r| f.regions.range(r).start)
                 .collect();
-            let src_head = |pc: usize| starts.contains(&pc);
-            // Positions strictly increase, one per micro-op, and the last
-            // is the final `end`, which returns.
+            // Positions never decrease, one per micro-op, and the last is
+            // the final `end`, which returns.
             assert_eq!(f.pos.len(), f.code.len(), "{what}");
-            assert!(f.pos.windows(2).all(|w| w[0] < w[1]), "{what}: {:?}", f.pos);
+            assert!(
+                f.pos.windows(2).all(|w| w[0] <= w[1]),
+                "{what}: {:?}",
+                f.pos
+            );
             assert_eq!(f.pos.last(), Some(&(n as u32 - 1)), "{what}");
-            assert_eq!(f.code.last(), Some(&Mop::Return), "{what}");
-            // Before the first micro-op and after each group, only
-            // dropped no-op control: a `nop`, `block`, `loop` or `end`
-            // whose next instruction heads no region.
-            let mut dropped: Vec<usize> = (0..f.pos[0] as usize).collect();
+            assert_eq!(f.code.last(), Some(&Mop::Return(0)), "{what}");
+            // No-op control lowers only to a `Fall` into a region head.
             for (i, mop) in f.code.iter().enumerate() {
-                let span = span(&f, i, n);
-                let at = span.start;
-                let group = if *mop == Mop::Fall || at + 1 == n {
-                    1
-                } else {
-                    assert!(!no_op(at), "{what}: {i} ({mop:?}) lowers no-op control");
-                    span.clone().take_while(|&k| !no_op(k)).count()
-                };
-                if !fuse {
-                    assert_eq!(group, 1, "{what}: {i} ({mop:?})");
-                }
-                if *mop == Mop::Fall {
-                    assert!(no_op(at), "{what}: {i} falls from {:?}", body[at]);
+                let at = f.pos[i] as usize;
+                if matches!(body[at], Nop | Block(_) | Loop(_) | End) && at + 1 < n {
+                    assert_eq!(*mop, Mop::Fall, "{what}: {i} lowers {:?}", body[at]);
                     assert!(
-                        f.heads[i + 1] != NO_PC && src_head(at + 1),
+                        f.heads[i + 1] != NO_PC && starts.contains(&(at + 1)),
                         "{what}: the `Fall` at {i} is followed by no region head"
                     );
                 }
-                dropped.extend(at + group..span.end);
             }
-            for &pc in &dropped {
-                assert!(
-                    no_op(pc) && !src_head(pc + 1),
-                    "{what}: dropped {pc} ({:?})",
-                    body[pc]
+            let lowered: std::collections::BTreeSet<u32> = f.pos.iter().copied().collect();
+            let dropped: Vec<usize> = (0..n)
+                .filter(|&pc| !lowered.contains(&(pc as u32)))
+                .collect();
+            if fuse {
+                // Every local and constant is read in place, the local
+                // write is the `add`'s result slot, and nothing in this
+                // body needs an operand copied.
+                assert_eq!(
+                    dropped,
+                    vec![0, 2, 3, 6, 10, 12, 13, 14, 16, 18, 19, 20, 23, 24, 25, 26],
+                    "{what}"
                 );
+            } else {
+                // One micro-op per instruction that does work. The `block`
+                // at 0, the `nop` at 24 and the `drop` at 26 do none; the
+                // `end`s at 12, 18 and 19 and the `end` at 23 follow a
+                // branch or return that no branch leads past.
+                assert!(f.pos.windows(2).all(|w| w[0] < w[1]), "{what}: {:?}", f.pos);
+                assert_eq!(dropped, vec![0, 12, 18, 19, 23, 24, 26], "{what}");
             }
-            // The `block` at 0, the loop's `end` at 18 (nothing targets
-            // the block's `end` after it) and the `nop` at 24 leave; the
-            // `loop` and every other `end` fall into a region head.
-            assert_eq!(dropped, vec![0, 18, 24], "{what}");
         }
     }
 }

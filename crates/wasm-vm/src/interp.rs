@@ -1,9 +1,11 @@
 //! The call path and hotness state: the one call sequence into the
-//! dispatch loop in `exec.rs` (arguments stay on the instance's value
-//! stack, where the callee's frame starts), host-function crossings (the
-//! only calls that convert bits to [`Value`]s), hotness bands, and the
-//! numeric helpers (Wasm `min`/`max`, trapping float-to-int truncation)
-//! behind the lifted operators in `fuse.rs`.
+//! dispatch loop in `exec.rs` (arguments stay in their slots on the
+//! instance's value stack, where the callee's frame starts, and the
+//! result comes back in the first), host-function crossings (the only
+//! calls that convert bits to [`Value`]s, reading the arguments by
+//! index), hotness bands, and the numeric helpers (Wasm `min`/`max`,
+//! trapping float-to-int truncation) behind the lifted operators in
+//! `fuse.rs`.
 
 use crate::engine::{HostCtx, Instance};
 use crate::fuse::{bits_to_value, value_bits};
@@ -13,10 +15,10 @@ use wb_env::Charge;
 
 impl Instance {
     /// Call defined-or-imported function `func_index` with its arguments
-    /// on top of `stack`, leaving its result, if any, in their place. A
-    /// defined function runs in `run_body`, in a frame over those
-    /// arguments; an import runs its host function, resolved at
-    /// instantiation.
+    /// on top of `stack`, leaving its result, if any, in the first
+    /// argument's slot. A defined function runs in `run_body`, in a frame
+    /// over those arguments; an import runs its host function, resolved
+    /// at instantiation.
     pub(crate) fn call_function(
         &mut self,
         func_index: u32,
@@ -67,8 +69,9 @@ impl Instance {
         }
     }
 
-    /// Call import `import_index` with its arguments on top of `stack`:
-    /// the one place inside a run where bits become [`Value`]s and back.
+    /// Call import `import_index` with its arguments on top of `stack`,
+    /// read by index, and leave its result in place of them: the one
+    /// place inside a run where bits become [`Value`]s and back.
     fn call_host(&mut self, import_index: u32, stack: &mut Vec<u64>) -> Result<(), Trap> {
         let ty = self
             .prepared
@@ -79,8 +82,8 @@ impl Instance {
         let args: Vec<Value> = ty
             .params
             .iter()
-            .zip(stack.drain(base..))
-            .map(|(t, bits)| bits_to_value(*t, bits))
+            .zip(&stack[base..])
+            .map(|(t, bits)| bits_to_value(*t, *bits))
             .collect();
         // Each host call crosses the boundary twice (out and back).
         self.cross_boundary();
@@ -97,14 +100,17 @@ impl Instance {
         };
         let result = f(&mut ctx, &args);
         self.cross_boundary();
+        stack.truncate(base);
         stack.extend(result?.map(value_bits));
         Ok(())
     }
 }
 
-pub(crate) fn wasm_min_f32(a: f32, b: f32) -> f32 {
+/// Wasm `min` of two floats: NaN if either is NaN, and -0 below +0. An
+/// f32 operator widens its operands exactly and narrows the result back.
+pub(crate) fn wasm_min(a: f64, b: f64) -> f64 {
     if a.is_nan() || b.is_nan() {
-        f32::NAN
+        f64::NAN
     } else if a == b {
         // min(-0, 0) = -0.
         if a.is_sign_negative() {
@@ -112,107 +118,45 @@ pub(crate) fn wasm_min_f32(a: f32, b: f32) -> f32 {
         } else {
             b
         }
-    } else if a < b {
-        a
     } else {
-        b
+        a.min(b)
     }
 }
 
-pub(crate) fn wasm_max_f32(a: f32, b: f32) -> f32 {
-    if a.is_nan() || b.is_nan() {
-        f32::NAN
-    } else if a == b {
-        if a.is_sign_positive() {
-            a
-        } else {
-            b
-        }
-    } else if a > b {
-        a
-    } else {
-        b
-    }
-}
-
-pub(crate) fn wasm_min_f64(a: f64, b: f64) -> f64 {
+/// Wasm `max` of two floats: NaN if either is NaN, and +0 above -0.
+pub(crate) fn wasm_max(a: f64, b: f64) -> f64 {
     if a.is_nan() || b.is_nan() {
         f64::NAN
-    } else if a == b {
-        if a.is_sign_negative() {
-            a
-        } else {
-            b
-        }
-    } else if a < b {
-        a
     } else {
-        b
+        -wasm_min(-a, -b)
     }
 }
 
-pub(crate) fn wasm_max_f64(a: f64, b: f64) -> f64 {
-    if a.is_nan() || b.is_nan() {
-        f64::NAN
-    } else if a == b {
-        if a.is_sign_positive() {
-            a
-        } else {
-            b
-        }
-    } else if a > b {
-        a
+/// `v` truncated toward zero, if that lies in `[lo, hi)`, else Wasm's
+/// trapping conversion fails (NaN lies in no range).
+fn trunc_within(v: f64, lo: f64, hi: f64) -> Result<f64, Trap> {
+    let t = v.trunc();
+    if t >= lo && t < hi {
+        Ok(t)
     } else {
-        b
+        Err(Trap::InvalidConversion)
     }
 }
 
 pub(crate) fn trunc_to_i32(v: f64) -> Result<i32, Trap> {
-    if v.is_nan() {
-        return Err(Trap::InvalidConversion);
-    }
-    let t = v.trunc();
-    if t >= -(2f64.powi(31)) && t < 2f64.powi(31) {
-        Ok(t as i32)
-    } else {
-        Err(Trap::InvalidConversion)
-    }
+    trunc_within(v, -(2f64.powi(31)), 2f64.powi(31)).map(|t| t as i32)
 }
 
 pub(crate) fn trunc_to_u32(v: f64) -> Result<u32, Trap> {
-    if v.is_nan() {
-        return Err(Trap::InvalidConversion);
-    }
-    let t = v.trunc();
-    if t > -1.0 && t < 2f64.powi(32) {
-        Ok(t as u32)
-    } else {
-        Err(Trap::InvalidConversion)
-    }
+    trunc_within(v, 0.0, 2f64.powi(32)).map(|t| t as u32)
 }
 
 pub(crate) fn trunc_to_i64(v: f64) -> Result<i64, Trap> {
-    if v.is_nan() {
-        return Err(Trap::InvalidConversion);
-    }
-    let t = v.trunc();
-    if t >= -(2f64.powi(63)) && t < 2f64.powi(63) {
-        Ok(t as i64)
-    } else {
-        Err(Trap::InvalidConversion)
-    }
+    trunc_within(v, -(2f64.powi(63)), 2f64.powi(63)).map(|t| t as i64)
 }
 
 pub(crate) fn trunc_to_u64(v: f64) -> Result<u64, Trap> {
-    if v.is_nan() {
-        return Err(Trap::InvalidConversion);
-    }
-    let t = v.trunc();
-    if t > -1.0 && t < 2f64.powi(64) {
-        Ok(t as u64)
-    } else {
-        Err(Trap::InvalidConversion)
-    }
+    trunc_within(v, 0.0, 2f64.powi(64)).map(|t| t as u64)
 }
 
 #[cfg(test)]
@@ -221,12 +165,12 @@ mod tests {
 
     #[test]
     fn min_max_follow_wasm_nan_and_zero_rules() {
-        assert!(wasm_min_f64(f64::NAN, 1.0).is_nan());
-        assert!(wasm_max_f32(1.0, f32::NAN).is_nan());
-        assert!(wasm_min_f64(-0.0, 0.0).is_sign_negative());
-        assert!(wasm_max_f64(-0.0, 0.0).is_sign_positive());
-        assert_eq!(wasm_min_f64(1.0, 2.0), 1.0);
-        assert_eq!(wasm_max_f32(1.0, 2.0), 2.0);
+        assert!(wasm_min(f64::NAN, 1.0).is_nan());
+        assert!(wasm_max(1.0, f64::NAN).is_nan());
+        assert!(wasm_min(-0.0, 0.0).is_sign_negative());
+        assert!(wasm_max(-0.0, 0.0).is_sign_positive());
+        assert_eq!(wasm_min(1.0, 2.0), 1.0);
+        assert_eq!(wasm_max(1.0, 2.0), 2.0);
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! anything, and the lowered micro-op streams, filled lazily per
 //! function, once with fusion on and once with it off
 //! (`reference_exec`). Lowering a function asks
-//! the validator for the stack height at each of its labels
-//! ([`wb_wasm::label_heights`]) and resolves every branch against them
-//! (`fuse.rs` `resolve_labels`), so execution keeps no control state.
+//! the validator for the operand height before each of its instructions
+//! and their peak ([`wb_wasm::operand_heights`]), which place every
+//! operand in a frame slot and every branch target's carried value
+//! (`fuse.rs` `lower`), so execution keeps no control state and no
+//! operand stack of its own.
 //!
 //! A `PreparedModule` is immutable plain data (`Send + Sync`), so one
 //! preparation can be shared across instances — and across threads via
@@ -55,7 +57,7 @@ impl PreparedModule {
     /// same compile costs, and fusion itself models no engine work.
     pub(crate) fn lowered(&self, def_index: usize, fuse: bool) -> &LoweredFunc {
         self.lowered[usize::from(fuse)][def_index].get_or_init(|| {
-            let heights = wb_wasm::label_heights(&self.module, def_index)
+            let heights = wb_wasm::operand_heights(&self.module, def_index)
                 .expect("an instance runs only a module that validates");
             lower(
                 &self.module.functions[def_index],

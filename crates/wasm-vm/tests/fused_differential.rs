@@ -1,6 +1,6 @@
 //! Fusion-on vs fusion-off differential tests.
 //!
-//! Fused superinstructions exist purely to make the host run faster;
+//! Operands resolved in place exist purely to make the host run faster;
 //! they must be invisible in every measured quantity. These tests run the
 //! same module through the one dispatch loop with fusion on and off
 //! (`reference_exec` toggled: one micro-op per instruction) and assert
@@ -9,7 +9,7 @@
 //! Table 12 arithmetic profile, memory statistics, tier-ups and context
 //! switches — alongside the computed results themselves.
 //!
-//! Each test targets one family of fusion patterns (see
+//! Each test targets one kind of resolved operand (see
 //! `src/fuse.rs`); the final tests sweep tier policies and trapping
 //! executions, where accounting order at the fault matters.
 
@@ -104,8 +104,9 @@ fn run_both(
     outcome.unwrap().0
 }
 
-/// Sum 1..=n: exercises `LLBin` (the loop test) before a plain `br_if`,
-/// `LCBinSet` (counter increment), `LocalTee`, `LLBinSet`, a dropped
+/// Sum 1..=n: exercises a `Bin` of two locals (the loop test) before a
+/// plain `br_if`, a `Bin` of a local and a constant into a local (counter
+/// increment), `LocalTee`, a `Bin` of two locals into a local, a dropped
 /// `block`, a kept `loop` and loop back-edges, which also drive tier-up
 /// hotness.
 fn sum_module() -> Module {
@@ -155,7 +156,8 @@ fn tier_policies_all_match() {
     }
 }
 
-/// Memory traffic: narrow loads/stores after `LCBin` address arithmetic,
+/// Memory traffic: narrow loads/stores after local-and-constant `Bin`
+/// address arithmetic,
 /// in loops whose `block` and the `loop`'s `end` leave the stream while
 /// the `loop` and the `block`'s `end` fall into region heads.
 #[test]
@@ -228,7 +230,8 @@ fn memory_loop_matches_across_engines() {
     assert_eq!(r.unwrap(), Some(Value::I32(expect)));
 }
 
-/// Floats and conversions: `CBin`/`BinSet` over f64, unary ops,
+/// Floats and conversions: `Bin`s of a stack value and a constant or
+/// into a local over f64, unary ops,
 /// truncation, reinterpret — none of which may lose bits crossing the
 /// untagged stack.
 #[test]
@@ -374,7 +377,7 @@ fn memory_grow_matches_across_engines() {
 
 /// Trapping executions: the virtual-cost state at the fault must be
 /// identical, i.e. the trapping constituent was charged and nothing
-/// after it. `i32.div_s` by zero inside a fused `LLBin` group is the
+/// after it. `i32.div_s` by zero in a `Bin` of two locals is the
 /// sharpest probe: the two `local.get`s and the div itself must land,
 /// the downstream `local.set` must not.
 #[test]
@@ -418,7 +421,7 @@ fn division_trap_accounting_matches_across_engines() {
     assert_eq!(err.unwrap_err(), Trap::IntegerOverflow);
 }
 
-/// Out-of-bounds access inside a fused `LLoad` group.
+/// Out-of-bounds access in a `Load` from a local.
 #[test]
 fn oob_trap_accounting_matches_across_engines() {
     let mut mb = ModuleBuilder::new();

@@ -13,9 +13,9 @@
 //! Every case runs with `reference_exec` off and on. A binary operator
 //! runs as `local.get; local.get; op` and as `local.get; const; op`, a
 //! load as `local.get; load` and a store as `local.get; local.get;
-//! store`: with fusion on the first three are the fused `LLBin`, `LCBin`
-//! and `LLoad` (no fused op carries a store), with it off the singleton
-//! ops. Coverage is checked by
+//! store`: with fusion on each is one micro-op that reads its locals and
+//! constant in place, with it off one micro-op per instruction, the
+//! operands copied into their own slots. Coverage is checked by
 //! opcode: the table must hold every numeric MVP opcode (0x45–0xBF) and
 //! every load and store opcode (0x28–0x3E), which the `fuse` unit tests
 //! show are exactly the entries of `BinOp::ALL`, `UnOp::ALL`,

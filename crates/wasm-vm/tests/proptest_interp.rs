@@ -1,5 +1,7 @@
 //! Randomized (deterministic, LCG-seeded) tests for the Wasm
-//! interpreter: randomly generated i32 arithmetic, wrapped in random
+//! interpreter: randomly generated i32 arithmetic, which also writes
+//! its two locals (`local.set`, `local.tee`) while reads of them wait on
+//! the operand stack, wrapped in random
 //! value-preserving control (blocks left by `br`, `br_if` or `br_table`
 //! over junk operands, a branch out of two blocks, `if`/`else`, a
 //! top-level `br 0`), agrees with a Rust reference model with fusion on
@@ -31,10 +33,16 @@ enum StackOp {
     ShrU,
     Rotl,
     Eqz,
+    /// `local.set` of param 0 or 1.
+    Set(u32),
+    /// `local.tee` of param 0 or 1.
+    Tee(u32),
 }
 
 fn gen_stack_op(rng: &mut Lcg) -> StackOp {
-    match rng.index(13) {
+    match rng.index(17) {
+        13 | 14 => StackOp::Set(rng.index(2) as u32),
+        15 | 16 => StackOp::Tee(rng.index(2) as u32),
         0 => StackOp::PushConst(rng.next_i32()),
         1 => StackOp::PushP0,
         2 => StackOp::PushP1,
@@ -55,6 +63,7 @@ fn gen_stack_op(rng: &mut Lcg) -> StackOp {
 fn realize(ops: &[StackOp], p0: i32, p1: i32) -> (Vec<Instr>, i32) {
     let mut body = Vec::new();
     let mut stack: Vec<i32> = Vec::new();
+    let mut locals = [p0, p1];
     for op in ops {
         match op {
             StackOp::PushConst(v) => {
@@ -63,11 +72,23 @@ fn realize(ops: &[StackOp], p0: i32, p1: i32) -> (Vec<Instr>, i32) {
             }
             StackOp::PushP0 => {
                 body.push(Instr::LocalGet(0));
-                stack.push(p0);
+                stack.push(locals[0]);
             }
             StackOp::PushP1 => {
                 body.push(Instr::LocalGet(1));
-                stack.push(p1);
+                stack.push(locals[1]);
+            }
+            StackOp::Set(x) | StackOp::Tee(x) => {
+                let Some(&v) = stack.last() else {
+                    continue;
+                };
+                locals[*x as usize] = v;
+                if let StackOp::Set(_) = op {
+                    body.push(Instr::LocalSet(*x));
+                    stack.pop();
+                } else {
+                    body.push(Instr::LocalTee(*x));
+                }
             }
             binop @ (StackOp::Add
             | StackOp::Sub
@@ -138,8 +159,8 @@ fn wrap(rng: &mut Lcg, body: Vec<Instr>) -> Vec<Instr> {
             out.extend(body);
             out.extend([Br(0), End]);
         }
-        // ... by a taken `br_if 0` (a fused compare-and-branch when
-        // fusion is on); not taken, the block would yield the junk.
+        // ... by a taken `br_if 0` (a compare into a slot and one
+        // branch micro-op); not taken, the block would yield the junk.
         1 => {
             let k = rng.next_i32();
             out.extend([i32_block(), I32Const(inside)]);

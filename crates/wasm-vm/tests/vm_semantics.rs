@@ -487,7 +487,8 @@ fn branches_to_the_function_label_return() {
                 I32Add,
             ],
         ),
-        // Returns 3 when p >= q (the fused `UnBr` of `eqz; br_if`), else 4.
+        // Returns 3 when p >= q (`eqz; br_if`, one branch on zero when
+        // fused), else 4.
         (
             "cmp_br",
             vec![
@@ -611,6 +612,115 @@ fn branches_to_the_function_label_return() {
                 assert_eq!(r, Some(Value::I32(want)), "{case}");
                 let r = inst.invoke(&format!("call_{name}"), &args).unwrap();
                 assert_eq!(r, Some(Value::I32(1000 + want)), "call_{case}");
+            }
+        }
+    }
+}
+
+#[test]
+fn reads_before_a_local_write_keep_the_old_value() {
+    // With fusion on, `local.get` lowers to nothing: its slot is named by
+    // the micro-op that reads the value. Each body here writes a local
+    // while a read of it is still on the operand stack, so that read must
+    // be copied out first. Every case is a `(p, q) -> i32` function.
+    use Instr::*;
+    // A body and the value it must return.
+    type Case = (&'static str, Vec<Instr>, fn(i32, i32) -> i32);
+    let cases: [Case; 6] = [
+        // The old and the new value of local 0.
+        (
+            "set",
+            vec![LocalGet(0), LocalGet(1), LocalSet(0), LocalGet(0), I32Sub],
+            |p, q| p.wrapping_sub(q),
+        ),
+        (
+            "tee",
+            vec![LocalGet(0), LocalGet(1), LocalTee(0), I32Sub],
+            |p, q| p.wrapping_sub(q),
+        ),
+        // An `add` whose result goes to local 0 while a read of local 0
+        // waits below it.
+        (
+            "bin_into_local",
+            vec![
+                LocalGet(0),
+                LocalGet(0),
+                LocalGet(1),
+                I32Add,
+                LocalSet(0),
+                LocalGet(0),
+                I32Sub,
+            ],
+            |p, q| p.wrapping_sub(p.wrapping_add(q)),
+        ),
+        // A read of local 0 carried into a loop that increments it.
+        (
+            "loop",
+            vec![
+                LocalGet(0),
+                Loop(BlockType::Empty),
+                LocalGet(0),
+                I32Const(1),
+                I32Add,
+                LocalSet(0),
+                LocalGet(0),
+                LocalGet(1),
+                I32LtS,
+                BrIf(0),
+                End,
+                LocalGet(0),
+                I32Sub,
+            ],
+            |p, q| {
+                let mut x = p.wrapping_add(1);
+                while x < q {
+                    x += 1;
+                }
+                p.wrapping_sub(x)
+            },
+        ),
+        // Reads of local 0 below a call's arguments, and one the call's
+        // result then overwrites.
+        (
+            "call",
+            vec![LocalGet(0), LocalGet(1), Call(0), I32Sub],
+            |p, q| p.wrapping_sub(q),
+        ),
+        (
+            "call_then_set",
+            vec![
+                LocalGet(0),
+                I32Const(7),
+                Call(0),
+                LocalSet(0),
+                LocalGet(0),
+                I32Sub,
+            ],
+            |p, _| p.wrapping_sub(7),
+        ),
+    ];
+    let mut mb = ModuleBuilder::new();
+    let mut id = mb.func("id", vec![ValType::I32], vec![ValType::I32]);
+    id.ops([LocalGet(0)]).done();
+    mb.finish_func(id, true);
+    for (name, body, _) in &cases {
+        let mut f = mb.func(name, vec![ValType::I32, ValType::I32], vec![ValType::I32]);
+        f.ops(body.clone()).done();
+        mb.finish_func(f, true);
+    }
+    let module = mb.build();
+    wb_wasm::validate(&module).expect("test module must validate");
+    for reference_exec in [false, true] {
+        let config = WasmVmConfig {
+            reference_exec,
+            ..WasmVmConfig::reference()
+        };
+        let mut inst = Instance::from_module(module.clone(), config, HashMap::new()).unwrap();
+        for (name, _, want) in &cases {
+            for (p, q) in [(5, 3), (-2, 4), (1, 9)] {
+                let r = inst.invoke(name, &[Value::I32(p), Value::I32(q)]).unwrap();
+                let case = format!("{name}({p}, {q}), reference_exec={reference_exec}");
+                assert_eq!(r, Some(Value::I32(want(p, q))), "{case}");
             }
         }
     }

@@ -11,7 +11,8 @@
 //! * [`encode_module`] / [`decode_module`] — binary encoder and decoder
 //!   (LEB128, section framing, spec opcode assignments);
 //! * [`validate`] — stack-discipline type checking of function bodies,
-//!   and [`label_heights`], the operand height at each label it checks;
+//!   and [`operand_heights`], the operand height before each instruction
+//!   of a body and its peak, as that checking tracks them;
 //! * [`print_wat`] — a WAT-style text rendering (like Fig 4(c));
 //! * [`LinearMemory`] — 64 KiB-paged linear memory with `memory.grow`
 //!   semantics and high-water-mark accounting;
@@ -48,4 +49,4 @@ pub use module::{
 };
 pub use text::print_wat;
 pub use types::{FuncType, GlobalType, Limits, ValType};
-pub use validate::{label_heights, validate};
+pub use validate::{operand_heights, validate, OperandHeights};

@@ -92,17 +92,31 @@ pub fn validate(module: &Module) -> Result<(), ValidationError> {
 
     // --- function bodies -------------------------------------------------
     for def_index in 0..module.functions.len() {
-        label_heights(module, def_index)?;
+        operand_heights(module, def_index)?;
     }
     Ok(())
 }
 
+/// The operand-stack heights of one function body, as its validation
+/// tracks them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OperandHeights {
+    /// Per instruction, the operand height before it. The label a
+    /// `block` or `loop` opens sits at its height, an `if`'s one below
+    /// (after it pops its condition); a branch to a label leaves the
+    /// stack at that height plus the values the label carries. In
+    /// unreachable code it is the height of the polymorphic stack.
+    pub before: Vec<u32>,
+    /// The greatest height the body reaches.
+    pub peak: u32,
+}
+
 /// Type-check the body of defined function `def_index` (spec §3.3) and
-/// return, per instruction, the operand-stack height at the label a
-/// `block`, `loop` or `if` there opens, after an `if` pops its condition
-/// (0 at every other instruction). A branch to that label leaves the
-/// stack at this height plus the values the label carries.
-pub fn label_heights(module: &Module, def_index: usize) -> Result<Vec<u32>, ValidationError> {
+/// return its [`OperandHeights`].
+pub fn operand_heights(
+    module: &Module,
+    def_index: usize,
+) -> Result<OperandHeights, ValidationError> {
     let f = module
         .functions
         .get(def_index)
@@ -288,7 +302,7 @@ impl<'m> FuncValidator<'m> {
         Ok(())
     }
 
-    fn run(mut self, body: &[Instr]) -> Result<Vec<u32>, ValidationError> {
+    fn run(mut self, body: &[Instr]) -> Result<OperandHeights, ValidationError> {
         // Implicit function frame.
         self.frames.push(Frame {
             end_types: self.results.clone(),
@@ -298,15 +312,13 @@ impl<'m> FuncValidator<'m> {
             is_if: false,
         });
 
-        let mut heights = vec![0; body.len()];
+        let mut before = Vec::with_capacity(body.len());
+        let mut peak = 0;
         for (pc, instr) in body.iter().enumerate() {
+            before.push(self.operands.len() as u32);
             self.step(instr)
                 .map_err(|e| e.in_function(self.func_index, pc))?;
-            if let (Instr::Block(_) | Instr::Loop(_) | Instr::If(_), Some(frame)) =
-                (instr, self.frames.last())
-            {
-                heights[pc] = frame.height as u32;
-            }
+            peak = peak.max(self.operands.len() as u32);
         }
 
         if !self.frames.is_empty() {
@@ -315,7 +327,7 @@ impl<'m> FuncValidator<'m> {
             }
             .in_function(self.func_index, body.len()));
         }
-        Ok(heights)
+        Ok(OperandHeights { before, peak })
     }
 
     fn step(&mut self, instr: &Instr) -> Result<(), ValidationError> {
@@ -875,30 +887,39 @@ mod tests {
     }
 
     #[test]
-    fn label_heights_are_the_operand_heights_at_each_opener() {
+    fn operand_heights_are_the_heights_before_each_instruction() {
         use Instr::*;
         let m = module_with_body(
             vec![ValType::I32],
             vec![],
             vec![
                 I32Const(1),             // 0
-                Block(BlockType::Empty), // 1 above the 1
+                Block(BlockType::Empty), // 1 label above the 1
                 I32Const(2),             // 2
                 LocalGet(0),             // 3
-                If(BlockType::Empty),    // 4 above the 1 and 2, its condition popped
+                If(BlockType::Empty),    // 4 label above the 1 and 2: pops its condition
                 Loop(BlockType::Empty),  // 5
-                End,                     // 6
-                End,                     // 7
-                Drop,                    // 8
-                End,                     // 9
+                I32Const(3),             // 6
+                I32Const(4),             // 7 the peak: 1, 2, 3 and 4
+                Br(2),                   // 8 leaves the block
+                I32Const(5),             // 9 dead: the polymorphic stack at the loop's label
                 Drop,                    // 10
-                End,                     // 11
+                End,                     // 11 closes the loop
+                End,                     // 12 closes the if, still dead
+                Drop,                    // 13 the if's false edge: the 2
+                End,                     // 14 closes the block
+                Drop,                    // 15 the 1
+                End,                     // 16
             ],
         );
-        let heights = label_heights(&m, 0).unwrap();
-        assert_eq!(heights, vec![0, 1, 0, 0, 2, 2, 0, 0, 0, 0, 0, 0]);
+        let heights = operand_heights(&m, 0).unwrap();
+        assert_eq!(
+            heights.before,
+            vec![0, 1, 1, 2, 3, 2, 2, 3, 4, 2, 3, 2, 2, 2, 1, 1, 0]
+        );
+        assert_eq!(heights.peak, 4);
         assert!(matches!(
-            label_heights(&m, 1),
+            operand_heights(&m, 1),
             Err(ValidationError::BadFuncIndex { index: 1 })
         ));
     }
