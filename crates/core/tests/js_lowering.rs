@@ -1,12 +1,14 @@
-//! The JS VM lowers each chunk once into one micro-op stream, fused or
-//! not (`reference_exec`). This suite runs the lowering audit
-//! (`wb_jsvm::audit::audit_lowering`) over the whole JS corpus: every
-//! kernel's compiled JS at every optimization level, the hand-written JS
-//! benchmarks and the app scripts. For each chunk it checks that the
-//! fused and reference lowerings cut the same regions, that every source
-//! jump resolves to the micro-op of its source target, that every
-//! micro-op's source position lies in the region it runs in, that an
-//! `Enter` stands exactly where a plain op falls into a region head, and
+//! The JS VM lowers each chunk once into one micro-op stream over frame
+//! slots, fused or not (`reference_exec`). This suite runs the lowering
+//! audit (`wb_jsvm::audit::audit_lowering`) over the whole JS corpus:
+//! every kernel's compiled JS at every optimization level, the
+//! hand-written JS benchmarks and the app scripts. For each chunk it
+//! checks that its operand heights agree at every join (or lowering
+//! fails), that the fused and reference lowerings cut the same regions,
+//! that every source jump resolves to the first micro-op of its source
+//! target, that every micro-op's source position lies in the region it
+//! runs in, that an `Enter` stands exactly where a plain op falls into a
+//! region head, that the reference stream reads no operand in place, and
 //! that every fused form's stored path is what its plain copies do.
 
 use wb_benchmarks::{all_benchmarks, apps, manual_js, InputSize};

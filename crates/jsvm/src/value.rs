@@ -94,30 +94,40 @@ impl JsValue {
     }
 }
 
-/// Format a number the way JS `String(n)` does for the common cases:
-/// integral values print without a decimal point.
+/// JS `Number::toString`: the shortest digits that read back as `n`,
+/// laid out positionally when the decimal exponent `k` of the leading
+/// digit is in `-7 < k < 21`, else as `d.ddde±k`; `-0` prints `"0"`.
 pub fn format_number(n: f64) -> String {
     if n.is_nan() {
-        "NaN".into()
-    } else if n.is_infinite() {
-        if n > 0.0 {
-            "Infinity".into()
-        } else {
-            "-Infinity".into()
+        return "NaN".into();
+    }
+    if n == 0.0 {
+        return "0".into();
+    }
+    if n < 0.0 {
+        return format!("-{}", format_number(-n));
+    }
+    if n.is_infinite() {
+        return "Infinity".into();
+    }
+    // Rust's `{:e}` gives the shortest round-trip digits as `d.ddde<k>`.
+    let sci = format!("{n:e}");
+    let (mantissa, exp) = sci.split_once('e').unwrap_or((&sci, "0"));
+    let digits: String = mantissa.chars().filter(|c| *c != '.').collect();
+    let k: i32 = exp.parse().unwrap_or(0);
+    // The digits fill the integer part up to the point at `k + 1`.
+    let point = k + 1;
+    let len = digits.len() as i32;
+    match point {
+        p if len <= p && p <= 21 => digits + &"0".repeat((p - len) as usize),
+        p if 0 < p && p <= 21 => format!("{}.{}", &digits[..p as usize], &digits[p as usize..]),
+        p if -6 < p && p <= 0 => format!("0.{}{digits}", "0".repeat(-p as usize)),
+        _ => {
+            let sign = if k < 0 { '-' } else { '+' };
+            let (lead, rest) = digits.split_at(1);
+            let dot = if rest.is_empty() { "" } else { "." };
+            format!("{lead}{dot}{rest}e{sign}{}", k.abs())
         }
-    } else if n == n.trunc() && n.abs() < 1e21 {
-        format!("{}", n as i64)
-    } else if n.abs() >= 1e21 {
-        // JS switches to exponential notation at 1e21 ("1e+22").
-        let s = format!("{n:e}");
-        match s.find('e') {
-            Some(pos) if !s[pos + 1..].starts_with('-') => {
-                format!("{}e+{}", &s[..pos], &s[pos + 1..])
-            }
-            _ => s,
-        }
-    } else {
-        format!("{n}")
     }
 }
 
@@ -190,6 +200,22 @@ mod tests {
         assert_eq!(format_number(-0.5), "-0.5");
         assert_eq!(format_number(f64::NAN), "NaN");
         assert_eq!(format_number(1e22), "1e+22");
+        assert_eq!(format_number(-0.0), "0");
+        assert_eq!(format_number(0.1), "0.1");
+        assert_eq!(format_number(123.456), "123.456");
+        assert_eq!(format_number(1e-6), "0.000001");
+        assert_eq!(format_number(1.5e22), "1.5e+22");
+        assert_eq!(format_number(1e21), "1e+21");
+        // Past 2^63 an integer does not fit an i64, and below 1e-6 JS
+        // switches to the exponent form.
+        assert_eq!(format_number(1e20), "100000000000000000000");
+        assert_eq!(format_number(-1e20), "-100000000000000000000");
+        assert_eq!(format_number(2f64.powi(64)), "18446744073709552000");
+        assert_eq!(format_number(1e-7), "1e-7");
+        assert_eq!(format_number(1.5e-10), "1.5e-10");
+        assert_eq!(format_number(123e-20), "1.23e-18");
+        assert_eq!(format_number(f64::NEG_INFINITY), "-Infinity");
+        assert_eq!(format_number(9007199254740993.0), "9007199254740992");
     }
 
     #[test]

@@ -266,3 +266,64 @@ fn a_heap_ceiling_at_a_region_head_stops_before_entering_it() {
     });
     assert_eq!(runs[0], runs[1], "fused and reference");
 }
+
+// ---- the operand resolver's roots --------------------------------------
+
+#[test]
+fn a_dead_value_above_the_height_is_no_root() {
+    // The call's argument, a 9-byte string, stays in the caller's operand
+    // slot after the call returns, above the height: dead. The array made
+    // next crosses the trigger, and its collection keeps `keep` (32
+    // bytes) and the new array (48) alone.
+    let src = "var keep = [];\n\
+               function dead(s) { return 0; }\n\
+               function f(n) { dead(\"abcdefgh\" + n); var t = [n]; return 0; }";
+    let paused = [true, false].map(|reference_exec| {
+        let (r, vm) = run(config(reference_exec, 150), src, "f", 5.0);
+        assert_eq!(r, Ok(JsValue::Num(0.0)));
+        pauses(&vm.record())
+    });
+    assert_eq!(paused[0], paused[1], "fused and reference");
+    assert_eq!(paused[0], [HEADER + HEADER + ELEMENT]);
+}
+
+#[test]
+fn a_string_appended_to_its_own_local_keeps_the_old_value_rooted() {
+    // `s = s + "x"`: at the boundary after the `Add`, the new string is
+    // on the stack and the old one still in `s`, so both are live. The
+    // fused `Add` writes `s` itself, after that boundary's collection.
+    let src = "function f(n) { var s = \"\"; for (var i = 0; i < n; i = i + 1) { s = s + \"x\"; } return s.length; }";
+    let runs = [true, false].map(|reference_exec| {
+        let (r, vm) = run(config(reference_exec, 512), src, "f", 60.0);
+        assert_eq!(r, Ok(JsValue::Num(60.0)));
+        let record = vm.record();
+        (pauses(&record), record.heap)
+    });
+    assert!(!runs[0].0.is_empty(), "the loop collects");
+    assert_eq!(runs[0], runs[1], "fused and reference");
+}
+
+#[test]
+fn a_ceiling_right_after_an_allocation_settles_through_it() {
+    // The typed array takes the heap past its ceiling; in the fused
+    // stream the load of `x` after it is elided, so the check that fails
+    // stands before a later op's micro-op. The run must still be charged
+    // through the allocation only, as the reference is.
+    let src = "function f(n, x) { var t = [new Float64Array(n), x]; return t.length; }";
+    let runs = [true, false].map(|reference_exec| {
+        let mut cfg = config(reference_exec, 1 << 20);
+        cfg.limits = ResourceLimits {
+            max_memory_bytes: Some(8192),
+            ..ResourceLimits::default()
+        };
+        let mut vm = JsVm::new(cfg);
+        vm.load(src).expect("script loads");
+        let r = vm.call("f", &[JsValue::Num(2000.0), JsValue::Num(1.0)]);
+        assert!(
+            matches!(r, Err(JsError::MemoryLimitExceeded { .. })),
+            "{r:?}"
+        );
+        (vm.record().band_counts, vm.region_profile())
+    });
+    assert_eq!(runs[0], runs[1], "fused and reference");
+}
