@@ -18,6 +18,11 @@
 //! have found nothing to do: collections happen at the same boundaries
 //! as with a check at every one, and a second check at one boundary (a
 //! region entry's, then the loop's) finds nothing.
+//!
+//! The VM hands [`Heap::collect`] its roots: the globals and each call
+//! frame's slots on the one value stack up to the frame's operand height
+//! at that boundary, so a stale slot above it never keeps an object
+//! alive, and the roots are those of the reference stream.
 
 use crate::value::Value;
 
