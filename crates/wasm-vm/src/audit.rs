@@ -13,10 +13,11 @@
 //! * **regions**: the fused and reference streams cut the same regions;
 //! * **round trip**: the fused stream lowers the operator to one
 //!   micro-op, beside only the `global.get`s that feed it and the
-//!   return, and that
-//!   micro-op's slots resolve back to the constituents: each input to
-//!   its local, its constant's bits or its operand height, the result to
-//!   its local or its height;
+//!   return; that micro-op, read back as its `Operation`
+//!   (`Mop::operation`), is the operator's own form (the operation's
+//!   instruction is the operator's), and its slots resolve back to the
+//!   constituents: each input to its local, its constant's bits or its
+//!   operand height, the result to its local or its height;
 //! * **bits**: the fused and reference streams, run, compute the same
 //!   bits.
 //!
@@ -27,7 +28,7 @@
 
 use crate::classify::{arith_kind, can_trap, classify};
 use crate::engine::{Instance, WasmVmConfig};
-use crate::fuse::{value_bits, BinOp, LoadKind, Mop, StoreKind, UnOp};
+use crate::fuse::{value_bits, BinOp, LoadKind, Mop, Operation, StoreKind, UnOp};
 use crate::prep::PreparedModule;
 use crate::value::Value;
 use std::collections::HashMap;
@@ -38,7 +39,8 @@ use wb_wasm::{Instr, Module, ModuleBuilder, ValType};
 /// One audited (operator, operand shape) instance.
 #[derive(Debug, Clone)]
 pub struct FusionAuditEntry {
-    /// The micro-op form (`"Bin"`, `"Un"`, `"Load"` or `"Store"`).
+    /// The operator's family (`"Bin"`, `"Un"`, `"Load"` or `"Store"`);
+    /// each operator is a micro-op of its own.
     pub family: &'static str,
     /// Instance label: the form, the operator and the operand shape.
     pub instance: String,
@@ -220,22 +222,14 @@ fn check(
         s if s < operands => Operand::Const(fused.frame_init[(s - fused.params) as usize]),
         s => Operand::Stack(s - operands),
     };
-    let (slots, dst) = match *mops[0] {
-        Mop::Bin { op: o, a, b, dst } if Some(o) == BinOp::of(op) => (vec![a, b], Some(dst)),
-        Mop::Un { op: o, a, dst } if Some(o) == UnOp::of(op) => (vec![a], Some(dst)),
-        Mop::Load {
-            kind,
-            addr,
-            offset,
-            dst,
-        } if LoadKind::of(op) == Some((kind, offset)) => (vec![addr], Some(dst)),
-        Mop::Store {
-            kind,
-            addr,
-            val,
-            offset,
-        } if StoreKind::of(op) == Some((kind, offset)) => (vec![addr, val], None),
-        m => return Err(format!("{form} lowered to {m:?}")),
+    let (slots, dst) = match mops[0].operation() {
+        Some(o) if o.instr() == *op => match o {
+            Operation::Bin { a, b, dst, .. } => (vec![a, b], Some(dst)),
+            Operation::Un { a, dst, .. } => (vec![a], Some(dst)),
+            Operation::Load { addr, dst, .. } => (vec![addr], Some(dst)),
+            Operation::Store { addr, val, .. } => (vec![addr, val], None),
+        },
+        _ => return Err(format!("{form} lowered to {:?}", mops[0])),
     };
     let want: Vec<Operand> = (inputs.iter().enumerate())
         .map(|(i, &(t, shape))| match shape {

@@ -14,6 +14,20 @@
 //! grown, and bits never become [`Value`](crate::Value)s inside a run;
 //! they do only at invoke, the start function and host calls.
 //!
+//! **One dispatch per micro-op.** Every operator and every memory access
+//! kind is a micro-op of its own, and `run_body` expands one arm per
+//! entry of the operator list (`fuse.rs` `operators!`) into the loop's
+//! one `match code[pc]`, beside the control arms: the arm binds the
+//! entry's operands from their slots and runs its expression, so nothing
+//! dispatches on an operator or an access kind a second time. An operator
+//! that cannot trap writes its slot with no `Result`; one marked `traps`,
+//! and every access, takes its trap through `trapping!` on the cold path.
+//! An access adds its static offset to the address (no wrap at 32 bits)
+//! and reads or writes its `N` bytes in place with the inlined
+//! `LinearMemory::load`/`store`, checked against the memory's current
+//! length on every access, so a page grown in the same run, by this
+//! frame or a callee, is in bounds at once.
+//!
 //! **No control stack.** Every branch holds a [`Target`] resolved at
 //! lowering: the micro-op to continue at, the slot of the value it
 //! carries and the slot at its label's height (or a return, for the
@@ -46,7 +60,11 @@
 
 use crate::classify::{arith_kind, classify};
 use crate::engine::Instance;
-use crate::fuse::{LoadKind, LoweredFunc, Mop, StoreKind, Target, NO_PC};
+use crate::fuse::{operators, LoweredFunc, Mop, Target, NO_PC};
+// The operator list's expressions expand in this file's dispatch loop,
+// and name these helpers.
+use crate::fuse::{b_f32, b_f64, b_i32, u_f32, u_f64, u_i32};
+use crate::interp::{trunc_to_i32, trunc_to_i64, trunc_to_u32, trunc_to_u64, wasm_max, wasm_min};
 use crate::trap::Trap;
 use std::sync::Arc;
 use wb_env::Charge;
@@ -129,117 +147,154 @@ impl Instance {
             }};
         }
 
-        enter!(0);
-        'run: loop {
-            // A taken branch leaves this block with its target's index.
-            let taken = 'dispatch: {
-                match code[pc] {
-                    Mop::Copy { src, dst } => slot!(dst) = slot!(src),
-                    Mop::Bin { op, a, b, dst } => {
-                        slot!(dst) = trapping!(op.apply(slot!(a), slot!(b)));
-                    }
-                    Mop::Un { op, a, dst } => slot!(dst) = trapping!(op.apply(slot!(a))),
-                    Mop::Load {
-                        kind,
-                        addr,
-                        offset,
-                        dst,
-                    } => {
-                        let addr = u64::from(slot!(addr) as u32) + u64::from(offset);
-                        slot!(dst) = trapping!(self.load_u64(kind, addr));
-                    }
-                    Mop::Store {
-                        kind,
-                        addr,
-                        val,
-                        offset,
-                    } => {
-                        let addr = u64::from(slot!(addr) as u32) + u64::from(offset);
-                        trapping!(self.store_u64(kind, addr, slot!(val)));
-                    }
-                    Mop::Select { dst, b, cond } => {
-                        if slot!(cond) as u32 == 0 {
-                            slot!(dst) = slot!(b);
-                        }
-                    }
-                    Mop::GlobalGet { global, dst } => slot!(dst) = self.globals[global as usize],
-                    Mop::GlobalSet { global, src } => self.globals[global as usize] = slot!(src),
-                    Mop::MemorySize { dst } => {
-                        let pages = self.memory.as_ref().map(|m| m.size_pages()).unwrap_or(0);
-                        slot!(dst) = u64::from(pages);
-                    }
-                    Mop::MemoryGrow { delta, dst } => {
-                        let delta = slot!(delta) as u32;
-                        trapping!(self.check_grow_limit(delta));
-                        let result = self.memory.as_mut().map_or(-1, |mem| mem.grow(delta));
-                        if result >= 0 {
-                            self.charge(Charge::MemoryGrow {
-                                pages: u64::from(delta),
-                            });
-                        }
-                        slot!(dst) = result as u32 as u64;
-                    }
-                    Mop::Br(t) => break 'dispatch t,
-                    Mop::BrIf {
-                        cond,
-                        when_zero,
-                        target,
-                    } => {
-                        if (slot!(cond) as u32 == 0) == when_zero {
-                            break 'dispatch target;
-                        }
-                        enter!(pc + 1);
-                    }
-                    Mop::BrTable { index, first, arms } => {
-                        break 'dispatch first + (slot!(index) as u32).min(arms)
-                    }
-                    Mop::Call { func, end } => call!(func, end),
-                    Mop::CallIndirect {
-                        type_index,
-                        index,
-                        end,
-                    } => {
-                        let entry = self.table.get(slot!(index) as u32 as usize);
-                        let target = entry
-                            .ok_or(Trap::TableOutOfBounds)?
-                            .ok_or(Trap::UninitializedElement)?;
-                        let module = &prepared.module;
-                        let actual_ty =
-                            module.func_type(target).ok_or(Trap::UninitializedElement)?;
-                        if actual_ty != &module.types[type_index as usize] {
-                            return Err(Trap::IndirectCallTypeMismatch);
-                        }
-                        call!(target, end)
-                    }
-                    Mop::Return(src) => ret!(src),
-                    Mop::Fall => enter!(pc + 1),
-                    Mop::Unreachable => return Err(Trap::Unreachable),
-                }
-                pc += 1;
-                continue 'run;
+        // An operator's result: its value, or, for an entry marked
+        // `traps`, its `Ok` value, with the trap taken on the cold path.
+        macro_rules! result {
+            (traps $e:expr) => {
+                trapping!($e)
             };
-            // Take the branch: carry its value to the label's height.
-            let Target {
-                pc: to,
-                src,
-                dst,
-                keep,
-                back_edge,
-            } = targets[taken as usize];
-            if to == NO_PC {
-                ret!(src);
-            }
-            if keep {
-                slot!(dst) = slot!(src);
-            }
-            if back_edge {
-                // Loop hotness moves the band (tier-up is OSR-style).
-                self.note_hotness(def_index, 1);
-                row = self.region_row(def_index, lowered);
-            }
-            pc = to as usize;
-            enter!(pc);
+            ($e:expr) => {
+                $e
+            };
         }
+        // The effective address of an access: the address operand in
+        // slot `$addr` plus the static offset, which does not wrap.
+        macro_rules! address {
+            ($addr:expr, $offset:expr) => {
+                u64::from(slot!($addr) as u32) + u64::from($offset)
+            };
+        }
+        // The dispatch loop, given the operator list (`fuse.rs`
+        // `operators!`): one arm per micro-op, the control arms written
+        // here and one per list entry, which binds the entry's operands
+        // and runs its expression.
+        macro_rules! run {
+            (
+                BinOp { $($bin:ident($a:ident, $b:ident) $($bt:ident)? => $be:expr,)* }
+                UnOp { $($un:ident($u:ident) $($ut:ident)? => $ue:expr,)* }
+                LoadKind { $($_load:ident = $li:ident($lv:ident: $lt:ty) => $le:expr,)* }
+                StoreKind { $($_store:ident = $si:ident($sv:ident) => $se:expr,)* }
+            ) => {
+                'run: loop {
+                    // A taken branch leaves this block with its target's
+                    // index.
+                    let taken = 'dispatch: {
+                        match code[pc] {
+                            Mop::Copy { src, dst } => slot!(dst) = slot!(src),
+                            $(Mop::$bin { a, b, dst } => {
+                                let ($a, $b) = (slot!(a), slot!(b));
+                                slot!(dst) = result!($($bt)? $be);
+                            })*
+                            $(Mop::$un { a, dst } => {
+                                let $u = slot!(a);
+                                slot!(dst) = result!($($ut)? $ue);
+                            })*
+                            $(Mop::$li { addr, offset, dst } => {
+                                let at = address!(addr, offset);
+                                let $lv = <$lt>::from_le_bytes(trapping!(self.load(at)));
+                                slot!(dst) = $le;
+                            })*
+                            $(Mop::$si { addr, val, offset } => {
+                                let at = address!(addr, offset);
+                                let $sv = slot!(val);
+                                trapping!(self.store(at, ($se).to_le_bytes()));
+                            })*
+                            Mop::Select { dst, b, cond } => {
+                                if slot!(cond) as u32 == 0 {
+                                    slot!(dst) = slot!(b);
+                                }
+                            }
+                            Mop::GlobalGet { global, dst } => {
+                                slot!(dst) = self.globals[global as usize]
+                            }
+                            Mop::GlobalSet { global, src } => {
+                                self.globals[global as usize] = slot!(src)
+                            }
+                            Mop::MemorySize { dst } => {
+                                let pages =
+                                    self.memory.as_ref().map(|m| m.size_pages()).unwrap_or(0);
+                                slot!(dst) = u64::from(pages);
+                            }
+                            Mop::MemoryGrow { delta, dst } => {
+                                let delta = slot!(delta) as u32;
+                                trapping!(self.check_grow_limit(delta));
+                                let result =
+                                    self.memory.as_mut().map_or(-1, |mem| mem.grow(delta));
+                                if result >= 0 {
+                                    self.charge(Charge::MemoryGrow {
+                                        pages: u64::from(delta),
+                                    });
+                                }
+                                slot!(dst) = result as u32 as u64;
+                            }
+                            Mop::Br(t) => break 'dispatch t,
+                            Mop::BrIf {
+                                cond,
+                                when_zero,
+                                target,
+                            } => {
+                                if (slot!(cond) as u32 == 0) == when_zero {
+                                    break 'dispatch target;
+                                }
+                                enter!(pc + 1);
+                            }
+                            Mop::BrTable { index, first, arms } => {
+                                break 'dispatch first + (slot!(index) as u32).min(arms)
+                            }
+                            Mop::Call { func, end } => call!(func, end),
+                            Mop::CallIndirect {
+                                type_index,
+                                index,
+                                end,
+                            } => {
+                                let entry = self.table.get(slot!(index) as u32 as usize);
+                                let target = entry
+                                    .ok_or(Trap::TableOutOfBounds)?
+                                    .ok_or(Trap::UninitializedElement)?;
+                                let module = &prepared.module;
+                                let actual_ty =
+                                    module.func_type(target).ok_or(Trap::UninitializedElement)?;
+                                if actual_ty != &module.types[type_index as usize] {
+                                    return Err(Trap::IndirectCallTypeMismatch);
+                                }
+                                call!(target, end)
+                            }
+                            Mop::Return(src) => ret!(src),
+                            Mop::Fall => enter!(pc + 1),
+                            Mop::Unreachable => return Err(Trap::Unreachable),
+                        }
+                        pc += 1;
+                        continue 'run;
+                    };
+                    // Take the branch: carry its value to the label's
+                    // height.
+                    let Target {
+                        pc: to,
+                        src,
+                        dst,
+                        keep,
+                        back_edge,
+                    } = targets[taken as usize];
+                    if to == NO_PC {
+                        ret!(src);
+                    }
+                    if keep {
+                        slot!(dst) = slot!(src);
+                    }
+                    if back_edge {
+                        // Loop hotness moves the band (tier-up is
+                        // OSR-style).
+                        self.note_hotness(def_index, 1);
+                        row = self.region_row(def_index, lowered);
+                    }
+                    pc = to as usize;
+                    enter!(pc);
+                }
+            };
+        }
+
+        enter!(0);
+        operators!(run)
     }
 
     /// Offset in `self.counters` of `def_index`'s row for its current
@@ -274,54 +329,27 @@ impl Instance {
         );
     }
 
-    /// Bounds-checked load returning untagged bits (extension baked into
-    /// `kind`); an out-of-bounds access traps with its address and width.
-    fn load_u64(&self, kind: LoadKind, addr: u64) -> Result<u64, Trap> {
-        // `mem.read` returns exactly `width` bytes, so the zero-pad in
-        // `arr` never fires; it exists to keep this path panic-free.
-        fn arr<const N: usize>(s: &[u8]) -> [u8; N] {
-            let mut b = [0u8; N];
-            for (d, x) in b.iter_mut().zip(s) {
-                *d = *x;
-            }
-            b
-        }
-        let width = kind.width();
-        let oob = Trap::MemoryOutOfBounds { addr, width };
-        let mem = self.memory.as_ref().ok_or(oob.clone())?;
-        let s = mem.read(addr, width).map_err(|_| oob)?;
-        Ok(match kind {
-            LoadKind::I32 => u32::from_le_bytes(arr(s)) as u64,
-            LoadKind::I64 => u64::from_le_bytes(arr(s)),
-            LoadKind::F32 => u32::from_le_bytes(arr(s)) as u64,
-            LoadKind::F64 => u64::from_le_bytes(arr(s)),
-            LoadKind::I32S8 => (s[0] as i8 as i32) as u32 as u64,
-            LoadKind::I32U8 => s[0] as u64,
-            LoadKind::I32S16 => (i16::from_le_bytes(arr(s)) as i32) as u32 as u64,
-            LoadKind::I32U16 => u16::from_le_bytes(arr(s)) as u64,
-            LoadKind::I64S8 => (s[0] as i8 as i64) as u64,
-            LoadKind::I64U8 => s[0] as u64,
-            LoadKind::I64S16 => (i16::from_le_bytes(arr(s)) as i64) as u64,
-            LoadKind::I64U16 => u16::from_le_bytes(arr(s)) as u64,
-            LoadKind::I64S32 => (i32::from_le_bytes(arr(s)) as i64) as u64,
-            LoadKind::I64U32 => u32::from_le_bytes(arr(s)) as u64,
-        })
+    /// The `N` bytes at effective address `addr`, read in place; out of
+    /// bounds, a trap with the address and the width.
+    #[inline(always)]
+    fn load<const N: usize>(&self, addr: u64) -> Result<[u8; N], Trap> {
+        (self.memory.as_ref())
+            .and_then(|mem| mem.load(addr).ok())
+            .ok_or(Trap::MemoryOutOfBounds {
+                addr,
+                width: N as u32,
+            })
     }
 
-    /// Bounds-checked store of untagged bits (truncation baked into
-    /// `kind`); an out-of-bounds access traps with its address and width.
-    fn store_u64(&mut self, kind: StoreKind, addr: u64, v: u64) -> Result<(), Trap> {
-        let width = kind.width();
-        let oob = Trap::MemoryOutOfBounds { addr, width };
-        let mem = self.memory.as_mut().ok_or(oob.clone())?;
-        let r = match kind {
-            StoreKind::I32 | StoreKind::I64As32 | StoreKind::F32 => {
-                mem.write(addr, &(v as u32).to_le_bytes())
-            }
-            StoreKind::I64 | StoreKind::F64 => mem.write(addr, &v.to_le_bytes()),
-            StoreKind::I32As8 | StoreKind::I64As8 => mem.write(addr, &[v as u8]),
-            StoreKind::I32As16 | StoreKind::I64As16 => mem.write(addr, &(v as u16).to_le_bytes()),
-        };
-        r.map_err(|_| oob)
+    /// Write `bytes` at effective address `addr`; out of bounds, a trap
+    /// with the address and the width, and memory is left as it was.
+    #[inline(always)]
+    fn store<const N: usize>(&mut self, addr: u64, bytes: [u8; N]) -> Result<(), Trap> {
+        (self.memory.as_mut())
+            .and_then(|mem| mem.store(addr, bytes).ok())
+            .ok_or(Trap::MemoryOutOfBounds {
+                addr,
+                width: N as u32,
+            })
     }
 }

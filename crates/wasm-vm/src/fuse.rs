@@ -22,6 +22,13 @@
 //!   falls into, a branch, a call, and any write to a local it reads.
 //!   With fusion off (`reference_exec`) every push is copied at once, so
 //!   every instruction that does work is one micro-op;
+//! * every operator and every memory access kind is a micro-op of its
+//!   own, named after its instruction: the one list [`operators!`] names
+//!   each entry and writes its semantics once, and makes the families
+//!   ([`BinOp`], [`UnOp`], [`LoadKind`], [`StoreKind`]), [`Mop`] and
+//!   (in `exec.rs`) the entry's dispatch arm, so running a micro-op is
+//!   one `match` on it; lowering builds an entry's micro-op from its
+//!   [`Operation`], and [`Mop::operation`] reads it back;
 //! * only instructions that do work are lowered: `nop`, `block` and
 //!   `drop` leave the stream, a `loop` or `end` too unless the next
 //!   instruction heads a region (then it is one [`Mop::Fall`] that
@@ -62,7 +69,6 @@
 //! region through it. See `DESIGN.md` §4 and §7.
 
 use crate::classify::{arith_kind, classify};
-use crate::trap::Trap;
 use crate::value::Value;
 use std::collections::HashMap;
 use wb_env::RegionTable;
@@ -96,28 +102,245 @@ pub(crate) fn bits_to_value(t: ValType, b: u64) -> Value {
 }
 
 #[inline]
-fn u_i32(v: i32) -> u64 {
+pub(crate) fn u_i32(v: i32) -> u64 {
     v as u32 as u64
 }
 
 #[inline]
-fn b_i32(x: u64) -> i32 {
+pub(crate) fn b_i32(x: u64) -> i32 {
     x as u32 as i32
 }
 
 #[inline]
-fn b_f32(x: u64) -> f32 {
+pub(crate) fn u_f32(v: f32) -> u64 {
+    v.to_bits() as u64
+}
+
+#[inline]
+pub(crate) fn b_f32(x: u64) -> f32 {
     f32::from_bits(x as u32)
 }
 
 #[inline]
-fn u_f32(v: f32) -> u64 {
-    v.to_bits() as u64
+pub(crate) fn u_f64(v: f64) -> u64 {
+    v.to_bits()
 }
 
+#[inline]
+pub(crate) fn b_f64(x: u64) -> f64 {
+    f64::from_bits(x)
+}
+
+/// The one list of lifted operators and memory accesses: each entry's
+/// name is its micro-op's and, for an operator, the [`Instr`] it lifts
+/// (a memory kind names its instruction after `=`), and its expression is
+/// its Wasm MVP semantics on untagged bits. `operators!(m)` hands the list
+/// to macro `m`: `define_operators!` below makes the families, their
+/// lifts and [`Mop`] from it, and `exec.rs` makes one dispatch arm per
+/// entry, where the expressions expand (so the helpers they name are
+/// imported there).
+///
+/// * An operator's operands are bound to the names in its parentheses; its
+///   expression is the result. An entry marked `traps` yields
+///   `Result<u64, Trap>`, the rest a `u64` with no `Result`.
+/// * A load binds the bytes it reads, as the typed value in its
+///   parentheses (whose size is the access width), and its expression
+///   widens that value to the slot's bits.
+/// * A store binds the slot's bits, and its expression is the value it
+///   writes (whose size is the access width). Every access traps out of
+///   bounds.
+macro_rules! operators {
+    ($then:ident) => {
+        $then! {
+            BinOp {
+                // i32 arithmetic / bitwise.
+                I32Add(a, b) => u_i32(b_i32(a).wrapping_add(b_i32(b))),
+                I32Sub(a, b) => u_i32(b_i32(a).wrapping_sub(b_i32(b))),
+                I32Mul(a, b) => u_i32(b_i32(a).wrapping_mul(b_i32(b))),
+                I32DivS(a, b) traps => match (b_i32(a), b_i32(b)) {
+                    (_, 0) => Err(Trap::DivByZero),
+                    (i32::MIN, -1) => Err(Trap::IntegerOverflow),
+                    (a, b) => Ok(u_i32(a.wrapping_div(b))),
+                },
+                I32DivU(a, b) traps => {
+                    (a as u32).checked_div(b as u32).map(u64::from).ok_or(Trap::DivByZero)
+                },
+                I32RemS(a, b) traps => match (b_i32(a), b_i32(b)) {
+                    (_, 0) => Err(Trap::DivByZero),
+                    (a, b) => Ok(u_i32(a.wrapping_rem(b))),
+                },
+                I32RemU(a, b) traps => {
+                    (a as u32).checked_rem(b as u32).map(u64::from).ok_or(Trap::DivByZero)
+                },
+                I32And(a, b) => u_i32(b_i32(a) & b_i32(b)),
+                I32Or(a, b) => u_i32(b_i32(a) | b_i32(b)),
+                I32Xor(a, b) => u_i32(b_i32(a) ^ b_i32(b)),
+                I32Shl(a, b) => u_i32(b_i32(a).wrapping_shl(b as u32)),
+                I32ShrS(a, b) => u_i32(b_i32(a).wrapping_shr(b as u32)),
+                I32ShrU(a, b) => u64::from((a as u32).wrapping_shr(b as u32)),
+                I32Rotl(a, b) => u_i32(b_i32(a).rotate_left(b as u32 & 31)),
+                I32Rotr(a, b) => u_i32(b_i32(a).rotate_right(b as u32 & 31)),
+                // i32 comparisons.
+                I32Eq(a, b) => (b_i32(a) == b_i32(b)) as u64,
+                I32Ne(a, b) => (b_i32(a) != b_i32(b)) as u64,
+                I32LtS(a, b) => (b_i32(a) < b_i32(b)) as u64,
+                I32LtU(a, b) => ((a as u32) < (b as u32)) as u64,
+                I32GtS(a, b) => (b_i32(a) > b_i32(b)) as u64,
+                I32GtU(a, b) => ((a as u32) > (b as u32)) as u64,
+                I32LeS(a, b) => (b_i32(a) <= b_i32(b)) as u64,
+                I32LeU(a, b) => ((a as u32) <= (b as u32)) as u64,
+                I32GeS(a, b) => (b_i32(a) >= b_i32(b)) as u64,
+                I32GeU(a, b) => ((a as u32) >= (b as u32)) as u64,
+                // i64 arithmetic / bitwise.
+                I64Add(a, b) => a.wrapping_add(b),
+                I64Sub(a, b) => a.wrapping_sub(b),
+                I64Mul(a, b) => a.wrapping_mul(b),
+                I64DivS(a, b) traps => match (a as i64, b as i64) {
+                    (_, 0) => Err(Trap::DivByZero),
+                    (i64::MIN, -1) => Err(Trap::IntegerOverflow),
+                    (a, b) => Ok(a.wrapping_div(b) as u64),
+                },
+                I64DivU(a, b) traps => a.checked_div(b).ok_or(Trap::DivByZero),
+                I64RemS(a, b) traps => match (a as i64, b as i64) {
+                    (_, 0) => Err(Trap::DivByZero),
+                    (a, b) => Ok(a.wrapping_rem(b) as u64),
+                },
+                I64RemU(a, b) traps => a.checked_rem(b).ok_or(Trap::DivByZero),
+                I64And(a, b) => a & b,
+                I64Or(a, b) => a | b,
+                I64Xor(a, b) => a ^ b,
+                I64Shl(a, b) => a.wrapping_shl(b as u32),
+                I64ShrS(a, b) => (a as i64).wrapping_shr(b as u32) as u64,
+                I64ShrU(a, b) => a.wrapping_shr(b as u32),
+                I64Rotl(a, b) => a.rotate_left(b as u32 & 63),
+                I64Rotr(a, b) => a.rotate_right(b as u32 & 63),
+                // i64 comparisons.
+                I64Eq(a, b) => (a == b) as u64,
+                I64Ne(a, b) => (a != b) as u64,
+                I64LtS(a, b) => ((a as i64) < (b as i64)) as u64,
+                I64LtU(a, b) => (a < b) as u64,
+                I64GtS(a, b) => ((a as i64) > (b as i64)) as u64,
+                I64GtU(a, b) => (a > b) as u64,
+                I64LeS(a, b) => ((a as i64) <= (b as i64)) as u64,
+                I64LeU(a, b) => (a <= b) as u64,
+                I64GeS(a, b) => ((a as i64) >= (b as i64)) as u64,
+                I64GeU(a, b) => (a >= b) as u64,
+                // f32: min and max widen exactly and narrow back.
+                F32Add(a, b) => u_f32(b_f32(a) + b_f32(b)),
+                F32Sub(a, b) => u_f32(b_f32(a) - b_f32(b)),
+                F32Mul(a, b) => u_f32(b_f32(a) * b_f32(b)),
+                F32Div(a, b) => u_f32(b_f32(a) / b_f32(b)),
+                F32Min(a, b) => u_f32(wasm_min(b_f32(a).into(), b_f32(b).into()) as f32),
+                F32Max(a, b) => u_f32(wasm_max(b_f32(a).into(), b_f32(b).into()) as f32),
+                F32Copysign(a, b) => u_f32(b_f32(a).copysign(b_f32(b))),
+                F32Eq(a, b) => (b_f32(a) == b_f32(b)) as u64,
+                F32Ne(a, b) => (b_f32(a) != b_f32(b)) as u64,
+                F32Lt(a, b) => (b_f32(a) < b_f32(b)) as u64,
+                F32Gt(a, b) => (b_f32(a) > b_f32(b)) as u64,
+                F32Le(a, b) => (b_f32(a) <= b_f32(b)) as u64,
+                F32Ge(a, b) => (b_f32(a) >= b_f32(b)) as u64,
+                // f64.
+                F64Add(a, b) => u_f64(b_f64(a) + b_f64(b)),
+                F64Sub(a, b) => u_f64(b_f64(a) - b_f64(b)),
+                F64Mul(a, b) => u_f64(b_f64(a) * b_f64(b)),
+                F64Div(a, b) => u_f64(b_f64(a) / b_f64(b)),
+                F64Min(a, b) => u_f64(wasm_min(b_f64(a), b_f64(b))),
+                F64Max(a, b) => u_f64(wasm_max(b_f64(a), b_f64(b))),
+                F64Copysign(a, b) => u_f64(b_f64(a).copysign(b_f64(b))),
+                F64Eq(a, b) => (b_f64(a) == b_f64(b)) as u64,
+                F64Ne(a, b) => (b_f64(a) != b_f64(b)) as u64,
+                F64Lt(a, b) => (b_f64(a) < b_f64(b)) as u64,
+                F64Gt(a, b) => (b_f64(a) > b_f64(b)) as u64,
+                F64Le(a, b) => (b_f64(a) <= b_f64(b)) as u64,
+                F64Ge(a, b) => (b_f64(a) >= b_f64(b)) as u64,
+            }
+            UnOp {
+                // Tests and bit counts.
+                I32Eqz(a) => (b_i32(a) == 0) as u64,
+                I32Clz(a) => u64::from((a as u32).leading_zeros()),
+                I32Ctz(a) => u64::from((a as u32).trailing_zeros()),
+                I32Popcnt(a) => u64::from((a as u32).count_ones()),
+                I64Eqz(a) => (a == 0) as u64,
+                I64Clz(a) => u64::from(a.leading_zeros()),
+                I64Ctz(a) => u64::from(a.trailing_zeros()),
+                I64Popcnt(a) => u64::from(a.count_ones()),
+                // Float unaries.
+                F32Abs(a) => u_f32(b_f32(a).abs()),
+                F32Neg(a) => u_f32(-b_f32(a)),
+                F32Ceil(a) => u_f32(b_f32(a).ceil()),
+                F32Floor(a) => u_f32(b_f32(a).floor()),
+                F32Trunc(a) => u_f32(b_f32(a).trunc()),
+                F32Nearest(a) => u_f32(b_f32(a).round_ties_even()),
+                F32Sqrt(a) => u_f32(b_f32(a).sqrt()),
+                F64Abs(a) => u_f64(b_f64(a).abs()),
+                F64Neg(a) => u_f64(-b_f64(a)),
+                F64Ceil(a) => u_f64(b_f64(a).ceil()),
+                F64Floor(a) => u_f64(b_f64(a).floor()),
+                F64Trunc(a) => u_f64(b_f64(a).trunc()),
+                F64Nearest(a) => u_f64(b_f64(a).round_ties_even()),
+                F64Sqrt(a) => u_f64(b_f64(a).sqrt()),
+                // Conversions: a truncation out of range traps.
+                I32WrapI64(a) => u_i32(a as i32),
+                I32TruncF32S(a) traps => trunc_to_i32(b_f32(a).into()).map(u_i32),
+                I32TruncF32U(a) traps => trunc_to_u32(b_f32(a).into()).map(u64::from),
+                I32TruncF64S(a) traps => trunc_to_i32(b_f64(a)).map(u_i32),
+                I32TruncF64U(a) traps => trunc_to_u32(b_f64(a)).map(u64::from),
+                I64ExtendI32S(a) => i64::from(b_i32(a)) as u64,
+                I64ExtendI32U(a) => u64::from(a as u32),
+                I64TruncF32S(a) traps => trunc_to_i64(b_f32(a).into()).map(|v| v as u64),
+                I64TruncF32U(a) traps => trunc_to_u64(b_f32(a).into()),
+                I64TruncF64S(a) traps => trunc_to_i64(b_f64(a)).map(|v| v as u64),
+                I64TruncF64U(a) traps => trunc_to_u64(b_f64(a)),
+                F32ConvertI32S(a) => u_f32(b_i32(a) as f32),
+                F32ConvertI32U(a) => u_f32(a as u32 as f32),
+                F32ConvertI64S(a) => u_f32(a as i64 as f32),
+                F32ConvertI64U(a) => u_f32(a as f32),
+                F32DemoteF64(a) => u_f32(b_f64(a) as f32),
+                F64ConvertI32S(a) => u_f64(b_i32(a).into()),
+                F64ConvertI32U(a) => u_f64((a as u32).into()),
+                F64ConvertI64S(a) => u_f64(a as i64 as f64),
+                F64ConvertI64U(a) => u_f64(a as f64),
+                F64PromoteF32(a) => u_f64(b_f32(a).into()),
+                // Reinterpretations keep the bits.
+                I32ReinterpretF32(a) => a & 0xFFFF_FFFF,
+                I64ReinterpretF64(a) => a,
+                F32ReinterpretI32(a) => a & 0xFFFF_FFFF,
+                F64ReinterpretI64(a) => a,
+            }
+            LoadKind {
+                I32 = I32Load(v: u32) => u64::from(v),
+                I64 = I64Load(v: u64) => v,
+                F32 = F32Load(v: u32) => u64::from(v),
+                F64 = F64Load(v: u64) => v,
+                I32S8 = I32Load8S(v: i8) => u_i32(v.into()),
+                I32U8 = I32Load8U(v: u8) => u64::from(v),
+                I32S16 = I32Load16S(v: i16) => u_i32(v.into()),
+                I32U16 = I32Load16U(v: u16) => u64::from(v),
+                I64S8 = I64Load8S(v: i8) => i64::from(v) as u64,
+                I64U8 = I64Load8U(v: u8) => u64::from(v),
+                I64S16 = I64Load16S(v: i16) => i64::from(v) as u64,
+                I64U16 = I64Load16U(v: u16) => u64::from(v),
+                I64S32 = I64Load32S(v: i32) => i64::from(v) as u64,
+                I64U32 = I64Load32U(v: u32) => u64::from(v),
+            }
+            StoreKind {
+                I32 = I32Store(v) => v as u32,
+                I64 = I64Store(v) => v,
+                F32 = F32Store(v) => v as u32,
+                F64 = F64Store(v) => v,
+                I32As8 = I32Store8(v) => v as u8,
+                I32As16 = I32Store16(v) => v as u16,
+                I64As8 = I64Store8(v) => v as u8,
+                I64As16 = I64Store16(v) => v as u16,
+                I64As32 = I64Store32(v) => v as u32,
+            }
+        }
+    };
+}
+pub(crate) use operators;
+
 /// Declares one family of lifted numeric operators. Each name is both the
-/// family's variant and the [`Instr`] variant it lifts, so the list below
-/// is the only place a family names its operators. Generates the enum,
+/// family's variant and the [`Instr`] variant it lifts. Generates the enum,
 /// `ALL` and the lifts `of`/`instr`. The family keeps no charge table:
 /// what an operator costs is counted by the region it runs in, from its
 /// source instruction.
@@ -151,293 +374,9 @@ macro_rules! lifted_ops {
     };
 }
 
-lifted_ops! {
-    /// Binary operators with type knowledge baked in, operating on untagged
-    /// bits, with Wasm MVP semantics.
-    BinOp {
-        // i32 arithmetic / bitwise.
-        I32Add, I32Sub, I32Mul, I32DivS, I32DivU, I32RemS, I32RemU,
-        I32And, I32Or, I32Xor, I32Shl, I32ShrS, I32ShrU, I32Rotl, I32Rotr,
-        // i32 comparisons.
-        I32Eq, I32Ne, I32LtS, I32LtU, I32GtS, I32GtU, I32LeS, I32LeU, I32GeS, I32GeU,
-        // i64 arithmetic / bitwise.
-        I64Add, I64Sub, I64Mul, I64DivS, I64DivU, I64RemS, I64RemU,
-        I64And, I64Or, I64Xor, I64Shl, I64ShrS, I64ShrU, I64Rotl, I64Rotr,
-        // i64 comparisons.
-        I64Eq, I64Ne, I64LtS, I64LtU, I64GtS, I64GtU, I64LeS, I64LeU, I64GeS, I64GeU,
-        // f32.
-        F32Add, F32Sub, F32Mul, F32Div, F32Min, F32Max, F32Copysign,
-        F32Eq, F32Ne, F32Lt, F32Gt, F32Le, F32Ge,
-        // f64.
-        F64Add, F64Sub, F64Mul, F64Div, F64Min, F64Max, F64Copysign,
-        F64Eq, F64Ne, F64Lt, F64Gt, F64Le, F64Ge,
-    }
-}
-
-lifted_ops! {
-    /// Unary operators (tests, bit counts, float unaries, conversions) on
-    /// untagged bits.
-    UnOp {
-        I32Eqz, I32Clz, I32Ctz, I32Popcnt, I64Eqz, I64Clz, I64Ctz, I64Popcnt,
-        F32Abs, F32Neg, F32Ceil, F32Floor, F32Trunc, F32Nearest, F32Sqrt,
-        F64Abs, F64Neg, F64Ceil, F64Floor, F64Trunc, F64Nearest, F64Sqrt,
-        I32WrapI64, I32TruncF32S, I32TruncF32U, I32TruncF64S, I32TruncF64U,
-        I64ExtendI32S, I64ExtendI32U, I64TruncF32S, I64TruncF32U, I64TruncF64S, I64TruncF64U,
-        F32ConvertI32S, F32ConvertI32U, F32ConvertI64S, F32ConvertI64U, F32DemoteF64,
-        F64ConvertI32S, F64ConvertI32U, F64ConvertI64S, F64ConvertI64U, F64PromoteF32,
-        I32ReinterpretF32, I64ReinterpretF64, F32ReinterpretI32, F64ReinterpretI64,
-    }
-}
-
-macro_rules! i32_bin {
-    ($a:expr, $b:expr, $f:expr) => {{
-        let f: fn(i32, i32) -> i32 = $f;
-        u_i32(f(b_i32($a), b_i32($b)))
-    }};
-}
-macro_rules! i32_cmp {
-    ($a:expr, $b:expr, $f:expr) => {{
-        let f: fn(i32, i32) -> bool = $f;
-        f(b_i32($a), b_i32($b)) as u64
-    }};
-}
-macro_rules! i64_bin {
-    ($a:expr, $b:expr, $f:expr) => {{
-        let f: fn(i64, i64) -> i64 = $f;
-        f($a as i64, $b as i64) as u64
-    }};
-}
-macro_rules! i64_cmp {
-    ($a:expr, $b:expr, $f:expr) => {{
-        let f: fn(i64, i64) -> bool = $f;
-        f($a as i64, $b as i64) as u64
-    }};
-}
-macro_rules! f32_bin {
-    ($a:expr, $b:expr, $f:expr) => {{
-        let f: fn(f32, f32) -> f32 = $f;
-        u_f32(f(b_f32($a), b_f32($b)))
-    }};
-}
-macro_rules! f32_cmp {
-    ($a:expr, $b:expr, $f:expr) => {{
-        let f: fn(f32, f32) -> bool = $f;
-        f(b_f32($a), b_f32($b)) as u64
-    }};
-}
-macro_rules! f64_bin {
-    ($a:expr, $b:expr, $f:expr) => {{
-        let f: fn(f64, f64) -> f64 = $f;
-        f(f64::from_bits($a), f64::from_bits($b)).to_bits()
-    }};
-}
-macro_rules! f64_cmp {
-    ($a:expr, $b:expr, $f:expr) => {{
-        let f: fn(f64, f64) -> bool = $f;
-        f(f64::from_bits($a), f64::from_bits($b)) as u64
-    }};
-}
-
-impl BinOp {
-    /// Execute on untagged bits.
-    #[inline]
-    pub(crate) fn apply(self, a: u64, b: u64) -> Result<u64, Trap> {
-        use crate::interp::{wasm_max, wasm_min};
-        use BinOp::*;
-        Ok(match self {
-            I32Add => i32_bin!(a, b, i32::wrapping_add),
-            I32Sub => i32_bin!(a, b, i32::wrapping_sub),
-            I32Mul => i32_bin!(a, b, i32::wrapping_mul),
-            I32DivS => {
-                let (a, b) = (b_i32(a), b_i32(b));
-                if b == 0 {
-                    return Err(Trap::DivByZero);
-                }
-                if a == i32::MIN && b == -1 {
-                    return Err(Trap::IntegerOverflow);
-                }
-                u_i32(a.wrapping_div(b))
-            }
-            I32DivU => {
-                let (a, b) = (a as u32, b as u32);
-                if b == 0 {
-                    return Err(Trap::DivByZero);
-                }
-                u_i32((a / b) as i32)
-            }
-            I32RemS => {
-                let (a, b) = (b_i32(a), b_i32(b));
-                if b == 0 {
-                    return Err(Trap::DivByZero);
-                }
-                u_i32(a.wrapping_rem(b))
-            }
-            I32RemU => {
-                let (a, b) = (a as u32, b as u32);
-                if b == 0 {
-                    return Err(Trap::DivByZero);
-                }
-                u_i32((a % b) as i32)
-            }
-            I32And => i32_bin!(a, b, |a, b| a & b),
-            I32Or => i32_bin!(a, b, |a, b| a | b),
-            I32Xor => i32_bin!(a, b, |a, b| a ^ b),
-            I32Shl => i32_bin!(a, b, |a, b| a.wrapping_shl(b as u32)),
-            I32ShrS => i32_bin!(a, b, |a, b| a.wrapping_shr(b as u32)),
-            I32ShrU => i32_bin!(a, b, |a, b| ((a as u32).wrapping_shr(b as u32)) as i32),
-            I32Rotl => i32_bin!(a, b, |a, b| a.rotate_left(b as u32 & 31)),
-            I32Rotr => i32_bin!(a, b, |a, b| a.rotate_right(b as u32 & 31)),
-            I32Eq => i32_cmp!(a, b, |a, b| a == b),
-            I32Ne => i32_cmp!(a, b, |a, b| a != b),
-            I32LtS => i32_cmp!(a, b, |a, b| a < b),
-            I32LtU => i32_cmp!(a, b, |a, b| (a as u32) < (b as u32)),
-            I32GtS => i32_cmp!(a, b, |a, b| a > b),
-            I32GtU => i32_cmp!(a, b, |a, b| (a as u32) > (b as u32)),
-            I32LeS => i32_cmp!(a, b, |a, b| a <= b),
-            I32LeU => i32_cmp!(a, b, |a, b| (a as u32) <= (b as u32)),
-            I32GeS => i32_cmp!(a, b, |a, b| a >= b),
-            I32GeU => i32_cmp!(a, b, |a, b| (a as u32) >= (b as u32)),
-            I64Add => i64_bin!(a, b, i64::wrapping_add),
-            I64Sub => i64_bin!(a, b, i64::wrapping_sub),
-            I64Mul => i64_bin!(a, b, i64::wrapping_mul),
-            I64DivS => {
-                let (a, b) = (a as i64, b as i64);
-                if b == 0 {
-                    return Err(Trap::DivByZero);
-                }
-                if a == i64::MIN && b == -1 {
-                    return Err(Trap::IntegerOverflow);
-                }
-                a.wrapping_div(b) as u64
-            }
-            I64DivU => {
-                if b == 0 {
-                    return Err(Trap::DivByZero);
-                }
-                a / b
-            }
-            I64RemS => {
-                let (a, b) = (a as i64, b as i64);
-                if b == 0 {
-                    return Err(Trap::DivByZero);
-                }
-                a.wrapping_rem(b) as u64
-            }
-            I64RemU => {
-                if b == 0 {
-                    return Err(Trap::DivByZero);
-                }
-                a % b
-            }
-            I64And => a & b,
-            I64Or => a | b,
-            I64Xor => a ^ b,
-            I64Shl => i64_bin!(a, b, |a, b| a.wrapping_shl(b as u32)),
-            I64ShrS => i64_bin!(a, b, |a, b| a.wrapping_shr(b as u32)),
-            I64ShrU => i64_bin!(a, b, |a, b| ((a as u64).wrapping_shr(b as u32)) as i64),
-            I64Rotl => i64_bin!(a, b, |a, b| a.rotate_left(b as u32 & 63)),
-            I64Rotr => i64_bin!(a, b, |a, b| a.rotate_right(b as u32 & 63)),
-            I64Eq => i64_cmp!(a, b, |a, b| a == b),
-            I64Ne => i64_cmp!(a, b, |a, b| a != b),
-            I64LtS => i64_cmp!(a, b, |a, b| a < b),
-            I64LtU => i64_cmp!(a, b, |a, b| (a as u64) < (b as u64)),
-            I64GtS => i64_cmp!(a, b, |a, b| a > b),
-            I64GtU => i64_cmp!(a, b, |a, b| (a as u64) > (b as u64)),
-            I64LeS => i64_cmp!(a, b, |a, b| a <= b),
-            I64LeU => i64_cmp!(a, b, |a, b| (a as u64) <= (b as u64)),
-            I64GeS => i64_cmp!(a, b, |a, b| a >= b),
-            I64GeU => i64_cmp!(a, b, |a, b| (a as u64) >= (b as u64)),
-            F32Add => f32_bin!(a, b, |a, b| a + b),
-            F32Sub => f32_bin!(a, b, |a, b| a - b),
-            F32Mul => f32_bin!(a, b, |a, b| a * b),
-            F32Div => f32_bin!(a, b, |a, b| a / b),
-            F32Min => f32_bin!(a, b, |a, b| wasm_min(a.into(), b.into()) as f32),
-            F32Max => f32_bin!(a, b, |a, b| wasm_max(a.into(), b.into()) as f32),
-            F32Copysign => f32_bin!(a, b, f32::copysign),
-            F32Eq => f32_cmp!(a, b, |a, b| a == b),
-            F32Ne => f32_cmp!(a, b, |a, b| a != b),
-            F32Lt => f32_cmp!(a, b, |a, b| a < b),
-            F32Gt => f32_cmp!(a, b, |a, b| a > b),
-            F32Le => f32_cmp!(a, b, |a, b| a <= b),
-            F32Ge => f32_cmp!(a, b, |a, b| a >= b),
-            F64Add => f64_bin!(a, b, |a, b| a + b),
-            F64Sub => f64_bin!(a, b, |a, b| a - b),
-            F64Mul => f64_bin!(a, b, |a, b| a * b),
-            F64Div => f64_bin!(a, b, |a, b| a / b),
-            F64Min => f64_bin!(a, b, wasm_min),
-            F64Max => f64_bin!(a, b, wasm_max),
-            F64Copysign => f64_bin!(a, b, f64::copysign),
-            F64Eq => f64_cmp!(a, b, |a, b| a == b),
-            F64Ne => f64_cmp!(a, b, |a, b| a != b),
-            F64Lt => f64_cmp!(a, b, |a, b| a < b),
-            F64Gt => f64_cmp!(a, b, |a, b| a > b),
-            F64Le => f64_cmp!(a, b, |a, b| a <= b),
-            F64Ge => f64_cmp!(a, b, |a, b| a >= b),
-        })
-    }
-}
-
-impl UnOp {
-    /// Execute on untagged bits.
-    #[inline]
-    pub(crate) fn apply(self, a: u64) -> Result<u64, Trap> {
-        use crate::interp::{trunc_to_i32, trunc_to_i64, trunc_to_u32, trunc_to_u64};
-        use UnOp::*;
-        Ok(match self {
-            I32Eqz => (b_i32(a) == 0) as u64,
-            I32Clz => u_i32(b_i32(a).leading_zeros() as i32),
-            I32Ctz => u_i32(b_i32(a).trailing_zeros() as i32),
-            I32Popcnt => u_i32(b_i32(a).count_ones() as i32),
-            I64Eqz => ((a as i64) == 0) as u64,
-            I64Clz => (a as i64).leading_zeros() as u64,
-            I64Ctz => (a as i64).trailing_zeros() as u64,
-            I64Popcnt => (a as i64).count_ones() as u64,
-            F32Abs => u_f32(b_f32(a).abs()),
-            F32Neg => u_f32(-b_f32(a)),
-            F32Ceil => u_f32(b_f32(a).ceil()),
-            F32Floor => u_f32(b_f32(a).floor()),
-            F32Trunc => u_f32(b_f32(a).trunc()),
-            F32Nearest => u_f32(b_f32(a).round_ties_even()),
-            F32Sqrt => u_f32(b_f32(a).sqrt()),
-            F64Abs => f64::from_bits(a).abs().to_bits(),
-            F64Neg => (-f64::from_bits(a)).to_bits(),
-            F64Ceil => f64::from_bits(a).ceil().to_bits(),
-            F64Floor => f64::from_bits(a).floor().to_bits(),
-            F64Trunc => f64::from_bits(a).trunc().to_bits(),
-            F64Nearest => f64::from_bits(a).round_ties_even().to_bits(),
-            F64Sqrt => f64::from_bits(a).sqrt().to_bits(),
-            I32WrapI64 => u_i32(a as i64 as i32),
-            I32TruncF32S => u_i32(trunc_to_i32(b_f32(a) as f64)?),
-            I32TruncF32U => u_i32(trunc_to_u32(b_f32(a) as f64)? as i32),
-            I32TruncF64S => u_i32(trunc_to_i32(f64::from_bits(a))?),
-            I32TruncF64U => u_i32(trunc_to_u32(f64::from_bits(a))? as i32),
-            I64ExtendI32S => (b_i32(a) as i64) as u64,
-            I64ExtendI32U => (b_i32(a) as u32 as i64) as u64,
-            I64TruncF32S => trunc_to_i64(b_f32(a) as f64)? as u64,
-            I64TruncF32U => trunc_to_u64(b_f32(a) as f64)?,
-            I64TruncF64S => trunc_to_i64(f64::from_bits(a))? as u64,
-            I64TruncF64U => trunc_to_u64(f64::from_bits(a))?,
-            F32ConvertI32S => u_f32(b_i32(a) as f32),
-            F32ConvertI32U => u_f32((b_i32(a) as u32) as f32),
-            F32ConvertI64S => u_f32((a as i64) as f32),
-            F32ConvertI64U => u_f32(a as f32),
-            F32DemoteF64 => u_f32(f64::from_bits(a) as f32),
-            F64ConvertI32S => (b_i32(a) as f64).to_bits(),
-            F64ConvertI32U => ((b_i32(a) as u32) as f64).to_bits(),
-            F64ConvertI64S => ((a as i64) as f64).to_bits(),
-            F64ConvertI64U => (a as f64).to_bits(),
-            F64PromoteF32 => (b_f32(a) as f64).to_bits(),
-            I32ReinterpretF32 => a & 0xFFFF_FFFF,
-            I64ReinterpretF64 => a,
-            F32ReinterpretI32 => a & 0xFFFF_FFFF,
-            F64ReinterpretI64 => a,
-        })
-    }
-}
-
-/// Declares one memory-access family as (kind, [`Instr`] variant) pairs,
-/// the only place the family names its instructions. Generates the enum,
-/// `ALL`, and the lifts `of`/`instr`, which carry the static offset.
+/// Declares one memory-access family as (kind, [`Instr`] variant) pairs.
+/// Generates the enum, `ALL`, and the lifts `of`/`instr`, which carry the
+/// static offset.
 macro_rules! memory_ops {
     ($(#[$doc:meta])* $family:ident { $($kind:ident = $instr:ident),* $(,)? }) => {
         $(#[$doc])*
@@ -471,78 +410,162 @@ macro_rules! memory_ops {
     };
 }
 
-memory_ops! {
-    /// Memory-load flavor with the extension behaviour baked in.
-    LoadKind {
-        I32 = I32Load, I64 = I64Load, F32 = F32Load, F64 = F64Load,
-        I32S8 = I32Load8S, I32U8 = I32Load8U, I32S16 = I32Load16S, I32U16 = I32Load16U,
-        I64S8 = I64Load8S, I64U8 = I64Load8U, I64S16 = I64Load16S, I64U16 = I64Load16U,
-        I64S32 = I64Load32S, I64U32 = I64Load32U,
-    }
-}
-
-memory_ops! {
-    /// Memory-store flavor with the truncation behaviour baked in.
-    StoreKind {
-        I32 = I32Store, I64 = I64Store, F32 = F32Store, F64 = F64Store,
-        I32As8 = I32Store8, I32As16 = I32Store16,
-        I64As8 = I64Store8, I64As16 = I64Store16, I64As32 = I64Store32,
-    }
-}
-
-impl LoadKind {
-    /// Access width in bytes (also the trap's reported width).
-    #[inline]
-    pub(crate) fn width(self) -> u32 {
-        use LoadKind::*;
-        match self {
-            I32S8 | I32U8 | I64S8 | I64U8 => 1,
-            I32S16 | I32U16 | I64S16 | I64U16 => 2,
-            I32 | F32 | I64S32 | I64U32 => 4,
-            I64 | F64 => 8,
+/// Makes, from the operator list, the four families and [`Mop`], with one
+/// micro-op per entry (named after its instruction), and the conversions
+/// between an entry's micro-op and its [`Operation`].
+macro_rules! define_operators {
+    (
+        BinOp { $($bin:ident($($_ba:ident),*) $($_bt:ident)? => $_be:expr,)* }
+        UnOp { $($un:ident($_ua:ident) $($_ut:ident)? => $_ue:expr,)* }
+        LoadKind { $($load:ident = $li:ident($_lv:ident: $_lt:ty) => $_le:expr,)* }
+        StoreKind { $($store:ident = $si:ident($_sv:ident) => $_se:expr,)* }
+    ) => {
+        lifted_ops! {
+            /// Binary operators on untagged bits.
+            BinOp { $($bin),* }
         }
-    }
-}
 
-impl StoreKind {
-    /// Access width in bytes (also the trap's reported width).
-    #[inline]
-    pub(crate) fn width(self) -> u32 {
-        use StoreKind::*;
-        match self {
-            I32As8 | I64As8 => 1,
-            I32As16 | I64As16 => 2,
-            I32 | F32 | I64As32 => 4,
-            I64 | F64 => 8,
+        lifted_ops! {
+            /// Unary operators (tests, bit counts, float unaries,
+            /// conversions) on untagged bits.
+            UnOp { $($un),* }
         }
-    }
+
+        memory_ops! {
+            /// Memory-load flavor with the extension behaviour baked in.
+            LoadKind { $($load = $li),* }
+        }
+
+        memory_ops! {
+            /// Memory-store flavor with the truncation behaviour baked in.
+            StoreKind { $($store = $si),* }
+        }
+
+        /// One micro-op. Every operand and result is a `u32` slot of the
+        /// frame (`params | locals | constants | operands`, see
+        /// [`LoweredFunc`]), every branch holds the index of its resolved
+        /// [`Target`] in [`LoweredFunc::targets`], and an instruction that
+        /// only moves a value onto the operand stack (`local.get`, a
+        /// constant) or off it (`drop`) lowers to nothing when fusion is
+        /// on: its slot is named by the micro-op that reads it. Each
+        /// operator and each memory access kind is a micro-op of its own,
+        /// named after its instruction (`I32Add { a, b, dst }`,
+        /// `I32Load8U { addr, offset, dst }`, `I64Store { addr, val,
+        /// offset }`), so the dispatch on the micro-op selects the work.
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        #[allow(missing_docs)]
+        pub(crate) enum Mop {
+            Copy {
+                src: u32,
+                dst: u32,
+            },
+            $($bin { a: u32, b: u32, dst: u32 },)*
+            $($un { a: u32, dst: u32 },)*
+            $($li { addr: u32, offset: u32, dst: u32 },)*
+            $($si { addr: u32, val: u32, offset: u32 },)*
+            /// `dst` already holds the first operand: it takes `b` when
+            /// `cond` is zero.
+            Select {
+                dst: u32,
+                b: u32,
+                cond: u32,
+            },
+            GlobalGet {
+                global: u32,
+                dst: u32,
+            },
+            GlobalSet {
+                global: u32,
+                src: u32,
+            },
+            MemorySize {
+                dst: u32,
+            },
+            MemoryGrow {
+                delta: u32,
+                dst: u32,
+            },
+            /// A `br`, or the `else` that ends a then-arm.
+            Br(u32),
+            /// A `br_if`, taken when `cond` is nonzero, or zero with
+            /// `when_zero`: an `if` (to its false edge) and an `i32.eqz`
+            /// before either.
+            BrIf {
+                cond: u32,
+                when_zero: bool,
+                target: u32,
+            },
+            /// The first of the arms' consecutive targets and the number
+            /// of arms before the default, which is the last.
+            BrTable {
+                index: u32,
+                first: u32,
+                arms: u32,
+            },
+            /// The callee's frame starts at its arguments, the slots below
+            /// `end`.
+            Call {
+                func: u32,
+                end: u32,
+            },
+            CallIndirect {
+                type_index: u32,
+                index: u32,
+                end: u32,
+            },
+            /// Returns with the result, if the function has one, in this
+            /// slot.
+            Return(u32),
+            /// A `loop` or `end` kept because the next instruction heads a
+            /// region: falls through into it. Every other `nop`, `block`,
+            /// `loop` and `end` does no work and leaves the stream.
+            Fall,
+            Unreachable,
+        }
+
+        impl From<Operation> for Mop {
+            /// The micro-op of an operation's entry, over its slots.
+            fn from(op: Operation) -> Mop {
+                match op {
+                    $(Operation::Bin { op: BinOp::$bin, a, b, dst } => Mop::$bin { a, b, dst },)*
+                    $(Operation::Un { op: UnOp::$un, a, dst } => Mop::$un { a, dst },)*
+                    $(Operation::Load { kind: LoadKind::$load, addr, offset, dst } => {
+                        Mop::$li { addr, offset, dst }
+                    })*
+                    $(Operation::Store { kind: StoreKind::$store, addr, val, offset } => {
+                        Mop::$si { addr, val, offset }
+                    })*
+                }
+            }
+        }
+
+        impl Mop {
+            /// The operation this micro-op runs, read back as its entry
+            /// and slots, if it runs an operator or a memory access.
+            pub(crate) fn operation(&self) -> Option<Operation> {
+                Some(match *self {
+                    $(Mop::$bin { a, b, dst } => Operation::Bin { op: BinOp::$bin, a, b, dst },)*
+                    $(Mop::$un { a, dst } => Operation::Un { op: UnOp::$un, a, dst },)*
+                    $(Mop::$li { addr, offset, dst } => {
+                        Operation::Load { kind: LoadKind::$load, addr, offset, dst }
+                    })*
+                    $(Mop::$si { addr, val, offset } => {
+                        Operation::Store { kind: StoreKind::$store, addr, val, offset }
+                    })*
+                    _ => return None,
+                })
+            }
+        }
+    };
 }
 
-/// The bits of a constant instruction.
-pub(crate) fn const_bits_of(i: &Instr) -> Option<u64> {
-    Some(match i {
-        Instr::I32Const(v) => u_i32(*v),
-        Instr::I64Const(v) => *v as u64,
-        Instr::F32Const(f) => u_f32(*f),
-        Instr::F64Const(f) => f.to_bits(),
-        _ => None?,
-    })
-}
+operators!(define_operators);
 
-/// One micro-op. Every operand and result is a `u32` slot of the frame
-/// (`params | locals | constants | operands`, see [`LoweredFunc`]), every
-/// branch holds the index of its resolved [`Target`] in
-/// [`LoweredFunc::targets`], and an instruction that only moves a value
-/// onto the operand stack (`local.get`, a constant) or off it (`drop`)
-/// lowers to nothing when fusion is on: its slot is named by the
-/// micro-op that reads it.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// An operator or memory access with the slots it reads and writes: what
+/// lowering builds its micro-op from and the audit reads back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)]
-pub(crate) enum Mop {
-    Copy {
-        src: u32,
-        dst: u32,
-    },
+pub(crate) enum Operation {
     Bin {
         op: BinOp,
         a: u32,
@@ -566,61 +589,29 @@ pub(crate) enum Mop {
         val: u32,
         offset: u32,
     },
-    /// `dst` already holds the first operand: it takes `b` when `cond`
-    /// is zero.
-    Select {
-        dst: u32,
-        b: u32,
-        cond: u32,
-    },
-    GlobalGet {
-        global: u32,
-        dst: u32,
-    },
-    GlobalSet {
-        global: u32,
-        src: u32,
-    },
-    MemorySize {
-        dst: u32,
-    },
-    MemoryGrow {
-        delta: u32,
-        dst: u32,
-    },
-    /// A `br`, or the `else` that ends a then-arm.
-    Br(u32),
-    /// A `br_if`, taken when `cond` is nonzero, or zero with `when_zero`:
-    /// an `if` (to its false edge) and an `i32.eqz` before either.
-    BrIf {
-        cond: u32,
-        when_zero: bool,
-        target: u32,
-    },
-    /// The first of the arms' consecutive targets and the number of arms
-    /// before the default, which is the last.
-    BrTable {
-        index: u32,
-        first: u32,
-        arms: u32,
-    },
-    /// The callee's frame starts at its arguments, the slots below `end`.
-    Call {
-        func: u32,
-        end: u32,
-    },
-    CallIndirect {
-        type_index: u32,
-        index: u32,
-        end: u32,
-    },
-    /// Returns with the result, if the function has one, in this slot.
-    Return(u32),
-    /// A `loop` or `end` kept because the next instruction heads a
-    /// region: falls through into it. Every other `nop`, `block`,
-    /// `loop` and `end` does no work and leaves the stream.
-    Fall,
-    Unreachable,
+}
+
+impl Operation {
+    /// The instruction this operation lowers.
+    pub(crate) fn instr(self) -> Instr {
+        match self {
+            Operation::Bin { op, .. } => op.instr(),
+            Operation::Un { op, .. } => op.instr(),
+            Operation::Load { kind, offset, .. } => kind.instr(offset),
+            Operation::Store { kind, offset, .. } => kind.instr(offset),
+        }
+    }
+}
+
+/// The bits of a constant instruction.
+pub(crate) fn const_bits_of(i: &Instr) -> Option<u64> {
+    Some(match i {
+        Instr::I32Const(v) => u_i32(*v),
+        Instr::I64Const(v) => *v as u64,
+        Instr::F32Const(f) => u_f32(*f),
+        Instr::F64Const(f) => f.to_bits(),
+        _ => None?,
+    })
 }
 
 /// Where a branch goes, resolved once at lowering.
@@ -1070,26 +1061,32 @@ pub(crate) fn lower(
                     r.push(const_slot[&c]);
                 } else if let Some(op) = BinOp::of(instr) {
                     let (b, a) = (r.pop(), r.pop());
-                    with = r.produce(next, |dst| Mop::Bin { op, a, b, dst });
+                    with = r.produce(next, |dst| Operation::Bin { op, a, b, dst }.into());
                 } else if let Some(op) = UnOp::of(instr) {
                     let a = r.pop();
-                    with = r.produce(next, |dst| Mop::Un { op, a, dst });
+                    with = r.produce(next, |dst| Operation::Un { op, a, dst }.into());
                 } else if let Some((kind, offset)) = LoadKind::of(instr) {
                     let addr = r.pop();
-                    with = r.produce(next, |dst| Mop::Load {
-                        kind,
-                        addr,
-                        offset,
-                        dst,
+                    with = r.produce(next, |dst| {
+                        Operation::Load {
+                            kind,
+                            addr,
+                            offset,
+                            dst,
+                        }
+                        .into()
                     });
                 } else if let Some((kind, offset)) = StoreKind::of(instr) {
                     let (val, addr) = (r.pop(), r.pop());
-                    r.emit(Mop::Store {
-                        kind,
-                        addr,
-                        val,
-                        offset,
-                    });
+                    r.emit(
+                        Operation::Store {
+                            kind,
+                            addr,
+                            val,
+                            offset,
+                        }
+                        .into(),
+                    );
                 }
             }
         }
@@ -1145,7 +1142,14 @@ mod tests {
     /// Lower `body` as a `[] -> []` function with i32 locals 0-2, f64
     /// local 3, a mutable i32 global and a memory; the body must validate.
     fn lower_body_with(body: Vec<Instr>, fuse: bool) -> LoweredFunc {
-        let module = Module {
+        let module = module_of(body);
+        let heights = wb_wasm::operand_heights(&module, 0).expect("test bodies validate");
+        lower(&module.functions[0], &module, &heights, fuse)
+    }
+
+    /// The one-function module `lower_body_with` lowers.
+    fn module_of(body: Vec<Instr>) -> Module {
+        Module {
             functions: vec![wb_wasm::Function {
                 type_index: 0,
                 locals: vec![ValType::I32, ValType::I32, ValType::I32, ValType::F64],
@@ -1167,9 +1171,7 @@ mod tests {
                 limits: Limits::at_least(1),
             }),
             ..Default::default()
-        };
-        let heights = wb_wasm::operand_heights(&module, 0).expect("test bodies validate");
-        lower(&module.functions[0], &module, &heights, fuse)
+        }
     }
 
     /// The target index a micro-op holds, if it branches.
@@ -1264,6 +1266,91 @@ mod tests {
         }
     }
 
+    #[test]
+    fn every_entry_lowers_to_a_micro_op_of_its_own() {
+        // Each entry of the four families, as the operation it lowers to
+        // when its operands are in slots `a` and `b` and its result goes
+        // to slot 4 (operand height 0, past the four locals).
+        type Make = Box<dyn Fn(u32, u32) -> Operation>;
+        let entries = (BinOp::ALL
+            .map(|op| -> Make { Box::new(move |a, b| Operation::Bin { op, a, b, dst: 4 }) }))
+        .into_iter()
+        .chain(
+            UnOp::ALL.map(|op| -> Make { Box::new(move |a, _| Operation::Un { op, a, dst: 4 }) }),
+        )
+        .chain(LoadKind::ALL.map(|kind| -> Make {
+            Box::new(move |addr, _| Operation::Load {
+                kind,
+                addr,
+                offset: 12,
+                dst: 4,
+            })
+        }))
+        .chain(StoreKind::ALL.map(|kind| -> Make {
+            Box::new(move |addr, val| Operation::Store {
+                kind,
+                addr,
+                val,
+                offset: 12,
+            })
+        }));
+        let mut variants = std::collections::HashMap::new();
+        for make in entries {
+            let instr = make(0, 1).instr();
+            let (inputs, result) = match make(0, 1) {
+                Operation::Bin { .. } => (2, true),
+                Operation::Un { .. } | Operation::Load { .. } => (1, true),
+                Operation::Store { .. } => (2, false),
+            };
+            // Its operands are locals 0 and 1 and its result is dropped.
+            // Lowering reads no types, so the heights are given by hand
+            // and the body need not validate over i32 locals.
+            let mut body: Vec<Instr> = (0..inputs).map(Instr::LocalGet).collect();
+            body.push(instr.clone());
+            let mut before: Vec<u32> = (0..=inputs).collect();
+            if result {
+                body.push(Instr::Drop);
+                before.push(1);
+            }
+            body.push(Instr::End);
+            before.push(0);
+            let module = module_of(body);
+            let heights = OperandHeights {
+                before,
+                peak: inputs,
+            };
+            for fuse in [true, false] {
+                let f = lower(&module.functions[0], &module, &heights, fuse);
+                // The one micro-op at the entry's position: with fusion
+                // on it reads locals 0 and 1 in place, with it off their
+                // copies at operand heights 0 and 1 (slots 4 and 5).
+                let mops: Vec<&Mop> = (f.code.iter().zip(&f.pos))
+                    .filter(|&(_, &p)| p == inputs)
+                    .map(|(m, _)| m)
+                    .collect();
+                assert_eq!(
+                    mops.len(),
+                    1,
+                    "{instr:?} (fuse {fuse}) lowers to {:?}",
+                    f.code
+                );
+                let want = if fuse { make(0, 1) } else { make(4, 5) };
+                let got = mops[0].operation();
+                assert_eq!(got, Some(want), "{instr:?}: {:?} reads back wrong", mops[0]);
+                // The audit's round trip reads the operator this way.
+                assert_eq!(got.map(Operation::instr), Some(instr.clone()));
+                // Operators of one shape (every binary operator, say)
+                // never share a variant.
+                let variant = std::mem::discriminant(mops[0]);
+                let first = variants.entry(variant).or_insert_with(|| instr.clone());
+                assert_eq!(*first, instr, "{instr:?} shares a micro-op with {first:?}");
+            }
+        }
+        let entries =
+            BinOp::ALL.len() + UnOp::ALL.len() + LoadKind::ALL.len() + StoreKind::ALL.len();
+        assert_eq!((variants.len(), entries), (146, 146));
+    }
+
     // Locals 0-3 are slots 0-3, the constants follow, then the operands.
 
     #[test]
@@ -1275,12 +1362,7 @@ mod tests {
             Instr::LocalSet(2),
             Instr::End,
         ]);
-        let add = Mop::Bin {
-            op: BinOp::I32Add,
-            a: 0,
-            b: 1,
-            dst: 2,
-        };
+        let add = Mop::I32Add { a: 0, b: 1, dst: 2 };
         assert_eq!(f.code, vec![add, Mop::Return(0)]);
         assert_eq!(f.pos, vec![2, 4]);
         // Four zeroed locals, no constant, and the peak of two operands.
@@ -1298,12 +1380,7 @@ mod tests {
             Instr::LocalSet(2),
             Instr::End,
         ]);
-        let add = Mop::Bin {
-            op: BinOp::I32Add,
-            a: 2,
-            b: 4,
-            dst: 2,
-        };
+        let add = Mop::I32Add { a: 2, b: 4, dst: 2 };
         assert_eq!(f.code, vec![add, Mop::Return(0)]);
         assert_eq!(f.frame_init, vec![0, 0, 0, 0, 1, 0, 0]);
     }
@@ -1320,12 +1397,7 @@ mod tests {
             Instr::Drop,
             Instr::End,
         ]);
-        let sub = Mop::Bin {
-            op: BinOp::I32Sub,
-            a: 4,
-            b: 1,
-            dst: 5,
-        };
+        let sub = Mop::I32Sub { a: 4, b: 1, dst: 5 };
         assert_eq!(f.code, vec![sub, Mop::Return(0)]);
     }
 
@@ -1346,12 +1418,7 @@ mod tests {
             Instr::End,
         ];
         let f = lower_body(body.clone());
-        let cmp = Mop::Bin {
-            op: BinOp::I32GeU,
-            a: 0,
-            b: 1,
-            dst: 4,
-        };
+        let cmp = Mop::I32GeU { a: 0, b: 1, dst: 4 };
         let br = Mop::BrIf {
             cond: 4,
             when_zero: true,
@@ -1391,14 +1458,12 @@ mod tests {
         assert_eq!(
             f.code,
             vec![
-                Mop::Load {
-                    kind: LoadKind::I32U8,
+                Mop::I32Load8U {
                     addr: 0,
                     offset: 8,
                     dst: 4
                 },
-                Mop::Store {
-                    kind: StoreKind::I32,
+                Mop::I32Store {
                     addr: 0,
                     val: 1,
                     offset: 8
@@ -1436,12 +1501,7 @@ mod tests {
                     target: 0
                 },
                 Mop::GlobalGet { global: 0, dst: 5 },
-                Mop::Bin {
-                    op: BinOp::I32Mul,
-                    a: 5,
-                    b: 4,
-                    dst: 1
-                },
+                Mop::I32Mul { a: 5, b: 4, dst: 1 },
                 // The `if` skips its (empty) arm when local 0 is nonzero;
                 // the teed local, still pending, is copied into its own
                 // slot first.
@@ -1612,12 +1672,7 @@ mod tests {
             vec![
                 Mop::Copy { src: 0, dst: 4 },
                 Mop::Copy { src: 1, dst: 0 },
-                Mop::Bin {
-                    op: BinOp::I32Add,
-                    a: 4,
-                    b: 0,
-                    dst: 2
-                },
+                Mop::I32Add { a: 4, b: 0, dst: 2 },
                 Mop::Return(0),
             ]
         );
@@ -1760,7 +1815,7 @@ mod tests {
                 "fuse={fuse}: the `block` drops; the `loop` heads region 0 and falls into the next"
             );
             // The loop test reads its two locals in place only when fusing.
-            let in_place = |m: &Mop| matches!(m, Mop::Bin { a: 0, b: 1, .. });
+            let in_place = |m: &Mop| matches!(m, Mop::I32GeS { a: 0, b: 1, .. });
             assert_eq!(f.code.iter().any(in_place), fuse, "fuse={fuse}");
         }
     }

@@ -4,8 +4,8 @@
 //! result comes back in the first), host-function crossings (the only
 //! calls that convert bits to [`Value`]s, reading the arguments by
 //! index), hotness bands, and the numeric helpers (Wasm `min`/`max`,
-//! trapping float-to-int truncation) behind the lifted operators in
-//! `fuse.rs`.
+//! trapping float-to-int truncation) that entries of the operator list
+//! in `fuse.rs` name.
 
 use crate::engine::{HostCtx, Instance};
 use crate::fuse::{bits_to_value, value_bits};

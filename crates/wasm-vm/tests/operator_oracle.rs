@@ -3,12 +3,17 @@
 //! results written out as literals.
 //!
 //! The differential tests compare fusion on against fusion off, and both
-//! settings share one `apply` per operator, so a wrong operator is wrong
-//! on both sides and no differential can see it. This table pins each
+//! settings run one dispatch arm per operator, expanded from the one
+//! operator list (`fuse.rs` `operators!`), so a wrong operator is wrong
+//! on both sides and no differential can see it: this literal table is
+//! the only independent check of each operator's semantics. It pins each
 //! operator to its Wasm MVP result on edge operands: division by zero and
 //! `MIN / -1`, shift and rotate counts at and past the bit width, bit
 //! counts of zero, NaN and signed zeros, `nearest` ties, the truncation
 //! bounds at 2^31, 2^32, 2^63 and 2^64, and sign versus zero extension.
+//! Every access kind is also run at its last in-bounds address, one byte
+//! past it and with an offset that carries the effective address past
+//! 2^32, and a store that traps must leave memory as it was.
 //!
 //! Every case runs with `reference_exec` off and on. A binary operator
 //! runs as `local.get; local.get; op` and as `local.get; const; op`, a
@@ -24,7 +29,7 @@
 use std::collections::HashMap;
 use std::mem::discriminant;
 use wb_wasm::leb128::write_u32;
-use wb_wasm::{Instr, MemArg, Module, ModuleBuilder, ValType};
+use wb_wasm::{Data, Instr, MemArg, Module, ModuleBuilder, ValType};
 use wb_wasm_vm::{Instance, Trap, Value, WasmVmConfig};
 
 const TYPES: [ValType; 4] = [ValType::I32, ValType::I64, ValType::F32, ValType::F64];
@@ -464,6 +469,119 @@ fn every_load_and_store_kind_matches_its_oracle_fused_and_unfused() {
             let want = want.clone().map(|b| b.to_vec());
             if got != want {
                 failures.push(format!("{body:?} of {value:?} at {addr} ({reference_exec}): got {got:?}, want {want:?}"));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// The access width of each load and store opcode, 0x28-0x3E in order.
+const WIDTHS: [u32; 23] = [
+    4, 8, 4, 8, 1, 1, 2, 2, 1, 1, 2, 2, 4, 4, // loads
+    4, 8, 4, 8, 1, 2, 1, 2, 4, // stores
+];
+
+/// The last 8 bytes of the one-page memory the bounds cases load from:
+/// below 0x80, so a load of the last `width` bytes, sign- or
+/// zero-extended, is their little-endian value.
+const END: [u8; 8] = [0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x08];
+
+/// Every load and store opcode with static offset `offset`, decoded
+/// through the real decoder.
+fn accesses(offset: u8) -> Vec<Instr> {
+    decode_body(
+        &(0x28..=0x3e)
+            .flat_map(|op| [op, 0x00, offset])
+            .collect::<Vec<u8>>(),
+    )
+}
+
+/// The type that makes `body` over `(i32, t)` validate with no result:
+/// the value type a store writes.
+fn stored_type(body: &[Instr]) -> ValType {
+    let fits: Vec<ValType> = TYPES
+        .into_iter()
+        .filter(|t| wb_wasm::validate(&module(&[ValType::I32, *t], &[], body)).is_ok())
+        .collect();
+    assert_eq!(fits.len(), 1, "{body:?} stores {fits:?}");
+    fits[0]
+}
+
+/// A value of type `t` whose bits are distinct bytes, none of them zero.
+fn distinct(t: ValType) -> Value {
+    match t {
+        ValType::I32 => h32(0x8182_8384),
+        ValType::I64 => h64(0x8182_8384_8586_8788),
+        ValType::F32 => f32v(f32::from_bits(0x8182_8384)),
+        ValType::F64 => f64v(f64::from_bits(0x8182_8384_8586_8788)),
+    }
+}
+
+#[test]
+fn every_access_kind_is_bounds_checked_at_the_end_of_memory() {
+    // Each load and store kind at its last in-bounds address (65536 -
+    // width), which succeeds, one byte past it, and at address 2^32 - 1
+    // with offset 1, whose effective address 2^32 does not wrap: both
+    // trap with the effective address and the width, and a trapping
+    // store leaves memory as it was.
+    let mut failures = Vec::new();
+    let mut check = |what: String, ok: bool| {
+        if !ok {
+            failures.push(what);
+        }
+    };
+    let kinds = accesses(0).into_iter().zip(accesses(1)).zip(WIDTHS);
+    for (k, ((op, far), width)) in kinds.enumerate() {
+        // The first 14 opcodes load, the other 9 store.
+        let load = k < 14;
+        let last = 65536 - width as i32;
+        let cases = [
+            (op.clone(), last, true),
+            (op, last + 1, false),
+            (far, -1, false),
+        ];
+        for (access, addr, in_bounds) in cases {
+            let effective = addr as u32 as u64 + u64::from(addr == -1);
+            let trap = Err(oob(effective, width));
+            for reference_exec in [false, true] {
+                let what = format!("{access:?} at {addr} (reference_exec {reference_exec})");
+                if load {
+                    let body = [Instr::LocalGet(0), access.clone()];
+                    let ret = result_type(&[ValType::I32], &body);
+                    let mut m = module(&[ValType::I32], &[ret], &body);
+                    m.data = vec![Data {
+                        offset: 65536 - END.len() as i32,
+                        bytes: END.to_vec(),
+                    }];
+                    let (got, _) = run(m, reference_exec, &[i32v(addr)]);
+                    let got = got.map(|v| v.map(|v| bits(&v)));
+                    let want = if in_bounds {
+                        let mut le = [0; 8];
+                        le[..width as usize].copy_from_slice(&END[8 - width as usize..]);
+                        Ok(Some((ret, u64::from_le_bytes(le), false)))
+                    } else {
+                        trap.clone().map(|_: ()| None)
+                    };
+                    check(format!("{what}: got {got:?}, want {want:?}"), got == want);
+                } else {
+                    let body = [Instr::LocalGet(0), Instr::LocalGet(1), access.clone()];
+                    let t = stored_type(&body);
+                    let mut m = module(&[ValType::I32, t], &[], &body);
+                    m.data.clear();
+                    let value = distinct(t);
+                    let (got, inst) = run(m, reference_exec, &[i32v(addr), value]);
+                    let after = inst.read_memory(0, 65536).expect("one page");
+                    let mut want_memory = vec![0; 65536];
+                    let want = if in_bounds {
+                        let le = bits(&value).1.to_le_bytes();
+                        want_memory[last as usize..].copy_from_slice(&le[..width as usize]);
+                        Ok(None)
+                    } else {
+                        trap.clone().map(|_: ()| None)
+                    };
+                    check(format!("{what}: got {got:?}, want {want:?}"), got == want);
+                    check(format!("{what}: memory changed"), after == want_memory);
+                }
             }
         }
     }

@@ -146,6 +146,124 @@ fn out_of_bounds_traps() {
     assert!(inst.invoke("peek", &[Value::I32(65532)]).is_ok());
 }
 
+/// Run `f(grow)` in a fresh instance of `module`, with fusion on and off.
+fn run_both(module: &wb_wasm::Module, grow: i32) -> [Result<Option<Value>, Trap>; 2] {
+    [false, true].map(|reference_exec| {
+        let config = WasmVmConfig {
+            reference_exec,
+            ..WasmVmConfig::reference()
+        };
+        wb_wasm::validate(module).expect("test module must validate");
+        let mut inst = Instance::from_module(module.clone(), config, HashMap::new()).unwrap();
+        inst.invoke("f", &[Value::I32(grow)])
+    })
+}
+
+/// An i32 access at byte 8 of the second page, which exists only after a
+/// grow of the one-page memory.
+const PAGE_TWO: i32 = 65536 + 8;
+
+#[test]
+fn a_page_grown_inside_a_loop_is_accessible_in_the_same_run() {
+    // Two iterations store `40 + i` at byte 8 of page `i`; after the
+    // first iteration's store, `f(1)` grows the memory by a page. Then
+    // the second page's word is loaded back. A run that kept the length
+    // it saw at the loop's (or the function's) entry would trap on the
+    // second store.
+    let mut mb = ModuleBuilder::new();
+    mb.memory(1, None);
+    let mut f = mb.func("f", vec![ValType::I32], vec![ValType::I32]);
+    let i = f.local(ValType::I32);
+    let word = MemArg::natural(4);
+    f.ops([
+        Instr::Loop(BlockType::Empty),
+        Instr::LocalGet(i),
+        Instr::I32Const(65536),
+        Instr::I32Mul,
+        Instr::I32Const(8),
+        Instr::I32Add,
+        Instr::LocalGet(i),
+        Instr::I32Const(40),
+        Instr::I32Add,
+        Instr::I32Store(word),
+        Instr::LocalGet(i),
+        Instr::I32Eqz,
+        Instr::LocalGet(0),
+        Instr::I32And,
+        Instr::If(BlockType::Empty),
+        Instr::I32Const(1),
+        Instr::MemoryGrow,
+        Instr::Drop,
+        Instr::End,
+        Instr::LocalGet(i),
+        Instr::I32Const(1),
+        Instr::I32Add,
+        Instr::LocalTee(i),
+        Instr::I32Const(2),
+        Instr::I32LtU,
+        Instr::BrIf(0),
+        Instr::End,
+        Instr::I32Const(PAGE_TWO),
+        Instr::I32Load(word),
+    ])
+    .done();
+    mb.finish_func(f, true);
+    let module = mb.build();
+    let oob = Err(Trap::MemoryOutOfBounds {
+        addr: PAGE_TWO as u64,
+        width: 4,
+    });
+    assert_eq!(
+        run_both(&module, 1),
+        [Ok(Some(Value::I32(41))), Ok(Some(Value::I32(41)))]
+    );
+    assert_eq!(run_both(&module, 0), [oob.clone(), oob]);
+}
+
+#[test]
+fn a_page_a_callee_grew_is_accessible_to_its_caller() {
+    // `f(1)` stores to and loads from page one, calls `grow`, which adds
+    // a page, then stores to and loads back from the new page. A caller
+    // that kept the length it saw before the call would trap there.
+    let mut mb = ModuleBuilder::new();
+    mb.memory(1, None);
+    let mut grow = mb.func("grow", vec![], vec![]);
+    grow.ops([Instr::I32Const(1), Instr::MemoryGrow, Instr::Drop])
+        .done();
+    let grow = mb.finish_func(grow, false);
+    let mut f = mb.func("f", vec![ValType::I32], vec![ValType::I32]);
+    let word = MemArg::natural(4);
+    f.ops([
+        Instr::I32Const(8),
+        Instr::I32Const(7),
+        Instr::I32Store(word),
+        Instr::LocalGet(0),
+        Instr::If(BlockType::Empty),
+        Instr::Call(grow),
+        Instr::End,
+        Instr::I32Const(PAGE_TWO),
+        Instr::I32Const(8),
+        Instr::I32Load(word),
+        Instr::I32Const(35),
+        Instr::I32Add,
+        Instr::I32Store(word),
+        Instr::I32Const(PAGE_TWO),
+        Instr::I32Load(word),
+    ])
+    .done();
+    mb.finish_func(f, true);
+    let module = mb.build();
+    let oob = Err(Trap::MemoryOutOfBounds {
+        addr: PAGE_TWO as u64,
+        width: 4,
+    });
+    assert_eq!(
+        run_both(&module, 1),
+        [Ok(Some(Value::I32(42))), Ok(Some(Value::I32(42)))]
+    );
+    assert_eq!(run_both(&module, 0), [oob.clone(), oob]);
+}
+
 #[test]
 fn memory_grow_updates_stats_and_charges_time() {
     let mut mb = ModuleBuilder::new();

@@ -42,7 +42,11 @@ impl fmt::Display for MemoryError {
 
 impl std::error::Error for MemoryError {}
 
-/// A linear memory instance.
+/// A linear memory instance. The VM's loads and stores use the
+/// fixed-width [`load`](Self::load) and [`store`](Self::store), inlined
+/// into the caller and checked against the current size on every access,
+/// so a grow is seen at once; [`read`](Self::read) and
+/// [`write`](Self::write) take any width.
 #[derive(Debug, Clone)]
 pub struct LinearMemory {
     bytes: Vec<u8>,
@@ -98,22 +102,20 @@ impl LinearMemory {
         old_pages as i32
     }
 
-    /// Read `width` bytes at `addr` (bounds-checked).
+    /// Read `width` bytes at `addr` (bounds-checked): data segments and
+    /// host reads, whose width is not fixed.
     pub fn read(&self, addr: u64, width: u32) -> Result<&[u8], MemoryError> {
         let end = addr
             .checked_add(width as u64)
             .filter(|&e| e <= self.bytes.len() as u64);
         match end {
             Some(end) => Ok(&self.bytes[addr as usize..end as usize]),
-            None => Err(MemoryError::OutOfBounds {
-                addr,
-                width,
-                size: self.bytes.len(),
-            }),
+            None => Err(self.out_of_bounds(addr, width as usize)),
         }
     }
 
-    /// Write bytes at `addr` (bounds-checked).
+    /// Write bytes at `addr` (bounds-checked): data segments and host
+    /// writes, whose width is not fixed.
     pub fn write(&mut self, addr: u64, data: &[u8]) -> Result<(), MemoryError> {
         let end = addr
             .checked_add(data.len() as u64)
@@ -123,47 +125,48 @@ impl LinearMemory {
                 self.bytes[addr as usize..end as usize].copy_from_slice(data);
                 Ok(())
             }
-            None => Err(MemoryError::OutOfBounds {
-                addr,
-                width: data.len() as u32,
-                size: self.bytes.len(),
-            }),
+            None => Err(self.out_of_bounds(addr, data.len())),
         }
     }
 
-    /// Typed read helpers ------------------------------------------------
-    /// Read a little-endian u32.
-    pub fn read_u32(&self, addr: u64) -> Result<u32, MemoryError> {
-        let b = self.read(addr, 4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    /// Load `N` bytes at `addr` as an array, bounds-checked against the
+    /// current size: the fixed-width access the VM's loads use, read in
+    /// place.
+    #[inline]
+    pub fn load<const N: usize>(&self, addr: u64) -> Result<[u8; N], MemoryError> {
+        let chunk = usize::try_from(addr)
+            .ok()
+            .and_then(|a| self.bytes.get(a..)?.first_chunk::<N>());
+        match chunk {
+            Some(b) => Ok(*b),
+            None => Err(self.out_of_bounds(addr, N)),
+        }
     }
 
-    /// Read a little-endian u64.
-    pub fn read_u64(&self, addr: u64) -> Result<u64, MemoryError> {
-        let b = self.read(addr, 8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+    /// Store `N` bytes at `addr`, bounds-checked against the current size:
+    /// the fixed-width access the VM's stores use. Out of bounds, nothing
+    /// is written.
+    #[inline]
+    pub fn store<const N: usize>(&mut self, addr: u64, data: [u8; N]) -> Result<(), MemoryError> {
+        let chunk = usize::try_from(addr)
+            .ok()
+            .and_then(|a| self.bytes.get_mut(a..)?.first_chunk_mut::<N>());
+        match chunk {
+            Some(b) => {
+                *b = data;
+                Ok(())
+            }
+            None => Err(self.out_of_bounds(addr, N)),
+        }
     }
 
-    /// Read an f64.
-    pub fn read_f64(&self, addr: u64) -> Result<f64, MemoryError> {
-        Ok(f64::from_bits(self.read_u64(addr)?))
-    }
-
-    /// Write a little-endian u32.
-    pub fn write_u32(&mut self, addr: u64, v: u32) -> Result<(), MemoryError> {
-        self.write(addr, &v.to_le_bytes())
-    }
-
-    /// Write a little-endian u64.
-    pub fn write_u64(&mut self, addr: u64, v: u64) -> Result<(), MemoryError> {
-        self.write(addr, &v.to_le_bytes())
-    }
-
-    /// Write an f64.
-    pub fn write_f64(&mut self, addr: u64, v: f64) -> Result<(), MemoryError> {
-        self.write_u64(addr, v.to_bits())
+    #[cold]
+    fn out_of_bounds(&self, addr: u64, width: usize) -> MemoryError {
+        MemoryError::OutOfBounds {
+            addr,
+            width: width as u32,
+            size: self.bytes.len(),
+        }
     }
 }
 
@@ -183,7 +186,7 @@ mod tests {
         let mut m = LinearMemory::new(Limits::at_least(1));
         assert_eq!(m.grow(3), 1);
         assert_eq!(m.size_pages(), 4);
-        assert_eq!(m.read_u32((4 * PAGE_SIZE - 4) as u64).unwrap(), 0);
+        assert_eq!(m.load::<4>((4 * PAGE_SIZE - 4) as u64).unwrap(), [0; 4]);
         assert_eq!(m.grow_count, 1);
         assert_eq!(m.grown_pages, 3);
     }
@@ -205,22 +208,36 @@ mod tests {
     #[test]
     fn bounds_checked_reads_and_writes() {
         let mut m = LinearMemory::new(Limits::at_least(1));
-        m.write_u32(0, 0xdeadbeef).unwrap();
-        assert_eq!(m.read_u32(0).unwrap(), 0xdeadbeef);
-        // Access straddling the end fails.
+        m.store(0, 0xdeadbeef_u32.to_le_bytes()).unwrap();
+        assert_eq!(m.load(0).map(u32::from_le_bytes), Ok(0xdeadbeef));
+        assert_eq!(m.read(0, 4).unwrap(), &0xdeadbeef_u32.to_le_bytes());
+        // The last `N` bytes are in bounds; an access straddling the end
+        // fails and writes nothing.
         let end = PAGE_SIZE as u64 - 2;
-        assert!(m.read_u32(end).is_err());
-        assert!(m.write_u32(end, 1).is_err());
+        assert_eq!(m.load::<2>(end), Ok([0; 2]));
+        let oob = Err(MemoryError::OutOfBounds {
+            addr: end,
+            width: 4,
+            size: PAGE_SIZE,
+        });
+        assert_eq!(m.load::<4>(end), oob);
+        assert_eq!(m.store(end, [1; 4]), oob.map(|_| ()));
+        assert_eq!(m.read(end, 2).unwrap(), &[0, 0]);
         // Address overflow does not panic.
         assert!(m.read(u64::MAX, 8).is_err());
+        assert!(m.load::<8>(u64::MAX).is_err());
+        assert!(m.store(u64::MAX - 1, [0; 8]).is_err());
     }
 
     #[test]
     fn f64_round_trips_bits() {
         let mut m = LinearMemory::new(Limits::at_least(1));
         for v in [0.0, -1.5, f64::INFINITY, f64::MIN_POSITIVE] {
-            m.write_f64(8, v).unwrap();
-            assert_eq!(m.read_f64(8).unwrap().to_bits(), v.to_bits());
+            m.store(8, v.to_le_bytes()).unwrap();
+            assert_eq!(
+                m.load(8).map(f64::from_le_bytes).unwrap().to_bits(),
+                v.to_bits()
+            );
         }
     }
 }

@@ -80,14 +80,16 @@ fn memory_never_shrinks_and_tracks_growth() {
 fn data_past_initial_memory_is_reachable_after_growth() {
     let mut mem = LinearMemory::new(Limits::at_least(1));
     let last = (PAGE_SIZE - 8) as u64;
-    mem.write_u64(last, 0xfeed_face_dead_beef)
+    mem.store(last, 0xfeed_face_dead_beef_u64.to_le_bytes())
         .expect("in page one");
-    assert!(mem.write_u64(last + PAGE_SIZE as u64, 1).is_err());
+    assert!(mem.store(last + PAGE_SIZE as u64, [1; 8]).is_err());
     mem.grow(1);
-    mem.write_u64(last + PAGE_SIZE as u64, 0xabad_cafe)
+    mem.store(last + PAGE_SIZE as u64, 0xabad_cafe_u64.to_le_bytes())
         .expect("reachable after grow");
     assert_eq!(
-        mem.read_u64(last).expect("still intact"),
+        mem.load(last)
+            .map(u64::from_le_bytes)
+            .expect("still intact"),
         0xfeed_face_dead_beef
     );
 }

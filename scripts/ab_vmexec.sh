@@ -11,8 +11,11 @@
 #
 # Both binaries must have the `--vmexec-only` mode (a parent that predates
 # it can be given this tree's crates/harness/src/bin/selfbench.rs before
-# it is built). Default: 10 pairs. Output goes to a
-# temporary directory; nothing in the working tree is written.
+# it is built). A binary named without a `/` is looked up on PATH, as the
+# shell would run it. The script stops, naming the probe, if a binary is
+# not an executable file, or if a probe exits non-zero or prints no
+# median for either VM. Default: 10 pairs. Output goes to a temporary
+# directory; nothing in the working tree is written.
 set -euo pipefail
 
 if [[ $# -lt 2 ]]; then
@@ -22,20 +25,43 @@ fi
 parent=$1
 change=$2
 pairs=${3:-10}
+for side in parent change; do
+    bin=${!side}
+    if [[ $bin != */* ]]; then
+        bin=$(command -v -- "$bin" || true)
+    fi
+    if [[ -z $bin || ! -f $bin || ! -x $bin ]]; then
+        echo "$0: the $side selfbench '${!side}' is not an executable file (a name without '/' is looked up on PATH)" >&2
+        exit 2
+    fi
+    printf -v "$side" '%s' "$bin"
+done
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
-# Median fusion-on round wall time of one probe run, per VM: "wasm js".
-# Its per-kernel medians go to $work/kernels as "<pair> <p|c> <vm>
-# <kernel>@<size> <seconds>" lines.
+# Run one probe of binary $1, named $2 in messages, and set `wasm` and
+# `js` to its median fusion-on round wall time per VM. Its per-kernel
+# medians go to $work/kernels as "<pair> <p|c> <vm> <kernel>@<size>
+# <seconds>" lines, tagged with $3. Stops the script if the probe exits
+# non-zero or prints no positive median for either VM.
 probe() {
-    "$1" --vmexec-only --out "$work" 2>&1 |
-        awk '/^\[vmexec\] (wasm|js):/ {
+    local log="$work/probe.log"
+    rm -f "$work/BENCH_vmexec.json"
+    if ! "$1" --vmexec-only --out "$work" >"$log" 2>&1; then
+        echo "$0: probe $2 ($1) exited non-zero; the end of its output:" >&2
+        tail -n 20 "$log" >&2
+        exit 1
+    fi
+    read -r wasm js < <(awk '/^\[vmexec\] (wasm|js):/ {
                  vm = $2; sub(":", "", vm)
                  for (i = 1; i <= NF; i++) if ($i == "median") { t[vm] = $(i + 1); break }
              }
-             END { print t["wasm"], t["js"] }'
-    awk -v tag="$2" '
+             END { print t["wasm"] + 0, t["js"] + 0 }' "$log")
+    if ! awk -v w="$wasm" -v j="$js" 'BEGIN { exit !(w > 0 && j > 0) }' || [[ ! -f $work/BENCH_vmexec.json ]]; then
+        echo "$0: probe $2 ($1) printed no [vmexec] wasm and js medians (wasm '$wasm', js '$js') or wrote no BENCH_vmexec.json" >&2
+        exit 1
+    fi
+    awk -v tag="$3" '
         /"vm": "/ { vm = $0; sub(/.*"vm": "/, "", vm); sub(/".*/, "", vm) }
         /"kernel": "/ {
             k = $0; sub(/.*"kernel": "/, "", k); sub(/".*/, "", k)
@@ -48,11 +74,15 @@ probe() {
 declare -a wasm_ratios js_ratios
 for ((i = 0; i < pairs; i++)); do
     if ((i % 2 == 0)); then
-        read -r pw pj < <(probe "$parent" "$i p")
-        read -r cw cj < <(probe "$change" "$i c")
+        probe "$parent" "parent $((i + 1))" "$i p"
+        pw=$wasm pj=$js
+        probe "$change" "change $((i + 1))" "$i c"
+        cw=$wasm cj=$js
     else
-        read -r cw cj < <(probe "$change" "$i c")
-        read -r pw pj < <(probe "$parent" "$i p")
+        probe "$change" "change $((i + 1))" "$i c"
+        cw=$wasm cj=$js
+        probe "$parent" "parent $((i + 1))" "$i p"
+        pw=$wasm pj=$js
     fi
     wasm_ratios+=("$(awk -v c="$cw" -v p="$pw" 'BEGIN { printf "%.4f", c / p }')")
     js_ratios+=("$(awk -v c="$cj" -v p="$pj" 'BEGIN { printf "%.4f", c / p }')")
